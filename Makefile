@@ -1,10 +1,10 @@
 # Development targets. `make check` is the default gate: build + vet +
 # full tests + race detector over the concurrent subsystems (the serving
-# layer and the BSP runtime).
+# layer and the BSP runtime) + a compile of the benchmark module.
 
 GO ?= go
 
-.PHONY: all build test vet race check chaos chaos-fleet lint vuln bench bench-bsp bench-kernels bench-service bench-planner bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
+.PHONY: all build test vet race bench-build check chaos chaos-fleet lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
 
 all: check
 
@@ -22,7 +22,14 @@ vet:
 race:
 	$(GO) test -race ./internal/service/... ./internal/bsp/...
 
-check: build vet test race
+# benchmark/ is its own module (`replace repro => ../`), so `go build
+# ./...` and `go vet ./...` above never see it — yet it imports service,
+# planner, shard, transport and bsp directly. Compile and vet it here so
+# an internal-API change cannot break the benchmark invisibly.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null .
+
+check: build vet test race bench-build
 
 # Chaos suite: fault injection, cancellation races, abort cascades, and
 # degraded-result delivery, run twice under the race detector to shake
@@ -72,21 +79,15 @@ bench-bsp:
 bench-kernels:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/kernels/
 
-# Serving-layer benchmarks: warm-plan vs cold repeated-query throughput
-# and static vs dynamic trial scheduling under an injected straggler
-# (also writes internal/service/BENCH_service.json and
-# internal/service/BENCH_planner.json).
-bench-service:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/service/
-
-# Planner/portfolio benchmarks: planner-selected kernel vs the
+# Serving-layer benchmarks: warm-plan vs cold repeated-query throughput,
+# static vs dynamic trial scheduling under an injected straggler, and
+# the planner/portfolio set (planner-selected kernel vs the
 # always-label-propagation baseline on a high-diameter path, the
-# machine-less shared kernel vs the p=1 BSP path on a small warm graph,
-# deterministic lowround counts, and the planner's win-rate/prediction
-# accounting. Shares the service suite's TestMain writer, so it
-# regenerates both internal/service/BENCH_planner.json and
-# internal/service/BENCH_service.json.
-bench-planner:
+# machine-less shared kernel vs the p=1 BSP path, deterministic lowround
+# counts, win-rate/prediction accounting). One TestMain writes both
+# internal/service/BENCH_service.json and
+# internal/service/BENCH_planner.json.
+bench-service:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/service/
 
 # Cross-fabric benchmarks: the same all-to-all superstep through the

@@ -161,6 +161,7 @@ func ApproxMinCut(g *graph.Graph, opts Options) (*ApproxCutResult, error) {
 		n, local := dist.ScatterGraph(c, 0, in)
 		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
 		r := approxcut.Parallel(c, n, local, stream, approxcut.Options{
+			Trials:    opts.ApproxTrials,
 			Pipelined: opts.Pipelined,
 		})
 		if c.Rank() == 0 {
@@ -194,7 +195,7 @@ func ConnectedComponents(g *graph.Graph, opts Options) (*CCResult, error) {
 		}
 		n, local := dist.ScatterGraph(c, 0, in)
 		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
-		r := cc.Parallel(c, n, local, stream, cc.Options{})
+		r := cc.Parallel(c, n, local, stream, cc.Options{Epsilon: opts.Epsilon})
 		if c.Rank() == 0 {
 			res = r
 		}

@@ -112,7 +112,8 @@ func TestMaxTrialsRespected(t *testing.T) {
 func TestEpsilonOption(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 8, 3, gen.Config{})
 	// Both extremes must agree on the answer; the knob only shifts the
-	// iteration/volume trade-off.
+	// iteration/volume trade-off — and it must actually shift it: a larger
+	// sample s = n^(1+ε/2) moves more words per round.
 	small, err := ConnectedComponents(g, Options{Processors: 2, Seed: 5, Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +125,23 @@ func TestEpsilonOption(t *testing.T) {
 	if small.Count != big.Count {
 		t.Errorf("epsilon changed the answer: %d vs %d", small.Count, big.Count)
 	}
+	if small.Stats.CommVolume >= big.Stats.CommVolume {
+		t.Errorf("epsilon had no effect on the sample: ε=0.25 moved %d words, ε=1.0 moved %d",
+			small.Stats.CommVolume, big.Stats.CommVolume)
+	}
+	// The zero value is the documented default, not a third setting.
+	def, err := ConnectedComponents(g, Options{Processors: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := ConnectedComponents(g, Options{Processors: 2, Seed: 5, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Stats.CommVolume != half.Stats.CommVolume || def.Stats.Supersteps != half.Stats.Supersteps {
+		t.Errorf("Epsilon 0 is not the 0.5 default: %d words/%d supersteps vs %d/%d",
+			def.Stats.CommVolume, def.Stats.Supersteps, half.Stats.CommVolume, half.Stats.Supersteps)
+	}
 }
 
 func TestApproxTrialsOption(t *testing.T) {
@@ -134,6 +152,23 @@ func TestApproxTrialsOption(t *testing.T) {
 	}
 	if res.Value < 1 || res.Value > 16 {
 		t.Errorf("estimate %d", res.Value)
+	}
+	// Each sparsity level labels a trials×n vertex space, so the trial
+	// count shows on the ledger; 0 means the ⌈log₂n⌉ = 6 default.
+	def, err := ApproxMinCut(g, Options{Processors: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	six, err := ApproxMinCut(g, Options{Processors: 2, Seed: 4, ApproxTrials: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Stats.CommVolume != six.Stats.CommVolume {
+		t.Errorf("ApproxTrials 0 is not the log₂n default: %d words vs %d", def.Stats.CommVolume, six.Stats.CommVolume)
+	}
+	if res.Stats.CommVolume <= six.Stats.CommVolume {
+		t.Errorf("ApproxTrials had no effect: 12 trials moved %d words, 6 moved %d",
+			res.Stats.CommVolume, six.Stats.CommVolume)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bsp"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
@@ -13,12 +14,12 @@ import (
 )
 
 // calGraph is one calibration workload: a small deterministic graph plus
-// the stats and params its cost formulas see.
+// the stats its cost formulas see and the parameters its kernels run at.
 type calGraph struct {
 	alg string
 	g   *graph.Graph
 	st  GraphStats
-	par Params
+	run RunParams
 }
 
 func calPath(n int) *graph.Graph {
@@ -37,7 +38,7 @@ func calPath(n int) *graph.Graph {
 // of near-identical small samples and the per-kernel ordering becomes a
 // coin flip. All graphs are deterministic (fixed seeds).
 func calibrationSuite() []calGraph {
-	ccPar := Params{Epsilon: 0.5}
+	run := RunParams{Seed: 42, Epsilon: 0.5, SuccessProb: 0.9}
 	var suite []calGraph
 	for _, g := range []*graph.Graph{
 		calPath(512),
@@ -48,7 +49,7 @@ func calibrationSuite() []calGraph {
 		gen.ErdosRenyiM(4096, 32768, 7, gen.Config{}),
 		gen.WattsStrogatz(512, 8, 0.2, 7, gen.Config{}),
 	} {
-		suite = append(suite, calGraph{alg: "cc", g: g, st: StatsOf(g.Snapshot()), par: ccPar})
+		suite = append(suite, calGraph{alg: "cc", g: g, st: StatsOf(g.Snapshot()), run: run})
 	}
 	for _, g := range []*graph.Graph{
 		gen.WattsStrogatz(128, 6, 0.2, 7, gen.Config{}),
@@ -56,11 +57,11 @@ func calibrationSuite() []calGraph {
 		gen.ErdosRenyiM(192, 768, 7, gen.Config{}),
 		gen.ErdosRenyiM(384, 1536, 7, gen.Config{}),
 	} {
-		t := mincut.Trials(g.N, len(g.Edges), 0.9)
-		if t > 12 {
-			t = 12 // bound startup cost; the fit only needs the slope
+		run.MaxTrials = mincut.Trials(g.N, len(g.Edges), run.SuccessProb)
+		if run.MaxTrials > 12 {
+			run.MaxTrials = 12 // bound startup cost; the fit only needs the slope
 		}
-		suite = append(suite, calGraph{alg: "mincut", g: g, st: StatsOf(g.Snapshot()), par: Params{Trials: t}})
+		suite = append(suite, calGraph{alg: "mincut", g: g, st: StatsOf(g.Snapshot()), run: run})
 	}
 	return suite
 }
@@ -71,16 +72,43 @@ func calibrationSuite() []calGraph {
 // and a single outlier can flip the fitted per-kernel ordering.
 const calReps = 2
 
+// measure runs k over cg calReps times and returns the sample its fit
+// consumes, timed at the fastest rep. On a machine the features are the
+// measured ledger's; a shared member (mach nil) runs on this goroutine and
+// keeps its formula features — the same ones Choose later predicts with.
+func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ error) {
+	if mach == nil {
+		s = k.Cost(cg.st, 1, Params{Epsilon: cg.run.Epsilon, Trials: cg.run.MaxTrials})
+	}
+	s.Time = math.MaxFloat64
+	for rep := 0; rep < calReps; rep++ {
+		start := time.Now()
+		if mach == nil {
+			k.Run(nil, cg.g.N, cg.g.Edges, cg.run, nil, nil)
+		} else {
+			st, err := mach.Run(func(c *bsp.Comm) {
+				lo, hi := dist.BlockRange(len(cg.g.Edges), c.Size(), c.Rank())
+				k.Run(c, cg.g.N, cg.g.Edges[lo:hi], cg.run, nil, nil)
+			})
+			if err != nil {
+				return s, err
+			}
+			s.Comp, s.Volume = float64(st.MaxOps), float64(st.CommVolume)
+			s.Supersteps, s.P = float64(st.Supersteps), float64(st.P)
+		}
+		s.Time = min(s.Time, time.Since(start).Seconds())
+	}
+	return s, nil
+}
+
 // CalibrateBuiltins measures every registered kernel over the built-in
-// suite and fits its model: BSP kernels run on real machines at p in
-// {1,2,4,8,16} (clamped to maxP — the spread in log₂p is what separates
-// the volume constant from the intercept) with measured ledger
-// features; shared kernels run on the calling goroutine with formula
-// features, so their fit maps the same features Choose later predicts
-// with. A kernel whose fit fails stays uncalibrated — decisions needing
-// it fall back to the default kernel and count as planner fallbacks —
-// and the joined error reports every such kernel rather than silently
-// defaulting.
+// suite — through the same Kernel.Run serving dispatches — and fits its
+// model: BSP kernels run on real machines at p in {1,2,4,8,16} (clamped
+// to maxP — the spread in log₂p is what separates the volume constant
+// from the intercept), shared kernels once each. A kernel whose fit
+// fails stays uncalibrated — decisions needing it fall back to the
+// default kernel and count as planner fallbacks — and the joined error
+// reports every such kernel rather than silently defaulting.
 func (pl *Planner) CalibrateBuiltins(maxP int) error {
 	if maxP < 1 {
 		maxP = 1
@@ -103,56 +131,25 @@ func (pl *Planner) CalibrateBuiltins(maxP int) error {
 		}); err != nil {
 			return err
 		}
-		for _, cg := range suite {
-			for _, k := range KernelsFor(cg.alg) {
-				if k.bspBody == nil {
+		for i := range suite {
+			for _, k := range KernelsFor(suite[i].alg) {
+				if k.Shared {
 					continue
 				}
-				body, par := k.bspBody, cg.par
-				n, edges := cg.g.N, cg.g.Edges
-				var st *bsp.Stats
-				best := math.MaxFloat64
-				for rep := 0; rep < calReps; rep++ {
-					start := time.Now()
-					st, err = mach.Run(func(c *bsp.Comm) {
-						body(c, n, blockLocal(edges, c), par)
-					})
-					if err != nil {
-						return err
-					}
-					if t := time.Since(start).Seconds(); t < best {
-						best = t
-					}
+				s, err := measure(k, &suite[i], mach)
+				if err != nil {
+					return err
 				}
-				samples[k.Name] = append(samples[k.Name], perfmodel.Sample{
-					Comp:       float64(st.MaxOps),
-					Volume:     float64(st.CommVolume),
-					Supersteps: float64(st.Supersteps),
-					P:          float64(p),
-					Time:       best,
-				})
+				samples[k.Name] = append(samples[k.Name], s)
 			}
 		}
 	}
-	for _, cg := range suite {
-		for _, k := range KernelsFor(cg.alg) {
-			if k.sharedRun == nil {
-				continue
+	for i := range suite {
+		for _, k := range KernelsFor(suite[i].alg) {
+			if k.Shared && (k.MaxN <= 0 || suite[i].g.N <= k.MaxN) {
+				s, _ := measure(k, &suite[i], nil)
+				samples[k.Name] = append(samples[k.Name], s)
 			}
-			if k.MaxN > 0 && cg.g.N > k.MaxN {
-				continue
-			}
-			best := math.MaxFloat64
-			for rep := 0; rep < calReps; rep++ {
-				start := time.Now()
-				k.sharedRun(cg.g)
-				if t := time.Since(start).Seconds(); t < best {
-					best = t
-				}
-			}
-			s := k.Cost(cg.st, 1, cg.par)
-			s.Time = best
-			samples[k.Name] = append(samples[k.Name], s)
 		}
 	}
 

@@ -2,10 +2,11 @@ package planner
 
 import (
 	"math"
+	"slices"
 
+	"repro/internal/approxcut"
 	"repro/internal/bsp"
 	"repro/internal/cc"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/perfmodel"
@@ -35,15 +36,85 @@ type Params struct {
 	Trials  int
 }
 
-// Kernel is one portfolio member: an algorithm implementation the
-// planner can dispatch, with a closed-form cost profile for scoring and
-// a self-contained calibration runner for fitting its model constants.
+// RunParams are the normalized, defaulted tuning parameters of one kernel
+// run — the canonical identity used for cache keys and coalescing, and
+// what a distributed executor ships to its worker processes (the JSON
+// form rides the shard CONTROL start frame).
+type RunParams struct {
+	Seed        uint64  `json:"seed"`
+	Epsilon     float64 `json:"epsilon"`
+	SuccessProb float64 `json:"success_prob"`
+	MaxTrials   int     `json:"max_trials"`
+	Trials      int     `json:"trials"`
+	Pipelined   bool    `json:"pipelined"`
+}
+
+func (par RunParams) stream(c *bsp.Comm) *rng.Stream {
+	return rng.New(par.Seed, uint32(c.Rank()), 0)
+}
+
+// Outcome is the algorithm-agnostic answer of one kernel run: each kernel
+// fills the fields its algorithm defines and leaves the rest zero.
+type Outcome struct {
+	Value      uint64  // cut value (mincut, approxcut)
+	Components int     // component count (cc)
+	Iterations int     // sampling rounds (cc) or sparsity levels (approxcut)
+	Trials     int     // contraction trials (mincut) or per-level trials (approxcut)
+	Labels     []int32 // cc labelling
+	Side       []bool  // mincut partition side
+	// AchievedProb is the success probability the completed trials
+	// actually achieved (mincut, on a Checkpoint's partial outcome).
+	AchievedProb float64
+}
+
+func ccOutcome(r *cc.Result) *Outcome {
+	return &Outcome{Components: r.Count, Iterations: r.Iterations, Labels: r.Labels}
+}
+
+func cutOutcome(r *mincut.CutResult) *Outcome {
+	return &Outcome{Value: r.Value, Trials: r.Trials, Side: r.Side}
+}
+
+// Checkpoint is a kernel's own best-so-far recorder for one run: the
+// runner allocates it (Kernel.NewCheckpoint), hands it to Run, and asks
+// it for a degraded answer when the run is cancelled.
+type Checkpoint interface {
+	// Partial returns the best-so-far outcome (nil when nothing useful
+	// completed) and how many of the planned work units finished.
+	Partial() (out *Outcome, done, planned int)
+}
+
+type mincutCheckpoint struct{ *mincut.Checkpoint }
+
+func (cp mincutCheckpoint) Partial() (*Outcome, int, int) {
+	value, side, done, planned, ok := cp.Best()
+	if !ok {
+		return nil, 0, 0
+	}
+	return &Outcome{Value: value, Side: side, Trials: done, AchievedProb: cp.AchievedProb()}, done, planned
+}
+
+type approxCheckpoint struct{ *approxcut.Checkpoint }
+
+func (cp approxCheckpoint) Partial() (*Outcome, int, int) {
+	iters, trials, planned, ok := cp.Checkpoint.Partial()
+	if !ok {
+		return nil, 0, 0
+	}
+	// Clearing iteration i without a disconnection puts the cut above
+	// ~2^i w.h.p. — a one-sided estimate, flagged degraded.
+	return &Outcome{Value: uint64(1) << uint(iters), Iterations: iters, Trials: trials}, iters, planned
+}
+
+// Kernel is one member of the kernel table: an algorithm implementation
+// with the single entry everything that executes it goes through (Run),
+// and — for the scored portfolio — a closed-form cost profile.
 type Kernel struct {
 	// Name identifies the kernel in cache keys, traces, and stats.
-	// Unique across the whole portfolio.
+	// Unique across the whole table.
 	Name string
 	// Algorithm is the query algorithm the kernel answers ("cc",
-	// "mincut").
+	// "mincut", "approxcut").
 	Algorithm string
 	// Default marks the kernel dispatched when the planner is off or
 	// uncalibrated — the pre-portfolio behavior.
@@ -59,18 +130,26 @@ type Kernel struct {
 	// given statistics at machine size p. Predicted features approximate
 	// the implementation's measured accounting (the fit maps measured
 	// features to time, so formula bias shows up directly in the
-	// prediction-vs-actual error the trace records).
+	// prediction-vs-actual error the trace records). A member without a
+	// Cost runs as its algorithm's default but stays outside the scored
+	// portfolio: Kernels, KernelsFor, a Lookup by name, calibration, and
+	// Choose never see it.
 	Cost func(st GraphStats, p int, par Params) perfmodel.Sample
-
-	// Calibration runners (exactly one is set): bspBody runs the kernel
-	// inside a BSP machine over a block-distributed edge array; sharedRun
-	// runs it on the calling goroutine.
-	bspBody   func(c *bsp.Comm, n int, local []graph.Edge, par Params)
-	sharedRun func(g *graph.Graph)
+	// Run executes the kernel; serving, failover, distributed workers, and
+	// calibration all call it and nothing else. A BSP member runs SPMD —
+	// every rank calls Run with its Comm and its block of the edge array
+	// and returns the outcome, callers keep rank 0's; a Shared member is
+	// called once, with a nil Comm and the whole edge array. plan, if any,
+	// is the snapshot-resident plan whose facts replace the matching cold
+	// collectives; cp, if any, is what NewCheckpoint returned for this run.
+	Run func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome
+	// NewCheckpoint, when non-nil, allocates the recorder that lets a
+	// cancelled run degrade to a best-so-far answer.
+	NewCheckpoint func() Checkpoint
 }
 
-// Portfolio kernel names. The service's dispatch switch and cache keys
-// use these, so they are part of the query identity.
+// Kernel names. Cache keys use these, so they are part of the query
+// identity.
 const (
 	KernelCCSampling   = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
 	KernelCCLowRound   = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
@@ -78,22 +157,36 @@ const (
 	KernelCCShared     = "shared"      // cc.SharedAdaptive — p=1, no machine
 	KernelMCKargerSt   = "kargerstein" // mincut.Parallel — contraction trials
 	KernelMCStoerWagnr = "stoerwagner" // mincut.StoerWagner — deterministic O(n³), p=1
+	KernelApproxCut    = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
 )
 
-var registry []*Kernel
+var (
+	registry []*Kernel // every member, registration order
+	scored   []*Kernel // the members with a Cost: the planner's portfolio
+)
 
-// Register adds a kernel to the portfolio. Not safe for concurrent use;
-// call from init or before serving starts.
-func Register(k *Kernel) { registry = append(registry, k) }
+// Register adds a kernel to the table and returns a func that removes it
+// again (tests register fakes). Not safe for concurrent use; call from
+// init or before serving starts.
+func Register(k *Kernel) (remove func()) {
+	registry = append(registry, k)
+	if k.Cost != nil {
+		scored = append(scored, k)
+	}
+	return func() {
+		isK := func(x *Kernel) bool { return x == k }
+		registry, scored = slices.DeleteFunc(registry, isK), slices.DeleteFunc(scored, isK)
+	}
+}
 
-// Kernels returns the whole portfolio in registration order.
-func Kernels() []*Kernel { return registry }
+// Kernels returns the scored portfolio in registration order.
+func Kernels() []*Kernel { return scored }
 
 // KernelsFor returns the portfolio members answering alg, in
 // registration order (deterministic tie-breaking relies on this).
 func KernelsFor(alg string) []*Kernel {
 	var out []*Kernel
-	for _, k := range registry {
+	for _, k := range scored {
 		if k.Algorithm == alg {
 			out = append(out, k)
 		}
@@ -101,21 +194,12 @@ func KernelsFor(alg string) []*Kernel {
 	return out
 }
 
-// DefaultKernel returns alg's default member, or nil when alg has no
-// registered portfolio.
-func DefaultKernel(alg string) *Kernel {
-	for _, k := range registry {
-		if k.Algorithm == alg && k.Default {
-			return k
-		}
-	}
-	return nil
-}
-
-// Lookup finds a kernel by algorithm and name.
+// Lookup finds a kernel by algorithm and name: a portfolio member by its
+// name, or — the empty name — the algorithm's default member, which is
+// the only way to reach an unscored one. nil when there is none.
 func Lookup(alg, name string) *Kernel {
 	for _, k := range registry {
-		if k.Algorithm == alg && k.Name == name {
+		if k.Algorithm == alg && (name == "" && k.Default || name == k.Name && k.Cost != nil) {
 			return k
 		}
 	}
@@ -159,9 +243,8 @@ func init() {
 				P:          float64(p),
 			}
 		},
-		bspBody: func(c *bsp.Comm, n int, local []graph.Edge, par Params) {
-			st := rng.New(42, uint32(c.Rank()), 0)
-			cc.Parallel(c, n, local, st, cc.Options{Epsilon: par.Epsilon})
+		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
+			return ccOutcome(cc.Parallel(c, n, local, par.stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan}))
 		},
 	})
 	Register(&Kernel{
@@ -182,8 +265,8 @@ func init() {
 				P:          float64(p),
 			}
 		},
-		bspBody: func(c *bsp.Comm, n int, local []graph.Edge, par Params) {
-			cc.LowRound(c, n, local, cc.Options{})
+		Run: func(c *bsp.Comm, n int, local []graph.Edge, _ RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
+			return ccOutcome(cc.LowRound(c, n, local, cc.Options{Plan: plan}))
 		},
 	})
 	Register(&Kernel{
@@ -202,8 +285,8 @@ func init() {
 				P:          float64(p),
 			}
 		},
-		bspBody: func(c *bsp.Comm, n int, local []graph.Edge, par Params) {
-			cc.LabelPropagation(c, n, local)
+		Run: func(c *bsp.Comm, n int, local []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
+			return ccOutcome(cc.LabelPropagation(c, n, local))
 		},
 	})
 	Register(&Kernel{
@@ -214,7 +297,9 @@ func init() {
 			// zero volume, zero supersteps, zero machine spin-up.
 			return perfmodel.Sample{Comp: 2 * (n + m), P: 1}
 		},
-		sharedRun: func(g *graph.Graph) { cc.SharedAdaptive(g) },
+		Run: func(_ *bsp.Comm, n int, edges []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
+			return ccOutcome(cc.SharedAdaptive(&graph.Graph{N: n, Edges: edges}))
+		},
 	})
 
 	// ---- Mincut portfolio ----
@@ -235,13 +320,16 @@ func init() {
 				P:          float64(p),
 			}
 		},
-		bspBody: func(c *bsp.Comm, n int, local []graph.Edge, par Params) {
-			st := rng.New(42, uint32(c.Rank()), 0)
-			mincut.Parallel(c, n, local, st, mincut.Options{
-				SuccessProb: 0.9,
-				MaxTrials:   par.Trials,
-			})
+		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
+			mcp, _ := cp.(mincutCheckpoint)
+			return cutOutcome(mincut.Parallel(c, n, local, par.stream(c), mincut.Options{
+				SuccessProb: par.SuccessProb,
+				MaxTrials:   par.MaxTrials,
+				Checkpoint:  mcp.Checkpoint,
+				Plan:        plan,
+			}))
 		},
+		NewCheckpoint: func() Checkpoint { return mincutCheckpoint{mincut.NewCheckpoint()} },
 	})
 	Register(&Kernel{
 		Name: KernelMCStoerWagnr, Algorithm: "mincut", Shared: true,
@@ -251,7 +339,25 @@ func init() {
 			// n-1 maximum-adjacency phases of O(n²) row scans.
 			return perfmodel.Sample{Comp: n*n*n/2 + n*n, P: 1}
 		},
-		sharedRun: func(g *graph.Graph) { mincut.StoerWagner(g) },
+		Run: func(_ *bsp.Comm, n int, edges []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
+			return cutOutcome(mincut.StoerWagner(&graph.Graph{N: n, Edges: edges}))
+		},
+	})
+
+	// ---- Approximate cut: one member, no cost model, never scored ----
+	Register(&Kernel{
+		Name: KernelApproxCut, Algorithm: "approxcut", Default: true,
+		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
+			acp, _ := cp.(approxCheckpoint)
+			r := approxcut.Parallel(c, n, local, par.stream(c), approxcut.Options{
+				Trials:     par.Trials,
+				Pipelined:  par.Pipelined,
+				Checkpoint: acp.Checkpoint,
+				Plan:       plan,
+			})
+			return &Outcome{Value: r.Value, Iterations: r.Iterations, Trials: r.TrialsPerIteration}
+		},
+		NewCheckpoint: func() Checkpoint { return approxCheckpoint{approxcut.NewCheckpoint()} },
 	})
 }
 
@@ -272,11 +378,4 @@ func StatsOf(s *graph.Snapshot) GraphStats {
 		EstDiameter: pr.EstDiameter,
 		WeightSkew:  pr.WeightSkew,
 	}
-}
-
-// blockLocal slices a replicated edge array for one rank, the same block
-// distribution the service's kernel bodies use.
-func blockLocal(edges []graph.Edge, c *bsp.Comm) []graph.Edge {
-	lo, hi := dist.BlockRange(len(edges), c.Size(), c.Rank())
-	return edges[lo:hi]
 }

@@ -240,13 +240,13 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		maxP = 1
 	}
 	hp := HeuristicP(st.M, explicitP, maxP)
-	def := DefaultKernel(alg)
+	def := Lookup(alg, "")
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.decisions++
 
-	if def == nil {
+	if def == nil || def.Cost == nil {
 		pl.fallbacks++
 		return Decision{P: hp, DefaultP: hp, Fallback: true}
 	}

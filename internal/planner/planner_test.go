@@ -34,18 +34,33 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestHeuristicP(t *testing.T) {
-	cases := []struct{ m, explicit, maxP, want int }{
-		{5000, 0, 16, 1},
-		{10000, 0, 16, 2},
-		{20000, 0, 16, 4},
-		{40000, 0, 8, 8},
-		{1 << 20, 0, 16, 16},
-		{100, 9, 16, 9},
-		{100, 99, 16, 16},
+	cases := []struct {
+		name     string
+		m        int
+		explicit int
+		maxP     int
+		want     int
+	}{
+		{"empty graph", 0, 0, 16, 1},
+		{"small graph stays sequential", 5000, 0, 16, 1},
+		{"exactly at the threshold", 8192, 0, 8, 1},
+		{"just above threshold doubles once", 10000, 0, 16, 2},
+		{"doubling regime", 20000, 0, 16, 4},
+		{"keeps doubling past 10k per proc", 40000, 0, 8, 8},
+		{"large graph clamped by maxP", 1 << 20, 0, 8, 8},
+		{"large graph saturates bigger maxP", 1 << 20, 0, 16, 16},
+		{"explicit honored", 100, 3, 16, 3},
+		{"explicit non-power-of-two honored", 100, 9, 16, 9},
+		{"explicit clamped to maxP", 100, 64, 16, 16},
+		{"explicit just over maxP clamped", 100, 99, 16, 16},
+		{"explicit with tiny maxP", 100, 8, 2, 2},
+		{"maxP floor of one", 1 << 20, 0, 0, 1},
+		{"explicit with zero maxP", 100, 4, 0, 1},
 	}
 	for _, c := range cases {
 		if got := HeuristicP(c.m, c.explicit, c.maxP); got != c.want {
-			t.Errorf("HeuristicP(%d,%d,%d) = %d, want %d", c.m, c.explicit, c.maxP, got, c.want)
+			t.Errorf("%s: HeuristicP(%d, %d, %d) = %d, want %d",
+				c.name, c.m, c.explicit, c.maxP, got, c.want)
 		}
 	}
 }

@@ -107,19 +107,9 @@ func (cfg *Config) defaults() {
 // call is one scheduled kernel execution plus everyone waiting on it:
 // the leader that enqueued it and any coalesced followers.
 type call struct {
-	key  string
-	alg  string
-	kern string // resolved portfolio kernel ("" = default path)
-	sg   *StoredGraph
-	p    int
-	pr   params
-	// dec is the planner decision that scheduled this call (nil when the
-	// planner is off or the kernel was pinned by the request); pst/ppar
-	// are the stats and params its prediction used, reused by the
-	// post-execution Observe feedback.
-	dec  *planner.Decision
-	pst  planner.GraphStats
-	ppar planner.Params
+	key string
+	alg string
+	Resolved
 
 	// ctx carries the leader's deadline but not the leader's cancellation:
 	// the call outlives any single waiter until either the deadline fires
@@ -290,26 +280,46 @@ func (e *Engine) attempt(c *call) (*QueryResult, error) {
 		e.cfg.BeforeExec(c.alg)
 	}
 	if e.cfg.Executor != nil {
-		return e.cfg.Executor.Execute(c.ctx, c.sg, c.alg, c.pr.export())
+		return e.cfg.Executor.Execute(c.ctx, c.Graph, c.alg, c.Params)
 	}
-	return executeKernel(c.ctx, c.sg, c.alg, c.kern, c.p, c.pr, e.planFor(c.sg, c.p), e.cfg.Faults)
+	return Run(c.ctx, c.Graph, c.alg, c.Kernel, c.Params,
+		Shape{P: c.P, Plan: e.planFor(c.Graph, c.P), Faults: e.cfg.Faults})
 }
 
-// resolved is a query's execution shape after planning: which kernel at
-// which machine size, plus the decision context the feedback loop needs.
-type resolved struct {
-	kern string
-	p    int
-	dec  *planner.Decision
-	pst  planner.GraphStats
-	ppar planner.Params
+// Resolved is a query after request resolution: the graph version it
+// reads, its normalized parameters, and the execution shape — which
+// kernel at which machine size.
+type Resolved struct {
+	Graph  *StoredGraph
+	Params planner.RunParams
+	Kernel string // resolved portfolio kernel ("" = default path)
+	P      int
+	// dec is the planner decision behind the shape (nil when the planner is
+	// off or the request pinned the kernel), kept for Observe's feedback.
+	dec *planner.Decision
+}
+
+// Resolve turns a request into its Resolved form without scheduling
+// anything: parameter validation, registry lookup, then decide. Query
+// starts here, and so does the shard worker's /v1/local, so a request
+// the leader path rejects is rejected identically on failover.
+func (e *Engine) Resolve(req *QueryRequest) (Resolved, error) {
+	pr, err := normalize(req)
+	if err != nil {
+		return Resolved{}, err
+	}
+	sg, err := e.reg.Get(req.Graph)
+	if err != nil {
+		return Resolved{}, err
+	}
+	return e.decide(req, sg, pr)
 }
 
 // decide resolves a query's kernel and machine size: an Executor's fixed
 // worker group, a request-pinned kernel (validated), a planner decision,
 // or the pre-portfolio default path — in that order.
-func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr params) (resolved, error) {
-	rs := resolved{p: chooseP(sg.Snap.M(), req.Processors, e.cfg.MaxProcessors)}
+func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams) (Resolved, error) {
+	rs := Resolved{Graph: sg, Params: pr, P: planner.HeuristicP(sg.Snap.M(), req.Processors, e.cfg.MaxProcessors)}
 	if e.cfg.Executor != nil {
 		// A distributed machine's size is its worker-group size and its
 		// kernel the default SPMD body every worker process runs;
@@ -317,7 +327,7 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr params) (resolved
 		if req.Kernel != "" {
 			return rs, fmt.Errorf("%w: kernel pinning is not supported on a distributed executor", ErrBadRequest)
 		}
-		rs.p = e.cfg.Executor.MachineP()
+		rs.P = e.cfg.Executor.MachineP()
 		return rs, nil
 	}
 	if req.Kernel != "" {
@@ -329,27 +339,22 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr params) (resolved
 			if req.Processors > 1 {
 				return rs, fmt.Errorf("%w: kernel %q is shared-memory (p=1), processors=%d conflicts", ErrBadRequest, k.Name, req.Processors)
 			}
-			rs.p = 1
+			rs.P = 1
 		}
 		if k.MaxN > 0 && sg.Snap.N() > k.MaxN {
 			return rs, fmt.Errorf("%w: kernel %q is bounded to n ≤ %d (graph has %d vertices)", ErrBadRequest, k.Name, k.MaxN, sg.Snap.N())
 		}
-		rs.kern = k.Name
+		rs.Kernel = k.Name
 		return rs, nil
 	}
 	if e.planner == nil || req.Algorithm == AlgApproxCut {
 		return rs, nil // approxcut has no portfolio: always the default path
 	}
-	rs.pst = planner.StatsOf(sg.Snap)
-	rs.ppar = plannerParams(req.Algorithm, sg, pr)
-	dec := e.planner.Choose(req.Algorithm, rs.pst, rs.ppar, req.Processors, e.cfg.MaxProcessors)
-	rs.dec = &dec
-	if dec.Kernel != "" {
-		rs.kern = dec.Kernel
-	}
-	if dec.P > 0 {
-		rs.p = dec.P
-	}
+	dec := e.planner.Choose(req.Algorithm, planner.StatsOf(sg.Snap), plannerParams(req.Algorithm, sg, pr),
+		req.Processors, e.cfg.MaxProcessors)
+	// Choose always answers — at worst what rs already holds, the default
+	// kernel ("" when none is registered) at the heuristic p.
+	rs.dec, rs.Kernel, rs.P = &dec, dec.Kernel, dec.P
 	return rs, nil
 }
 
@@ -360,35 +365,33 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr params) (resolved
 // so they report the same formula features Choose predicts with — each
 // model stays self-consistent with how it is queried.
 func (e *Engine) observePlanned(c *call) {
-	k := planner.Lookup(c.alg, c.kern)
+	k := planner.Lookup(c.alg, c.Kernel)
 	if k == nil {
 		return
 	}
-	var s perfmodel.Sample
+	s := perfmodel.Sample{
+		Comp:       float64(c.res.Kernel.MaxOps),
+		Volume:     float64(c.res.Kernel.CommVolume),
+		Supersteps: float64(c.res.Kernel.Supersteps),
+		P:          float64(c.res.Kernel.P),
+	}
 	if k.Shared {
-		s = k.Cost(c.pst, 1, c.ppar)
-	} else {
-		s = perfmodel.Sample{
-			Comp:       float64(c.res.Kernel.MaxOps),
-			Volume:     float64(c.res.Kernel.CommVolume),
-			Supersteps: float64(c.res.Kernel.Supersteps),
-			P:          float64(c.res.Kernel.P),
-		}
+		s = k.Cost(planner.StatsOf(c.Graph.Snap), 1, plannerParams(c.alg, c.Graph, c.Params))
 	}
 	s.Time = c.res.Kernel.TimeMs / 1000
-	e.planner.Observe(c.kern, s, c.dec)
+	e.planner.Observe(c.Kernel, s, c.dec)
 }
 
 // plannerParams resolves the per-query knobs the cost formulas consume:
 // epsilon as normalized, and — for mincut — the trial count derived from
 // (n, m, success probability) capped by the request, matching what
 // mincut.Parallel will actually run.
-func plannerParams(alg string, sg *StoredGraph, pr params) planner.Params {
-	par := planner.Params{Epsilon: pr.epsilon}
+func plannerParams(alg string, sg *StoredGraph, pr planner.RunParams) planner.Params {
+	par := planner.Params{Epsilon: pr.Epsilon}
 	if alg == AlgMinCut {
-		t := mincut.Trials(sg.Snap.N(), sg.Snap.M(), pr.successProb)
-		if pr.maxTrials > 0 && t > pr.maxTrials {
-			t = pr.maxTrials
+		t := mincut.Trials(sg.Snap.N(), sg.Snap.M(), pr.SuccessProb)
+		if pr.MaxTrials > 0 && t > pr.MaxTrials {
+			t = pr.MaxTrials
 		}
 		par.Trials = t
 	}
@@ -400,22 +403,12 @@ func plannerParams(alg string, sg *StoredGraph, pr params) planner.Params {
 // order. It blocks until a result, the request deadline, or rejection.
 func (e *Engine) Query(ctx context.Context, req QueryRequest) (*Reply, error) {
 	start := time.Now()
-	pr, err := normalize(&req)
+	rs, err := e.Resolve(&req)
 	if err != nil {
 		e.observeFailure(req.Algorithm, trace.OutcomeError, start)
 		return nil, err
 	}
-	sg, err := e.reg.Get(req.Graph)
-	if err != nil {
-		e.observeFailure(req.Algorithm, trace.OutcomeError, start)
-		return nil, err
-	}
-	rs, err := e.decide(&req, sg, pr)
-	if err != nil {
-		e.observeFailure(req.Algorithm, trace.OutcomeError, start)
-		return nil, err
-	}
-	key := cacheKey(sg, req.Algorithm, rs.kern, rs.p, pr)
+	key := cacheKey(rs.Graph, req.Algorithm, rs.Kernel, rs.P, rs.Params)
 
 	timeout := e.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
@@ -462,8 +455,7 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*Reply, error) {
 	// waiting after the leader gives up); refs hitting zero cancels it.
 	callCtx, callCancel := context.WithDeadline(context.WithoutCancel(ctx), deadline)
 	c := &call{
-		key: key, alg: req.Algorithm, kern: rs.kern, sg: sg, p: rs.p, pr: pr,
-		dec: rs.dec, pst: rs.pst, ppar: rs.ppar,
+		key: key, alg: req.Algorithm, Resolved: rs,
 		ctx: callCtx, cancel: callCancel,
 		done: make(chan struct{}), refs: 1,
 	}
@@ -535,10 +527,10 @@ func (e *Engine) wait(ctx context.Context, c *call, start time.Time, outcome str
 	if !finished {
 		if errors.Is(ctx.Err(), context.Canceled) {
 			e.observeFailure(c.alg, trace.OutcomeCancelled, start)
-			return nil, fmt.Errorf("%w: %s on %q: caller gone", ErrCancelled, c.alg, c.sg.Name)
+			return nil, fmt.Errorf("%w: %s on %q: caller gone", ErrCancelled, c.alg, c.Graph.Name)
 		}
 		e.observeFailure(c.alg, trace.OutcomeExpired, start)
-		return nil, fmt.Errorf("%w: %s on %q", ErrDeadline, c.alg, c.sg.Name)
+		return nil, fmt.Errorf("%w: %s on %q", ErrDeadline, c.alg, c.Graph.Name)
 	}
 	lat := time.Since(start)
 	if c.err != nil {
@@ -635,7 +627,7 @@ func (e *Engine) Stats() EngineStats {
 		plSnap = e.planner.Snapshot()
 	}
 	return EngineStats{
-		UptimeMs:         float64(time.Since(e.started)) / float64(time.Millisecond),
+		UptimeMs:         ms(time.Since(e.started)),
 		Graphs:           e.reg.Len(),
 		Workers:          e.cfg.Workers,
 		QueueDepth:       len(e.jobs),

@@ -7,15 +7,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/approxcut"
 	"repro/internal/bsp"
-	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/mincut"
 	"repro/internal/planner"
-	"repro/internal/rng"
 )
 
 // Supported algorithms.
@@ -73,78 +69,43 @@ type QueryRequest struct {
 	Hedged bool `json:"hedged,omitempty"`
 }
 
-// params is the normalized, defaulted form of the tuning fields — the
-// canonical identity used for cache keys and coalescing.
-type params struct {
-	seed        uint64
-	epsilon     float64
-	successProb float64
-	maxTrials   int
-	trials      int
-	pipelined   bool
-}
-
-func normalize(req *QueryRequest) (params, error) {
+// normalize validates a request's tuning fields and returns their
+// defaulted form — the canonical identity used for cache keys and
+// coalescing, and what a distributed executor ships to its peers.
+func normalize(req *QueryRequest) (planner.RunParams, error) {
 	switch req.Algorithm {
 	case AlgCC, AlgMinCut, AlgApproxCut:
 	default:
-		return params{}, fmt.Errorf("%w: unknown algorithm %q (want %s|%s|%s)",
+		return planner.RunParams{}, fmt.Errorf("%w: unknown algorithm %q (want %s|%s|%s)",
 			ErrBadRequest, req.Algorithm, AlgCC, AlgMinCut, AlgApproxCut)
 	}
-	p := params{
-		seed:        req.Seed,
-		epsilon:     req.Epsilon,
-		successProb: req.SuccessProb,
-		maxTrials:   req.MaxTrials,
-		trials:      req.Trials,
-		pipelined:   req.Pipelined,
+	p := planner.RunParams{
+		Seed:        req.Seed,
+		Epsilon:     req.Epsilon,
+		SuccessProb: req.SuccessProb,
+		MaxTrials:   req.MaxTrials,
+		Trials:      req.Trials,
+		Pipelined:   req.Pipelined,
 	}
-	if p.seed == 0 {
-		p.seed = 1
+	if p.Seed == 0 {
+		p.Seed = 1
 	}
-	if p.epsilon == 0 {
-		p.epsilon = 0.5
+	if p.Epsilon == 0 {
+		p.Epsilon = 0.5
 	}
-	if p.epsilon < 0 || p.epsilon > 2 {
-		return params{}, fmt.Errorf("%w: epsilon %g out of (0, 2]", ErrBadRequest, req.Epsilon)
+	if p.Epsilon < 0 || p.Epsilon > 2 {
+		return p, fmt.Errorf("%w: epsilon %g out of (0, 2]", ErrBadRequest, req.Epsilon)
 	}
-	if p.successProb == 0 {
-		p.successProb = 0.9
+	if p.SuccessProb == 0 {
+		p.SuccessProb = 0.9
 	}
-	if p.successProb <= 0 || p.successProb >= 1 {
-		return params{}, fmt.Errorf("%w: success_prob %g out of (0, 1)", ErrBadRequest, req.SuccessProb)
+	if p.SuccessProb <= 0 || p.SuccessProb >= 1 {
+		return p, fmt.Errorf("%w: success_prob %g out of (0, 1)", ErrBadRequest, req.SuccessProb)
 	}
-	if p.maxTrials < 0 || p.trials < 0 || req.Processors < 0 {
-		return params{}, fmt.Errorf("%w: negative tuning parameter", ErrBadRequest)
+	if p.MaxTrials < 0 || p.Trials < 0 || req.Processors < 0 {
+		return p, fmt.Errorf("%w: negative tuning parameter", ErrBadRequest)
 	}
 	return p, nil
-}
-
-// chooseP sizes the BSP machine for a query: an explicit request is
-// honored (clamped to maxP); otherwise p doubles while each processor
-// would still hold more than 2·edgesPerProc edges. Small graphs run at
-// p=1, where the BSP kernels degenerate to their sequential forms and
-// pay zero synchronization — the adaptive regime the serving layer is
-// for: a fleet of small queries must not each spin up 16 goroutines.
-func chooseP(m, explicit, maxP int) int {
-	if maxP < 1 {
-		maxP = 1
-	}
-	if explicit > 0 {
-		if explicit > maxP {
-			return maxP
-		}
-		return explicit
-	}
-	const edgesPerProc = 4096
-	p := 1
-	for p < maxP && m/p > 2*edgesPerProc {
-		p *= 2
-	}
-	if p > maxP {
-		p = maxP
-	}
-	return p
 }
 
 // KernelStats is the BSP cost profile of one kernel execution, lifted
@@ -186,28 +147,24 @@ type KernelStats struct {
 // unit the cache stores, so it always carries the complete labelling /
 // cut side even when the response omits them.
 type QueryResult struct {
-	Graph      string
-	Version    uint64
-	Algorithm  string
-	Value      uint64  // cut value (mincut, approxcut)
-	Components int     // component count (cc)
-	Iterations int     // sampling rounds (cc) or sparsity levels (approxcut)
-	Trials     int     // contraction trials (mincut) or per-level trials (approxcut)
-	Labels     []int32 // cc labelling
-	Side       []bool  // mincut partition side
-	Kernel     KernelStats
+	Graph     string
+	Version   uint64
+	Algorithm string
+	// The kernel's answer (Value, Components, Labels, Side, …; AchievedProb
+	// when Degraded), as Kernel.Run or the run's checkpoint produced it.
+	planner.Outcome
+	Kernel KernelStats
 
 	// Degraded marks a best-so-far answer from a deadline-cancelled run:
 	// still a valid cut (or one-sided estimate), but at a weaker guarantee
 	// than requested. Degraded results are never cached.
 	Degraded bool
-	// AchievedProb is the success probability the completed trials
-	// actually achieved (mincut, when Degraded).
-	AchievedProb float64
 	// RetryAfterMs estimates the extra time the query would have needed to
 	// complete, a client retry hint (when Degraded).
 	RetryAfterMs int64
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func kernelStatsOf(st *bsp.Stats) KernelStats {
 	return KernelStats{
@@ -215,8 +172,8 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 		Supersteps:         st.Supersteps,
 		CommVolume:         st.CommVolume,
 		MaxHRelation:       st.MaxHRelation(),
-		TimeMs:             float64(st.Total()) / float64(time.Millisecond),
-		CommTimeMs:         float64(st.MaxCommTime) / float64(time.Millisecond),
+		TimeMs:             ms(st.Total()),
+		CommTimeMs:         ms(st.MaxCommTime),
 		MaxOps:             st.MaxOps,
 		AvoidedCollectives: st.AvoidedCollectives,
 		AvoidedCommVolume:  st.AvoidedCommVolume,
@@ -250,16 +207,48 @@ func releaseMachine(m *bsp.Machine) {
 	}
 }
 
-// executeKernel runs one algorithm over the snapshot on a pooled BSP
-// machine of p processors, cancellable through ctx: when the deadline
-// fires (or every waiter abandons the call) the machine is cancelled and
-// unwinds within one superstep. A cancelled mincut or approxcut run
-// degrades to the checkpointed best-so-far answer when one exists;
-// otherwise the error wraps bsp.ErrCancelled for the engine to map.
+// Shape is where a kernel runs — the one thing Run is parameterised by:
 //
-// The snapshot's frozen edge array is sliced across processors with the
-// block distribution — zero copies at ingestion; the kernels treat local
-// slices as read-only.
+//	Shape{P: p}        a pooled in-process machine of p processors
+//	Shape{Machine: m}  the caller-supplied machine (a distributed run)
+//	any Shape          no machine at all, when the kernel is Shared
+type Shape struct {
+	P int
+	// Machine: every process of a TCP machine calls Run with the same
+	// arguments; the one hosting global rank 0 gets the result, the others
+	// (nil, nil). Distributed runs never degrade (a rank-local checkpoint
+	// sees only its own trials) — a cancelled run surfaces its error on
+	// every process — and always run cold: plans are keyed to a single
+	// process's registry.
+	Machine *bsp.Machine
+	// Plan, when non-nil, is the snapshot-resident plan for (sg, P): the
+	// kernels consume its precomputed facts instead of running the
+	// matching cold collectives, recording each skip on the BSP ledger.
+	Plan *graph.Plan
+	// Faults, when enabled, hooks fault injection into the pooled machine.
+	Faults *faults.Registry
+}
+
+// Run is the one way a kernel is executed: it resolves (alg, kern) in
+// the planner's kernel table ("" = the algorithm's default member) and
+// drives Kernel.Run over the snapshot in the given shape, cancellable
+// through ctx — when the deadline fires (or every waiter abandons the
+// call) the machine is cancelled and unwinds within one superstep. A
+// cancelled run on a pooled machine degrades to the kernel checkpoint's
+// best-so-far answer when one exists; otherwise the error wraps
+// bsp.ErrCancelled for the engine to map.
+//
+// The snapshot's frozen edge array is sliced across c.Size() global ranks
+// with the block distribution — zero copies at ingestion; the kernels
+// treat local slices as read-only — so the same call serves an in-process
+// machine and each worker process of a TCP machine (every process holds
+// the full snapshot; each rank touches only its block).
+//
+// Shared kernels run on the calling goroutine: no BSP machine, no
+// mailboxes, no superstep ledger — the planner's cheapest shape for
+// small warm graphs (Stoer–Wagner is additionally MaxN-gated), so runs
+// are short; cancellation is checked at entry but not mid-kernel, and
+// fault injection (a BSP-machine hook) does not apply.
 //
 // Beyond the machine pool above, the kernels themselves draw scratch
 // from process-wide sync.Pools (the Karger–Stein arena in
@@ -267,219 +256,73 @@ func releaseMachine(m *bsp.Machine) {
 // internal/graph), so concurrent queries recycle each other's
 // allocations instead of growing the heap per query. See
 // stress_test.go for the race-checked exercise of that sharing.
-//
-// pl, when non-nil, is the snapshot-resident plan for (sg, p): the
-// kernels consume its precomputed facts instead of running the matching
-// cold collectives, recording each skip on the BSP ledger. nil runs the
-// full cold path.
-//
-// kern selects the portfolio kernel ("" = the algorithm's default);
-// shared-memory kernels run on the calling goroutine with no machine at
-// all — the planner's cheapest shape for small warm graphs.
-func executeKernel(ctx context.Context, sg *StoredGraph, alg, kern string, p int, pr params, pl *graph.Plan, freg *faults.Registry) (*QueryResult, error) {
-	if k := planner.Lookup(alg, kern); k != nil && k.Shared {
-		return executeShared(ctx, sg, alg, kern)
+func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunParams, sh Shape) (*QueryResult, error) {
+	k := planner.Lookup(alg, kern)
+	if k == nil {
+		return nil, fmt.Errorf("%w: no kernel %q answers %q", ErrBadRequest, kern, alg)
 	}
-	var out kernelOut
-	switch alg {
-	case AlgMinCut:
-		out.mcCp = mincut.NewCheckpoint()
-	case AlgApproxCut:
-		out.acCp = approxcut.NewCheckpoint()
+	res := &QueryResult{Graph: sg.Name, Version: sg.Version, Algorithm: alg}
+	n, edges := sg.Snap.N(), sg.Snap.Edges()
+	if k.Shared {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%w: %w", bsp.ErrCancelled, err)
+		}
+		start := time.Now()
+		res.Outcome = *k.Run(nil, n, edges, pr, nil, nil)
+		res.Kernel = KernelStats{P: 1, TimeMs: ms(time.Since(start)), Transport: "shared", Kernel: kern}
+		return res, nil
 	}
-	mach, err := acquireMachine(p)
-	if err != nil {
-		return nil, err
+	mach, pooled := sh.Machine, sh.Machine == nil
+	var cp planner.Checkpoint
+	if pooled {
+		var err error
+		if mach, err = acquireMachine(sh.P); err != nil {
+			return nil, err
+		}
+		if sh.Faults.Enabled() {
+			mach.SetFaultHook(sh.Faults.Hook(mach))
+		}
+		if k.NewCheckpoint != nil {
+			cp = k.NewCheckpoint()
+		}
 	}
-	if freg.Enabled() {
-		mach.SetFaultHook(freg.Hook(mach))
-	}
+	var out *planner.Outcome // rank 0's; nil on a process hosting no rank 0
 	start := time.Now()
-	st, err := mach.RunCtx(ctx, kernelBody(sg.Snap, alg, kern, pr, pl, &out))
-	if err != nil {
-		// A failed run may leave mailboxes mid-superstep; drop the machine
-		// rather than returning it to the pool — but detach the fault hook
-		// first so the dropped machine does not pin the fault registry (and
-		// its captured state) until the GC finds it.
+	st, err := mach.RunCtx(ctx, func(c *bsp.Comm) {
+		lo, hi := dist.BlockRange(len(edges), c.Size(), c.Rank())
+		if o := k.Run(c, n, edges[lo:hi], pr, sh.Plan, cp); c.Rank() == 0 {
+			out = o
+		}
+	})
+	if pooled {
+		// Detach the fault hook either way, so a dropped machine does not
+		// pin the fault registry (and its captured state) until the GC
+		// finds it; a failed run may leave mailboxes mid-superstep, so only
+		// a clean machine returns to the pool.
 		mach.SetFaultHook(nil)
-		if errors.Is(err, bsp.ErrCancelled) {
-			if res := degradedResult(sg, alg, out.mcCp, out.acCp, time.Since(start)); res != nil {
+		if err == nil {
+			releaseMachine(mach)
+		}
+	}
+	if err != nil {
+		if cp != nil && errors.Is(err, bsp.ErrCancelled) {
+			// Degrade to the checkpoint's best-so-far answer, if any.
+			if part, done, planned := cp.Partial(); part != nil {
+				res.Outcome = *part
+				res.Degraded = true
+				res.RetryAfterMs = retryHint(time.Since(start), done, planned)
 				return res, nil
 			}
 		}
 		return nil, err
 	}
-	mach.SetFaultHook(nil)
-	releaseMachine(mach)
-	res := assembleResult(sg, alg, st, &out)
+	if out == nil {
+		return nil, nil
+	}
+	res.Outcome = *out
+	res.Kernel = kernelStatsOf(st)
 	res.Kernel.Kernel = kern
 	return res, nil
-}
-
-// executeShared runs a shared-memory portfolio kernel on the calling
-// goroutine: no BSP machine, no mailboxes, no superstep ledger — the
-// zero-communication execution shape. The planner only routes small
-// graphs here (Stoer–Wagner is additionally MaxN-gated), so runs are
-// short; cancellation is checked at entry but not mid-kernel, and fault
-// injection (a BSP-machine hook) does not apply.
-func executeShared(ctx context.Context, sg *StoredGraph, alg, kern string) (*QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", bsp.ErrCancelled, err)
-	}
-	res := &QueryResult{Graph: sg.Name, Version: sg.Version, Algorithm: alg}
-	g := sg.Snap.Graph()
-	start := time.Now()
-	switch {
-	case alg == AlgCC && kern == planner.KernelCCShared:
-		r := cc.SharedAdaptive(g)
-		res.Components = r.Count
-		res.Iterations = r.Iterations
-		res.Labels = r.Labels
-	case alg == AlgMinCut && kern == planner.KernelMCStoerWagnr:
-		r := mincut.StoerWagner(g)
-		res.Value = r.Value
-		res.Trials = r.Trials
-		res.Side = r.Side
-	default:
-		return nil, fmt.Errorf("%w: kernel %q does not answer %q", ErrBadRequest, kern, alg)
-	}
-	res.Kernel = KernelStats{
-		P:         1,
-		TimeMs:    float64(time.Since(start)) / float64(time.Millisecond),
-		Transport: "shared",
-		Kernel:    kern,
-	}
-	return res, nil
-}
-
-// kernelOut receives rank 0's results; on a machine that hosts no rank 0
-// (a peer worker process of a distributed run) every field stays nil.
-type kernelOut struct {
-	cc   *cc.Result
-	mc   *mincut.CutResult
-	ac   *approxcut.Result
-	mcCp *mincut.Checkpoint
-	acCp *approxcut.Checkpoint
-}
-
-// kernelBody builds the SPMD body for one algorithm over a snapshot. The
-// body is transport-agnostic: it slices the frozen edge array with the
-// block distribution over c.Size() global ranks, so the same closure
-// runs on an in-process machine or on each worker process of a TCP
-// machine (every process holds the full snapshot; each rank touches only
-// its block). kern selects among the algorithm's BSP portfolio members
-// ("" and the default name run the pre-portfolio kernel).
-func kernelBody(snap *graph.Snapshot, alg, kern string, pr params, pl *graph.Plan, out *kernelOut) func(c *bsp.Comm) {
-	n := snap.N()
-	edges := snap.Edges()
-	return func(c *bsp.Comm) {
-		lo, hi := dist.BlockRange(len(edges), c.Size(), c.Rank())
-		local := edges[lo:hi]
-		stream := rng.New(pr.seed, uint32(c.Rank()), 0)
-		switch alg {
-		case AlgCC:
-			var r *cc.Result
-			switch kern {
-			case planner.KernelCCLowRound:
-				r = cc.LowRound(c, n, local, cc.Options{Plan: pl})
-			case planner.KernelCCLabelProp:
-				r = cc.LabelPropagation(c, n, local)
-			default:
-				r = cc.Parallel(c, n, local, stream, cc.Options{Epsilon: pr.epsilon, Plan: pl})
-			}
-			if c.Rank() == 0 {
-				out.cc = r
-			}
-		case AlgMinCut:
-			r := mincut.Parallel(c, n, local, stream, mincut.Options{
-				SuccessProb: pr.successProb,
-				MaxTrials:   pr.maxTrials,
-				Checkpoint:  out.mcCp,
-				Plan:        pl,
-			})
-			if c.Rank() == 0 {
-				out.mc = r
-			}
-		case AlgApproxCut:
-			r := approxcut.Parallel(c, n, local, stream, approxcut.Options{
-				Trials:     pr.trials,
-				Pipelined:  pr.pipelined,
-				Checkpoint: out.acCp,
-				Plan:       pl,
-			})
-			if c.Rank() == 0 {
-				out.ac = r
-			}
-		}
-	}
-}
-
-func assembleResult(sg *StoredGraph, alg string, st *bsp.Stats, out *kernelOut) *QueryResult {
-	res := &QueryResult{
-		Graph:     sg.Name,
-		Version:   sg.Version,
-		Algorithm: alg,
-		Kernel:    kernelStatsOf(st),
-	}
-	switch alg {
-	case AlgCC:
-		res.Components = out.cc.Count
-		res.Iterations = out.cc.Iterations
-		res.Labels = out.cc.Labels
-	case AlgMinCut:
-		res.Value = out.mc.Value
-		res.Trials = out.mc.Trials
-		res.Side = out.mc.Side
-	case AlgApproxCut:
-		res.Value = out.ac.Value
-		res.Iterations = out.ac.Iterations
-		res.Trials = out.ac.TrialsPerIteration
-	}
-	return res
-}
-
-// ExecParams is the exported form of the normalized tuning parameters —
-// the identity a distributed executor ships to worker processes.
-type ExecParams struct {
-	Seed        uint64  `json:"seed"`
-	Epsilon     float64 `json:"epsilon"`
-	SuccessProb float64 `json:"success_prob"`
-	MaxTrials   int     `json:"max_trials"`
-	Trials      int     `json:"trials"`
-	Pipelined   bool    `json:"pipelined"`
-}
-
-func (pr params) export() ExecParams {
-	return ExecParams{
-		Seed:        pr.seed,
-		Epsilon:     pr.epsilon,
-		SuccessProb: pr.successProb,
-		MaxTrials:   pr.maxTrials,
-		Trials:      pr.trials,
-		Pipelined:   pr.pipelined,
-	}
-}
-
-func (ep ExecParams) internal() params {
-	return params{
-		seed:        ep.Seed,
-		epsilon:     ep.Epsilon,
-		successProb: ep.SuccessProb,
-		maxTrials:   ep.MaxTrials,
-		trials:      ep.Trials,
-		pipelined:   ep.Pipelined,
-	}
-}
-
-// NormalizeParams validates and defaults a request's tuning parameters
-// without touching the engine — the shard worker uses it to turn a
-// forwarded QueryRequest into the canonical ExecParams.
-func NormalizeParams(req *QueryRequest) (ExecParams, error) {
-	pr, err := normalize(req)
-	if err != nil {
-		return ExecParams{}, err
-	}
-	return pr.export(), nil
 }
 
 // Executor runs kernels on behalf of the engine. When Config.Executor is
@@ -490,85 +333,7 @@ func NormalizeParams(req *QueryRequest) (ExecParams, error) {
 // is its worker-group size, not a per-query choice).
 type Executor interface {
 	MachineP() int
-	Execute(ctx context.Context, sg *StoredGraph, alg string, pr ExecParams) (*QueryResult, error)
-}
-
-// ExecuteOnMachine runs one algorithm over the snapshot on the
-// caller-provided machine — the distributed execution primitive. Every
-// process of a TCP machine calls it with the same arguments; the process
-// hosting global rank 0 gets the assembled result, the others get
-// (nil, nil). Distributed runs are always cold (no snapshot-resident
-// plan — plans are keyed to a single process's registry) and never
-// degrade: a cancelled run surfaces its error on every process.
-func ExecuteOnMachine(ctx context.Context, m *bsp.Machine, sg *StoredGraph, alg string, pr ExecParams) (*QueryResult, error) {
-	var out kernelOut
-	st, err := m.RunCtx(ctx, kernelBody(sg.Snap, alg, "", pr.internal(), nil, &out))
-	if err != nil {
-		return nil, err
-	}
-	if out.cc == nil && out.mc == nil && out.ac == nil {
-		return nil, nil
-	}
-	return assembleResult(sg, alg, st, &out), nil
-}
-
-// ExecuteLocal runs one algorithm over the snapshot entirely inside the
-// calling process on a pooled single-processor machine — the failover
-// execution shape: every shard worker replicates every graph, so when
-// the mesh (or the rank that owns the query) is unavailable, any live
-// worker can still answer from its own copy without touching the
-// fabric. No plan, no fault injection, no degradation: failover exists
-// to produce a definite answer, and a p=1 machine has no peers to lose.
-func ExecuteLocal(ctx context.Context, sg *StoredGraph, alg string, pr ExecParams) (*QueryResult, error) {
-	mach, err := acquireMachine(1)
-	if err != nil {
-		return nil, err
-	}
-	var out kernelOut
-	st, err := mach.RunCtx(ctx, kernelBody(sg.Snap, alg, "", pr.internal(), nil, &out))
-	if err != nil {
-		return nil, err
-	}
-	releaseMachine(mach)
-	return assembleResult(sg, alg, st, &out), nil
-}
-
-// degradedResult synthesizes a best-so-far answer from a cancelled run's
-// checkpoint, or nil when nothing useful completed. The retry hint
-// extrapolates the remaining work from the observed per-unit pace.
-func degradedResult(sg *StoredGraph, alg string, mcCp *mincut.Checkpoint, acCp *approxcut.Checkpoint, elapsed time.Duration) *QueryResult {
-	res := &QueryResult{
-		Graph:     sg.Name,
-		Version:   sg.Version,
-		Algorithm: alg,
-		Degraded:  true,
-	}
-	switch alg {
-	case AlgMinCut:
-		value, side, done, planned, ok := mcCp.Best()
-		if !ok {
-			return nil
-		}
-		res.Value = value
-		res.Side = side
-		res.Trials = done
-		res.AchievedProb = mcCp.AchievedProb()
-		res.RetryAfterMs = retryHint(elapsed, done, planned)
-		return res
-	case AlgApproxCut:
-		iters, trials, planned, ok := acCp.Partial()
-		if !ok {
-			return nil
-		}
-		// Clearing iteration i without a disconnection puts the cut above
-		// ~2^i w.h.p. — a one-sided estimate, flagged degraded.
-		res.Value = uint64(1) << uint(iters)
-		res.Iterations = iters
-		res.Trials = trials
-		res.RetryAfterMs = retryHint(elapsed, iters, planned)
-		return res
-	}
-	return nil
+	Execute(ctx context.Context, sg *StoredGraph, alg string, pr planner.RunParams) (*QueryResult, error)
 }
 
 // retryHint estimates how much longer the cancelled run needed:
@@ -577,11 +342,7 @@ func retryHint(elapsed time.Duration, done, planned int) int64 {
 	if done <= 0 || planned <= done {
 		return 1
 	}
-	ms := elapsed.Milliseconds() * int64(planned-done) / int64(done)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
+	return max(1, elapsed.Milliseconds()*int64(planned-done)/int64(done))
 }
 
 // cacheKey builds the canonical identity of a query: graph name, version
@@ -591,10 +352,10 @@ func retryHint(elapsed time.Duration, done, planned int) int64 {
 // kernel is part of the identity because the planner resolves it per
 // query: an adaptive refit may route the next identical request to a
 // different (result-equivalent) kernel, which must not collide.
-func cacheKey(sg *StoredGraph, alg, kern string, p int, pr params) string {
+func cacheKey(sg *StoredGraph, alg, kern string, p int, pr planner.RunParams) string {
 	return fmt.Sprintf("%s@%d#%016x|%s|k%s|p%d|s%d|e%g|sp%g|mt%d|t%d|pl%t",
 		sg.Name, sg.Version, sg.Snap.Fingerprint(), alg, kern, p,
-		pr.seed, pr.epsilon, pr.successProb, pr.maxTrials, pr.trials, pr.pipelined)
+		pr.Seed, pr.Epsilon, pr.SuccessProb, pr.MaxTrials, pr.Trials, pr.Pipelined)
 }
 
 // sideVertices converts a cut side to the vertex list of its smaller

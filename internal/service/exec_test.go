@@ -4,36 +4,6 @@ import (
 	"testing"
 )
 
-func TestChooseP(t *testing.T) {
-	cases := []struct {
-		name     string
-		m        int
-		explicit int
-		maxP     int
-		want     int
-	}{
-		{"empty graph", 0, 0, 16, 1},
-		{"small graph stays sequential", 5000, 0, 16, 1},
-		{"exactly at the threshold", 8192, 0, 8, 1},
-		{"just above threshold doubles once", 10000, 0, 16, 2},
-		{"doubling regime", 20000, 0, 16, 4},
-		{"keeps doubling past 10k per proc", 40000, 0, 8, 8},
-		{"large graph clamped by maxP", 1 << 20, 0, 8, 8},
-		{"large graph saturates bigger maxP", 1 << 20, 0, 16, 16},
-		{"explicit honored", 100, 3, 16, 3},
-		{"explicit clamped to maxP", 100, 64, 16, 16},
-		{"explicit with tiny maxP", 100, 8, 2, 2},
-		{"maxP floor of one", 1 << 20, 0, 0, 1},
-		{"explicit with zero maxP", 100, 4, 0, 1},
-	}
-	for _, c := range cases {
-		if got := chooseP(c.m, c.explicit, c.maxP); got != c.want {
-			t.Errorf("%s: chooseP(%d, %d, %d) = %d, want %d",
-				c.name, c.m, c.explicit, c.maxP, got, c.want)
-		}
-	}
-}
-
 func TestSideVertices(t *testing.T) {
 	cases := []struct {
 		name string

@@ -12,12 +12,13 @@ import (
 	"testing"
 
 	"repro/internal/bsp"
+	"repro/internal/planner"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // stubExecutor fails its first `fails` executions with a wrapped
-// ErrPeerLost, then delegates to ExecuteOnMachine on a fresh local
+// ErrPeerLost, then delegates to Run on a fresh caller-supplied local
 // machine — the same code path a shard worker group runs, minus the
 // sockets.
 type stubExecutor struct {
@@ -29,7 +30,7 @@ type stubExecutor struct {
 
 func (s *stubExecutor) MachineP() int { return s.p }
 
-func (s *stubExecutor) Execute(ctx context.Context, sg *StoredGraph, alg string, pr ExecParams) (*QueryResult, error) {
+func (s *stubExecutor) Execute(ctx context.Context, sg *StoredGraph, alg string, pr planner.RunParams) (*QueryResult, error) {
 	s.mu.Lock()
 	s.calls++
 	fail := s.calls <= s.fails
@@ -41,7 +42,7 @@ func (s *stubExecutor) Execute(ctx context.Context, sg *StoredGraph, alg string,
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteOnMachine(ctx, m, sg, alg, pr)
+	return Run(ctx, sg, alg, "", pr, Shape{Machine: m})
 }
 
 // TestExecutorTransportFailure pins the peer-loss contract: a lost
@@ -62,8 +63,8 @@ func TestExecutorTransportFailure(t *testing.T) {
 	if errors.Is(err, ErrFaulted) {
 		t.Fatalf("transport failure must not double as ErrFaulted: %v", err)
 	}
-	if got := statusOf(err); got != http.StatusServiceUnavailable {
-		t.Fatalf("statusOf = %d, want 503", got)
+	if got := StatusOf(err); got != http.StatusServiceUnavailable {
+		t.Fatalf("StatusOf = %d, want 503", got)
 	}
 
 	// Failure not cached: the identical query runs again — and now
@@ -111,40 +112,5 @@ func TestHTTPTransportFailure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 reply lacks Retry-After")
-	}
-}
-
-// TestExecuteOnMachineMatchesLocalPath checks the exported distributed
-// primitive returns the same answer as the engine's in-process path for
-// every algorithm, and returns (nil, nil) on a machine hosting no
-// global rank 0.
-func TestExecuteOnMachineMatchesLocalPath(t *testing.T) {
-	g := testGraph(64, 160)
-	sg, err := NewRegistry().Put("g", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []string{AlgCC, AlgMinCut, AlgApproxCut} {
-		req := QueryRequest{Graph: "g", Algorithm: alg}
-		pr, err := NormalizeParams(&req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := bsp.NewMachine(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ExecuteOnMachine(context.Background(), m, sg, alg, pr)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		want, err := executeKernel(context.Background(), sg, alg, "", 2, pr.internal(), nil, nil)
-		if err != nil {
-			t.Fatalf("%s reference: %v", alg, err)
-		}
-		if got.Value != want.Value || got.Components != want.Components || got.Trials != want.Trials {
-			t.Fatalf("%s: ExecuteOnMachine (%d,%d,%d) != executeKernel (%d,%d,%d)",
-				alg, got.Value, got.Components, got.Trials, want.Value, want.Components, want.Trials)
-		}
 	}
 }

@@ -175,7 +175,7 @@ func handleUpload(e *Engine, w http.ResponseWriter, r *http.Request) {
 	}
 	sg, err := e.Registry().Put(r.URL.Query().Get("name"), g)
 	if err != nil {
-		writeError(w, statusOf(err), err)
+		writeError(w, StatusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, infoOf(sg))
@@ -232,13 +232,21 @@ func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
 	}
 	reply, err := e.Query(r.Context(), req)
 	if err != nil {
-		status := statusOf(err)
+		status := StatusOf(err)
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeError(w, status, err)
 		return
 	}
+	writeJSON(w, http.StatusOK, NewQueryResponse(&req, reply))
+}
+
+// NewQueryResponse shapes a reply for the wire: the algorithm's own
+// answer fields, and the bulky labelling / cut side only when req opted
+// in. The shard worker's /v1/local shapes its replies with it too, so a
+// failover answer reads exactly like the leader's.
+func NewQueryResponse(req *QueryRequest, reply *Reply) QueryResponse {
 	res := reply.Result
 	resp := QueryResponse{
 		Graph:               res.Graph,
@@ -267,11 +275,11 @@ func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
 	case AlgApproxCut:
 		resp.Value = &res.Value
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// statusOf maps engine sentinel errors onto HTTP statuses.
-func statusOf(err error) int {
+// StatusOf maps engine sentinel errors onto HTTP statuses.
+func StatusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest), errors.Is(err, graph.ErrMalformed):
 		return http.StatusBadRequest

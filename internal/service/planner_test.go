@@ -27,12 +27,12 @@ func testModels() map[string]*perfmodel.Model {
 }
 
 // Regression for the machine-sizing path: with the planner on, decide()
-// consults the calibrated cost model instead of chooseP's hard-coded
-// edges-per-processor thresholds — the heuristic survives only as the
+// consults the calibrated cost model instead of planner.HeuristicP's
+// hard-coded edges-per-processor thresholds — the heuristic survives only as the
 // planner-off fallback and the win-rate baseline.
 func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	g := testGraph(1000, 20000)
-	heuristic := chooseP(len(g.Edges), 0, 16)
+	heuristic := planner.HeuristicP(len(g.Edges), 0, 16)
 	if heuristic < 4 {
 		t.Fatalf("test premise: heuristic p = %d, want >= 4", heuristic)
 	}
@@ -47,7 +47,7 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsOff.kern != "" || rsOff.p != heuristic || rsOff.dec != nil {
+	if rsOff.Kernel != "" || rsOff.P != heuristic || rsOff.dec != nil {
 		t.Fatalf("planner off: decide = %+v, want default kernel at heuristic p=%d", rsOff, heuristic)
 	}
 
@@ -63,8 +63,8 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	// Under the injected constants a 21k-edge graph is far cheaper on the
 	// machine-less shared kernel than on a 4-processor BSP machine: the
 	// planner must override both the kernel and the thresholds' p.
-	if rsOn.kern != planner.KernelCCShared || rsOn.p != 1 {
-		t.Fatalf("planner on: decide = kern=%q p=%d, want shared at p=1", rsOn.kern, rsOn.p)
+	if rsOn.Kernel != planner.KernelCCShared || rsOn.P != 1 {
+		t.Fatalf("planner on: decide = kern=%q p=%d, want shared at p=1", rsOn.Kernel, rsOn.P)
 	}
 	if rsOn.dec == nil || !rsOn.dec.Diverged || rsOn.dec.Fallback {
 		t.Fatalf("planner on: decision = %+v, want diverged non-fallback", rsOn.dec)
@@ -75,8 +75,8 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsPin.p != 8 || rsPin.kern == planner.KernelCCShared {
-		t.Fatalf("explicit p: decide = kern=%q p=%d, want BSP kernel at p=8", rsPin.kern, rsPin.p)
+	if rsPin.P != 8 || rsPin.Kernel == planner.KernelCCShared {
+		t.Fatalf("explicit p: decide = kern=%q p=%d, want BSP kernel at p=8", rsPin.Kernel, rsPin.P)
 	}
 }
 

@@ -74,7 +74,8 @@ func TestRegistryVersioning(t *testing.T) {
 
 func TestLRUCache(t *testing.T) {
 	c := newLRUCache(2)
-	r1, r2, r3 := &QueryResult{Value: 1}, &QueryResult{Value: 2}, &QueryResult{Value: 3}
+	r1, r2, r3 := &QueryResult{}, &QueryResult{}, &QueryResult{}
+	r1.Value, r2.Value, r3.Value = 1, 2, 3
 	c.put("a", r1)
 	c.put("b", r2)
 	if got := c.get("a"); got != r1 {
@@ -426,10 +427,10 @@ func TestCacheKeyDistinct(t *testing.T) {
 	add("other alg", cacheKey(sg, AlgMinCut, "", 2, base))
 	add("other p", cacheKey(sg, AlgCC, "", 4, base))
 	seeded := base
-	seeded.seed = 99
+	seeded.Seed = 99
 	add("other seed", cacheKey(sg, AlgCC, "", 2, seeded))
 	eps := base
-	eps.epsilon = 1.0
+	eps.Epsilon = 1.0
 	add("other epsilon", cacheKey(sg, AlgCC, "", 2, eps))
 	sg2 := &StoredGraph{Name: sg.Name, Version: sg.Version + 1, Snap: sg.Snap}
 	add("other version", cacheKey(sg2, AlgCC, "", 2, base))

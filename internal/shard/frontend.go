@@ -332,7 +332,9 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // failover asks each replica rank of the shard, in rank order, to
-// answer the query from its own graph copy; nil when none could.
+// answer the query from its own graph copy; nil when none could. A 400
+// is an answer too: replicas resolve requests exactly as the leader
+// does, so relaying it beats a 503 that invites a pointless retry.
 func (f *Frontend) failover(shard int, body []byte) *http.Response {
 	for _, replica := range f.shards[shard][1:] {
 		resp, err := f.do(http.MethodPost, replica+"/v1/local", body, "application/json")
@@ -341,6 +343,9 @@ func (f *Frontend) failover(shard int, body []byte) *http.Response {
 		}
 		if resp.StatusCode == http.StatusOK {
 			f.failovers.Add(1)
+			return resp
+		}
+		if resp.StatusCode == http.StatusBadRequest {
 			return resp
 		}
 		resp.Body.Close()

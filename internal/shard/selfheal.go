@@ -244,9 +244,12 @@ func (w *Worker) writeFleetMetrics(wr io.Writer) {
 // or slow. Only connected components is served: every rank holds the
 // full snapshot, a p=1 CC run is cheap and deterministic for a given
 // seed, and duplicating a Karger–Stein trial schedule speculatively
-// would be the opposite of load shedding. Results bypass the engine
-// (no cache, no coalescing, no admission) and report outcome
-// "failover".
+// would be the opposite of load shedding. The engine resolves the
+// request as the leader's /v1/query would — what the leader rejects (a
+// pinned kernel, a bad parameter) is the same 400 here — and it runs on
+// the pooled p=1 shape: no plan, no fault injection, no peers to lose.
+// Results bypass the rest of the engine (no cache, no coalescing, no
+// admission) and report outcome "failover".
 func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeShardError(rw, http.StatusMethodNotAllowed, errors.New("POST only"))
@@ -264,38 +267,21 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard: /v1/local serves %q only, not %q", service.AlgCC, req.Algorithm))
 		return
 	}
-	sg, err := w.engine.Registry().Get(req.Graph)
+	rs, err := w.engine.Resolve(&req)
 	if err != nil {
-		writeShardError(rw, http.StatusNotFound, err)
-		return
-	}
-	pr, err := service.NormalizeParams(&req)
-	if err != nil {
-		writeShardError(rw, http.StatusBadRequest, err)
+		writeShardError(rw, service.StatusOf(err), err)
 		return
 	}
 	start := time.Now()
-	res, err := service.ExecuteLocal(r.Context(), sg, req.Algorithm, pr)
+	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Kernel, rs.Params, service.Shape{P: 1})
 	if err != nil {
 		rw.Header().Set("Retry-After", "1")
 		writeShardError(rw, http.StatusServiceUnavailable, err)
 		return
 	}
 	w.localQueries.Add(1)
-	resp := service.QueryResponse{
-		Graph:      res.Graph,
-		Version:    res.Version,
-		Algorithm:  res.Algorithm,
-		Outcome:    "failover",
-		LatencyMs:  float64(time.Since(start).Microseconds()) / 1e3,
-		Components: &res.Components,
-		Iterations: res.Iterations,
-		Kernel:     res.Kernel,
-	}
-	if req.IncludeLabels {
-		resp.Labels = res.Labels
-	}
-	writeShardJSON(rw, http.StatusOK, resp)
+	writeShardJSON(rw, http.StatusOK, service.NewQueryResponse(&req,
+		&service.Reply{Outcome: "failover", Result: res, Latency: time.Since(start)}))
 }
 
 func writeShardJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -725,3 +725,99 @@ func writeFleetBenchSnapshot(path string) error {
 }
 
 var _ = transport.CrashExitCode // referenced by the chaos script contract
+
+// TestFailoverAnswersLikeLeader pins the fleet contract that the leader
+// and its failover target resolve a request identically: a query the
+// leader rejects (a pinned kernel, a bad parameter) draws the same 400
+// with the same message whether the leader answers it, a hedge races it
+// against a replica, the replica's /v1/local answers it directly, or —
+// leader dead, breaker open — failover answers it. Before /v1/local went
+// through Engine.Resolve it ignored `kernel` and answered 200 with the
+// default kernel on exactly the paths where the leader was unavailable.
+func TestFailoverAnswersLikeLeader(t *testing.T) {
+	workers, urls, _ := fastWorkerGroup(t, 2, 905, nil, nil)
+	defer workers[1].Close()
+	waitReady(t, workers[1])
+	// The leader gets its own HTTP endpoint so the test can take it down
+	// with the process: a closed engine behind a live listener would
+	// still answer (and reject) requests.
+	leaderSrv := httptest.NewServer(workers[0].Handler())
+	defer leaderSrv.Close()
+	urls[0] = leaderSrv.URL
+	fe, err := NewFrontendOpts([][]string{urls}, FrontendOptions{
+		Attempts:         1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Minute,
+		HedgeDelay:       time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fe.Handler())
+	defer srv.Close()
+
+	ring, _ := NewRing(1, 0)
+	name := nameOnShard(t, ring, 0)
+	resp, err := http.Post(srv.URL+"/v1/graphs?name="+name, "text/plain", strings.NewReader(edgeListOf(t, gen.Cycle(64, 3))))
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %v status %d", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	rejected := map[string]service.QueryRequest{
+		"pinned kernel": {Graph: name, Algorithm: service.AlgCC, Kernel: "lowround", Processors: 4},
+		"bad parameter": {Graph: name, Algorithm: service.AlgCC, Epsilon: 9},
+	}
+	// ask posts req and returns the status and error message.
+	ask := func(url string, req service.QueryRequest) (int, string) {
+		t.Helper()
+		resp := postJSON(t, url, req)
+		defer resp.Body.Close()
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.Error
+	}
+	want := make(map[string]string)
+	expect := func(path, url string, hedged bool) {
+		t.Helper()
+		for what, req := range rejected {
+			req.Hedged = hedged
+			status, msg := ask(url, req)
+			if status != http.StatusBadRequest || msg == "" {
+				t.Fatalf("%s, %s: status %d (%q), want 400", path, what, status, msg)
+			}
+			if want[what] == "" {
+				want[what] = msg
+			} else if msg != want[what] {
+				t.Fatalf("%s, %s: error %q, the leader said %q", path, what, msg, want[what])
+			}
+		}
+	}
+	expect("leader up", srv.URL+"/v1/query", false)
+	expect("leader up, hedged", srv.URL+"/v1/query", true)
+	expect("replica /v1/local", urls[1]+"/v1/local", false)
+
+	workers[0].Close()
+	leaderSrv.Close()
+	expect("leader dead", srv.URL+"/v1/query", false)
+	if st := fe.fleetStats().Breakers[0].State; st != "open" {
+		t.Fatalf("breaker state %q, want open", st)
+	}
+	expect("breaker open", srv.URL+"/v1/query", false)
+	expect("breaker open, hedged", srv.URL+"/v1/query", true)
+
+	// And a request the leader would accept still fails over to a 200.
+	resp = postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgCC, Processors: 4})
+	defer resp.Body.Close()
+	var qr service.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || qr.Outcome != "failover" || qr.Components == nil || *qr.Components != 1 {
+		t.Fatalf("valid cc query with the leader dead: status %d outcome %q", resp.StatusCode, qr.Outcome)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/faults"
+	"repro/internal/planner"
 	"repro/internal/service"
 	"repro/internal/transport"
 )
@@ -74,13 +75,13 @@ type ctrlMsg struct {
 	Version uint64 `json:"version,omitempty"`
 	FP      string `json:"fp,omitempty"` // start: leader's graph fingerprint
 
-	Alg    string             `json:"alg,omitempty"`
-	Params service.ExecParams `json:"params,omitempty"`
-	OK     bool               `json:"ok,omitempty"`
-	Err    string             `json:"err,omitempty"`
-	Rank   int                `json:"rank,omitempty"`
-	Graphs []graphState       `json:"graphs,omitempty"` // state: sender's inventory
-	Sync   []syncGraph        `json:"sync,omitempty"`   // sync: graphs the peer lacks
+	Alg    string            `json:"alg,omitempty"`
+	Params planner.RunParams `json:"params,omitempty"`
+	OK     bool              `json:"ok,omitempty"`
+	Err    string            `json:"err,omitempty"`
+	Rank   int               `json:"rank,omitempty"`
+	Graphs []graphState      `json:"graphs,omitempty"` // state: sender's inventory
+	Sync   []syncGraph       `json:"sync,omitempty"`   // sync: graphs the peer lacks
 }
 
 type ackResult struct {
@@ -288,8 +289,8 @@ func (w *Worker) sendCtrl(dst int, msg ctrlMsg) error {
 }
 
 // runPeerJob is a non-leader rank's share of one distributed run: build
-// the session and machine for the announced run and execute the same
-// kernel body the leader runs. The result is nil here (no global rank
+// the session and machine for the announced run and make the same
+// service.Run call the leader makes. The result is nil here (no global rank
 // 0); errors surface on the leader through the abort protocol, so they
 // are deliberately dropped.
 func (w *Worker) runPeerJob(job ctrlMsg) {
@@ -310,8 +311,8 @@ func (w *Worker) runPeerJob(job ctrlMsg) {
 }
 
 // runOnSession executes one distributed run's local share: session,
-// wire-fault hook, machine, kernel.
-func (w *Worker) runOnSession(ctx context.Context, run uint64, sg *service.StoredGraph, alg string, pr service.ExecParams) (*service.QueryResult, error) {
+// wire-fault hook, machine, default kernel on the caller-supplied shape.
+func (w *Worker) runOnSession(ctx context.Context, run uint64, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	sess, err := w.mesh.NewSession(run, w.members)
 	if err != nil {
 		return nil, err
@@ -326,7 +327,7 @@ func (w *Worker) runOnSession(ctx context.Context, run uint64, sg *service.Store
 	if err != nil {
 		return nil, err
 	}
-	return service.ExecuteOnMachine(ctx, m, sg, alg, pr)
+	return service.Run(ctx, sg, alg, "", pr, service.Shape{Machine: m})
 }
 
 // distExecutor is the leader's service.Executor: it runs every query on
@@ -337,7 +338,7 @@ type distExecutor struct{ w *Worker }
 
 func (d *distExecutor) MachineP() int { return d.w.p }
 
-func (d *distExecutor) Execute(ctx context.Context, sg *service.StoredGraph, alg string, pr service.ExecParams) (*service.QueryResult, error) {
+func (d *distExecutor) Execute(ctx context.Context, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	w := d.w
 	run := w.nextRun.Add(1)
 	if w.p > 1 {
@@ -389,6 +390,6 @@ type rejectExecutor struct{ rank, p int }
 
 func (r *rejectExecutor) MachineP() int { return r.p }
 
-func (r *rejectExecutor) Execute(context.Context, *service.StoredGraph, string, service.ExecParams) (*service.QueryResult, error) {
+func (r *rejectExecutor) Execute(context.Context, *service.StoredGraph, string, planner.RunParams) (*service.QueryResult, error) {
 	return nil, fmt.Errorf("%w: worker rank %d is not the shard leader; queries go to rank 0", service.ErrBadRequest, r.rank)
 }
