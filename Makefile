@@ -1,6 +1,7 @@
 # Development targets. `make check` is the default gate: build + vet +
 # full tests + race detector over the concurrent subsystems (the serving
-# layer and the BSP runtime) + a compile of the benchmark module.
+# layer, the BSP runtime, and the library path that shares their machine
+# pool) + a compile of the benchmark module.
 
 GO ?= go
 
@@ -18,9 +19,15 @@ vet:
 	$(GO) vet ./...
 
 # The service layer and BSP runtime are heavily concurrent; they are
-# race-checked on every default run.
+# race-checked on every default run. So are cc, core and the root
+# package: library callers share bsp's machine pool with the daemon, and
+# every CC rank reads its block of the caller's edge array in place —
+# a write to it is a data race between machines. -short skips only the
+# root package's minute-scale single-caller stress tests; its
+# concurrent-callers test always runs.
 race:
-	$(GO) test -race ./internal/service/... ./internal/bsp/...
+	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/...
+	$(GO) test -race -short .
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build
 # ./...` and `go vet ./...` above never see it — yet it imports service,

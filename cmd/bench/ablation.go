@@ -8,7 +8,6 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -101,20 +100,12 @@ func runAblEpsilon(e *env) {
 		var vol uint64
 		times := make([]float64, e.runs)
 		for r := range times {
-			bst, err := bsp.Run(p, func(c *bsp.Comm) {
-				var in *graph.Graph
-				if c.Rank() == 0 {
-					in = g
-				}
-				nn, local := dist.ScatterGraph(c, 0, in)
-				res := cc.Parallel(c, nn, local, rng.New(e.seed+uint64(r), uint32(c.Rank()), 0), cc.Options{Epsilon: eps})
+			bst := onBlocks(p, bsp.CostModel{}, g, func(c *bsp.Comm, local []graph.Edge) {
+				res := cc.Parallel(c, g.N, local, rng.New(e.seed+uint64(r), uint32(c.Rank()), 0), cc.Options{Epsilon: eps})
 				if c.Rank() == 0 {
 					iters = res.Iterations
 				}
 			})
-			if err != nil {
-				log.Fatal(err)
-			}
 			times[r] = bst.Total().Seconds()
 			vol = bst.CommVolume
 		}
@@ -186,30 +177,14 @@ func runAblNetwork(e *env) {
 	}
 	fmt.Println("impl\tnetwork\tsim_total_s\tsim_comm_s\tsim_comm_frac")
 	for _, net := range nets {
-		stCC, err := bsp.RunWithCost(p, net.cm, func(c *bsp.Comm) {
-			var in *graph.Graph
-			if c.Rank() == 0 {
-				in = g
-			}
-			nn, local := dist.ScatterGraph(c, 0, in)
-			cc.Parallel(c, nn, local, rng.New(e.seed, uint32(c.Rank()), 0), cc.Options{})
+		stCC := onBlocks(p, net.cm, g, func(c *bsp.Comm, local []graph.Edge) {
+			cc.Parallel(c, g.N, local, rng.New(e.seed, uint32(c.Rank()), 0), cc.Options{})
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("CC\t%s\t%.4f\t%.4f\t%.3f\n", net.name,
 			stCC.SimTotal().Seconds(), stCC.SimCommTime.Seconds(), stCC.SimCommFraction())
-		stLP, err := bsp.RunWithCost(p, net.cm, func(c *bsp.Comm) {
-			var in *graph.Graph
-			if c.Rank() == 0 {
-				in = g
-			}
-			nn, local := dist.ScatterGraph(c, 0, in)
-			cc.LabelPropagation(c, nn, local)
+		stLP := onBlocks(p, net.cm, g, func(c *bsp.Comm, local []graph.Edge) {
+			cc.LabelPropagation(c, g.N, local)
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("PBGL\t%s\t%.4f\t%.4f\t%.3f\n", net.name,
 			stLP.SimTotal().Seconds(), stLP.SimCommTime.Seconds(), stLP.SimCommFraction())
 	}

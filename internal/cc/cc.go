@@ -62,8 +62,10 @@ func (o *Options) defaults() {
 
 // Parallel computes connected components of the distributed edge array
 // (n vertices, each processor holding a slice of edges) by iterated
-// sampling: sparsify, solve the sample at the root, broadcast the
-// relabelling, contract locally, repeat until no edge remains. Every
+// sampling: every processor contracts its own sample to a spanning
+// forest, the root merges the forests and broadcasts the relabelling,
+// everyone contracts locally, repeat until no edge remains. local is
+// never written: the first round's survivors go to a fresh slice. Every
 // processor returns the same Result.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *Result {
 	opts.defaults()
@@ -77,11 +79,9 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	}
 	const root = 0
 
-	// The root tracks the label of each original vertex. Its per-round
-	// solver state (union-find, labelling, broadcast payload) is hoisted
-	// out of the loop and recycled via Reset/LabelsInto.
+	// The root tracks the label of each original vertex; its per-round
+	// labelling and broadcast payload are hoisted out of the loop.
 	var comp, labels, lscratch []int32
-	var uf *graph.UnionFind
 	var g []uint64
 	if c.Rank() == root {
 		comp = make([]int32, n)
@@ -90,12 +90,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		}
 		labels = make([]int32, n)
 		lscratch = make([]int32, n)
-		uf = graph.NewUnionFind(n)
 		g = make([]uint64, n)
 	}
+	uf := graph.GetUnionFind(n)
+	defer graph.PutUnionFind(uf)
 	s := sampleSize(n, opts.Epsilon)
-	// Work on a private copy so the caller's slice survives.
-	edges := append([]graph.Edge(nil), local...)
+	edges := local
 
 	iters := 0
 	prevM := uint64(math.MaxUint64)
@@ -115,17 +115,13 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		prevM = m
 		iters++
 
-		sample := sparsify.Unweighted(c, root, edges, s, n, opts.Delta, st)
+		sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
 
-		// Root: solve the sampled graph over the current label space and
-		// produce the mapping g from old to new labels.
+		// Root: label the sampled graph's components over the current
+		// label space, giving the mapping g from old to new labels.
 		if c.Rank() == root {
-			uf.Reset(n)
-			for _, e := range sample {
-				uf.Union(e.U, e.V)
-			}
 			uf.LabelsInto(labels, lscratch)
-			c.Ops(uint64(len(sample)) + uint64(n))
+			c.Ops(uint64(n))
 			for i, l := range labels {
 				g[i] = uint64(uint32(l))
 			}
@@ -135,8 +131,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		}
 		gw := c.Broadcast(root, g)
 
-		// Everyone: relabel local edges and drop loops.
-		out := edges[:0]
+		// Everyone: relabel local edges and drop loops. Only from the
+		// second round on is edges this call's own slice to overwrite.
+		var out []graph.Edge
+		if iters > 1 {
+			out = edges[:0]
+		}
 		for _, e := range edges {
 			u := int32(uint32(gw[e.U]))
 			v := int32(uint32(gw[e.V]))

@@ -1,10 +1,11 @@
-// Package core orchestrates the paper's algorithms end to end: it spins
-// up the BSP machine, distributes the input graph, runs the requested
-// computation (connected components §3.2, approximate minimum cut §3.3,
-// or exact minimum cut §4), and reports the result together with the
-// run's BSP cost profile (supersteps, communication volume, and the
-// application/communication wall-time split — the paper's measurement
-// set). The root package camc re-exports this API for downstream users.
+// Package core orchestrates the paper's algorithms end to end: it checks
+// out a pooled BSP machine, hands every rank its block of the input edge
+// array, runs the requested computation (connected components §3.2,
+// approximate minimum cut §3.3, or exact minimum cut §4), and reports the
+// result together with the run's BSP cost profile (supersteps,
+// communication volume, and the application/communication wall-time
+// split — the paper's measurement set). The root package camc re-exports
+// this API for downstream users.
 package core
 
 import (
@@ -73,7 +74,9 @@ func (o Options) successProb() float64 {
 	return 0.9
 }
 
-// RunStats summarizes the BSP cost profile of one run.
+// RunStats summarizes the BSP cost profile of one run. Like the paper's
+// measurements it starts from an already distributed edge array: handing
+// the ranks their blocks moves no words and is not on the ledger.
 type RunStats struct {
 	P            int
 	Supersteps   int
@@ -96,11 +99,31 @@ func statsOf(st *bsp.Stats) RunStats {
 	}
 }
 
-func validate(g *graph.Graph) error {
+// run is the one way the library executes a kernel: validate the input,
+// check out a pooled p-processor machine, give rank r the r-th block of
+// g.Edges in place — the paper's born-distributed edge array; kernels
+// only read their block — with its own random stream, and return the
+// machine to the pool. A failed run's machine is dropped, not pooled.
+func run(g *graph.Graph, opts Options, body func(c *bsp.Comm, local []graph.Edge, st *rng.Stream)) (RunStats, error) {
 	if g == nil {
-		return fmt.Errorf("core: nil graph")
+		return RunStats{}, fmt.Errorf("core: nil graph")
 	}
-	return g.Validate()
+	if err := g.Validate(); err != nil {
+		return RunStats{}, err
+	}
+	m, err := bsp.AcquireMachine(opts.processors())
+	if err != nil {
+		return RunStats{}, err
+	}
+	st, err := m.Run(func(c *bsp.Comm) {
+		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+		body(c, g.Edges[lo:hi], rng.New(opts.seed(), uint32(c.Rank()), 0))
+	})
+	if err != nil {
+		return RunStats{}, err
+	}
+	bsp.ReleaseMachine(m)
+	return statsOf(st), nil
 }
 
 // MinCutResult is the outcome of an exact minimum cut run.
@@ -114,18 +137,9 @@ type MinCutResult struct {
 // MinCut computes a global minimum cut of g with probability at least
 // SuccessProb using the communication-avoiding parallel algorithm.
 func MinCut(g *graph.Graph, opts Options) (*MinCutResult, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
 	var res *mincut.CutResult
-	st, err := bsp.Run(opts.processors(), func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
-		r := mincut.Parallel(c, n, local, stream, mincut.Options{
+	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
+		r := mincut.Parallel(c, g.N, local, stream, mincut.Options{
 			SuccessProb: opts.successProb(),
 			MaxTrials:   opts.MaxTrials,
 		})
@@ -136,7 +150,7 @@ func MinCut(g *graph.Graph, opts Options) (*MinCutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MinCutResult{Value: res.Value, Side: res.Side, Trials: res.Trials, Stats: statsOf(st)}, nil
+	return &MinCutResult{Value: res.Value, Side: res.Side, Trials: res.Trials, Stats: st}, nil
 }
 
 // ApproxCutResult is the outcome of an approximate minimum cut run.
@@ -149,18 +163,9 @@ type ApproxCutResult struct {
 // ApproxMinCut estimates the minimum cut of g within an O(log n) factor
 // w.h.p. using near-linear work (§3.3).
 func ApproxMinCut(g *graph.Graph, opts Options) (*ApproxCutResult, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
 	var res *approxcut.Result
-	st, err := bsp.Run(opts.processors(), func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
-		r := approxcut.Parallel(c, n, local, stream, approxcut.Options{
+	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
+		r := approxcut.Parallel(c, g.N, local, stream, approxcut.Options{
 			Trials:    opts.ApproxTrials,
 			Pipelined: opts.Pipelined,
 		})
@@ -171,7 +176,7 @@ func ApproxMinCut(g *graph.Graph, opts Options) (*ApproxCutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ApproxCutResult{Value: res.Value, Iterations: res.Iterations, Stats: statsOf(st)}, nil
+	return &ApproxCutResult{Value: res.Value, Iterations: res.Iterations, Stats: st}, nil
 }
 
 // CCResult is a connected-components labelling.
@@ -184,18 +189,9 @@ type CCResult struct {
 // ConnectedComponents labels the connected components of g with the
 // communication-avoiding iterated-sampling algorithm (§3.2).
 func ConnectedComponents(g *graph.Graph, opts Options) (*CCResult, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
 	var res *cc.Result
-	st, err := bsp.Run(opts.processors(), func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
-		r := cc.Parallel(c, n, local, stream, cc.Options{Epsilon: opts.Epsilon})
+	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
+		r := cc.Parallel(c, g.N, local, stream, cc.Options{Epsilon: opts.Epsilon})
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -203,7 +199,7 @@ func ConnectedComponents(g *graph.Graph, opts Options) (*CCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CCResult{Labels: res.Labels, Count: res.Count, Stats: statsOf(st)}, nil
+	return &CCResult{Labels: res.Labels, Count: res.Count, Stats: st}, nil
 }
 
 // AllCutsResult carries every distinct minimum cut of a graph.
@@ -217,18 +213,9 @@ type AllCutsResult struct {
 // (Lemma 4.3), each found with probability at least SuccessProb, with
 // the tie-preserving trials distributed over the processors.
 func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
 	var cuts []*mincut.CutResult
-	st, err := bsp.Run(opts.processors(), func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		stream := rng.New(opts.seed(), uint32(c.Rank()), 0)
-		r := mincut.ParallelAllMinCuts(c, n, local, stream, opts.successProb())
+	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
+		r := mincut.ParallelAllMinCuts(c, g.N, local, stream, opts.successProb())
 		if c.Rank() == 0 {
 			cuts = r
 		}
@@ -236,7 +223,7 @@ func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AllCutsResult{Stats: statsOf(st)}
+	res := &AllCutsResult{Stats: st}
 	for _, c := range cuts {
 		res.Value = c.Value
 		res.Sides = append(res.Sides, c.Side)

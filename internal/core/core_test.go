@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -110,10 +112,14 @@ func TestMaxTrialsRespected(t *testing.T) {
 }
 
 func TestEpsilonOption(t *testing.T) {
-	g := gen.BarabasiAlbert(2000, 8, 3, gen.Config{})
-	// Both extremes must agree on the answer; the knob only shifts the
-	// iteration/volume trade-off — and it must actually shift it: a larger
-	// sample s = n^(1+ε/2) moves more words per round.
+	// Dense enough (m = 44850 ≫ s) that both settings truly sample: each
+	// rank draws ⌈1.5·s/2⌉ of its 22425 edges, 459 at ε=0.25 and 3897 at
+	// ε=1.0. Both extremes must agree on the answer; the knob only shifts
+	// the iteration/work trade-off — and it must actually reach the
+	// sampler, which the draw count in Ops shows. (Words moved no longer
+	// do: a rank ships a spanning forest of its sample, at most n-1 edges
+	// whatever s is.)
+	g := gen.Complete(300, 1)
 	small, err := ConnectedComponents(g, Options{Processors: 2, Seed: 5, Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +131,8 @@ func TestEpsilonOption(t *testing.T) {
 	if small.Count != big.Count {
 		t.Errorf("epsilon changed the answer: %d vs %d", small.Count, big.Count)
 	}
-	if small.Stats.CommVolume >= big.Stats.CommVolume {
-		t.Errorf("epsilon had no effect on the sample: ε=0.25 moved %d words, ε=1.0 moved %d",
-			small.Stats.CommVolume, big.Stats.CommVolume)
+	if small.Stats.Ops == big.Stats.Ops {
+		t.Errorf("epsilon had no effect on the sample: %d ops at ε=0.25 and at ε=1.0", small.Stats.Ops)
 	}
 	// The zero value is the documented default, not a third setting.
 	def, err := ConnectedComponents(g, Options{Processors: 2, Seed: 5})
@@ -183,5 +188,38 @@ func TestAllMinCutsCore(t *testing.T) {
 	}
 	if res.Stats.P != 3 {
 		t.Errorf("stats.P = %d", res.Stats.P)
+	}
+}
+
+// A machine's Comms live as long as the machine, so rank 0's *Comm names
+// the machine a run was given. A run that fails may have left mailboxes
+// mid-superstep: its machine must never be handed to a later run.
+func TestFailedRunDropsItsMachine(t *testing.T) {
+	const p = 7 // a size no other test in this package pools
+	g := gen.Cycle(20, 1)
+	rank0 := func(into **bsp.Comm, fail bool) func(*bsp.Comm, []graph.Edge, *rng.Stream) {
+		return func(c *bsp.Comm, _ []graph.Edge, _ *rng.Stream) {
+			if c.Rank() == 0 {
+				*into = c
+			}
+			c.Sync()
+			if fail && c.Rank() == 1 {
+				panic("rank 1 failed")
+			}
+			c.Sync()
+		}
+	}
+	var failed *bsp.Comm
+	if _, err := run(g, Options{Processors: p}, rank0(&failed, true)); err == nil {
+		t.Fatal("a panicking rank did not fail the run")
+	}
+	for i := 0; i < 20; i++ {
+		var c *bsp.Comm
+		if _, err := run(g, Options{Processors: p}, rank0(&c, false)); err != nil {
+			t.Fatal(err)
+		}
+		if c == failed {
+			t.Fatalf("run %d was given the failed run's machine", i)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -165,16 +166,18 @@ func BarabasiAlbert(n, k int, seed uint64, cfg Config) *graph.Graph {
 			targets = append(targets, int32(i), int32(j))
 		}
 	}
-	chosen := make(map[int32]bool, k)
+	// Targets are kept in draw order: the edge order feeds the endpoint
+	// list every later draw reads, so it must be a function of the seed
+	// (a map's iteration order is not).
+	chosen := make([]int32, 0, k)
 	for v := k + 1; v < n; v++ {
-		clear(chosen)
+		chosen = chosen[:0]
 		for len(chosen) < k {
-			t := targets[s.Intn(len(targets))]
-			if !chosen[t] {
-				chosen[t] = true
+			if t := targets[s.Intn(len(targets))]; !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			g.AddEdge(int32(v), t, cfg.weight(s))
 			targets = append(targets, int32(v), t)
 		}

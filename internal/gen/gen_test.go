@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -140,6 +141,18 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 	if maxDeg < 4*k {
 		t.Errorf("max degree %d suspiciously low for preferential attachment", maxDeg)
+	}
+}
+
+// The generator is a function of its seed: edge order included, since
+// every later draw reads the endpoint list the edges were appended to.
+func TestBarabasiAlbertIsAFunctionOfItsSeed(t *testing.T) {
+	a, b := BarabasiAlbert(500, 8, 3, Config{}), BarabasiAlbert(500, 8, 3, Config{})
+	if !slices.Equal(a.Edges, b.Edges) {
+		t.Error("two calls with seed 3 returned different edge lists")
+	}
+	if other := BarabasiAlbert(500, 8, 4, Config{}); slices.Equal(a.Edges, other.Edges) {
+		t.Error("seeds 3 and 4 returned the same edge list")
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // UnionFind is a disjoint-set forest with union by rank and path
 // compression. It backs the root's connected-components computation in
 // iterated sampling and the prefix-selection step of bulk contraction.
@@ -105,3 +107,18 @@ func (uf *UnionFind) LabelsInto(labels, scratch []int32) int {
 	}
 	return int(next)
 }
+
+// ufPool recycles union-finds across queries, like remapPool: every rank
+// of a connected-components run checks one out per call.
+var ufPool = sync.Pool{New: func() any { return &UnionFind{} }}
+
+// GetUnionFind returns a pooled UnionFind reset to n singleton sets.
+func GetUnionFind(n int) *UnionFind {
+	uf := ufPool.Get().(*UnionFind)
+	uf.Reset(n)
+	return uf
+}
+
+// PutUnionFind returns a UnionFind to the pool. The caller must not use
+// it afterwards.
+func PutUnionFind(uf *UnionFind) { ufPool.Put(uf) }

@@ -235,11 +235,19 @@ func init() {
 				eps = 0.5
 			}
 			s := math.Min(math.Pow(n, 1+eps/2), m)
+			// Each non-root rank ships a spanning forest of its
+			// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
+			forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
+			// The relabelling goes out as a two-phase Broadcast: 2n words
+			// on the ledger whatever p is — not xVol's gather-to-root. Now
+			// that volume no longer tracks comp, the fit gives it a real
+			// coefficient, and xVol's factor p-1 would be billed in full.
+			bcast := 2 * n * btof(p > 1)
 			const rounds = 2 // O(1) w.h.p.; empirically 2 on the suite
 			return perfmodel.Sample{
 				Comp:       rounds * (m/float64(p) + n + s),
-				Volume:     rounds * (2*s + xVol(p, n)),
-				Supersteps: 6*rounds + 2,
+				Volume:     rounds * (float64(p-1)*forest + bcast),
+				Supersteps: 5*rounds + 2,
 				P:          float64(p),
 			}
 		},

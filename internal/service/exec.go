@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bsp"
@@ -183,30 +182,6 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 	}
 }
 
-// machinePools caches BSP machines by processor count so that a fleet of
-// same-sized requests reuses mailboxes, collective scratch, and payload
-// pools instead of reallocating them per query. sync.Pool gives free
-// concurrency and lets idle machines be collected under memory pressure.
-var machinePools sync.Map // int -> *sync.Pool
-
-func acquireMachine(p int) (*bsp.Machine, error) {
-	v, ok := machinePools.Load(p)
-	if !ok {
-		v, _ = machinePools.LoadOrStore(p, &sync.Pool{})
-	}
-	pool := v.(*sync.Pool)
-	if m, ok := pool.Get().(*bsp.Machine); ok {
-		return m, nil
-	}
-	return bsp.NewMachine(p)
-}
-
-func releaseMachine(m *bsp.Machine) {
-	if v, ok := machinePools.Load(m.P()); ok {
-		v.(*sync.Pool).Put(m)
-	}
-}
-
 // Shape is where a kernel runs — the one thing Run is parameterised by:
 //
 //	Shape{P: p}        a pooled in-process machine of p processors
@@ -250,10 +225,11 @@ type Shape struct {
 // are short; cancellation is checked at entry but not mid-kernel, and
 // fault injection (a BSP-machine hook) does not apply.
 //
-// Beyond the machine pool above, the kernels themselves draw scratch
-// from process-wide sync.Pools (the Karger–Stein arena in
-// internal/mincut, sort buffers and remap tables in internal/sort and
-// internal/graph), so concurrent queries recycle each other's
+// Beyond the machine pool (bsp.AcquireMachine, shared with the library
+// facade), the kernels themselves draw scratch from process-wide
+// sync.Pools (the Karger–Stein arena in internal/mincut, sort buffers in
+// internal/sort, remap tables and union-finds in internal/graph), so
+// concurrent queries recycle each other's
 // allocations instead of growing the heap per query. See
 // stress_test.go for the race-checked exercise of that sharing.
 func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunParams, sh Shape) (*QueryResult, error) {
@@ -276,7 +252,7 @@ func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunP
 	var cp planner.Checkpoint
 	if pooled {
 		var err error
-		if mach, err = acquireMachine(sh.P); err != nil {
+		if mach, err = bsp.AcquireMachine(sh.P); err != nil {
 			return nil, err
 		}
 		if sh.Faults.Enabled() {
@@ -301,7 +277,7 @@ func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunP
 		// a clean machine returns to the pool.
 		mach.SetFaultHook(nil)
 		if err == nil {
-			releaseMachine(mach)
+			bsp.ReleaseMachine(mach)
 		}
 	}
 	if err != nil {

@@ -1,7 +1,13 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"testing"
+
+	"repro/internal/bsp"
+	"repro/internal/graph"
+	"repro/internal/planner"
 )
 
 func TestSideVertices(t *testing.T) {
@@ -28,6 +34,48 @@ func TestSideVertices(t *testing.T) {
 				t.Errorf("%s: sideVertices(%v) = %v, want %v", c.name, c.side, got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// A cancelled run may have left mailboxes mid-superstep: its machine must
+// not go back to the pool the library facade shares. Rank 0's *Comm lives
+// as long as its machine, so it names the machine a run was given.
+func TestCancelledRunDropsItsMachine(t *testing.T) {
+	const p = 7 // a size no other test in this package pools
+	var rank0 *bsp.Comm
+	var cancel context.CancelFunc
+	t.Cleanup(planner.Register(&planner.Kernel{
+		Name: "spy", Algorithm: AlgCC,
+		Run: func(c *bsp.Comm, _ int, _ []graph.Edge, _ planner.RunParams, _ *graph.Plan, _ planner.Checkpoint) *planner.Outcome {
+			if c.Rank() == 0 {
+				rank0 = c
+				if cancel != nil {
+					cancel()
+				}
+			}
+			for i := 0; cancel != nil || i < 2; i++ {
+				c.Sync() // a cancelled machine unwinds here
+			}
+			return &planner.Outcome{}
+		},
+		Cost: planner.Lookup(AlgCC, planner.KernelCCSampling).Cost,
+	}))
+	sg := &StoredGraph{Name: "g", Version: 1, Snap: testGraph(16, 20).Snapshot()}
+
+	ctx, stop := context.WithCancel(context.Background())
+	cancel = stop
+	if _, err := Run(ctx, sg, AlgCC, "spy", planner.RunParams{}, Shape{P: p}); !errors.Is(err, bsp.ErrCancelled) {
+		t.Fatalf("cancelled run returned %v, want ErrCancelled", err)
+	}
+	cancelled := rank0
+	cancel = nil
+	for i := 0; i < 20; i++ {
+		if _, err := Run(context.Background(), sg, AlgCC, "spy", planner.RunParams{}, Shape{P: p}); err != nil {
+			t.Fatal(err)
+		}
+		if rank0 == cancelled {
+			t.Fatalf("run %d was given the cancelled run's machine", i)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 
 	edges := sg.Snap.Edges()
 	n := sg.Snap.N()
-	mach, err := acquireMachine(p)
+	mach, err := bsp.AcquireMachine(p)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 		}
 		*seg.cost = cost
 	}
-	releaseMachine(mach)
+	bsp.ReleaseMachine(mach)
 	return pl, nil
 }
 

@@ -107,24 +107,77 @@ func Weighted(c *bsp.Comm, root int, local []graph.Edge, s int, st *rng.Stream) 
 // nil). Sampling is O(1) per edge; no permutation is applied — the
 // connected-components consumer is order-insensitive.
 func Unweighted(c *bsp.Comm, root int, local []graph.Edge, s, n int, delta float64, st *rng.Stream) []graph.Edge {
-	counts := c.AllReduce([]uint64{uint64(len(local))}, bsp.OpSum)
-	m := counts[0]
-	var chosen []graph.Edge
-	if m > 0 && len(local) > 0 {
-		mu := float64(s) * float64(len(local)) / float64(m)
-		threshold := 9 * math.Log(float64(n)+2) / (delta * delta)
-		if mu < threshold || int(math.Ceil((1+delta)*mu)) >= len(local) {
-			chosen = local
-		} else {
-			k := int(math.Ceil((1 + delta) * mu))
-			chosen = make([]graph.Edge, k)
-			for i := range chosen {
-				chosen[i] = local[st.Intn(len(local))]
-			}
-			c.Ops(uint64(k))
+	m := c.AllReduce([]uint64{uint64(len(local))}, bsp.OpSum)[0]
+	chosen := local
+	if k, whole := quota(len(local), m, s, n, delta); !whole {
+		chosen = make([]graph.Edge, k)
+		for i := range chosen {
+			chosen[i] = local[st.Intn(len(local))]
 		}
+		c.Ops(uint64(k))
 	}
 	return gatherEdges(c, root, chosen)
+}
+
+// quota is the unweighted sampler's per-processor rule: a processor
+// holding mi of the m edges draws k = ⌈(1+δ)µ_i⌉ of them, or contributes
+// its whole slice when µ_i is below the Chernoff threshold or k would
+// reach mi anyway.
+func quota(mi int, m uint64, s, n int, delta float64) (k int, whole bool) {
+	if mi == 0 {
+		return 0, true
+	}
+	mu := float64(s) * float64(mi) / float64(m)
+	k = int(math.Ceil((1 + delta) * mu))
+	return k, mu < 9*math.Log(float64(n)+2)/(delta*delta) || k >= mi
+}
+
+// UnweightedForest is Unweighted for a consumer that only wants the
+// sample's connectivity: every processor makes Unweighted's draws (same
+// quota, same stream positions) but unions them straight into uf — reset
+// here to n singletons — and ships the root only the edges that merged
+// two sets, a spanning forest of its sample: at most min(k, n-1) packed
+// words u<<32|v where Unweighted ships 3 words for each of k edges. The
+// root unions the forests it receives into its own uf, which then holds
+// the components of the combined sample; it sends itself nothing. m is
+// the global edge count, which the caller has already reduced. local is
+// only read.
+func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n int, delta float64, st *rng.Stream, uf *graph.UnionFind) {
+	uf.Reset(n)
+	k, whole := quota(len(local), m, s, n, delta)
+	if whole {
+		k = len(local)
+	}
+	send := c.Rank() != root
+	var forest []uint64
+	if send {
+		forest = c.Buffer(min(k, n))[:0]
+	}
+	for i := 0; i < k; i++ {
+		j := i
+		if !whole {
+			j = st.Intn(len(local))
+		}
+		e := &local[j]
+		if uf.Union(e.U, e.V) && send {
+			forest = append(forest, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
+		}
+	}
+	c.Ops(uint64(k))
+	if send {
+		c.SendOwned(root, forest)
+	}
+	c.Sync()
+	if send {
+		return
+	}
+	for src := 0; src < c.Size(); src++ {
+		in := c.Recv(src)
+		for _, w := range in {
+			uf.Union(int32(w>>32), int32(uint32(w)))
+		}
+		c.Ops(uint64(len(in)))
+	}
 }
 
 // gatherEdges gathers edge slices at the root (3 words per edge). The

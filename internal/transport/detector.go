@@ -24,19 +24,24 @@ import (
 // (or never firing) on its first silence.
 type phiDetector struct {
 	mu        sync.Mutex
-	last      time.Time
+	last      time.Time          // latest arrival of any frame: phi's silence clock
+	lastBeat  time.Time          // latest heartbeat: the interval sample's left end
 	intervals [phiWindow]float64 // seconds
 	n         int                // filled entries
 	idx       int                // next write position
 }
 
-const phiWindow = 16
+const (
+	phiWindow           = 16
+	defaultPhiThreshold = 8 // MeshConfig.PhiThreshold when unset
+)
 
 // newPhiDetector seeds the window with the expected interval and
 // counts the handshake (construction time) as the first arrival, so a
 // peer that is silent from birth is still detected.
 func newPhiDetector(expected time.Duration) *phiDetector {
-	d := &phiDetector{last: time.Now()}
+	now := time.Now()
+	d := &phiDetector{last: now, lastBeat: now}
 	d.intervals[0] = expected.Seconds()
 	d.n, d.idx = 1, 1
 	return d
@@ -48,12 +53,14 @@ func newPhiDetector(expected time.Duration) *phiDetector {
 // near zero, after which one ordinary heartbeat interval of silence
 // reads as near-certain death and the maintain loop severs a healthy
 // connection. Bursty traffic is proof of life, not a cadence — route
-// it through touch.
+// it through touch. For the same reason the interval runs from the
+// previous heartbeat, not from last: a data frame just before the beat
+// would otherwise shrink the sample to the gap between the two.
 func (d *phiDetector) observe(t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.last.IsZero() {
-		iv := t.Sub(d.last).Seconds()
+	if !d.lastBeat.IsZero() {
+		iv := t.Sub(d.lastBeat).Seconds()
 		if iv > 0 {
 			d.intervals[d.idx] = iv
 			d.idx = (d.idx + 1) % phiWindow
@@ -62,7 +69,7 @@ func (d *phiDetector) observe(t time.Time) {
 			}
 		}
 	}
-	d.last = t
+	d.lastBeat, d.last = t, t
 }
 
 // touch records proof of life at t without sampling an interval — for

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -369,6 +370,37 @@ func TestPhiDetectorMath(t *testing.T) {
 	}
 	if phiShort := d.phi(last.Add(300 * time.Millisecond)); phiShort >= phiLong {
 		t.Fatalf("phi not monotone: %v at 3 intervals vs %v at 10", phiShort, phiLong)
+	}
+}
+
+// Sustained data traffic between heartbeats is proof of life and must
+// not leak into the interval window: thousands of touches per beat leave
+// the window's mean at the beat interval, so the ordinary wait for the
+// next beat stays far below the severing threshold. (Sampling from the
+// last frame of any kind collapsed the window to the touch gap, and one
+// beat interval of silence then read as φ ≈ 300.)
+func TestPhiDetectorIgnoresDataFramesBetweenBeats(t *testing.T) {
+	const beat, touches = 100 * time.Millisecond, 2000
+	d := newPhiDetector(beat)
+	at := time.Unix(1000, 0)
+	d.observe(at)
+	for i := 0; i < 2*phiWindow; i++ {
+		for j := 1; j < touches; j++ {
+			d.touch(at.Add(time.Duration(j) * beat / touches))
+		}
+		at = at.Add(beat)
+		d.observe(at)
+	}
+	var sum float64
+	for _, iv := range d.intervals[:d.n] {
+		sum += iv
+	}
+	if mean := sum / float64(d.n); math.Abs(mean-beat.Seconds()) > 1e-9 {
+		t.Errorf("window mean %.6fs after sustained traffic, want the beat interval %.3fs", mean, beat.Seconds())
+	}
+	// The traffic stops; the next beat is a little late.
+	if phi := d.phi(at.Add(beat + beat/4)); phi >= defaultPhiThreshold {
+		t.Errorf("phi=%.1f at 1.25 beat intervals of silence, want < %d", phi, defaultPhiThreshold)
 	}
 }
 

@@ -182,7 +182,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	}
 	phi := cfg.PhiThreshold
 	if phi <= 0 {
-		phi = 8
+		phi = defaultPhiThreshold
 	}
 	codecs := codecMaskAll
 	if cfg.DisableCodecs {

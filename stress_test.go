@@ -1,6 +1,8 @@
 package camc
 
 import (
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -81,5 +83,59 @@ func TestStressDeterministicAcrossP(t *testing.T) {
 		if res.Value != want {
 			t.Errorf("p=%d: %d, want %d", p, res.Value, want)
 		}
+	}
+}
+
+// The library facade and the serving layer draw machines from one pool
+// (bsp.AcquireMachine), and every CC rank reads its block of the caller's
+// edge array in place. Many callers at once, on shared graphs, must each
+// get the answer a lone caller gets: a pooled machine carries nothing
+// from its last run, and nobody writes to the shared input. Runs under
+// -race on the default gate, so it is not a -short skip.
+func TestConcurrentCallersSharePooledMachines(t *testing.T) {
+	ccG := BarabasiAlbert(5000, 8, 5, GenConfig{})
+	_, wantCount := SequentialCC(ccG)
+	mcG := WattsStrogatz(64, 6, 0.3, 11, GenConfig{MaxWeight: 3})
+	mcOpts := func(p int) Options { return Options{Processors: p, Seed: 21, MaxTrials: 8} }
+	ps := []int{1, 2, 4}
+	alone := map[int]*MinCutResult{}
+	for _, p := range ps {
+		res, err := MinCut(mcG, mcOpts(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[p] = res
+	}
+	ccBefore, mcBefore := slices.Clone(ccG.Edges), slices.Clone(mcG.Edges)
+
+	const callers, rounds = 8, 6
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				p := ps[(w+i)%len(ps)]
+				if (w+i)%2 == 0 {
+					res, err := ConnectedComponents(ccG, Options{Processors: p, Seed: uint64(w*rounds + i + 1)})
+					if err != nil {
+						t.Errorf("cc p=%d: %v", p, err)
+					} else if res.Count != wantCount {
+						t.Errorf("cc p=%d: %d components, want %d", p, res.Count, wantCount)
+					}
+					continue
+				}
+				res, err := MinCut(mcG, mcOpts(p))
+				if err != nil {
+					t.Errorf("mincut p=%d: %v", p, err)
+				} else if want := alone[p]; res.Value != want.Value || !slices.Equal(res.Side, want.Side) {
+					t.Errorf("mincut p=%d: value %d among %d callers, %d alone", p, res.Value, callers, want.Value)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(ccG.Edges, ccBefore) || !slices.Equal(mcG.Edges, mcBefore) {
+		t.Error("a run wrote to its caller's edge array")
 	}
 }
