@@ -24,9 +24,11 @@ vet:
 # every CC rank reads its block of the caller's edge array in place —
 # a write to it is a data race between machines. -short skips only the
 # root package's minute-scale single-caller stress tests; its
-# concurrent-callers test always runs.
+# concurrent-callers test always runs. approxcut and sparsify draw into
+# union-finds from the one pool concurrent queries share.
 race:
-	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/...
+	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/... \
+		./internal/approxcut/... ./internal/sparsify/...
 	$(GO) test -race -short .
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build

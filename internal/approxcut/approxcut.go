@@ -1,17 +1,19 @@
 // Package approxcut implements the paper's approximate minimum cut
 // algorithm (§3.3): subgraphs of geometrically increasing expected
 // sparsity are sampled — iteration i keeps each edge e with probability
-// 1-(1-2^-i)^w(e) — and their connectivity is tested with the
-// communication-avoiding connected-components algorithm. The sparsity at
-// which subgraphs start disconnecting estimates the minimum cut within an
+// 1-(1-2^-i)^w(e) — and tested for connectivity. The sparsity at which
+// subgraphs start disconnecting estimates the minimum cut within an
 // O(log n) factor w.h.p., using near-linear work.
 //
-// Both variants from the paper are provided: the fully pipelined one
-// (every trial of every iteration is batched into a single
-// connected-components query — O(1) supersteps) and the practical
-// early-stopping one (iterations run in order and stop at the first
-// disconnection — O(log µ) supersteps, less space and time when the cut
-// is small).
+// The only question ever asked of a sample is "is it connected?", so no
+// sample is built or labelled: every rank contracts its share of each
+// trial to a spanning forest as it draws, the root merges the forests
+// and broadcasts a one-word verdict (see scan). Both variants from the
+// paper are provided: the fully pipelined one (every trial of every
+// iteration goes through one such round — O(1) supersteps) and the
+// practical early-stopping one (iterations run in order, a round each,
+// and stop at the first disconnection — O(log µ) supersteps, less space
+// and time when the cut is small).
 package approxcut
 
 import (
@@ -45,22 +47,23 @@ type Options struct {
 	// Trials overrides the number of trials per iteration
 	// (default ⌈log2 n⌉, minimum 4).
 	Trials int
-	// Pipelined batches all iterations into a single connected-components
-	// query (§3.3 "Theory" variant). The default is the early-stopping
+	// Pipelined batches all iterations into a single connectivity round
+	// (§3.3 "Theory" variant). The default is the early-stopping
 	// practical variant.
 	Pipelined bool
 	// Checkpoint, when non-nil, records each sparsity level the
 	// early-stopping variant clears, so a cancelled run can degrade to a
-	// partial estimate. The pipelined variant is a single batched query
-	// with no intermediate state and records nothing.
+	// partial estimate. The pipelined variant is a single round with no
+	// intermediate state: it has nothing to record before it is done.
 	Checkpoint *Checkpoint
-	// CC tunes the underlying connected-components runs.
+	// CC tunes the base connectivity check of the input, the one
+	// connected-components run left.
 	CC cc.Options
 	// Plan, when non-nil and matching the input, supplies the snapshot's
 	// total weight and connectivity, skipping the opening TotalWeight
 	// AllReduce and base connectivity check; both skips are recorded on
-	// the BSP ledger via SkipComm. The per-iteration subgraph CC queries
-	// run over a trials×n vertex space and are never plan-eligible. A
+	// the BSP ledger via SkipComm. The sampled subgraphs are fresh draws
+	// per query, so their connectivity rounds have nothing to reuse. A
 	// mismatched plan (wrong N) is ignored.
 	Plan *graph.Plan
 }
@@ -148,10 +151,31 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		maxIter = 1
 	}
 
+	// The early-stopping variant scans one level per round and stops at
+	// the first disconnection; the pipelined one scans them all at once.
+	step := 1
 	if opts.Pipelined {
-		return pipelined(c, n, local, st, trials, maxIter, opts.CC)
+		step = maxIter
 	}
-	return earlyStopping(c, n, local, st, trials, maxIter, opts.Checkpoint, opts.CC)
+	for lo := 1; lo <= maxIter; lo += step {
+		hi := lo + step - 1
+		if i := scan(c, n, local, st, trials, lo, hi); i != 0 {
+			return &Result{
+				Value:              uint64(1) << uint(i),
+				Iterations:         hi,
+				TrialsPerIteration: trials,
+				Disconnected:       true,
+			}
+		}
+		if opts.Checkpoint != nil {
+			opts.Checkpoint.note(hi, trials, maxIter)
+		}
+	}
+	return &Result{
+		Value:              uint64(1) << uint(maxIter),
+		Iterations:         maxIter,
+		TrialsPerIteration: trials,
+	}
 }
 
 // keepProb is the edge retention probability of iteration i for weight w:
@@ -161,93 +185,79 @@ func keepProb(i int, w uint64) float64 {
 	return 1 - math.Pow(q, float64(w))
 }
 
-// sampleTrials draws `trials` independent subgraphs at sparsity level i
-// from the local slice, placing trial t's copy of vertex v at t*n+v.
-func sampleTrials(local []graph.Edge, n, i, trials int, st *rng.Stream) []graph.Edge {
-	out := make([]graph.Edge, 0, len(local))
-	for t := 0; t < trials; t++ {
-		off := int32(t * n)
-		for _, e := range local {
-			if st.Bernoulli(keepProb(i, e.W)) {
-				out = append(out, graph.Edge{U: off + e.U, V: off + e.V, W: 1})
+// scan samples `trials` subgraphs at each sparsity level lo..hi and
+// returns the first level at which one of them is disconnected, 0 if
+// none is. Nothing is materialised: per (level, trial) a rank draws its
+// slice's edges straight into an n-vertex union-find and keeps only the
+// ones that merged two sets — a spanning forest of its share of the
+// sample, as a count-prefixed section of packed words u<<32|v (the wire
+// format of sparsify.UnweightedForest). One superstep ships the buffers
+// to the root, which re-unions the sections trial by trial and
+// broadcasts the verdict, a single word.
+func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, lo, hi int) int {
+	const root = 0
+	uf := graph.GetUnionFind(n)
+	defer graph.PutUnionFind(uf)
+	// One level's worst case. A pipelined scan lets append grow it by
+	// what its sparser levels really keep, not by levels× as much.
+	buf := c.Buffer(trials * (min(len(local), n-1) + 1))[:0]
+	var ds *rng.Stream
+	for lt := 0; lt < (hi-lo+1)*trials; lt++ {
+		// The scan is one compute phase of trials·m/p draws per level
+		// with no Sync inside, so it polls the abort flag itself and a
+		// cancelled machine unwinds at the Sync below.
+		if c.Aborting() {
+			break
+		}
+		i := lo + lt/trials
+		if lt%trials == 0 {
+			ds = st.Derive(uint32(i))
+		}
+		uf.Reset(n)
+		head := len(buf)
+		buf = append(buf, 0)
+		// keep is ⌈keepProb·2^53⌉ for the weight last seen: Float64() < p
+		// as an integer compare, with Bernoulli's rule that p ≤ 0 and
+		// p ≥ 1 consume no draw.
+		var w, keep uint64
+		for k := range local {
+			e := &local[k]
+			if e.W != w {
+				w, keep = e.W, uint64(math.Ceil(keepProb(i, e.W)*(1<<53)))
+			}
+			if (keep >= 1<<53 || keep > 0 && ds.Uint64()>>11 < keep) && uf.Union(e.U, e.V) {
+				buf = append(buf, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
 			}
 		}
+		buf[head] = uint64(len(buf) - head - 1)
 	}
-	return out
-}
-
-// disconnectedTrials inspects a labelling of the trials×n vertex space
-// and reports, per trial, whether that trial's subgraph was disconnected.
-func disconnectedTrials(labels []int32, n, base, trials int) []bool {
-	out := make([]bool, trials)
-	for t := 0; t < trials; t++ {
-		lo := (base + t) * n
-		first := labels[lo]
-		for v := 1; v < n; v++ {
-			if labels[lo+v] != first {
-				out[t] = true
-				break
-			}
-		}
+	c.Ops(uint64(len(local)) * uint64(trials) * uint64(hi-lo+1))
+	if c.Rank() != root {
+		c.SendOwned(root, buf)
 	}
-	return out
-}
-
-func earlyStopping(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, maxIter int, cp *Checkpoint, ccOpts cc.Options) *Result {
-	for i := 1; i <= maxIter; i++ {
-		sub := sampleTrials(local, n, i, trials, st.Derive(uint32(i)))
-		c.Ops(uint64(len(local)) * uint64(trials))
-		res := cc.Parallel(c, trials*n, sub, st.Derive(uint32(1000+i)), ccOpts)
-		disc := disconnectedTrials(res.Labels, n, 0, trials)
-		for _, d := range disc {
-			if d {
-				return &Result{
-					Value:              uint64(1) << uint(i),
-					Iterations:         i,
-					TrialsPerIteration: trials,
-					Disconnected:       true,
+	c.Sync()
+	verdict := []uint64{0}
+	if c.Rank() == root {
+		parts := c.RecvAll()
+		parts[root] = buf // the root sends itself nothing
+	levels:
+		for i := lo; i <= hi; i++ {
+			for t := 0; t < trials; t++ {
+				uf.Reset(n)
+				for src, part := range parts {
+					k := 1 + int(part[0])
+					for _, x := range part[1:k] {
+						uf.Union(int32(x>>32), int32(uint32(x)))
+					}
+					parts[src] = part[k:]
+					c.Ops(uint64(k))
 				}
-			}
-		}
-		if cp != nil {
-			cp.note(i, trials, maxIter)
-		}
-	}
-	return &Result{
-		Value:              uint64(1) << uint(maxIter),
-		Iterations:         maxIter,
-		TrialsPerIteration: trials,
-	}
-}
-
-func pipelined(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, maxIter int, ccOpts cc.Options) *Result {
-	// One labelled union over all iterations and trials, one CC query.
-	var union []graph.Edge
-	for i := 1; i <= maxIter; i++ {
-		sub := sampleTrials(local, n, i, trials, st.Derive(uint32(i)))
-		off := int32((i - 1) * trials * n)
-		for _, e := range sub {
-			union = append(union, graph.Edge{U: e.U + off, V: e.V + off, W: 1})
-		}
-	}
-	c.Ops(uint64(len(local)) * uint64(trials) * uint64(maxIter))
-	res := cc.Parallel(c, maxIter*trials*n, union, st.Derive(0xffff), ccOpts)
-	for i := 1; i <= maxIter; i++ {
-		disc := disconnectedTrials(res.Labels, n, (i-1)*trials, trials)
-		for _, d := range disc {
-			if d {
-				return &Result{
-					Value:              uint64(1) << uint(i),
-					Iterations:         maxIter,
-					TrialsPerIteration: trials,
-					Disconnected:       true,
+				if uf.Count() > 1 {
+					verdict[0] = uint64(i)
+					break levels
 				}
 			}
 		}
 	}
-	return &Result{
-		Value:              uint64(1) << uint(maxIter),
-		Iterations:         maxIter,
-		TrialsPerIteration: trials,
-	}
+	return int(c.Broadcast(root, verdict)[0])
 }

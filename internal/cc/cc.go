@@ -115,7 +115,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		prevM = m
 		iters++
 
-		sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
+		exact := sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
 
 		// Root: label the sampled graph's components over the current
 		// label space, giving the mapping g from old to new labels.
@@ -128,6 +128,11 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 			for v := range comp {
 				comp[v] = labels[comp[v]]
 			}
+		}
+		// Every rank contributed its whole slice (and every rank knows):
+		// no edge would survive the relabelling, comp is the answer.
+		if exact {
+			break
 		}
 		gw := c.Broadcast(root, g)
 

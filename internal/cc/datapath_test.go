@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -106,5 +107,45 @@ func TestParallelSharedInputSameLabels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The whole-slice exit at its boundary: with m ≤ (1+δ)s every rank's
+// quota is its whole slice, the root's merged forest is exact and the
+// run leaves after one labelling; one edge above, the same input takes
+// the relabel broadcast and the closing edge count as well. Labels are
+// the same on both sides and at every p.
+func TestParallelWholeSliceBoundary(t *testing.T) {
+	const n = 100
+	var o Options
+	o.defaults()
+	boundary := int((1 + o.Delta) * float64(sampleSize(n, o.Epsilon))) // ⌊(1+δ)s⌋ = 475
+	for _, p := range []int{1, 2, 4, 8} {
+		steps := make(map[int]int)
+		for _, m := range []int{boundary - 1, boundary, boundary + 1} {
+			g := gen.ErdosRenyiM(n, m, 9, gen.Config{})
+			var res *Result
+			st, err := bsp.Run(p, func(c *bsp.Comm) {
+				lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+				r := Parallel(c, g.N, g.Edges[lo:hi], rng.New(3, uint32(c.Rank()), 0), Options{})
+				if c.Rank() == 0 {
+					res = r
+				}
+			})
+			if err != nil {
+				t.Fatalf("p=%d m=%d: %v", p, m, err)
+			}
+			if !slices.Equal(res.Labels, firstAppearance(Sequential(g).Labels)) {
+				t.Errorf("p=%d m=%d: labels differ from the first-appearance relabelling of Sequential", p, m)
+			}
+			if m <= boundary && res.Iterations != 1 {
+				t.Errorf("p=%d m=%d: %d rounds at or below the boundary, want 1", p, m, res.Iterations)
+			}
+			steps[m] = st.Supersteps
+		}
+		if steps[boundary-1] != steps[boundary] || steps[boundary] >= steps[boundary+1] {
+			t.Errorf("p=%d: supersteps %d, %d, %d for m = boundary-1, boundary, boundary+1; want equal, equal, more",
+				p, steps[boundary-1], steps[boundary], steps[boundary+1])
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/approxcut"
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/dist"
@@ -88,6 +89,22 @@ func acctCasesFor(ps ...int) []acctCase {
 	ccG := gen.ErdosRenyiM(400, 2000, 7, gen.Config{MaxWeight: 5})
 	mcG := gen.ErdosRenyiM(96, 480, 11, gen.Config{MaxWeight: 4})
 	sortG := gen.RMAT(10, 4096, 13, gen.Config{MaxWeight: 9})
+	wsG := gen.WattsStrogatz(300, 6, 0.3, 17, gen.Config{})
+
+	// approxCase pins one approximate-cut configuration; its result word
+	// is Value<<8 | Iterations.
+	approxCase := func(input string, g *graph.Graph, p int, pipelined bool) acctCase {
+		variant := "early"
+		if pipelined {
+			variant = "pipelined"
+		}
+		return acctCase{name: fmt.Sprintf("approxcut/%s/%s/p=%d", input, variant, p), p: p, run: func(c *bsp.Comm) uint64 {
+			lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+			st := rng.New(29, uint32(c.Rank()), 0)
+			r := approxcut.Parallel(c, g.N, g.Edges[lo:hi], st, approxcut.Options{Pipelined: pipelined})
+			return r.Value<<8 | uint64(r.Iterations)
+		}}
+	}
 
 	var cases []acctCase
 	for _, p := range ps {
@@ -125,6 +142,10 @@ func acctCasesFor(ps ...int) []acctCase {
 				r := cc.LabelPropagation(c, ccG.N, ccG.Edges[lo:hi])
 				return hashLabels(r.Labels) ^ uint64(r.Count)
 			}},
+			approxCase("ws300", wsG, p, false),
+			approxCase("ws300", wsG, p, true),
+			approxCase("er96", mcG, p, false),
+			approxCase("er96", mcG, p, true),
 		)
 	}
 	return cases
@@ -139,21 +160,40 @@ func acctCasesFor(ps ...int) []acctCase {
 // gathering per-rank spanning forests instead of raw samples (mincut
 // runs cc.Parallel as its connectivity check): every res is unchanged,
 // every ss dropped (one AllReduce fewer per round) and every vol dropped
-// (cc/er400/p=4 7665 → 2747). The samplesort and lp rows are the
-// pre-overhaul ones.
+// (cc/er400/p=4 7665 → 2747). The cc rows moved once more when
+// cc.Parallel began leaving after the labelling of a round in which every
+// rank contributed its whole slice (p=4 ss 11 → 6, vol 2747 → 1923), res
+// again unchanged and the mincut rows untouched. The approxcut rows
+// (res = Value<<8 | Iterations) were generated at the commit before the
+// per-trial-forest scan replaced its trials·n labelling and regenerated
+// once after it: every res byte-identical, every ss and vol lower
+// (approxcut/ws300/pipelined/p=4 ss 24 → 10, vol 125940 → 6768). The
+// samplesort and lp rows are the pre-overhaul ones.
 var acctGolden = map[string]string{
-	"cc/er400/p=1":          "ss=3 vol=2 hrel=51cef117f81654e5 res=12197969927824375844",
-	"mincut/er96/p=1":       "ss=7 vol=1541 hrel=3f75a9f3bfba16ad res=9",
-	"samplesort/rmat10/p=1": "ss=0 vol=0 hrel=cbf29ce484222325 res=15746440966337804777",
-	"lp/er400/p=1":          "ss=8 vol=1604 hrel=c8f1186edcac7d25 res=12197969927824375844",
-	"cc/er400/p=4":          "ss=11 vol=2747 hrel=625fa56aa8cb8112 res=12197969927824375844",
-	"mincut/er96/p=4":       "ss=20 vol=2762 hrel=e63a2c79aa177bb6 res=9",
-	"samplesort/rmat10/p=4": "ss=5 vol=4578 hrel=7cab0b383bd917f2 res=11915066909254320792",
-	"lp/er400/p=4":          "ss=24 vol=9696 hrel=dd7f5d868b298a05 res=12197969927824375844",
-	"cc/er400/p=8":          "ss=11 vol=3429 hrel=d40dcd3f91996ef2 res=12197969927824375844",
-	"mincut/er96/p=8":       "ss=125 vol=28698 hrel=1424b53126d8ffc9 res=9",
-	"samplesort/rmat10/p=8": "ss=5 vol=2064 hrel=0b88c594df445be2 res=7070751790068031407",
-	"lp/er400/p=8":          "ss=24 vol=16192 hrel=c26fb758e15ab6e5 res=12197969927824375844",
+	"cc/er400/p=1":                  "ss=2 vol=1 hrel=692558b056101a44 res=12197969927824375844",
+	"mincut/er96/p=1":               "ss=7 vol=1541 hrel=3f75a9f3bfba16ad res=9",
+	"samplesort/rmat10/p=1":         "ss=0 vol=0 hrel=cbf29ce484222325 res=15746440966337804777",
+	"lp/er400/p=1":                  "ss=8 vol=1604 hrel=c8f1186edcac7d25 res=12197969927824375844",
+	"approxcut/ws300/early/p=1":     "ss=4 vol=2 hrel=dc7ec1b945652785 res=513",
+	"approxcut/ws300/pipelined/p=1": "ss=4 vol=2 hrel=dc7ec1b945652785 res=523",
+	"approxcut/er96/early/p=1":      "ss=6 vol=3 hrel=a9f939dd6794baa4 res=1026",
+	"approxcut/er96/pipelined/p=1":  "ss=5 vol=3 hrel=4a3243903bb24004 res=1036",
+	"cc/er400/p=4":                  "ss=6 vol=1923 hrel=e7e8cc8cc78076e2 res=12197969927824375844",
+	"mincut/er96/p=4":               "ss=20 vol=2762 hrel=e63a2c79aa177bb6 res=9",
+	"samplesort/rmat10/p=4":         "ss=5 vol=4578 hrel=7cab0b383bd917f2 res=11915066909254320792",
+	"lp/er400/p=4":                  "ss=24 vol=9696 hrel=dd7f5d868b298a05 res=12197969927824375844",
+	"approxcut/ws300/early/p=4":     "ss=10 vol=3520 hrel=d0d9bf8ff3226b0f res=513",
+	"approxcut/ws300/pipelined/p=4": "ss=10 vol=6768 hrel=fd17f670217e5f06 res=523",
+	"approxcut/er96/early/p=4":      "ss=17 vol=3578 hrel=dc220ff04af8af5a res=1026",
+	"approxcut/er96/pipelined/p=4":  "ss=15 vol=5208 hrel=6e51ab32b0de718f res=1036",
+	"cc/er400/p=8":                  "ss=6 vol=2581 hrel=b1ed82c962009e12 res=12197969927824375844",
+	"mincut/er96/p=8":               "ss=125 vol=28698 hrel=1424b53126d8ffc9 res=9",
+	"samplesort/rmat10/p=8":         "ss=5 vol=2064 hrel=0b88c594df445be2 res=7070751790068031407",
+	"lp/er400/p=8":                  "ss=24 vol=16192 hrel=c26fb758e15ab6e5 res=12197969927824375844",
+	"approxcut/ws300/early/p=8":     "ss=10 vol=4221 hrel=272ae3e8639e6574 res=513",
+	"approxcut/ws300/pipelined/p=8": "ss=10 vol=8371 hrel=ed9f4ac93cc36087 res=523",
+	"approxcut/er96/early/p=8":      "ss=17 vol=4687 hrel=cfae980f7d01164c res=1026",
+	"approxcut/er96/pipelined/p=8":  "ss=15 vol=6833 hrel=47d3361870940880 res=1036",
 }
 
 // TestAccountingRegression runs every pinned configuration and compares

@@ -234,7 +234,8 @@ func init() {
 			if eps <= 0 {
 				eps = 0.5
 			}
-			s := math.Min(math.Pow(n, 1+eps/2), m)
+			full := math.Pow(n, 1+eps/2)
+			s := math.Min(full, m)
 			// Each non-root rank ships a spanning forest of its
 			// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
 			forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
@@ -243,11 +244,19 @@ func init() {
 			// that volume no longer tracks comp, the fit gives it a real
 			// coefficient, and xVol's factor p-1 would be billed in full.
 			bcast := 2 * n * btof(p > 1)
-			const rounds = 2 // O(1) w.h.p.; empirically 2 on the suite
+			// A round is reduce m, gather forests, one n-word broadcast: the
+			// relabelling or, out of the last round, the published labels.
+			// O(1) rounds w.h.p., empirically 2 when the first one samples;
+			// when (1+δ)s ≥ m every rank contributes its whole slice and
+			// cc.Parallel leaves after the first.
+			rounds := 2.0
+			if 1.5*full >= m {
+				rounds = 1
+			}
 			return perfmodel.Sample{
 				Comp:       rounds * (m/float64(p) + n + s),
 				Volume:     rounds * (float64(p-1)*forest + bcast),
-				Supersteps: 5*rounds + 2,
+				Supersteps: 6 * rounds,
 				P:          float64(p),
 			}
 		},

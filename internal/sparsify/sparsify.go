@@ -142,7 +142,16 @@ func quota(mi int, m uint64, s, n int, delta float64) (k int, whole bool) {
 // the components of the combined sample; it sends itself nothing. m is
 // the global edge count, which the caller has already reduced. local is
 // only read.
-func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n int, delta float64, st *rng.Stream, uf *graph.UnionFind) {
+//
+// It reports whether the root's uf is exact, i.e. holds the components
+// of the whole edge array and not just of a sample: m ≤ (1+δ)s makes k
+// reach m_i on every processor, so each contributed its whole slice.
+// Every processor returns the same answer — it depends on m, s and δ
+// alone — without communicating. (Sufficient, not necessary: slices
+// taken whole only for sitting under the Chernoff threshold do not
+// count.)
+func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n int, delta float64, st *rng.Stream, uf *graph.UnionFind) (exact bool) {
+	exact = float64(m) <= (1+delta)*float64(s)
 	uf.Reset(n)
 	k, whole := quota(len(local), m, s, n, delta)
 	if whole {
@@ -169,7 +178,7 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 	}
 	c.Sync()
 	if send {
-		return
+		return exact
 	}
 	for src := 0; src < c.Size(); src++ {
 		in := c.Recv(src)
@@ -178,6 +187,7 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 		}
 		c.Ops(uint64(len(in)))
 	}
+	return exact
 }
 
 // gatherEdges gathers edge slices at the root (3 words per edge). The

@@ -223,12 +223,16 @@ func TestUnweightedCoversComponents(t *testing.T) {
 // most n-1 words each where Unweighted ships three per sampled edge.
 func TestUnweightedForestMatchesUnweightedSample(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		s    int
+		name  string
+		g     *graph.Graph
+		s     int
+		exact bool // every rank reports the root's forest as the whole graph's
 	}{
-		{"true sample", gen.ErdosRenyiM(2000, 40000, 6, gen.Config{}), 1500},
-		{"whole slices", gen.ErdosRenyiM(300, 500, 8, gen.Config{}), 5000},
+		{"true sample", gen.ErdosRenyiM(2000, 40000, 6, gen.Config{}), 1500, false},
+		{"whole slices", gen.ErdosRenyiM(300, 500, 8, gen.Config{}), 5000, true},
+		// µ_i = 75 is under the Chernoff threshold, so the slices are taken
+		// whole, but m > (1+δ)s: the sufficient test does not see it.
+		{"whole slices, unreported", gen.ErdosRenyiM(300, 500, 8, gen.Config{}), 300, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const p, seed = 4, 3
@@ -239,8 +243,11 @@ func TestUnweightedForestMatchesUnweightedSample(t *testing.T) {
 			st, err := bsp.Run(p, func(c *bsp.Comm) {
 				lo, hi := dist.BlockRange(tc.g.M(), p, c.Rank())
 				uf := graph.NewUnionFind(0)
-				UnweightedForest(c, 0, tc.g.Edges[lo:hi], uint64(tc.g.M()), tc.s, tc.g.N, 0.5,
+				exact := UnweightedForest(c, 0, tc.g.Edges[lo:hi], uint64(tc.g.M()), tc.s, tc.g.N, 0.5,
 					rng.New(seed, uint32(c.Rank()), 0), uf)
+				if exact != tc.exact {
+					t.Errorf("rank %d: exact = %v, want %v", c.Rank(), exact, tc.exact)
+				}
 				if c.Rank() == 0 {
 					got = uf.Labels()
 				}
