@@ -25,11 +25,14 @@ vet:
 # a write to it is a data race between machines. -short skips only the
 # root package's minute-scale single-caller stress tests; its
 # concurrent-callers test always runs. approxcut and sparsify draw into
-# union-finds from the one pool concurrent queries share.
+# union-finds from the one pool concurrent queries share; mincut's trial
+# arenas come from a sync.Pool shared the same way and its dynamic trial
+# scheduling claims chunks across ranks, on streams from rng (-short
+# there only shrinks the statistical admission test's seed count).
 race:
 	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/... \
 		./internal/approxcut/... ./internal/sparsify/...
-	$(GO) test -race -short .
+	$(GO) test -race -short . ./internal/mincut/... ./internal/rng/...
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build
 # ./...` and `go vet ./...` above never see it — yet it imports service,

@@ -116,7 +116,7 @@ func runAblEpsilon(e *env) {
 }
 
 func runAblSampler(e *env) {
-	fmt.Println("# design choice: weighted edge sampler — O(log n) prefix binary search vs O(1) alias method")
+	fmt.Println("# design choice: weighted edge sampler — cumulative weights behind a bucket index vs O(1) alias method")
 	m := e.scale(1<<20, 1<<17)
 	s := rng.New(e.seed, 0, 0)
 	weights := make([]uint64, m)
@@ -155,10 +155,10 @@ func runAblSampler(e *env) {
 		}
 		fmt.Printf("alias\t%.1f\t%.1f\t%.1f\n", stats.Median(builds), stats.Median(times), stats.Median(builds)+stats.Median(times))
 	}
-	fmt.Println("# alias draws are O(1) vs O(log m), but each costs two PRNG values where the prefix")
-	fmt.Println("# search costs one plus cache-resident probes — measured, prefix wins at in-cache sizes.")
+	fmt.Println("# both draw in expected O(1), but an alias draw costs two PRNG values and a prefix draw")
+	fmt.Println("# one plus a short sequential scan from its bucket — measured, prefix wins.")
 	fmt.Println("# The library uses alias only for the root's p-way distribution step (p entries, cost")
-	fmt.Println("# negligible) and prefix search for the per-slice edge draws")
+	fmt.Println("# negligible) and the prefix sampler for the per-slice edge draws")
 }
 
 func runAblNetwork(e *env) {

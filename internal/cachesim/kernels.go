@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/mincut"
 	"repro/internal/rng"
 )
 
@@ -226,9 +227,15 @@ func (m *matSim) rowScan(i int32) []uint64 {
 // writes of each merge — the locality sin Figure 9 exposes. Returns the
 // minimum cut value.
 func StoerWagnerKernel(c *Cache, g *graph.Graph) uint64 {
-	n := g.N
-	m := newMatSim(c, g)
-	connBase := c.Alloc(n)
+	return stoerWagnerOn(newMatSim(c, g), c.Alloc(g.N))
+}
+
+// stoerWagnerOn runs the replay on a placed matrix (which it consumes)
+// with the connectivity vector at connBase. It is both the SW baseline
+// and, on the small matrices recursive contraction bottoms out in, the
+// base case of the KS and MC kernels — as in the shipped code.
+func stoerWagnerOn(m *matSim, connBase uint64) uint64 {
+	c, n := m.c, m.n
 	alive := make([]int32, n)
 	for i := range alive {
 		alive[i] = int32(i)
@@ -390,25 +397,15 @@ func (a *ksArena) base(depth, words int) uint64 {
 
 // ksRecurseKernel replays recursive contraction on the compacted matrix.
 func ksRecurseKernel(c *Cache, a *ksArena, depth int, w []uint64, n int, st *rng.Stream) uint64 {
-	if n <= 6 {
-		best := uint64(math.MaxUint64)
-		for mask := uint32(1); mask < uint32(1)<<(n-1); mask++ {
-			var val uint64
-			for i := 0; i < n; i++ {
-				si := i > 0 && mask>>uint(i-1)&1 == 1
-				for j := i + 1; j < n; j++ {
-					if si != (mask>>uint(j-1)&1 == 1) {
-						val += w[i*n+j]
-					}
-				}
-			}
-			if val < best {
-				best = val
-			}
-		}
-		c.AccessRange(a.base(depth, n*n), uint64(n*n))
-		c.Ops((uint64(1) << uint(n-1)) * uint64(n*n) / 2)
-		return best
+	if n <= mincut.BaseCaseSize {
+		// The shipped base case: copy into scratch, solve exactly by
+		// Stoer–Wagner. Negative keys keep the per-depth connectivity
+		// vectors apart from the matrices.
+		base := a.base(depth, n*n)
+		c.AccessRange(base, uint64(n*n))
+		c.Ops(uint64(n * n))
+		leaf := &matSim{c: c, base: base, n: n, w: append([]uint64(nil), w...)}
+		return stoerWagnerOn(leaf, a.base(-1-depth, n))
 	}
 	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
 	if t >= n {

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/approxcut"
@@ -99,6 +100,33 @@ func statsOf(st *bsp.Stats) RunStats {
 	}
 }
 
+// validate is g.Validate() done the way run hands the edge array out:
+// the p blocks are checked concurrently, and the lowest block's error —
+// the violation a serial scan meets first — is the one returned.
+func validate(g *graph.Graph, p int) error {
+	errs := make([]error, p)
+	check := func(r int) {
+		lo, hi := dist.BlockRange(len(g.Edges), p, r)
+		errs[r] = graph.ValidateEdges(g.N, g.Edges[lo:hi], lo)
+	}
+	var wg sync.WaitGroup
+	for r := 1; r < p; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(r)
+		}()
+	}
+	check(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // run is the one way the library executes a kernel: validate the input,
 // check out a pooled p-processor machine, give rank r the r-th block of
 // g.Edges in place — the paper's born-distributed edge array; kernels
@@ -108,10 +136,11 @@ func run(g *graph.Graph, opts Options, body func(c *bsp.Comm, local []graph.Edge
 	if g == nil {
 		return RunStats{}, fmt.Errorf("core: nil graph")
 	}
-	if err := g.Validate(); err != nil {
+	p := opts.processors()
+	if err := validate(g, p); err != nil {
 		return RunStats{}, err
 	}
-	m, err := bsp.AcquireMachine(opts.processors())
+	m, err := bsp.AcquireMachine(p)
 	if err != nil {
 		return RunStats{}, err
 	}

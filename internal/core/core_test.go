@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bsp"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -97,6 +98,42 @@ func TestValidateRejects(t *testing.T) {
 	bad.Edges = []graph.Edge{{U: 0, V: 0, W: 1}}
 	if _, err := ConnectedComponents(bad, Options{}); err == nil {
 		t.Error("loop accepted")
+	}
+}
+
+// TestBlockValidationMatchesSerial: the per-block concurrent check must
+// report byte for byte what g.Validate() reports — a violation of each
+// kind planted in every block at several machine sizes, and of two
+// violations in different blocks the one with the lower edge index.
+func TestBlockValidationMatchesSerial(t *testing.T) {
+	base := gen.Cycle(50, 1)
+	corrupt := map[string]func(e *graph.Edge){
+		"range": func(e *graph.Edge) { e.V = 50 },
+		"loop":  func(e *graph.Edge) { e.V = e.U },
+		"zero":  func(e *graph.Edge) { e.W = 0 },
+	}
+	for _, p := range []int{1, 2, 3, 8} {
+		for r := 0; r < p; r++ {
+			lo, hi := dist.BlockRange(len(base.Edges), p, r)
+			for kind, hurt := range corrupt {
+				g := &graph.Graph{N: base.N, Edges: append([]graph.Edge(nil), base.Edges...)}
+				hurt(&g.Edges[(lo+hi)/2])
+				want := g.Validate()
+				if _, err := ConnectedComponents(g, Options{Processors: p}); want == nil || err == nil || err.Error() != want.Error() {
+					t.Errorf("p=%d block %d %s: got %v, want %v", p, r, kind, err, want)
+				}
+				if r+1 < p { // a second, different violation in the last block
+					corrupt["zero"](&g.Edges[len(g.Edges)-1])
+					if _, err := MinCut(g, Options{Processors: p}); err == nil || err.Error() != want.Error() {
+						t.Errorf("p=%d blocks %d and %d: got %v, want the lower index's %v", p, r, p-1, err, want)
+					}
+				}
+			}
+		}
+	}
+	neg := &graph.Graph{N: -1}
+	if _, err := ConnectedComponents(neg, Options{Processors: 3}); err == nil || err.Error() != neg.Validate().Error() {
+		t.Errorf("negative n: got %v, want %v", err, neg.Validate())
 	}
 }
 

@@ -89,18 +89,26 @@ func (g *Graph) Degrees() []uint64 {
 // Validate checks structural invariants: endpoints in range, no loops,
 // positive weights. It returns a descriptive error for the first violation.
 func (g *Graph) Validate() error {
-	if g.N < 0 {
-		return fmt.Errorf("graph: negative vertex count %d", g.N)
+	return ValidateEdges(g.N, g.Edges, 0)
+}
+
+// ValidateEdges is Validate over one block of an n-vertex graph's edge
+// array; base is the block's offset in the whole array, so an error
+// names the edge by its global index. Checking the blocks of a partition
+// in order and keeping the first error is exactly Validate.
+func ValidateEdges(n int, edges []Edge, base int) error {
+	if n < 0 {
+		return fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	for i, e := range g.Edges {
-		if e.U < 0 || e.V < 0 || int(e.U) >= g.N || int(e.V) >= g.N {
-			return fmt.Errorf("graph: edge %d (%d,%d) out of range for n=%d", i, e.U, e.V, g.N)
+	for i, e := range edges {
+		if e.U < 0 || e.V < 0 || int(e.U) >= n || int(e.V) >= n {
+			return fmt.Errorf("graph: edge %d (%d,%d) out of range for n=%d", base+i, e.U, e.V, n)
 		}
 		if e.U == e.V {
-			return fmt.Errorf("graph: edge %d is a loop at %d", i, e.U)
+			return fmt.Errorf("graph: edge %d is a loop at %d", base+i, e.U)
 		}
 		if e.W == 0 {
-			return fmt.Errorf("graph: edge %d has zero weight", i)
+			return fmt.Errorf("graph: edge %d has zero weight", base+i)
 		}
 	}
 	return nil

@@ -78,8 +78,28 @@ func hashEdges(es []graph.Edge) uint64 {
 	return h.Sum64()
 }
 
+// acctCases pins every algorithm at p ∈ {1, 4, 8}, plus the benchmarked
+// mincut shape at the benchmark's own machine size, p = 2.
 func acctCases() []acctCase {
-	return acctCasesFor(1, 4, 8)
+	return append(acctCasesFor(1, 4, 8), mincutCase("ws256", ws256G, 2, 0))
+}
+
+// ws256G is the shape benchmark/'s mincut_batch solves: Watts–Strogatz
+// n=256, k=12, β=0.3, unit weights — 686 trials at success 0.9, run in
+// full at p ≤ 2 (the replicated regime the benchmark times).
+var ws256G = gen.WattsStrogatz(256, 12, 0.3, 19, gen.Config{})
+
+// mincutCase pins one exact-minimum-cut configuration (maxTrials 0 = the
+// theory-derived count); its result word is the cut value.
+func mincutCase(input string, g *graph.Graph, p, maxTrials int) acctCase {
+	return acctCase{name: fmt.Sprintf("mincut/%s/p=%d", input, p), p: p, run: func(c *bsp.Comm) uint64 {
+		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+		st := rng.New(23, uint32(c.Rank()), 0)
+		r := mincut.Parallel(c, g.N, g.Edges[lo:hi], st, mincut.Options{
+			SuccessProb: 0.9, MaxTrials: maxTrials,
+		})
+		return r.Value
+	}}
 }
 
 // acctCasesFor builds the pinned configurations at arbitrary machine
@@ -116,14 +136,7 @@ func acctCasesFor(ps ...int) []acctCase {
 				r := cc.Parallel(c, ccG.N, ccG.Edges[lo:hi], st, cc.Options{})
 				return hashLabels(r.Labels) ^ uint64(r.Count)
 			}},
-			acctCase{name: fmt.Sprintf("mincut/er96/p=%d", p), p: p, run: func(c *bsp.Comm) uint64 {
-				lo, hi := dist.BlockRange(len(mcG.Edges), c.Size(), c.Rank())
-				st := rng.New(23, uint32(c.Rank()), 0)
-				r := mincut.Parallel(c, mcG.N, mcG.Edges[lo:hi], st, mincut.Options{
-					SuccessProb: 0.9, MaxTrials: 4,
-				})
-				return r.Value
-			}},
+			mincutCase("er96", mcG, p, 4),
 			acctCase{name: fmt.Sprintf("samplesort/rmat10/p=%d", p), p: p, run: func(c *bsp.Comm) uint64 {
 				lo, hi := dist.BlockRange(len(sortG.Edges), c.Size(), c.Rank())
 				local := make([]graph.Edge, hi-lo)
@@ -147,6 +160,9 @@ func acctCasesFor(ps ...int) []acctCase {
 			approxCase("er96", mcG, p, false),
 			approxCase("er96", mcG, p, true),
 		)
+		if p <= 2 {
+			cases = append(cases, mincutCase("ws256", ws256G, p, 0))
+		}
 	}
 	return cases
 }
@@ -168,10 +184,18 @@ func acctCasesFor(ps ...int) []acctCase {
 // per-trial-forest scan replaced its trials·n labelling and regenerated
 // once after it: every res byte-identical, every ss and vol lower
 // (approxcut/ws300/pipelined/p=4 ss 24 → 10, vol 125940 → 6768). The
-// samplesort and lp rows are the pre-overhaul ones.
+// mincut/ws256 rows were generated at the commit before the trial drew
+// its prefix lazily and solved its base case exactly at 41 vertices;
+// after it every mincut res is byte-identical, the replicated-regime
+// rows (er96 p ≤ 4, ws256) did not move at all — a trial there sends
+// nothing — and the group-regime row fell because its recursion now
+// ends at the larger base case (mincut/er96/p=8 ss 125 → 81, vol
+// 28698 → 20362). The samplesort and lp rows are the pre-overhaul ones.
 var acctGolden = map[string]string{
 	"cc/er400/p=1":                  "ss=2 vol=1 hrel=692558b056101a44 res=12197969927824375844",
 	"mincut/er96/p=1":               "ss=7 vol=1541 hrel=3f75a9f3bfba16ad res=9",
+	"mincut/ws256/p=1":              "ss=6 vol=4868 hrel=1291067a58fea8b2 res=7",
+	"mincut/ws256/p=2":              "ss=20 vol=6405 hrel=ae7490e782c5957a res=7",
 	"samplesort/rmat10/p=1":         "ss=0 vol=0 hrel=cbf29ce484222325 res=15746440966337804777",
 	"lp/er400/p=1":                  "ss=8 vol=1604 hrel=c8f1186edcac7d25 res=12197969927824375844",
 	"approxcut/ws300/early/p=1":     "ss=4 vol=2 hrel=dc7ec1b945652785 res=513",
@@ -187,7 +211,7 @@ var acctGolden = map[string]string{
 	"approxcut/er96/early/p=4":      "ss=17 vol=3578 hrel=dc220ff04af8af5a res=1026",
 	"approxcut/er96/pipelined/p=4":  "ss=15 vol=5208 hrel=6e51ab32b0de718f res=1036",
 	"cc/er400/p=8":                  "ss=6 vol=2581 hrel=b1ed82c962009e12 res=12197969927824375844",
-	"mincut/er96/p=8":               "ss=125 vol=28698 hrel=1424b53126d8ffc9 res=9",
+	"mincut/er96/p=8":               "ss=81 vol=20362 hrel=2a32ddd70ba3aa91 res=9",
 	"samplesort/rmat10/p=8":         "ss=5 vol=2064 hrel=0b88c594df445be2 res=7070751790068031407",
 	"lp/er400/p=8":                  "ss=24 vol=16192 hrel=c26fb758e15ab6e5 res=12197969927824375844",
 	"approxcut/ws300/early/p=8":     "ss=10 vol=4221 hrel=272ae3e8639e6574 res=513",

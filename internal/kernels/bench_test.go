@@ -161,25 +161,17 @@ func cloneContractTo(m *graph.Matrix, t int, st *rng.Stream) (*graph.Matrix, []i
 	return out, mapping
 }
 
-// cloneKSRecurse is the pre-arena recursion shape. The base case is a
-// cheap stand-in (min singleton cut) because brute-force enumeration
-// allocates identically in both variants; the comparison targets the
-// recursion's per-node allocation pattern, which the matrix clones
-// dominate.
+// cloneKSRecurse is the pre-arena recursion shape. Its base case is the
+// package's own — an exact Stoer–Wagner solve at mincut.BaseCaseSize —
+// in the allocating style of everything else here: a fresh graph, and
+// StoerWagner's fresh matrix and bookkeeping, per leaf. With the same
+// leaves on both sides the pair of timings compares what it claims to,
+// arena reuse against per-node allocation.
 func cloneKSRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 	n := m.N
-	if n <= 9 {
-		best, bi := uint64(math.MaxUint64), 0
-		for i := 0; i < n; i++ {
-			if d := m.WeightedDegree(int32(i)); d < best {
-				best, bi = d, i
-			}
-		}
-		side := make([]bool, n)
-		if n > 0 {
-			side[bi] = true
-		}
-		return best, side
+	if n <= mincut.BaseCaseSize {
+		r := mincut.StoerWagner(m.ToGraph())
+		return r.Value, r.Side
 	}
 	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
 	if t >= n {

@@ -29,6 +29,11 @@ func maxTiedSides(n int) int {
 	return c
 }
 
+// allCutsBaseSize is the tie-preserving recursion's own base case: it
+// must enumerate every tied cut, which only the 2^(b-1) Gray-code walk
+// does, so it stays small while the single-cut BaseCaseSize grew.
+const allCutsBaseSize = 9
+
 // bruteForceAll enumerates every bipartition (Gray-code order, O(n) per
 // step) and returns all sides achieving the minimum cut value.
 func bruteForceAll(m *graph.Matrix) (uint64, [][]bool) {
@@ -69,7 +74,7 @@ func bruteForceAll(m *graph.Matrix) (uint64, [][]bool) {
 // the tied set and so stay freshly allocated.
 func ksRecurseAll(a *ksArena, m *graph.Matrix, st *rng.Stream) (uint64, [][]bool) {
 	n := m.N
-	if n <= baseCaseSize {
+	if n <= allCutsBaseSize {
 		return bruteForceAll(m)
 	}
 	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1

@@ -43,14 +43,18 @@ func prefixContract(uf *graph.UnionFind, sample []graph.Edge, t int) int {
 }
 
 // eagerSequential contracts g to at most t vertices using sequential
-// iterated sampling: repeatedly sparsify, select the longest usable
-// prefix, and bulk-contract. It returns the contracted simple graph, the
-// vertex mapping g.N → contracted ids, and a deterministic work count
-// (edges scanned plus samples drawn plus labels touched, summed over
-// rounds — the measured per-trial cost that drives dynamic trial
-// scheduling). If the graph has fewer than t connected components
-// reachable by contraction (disconnected input), it stops when no edges
-// remain.
+// iterated sampling: each round draws weighted edges one at a time
+// straight into the union-find and stops as soon as t components remain
+// or the round's budget of s draws is spent — Prefix Selection as a
+// stopping time on the i.i.d. sample sequence, so the contracted prefix
+// has exactly the law of "draw s, contract the longest usable prefix"
+// without drawing the discarded tail — then bulk-contracts. It returns
+// the contracted simple graph, the vertex mapping g.N → contracted ids,
+// and a deterministic work count (edges scanned plus samples drawn plus
+// labels touched, summed over rounds — the measured per-trial cost that
+// drives dynamic trial scheduling). If the graph has fewer than t
+// connected components reachable by contraction (disconnected input), it
+// stops when no edges remain.
 func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int32, uint64) {
 	var work uint64
 	n := g.N
@@ -67,23 +71,13 @@ func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int
 	// recycled with Reset.
 	var uf *graph.UnionFind
 	var labels, lscratch []int32
-	var sample []graph.Edge
 	for cur.N > t && len(cur.Edges) > 0 {
-		s := sampleBudget(cur.N, len(cur.Edges))
-		work += uint64(len(cur.Edges)) + uint64(s) + uint64(cur.N)
 		weights := xsort.BorrowWords(len(cur.Edges))
 		for i, e := range cur.Edges {
 			weights[i] = e.W
 		}
 		ps := rng.NewPrefixSampler(weights)
 		xsort.ReleaseWords(weights)
-		if cap(sample) < s {
-			sample = make([]graph.Edge, s)
-		}
-		sample = sample[:s]
-		for i := range sample {
-			sample[i] = cur.Edges[ps.Sample(st)]
-		}
 		if uf == nil {
 			uf = graph.NewUnionFind(cur.N)
 			labels = make([]int32, cur.N)
@@ -91,7 +85,12 @@ func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int
 		} else {
 			uf.Reset(cur.N)
 		}
-		prefixContract(uf, sample, t)
+		draws := 0
+		for s := sampleBudget(cur.N, len(cur.Edges)); draws < s && uf.Count() > t; draws++ {
+			e := cur.Edges[ps.Sample(st)]
+			uf.Union(e.U, e.V)
+		}
+		work += uint64(len(cur.Edges)) + uint64(draws) + uint64(cur.N)
 		lab := labels[:cur.N]
 		uf.LabelsInto(lab, lscratch[:cur.N])
 		next := cur.Relabel(lab, uf.Count())

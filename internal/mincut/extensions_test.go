@@ -161,10 +161,10 @@ func TestCanonicalSideKeyOrientationFree(t *testing.T) {
 }
 
 func TestAllMinCutsDeepRecursion(t *testing.T) {
-	// Large enough that the eager step leaves > baseCaseSize vertices, so
-	// ksRecurseAll's tie-preserving recursion actually recurses.
+	// Large enough that the eager step leaves > allCutsBaseSize vertices,
+	// so ksRecurseAll's tie-preserving recursion actually recurses.
 	g := gen.TwoCliques(20, 2, 5, 1) // n=40, m=382, unique min cut 2
-	if eagerTarget(g.M()) <= baseCaseSize {
+	if eagerTarget(g.M()) <= allCutsBaseSize {
 		t.Fatalf("test graph too small to force recursion (target %d)", eagerTarget(g.M()))
 	}
 	cuts := AllMinCuts(g, rng.New(13, 0, 0), 0.9)

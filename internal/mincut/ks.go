@@ -7,12 +7,100 @@ import (
 	"repro/internal/rng"
 )
 
-// baseCaseSize is the vertex count below which recursive contraction
-// switches to deterministic brute force. Karger–Stein use 6; we stop a
-// little earlier (2^(b-1) cut enumerations stay trivial) because the
-// t = ⌈n/√2⌉+1 recurrence shrinks slowly near the bottom, and cutting
-// those last levels removes an 8× blowup in recursion-tree nodes.
-const baseCaseSize = 9
+// BaseCaseSize is the vertex count at or below which recursive
+// contraction stops branching and solves exactly (exactCut). Karger–
+// Stein recurse down to 6; an exact O(b³) solve stays cheaper than the
+// two contract-and-recurse branches below it well above that: whole-
+// solve time, measured at every size the recursion visits, falls
+// monotonically up to this value and is flat beyond it (table in
+// DESIGN.md). An exact answer on a larger sub-problem only raises
+// Lemma 2.2's per-run success, so Trials is unaffected. The same
+// constant ends the processor-group recursion of recursiveDistributed.
+const BaseCaseSize = 41
+
+// exactCut's member sets are one-word bitmasks.
+const _ = uint(64 - BaseCaseSize)
+
+// exactCut returns the exact minimum cut of a small dense matrix and one
+// side of it (arena-owned, release with putBools) by Stoer–Wagner
+// maximum-adjacency search. The live vertices stay contiguous in slots
+// [0, k) of a scratch copy (m is not modified), each slot's merged
+// originals are a bitmask, and the pass that adds the newest vertex's
+// row to the connectivities also picks the next arg-max, so a phase is
+// one branch-light sweep per step and the solve allocates nothing.
+// m.N must be in [2, 64].
+func (a *ksArena) exactCut(m *graph.Matrix) (uint64, []bool) {
+	n := m.N
+	w := a.getWords(n * n)
+	copy(w, m.W)
+	conn := a.getWords(n)
+	members := a.getWords(n)
+	for i := range members {
+		members[i] = 1 << uint(i)
+	}
+	cand := a.getInts(n) // slots outside the growing set A
+	best, bestSet := uint64(math.MaxUint64), uint64(0)
+	for k := n; k > 1; k-- {
+		// A starts as {slot 0}: connectivities are its row.
+		c := k - 1
+		sel, selW := 0, uint64(0)
+		for i := 0; i < c; i++ {
+			cand[i] = int32(i + 1)
+			x := w[i+1]
+			conn[i+1] = x
+			if x > selW {
+				sel, selW = i, x
+			}
+		}
+		prev, last := 0, 0
+		for {
+			prev, last = last, int(cand[sel])
+			c--
+			cand[sel] = cand[c]
+			if c == 0 {
+				break // selW is the cut of the phase: ({last}, rest)
+			}
+			row := w[last*n : last*n+k]
+			sel, selW = 0, 0
+			for i, v := range cand[:c] {
+				x := conn[v] + row[v]
+				conn[v] = x
+				if x > selW {
+					sel, selW = i, x
+				}
+			}
+		}
+		if selW < best {
+			best, bestSet = selW, members[last]
+		}
+		// Merge last into prev, then move the final slot into last's.
+		members[prev] |= members[last]
+		rp, rl := w[prev*n:prev*n+k], w[last*n:last*n+k]
+		for j := range rp {
+			x := rp[j] + rl[j]
+			rp[j] = x
+			w[j*n+prev] = x
+		}
+		rp[prev] = 0
+		if e := k - 1; last != e {
+			copy(rl, w[e*n:e*n+k])
+			for j := 0; j < k; j++ {
+				w[j*n+last] = w[j*n+e]
+			}
+			rl[last] = 0
+			members[last] = members[e]
+		}
+	}
+	side := a.getBools(n)
+	for v := range side {
+		side[v] = bestSet>>uint(v)&1 == 1
+	}
+	a.putInts(cand)
+	a.putWords(members)
+	a.putWords(conn)
+	a.putWords(w)
+	return best, side
+}
 
 // contractTo randomly contracts the matrix to t vertices: edges are
 // selected with probability proportional to their weight and contracted
@@ -160,12 +248,8 @@ func contractTo(m *graph.Matrix, t int, st *rng.Stream) (*graph.Matrix, []int32)
 // side is arena-owned — the caller releases it with putBools once done.
 func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 	n := m.N
-	if n <= baseCaseSize {
-		scratch := a.getBools(n)
-		best := a.getBools(n)
-		val := bruteForceInto(m, scratch, best)
-		a.putBools(scratch)
-		return val, best
+	if n <= BaseCaseSize {
+		return a.exactCut(m)
 	}
 	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
 	if t >= n {

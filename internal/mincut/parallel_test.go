@@ -275,7 +275,10 @@ func TestEagerDistributedMatchesTarget(t *testing.T) {
 }
 
 func TestRecursiveDistributedFindsCut(t *testing.T) {
-	g := gen.TwoCliques(8, 2, 5, 1) // min cut 2, n=16
+	g := gen.TwoCliques(24, 2, 5, 1) // min cut 2, n=48
+	if g.N <= BaseCaseSize {
+		t.Fatalf("test graph too small to force the processor-group recursion (n=%d)", g.N)
+	}
 	m := graph.MatrixFromGraph(g)
 	for _, p := range []int{1, 2, 3, 4, 5} {
 		best := uint64(1 << 62)

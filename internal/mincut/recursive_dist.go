@@ -193,13 +193,16 @@ func recursiveDistributed(c *bsp.Comm, blk *dist.MatrixBlock, st *rng.Stream) (u
 		}
 		return ksRecurse(m, st)
 	}
-	if n <= baseCaseSize {
-		// Gather at rank 0, brute force, broadcast.
+	if n <= BaseCaseSize {
+		// Gather at rank 0, solve exactly, broadcast.
 		full := dist.GatherMatrix(c, 0, blk)
 		var payload []uint64
 		if c.Rank() == 0 {
-			val, side := bruteForce(full)
+			a := getKSArena()
+			val, side := a.exactCut(full)
 			payload = append([]uint64{val}, packSide(side)...)
+			a.putBools(side)
+			putKSArena(a)
 		}
 		payload = c.Broadcast(0, payload)
 		return payload[0], unpackSide(payload[1:])

@@ -14,12 +14,7 @@
 // algorithm (the "SW" baseline).
 package mincut
 
-import (
-	"math"
-	"math/bits"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // CutResult describes a global cut: its value and one side of the vertex
 // partition.
@@ -52,52 +47,6 @@ func (r *CutResult) Check(g *graph.Graph) bool {
 		return false
 	}
 	return g.CutValue(r.Side) == r.Value
-}
-
-// bruteForce finds the exact minimum cut of a small dense matrix by
-// enumerating all 2^(n-1)-1 bipartitions (vertex 0 fixed to one side) in
-// Gray-code order, so each step flips one vertex and updates the cut
-// value in O(n). It is the deterministic base case of recursive
-// contraction; n must be at least 2 and should stay tiny (≤
-// baseCaseSize, so the mask fits easily in 32 bits).
-func bruteForce(m *graph.Matrix) (uint64, []bool) {
-	side := make([]bool, m.N)
-	bestSide := make([]bool, m.N)
-	return bruteForceInto(m, side, bestSide), bestSide
-}
-
-// bruteForceInto is bruteForce with caller-provided storage (both length
-// m.N): side is enumeration scratch, bestSide receives the winning cut.
-// The arena path of recursive contraction hands in pooled slices here.
-func bruteForceInto(m *graph.Matrix, side, bestSide []bool) uint64 {
-	n := m.N
-	for i := range side { // state for mask 0: everything on one side
-		side[i] = false
-	}
-	bestVal := uint64(math.MaxUint64)
-	var cur int64
-	for g := uint32(1); g < uint32(1)<<(n-1); g++ {
-		// Gray codes of consecutive indices differ in exactly the lowest
-		// set bit of g; bit b toggles vertex b+1 (vertex 0 never moves).
-		v := bits.TrailingZeros32(g) + 1
-		row := m.W[v*n : (v+1)*n]
-		for u := 0; u < n; u++ {
-			if u == v {
-				continue
-			}
-			if side[u] != side[v] {
-				cur -= int64(row[u]) // edge leaves the cut
-			} else {
-				cur += int64(row[u]) // edge enters the cut
-			}
-		}
-		side[v] = !side[v]
-		if uint64(cur) < bestVal {
-			bestVal = uint64(cur)
-			copy(bestSide, side)
-		}
-	}
-	return bestVal
 }
 
 // minDegreeCut returns the best singleton cut of the graph — a cheap

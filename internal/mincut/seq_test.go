@@ -1,6 +1,8 @@
 package mincut
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +10,138 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
+
+// bruteForce is the test oracle for exactCut: it enumerates all
+// 2^(n-1)-1 bipartitions (vertex 0 fixed to one side) in Gray-code
+// order, so each step flips one vertex and updates the cut value in
+// O(n). n must be at least 2 and tiny.
+func bruteForce(m *graph.Matrix) (uint64, []bool) {
+	n := m.N
+	side := make([]bool, n)
+	bestSide := make([]bool, n)
+	bestVal := uint64(math.MaxUint64)
+	var cur int64
+	for g := uint32(1); g < uint32(1)<<(n-1); g++ {
+		// Gray codes of consecutive indices differ in exactly the lowest
+		// set bit of g; bit b toggles vertex b+1 (vertex 0 never moves).
+		v := bits.TrailingZeros32(g) + 1
+		row := m.W[v*n : (v+1)*n]
+		for u := 0; u < n; u++ {
+			if u == v {
+				continue
+			}
+			if side[u] != side[v] {
+				cur -= int64(row[u]) // edge leaves the cut
+			} else {
+				cur += int64(row[u]) // edge enters the cut
+			}
+		}
+		side[v] = !side[v]
+		if uint64(cur) < bestVal {
+			bestVal = uint64(cur)
+			copy(bestSide, side)
+		}
+	}
+	return bestVal, bestSide
+}
+
+// matrixCut is the weight crossing side in the dense matrix.
+func matrixCut(m *graph.Matrix, side []bool) uint64 {
+	var cut uint64
+	for i := 0; i < m.N; i++ {
+		for j := i + 1; j < m.N; j++ {
+			if side[i] != side[j] {
+				cut += m.W[i*m.N+j]
+			}
+		}
+	}
+	return cut
+}
+
+// checkExactCut runs exactCut on a dirtied arena and verifies the value
+// against want, the side against the value, and that m is untouched.
+func checkExactCut(t *testing.T, m *graph.Matrix, want uint64) {
+	t.Helper()
+	a := getKSArena()
+	defer putKSArena(a)
+	junk := a.getWords(m.N * m.N)
+	for i := range junk {
+		junk[i] = ^uint64(0)
+	}
+	a.putWords(junk)
+	before := append([]uint64(nil), m.W...)
+	val, side := a.exactCut(m)
+	defer a.putBools(side)
+	if val != want {
+		t.Fatalf("n=%d: exactCut = %d, oracle %d (matrix %v)", m.N, val, want, m.W)
+	}
+	in := 0
+	for _, s := range side {
+		if s {
+			in++
+		}
+	}
+	if in == 0 || in == m.N {
+		t.Fatalf("n=%d: side is not a proper bipartition: %v", m.N, side)
+	}
+	if got := matrixCut(m, side); got != val {
+		t.Fatalf("n=%d: side cuts %d, reported %d", m.N, got, val)
+	}
+	for i := range before {
+		if m.W[i] != before[i] {
+			t.Fatalf("n=%d: exactCut modified its input at cell %d", m.N, i)
+		}
+	}
+}
+
+// TestExactCutMatchesBruteForce is the differential test of the base-
+// case solver: 2 400 random weighted matrices, n = 2…9, a third of them
+// sparse enough to be disconnected or to carry all-zero rows.
+func TestExactCutMatchesBruteForce(t *testing.T) {
+	st := rng.New(77, 0, 0)
+	zeroRows, disconnected := 0, 0
+	for iter := 0; iter < 2400; iter++ {
+		n := 2 + iter%8
+		m := graph.NewMatrix(n)
+		density := []int{1, 3, 6}[iter/8%3] // edge present with probability density/6
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if st.Intn(6) < density {
+					w := 1 + st.Uint64n(9)
+					m.W[i*n+j], m.W[j*n+i] = w, w
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			if m.WeightedDegree(int32(i)) == 0 {
+				zeroRows++
+				break
+			}
+		}
+		want, _ := bruteForce(m)
+		if want == 0 {
+			disconnected++
+		}
+		checkExactCut(t, m, want)
+	}
+	if zeroRows == 0 || disconnected == 0 {
+		t.Fatalf("generator never produced a zero-weight row (%d) or a disconnected matrix (%d)", zeroRows, disconnected)
+	}
+}
+
+// TestExactCutMatchesStoerWagnerAtCutoff checks the solver at the size
+// recursive contraction hands it — too large for the enumeration oracle
+// — against the graph-level StoerWagner.
+func TestExactCutMatchesStoerWagnerAtCutoff(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		n := BaseCaseSize
+		if seed%4 == 0 {
+			n = BaseCaseSize - int(seed%7)
+		}
+		g := gen.ErdosRenyiM(n, 2*n+int(seed%5)*n, seed, gen.Config{MaxWeight: 9})
+		checkExactCut(t, graph.MatrixFromGraph(g), StoerWagner(g).Value)
+	}
+}
 
 func TestBruteForceTriangle(t *testing.T) {
 	g := graph.New(3)

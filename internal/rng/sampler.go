@@ -1,14 +1,19 @@
 package rng
 
-import "sort"
-
 // PrefixSampler draws indices with probability proportional to fixed
-// nonnegative integer weights. Construction is O(n); each draw is
-// O(log n) by binary search over the cumulative weights — the scheme
-// Karger–Stein §5 assume for weighted edge selection.
+// nonnegative integer weights by looking a uniform variate up in the
+// cumulative weights — the scheme Karger–Stein §5 assume for weighted
+// edge selection. The lookup starts from a bucket index, not a binary
+// search: [0, total) is cut into about n/8 equal buckets, each
+// remembering where its first variate lands. Buckets carry equal
+// probability mass, so the expected scan is ~8 sequential entries
+// whatever the weights' skew; a finer index would cost more to build,
+// and the Eager Step builds one sampler per round for a short prefix.
 type PrefixSampler struct {
 	cum   []uint64 // cum[i] = sum of weights[0..i]
 	total uint64
+	shift uint    // bucket of variate x is x>>shift
+	start []int32 // start[b] = first i with cum[i] > b<<shift
 }
 
 // NewPrefixSampler builds a sampler over the given weights. Zero-weight
@@ -21,7 +26,21 @@ func NewPrefixSampler(weights []uint64) *PrefixSampler {
 		total += w
 		cum[i] = total
 	}
-	return &PrefixSampler{cum: cum, total: total}
+	ps := &PrefixSampler{cum: cum, total: total}
+	for total>>ps.shift > uint64(len(weights))/8 {
+		ps.shift++
+	}
+	if total > 0 {
+		ps.start = make([]int32, (total-1)>>ps.shift+1)
+		i := 0
+		for b := range ps.start {
+			for cum[i] <= uint64(b)<<ps.shift {
+				i++
+			}
+			ps.start[b] = int32(i)
+		}
+	}
+	return ps
 }
 
 // Total returns the sum of all weights.
@@ -32,9 +51,16 @@ func (ps *PrefixSampler) Sample(s *Stream) int {
 	if ps.total == 0 {
 		panic("rng: PrefixSampler.Sample with zero total weight")
 	}
-	x := s.Uint64n(ps.total) // uniform in [0, total)
-	// Find the first index with cum[i] > x.
-	return sort.Search(len(ps.cum), func(i int) bool { return ps.cum[i] > x })
+	return ps.index(s.Uint64n(ps.total))
+}
+
+// index returns the first i with cum[i] > x, for x in [0, total).
+func (ps *PrefixSampler) index(x uint64) int {
+	i := int(ps.start[x>>ps.shift])
+	for ps.cum[i] <= x {
+		i++
+	}
+	return i
 }
 
 // AliasSampler draws indices with probability proportional to fixed

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,52 @@ func TestPrefixSamplerProportional(t *testing.T) {
 		counts[ps.Sample(s)]++
 	}
 	checkProportional(t, "prefix", weights, counts, draws)
+}
+
+// TestPrefixSamplerMatchesBinarySearch pins the draws: the bucket index
+// must return, for every variate, the index the definition (first i with
+// cum[i] > x, by binary search) returns — over uniform, skewed, zero-
+// laden and near-overflow weights — and consume the stream identically.
+func TestPrefixSamplerMatchesBinarySearch(t *testing.T) {
+	gen := New(9, 0, 0)
+	cases := [][]uint64{
+		{1}, {0, 0, 3}, {5, 0, 0, 0}, {1, 1 << 62, 1}, {1 << 40, 1, 1, 1, 1, 1, 1, 1},
+	}
+	for _, n := range []int{2, 7, 100, 1536} {
+		uniform, skewed, sparse := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		for i := range uniform {
+			uniform[i] = 1
+			skewed[i] = 1 + gen.Uint64n(1<<uint(gen.Intn(40)))
+			if gen.Intn(4) == 0 {
+				sparse[i] = 1 + gen.Uint64n(9)
+			}
+		}
+		sparse[gen.Intn(n)] = 3
+		cases = append(cases, uniform, skewed, sparse)
+	}
+	for ci, weights := range cases {
+		ps := NewPrefixSampler(weights)
+		a, b := New(uint64(ci), 1, 2), New(uint64(ci), 1, 2)
+		for k := 0; k < 2000; k++ {
+			x := b.Uint64n(ps.total)
+			want := sort.Search(len(ps.cum), func(i int) bool { return ps.cum[i] > x })
+			if got := ps.Sample(a); got != want {
+				t.Fatalf("case %d draw %d: x=%d Sample=%d, binary search=%d", ci, k, x, got, want)
+			}
+		}
+		// Both ends of every bucket, where an off-by-one would sit.
+		for bkt := range ps.start {
+			for _, x := range []uint64{uint64(bkt) << ps.shift, uint64(bkt+1)<<ps.shift - 1} {
+				if x >= ps.total {
+					continue
+				}
+				want := sort.Search(len(ps.cum), func(i int) bool { return ps.cum[i] > x })
+				if got := ps.index(x); got != want {
+					t.Fatalf("case %d: x=%d index=%d, binary search=%d", ci, x, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestPrefixSamplerSingle(t *testing.T) {
