@@ -80,8 +80,13 @@ vuln:
 bench:
 	$(GO) run ./cmd/bench -exp all -quick
 
+# Every bench-* target below also rewrites its package's BENCH_*.json in
+# the one internal/benchsnap schema: a flat metric list whose kind
+# (exact | count | ratio | info) is the gate bench-gate applies.
+
 # BSP hot-path microbenchmarks (benchstat-comparable output; also writes
-# internal/bsp/BENCH_bsp.json).
+# internal/bsp/BENCH_bsp.json: exact supersteps / volume / result per
+# (algorithm, p), wall clock as info).
 bench-bsp:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/bsp/
 
@@ -95,8 +100,8 @@ bench-kernels:
 # static vs dynamic trial scheduling under an injected straggler, and
 # the planner/portfolio set (planner-selected kernel vs the
 # always-label-propagation baseline on a high-diameter path, the
-# machine-less shared kernel vs the p=1 BSP path, deterministic lowround
-# counts, win-rate/prediction accounting). One TestMain writes both
+# machine-less shared kernel vs the p=1 BSP path, exact lowround
+# counts, win-rate/prediction accounting as info). One TestMain writes both
 # internal/service/BENCH_service.json and
 # internal/service/BENCH_planner.json.
 bench-service:
@@ -117,15 +122,15 @@ profile-transport:
 	bash scripts/profile_transport.sh
 
 # Fleet self-healing scorecard: run the scripted kill/failover/respawn
-# scenario in-process and write internal/shard/BENCH_fleet.json (the
-# detection/recovery counts the bench gate checks deterministically).
+# scenario in-process and write internal/shard/BENCH_fleet.json (exact
+# scenario counts; detection/recovery wall clock as info).
 bench-fleet:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/shard/
 
-# Regression gate: save the committed BENCH_*.json baselines aside,
-# re-run every bench suite, and fail if a tagged-critical metric
-# (comm volume, supersteps, cut values, allocation counts, speedup
-# ratios) regressed beyond tolerance. BENCHTIME tunes the re-run cost.
+# Regression gate: save the tracked BENCH_*.json baselines aside, re-run
+# every bench suite, and fail if a metric regressed past the gate its
+# committed baseline declares (exact: any change; count: 15%; ratio:
+# 40%; info: never) or vanished. BENCHTIME tunes the re-run cost.
 bench-gate:
 	bash scripts/bench_gate.sh
 

@@ -1,570 +1,118 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+
+	"repro/internal/benchsnap"
 )
 
-// Metric is one gated (or informational) comparison between a
-// committed baseline and a freshly measured value.
-//
-// The gate deliberately distinguishes two metric classes:
-//
-//   - deterministic counts (communication volume, supersteps,
-//     allocations, cut values): identical workloads must reproduce
-//     them almost exactly, so they gate at a tight tolerance on any
-//     machine;
-//   - same-machine timing RATIOS (warm/cold cache speedup,
-//     static/dynamic scheduling speedup, radix-vs-stdlib sort
-//     speedup): both sides of a ratio are measured in the same
-//     process, so the machine's absolute speed divides out, and only
-//     a real relative regression — e.g. a 2× slowdown on one side —
-//     moves it.
-//
-// Raw wall-clock numbers are reported but never gated: the committed
-// baselines come from whatever machine last regenerated them, and
-// CI runners are not that machine.
-type Metric struct {
+// Row is one committed metric next to its fresh measurement. The gate
+// (kind, direction, tolerance, slack) is the committed side's: raw
+// wall-clock is never gated, because CI hardware is not the baseline's
+// hardware, and what is gated is either deterministic under a fixed
+// seed or a ratio whose two sides ran in one process.
+type Row struct {
 	File string
-	Name string
-	Base float64
-	Cur  float64
-	// Tol is the tolerated fractional change in the harmful direction;
-	// 0 means exact match required.
-	Tol float64
-	// Better is +1 when higher is better, -1 when lower is better.
-	Better int
-	// Abs, when > 0, is an absolute-change floor: a metric whose raw
-	// change stays within ±Abs never regresses even past Tol. It keeps
-	// tiny counters (4 allocs/op) from failing on a ±1 wobble that a
-	// shorter CI benchtime can cause.
-	Abs float64
-	// Critical metrics gate the build; the rest are informational.
-	Critical bool
+	benchsnap.Metric
+	Cur     float64
+	Missing bool // in the baseline, absent from the fresh run
+	New     bool // in the fresh run only: listed, never gated
 }
 
 // Delta is the fractional change from baseline (positive = increased).
-func (m Metric) Delta() float64 {
-	if m.Base == 0 {
-		if m.Cur == 0 {
-			return 0
-		}
-		return math.Inf(1)
+func (r Row) Delta() float64 {
+	if r.Cur == r.Value {
+		return 0
 	}
-	return (m.Cur - m.Base) / m.Base
+	return (r.Cur - r.Value) / math.Abs(r.Value) // ±Inf off a zero baseline
 }
 
-// Regressed reports whether a critical metric moved past its tolerance
-// in the harmful direction.
-func (m Metric) Regressed() bool {
-	if !m.Critical {
+func (r Row) Gated() bool { return r.Kind != benchsnap.Info && !r.New }
+
+// Regressed reports whether a gated metric vanished, or moved past its
+// tolerance in the harmful direction.
+func (r Row) Regressed() bool {
+	switch {
+	case !r.Gated():
+		return false
+	case r.Missing:
+		return true
+	case r.Kind == benchsnap.Exact:
+		return r.Cur != r.Value
+	case math.Abs(r.Cur-r.Value) <= r.Abs:
 		return false
 	}
-	if m.Abs > 0 && math.Abs(m.Cur-m.Base) <= m.Abs {
-		return false
+	return r.Delta()*float64(r.Better) < -r.Tol
+}
+
+// compare joins one committed snapshot with its fresh counterpart by ID.
+func compare(base, cur *benchsnap.Snapshot) []Row {
+	fresh := map[string]float64{}
+	for _, m := range cur.Metrics {
+		fresh[m.ID] = m.Value
 	}
-	if m.Tol == 0 {
-		return m.Cur != m.Base
+	var rows []Row
+	for _, m := range base.Metrics {
+		v, ok := fresh[m.ID]
+		rows = append(rows, Row{File: base.Name, Metric: m, Cur: v, Missing: !ok})
+		delete(fresh, m.ID)
 	}
-	d := m.Delta()
-	switch m.Better {
-	case +1:
-		return d < -m.Tol
-	case -1:
-		return d > m.Tol
-	}
-	return math.Abs(d) > m.Tol
-}
-
-// Tolerances for the two metric classes.
-const (
-	tolCount = 0.15 // deterministic counts: >15% drift fails
-	tolRatio = 0.40 // same-machine timing ratios: >40% drop fails
-)
-
-// ---- file schemas (mirrors of the bench writers) ----
-
-type serviceBench struct {
-	Throughput []struct {
-		Algorithm string  `json:"algorithm"`
-		WarmNsOp  int64   `json:"warm_ns_op"`
-		ColdNsOp  int64   `json:"cold_ns_op"`
-		Speedup   float64 `json:"speedup"`
-	} `json:"throughput"`
-	Scheduling []struct {
-		Schedule        string  `json:"schedule"`
-		WallNs          int64   `json:"wall_ns"`
-		IdleFraction    float64 `json:"idle_fraction"`
-		StragglerTrials int     `json:"straggler_trials"`
-		CutValue        uint64  `json:"cut_value"`
-	} `json:"scheduling"`
-}
-
-type bspBench struct {
-	Records []struct {
-		Input      string  `json:"input"`
-		Seed       uint64  `json:"seed"`
-		Trial      int     `json:"trial"`
-		Algorithm  string  `json:"algorithm"`
-		P          int     `json:"p"`
-		TimeSec    float64 `json:"time_sec"`
-		Result     float64 `json:"result"`
-		Supersteps int     `json:"supersteps"`
-		CommVolume float64 `json:"comm_volume"`
-	} `json:"records"`
-}
-
-type kernelsPair struct {
-	NewNsOp      int64   `json:"new_ns_op"`
-	BaseNsOp     int64   `json:"baseline_ns_op"`
-	Speedup      float64 `json:"speedup"`
-	NewAllocsOp  int64   `json:"new_allocs_op"`
-	BaseAllocsOp int64   `json:"baseline_allocs_op"`
-}
-
-type kernelsBench struct {
-	EdgeSort []struct {
-		M         int     `json:"m"`
-		RadixNsOp int64   `json:"radix_ns_op"`
-		StdNsOp   int64   `json:"std_ns_op"`
-		Speedup   float64 `json:"speedup"`
-	} `json:"edge_sort"`
-	Combine kernelsPair `json:"combine"`
-	Remap   kernelsPair `json:"remap"`
-	KSTrial struct {
-		Trials           int     `json:"trials_per_op"`
-		ArenaAllocsTrial float64 `json:"arena_allocs_per_trial"`
-		CloneAllocsTrial float64 `json:"clone_allocs_per_trial"`
-		AllocReduction   float64 `json:"alloc_reduction"`
-	} `json:"ks_trial"`
-}
-
-type plannerBench struct {
-	HighDiameter struct {
-		LabelPropNsOp int64   `json:"labelprop_ns_op"`
-		PlannerNsOp   int64   `json:"planner_ns_op"`
-		Speedup       float64 `json:"speedup"`
-		ChosenKernel  string  `json:"chosen_kernel"`
-		PredictedMs   float64 `json:"predicted_ms"`
-		ActualMs      float64 `json:"actual_ms"`
-	} `json:"high_diameter"`
-	SmallGraph struct {
-		BSPNsOp    int64   `json:"bsp_ns_op"`
-		SharedNsOp int64   `json:"shared_ns_op"`
-		Speedup    float64 `json:"speedup"`
-	} `json:"small_graph"`
-	LowRound struct {
-		Supersteps int     `json:"supersteps"`
-		CommVolume float64 `json:"comm_volume"`
-		Components int     `json:"components"`
-	} `json:"lowround"`
-	Prediction struct {
-		WinRate    float64 `json:"win_rate"`
-		MeanAbsErr float64 `json:"mean_abs_err"`
-		Fallbacks  float64 `json:"fallbacks"`
-	} `json:"prediction"`
-}
-
-type transportBench struct {
-	Benchmarks []transportRow `json:"benchmarks"`
-}
-
-type transportRow struct {
-	Transport        string  `json:"transport"`
-	Codec            bool    `json:"codec"`
-	P                int     `json:"p"`
-	WordsPerPeer     int     `json:"words_per_peer"`
-	NsPerSuperstep   int64   `json:"ns_per_superstep"`
-	MBPerS           float64 `json:"mb_per_s"`
-	WireBytesPerStep uint64  `json:"wire_bytes_per_superstep"`
-	RawBytesPerStep  uint64  `json:"wire_raw_bytes_per_superstep"`
-	CompressionRatio float64 `json:"compression_ratio"`
-}
-
-type fleetBench struct {
-	Scenario struct {
-		SuperstepsAborted int     `json:"supersteps_aborted"`
-		QueriesFailedOver int     `json:"queries_failed_over"`
-		CatchupGraphs     int     `json:"catchup_graphs"`
-		FingerprintMatch  int     `json:"fingerprint_match"`
-		DetectionMs       float64 `json:"detection_ms"`
-		RecoveryMs        float64 `json:"recovery_ms"`
-	} `json:"scenario"`
-}
-
-// benchFiles lists every baseline the gate knows how to read, relative
-// to the repo root.
-var benchFiles = []struct {
-	Path    string
-	Extract func(base, cur []byte) ([]Metric, error)
-}{
-	{"internal/service/BENCH_service.json", extractService},
-	{"internal/service/BENCH_planner.json", extractPlanner},
-	{"internal/bsp/BENCH_bsp.json", extractBSP},
-	{"internal/kernels/BENCH_kernels.json", extractKernels},
-	{"internal/transport/BENCH_transport.json", extractTransport},
-	{"internal/shard/BENCH_fleet.json", extractFleet},
-}
-
-func decodePair[T any](base, cur []byte) (T, T, error) {
-	var b, c T
-	if err := json.Unmarshal(base, &b); err != nil {
-		return b, c, fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(cur, &c); err != nil {
-		return b, c, fmt.Errorf("current: %w", err)
-	}
-	return b, c, nil
-}
-
-func extractService(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[serviceBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	file := "service"
-	var ms []Metric
-	curThroughput := map[string]float64{}
-	curWarm := map[string]float64{}
-	for _, row := range c.Throughput {
-		curThroughput[row.Algorithm] = row.Speedup
-		curWarm[row.Algorithm] = float64(row.WarmNsOp)
-	}
-	for _, row := range b.Throughput {
-		if cs, ok := curThroughput[row.Algorithm]; ok {
-			ms = append(ms,
-				Metric{File: file, Name: "cache_speedup/" + row.Algorithm, Base: row.Speedup, Cur: cs,
-					Tol: tolRatio, Better: +1, Critical: true},
-				Metric{File: file, Name: "warm_ns_op/" + row.Algorithm, Base: float64(row.WarmNsOp), Cur: curWarm[row.Algorithm],
-					Better: -1})
+	for _, m := range cur.Metrics {
+		if _, ok := fresh[m.ID]; ok {
+			rows = append(rows, Row{File: base.Name, Metric: m, Cur: m.Value, New: true})
 		}
 	}
-	sched := func(v serviceBench) (staticWall, dynWall float64, cuts map[string]float64) {
-		cuts = map[string]float64{}
-		for _, row := range v.Scheduling {
-			cuts[row.Schedule] = float64(row.CutValue)
-			switch row.Schedule {
-			case "static":
-				staticWall = float64(row.WallNs)
-			case "dynamic":
-				dynWall = float64(row.WallNs)
-			}
-		}
-		return
-	}
-	bs, bd, bcuts := sched(b)
-	cs2, cd, ccuts := sched(c)
-	if bd > 0 && cd > 0 && bs > 0 && cs2 > 0 {
-		ms = append(ms, Metric{File: file, Name: "dynamic_sched_speedup", Base: bs / bd, Cur: cs2 / cd,
-			Tol: tolRatio, Better: +1, Critical: true})
-	}
-	for _, k := range sortedKeys(bcuts) {
-		if cv, ok := ccuts[k]; ok {
-			ms = append(ms, Metric{File: file, Name: "cut_value/" + k, Base: bcuts[k], Cur: cv, Critical: true})
-		}
-	}
-	return ms, nil
+	return rows
 }
 
-func extractBSP(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[bspBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	type key struct {
-		Input     string
-		Seed      uint64
-		Trial     int
-		Algorithm string
-		P         int
-	}
-	type agg struct{ comm, steps, time float64 }
-	curRec := map[key]struct {
-		result float64
-		comm   float64
-		steps  int
-		time   float64
-	}{}
-	for _, r := range c.Records {
-		curRec[key{r.Input, r.Seed, r.Trial, r.Algorithm, r.P}] = struct {
-			result float64
-			comm   float64
-			steps  int
-			time   float64
-		}{r.Result, r.CommVolume, r.Supersteps, r.TimeSec}
-	}
-	// Aggregate matched records per (algorithm, p): the counts are
-	// deterministic for a fixed (input, seed), so sums over the matched
-	// intersection gate tightly.
-	baseAgg, curAgg := map[string]agg{}, map[string]agg{}
-	mismatches, matched := 0, 0
-	for _, r := range b.Records {
-		cr, ok := curRec[key{r.Input, r.Seed, r.Trial, r.Algorithm, r.P}]
-		if !ok {
-			continue
+// Compare walks baselineDir for BENCH_*.json and compares each with the
+// file at the same relative path under currentDir. A baseline whose
+// fresh measurement is missing is an error: the bench silently didn't
+// run, which must not pass the gate.
+func Compare(baselineDir, currentDir string) ([]Row, error) {
+	var rows []Row
+	err := filepath.WalkDir(baselineDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		matched++
-		if cr.result != r.Result {
-			mismatches++
+		if ok, _ := filepath.Match("BENCH_*.json", d.Name()); !ok {
+			return nil
 		}
-		k := fmt.Sprintf("%s/p=%d", r.Algorithm, r.P)
-		ba := baseAgg[k]
-		ba.comm += r.CommVolume
-		ba.steps += float64(r.Supersteps)
-		ba.time += r.TimeSec
-		baseAgg[k] = ba
-		ca := curAgg[k]
-		ca.comm += cr.comm
-		ca.steps += float64(cr.steps)
-		ca.time += cr.time
-		curAgg[k] = ca
-	}
-	if matched == 0 {
-		return nil, fmt.Errorf("bsp: no records match between baseline and current")
-	}
-	ms := []Metric{{File: "bsp", Name: "result_mismatches", Base: 0, Cur: float64(mismatches), Critical: true}}
-	for _, k := range sortedKeys(baseAgg) {
-		ba, ca := baseAgg[k], curAgg[k]
-		ms = append(ms,
-			Metric{File: "bsp", Name: "comm_volume/" + k, Base: ba.comm, Cur: ca.comm, Tol: tolCount, Better: -1, Critical: true},
-			Metric{File: "bsp", Name: "supersteps/" + k, Base: ba.steps, Cur: ca.steps, Tol: tolCount, Better: -1, Critical: true},
-			Metric{File: "bsp", Name: "time_sec/" + k, Base: ba.time, Cur: ca.time, Better: -1})
-	}
-	return ms, nil
-}
-
-func extractKernels(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[kernelsBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	file := "kernels"
-	var ms []Metric
-	curSort := map[int]float64{}
-	for _, row := range c.EdgeSort {
-		curSort[row.M] = row.Speedup
-	}
-	for _, row := range b.EdgeSort {
-		if cs, ok := curSort[row.M]; ok {
-			ms = append(ms, Metric{File: file, Name: fmt.Sprintf("edge_sort_speedup/m=%d", row.M),
-				Base: row.Speedup, Cur: cs, Tol: tolRatio, Better: +1, Critical: true})
-		}
-	}
-	pair := func(name string, bp, cp kernelsPair) {
-		ms = append(ms,
-			Metric{File: file, Name: name + "_speedup", Base: bp.Speedup, Cur: cp.Speedup,
-				Tol: tolRatio, Better: +1, Critical: true},
-			Metric{File: file, Name: name + "_allocs_op", Base: float64(bp.NewAllocsOp), Cur: float64(cp.NewAllocsOp),
-				Tol: tolCount, Better: -1, Abs: 2, Critical: true})
-	}
-	pair("combine", b.Combine, c.Combine)
-	pair("remap", b.Remap, c.Remap)
-	ms = append(ms,
-		Metric{File: file, Name: "ks_alloc_reduction", Base: b.KSTrial.AllocReduction, Cur: c.KSTrial.AllocReduction,
-			Tol: tolRatio, Better: +1, Critical: true},
-		// Arena allocs per trial amortize one-time pool growth over b.N,
-		// so the raw figure moves with benchtime — informational only;
-		// the reduction ratio above is the gated claim.
-		Metric{File: file, Name: "ks_arena_allocs_per_trial", Base: b.KSTrial.ArenaAllocsTrial, Cur: c.KSTrial.ArenaAllocsTrial,
-			Better: -1})
-	return ms, nil
-}
-
-func extractPlanner(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[plannerBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	file := "planner"
-	return []Metric{
-		// Same-machine timing ratios: planner-vs-labelprop on the
-		// high-diameter path and shared-vs-BSP on the small graph. Both
-		// sides of each ratio come from one process, so only a genuine
-		// relative regression (the planner picking a slow kernel, the
-		// shared path growing a machine-sized overhead) moves them.
-		{File: file, Name: "high_diameter_speedup", Base: b.HighDiameter.Speedup, Cur: c.HighDiameter.Speedup,
-			Tol: tolRatio, Better: +1, Critical: true},
-		{File: file, Name: "small_graph_speedup", Base: b.SmallGraph.Speedup, Cur: c.SmallGraph.Speedup,
-			Tol: tolRatio, Better: +1, Critical: true},
-		// Deterministic counts of the pinned lowround execution: fixed
-		// input, seed-free kernel, fixed p — identical on any machine.
-		{File: file, Name: "lowround_supersteps", Base: float64(b.LowRound.Supersteps), Cur: float64(c.LowRound.Supersteps),
-			Tol: tolCount, Better: -1, Critical: true},
-		{File: file, Name: "lowround_comm_volume", Base: b.LowRound.CommVolume, Cur: c.LowRound.CommVolume,
-			Tol: tolCount, Better: -1, Critical: true},
-		{File: file, Name: "lowround_components", Base: float64(b.LowRound.Components), Cur: float64(c.LowRound.Components),
-			Critical: true},
-		// Win rate over the divergent decisions. The Abs slack forgives
-		// one or two lost coin-flip wins out of the batch; a collapse
-		// (the model no longer beating the default it displaced) fails.
-		{File: file, Name: "win_rate", Base: b.Prediction.WinRate, Cur: c.Prediction.WinRate,
-			Tol: tolRatio, Better: +1, Abs: 0.25, Critical: true},
-		// Prediction error and fallback count are machine- and
-		// calibration-dependent: reported so drift is visible, not gated.
-		{File: file, Name: "prediction_mean_abs_err", Base: b.Prediction.MeanAbsErr, Cur: c.Prediction.MeanAbsErr,
-			Better: -1},
-		{File: file, Name: "calibration_fallbacks", Base: b.Prediction.Fallbacks, Cur: c.Prediction.Fallbacks,
-			Better: -1},
-	}, nil
-}
-
-func extractTransport(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[transportBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	// Transport throughput is raw wire speed — machine-bound, so the
-	// per-row numbers are informational. What IS gated is what survives
-	// a machine change: the codec's wire compression ratio (a
-	// deterministic property of the payloads and codec choice) and the
-	// socket tax — TCP-loopback cost over the in-process fabric's, both
-	// sides measured on the same machine in the same run.
-	key := func(r transportRow) string {
-		return fmt.Sprintf("%s/codec=%v/p=%d/w=%d", r.Transport, r.Codec, r.P, r.WordsPerPeer)
-	}
-	curRows := map[string]transportRow{}
-	for _, row := range c.Benchmarks {
-		curRows[key(row)] = row
-	}
-	var ms []Metric
-	for _, row := range b.Benchmarks {
-		k := key(row)
-		cr, ok := curRows[k]
-		if !ok {
-			continue
-		}
-		ms = append(ms, Metric{File: "transport", Name: "mb_per_s/" + k, Base: row.MBPerS, Cur: cr.MBPerS, Better: +1})
-		if row.Transport == "tcp" && row.Codec && row.CompressionRatio > 0 && cr.CompressionRatio > 0 {
-			ms = append(ms, Metric{File: "transport", Name: "compression_ratio/" + k,
-				Base: row.CompressionRatio, Cur: cr.CompressionRatio,
-				Tol: tolCount, Better: +1, Critical: true})
-		}
-	}
-	// Socket tax per (p, w): tcp-with-codecs ns over local ns, a
-	// same-machine ratio. Gated only at the 1024-word point — the
-	// smaller payloads divide by a sub-microsecond local superstep,
-	// where timer noise swamps the ratio; those rows stay visible but
-	// informational. The Abs slack absorbs the core-count shift in the
-	// denominator (the in-process fabric speeds up disproportionately
-	// on multi-core machines, so the tax reads ~2× higher there than
-	// on a 1-vCPU box); what remains gated is the pathological case —
-	// the wire path blowing up several-fold relative to the local
-	// fabric, which is the regression this metric exists to catch.
-	tax := func(rows []transportRow) map[string]float64 {
-		local := map[string]float64{}
-		tcp := map[string]float64{}
-		for _, r := range rows {
-			k := fmt.Sprintf("p=%d/w=%d", r.P, r.WordsPerPeer)
-			switch {
-			case r.Transport == "local":
-				local[k] = float64(r.NsPerSuperstep)
-			case r.Transport == "tcp" && r.Codec:
-				tcp[k] = float64(r.NsPerSuperstep)
-			}
-		}
-		out := map[string]float64{}
-		for k, l := range local {
-			if t, ok := tcp[k]; ok && l > 0 {
-				out[k] = t / l
-			}
-		}
-		return out
-	}
-	btax, ctax := tax(b.Benchmarks), tax(c.Benchmarks)
-	for _, k := range sortedKeys(btax) {
-		if cv, ok := ctax[k]; ok {
-			ms = append(ms, Metric{File: "transport", Name: "socket_tax/" + k, Base: btax[k], Cur: cv,
-				Tol: tolRatio, Better: -1, Abs: 30, Critical: strings.HasSuffix(k, "/w=1024")})
-		}
-	}
-	return ms, nil
-}
-
-func extractFleet(base, cur []byte) ([]Metric, error) {
-	b, c, err := decodePair[fleetBench](base, cur)
-	if err != nil {
-		return nil, err
-	}
-	file := "fleet"
-	return []Metric{
-		// The self-healing scenario is fully scripted (one peer killed,
-		// one failover query, two graphs behind), so its counts are
-		// exact-match deterministic on any machine: a drift means the
-		// detection, failover, or catch-up machinery changed behavior.
-		{File: file, Name: "supersteps_aborted", Base: float64(b.Scenario.SuperstepsAborted), Cur: float64(c.Scenario.SuperstepsAborted),
-			Critical: true},
-		{File: file, Name: "queries_failed_over", Base: float64(b.Scenario.QueriesFailedOver), Cur: float64(c.Scenario.QueriesFailedOver),
-			Critical: true},
-		{File: file, Name: "catchup_graphs", Base: float64(b.Scenario.CatchupGraphs), Cur: float64(c.Scenario.CatchupGraphs),
-			Critical: true},
-		{File: file, Name: "fingerprint_match", Base: float64(b.Scenario.FingerprintMatch), Cur: float64(c.Scenario.FingerprintMatch),
-			Critical: true},
-		// Wall-clock detection/recovery latencies are machine-bound:
-		// reported for visibility, never gated.
-		{File: file, Name: "detection_ms", Base: b.Scenario.DetectionMs, Cur: c.Scenario.DetectionMs, Better: -1},
-		{File: file, Name: "recovery_ms", Base: b.Scenario.RecoveryMs, Cur: c.Scenario.RecoveryMs, Better: -1},
-	}, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// Compare loads every known baseline under baselineDir, its freshly
-// measured counterpart under currentDir, and returns the full metric
-// table. A baseline missing on disk is skipped (reported via skipped);
-// a baseline present but a current measurement missing is an error —
-// the bench run silently didn't happen, which must not pass the gate.
-func Compare(baselineDir, currentDir string) (metrics []Metric, skipped []string, err error) {
-	for _, bf := range benchFiles {
-		base, berr := os.ReadFile(filepath.Join(baselineDir, bf.Path))
-		if os.IsNotExist(berr) {
-			skipped = append(skipped, bf.Path)
-			continue
-		} else if berr != nil {
-			return nil, nil, berr
-		}
-		cur, cerr := os.ReadFile(filepath.Join(currentDir, bf.Path))
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("benchgate: baseline %s exists but current measurement is missing: %w", bf.Path, cerr)
-		}
-		ms, err := bf.Extract(base, cur)
+		rel, _ := filepath.Rel(baselineDir, path)
+		base, err := benchsnap.Read(path)
 		if err != nil {
-			return nil, nil, fmt.Errorf("benchgate: %s: %w", bf.Path, err)
+			return fmt.Errorf("baseline: %w", err)
 		}
-		metrics = append(metrics, ms...)
-	}
-	return metrics, skipped, nil
+		cur, err := benchsnap.Read(filepath.Join(currentDir, rel))
+		if err != nil {
+			return fmt.Errorf("baseline %s exists but its current measurement is unusable: %w", rel, err)
+		}
+		rows = append(rows, compare(base, cur)...)
+		return nil
+	})
+	return rows, err
 }
 
 // RenderTable writes the delta table as GitHub-flavored markdown.
-func RenderTable(w io.Writer, metrics []Metric, skipped []string) {
+func RenderTable(w io.Writer, rows []Row) {
 	fmt.Fprintln(w, "| metric | baseline | current | delta | gate |")
 	fmt.Fprintln(w, "|---|---:|---:|---:|---|")
-	for _, m := range metrics {
-		status := "info"
-		if m.Critical {
-			status = "ok"
+	for _, r := range rows {
+		base, cur, delta, status := fmtVal(r.Value), fmtVal(r.Cur), fmt.Sprintf("%+.1f%%", 100*r.Delta()), string(r.Kind)
+		switch {
+		case r.New:
+			base, delta, status = "—", "—", "new (no baseline)"
+		case r.Missing:
+			cur, delta, status = "—", "—", status+", missing"
 		}
-		if m.Regressed() {
-			status = "**REGRESSION**"
+		if r.Regressed() {
+			status = "**REGRESSION** (" + status + ")"
 		}
-		fmt.Fprintf(w, "| %s/%s | %s | %s | %+.1f%% | %s |\n",
-			m.File, m.Name, fmtVal(m.Base), fmtVal(m.Cur), 100*m.Delta(), status)
-	}
-	for _, s := range skipped {
-		fmt.Fprintf(w, "| %s | — | — | — | skipped (no baseline) |\n", s)
+		fmt.Fprintf(w, "| %s/%s | %s | %s | %s | %s |\n", r.File, r.ID, base, cur, delta, status)
 	}
 }
 
@@ -573,15 +121,4 @@ func fmtVal(v float64) string {
 		return fmt.Sprintf("%.0f", v)
 	}
 	return fmt.Sprintf("%.3f", v)
-}
-
-// Regressions filters the table down to the failures.
-func Regressions(metrics []Metric) []Metric {
-	var out []Metric
-	for _, m := range metrics {
-		if m.Regressed() {
-			out = append(out, m)
-		}
-	}
-	return out
 }

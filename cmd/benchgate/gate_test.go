@@ -3,364 +3,295 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/benchsnap"
 )
 
-const serviceFixture = `{
-  "throughput": [
-    {"algorithm": "mincut", "warm_ns_op": 49000000, "cold_ns_op": 68000000, "speedup": 1.387},
-    {"algorithm": "cc", "warm_ns_op": 21000, "cold_ns_op": 430000, "speedup": 20.476}
-  ],
-  "scheduling": [
-    {"schedule": "static", "wall_ns": 316000000, "idle_fraction": 0.39, "straggler_trials": 4, "cut_value": 2},
-    {"schedule": "dynamic", "wall_ns": 132000000, "idle_fraction": 0.22, "straggler_trials": 2, "cut_value": 2}
-  ]
-}`
+// fixtures is a small committed tree: one snapshot per writer, with at
+// least one metric of every kind the real files carry.
+func fixtures() map[string]*benchsnap.Snapshot {
+	tree := map[string]*benchsnap.Snapshot{}
+	add := func(path string, k benchsnap.Kind, id string, v float64, better int, abs float64) {
+		if tree[path] == nil {
+			name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+			tree[path] = &benchsnap.Snapshot{Name: name}
+		}
+		tree[path].Add(k, id, v, better, abs)
+	}
+	const (
+		service   = "internal/service/BENCH_service.json"
+		planner   = "internal/service/BENCH_planner.json"
+		bsp       = "internal/bsp/BENCH_bsp.json"
+		kernels   = "internal/kernels/BENCH_kernels.json"
+		transport = "internal/transport/BENCH_transport.json"
+		fleet     = "internal/shard/BENCH_fleet.json"
+	)
+	add(service, benchsnap.Ratio, "cache_speedup/cc", 20.476, +1, 0)
+	add(service, benchsnap.Info, "warm_ns_op/cc", 21000, -1, 0)
+	add(service, benchsnap.Info, "cold_ns_op/cc", 430000, -1, 0)
+	add(service, benchsnap.Ratio, "dynamic_sched_speedup", 2.39, +1, 0)
+	add(service, benchsnap.Exact, "cut_value/dynamic", 2, 0, 0)
+	add(planner, benchsnap.Ratio, "high_diameter_speedup", 16.58, +1, 0)
+	add(planner, benchsnap.Ratio, "small_graph_speedup", 3.32, +1, 0)
+	add(planner, benchsnap.Exact, "lowround_comm_volume", 6180, -1, 0)
+	add(planner, benchsnap.Exact, "lowround_components", 1, 0, 0)
+	add(planner, benchsnap.Info, "win_rate", 1, +1, 0)
+	add(planner, benchsnap.Info, "prediction_mean_abs_err", 1.37, -1, 0)
+	add(bsp, benchsnap.Exact, "result/cc/p=4", 1, 0, 0)
+	add(bsp, benchsnap.Exact, "comm_volume/cc/p=4", 11465, -1, 0)
+	add(bsp, benchsnap.Exact, "supersteps/cc/p=4", 13, -1, 0)
+	add(bsp, benchsnap.Info, "time_sec/cc/p=4", 0.00018, -1, 0)
+	add(bsp, benchsnap.Exact, "result_mismatches", 0, -1, 0)
+	add(kernels, benchsnap.Ratio, "edge_sort_speedup/m=100000", 4.4, +1, 0)
+	add(kernels, benchsnap.Count, "combine_allocs_op", 2, -1, 2)
+	add(transport, benchsnap.Info, "mb_per_s/tcp/codec=true/p=2/w=1024", 1053, +1, 0)
+	add(transport, benchsnap.Count, "compression_ratio/tcp/codec=true/p=2/w=1024", 3.87, +1, 0)
+	add(transport, benchsnap.Ratio, "socket_tax/p=2/w=1024", 15.24, -1, 30)
+	add(transport, benchsnap.Info, "socket_tax/p=2/w=64", 47.9, -1, 30)
+	add(fleet, benchsnap.Exact, "queries_failed_over", 1, 0, 0)
+	add(fleet, benchsnap.Info, "detection_ms", 9.86, -1, 0)
+	return tree
+}
 
-const bspFixture = `{
-  "name": "bsp-bench",
-  "records": [
-    {"input": "er_600_3000", "seed": 11, "trial": 0, "algorithm": "cc", "p": 1, "time_sec": 0.00014, "result": 1, "supersteps": 4, "comm_volume": 9003},
-    {"input": "er_600_3000", "seed": 11, "trial": 0, "algorithm": "cc", "p": 4, "time_sec": 0.00018, "result": 1, "supersteps": 13, "comm_volume": 11465}
-  ]
-}`
-
-const kernelsFixture = `{
-  "name": "kernels-bench",
-  "edge_sort": [{"m": 100000, "radix_ns_op": 1200000, "std_ns_op": 5300000, "speedup": 4.4}],
-  "combine": {"new_ns_op": 900, "baseline_ns_op": 2500, "speedup": 2.8, "new_allocs_op": 2, "baseline_allocs_op": 11},
-  "remap": {"new_ns_op": 400, "baseline_ns_op": 900, "speedup": 2.2, "new_allocs_op": 1, "baseline_allocs_op": 6},
-  "ks_trial": {"trials_per_op": 32, "arena_allocs_per_trial": 1.5, "clone_allocs_per_trial": 40, "alloc_reduction": 26.7, "arena_ns_op": 80000, "clone_ns_op": 200000}
-}`
-
-const plannerFixture = `{
-  "high_diameter": {
-    "graph": "path", "n": 100001, "m": 100000, "p": 16,
-    "labelprop_ns_op": 199000000, "planner_ns_op": 12000000, "speedup": 16.58,
-    "chosen_kernel": "sampling", "predicted_ms": 36.3, "actual_ms": 39.9
-  },
-  "small_graph": {"n": 1024, "m": 9216, "bsp_ns_op": 514000, "shared_ns_op": 155000, "speedup": 3.32},
-  "lowround": {"p": 4, "supersteps": 8, "comm_volume": 6180, "components": 1},
-  "prediction": {"decisions": 37, "executed": 37, "diverged": 8, "wins": 8, "win_rate": 1, "mean_abs_err": 1.37, "fallbacks": 0}
-}`
-
-const transportFixture = `{
-  "name": "transport-bench",
-  "benchmarks": [
-    {"transport": "local", "codec": false, "p": 2, "words_per_peer": 1024, "ns_per_superstep": 1020, "mb_per_s": 16063},
-    {"transport": "tcp", "codec": true, "p": 2, "words_per_peer": 1024, "ns_per_superstep": 15546, "mb_per_s": 1053,
-     "wire_bytes_per_superstep": 4254, "wire_raw_bytes_per_superstep": 16450, "compression_ratio": 3.87},
-    {"transport": "tcp", "codec": false, "p": 2, "words_per_peer": 1024, "ns_per_superstep": 15200, "mb_per_s": 1077,
-     "wire_bytes_per_superstep": 16450, "wire_raw_bytes_per_superstep": 16450, "compression_ratio": 1}
-  ]
-}`
-
-const fleetFixture = `{
-  "name": "fleet-selfheal",
-  "scenario": {
-    "supersteps_aborted": 1, "queries_failed_over": 1,
-    "catchup_graphs": 2, "fingerprint_match": 1,
-    "detection_ms": 9.86, "recovery_ms": 2.37
-  }
-}`
-
-func writeTree(t *testing.T, files map[string]string) string {
+func writeTree(t *testing.T, tree map[string]*benchsnap.Snapshot) string {
 	t.Helper()
 	dir := t.TempDir()
-	for rel, body := range files {
+	for rel, s := range tree {
 		p := filepath.Join(dir, rel)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+		if err := s.Write(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
 }
 
-func allFixtures() map[string]string {
-	return map[string]string{
-		"internal/service/BENCH_service.json":     serviceFixture,
-		"internal/service/BENCH_planner.json":     plannerFixture,
-		"internal/bsp/BENCH_bsp.json":             bspFixture,
-		"internal/kernels/BENCH_kernels.json":     kernelsFixture,
-		"internal/transport/BENCH_transport.json": transportFixture,
-		"internal/shard/BENCH_fleet.json":         fleetFixture,
-	}
-}
-
-// TestGatePassesUnchanged: identical measurements never regress.
-func TestGatePassesUnchanged(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	cur := writeTree(t, allFixtures())
-	metrics, skipped, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
-		t.Fatalf("skipped %v with all fixtures present", skipped)
-	}
-	if regs := Regressions(metrics); len(regs) != 0 {
-		t.Fatalf("identical trees regressed: %+v", regs)
-	}
-	if countCritical(metrics) == 0 {
-		t.Fatal("no critical metrics extracted")
-	}
-}
-
-// TestGateCatchesTwoXSlowdown is the acceptance scenario: a synthetic
-// 2× slowdown on the warm service path halves the cache speedup and
-// must fail the gate.
-func TestGateCatchesTwoXSlowdown(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	slow := allFixtures()
-	slow["internal/service/BENCH_service.json"] = strings.Replace(serviceFixture,
-		`"warm_ns_op": 21000, "cold_ns_op": 430000, "speedup": 20.476`,
-		`"warm_ns_op": 42000, "cold_ns_op": 430000, "speedup": 10.238`, 1)
-	cur := writeTree(t, slow)
-	metrics, _, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].Name != "cache_speedup/cc" {
-		t.Fatalf("want exactly cache_speedup/cc to regress, got %+v", regs)
-	}
-}
-
-// TestGateIgnoresUniformMachineSpeed: a run on a machine 1.6× slower
-// across the board moves every raw timing but no ratio — the gate must
-// pass.
-func TestGateIgnoresUniformMachineSpeed(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	slow := allFixtures()
-	slow["internal/service/BENCH_service.json"] = strings.NewReplacer(
-		`"warm_ns_op": 21000, "cold_ns_op": 430000`, `"warm_ns_op": 33600, "cold_ns_op": 688000`,
-		`"warm_ns_op": 49000000, "cold_ns_op": 68000000`, `"warm_ns_op": 78400000, "cold_ns_op": 108800000`,
-		`"wall_ns": 316000000`, `"wall_ns": 505600000`,
-		`"wall_ns": 132000000`, `"wall_ns": 211200000`,
-	).Replace(serviceFixture)
-	cur := writeTree(t, slow)
-	metrics, _, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(metrics); len(regs) != 0 {
-		t.Fatalf("uniform slowdown tripped the gate: %+v", regs)
-	}
-}
-
-// TestGateCatchesCommVolumeGrowth: a 30% communication-volume increase
-// on the p=4 cc records violates the paper's core claim and must fail.
-func TestGateCatchesCommVolumeGrowth(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	bloated := allFixtures()
-	bloated["internal/bsp/BENCH_bsp.json"] = strings.Replace(bspFixture, `"comm_volume": 11465`, `"comm_volume": 14905`, 1)
-	cur := writeTree(t, bloated)
-	metrics, _, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].Name != "comm_volume/cc/p=4" {
-		t.Fatalf("want comm_volume/cc/p=4 to regress, got %+v", regs)
-	}
-}
-
-// TestGateCatchesWrongResult: any result mismatch is an exact-match
-// failure regardless of tolerance.
-func TestGateCatchesWrongResult(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	wrong := allFixtures()
-	wrong["internal/bsp/BENCH_bsp.json"] = strings.Replace(bspFixture,
-		`"p": 4, "time_sec": 0.00018, "result": 1`, `"p": 4, "time_sec": 0.00018, "result": 3`, 1)
-	cur := writeTree(t, wrong)
-	metrics, _, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range Regressions(metrics) {
-		if m.Name == "result_mismatches" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("result mismatch did not regress")
-	}
-}
-
-// TestGateAllocSlack: tiny alloc counters tolerate a ±1 wobble from a
-// shorter CI benchtime but still fail on a genuine leak.
-func TestGateAllocSlack(t *testing.T) {
-	base := writeTree(t, allFixtures())
-
-	wobble := allFixtures()
-	wobble["internal/kernels/BENCH_kernels.json"] = strings.Replace(kernelsFixture,
-		`"speedup": 2.8, "new_allocs_op": 2`, `"speedup": 2.8, "new_allocs_op": 3`, 1)
-	metrics, _, err := Compare(base, writeTree(t, wobble))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(metrics); len(regs) != 0 {
-		t.Fatalf("+1 alloc wobble tripped the gate: %+v", regs)
-	}
-
-	leak := allFixtures()
-	leak["internal/kernels/BENCH_kernels.json"] = strings.Replace(kernelsFixture,
-		`"speedup": 2.8, "new_allocs_op": 2`, `"speedup": 2.8, "new_allocs_op": 40`, 1)
-	metrics, _, err = Compare(base, writeTree(t, leak))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].Name != "combine_allocs_op" {
-		t.Fatalf("alloc leak not caught: %+v", regs)
-	}
-}
-
-// TestGateCatchesPlannerRegressions: a planner that stops beating the
-// labelprop baseline (speedup collapse), a lowround kernel that grows
-// extra communication, and a win-rate collapse must each fail; losing
-// one coin-flip win out of the batch must not.
-func TestGateCatchesPlannerRegressions(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	for _, tc := range []struct {
-		name     string
-		from, to string
-		want     string // regressed metric name; "" = must pass
-	}{
-		{"speedup collapse", `"speedup": 16.58`, `"speedup": 1.05`, "high_diameter_speedup"},
-		{"shared path regressed", `"speedup": 3.32`, `"speedup": 0.9`, "small_graph_speedup"},
-		{"comm volume growth", `"comm_volume": 6180`, `"comm_volume": 9000`, "lowround_comm_volume"},
-		{"wrong component count", `"components": 1`, `"components": 2`, "lowround_components"},
-		{"win rate collapse", `"win_rate": 1`, `"win_rate": 0.3`, "win_rate"},
-		{"one lost win", `"win_rate": 1`, `"win_rate": 0.875`, ""},
-		{"error drift is informational", `"mean_abs_err": 1.37`, `"mean_abs_err": 4.2`, ""},
-	} {
-		files := allFixtures()
-		files["internal/service/BENCH_planner.json"] = strings.Replace(plannerFixture, tc.from, tc.to, 1)
-		metrics, _, err := Compare(base, writeTree(t, files))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		regs := Regressions(metrics)
-		if tc.want == "" {
-			if len(regs) != 0 {
-				t.Fatalf("%s: unexpected regressions %+v", tc.name, regs)
+// metric finds "file/id" in tree; i < 0 when absent.
+func metric(tree map[string]*benchsnap.Snapshot, full string) (s *benchsnap.Snapshot, i int) {
+	for _, s := range tree {
+		if id, ok := strings.CutPrefix(full, s.Name+"/"); ok {
+			if i := slices.IndexFunc(s.Metrics, func(m benchsnap.Metric) bool { return m.ID == id }); i >= 0 {
+				return s, i
 			}
-			continue
 		}
-		if len(regs) != 1 || regs[0].Name != tc.want {
-			t.Fatalf("%s: want exactly %s to regress, got %+v", tc.name, tc.want, regs)
+	}
+	return nil, -1
+}
+
+func regressed(t *testing.T, base, cur map[string]*benchsnap.Snapshot) []string {
+	t.Helper()
+	rows, err := Compare(writeTree(t, base), writeTree(t, cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range rows {
+		if r.Regressed() {
+			ids = append(ids, r.File+"/"+r.ID)
 		}
+	}
+	return ids
+}
+
+// set is a seeded change to the fresh tree: "file/id" → fresh value.
+type set map[string]float64
+
+// check applies change to a copy of the fixtures and requires exactly
+// the metric want to regress against the unchanged tree ("" = the gate
+// must pass).
+func check(t *testing.T, change set, want string) {
+	t.Helper()
+	cur := fixtures()
+	for full, v := range change {
+		s, i := metric(cur, full)
+		if i < 0 {
+			t.Fatalf("no fixture metric %s", full)
+		}
+		s.Metrics[i].Value = v
+	}
+	if got := regressed(t, fixtures(), cur); !slices.Equal(got, strings.Fields(want)) {
+		t.Errorf("%v: regressed %v, want [%s]", change, got, want)
+	}
+}
+
+func TestGatePassesUnchanged(t *testing.T) { check(t, nil, "") }
+
+// A 2× slowdown on one side of a ratio halves it and must fail (a ratio
+// that improves must not); a machine 1.6× slower across the board moves
+// every raw timing but no ratio.
+func TestGateCatchesTwoXSlowdown(t *testing.T) {
+	check(t, set{"service/warm_ns_op/cc": 42000, "service/cache_speedup/cc": 10.238}, "service/cache_speedup/cc")
+	check(t, set{"service/dynamic_sched_speedup": 1.1}, "service/dynamic_sched_speedup")
+	check(t, set{"kernels/edge_sort_speedup/m=100000": 1.2}, "kernels/edge_sort_speedup/m=100000")
+	check(t, set{"service/cache_speedup/cc": 45}, "")
+}
+
+func TestGateIgnoresUniformMachineSpeed(t *testing.T) {
+	check(t, set{"service/warm_ns_op/cc": 33600, "service/cold_ns_op/cc": 688000,
+		"bsp/time_sec/cc/p=4": 0.00029, "fleet/detection_ms": 15.8, "transport/mb_per_s/tcp/codec=true/p=2/w=1024": 658}, "")
+}
+
+// Exact kinds have no band: growth fails, and so does a change in the
+// good direction that nobody re-baselined.
+func TestGateCatchesCommVolumeGrowth(t *testing.T) {
+	check(t, set{"bsp/comm_volume/cc/p=4": 14905}, "bsp/comm_volume/cc/p=4")
+	check(t, set{"bsp/supersteps/cc/p=4": 14}, "bsp/supersteps/cc/p=4")
+	check(t, set{"bsp/comm_volume/cc/p=4": 11000}, "bsp/comm_volume/cc/p=4")
+}
+
+func TestGateCatchesWrongResult(t *testing.T) {
+	check(t, set{"bsp/result/cc/p=4": 3}, "bsp/result/cc/p=4")
+	check(t, set{"bsp/result_mismatches": 1}, "bsp/result_mismatches")
+	check(t, set{"service/cut_value/dynamic": 3}, "service/cut_value/dynamic")
+}
+
+// Tiny counters tolerate a ±1 wobble from a shorter CI benchtime but
+// still fail on a genuine leak.
+func TestGateAllocSlack(t *testing.T) {
+	check(t, set{"kernels/combine_allocs_op": 3}, "")
+	check(t, set{"kernels/combine_allocs_op": 40}, "kernels/combine_allocs_op")
+}
+
+// The planner file gates its two speedups and the pinned lowround
+// counts; win rate and prediction error are wall clock against a model.
+func TestGateCatchesPlannerRegressions(t *testing.T) {
+	check(t, set{"planner/high_diameter_speedup": 1.05}, "planner/high_diameter_speedup")
+	check(t, set{"planner/small_graph_speedup": 0.9}, "planner/small_graph_speedup")
+	check(t, set{"planner/lowround_comm_volume": 9000}, "planner/lowround_comm_volume")
+	check(t, set{"planner/lowround_components": 2}, "planner/lowround_components")
+	check(t, set{"planner/win_rate": 0}, "")
+	check(t, set{"planner/prediction_mean_abs_err": 4.2}, "")
+}
+
+func TestGateCatchesFleetCountDrift(t *testing.T) {
+	check(t, set{"fleet/queries_failed_over": 2}, "fleet/queries_failed_over")
+}
+
+// A compression ratio collapsing toward 1 means the codec was silently
+// disabled or misnegotiated.
+func TestGateCatchesWireCompressionLoss(t *testing.T) {
+	const id = "transport/compression_ratio/tcp/codec=true/p=2/w=1024"
+	check(t, set{id: 1.02}, id)
+}
+
+// The Abs slack absorbs the core-count shift of the local-fabric
+// denominator; a ~4× blow-up of the wire path does not fit in it. The
+// small-payload tax is informational.
+func TestGateCatchesSocketTaxBlowup(t *testing.T) {
+	check(t, set{"transport/socket_tax/p=2/w=1024": 40}, "")
+	check(t, set{"transport/socket_tax/p=2/w=1024": 60.8}, "transport/socket_tax/p=2/w=1024")
+	check(t, set{"transport/socket_tax/p=2/w=64": 400}, "")
+}
+
+// TestGateMissingMetricFails: a bench that silently stops emitting a
+// gated row must not pass; an info row may vanish, and a row only the
+// fresh run has is listed but not gated.
+func TestGateMissingMetricFails(t *testing.T) {
+	cur := fixtures()
+	for _, full := range []string{"bsp/supersteps/cc/p=4", "bsp/time_sec/cc/p=4"} {
+		s, i := metric(cur, full)
+		s.Metrics = slices.Delete(s.Metrics, i, i+1)
+	}
+	s, _ := metric(cur, "bsp/result_mismatches")
+	s.Add(benchsnap.Exact, "supersteps/cc/p=32", 9, -1, 0)
+	if got := regressed(t, fixtures(), cur); !slices.Equal(got, []string{"bsp/supersteps/cc/p=4"}) {
+		t.Fatalf("regressed %v, want exactly the vanished gated row", got)
+	}
+	rows, _ := Compare(writeTree(t, fixtures()), writeTree(t, cur))
+	var sb strings.Builder
+	RenderTable(&sb, rows)
+	for _, want := range []string{
+		"| bsp/supersteps/cc/p=4 | 13 | — | — | **REGRESSION** (exact, missing) |",
+		"| bsp/time_sec/cc/p=4 | 0.000 | — | — | info, missing |",
+		"| bsp/supersteps/cc/p=32 | — | 9 | — | new (no baseline) |",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("table missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestGateIsTheCommittedSides: a fresh file cannot loosen its own gate.
+func TestGateIsTheCommittedSides(t *testing.T) {
+	cur := fixtures()
+	s, i := metric(cur, "service/cache_speedup/cc")
+	s.Metrics[i] = benchsnap.Metric{ID: "cache_speedup/cc", Value: 10.238, Kind: benchsnap.Info}
+	if got := regressed(t, fixtures(), cur); !slices.Equal(got, []string{"service/cache_speedup/cc"}) {
+		t.Fatalf("regressed %v: the fresh side's kind must not ungate the committed metric", got)
 	}
 }
 
 // TestGateMissingCurrentFails: a baseline whose fresh measurement is
-// missing means the bench silently didn't run — that's an error, not a
-// pass.
+// missing means the bench silently didn't run — an error, not a pass.
 func TestGateMissingCurrentFails(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	curFiles := allFixtures()
-	delete(curFiles, "internal/kernels/BENCH_kernels.json")
-	cur := writeTree(t, curFiles)
-	if _, _, err := Compare(base, cur); err == nil {
+	cur := fixtures()
+	delete(cur, "internal/kernels/BENCH_kernels.json")
+	if _, err := Compare(writeTree(t, fixtures()), writeTree(t, cur)); err == nil {
 		t.Fatal("missing current measurement passed")
 	}
 }
 
-// TestGateCatchesFleetCountDrift: the self-heal scenario counts are
-// deterministic, so any drift (here a second failover) is an exact-match
-// failure — no tolerance band.
-func TestGateCatchesFleetCountDrift(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	drift := allFixtures()
-	drift["internal/shard/BENCH_fleet.json"] = strings.Replace(fleetFixture,
-		`"queries_failed_over": 1`, `"queries_failed_over": 2`, 1)
-	cur := writeTree(t, drift)
-	metrics, _, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].File != "fleet" || regs[0].Name != "queries_failed_over" {
-		t.Fatalf("regressions = %+v, want exactly fleet/queries_failed_over", regs)
-	}
-}
-
-// TestGateCatchesWireCompressionLoss: the wire compression ratio is a
-// deterministic property of the payloads and the codec choice, so a
-// collapse toward 1 (codec silently disabled or misnegotiated) is an
-// exact-class failure on any machine.
-func TestGateCatchesWireCompressionLoss(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	flat := allFixtures()
-	flat["internal/transport/BENCH_transport.json"] = strings.Replace(transportFixture,
-		`"compression_ratio": 3.87`, `"compression_ratio": 1.02`, 1)
-	metrics, _, err := Compare(base, writeTree(t, flat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].Name != "compression_ratio/tcp/codec=true/p=2/w=1024" {
-		t.Fatalf("regressions = %+v, want exactly the compression ratio", regs)
-	}
-}
-
-// TestGateCatchesSocketTaxBlowup: the TCP-over-local cost ratio is
-// measured same-machine in one run, so a ~4× blowup of the wire path
-// relative to the in-process fabric must fail even though both raw
-// timings are informational. (Moderate shifts sit inside the gate's
-// Abs slack, which exists to absorb core-count-dependent speedup of
-// the local-fabric denominator across machines.)
-func TestGateCatchesSocketTaxBlowup(t *testing.T) {
-	base := writeTree(t, allFixtures())
-	slow := allFixtures()
-	slow["internal/transport/BENCH_transport.json"] = strings.Replace(transportFixture,
-		`"ns_per_superstep": 15546`, `"ns_per_superstep": 62000`, 1)
-	metrics, _, err := Compare(base, writeTree(t, slow))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(metrics)
-	if len(regs) != 1 || regs[0].Name != "socket_tax/p=2/w=1024" {
-		t.Fatalf("regressions = %+v, want exactly the socket tax", regs)
-	}
-}
-
-// TestGateSkipsMissingBaseline: a baseline not committed yet is
-// skipped, not failed.
+// TestGateSkipsMissingBaseline: a fresh file with no committed baseline
+// yet is not gated, and does not fail the rest.
 func TestGateSkipsMissingBaseline(t *testing.T) {
-	baseFiles := allFixtures()
-	delete(baseFiles, "internal/transport/BENCH_transport.json")
-	base := writeTree(t, baseFiles)
-	cur := writeTree(t, allFixtures())
-	metrics, skipped, err := Compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
+	base := fixtures()
+	delete(base, "internal/transport/BENCH_transport.json")
+	rows, err := Compare(writeTree(t, base), writeTree(t, fixtures()))
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("rows %d, err %v", len(rows), err)
 	}
-	if len(skipped) != 1 || skipped[0] != "internal/transport/BENCH_transport.json" {
-		t.Fatalf("skipped = %v", skipped)
-	}
-	if len(metrics) == 0 {
-		t.Fatal("no metrics from the remaining baselines")
+	for _, r := range rows {
+		if r.File == "transport" {
+			t.Fatalf("row %+v from a file with no baseline", r)
+		}
 	}
 }
 
-// TestRenderTable: the markdown is well-formed and flags the failure.
+// TestRenderTable: the markdown is well-formed, names each row's kind
+// and flags the failure.
 func TestRenderTable(t *testing.T) {
 	var sb strings.Builder
-	RenderTable(&sb, []Metric{
-		{File: "service", Name: "cache_speedup/cc", Base: 20, Cur: 10, Tol: tolRatio, Better: +1, Critical: true},
-		{File: "bsp", Name: "time_sec/cc/p=4", Base: 0.1, Cur: 0.2, Better: -1},
-	}, []string{"internal/kernels/BENCH_kernels.json"})
-	out := sb.String()
-	for _, want := range []string{"**REGRESSION**", "| info |", "skipped (no baseline)", "-50.0%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
+	RenderTable(&sb, []Row{
+		{File: "service", Metric: benchsnap.Metric{ID: "cache_speedup/cc", Value: 20, Kind: benchsnap.Ratio, Better: +1, Tol: 0.4}, Cur: 10},
+		{File: "bsp", Metric: benchsnap.Metric{ID: "supersteps/cc/p=4", Value: 6, Kind: benchsnap.Exact}, Cur: 6},
+		{File: "bsp", Metric: benchsnap.Metric{ID: "time_sec/cc/p=4", Value: 0.1, Kind: benchsnap.Info, Better: -1}, Cur: 0.2},
+	})
+	for _, want := range []string{"| -50.0% | **REGRESSION** (ratio) |", "| +0.0% | exact |", "| +100.0% | info |"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("table missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestCommittedBaselines strictly decodes every committed baseline and
+// checks that each passes its own gate.
+func TestCommittedBaselines(t *testing.T) {
+	paths, _ := filepath.Glob("../../internal/*/BENCH_*.json")
+	if len(paths) < 6 {
+		t.Fatalf("found %d committed baselines, want the six writers'", len(paths))
+	}
+	for _, p := range paths {
+		s, err := benchsnap.Read(p)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		gated := 0
+		for _, r := range compare(s, s) {
+			if r.Gated() {
+				gated++
+			}
+			if r.Regressed() || r.Kind == benchsnap.Ratio && r.Value <= 0 {
+				t.Errorf("%s: %s regresses against itself or is a ratio that did not measure", p, r.ID)
+			}
+		}
+		if gated == 0 || "BENCH_"+s.Name+".json" != filepath.Base(p) {
+			t.Errorf("%s: name %q, %d gated metrics", p, s.Name, gated)
 		}
 	}
 }

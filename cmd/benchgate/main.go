@@ -1,21 +1,18 @@
 // Command benchgate compares freshly measured BENCH_*.json files
-// against the committed baselines and fails (exit 1) when a
-// tagged-critical metric regressed beyond its tolerance — the CI gate
-// that keeps the paper's headline numbers (communication volume,
-// superstep counts, cache and scheduling speedups, allocation counts)
-// from silently eroding.
-//
-// Usage:
+// against the committed baselines and fails (exit 1) when a gated
+// metric regressed — the CI gate that keeps the paper's headline
+// numbers (communication volume, superstep counts, cache and scheduling
+// speedups, allocation counts) from silently eroding.
 //
 //	benchgate -baseline .benchgate/baseline -current .
 //
-// Both directories are repo roots: the tool looks for the same
-// relative BENCH paths under each. Deterministic counts gate at ±15%,
-// same-machine timing ratios at -40%; raw wall-clock values are
-// reported but never gated (CI hardware is not the baseline's
-// hardware). The delta table is printed to stdout and, when
-// -summary or $GITHUB_STEP_SUMMARY names a file, appended there as
-// markdown.
+// Both directories are repo roots: every BENCH_*.json found under
+// -baseline is compared with the file at the same relative path under
+// -current. All files share one schema (internal/benchsnap), and each
+// committed metric names its own gate: exact, count (15%), ratio (40%)
+// or info (never gated). A gated metric missing from the fresh run is a
+// regression. The delta table is printed to stdout and, when -summary
+// or $GITHUB_STEP_SUMMARY names a file, appended there as markdown.
 package main
 
 import (
@@ -39,17 +36,23 @@ func main() {
 		log.Fatal("need -baseline DIR (copy the committed BENCH files aside before re-running benches)")
 	}
 
-	metrics, skipped, err := Compare(*baseline, *current)
+	rows, err := Compare(*baseline, *current)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(metrics) == 0 {
+	if len(rows) == 0 {
 		log.Fatal("no baselines found under -baseline; nothing to gate")
+	}
+	gated, regressed := 0, 0
+	for _, r := range rows {
+		if r.Gated() {
+			gated++
+		}
 	}
 
 	var table strings.Builder
-	fmt.Fprintf(&table, "### benchgate: %d metrics (%d gated)\n\n", len(metrics), countCritical(metrics))
-	RenderTable(&table, metrics, skipped)
+	fmt.Fprintf(&table, "### benchgate: %d metrics (%d gated)\n\n", len(rows), gated)
+	RenderTable(&table, rows)
 	fmt.Print(table.String())
 	if *summary != "" {
 		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -60,22 +63,19 @@ func main() {
 		f.Close()
 	}
 
-	if regs := Regressions(metrics); len(regs) > 0 {
-		for _, m := range regs {
-			log.Printf("REGRESSION %s/%s: baseline %s → current %s (%+.1f%%, tolerance %.0f%%)",
-				m.File, m.Name, fmtVal(m.Base), fmtVal(m.Cur), 100*m.Delta(), 100*m.Tol)
-		}
-		log.Fatalf("FAIL: %d critical metric(s) regressed", len(regs))
-	}
-	log.Printf("PASS: no critical regressions across %d metrics", len(metrics))
-}
-
-func countCritical(ms []Metric) int {
-	n := 0
-	for _, m := range ms {
-		if m.Critical {
-			n++
+	for _, r := range rows {
+		if r.Regressed() {
+			regressed++
+			cur := fmtVal(r.Cur)
+			if r.Missing {
+				cur = "missing"
+			}
+			log.Printf("REGRESSION %s/%s: baseline %s → current %s (%+.1f%%, %s, tolerance %.0f%%)",
+				r.File, r.ID, fmtVal(r.Value), cur, 100*r.Delta(), r.Kind, 100*r.Tol)
 		}
 	}
-	return n
+	if regressed > 0 {
+		log.Fatalf("FAIL: %d gated metric(s) regressed", regressed)
+	}
+	log.Printf("PASS: no regressions across %d metrics (%d gated)", len(rows), gated)
 }

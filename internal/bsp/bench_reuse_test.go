@@ -6,18 +6,17 @@ package bsp_test
 // bench_test.go.
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/benchsnap"
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/mincut"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // BenchmarkMachineReuseSync measures the superstep cost when the machine
@@ -75,23 +74,20 @@ func BenchmarkKernelCCReuse(b *testing.B) {
 	}
 }
 
-// TestMain writes BENCH_bsp.json — a machine-readable snapshot of the
-// end-to-end kernel costs — whenever benchmarks were requested, so CI's
-// bench-smoke job can archive it next to the benchstat text output.
+// TestMain writes BENCH_bsp.json — the end-to-end kernel costs per
+// (algorithm, p) — whenever benchmarks were requested.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && f.Value.String() != "" {
-		if err := writeBenchSnapshot("BENCH_bsp.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
+	os.Exit(benchsnap.Main(m.Run, "BENCH_bsp.json", fillBenchSnapshot))
 }
 
-func writeBenchSnapshot(path string) error {
+// fillBenchSnapshot runs each kernel once per p on the fixed input and
+// seed: supersteps, communication volume and the result are exact under
+// that seed; the T and T_MPI wall-clock split is informational.
+func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 	g := benchGraph()
-	snap := &trace.Snapshot{Name: "bsp-bench"}
+	// The sequential oracles every parallel answer must equal.
+	want := map[string]uint64{"cc": uint64(cc.Sequential(g).Count), "mincut": mincut.StoerWagner(g).Value}
+	mismatches := 0
 	for _, alg := range []string{"cc", "mincut"} {
 		for _, p := range benchPs {
 			var result uint64
@@ -114,23 +110,21 @@ func writeBenchSnapshot(path string) error {
 					}
 				}
 			})
+			elapsed := time.Since(start)
 			if err != nil {
 				return err
 			}
-			snap.Records = append(snap.Records, &trace.Record{
-				Input:      "er_600_3000",
-				Seed:       11,
-				N:          g.N,
-				M:          len(g.Edges),
-				Time:       time.Since(start),
-				MPITime:    st.MaxCommTime,
-				Algorithm:  alg,
-				P:          p,
-				Result:     result,
-				Supersteps: st.Supersteps,
-				CommVolume: st.CommVolume,
-			})
+			if result != want[alg] {
+				mismatches++
+			}
+			k := fmt.Sprintf("%s/p=%d", alg, p)
+			snap.Add(benchsnap.Exact, "result/"+k, float64(result), 0, 0)
+			snap.Add(benchsnap.Exact, "comm_volume/"+k, float64(st.CommVolume), -1, 0)
+			snap.Add(benchsnap.Exact, "supersteps/"+k, float64(st.Supersteps), -1, 0)
+			snap.Add(benchsnap.Info, "time_sec/"+k, elapsed.Seconds(), -1, 0)
+			snap.Add(benchsnap.Info, "mpi_time_sec/"+k, st.MaxCommTime.Seconds(), -1, 0)
 		}
 	}
-	return trace.WriteSnapshotFile(path, snap)
+	snap.Add(benchsnap.Exact, "result_mismatches", float64(mismatches), -1, 0)
+	return nil
 }

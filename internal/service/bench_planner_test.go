@@ -2,10 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
+	"repro/internal/benchsnap"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/planner"
@@ -17,68 +16,17 @@ import (
 //
 //   - high_diameter: on a 100k-edge path at p=16, the planner-selected
 //     CC kernel vs always-label-propagation (the O(d)-superstep baseline
-//     the portfolio exists to displace) — the speedup is a same-machine
-//     ratio, gated;
+//     the portfolio exists to displace) — a same-process ratio;
 //   - small_graph: on a small warm graph, the machine-less shared kernel
 //     vs the default BSP kernel at p=1 — the fixed machine spin-up tax
-//     the p=1 fast path avoids, gated as a ratio;
-//   - lowround: supersteps and communication volume of one pinned
-//     lowround execution — deterministic counts, gated tightly;
+//     the p=1 fast path avoids, a same-process ratio;
+//   - lowround: supersteps, communication volume and components of one
+//     pinned lowround execution — fixed input, seed-free kernel, fixed
+//     p, so exact;
 //   - prediction: the planner's own accounting (win rate, mean
-//     |predicted−actual|/actual) after the runs above.
+//     |predicted−actual|/actual) after the runs above — a measured time
+//     against a model's prediction, so info only (DESIGN §4g).
 // ---------------------------------------------------------------------------
-
-type highDiameterRow struct {
-	Graph string `json:"graph"`
-	N     int    `json:"n"`
-	M     int    `json:"m"`
-	P     int    `json:"p"`
-	// LabelPropNsOp is the pinned always-labelprop baseline;
-	// PlannerNsOp the planner-scheduled run of the same query.
-	LabelPropNsOp int64   `json:"labelprop_ns_op"`
-	PlannerNsOp   int64   `json:"planner_ns_op"`
-	Speedup       float64 `json:"speedup"`
-	ChosenKernel  string  `json:"chosen_kernel"`
-	// PredictedMs vs ActualMs is the cost model's accuracy on one
-	// planner-scheduled execution of this query.
-	PredictedMs float64 `json:"predicted_ms"`
-	ActualMs    float64 `json:"actual_ms"`
-}
-
-type smallGraphRow struct {
-	N int `json:"n"`
-	M int `json:"m"`
-	// BSPNsOp pins the default kernel on a p=1 BSP machine; SharedNsOp
-	// pins the machine-less shared kernel. Both sides are pinned so the
-	// ratio measures execution shape, not a planner choice.
-	BSPNsOp    int64   `json:"bsp_ns_op"`
-	SharedNsOp int64   `json:"shared_ns_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
-type lowRoundRow struct {
-	P          int    `json:"p"`
-	Supersteps int    `json:"supersteps"`
-	CommVolume uint64 `json:"comm_volume"`
-	Components int    `json:"components"`
-}
-
-type predictionRow struct {
-	Decisions  uint64  `json:"decisions"`
-	Executed   uint64  `json:"executed"`
-	Diverged   uint64  `json:"diverged"`
-	Wins       uint64  `json:"wins"`
-	WinRate    float64 `json:"win_rate"`
-	MeanAbsErr float64 `json:"mean_abs_err"`
-	Fallbacks  uint64  `json:"fallbacks"`
-}
-
-type plannerSnapshot struct {
-	HighDiameter highDiameterRow `json:"high_diameter"`
-	SmallGraph   smallGraphRow   `json:"small_graph"`
-	LowRound     lowRoundRow     `json:"lowround"`
-	Prediction   predictionRow   `json:"prediction"`
-}
 
 // plannerPathGraph is the high-diameter workload: a 100001-vertex path,
 // the worst case for diameter-bound label propagation (the statistics
@@ -132,9 +80,7 @@ func benchQuery(e *Engine, req QueryRequest) (testing.BenchmarkResult, error) {
 	}), nil
 }
 
-func writePlannerSnapshot(path string) error {
-	var snap plannerSnapshot
-
+func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	// Plans stay disabled throughout: a warm plan shortcuts every CC
 	// kernel identically (that effect is BENCH_service.json's claim), and
 	// this file compares the kernels themselves.
@@ -177,17 +123,12 @@ func writePlannerSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	snap.HighDiameter = highDiameterRow{
-		Graph: "path", N: pathG.N, M: len(pathG.Edges), P: 16,
-		LabelPropNsOp: lp.NsPerOp(),
-		PlannerNsOp:   pl.NsPerOp(),
-		ChosenKernel:  probe.Result.Kernel.Kernel,
-		PredictedMs:   probe.Result.Kernel.PredictedMs,
-		ActualMs:      probe.Result.Kernel.TimeMs,
-	}
-	if pl.NsPerOp() > 0 {
-		snap.HighDiameter.Speedup = float64(lp.NsPerOp()) / float64(pl.NsPerOp())
-	}
+	snap.Add(benchsnap.Ratio, "high_diameter_speedup", float64(lp.NsPerOp())/float64(pl.NsPerOp()), +1, 0)
+	snap.Add(benchsnap.Info, "high_diameter_labelprop_ns_op", float64(lp.NsPerOp()), -1, 0)
+	snap.Add(benchsnap.Info, "high_diameter_planner_ns_op", float64(pl.NsPerOp()), -1, 0)
+	// The cost model's accuracy on one planner-scheduled execution.
+	snap.Add(benchsnap.Info, "high_diameter_predicted_ms", probe.Result.Kernel.PredictedMs, 0, 0)
+	snap.Add(benchsnap.Info, "high_diameter_actual_ms", probe.Result.Kernel.TimeMs, -1, 0)
 
 	// --- small_graph: pinned default-BSP@p=1 vs pinned shared ---
 	bspRes, err := benchQuery(base, QueryRequest{Graph: "small", Algorithm: AlgCC, Kernel: planner.KernelCCSampling, Processors: 1})
@@ -198,14 +139,9 @@ func writePlannerSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	snap.SmallGraph = smallGraphRow{
-		N: smallG.N, M: len(smallG.Edges),
-		BSPNsOp:    bspRes.NsPerOp(),
-		SharedNsOp: shRes.NsPerOp(),
-	}
-	if shRes.NsPerOp() > 0 {
-		snap.SmallGraph.Speedup = float64(bspRes.NsPerOp()) / float64(shRes.NsPerOp())
-	}
+	snap.Add(benchsnap.Ratio, "small_graph_speedup", float64(bspRes.NsPerOp())/float64(shRes.NsPerOp()), +1, 0)
+	snap.Add(benchsnap.Info, "small_graph_bsp_ns_op", float64(bspRes.NsPerOp()), -1, 0)
+	snap.Add(benchsnap.Info, "small_graph_shared_ns_op", float64(shRes.NsPerOp()), -1, 0)
 
 	// --- lowround: deterministic counts of one pinned execution ---
 	lr, err := base.Query(context.Background(), QueryRequest{
@@ -214,12 +150,9 @@ func writePlannerSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	snap.LowRound = lowRoundRow{
-		P:          lr.Result.Kernel.P,
-		Supersteps: lr.Result.Kernel.Supersteps,
-		CommVolume: lr.Result.Kernel.CommVolume,
-		Components: lr.Result.Components,
-	}
+	snap.Add(benchsnap.Exact, "lowround_supersteps", float64(lr.Result.Kernel.Supersteps), -1, 0)
+	snap.Add(benchsnap.Exact, "lowround_comm_volume", float64(lr.Result.Kernel.CommVolume), -1, 0)
+	snap.Add(benchsnap.Exact, "lowround_components", float64(lr.Result.Components), 0, 0)
 
 	// --- prediction: feed the planner a batch of small unpinned mincut
 	// queries — the divergence with the widest predicted margin (exact
@@ -232,19 +165,11 @@ func writePlannerSnapshot(path string) error {
 		}
 	}
 	ps := pe.Planner().Snapshot()
-	snap.Prediction = predictionRow{
-		Decisions:  ps.Decisions,
-		Executed:   ps.Executed,
-		Diverged:   ps.Diverged,
-		Wins:       ps.Wins,
-		WinRate:    ps.WinRate,
-		MeanAbsErr: ps.MeanAbsErr,
-		Fallbacks:  ps.Fallbacks,
-	}
-
-	data, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	snap.Add(benchsnap.Info, "win_rate", ps.WinRate, +1, 0)
+	snap.Add(benchsnap.Info, "prediction_mean_abs_err", ps.MeanAbsErr, -1, 0)
+	snap.Add(benchsnap.Info, "calibration_fallbacks", float64(ps.Fallbacks), -1, 0)
+	snap.Add(benchsnap.Info, "decisions", float64(ps.Decisions), 0, 0)
+	snap.Add(benchsnap.Info, "diverged", float64(ps.Diverged), 0, 0)
+	snap.Add(benchsnap.Info, "wins", float64(ps.Wins), +1, 0)
+	return nil
 }

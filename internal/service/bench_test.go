@@ -2,13 +2,11 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/benchsnap"
 	"repro/internal/bsp"
 	"repro/internal/dist"
 	"repro/internal/gen"
@@ -162,64 +160,43 @@ func BenchmarkMincutDynamic(b *testing.B) { benchScheduled(b, mincut.SchedDynami
 // BENCH_service.json
 // ---------------------------------------------------------------------------
 
-type throughputRow struct {
-	Algorithm string  `json:"algorithm"`
-	WarmNsOp  int64   `json:"warm_ns_op"`
-	ColdNsOp  int64   `json:"cold_ns_op"`
-	Speedup   float64 `json:"speedup"` // cold/warm: repeated-query throughput gain
-}
-
-type scheduleRow struct {
-	Schedule string `json:"schedule"`
-	WallNs   int64  `json:"wall_ns"` // max worker app time (the critical path)
-	// IdleFraction is 1 − avg/max worker app time: how much of the
-	// critical-path rank's span the other ranks spent waiting.
-	IdleFraction float64 `json:"idle_fraction"`
-	// StragglerTrials is how many trials landed on the artificially
-	// slowed rank (of 16): 16/p under static, ~1 under dynamic once the
-	// claim rounds price the straggler out.
-	StragglerTrials int    `json:"straggler_trials"`
-	CutValue        uint64 `json:"cut_value"`
-}
-
-type serviceSnapshot struct {
-	Throughput []throughputRow `json:"throughput"`
-	Scheduling []scheduleRow   `json:"scheduling"`
-}
-
 func bench(f func(b *testing.B)) testing.BenchmarkResult { return testing.Benchmark(f) }
 
-func scheduleRowOf(name string, sched mincut.Schedule) scheduleRow {
+// fillSchedule measures one schedule at p=4 with a straggling last rank
+// and returns its critical-path wall time (max worker app time). App
+// times are averaged over a few runs to tame timer noise; the straggler
+// trial count (16/p under static, ~1 under dynamic once the claim rounds
+// price the straggler out) is reported from the last run.
+func fillSchedule(snap *benchsnap.Snapshot, name string, sched mincut.Schedule) float64 {
 	g := skewGraph()
-	// App times are averaged over a few runs to tame timer noise; the
-	// straggler trial count is reported from the last run.
 	const reps = 5
-	var row scheduleRow
-	row.Schedule = name
+	var wallNs, idle float64
 	for rep := 0; rep < reps; rep++ {
 		st, res, stragglerTrials := runScheduled(g, sched, 16)
-		row.CutValue = res.Value
-		row.StragglerTrials = stragglerTrials
 		var maxApp, sumApp time.Duration
 		for _, w := range st.Workers {
 			sumApp += w.AppTime
-			if w.AppTime > maxApp {
-				maxApp = w.AppTime
-			}
+			maxApp = max(maxApp, w.AppTime)
 		}
-		row.WallNs += maxApp.Nanoseconds()
-		avg := float64(sumApp) / float64(len(st.Workers))
-		if maxApp > 0 {
-			row.IdleFraction += 1 - avg/float64(maxApp)
+		wallNs += float64(maxApp) / reps
+		// 1 − avg/max worker app time: how much of the critical-path
+		// rank's span the other ranks spent waiting.
+		idle += (1 - float64(sumApp)/float64(len(st.Workers))/float64(maxApp)) / reps
+		if rep == reps-1 {
+			snap.Add(benchsnap.Exact, "cut_value/"+name, float64(res.Value), 0, 0)
+			snap.Add(benchsnap.Info, "straggler_trials/"+name, float64(stragglerTrials), -1, 0)
 		}
 	}
-	row.WallNs /= reps
-	row.IdleFraction /= reps
-	return row
+	snap.Add(benchsnap.Info, "sched_wall_ns/"+name, wallNs, -1, 0)
+	snap.Add(benchsnap.Info, "idle_fraction/"+name, idle, -1, 0)
+	return wallNs
 }
 
-func writeServiceSnapshot(path string) error {
-	var snap serviceSnapshot
+// fillServiceSnapshot measures the warm-plan vs cold repeated-query
+// throughput and the static vs dynamic trial scheduling comparison. Both
+// speedups are same-process ratios (a side that did not measure yields
+// Inf or NaN, which the snapshot write rejects); the cut values are exact.
+func fillServiceSnapshot(snap *benchsnap.Snapshot) error {
 	for _, tc := range []struct {
 		alg string
 		mk  func() *graph.Graph
@@ -228,41 +205,21 @@ func writeServiceSnapshot(path string) error {
 		{AlgMinCut, mincutGraph, mcReq},
 		{AlgCC, ccGraph, ccReq},
 	} {
-		warm := bench(func(b *testing.B) { benchQueries(b, false, tc.mk, tc.req) })
-		cold := bench(func(b *testing.B) { benchQueries(b, true, tc.mk, tc.req) })
-		row := throughputRow{Algorithm: tc.alg, WarmNsOp: warm.NsPerOp(), ColdNsOp: cold.NsPerOp()}
-		if row.WarmNsOp > 0 {
-			row.Speedup = float64(row.ColdNsOp) / float64(row.WarmNsOp)
-		}
-		snap.Throughput = append(snap.Throughput, row)
+		warm := float64(bench(func(b *testing.B) { benchQueries(b, false, tc.mk, tc.req) }).NsPerOp())
+		cold := float64(bench(func(b *testing.B) { benchQueries(b, true, tc.mk, tc.req) }).NsPerOp())
+		snap.Add(benchsnap.Ratio, "cache_speedup/"+tc.alg, cold/warm, +1, 0)
+		snap.Add(benchsnap.Info, "warm_ns_op/"+tc.alg, warm, -1, 0)
+		snap.Add(benchsnap.Info, "cold_ns_op/"+tc.alg, cold, -1, 0)
 	}
-	snap.Scheduling = append(snap.Scheduling,
-		scheduleRowOf("static", mincut.SchedStatic),
-		scheduleRowOf("dynamic", mincut.SchedDynamic),
-	)
-	data, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	static := fillSchedule(snap, "static", mincut.SchedStatic)
+	dynamic := fillSchedule(snap, "dynamic", mincut.SchedDynamic)
+	snap.Add(benchsnap.Ratio, "dynamic_sched_speedup", static/dynamic, +1, 0)
+	return nil
 }
 
-// TestMain writes BENCH_service.json and BENCH_planner.json whenever
-// benchmarks were requested, mirroring the BSP and kernel suites, so
-// CI's bench-smoke job archives the warm/cold throughput, the
-// static/dynamic scheduling comparison, and the planner's portfolio
-// evidence (kernel speedups, deterministic counts, prediction error).
+// TestMain writes BENCH_service.json, then BENCH_planner.json, whenever
+// benchmarks were requested.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && f.Value.String() != "" {
-		if err := writeServiceSnapshot("BENCH_service.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "service bench snapshot:", err)
-			code = 1
-		}
-		if err := writePlannerSnapshot("BENCH_planner.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "planner bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
+	service := func() int { return benchsnap.Main(m.Run, "BENCH_service.json", fillServiceSnapshot) }
+	os.Exit(benchsnap.Main(service, "BENCH_planner.json", fillPlannerSnapshot))
 }

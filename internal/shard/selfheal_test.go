@@ -2,7 +2,6 @@ package shard
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchsnap"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/service"
@@ -524,16 +524,18 @@ func TestJitterBackoff(t *testing.T) {
 
 // --- BENCH_fleet.json ---------------------------------------------------
 
-// fleetBenchRecord is the machine-readable self-healing scorecard CI
-// gates on: the counts are deterministic (the scenario is scripted),
-// the wall-clock fields informational.
+// fleetBenchRecord is the self-healing scorecard CI gates on: the
+// scenario is fully scripted (one peer killed, one failover query, two
+// graphs behind), so a drifting count means the detection, failover or
+// catch-up machinery changed behavior; the wall-clock fields are
+// machine-bound.
 type fleetBenchRecord struct {
-	SuperstepsAborted int     `json:"supersteps_aborted"`
-	QueriesFailedOver int     `json:"queries_failed_over"`
-	CatchupGraphs     int     `json:"catchup_graphs"`
-	FingerprintMatch  int     `json:"fingerprint_match"`
-	DetectionMs       float64 `json:"detection_ms"`
-	RecoveryMs        float64 `json:"recovery_ms"`
+	SuperstepsAborted int
+	QueriesFailedOver int
+	CatchupGraphs     int
+	FingerprintMatch  int
+	DetectionMs       float64
+	RecoveryMs        float64
 }
 
 // runSelfHealScenario executes the scripted kill/failover/respawn
@@ -689,39 +691,21 @@ func TestSelfHealScenarioDeterministic(t *testing.T) {
 	}
 }
 
-// TestMain writes BENCH_fleet.json whenever benchmarks were requested,
-// mirroring the BENCH_transport.json idiom.
+// TestMain writes BENCH_fleet.json whenever benchmarks were requested.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && f.Value.String() != "" {
-		if err := writeFleetBenchSnapshot("BENCH_fleet.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet bench snapshot:", err)
-			code = 1
+	os.Exit(benchsnap.Main(m.Run, "BENCH_fleet.json", func(snap *benchsnap.Snapshot) error {
+		rec, err := runSelfHealScenario()
+		if err != nil {
+			return err
 		}
-	}
-	os.Exit(code)
-}
-
-func writeFleetBenchSnapshot(path string) error {
-	rec, err := runSelfHealScenario()
-	if err != nil {
-		return err
-	}
-	type snapshot struct {
-		Name     string           `json:"name"`
-		Scenario fleetBenchRecord `json:"scenario"`
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snapshot{Name: "fleet-selfheal", Scenario: rec}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		snap.Add(benchsnap.Exact, "supersteps_aborted", float64(rec.SuperstepsAborted), 0, 0)
+		snap.Add(benchsnap.Exact, "queries_failed_over", float64(rec.QueriesFailedOver), 0, 0)
+		snap.Add(benchsnap.Exact, "catchup_graphs", float64(rec.CatchupGraphs), 0, 0)
+		snap.Add(benchsnap.Exact, "fingerprint_match", float64(rec.FingerprintMatch), 0, 0)
+		snap.Add(benchsnap.Info, "detection_ms", rec.DetectionMs, -1, 0)
+		snap.Add(benchsnap.Info, "recovery_ms", rec.RecoveryMs, -1, 0)
+		return nil
+	}))
 }
 
 var _ = transport.CrashExitCode // referenced by the chaos script contract

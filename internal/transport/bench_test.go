@@ -6,17 +6,15 @@ package transport_test
 // TCP fabric runs in two variants — payload codecs on (the default)
 // and off — so the wire-compression win is measurable too. When
 // benchmarks run, TestMain also writes BENCH_transport.json — the
-// machine-readable comparison CI archives, including per-superstep
-// wire/raw byte counts whose ratio the bench gate pins.
+// machine-readable comparison CI archives.
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 
+	"repro/internal/benchsnap"
 	"repro/internal/transport"
 )
 
@@ -141,47 +139,27 @@ func newLoopbackEndpoints(tb testing.TB, p int, disableCodecs bool) ([]transport
 	}
 }
 
-// benchRecord is one line of BENCH_transport.json. Wire-byte fields are
-// TCP-only: WireBytesPerStep is what actually crossed the socket per
-// superstep (summed over ranks), RawBytesPerStep what the same frames
-// would have cost with the raw codec, and CompressionRatio their
-// quotient — deterministic for a fixed payload, so the bench gate pins
-// it tightly.
-type benchRecord struct {
-	Transport        string  `json:"transport"`
-	Codec            bool    `json:"codec"`
-	P                int     `json:"p"`
-	WordsPerPeer     int     `json:"words_per_peer"`
-	NsPerSuperstep   int64   `json:"ns_per_superstep"`
-	MBPerSec         float64 `json:"mb_per_s"`
-	WireBytesPerStep uint64  `json:"wire_bytes_per_superstep,omitempty"`
-	RawBytesPerStep  uint64  `json:"wire_raw_bytes_per_superstep,omitempty"`
-	CompressionRatio float64 `json:"compression_ratio,omitempty"`
-}
-
 // TestMain writes BENCH_transport.json whenever benchmarks were
-// requested, mirroring the BENCH_bsp.json / BENCH_kernels.json idiom.
-// CAMC_NO_BENCH_SNAPSHOT skips the (full-sweep) snapshot so profiling
-// runs can benchmark one combination without paying for all of them.
+// requested.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if os.Getenv("CAMC_NO_BENCH_SNAPSHOT") != "" {
-		os.Exit(code)
-	}
-	if f := flag.Lookup("test.bench"); code == 0 && f != nil && f.Value.String() != "" {
-		if err := writeBenchSnapshot("BENCH_transport.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
+	os.Exit(benchsnap.Main(m.Run, "BENCH_transport.json", fillBenchSnapshot))
 }
 
-func writeBenchSnapshot(path string) error {
-	type snapshot struct {
-		Name       string        `json:"name"`
-		Benchmarks []benchRecord `json:"benchmarks"`
-	}
+// fillBenchSnapshot sweeps local / tcp+codecs / tcp-raw over every (p, w).
+// Throughput is raw wire speed — machine-bound, so informational. What
+// is gated is what survives a machine change: the codec's wire
+// compression ratio (what crossed the socket per superstep, summed over
+// ranks, under what the raw codec would have cost — a property of the
+// payloads and the codec choice) and the socket tax, tcp-with-codecs ns
+// over local ns from the same run. The tax gates only at the 1024-word
+// point: smaller payloads divide by a sub-microsecond local superstep,
+// where timer noise swamps the ratio. Its Abs slack absorbs the
+// core-count shift in the denominator (the in-process fabric speeds up
+// disproportionately on multi-core machines, so the tax reads ~2×
+// higher there than on a 1-vCPU box); what stays gated is the wire path
+// blowing up several-fold relative to the local fabric. A variant that
+// did not measure yields Inf or NaN, which the snapshot write rejects.
+func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 	variants := []struct {
 		kind  string
 		codec bool
@@ -190,16 +168,15 @@ func writeBenchSnapshot(path string) error {
 		{transport.KindTCP, true},
 		{transport.KindTCP, false},
 	}
-	snap := snapshot{Name: "transport-bench"}
 	for _, p := range benchPs {
 		p := p
 		for _, w := range benchWords {
 			w := w
+			var localNs, tcpNs float64
 			for _, v := range variants {
 				v := v
 				var failed error
 				var wire, raw uint64
-				var iters int
 				res := testing.Benchmark(func(b *testing.B) {
 					var eps []transport.Endpoint
 					var sessions []*transport.Session
@@ -223,7 +200,7 @@ func writeBenchSnapshot(path string) error {
 					// driveAllToAll returns only after every rank finished
 					// its Exchange barriers, so the send-side counters are
 					// settled; snapshot the last (largest-N) run.
-					wire, raw, iters = 0, 0, b.N
+					wire, raw = 0, 0
 					for _, s := range sessions {
 						wire += s.WireBytes()
 						raw += s.WireRawBytes()
@@ -232,37 +209,24 @@ func writeBenchSnapshot(path string) error {
 				if failed != nil {
 					return failed
 				}
-				rec := benchRecord{
-					Transport:      v.kind,
-					Codec:          v.codec,
-					P:              p,
-					WordsPerPeer:   w,
-					NsPerSuperstep: res.NsPerOp(),
+				k := fmt.Sprintf("%s/codec=%v/p=%d/w=%d", v.kind, v.codec, p, w)
+				ns := float64(res.NsPerOp())
+				snap.Add(benchsnap.Info, "ns_per_superstep/"+k, ns, -1, 0)
+				snap.Add(benchsnap.Info, "mb_per_s/"+k, float64(p*(p-1)*w*8)/ns*1e9/(1<<20), +1, 0)
+				switch {
+				case v.kind == transport.KindLocal:
+					localNs = ns
+				case v.codec:
+					tcpNs = ns
+					snap.Add(benchsnap.Count, "compression_ratio/"+k, float64(raw)/float64(wire), +1, 0)
 				}
-				if res.NsPerOp() > 0 {
-					bytes := float64(p * (p - 1) * w * 8)
-					rec.MBPerSec = bytes / float64(res.NsPerOp()) * 1e9 / (1 << 20)
-				}
-				if v.kind == transport.KindTCP && iters > 0 {
-					rec.WireBytesPerStep = wire / uint64(iters)
-					rec.RawBytesPerStep = raw / uint64(iters)
-					if rec.WireBytesPerStep > 0 {
-						rec.CompressionRatio = float64(rec.RawBytesPerStep) / float64(rec.WireBytesPerStep)
-					}
-				}
-				snap.Benchmarks = append(snap.Benchmarks, rec)
 			}
+			kind := benchsnap.Info
+			if w == 1024 {
+				kind = benchsnap.Ratio
+			}
+			snap.Add(kind, fmt.Sprintf("socket_tax/p=%d/w=%d", p, w), tcpNs/localNs, -1, 30)
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }

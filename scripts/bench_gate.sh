@@ -6,26 +6,18 @@
 #
 #   BENCHTIME=0.5s scripts/bench_gate.sh
 #
-# Run from the repo root on a clean checkout: the baselines are taken
-# from the working tree, which in CI is the committed state.
+# Run from the repo root on a clean checkout: the baselines are every
+# tracked internal/*/BENCH_*.json as it stands in the working tree, which
+# in CI is the committed state. benchgate finds them under $BASE itself;
+# a new writer needs no entry here beyond its `go test` line.
 set -euo pipefail
 
 BASE=${BASE:-.benchgate/baseline}
 BENCHTIME=${BENCHTIME:-0.5s}
 
-files=(
-  internal/service/BENCH_service.json
-  internal/service/BENCH_planner.json
-  internal/bsp/BENCH_bsp.json
-  internal/kernels/BENCH_kernels.json
-  internal/transport/BENCH_transport.json
-  internal/shard/BENCH_fleet.json
-)
-
 rm -rf "$BASE"
 found=0
-for f in "${files[@]}"; do
-  [ -f "$f" ] || continue
+for f in $(git ls-files 'internal/*/BENCH_*.json'); do
   mkdir -p "$BASE/$(dirname "$f")"
   cp "$f" "$BASE/$f"
   found=$((found + 1))
