@@ -28,10 +28,12 @@ vet:
 # union-finds from the one pool concurrent queries share; mincut's trial
 # arenas come from a sync.Pool shared the same way and its dynamic trial
 # scheduling claims chunks across ranks, on streams from rng (-short
-# there only shrinks the statistical admission test's seed count).
+# there only shrinks the statistical admission test's seed count). graph
+# is where those shared pools live: the UnionFind and Remap every
+# concurrent query checks out are handed between goroutines there.
 race:
 	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/... \
-		./internal/approxcut/... ./internal/sparsify/...
+		./internal/approxcut/... ./internal/sparsify/... ./internal/graph/...
 	$(GO) test -race -short . ./internal/mincut/... ./internal/rng/...
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build
@@ -91,8 +93,9 @@ bench-bsp:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/bsp/
 
 # Kernel-layer microbenchmarks: radix sort vs comparison sort, the fused
-# sort+combine, arena vs clone-per-node Karger–Stein, and dense-vs-map
-# remaps (also writes internal/kernels/BENCH_kernels.json).
+# sort+combine, arena vs clone-per-node Karger–Stein, dense-vs-map
+# remaps, and the rank-free union-find vs the textbook one (also writes
+# internal/kernels/BENCH_kernels.json).
 bench-kernels:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/kernels/
 

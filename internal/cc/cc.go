@@ -80,7 +80,9 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	const root = 0
 
 	// The root tracks the label of each original vertex; its per-round
-	// labelling and broadcast payload are hoisted out of the loop.
+	// labelling is hoisted out of the loop. The broadcast payload g is
+	// allocated by the first round that sends it: an exact round — the
+	// only one, when every rank holds its whole slice — never does.
 	var comp, labels, lscratch []int32
 	var g []uint64
 	if c.Rank() == root {
@@ -90,7 +92,6 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		}
 		labels = make([]int32, n)
 		lscratch = make([]int32, n)
-		g = make([]uint64, n)
 	}
 	uf := graph.GetUnionFind(n)
 	defer graph.PutUnionFind(uf)
@@ -118,13 +119,10 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		exact := sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
 
 		// Root: label the sampled graph's components over the current
-		// label space, giving the mapping g from old to new labels.
+		// label space, the mapping from old to new labels.
 		if c.Rank() == root {
 			uf.LabelsInto(labels, lscratch)
 			c.Ops(uint64(n))
-			for i, l := range labels {
-				g[i] = uint64(uint32(l))
-			}
 			for v := range comp {
 				comp[v] = labels[comp[v]]
 			}
@@ -133,6 +131,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		// no edge would survive the relabelling, comp is the answer.
 		if exact {
 			break
+		}
+		if g == nil && c.Rank() == root {
+			g = make([]uint64, n)
+		}
+		for i, l := range labels { // the root's alone: nil elsewhere
+			g[i] = uint64(uint32(l))
 		}
 		gw := c.Broadcast(root, g)
 

@@ -39,27 +39,8 @@ func SharedAdaptive(g *graph.Graph) *Result {
 		return &Result{Labels: []int32{}, Count: 0}
 	}
 	c := graph.BuildCSR(g)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-	}
+	uf := graph.GetUnionFind(n)
+	defer graph.PutUnionFind(uf)
 
 	// Phase 1: neighbor sampling — link each vertex to its first
 	// sharedLinkRounds neighbors.
@@ -67,7 +48,7 @@ func SharedAdaptive(g *graph.Graph) *Result {
 		for v := int32(0); int(v) < n; v++ {
 			nb := c.Neighbors(v)
 			if r < len(nb) {
-				union(v, nb[r])
+				uf.Union(v, nb[r])
 			}
 		}
 	}
@@ -79,7 +60,7 @@ func SharedAdaptive(g *graph.Graph) *Result {
 	}
 	counts := make(map[int32]int, sharedProbeSize)
 	for v := 0; v < n; v += stride {
-		counts[find(int32(v))]++
+		counts[uf.Find(int32(v))]++
 	}
 	giant, best := int32(-1), 0
 	for root, k := range counts {
@@ -90,13 +71,13 @@ func SharedAdaptive(g *graph.Graph) *Result {
 
 	// Phase 2: scan the remaining adjacency of non-giant vertices only.
 	for v := int32(0); int(v) < n; v++ {
-		if find(v) == giant {
+		if uf.Find(v) == giant {
 			continue
 		}
 		nb := c.Neighbors(v)
 		if len(nb) > sharedLinkRounds {
 			for _, w := range nb[sharedLinkRounds:] {
-				union(v, w)
+				uf.Union(v, w)
 			}
 		}
 	}
@@ -104,7 +85,7 @@ func SharedAdaptive(g *graph.Graph) *Result {
 	res := &Result{Labels: make([]int32, n)}
 	remap := graph.GetRemap(n)
 	for v := int32(0); int(v) < n; v++ {
-		res.Labels[v] = remap.Of(find(v))
+		res.Labels[v] = remap.Of(uf.Find(v))
 	}
 	res.Count = remap.Len()
 	graph.PutRemap(remap)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -170,4 +171,38 @@ func TestLabelPartitionsAgree(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPooledUnionFindConcurrent is what `make race` watches in this
+// package: concurrent queries check union-finds and remaps out of the two
+// pools defined here, so a structure handed back while still in use, or
+// one Reset leaves dirty, shows as a race or a wrong labelling.
+func TestPooledUnionFindConcurrent(t *testing.T) {
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				n := 16 + (w*rounds+r)%48
+				uf, remap := GetUnionFind(n), GetRemap(n)
+				for v := int32(2); int(v) < n; v++ {
+					uf.Union(v, v-2) // evens and odds: two components
+				}
+				for v := int32(0); int(v) < n; v++ {
+					if got := remap.Of(uf.Find(v)); got != v%2 {
+						t.Errorf("worker %d round %d: vertex %d labelled %d", w, r, v, got)
+						break
+					}
+				}
+				if uf.Count() != 2 {
+					t.Errorf("worker %d round %d: Count = %d, want 2", w, r, uf.Count())
+				}
+				PutRemap(remap)
+				PutUnionFind(uf)
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -2,12 +2,20 @@ package graph
 
 import "sync"
 
-// UnionFind is a disjoint-set forest with union by rank and path
-// compression. It backs the root's connected-components computation in
-// iterated sampling and the prefix-selection step of bulk contraction.
+// UnionFind is a rank-free disjoint-set forest: Rem's algorithm with
+// splicing (Patwary, Blair and Manne, SEA 2010). Sets link by index —
+// parent[v] ≤ v always — and Union walks both endpoints at once, so an
+// edge inside an already-merged set costs two loads and a compare
+// instead of two climbs to the root. Any linking order with compaction
+// is O(log n) amortised per operation on every numbering and edge order.
+// It backs the per-rank forest contraction of connected components and
+// approximate cut, and the prefix selection of bulk contraction.
+//
+// Which member represents a set is unspecified (it is not the textbook
+// union-by-rank root). Read components through Labels/LabelsInto, whose
+// first-appearance numbering does not depend on it.
 type UnionFind struct {
 	parent []int32
-	rank   []int8
 	count  int // number of disjoint sets
 }
 
@@ -18,51 +26,56 @@ func NewUnionFind(n int) *UnionFind {
 	return uf
 }
 
-// Reset restores the structure to n singleton sets, reusing the backing
-// arrays when their capacity allows — the arena path of the contraction
+// Reset restores the structure to n singleton sets, reusing the parent
+// array when its capacity allows — the arena path of the contraction
 // kernels, which burn through one union-find per recursion node.
 func (uf *UnionFind) Reset(n int) {
 	if cap(uf.parent) >= n {
 		uf.parent = uf.parent[:n]
-		uf.rank = uf.rank[:n]
 	} else {
 		uf.parent = make([]int32, n)
-		uf.rank = make([]int8, n)
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
-		uf.rank[i] = 0
 	}
 	uf.count = n
 }
 
-// Find returns the representative of x's set.
+// Find returns the representative of x's set, halving the path it climbs.
 func (uf *UnionFind) Find(x int32) int32 {
-	root := x
-	for uf.parent[root] != root {
-		root = uf.parent[root]
+	p := uf.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
 	}
-	for uf.parent[x] != root {
-		uf.parent[x], x = root, uf.parent[x]
-	}
-	return root
+	return x
 }
 
 // Union merges the sets of x and y; it reports whether they were distinct.
+// The endpoint whose parent has the higher index climbs, re-pointed at
+// the other's (lower) parent as it goes — the splice — until the two
+// parents meet (same set) or the climber is a root, which is then linked.
 func (uf *UnionFind) Union(x, y int32) bool {
-	rx, ry := uf.Find(x), uf.Find(y)
-	if rx == ry {
-		return false
+	p := uf.parent
+	px, py := p[x], p[y]
+	for px != py {
+		if px > py {
+			p[x] = py
+			if x == px {
+				uf.count--
+				return true
+			}
+			x, px = px, p[px]
+		} else {
+			p[y] = px
+			if y == py {
+				uf.count--
+				return true
+			}
+			y, py = py, p[py]
+		}
 	}
-	if uf.rank[rx] < uf.rank[ry] {
-		rx, ry = ry, rx
-	}
-	uf.parent[ry] = rx
-	if uf.rank[rx] == uf.rank[ry] {
-		uf.rank[rx]++
-	}
-	uf.count--
-	return true
+	return false
 }
 
 // Count returns the current number of disjoint sets.
