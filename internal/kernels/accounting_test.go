@@ -85,7 +85,7 @@ func acctCases() []acctCase {
 }
 
 // ws256G is the shape benchmark/'s mincut_batch solves: Watts–Strogatz
-// n=256, k=12, β=0.3, unit weights — 686 trials at success 0.9, run in
+// n=256, k=12, β=0.3, unit weights — 92 trials at success 0.9, run in
 // full at p ≤ 2 (the replicated regime the benchmark times).
 var ws256G = gen.WattsStrogatz(256, 12, 0.3, 19, gen.Config{})
 
@@ -190,7 +190,10 @@ func acctCasesFor(ps ...int) []acctCase {
 // rows (er96 p ≤ 4, ws256) did not move at all — a trial there sends
 // nothing — and the group-regime row fell because its recursion now
 // ends at the larger base case (mincut/er96/p=8 ss 125 → 81, vol
-// 28698 → 20362). The samplesort and lp rows are the pre-overhaul ones.
+// 28698 → 20362). The ws256 rows ran 686 trials when they were generated
+// and run 92 since Trials evaluates the recursion's success recurrence;
+// none moved, for the same reason. The samplesort and lp rows are the
+// pre-overhaul ones.
 var acctGolden = map[string]string{
 	"cc/er400/p=1":                  "ss=2 vol=1 hrel=692558b056101a44 res=12197969927824375844",
 	"mincut/er96/p=1":               "ss=7 vol=1541 hrel=3f75a9f3bfba16ad res=9",

@@ -461,6 +461,13 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	snap.Add(benchsnap.Info, "ks_arena_ns_op", float64(arena.NsPerOp()), -1, 0)
 	snap.Add(benchsnap.Info, "ks_clone_ns_op", float64(clone.NsPerOp()), -1, 0)
 
+	// The trial count is the multiplier under every minimum-cut timing
+	// and a pure function of (n, m, p): pinned on the benchmark's input
+	// (eager target at the exact base case) and on one whose recursion
+	// branches, so a changed success bound is a gated diff.
+	snap.Add(benchsnap.Exact, "trials/ws256_m1536_p0.9", float64(mincut.Trials(256, 1536, 0.9)), -1, 0)
+	snap.Add(benchsnap.Exact, "trials/er600_m3000_p0.9", float64(mincut.Trials(600, 3000, 0.9)), -1, 0)
+
 	const n = 1 << 16
 	labels := make([]int32, n)
 	stR := rng.New(5, 0, 0)

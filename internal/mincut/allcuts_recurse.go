@@ -77,10 +77,7 @@ func ksRecurseAll(a *ksArena, m *graph.Matrix, st *rng.Stream) (uint64, [][]bool
 	if n <= allCutsBaseSize {
 		return bruteForceAll(m)
 	}
-	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
-	if t >= n {
-		t = n - 1
-	}
+	t := recursionTarget(n)
 	best := uint64(math.MaxUint64)
 	seen := map[string]bool{}
 	var sides [][]bool

@@ -99,6 +99,6 @@ func AchievedProb(n, m, trials int) float64 {
 		// that one completed trial meets any target.
 		return 1
 	}
-	q := perTrialSuccess(n, m)
+	q := perTrialSuccess(n, m, BaseCaseSize)
 	return 1 - math.Pow(1-q, float64(trials))
 }

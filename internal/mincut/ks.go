@@ -13,9 +13,10 @@ import (
 // two contract-and-recurse branches below it well above that: whole-
 // solve time, measured at every size the recursion visits, falls
 // monotonically up to this value and is flat beyond it (table in
-// DESIGN.md). An exact answer on a larger sub-problem only raises
-// Lemma 2.2's per-run success, so Trials is unaffected. The same
-// constant ends the processor-group recursion of recursiveDistributed.
+// DESIGN.md). An exact leaf never misses a cut that reached it, which
+// is what recursionSuccess — and through it Trials — is computed from.
+// The same constant ends the processor-group recursion of
+// recursiveDistributed.
 const BaseCaseSize = 41
 
 // exactCut's member sets are one-word bitmasks.
@@ -251,10 +252,7 @@ func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 	if n <= BaseCaseSize {
 		return a.exactCut(m)
 	}
-	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
-	if t >= n {
-		t = n - 1
-	}
+	t := recursionTarget(n)
 	bestVal := uint64(math.MaxUint64)
 	var bestSide []bool
 	for branch := 0; branch < 2; branch++ {
@@ -291,23 +289,13 @@ func ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 
 // KargerSteinTrials returns the number of independent recursive
 // contraction runs needed to find a minimum cut with probability at least
-// successProb, using the Ω(1/log n) per-run success bound of Lemma 2.2.
+// successProb, from the same per-run bound (recursionSuccess) the
+// Eager+Recursive trial count uses — the two counts stay comparable.
 func KargerSteinTrials(n int, successProb float64) int {
 	if n < 8 {
 		return 1
 	}
-	if successProb <= 0 {
-		successProb = 0.9
-	}
-	if successProb >= 1 {
-		successProb = 1 - 1e-9
-	}
-	perRun := 1 / (2 * math.Log(float64(n)))
-	t := int(math.Ceil(math.Log(1/(1-successProb)) / perRun))
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return repetitions(recursionSuccess(n, BaseCaseSize), successProb, 1)
 }
 
 // KargerStein computes a global minimum cut with probability at least

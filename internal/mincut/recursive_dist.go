@@ -235,10 +235,7 @@ func recursiveDistributed(c *bsp.Comm, blk *dist.MatrixBlock, st *rng.Stream) (u
 	}
 
 	// Each half independently contracts its copy to t and recurses.
-	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
-	if t >= n {
-		t = n - 1
-	}
+	t := recursionTarget(n)
 	cblk, mapping := denseContractTo(sub, myBlk, t, st.Derive(uint32(2*n+color)))
 	val, side := recursiveDistributed(sub, cblk, st)
 	sub.Close()

@@ -404,6 +404,36 @@ func TestSequentialDisconnectedIsZero(t *testing.T) {
 	}
 }
 
+// TestRecursionSuccess pins the bound Trials is computed from: it is
+// certain wherever the recursion solves exactly, it never promises less
+// than the closed form 1/(2·ln k) it replaced (so no trial count grew),
+// and it equals the induction done by hand one level above the leaves:
+// 56 → t = 41, s = 41·40/(56·55), 1 − (1 − s)² = 0.7814.
+func TestRecursionSuccess(t *testing.T) {
+	for _, base := range []int{allCutsBaseSize, BaseCaseSize} {
+		for k := 0; k <= base; k++ {
+			if p := recursionSuccess(k, base); p != 1 {
+				t.Fatalf("recursionSuccess(%d, %d) = %v, want 1 at and below the base", k, base, p)
+			}
+		}
+		for k := base + 1; k <= 100000; k++ {
+			p := recursionSuccess(k, base)
+			if closed := 1 / (2 * math.Log(float64(k))); p < closed || p >= 1 {
+				t.Fatalf("recursionSuccess(%d, %d) = %.4f outside [closed form %.4f, 1)", k, base, p, closed)
+			}
+		}
+	}
+	if p := recursionSuccess(56, BaseCaseSize); math.Abs(p-0.7814) > 5e-5 {
+		t.Errorf("recursionSuccess(56, %d) = %.5f, want 0.7814", BaseCaseSize, p)
+	}
+	for n := 2; n <= 1000; n++ {
+		want := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
+		if got := recursionTarget(n); got != min(want, n-1) {
+			t.Fatalf("recursionTarget(%d) = %d, want min(⌈n/√2⌉+1 = %d, n-1)", n, got, want)
+		}
+	}
+}
+
 func TestTrialsFormula(t *testing.T) {
 	// More trials for sparser graphs (n²/m factor).
 	sparse := Trials(1000, 2000, 0.9)
@@ -419,6 +449,18 @@ func TestTrialsFormula(t *testing.T) {
 	}
 	if Trials(4, 10, 0.9) != 1 {
 		t.Error("tiny graphs should use a single trial")
+	}
+	// The benchmark's input and one whose recursion branches once.
+	if got := Trials(256, 1536, 0.9); got != 92 {
+		t.Errorf("Trials(256, 1536, 0.9) = %d, want 92", got)
+	}
+	if got := Trials(600, 3000, 0.9); got != 344 {
+		t.Errorf("Trials(600, 3000, 0.9) = %d, want 344", got)
+	}
+	// The all-cuts count recurses to its own, smaller base: at an eager
+	// target of 41 it may not assume the leaf is already exact.
+	if p := perTrialSuccess(256, 1536, allCutsBaseSize); p >= perTrialSuccess(256, 1536, BaseCaseSize) {
+		t.Errorf("all-cuts per-trial bound %.4f is not below the single-cut one", p)
 	}
 }
 

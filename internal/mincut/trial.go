@@ -58,20 +58,54 @@ func sequentialTrial(a *ksArena, g *graph.Graph, st *rng.Stream) (uint64, []bool
 	return val, lifted, ops
 }
 
-// perTrialSuccess lower-bounds the probability that one Eager+Recursive
-// trial finds a particular minimum cut: the cut survives the eager
-// contraction to ⌈√m⌉+1 vertices with probability at least ~m/n²
-// (Lemma 2.1), and one recursive contraction run finds a surviving cut
-// with probability at least 1/Θ(log n) (Lemma 2.2).
-func perTrialSuccess(n, m int) float64 {
-	tv := float64(eagerTarget(m))
-	nn := float64(n)
-	survive := tv * (tv - 1) / (nn * (nn - 1))
-	if survive > 1 {
-		survive = 1
+// recursionTarget is the vertex count one recursive-contraction branch
+// contracts an n-vertex graph to: ⌈n/√2⌉+1 (§2.4), clamped so a branch
+// always contracts at least one edge. Every recursion in the package —
+// ksRecurse, ksRecurseAll, recursiveDistributed — and the bound that
+// describes them, recursionSuccess, take their target from here.
+func recursionTarget(n int) int {
+	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
+	if t >= n {
+		t = n - 1
 	}
-	recurse := 1 / (2 * math.Log(tv+1))
-	return survive * recurse
+	return t
+}
+
+// contractionSurvival lower-bounds the probability that a particular
+// minimum cut survives random contraction from k vertices down to t
+// (Lemma 2.1; an equality on cycles).
+func contractionSurvival(k, t int) float64 {
+	return float64(t) * float64(t-1) / (float64(k) * float64(k-1))
+}
+
+// recursionSuccess lower-bounds the probability that one run of
+// recursive contraction on k vertices, solving exactly at or below base
+// vertices, reports a particular minimum cut. It is Lemma 2.2's own
+// induction evaluated rather than bounded again by 1/Θ(log k): a leaf
+// never misses a cut that reached it, a branch keeps the cut through its
+// contraction to t = recursionTarget(k) vertices with probability at
+// least contractionSurvival(k, t), and the run fails only if both
+// independent branches do. O(log k) evaluations: the two branches share
+// one value.
+func recursionSuccess(k, base int) float64 {
+	if k <= base {
+		return 1
+	}
+	t := recursionTarget(k)
+	miss := 1 - contractionSurvival(k, t)*recursionSuccess(t, base)
+	return 1 - miss*miss
+}
+
+// perTrialSuccess lower-bounds the probability that one Eager+Recursive
+// trial whose recursion solves exactly at base vertices finds a
+// particular minimum cut: the cut survives the eager contraction to
+// t̄ = ⌈√m⌉+1 vertices with probability at least t̄(t̄−1)/(n(n−1)) ~ m/n²
+// (Lemma 2.1), and one recursive contraction run on the min(t̄, n)
+// vertices left finds a surviving cut with probability at least
+// recursionSuccess (Lemma 2.2).
+func perTrialSuccess(n, m, base int) float64 {
+	t := min(eagerTarget(m), n)
+	return contractionSurvival(n, t) * recursionSuccess(t, base)
 }
 
 func clampSuccessProb(p float64) float64 {
@@ -84,6 +118,14 @@ func clampSuccessProb(p float64) float64 {
 	return p
 }
 
+// repetitions returns how many independent runs, each finding any one
+// particular minimum cut with probability at least q, find all of cuts
+// such cuts with probability successProb (a union bound; cuts = 1 asks
+// for the minimum value only).
+func repetitions(q, successProb, cuts float64) int {
+	return max(1, int(math.Ceil(math.Log(cuts/(1-clampSuccessProb(successProb)))/q)))
+}
+
 // Trials returns the number of independent Eager+Recursive trials needed
 // to find a minimum cut with probability successProb; the product of the
 // Lemma 2.1/2.2 bounds yields the paper's Θ((n²/m)·polylog n) count.
@@ -91,30 +133,20 @@ func Trials(n, m int, successProb float64) int {
 	if n < 8 || m == 0 {
 		return 1
 	}
-	successProb = clampSuccessProb(successProb)
-	q := perTrialSuccess(n, m)
-	t := int(math.Ceil(math.Log(1/(1-successProb)) / q))
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return repetitions(perTrialSuccess(n, m, BaseCaseSize), successProb, 1)
 }
 
 // allCutsTrials returns the trial count needed to find *every* minimum
 // cut with probability successProb: a union bound over the at most
-// n(n-1)/2 minimum cuts (Lemma 4.3).
+// n(n-1)/2 minimum cuts (Lemma 4.3). The per-trial bound is the
+// tie-preserving recursion's own — ksRecurseAll branches down to
+// allCutsBaseSize, so a cut that reaches 41 vertices is not yet found.
 func allCutsTrials(n, m int, successProb float64) int {
 	if n < 2 || m == 0 {
 		return 1
 	}
-	successProb = clampSuccessProb(successProb)
-	q := perTrialSuccess(n, m)
 	numCuts := float64(n) * float64(n-1) / 2
-	t := int(math.Ceil(math.Log(numCuts/(1-successProb)) / q))
-	if t < 8 {
-		t = 8
-	}
-	return t
+	return max(8, repetitions(perTrialSuccess(n, m, allCutsBaseSize), successProb, numCuts))
 }
 
 // denseRegime reports whether the graph is dense enough (m ≥ n²/log n,
