@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -79,14 +80,11 @@ func goldenStats() EngineStats {
 	}
 }
 
-// TestMetricsGolden pins the Prometheus exposition format byte for
-// byte. Regenerate with -update-golden after intentional changes.
-func TestMetricsGolden(t *testing.T) {
-	var buf bytes.Buffer
-	WriteMetrics(&buf, goldenStats())
-	got := buf.String()
-
-	path := filepath.Join("testdata", "metrics.golden")
+// checkGolden compares got with testdata/<name> byte for byte.
+// Regenerate with -update-golden after intentional changes.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -100,8 +98,24 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update-golden to create)", err)
 	}
 	if got != string(want) {
-		t.Fatalf("exposition drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
+}
+
+// TestMetricsGolden pins the Prometheus exposition format byte for
+// byte.
+func TestMetricsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	WriteMetrics(&buf, goldenStats())
+	checkGolden(t, "metrics.golden", buf.String())
+}
+
+// TestStatsGolden pins the /v1/stats JSON document — field names, order
+// and number formatting — rendered the way the endpoint renders it.
+func TestStatsGolden(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, goldenStats())
+	checkGolden(t, "stats.golden", rec.Body.String())
 }
 
 // TestMetricsRendersIdenticallyTwice guards determinism directly: two

@@ -3,10 +3,13 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -352,5 +355,58 @@ func TestFleetWireDropFault(t *testing.T) {
 	sresp.Body.Close()
 	if st.Queries.Totals.TransportLost != 1 {
 		t.Fatalf("transport_lost = %d, want 1", st.Queries.Totals.TransportLost)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
+
+// TestFrontendStatsGolden pins the frontend's merged /v1/stats document
+// over canned worker replies: two shard leaders (whose totals and
+// per-transport aggregates sum into the fleet view) and one replica
+// (listed, never summed). Worker URLs are rewritten to stable names.
+func TestFrontendStatsGolden(t *testing.T) {
+	serve := func(path string) string {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/stats" {
+				http.NotFound(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(doc)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	leader0 := serve(filepath.Join("..", "service", "testdata", "stats.golden"))
+	leader1 := serve(filepath.Join("testdata", "leader1_stats.json"))
+	replica0 := serve(filepath.Join("testdata", "leader1_stats.json"))
+	fe, err := NewFrontend([][]string{{leader0, replica0}, {leader1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	fe.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	got := strings.NewReplacer(leader0, "http://leader0", replica0, "http://replica0", leader1, "http://leader1").
+		Replace(rec.Body.String())
+
+	path := filepath.Join("testdata", "frontend_stats.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("merged stats drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
