@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench-build check chaos chaos-fleet lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
+.PHONY: all build test vet race bench-build check loc chaos chaos-fleet lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
 
 all: check
 
@@ -30,10 +30,13 @@ vet:
 # scheduling claims chunks across ranks, on streams from rng (-short
 # there only shrinks the statistical admission test's seed count). graph
 # is where those shared pools live: the UnionFind and Remap every
-# concurrent query checks out are handed between goroutines there.
+# concurrent query checks out are handed between goroutines there. trace's
+# Collector is the one mutex every query of a process crosses, and
+# backoff's generator is drawn from request goroutines.
 race:
 	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/... \
-		./internal/approxcut/... ./internal/sparsify/... ./internal/graph/...
+		./internal/approxcut/... ./internal/sparsify/... ./internal/graph/... \
+		./internal/trace/... ./internal/backoff/...
 	$(GO) test -race -short . ./internal/mincut/... ./internal/rng/...
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build
@@ -44,6 +47,11 @@ bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null .
 
 check: build vet test race bench-build
+
+# Non-test / test Go lines per package of the root module, plus the
+# ROADMAP item 6 budget line (service + shard + transport + benchgate).
+loc:
+	@bash scripts/loc.sh
 
 # Chaos suite: fault injection, cancellation races, abort cascades, and
 # degraded-result delivery, run twice under the race detector to shake

@@ -19,8 +19,8 @@ import (
 // block r of g.Edges in place — the born-distributed edge array the
 // library hands its own kernels, so nothing timed against them pays for a
 // scatter they do not pay for.
-func onBlocks(p int, cost bsp.CostModel, g *graph.Graph, body func(c *bsp.Comm, local []graph.Edge)) *bsp.Stats {
-	st, err := bsp.RunWithCost(p, cost, func(c *bsp.Comm) {
+func onBlocks(p int, g *graph.Graph, body func(c *bsp.Comm, local []graph.Edge)) *bsp.Stats {
+	st, err := bsp.Run(p, func(c *bsp.Comm) {
 		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
 		body(c, g.Edges[lo:hi])
 	})
@@ -67,7 +67,7 @@ func ccStrongScaling(e *env, g *graph.Graph) {
 		// PBGL-style label propagation on the BSP machine.
 		lpTimes := make([]float64, e.runs)
 		for r := range lpTimes {
-			lpTimes[r] = onBlocks(p, bsp.CostModel{}, g, func(c *bsp.Comm, local []graph.Edge) {
+			lpTimes[r] = onBlocks(p, g, func(c *bsp.Comm, local []graph.Edge) {
 				cc.LabelPropagation(c, g.N, local)
 			}).Total().Seconds()
 		}

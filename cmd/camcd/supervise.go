@@ -19,11 +19,13 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/faults"
 	"repro/internal/transport"
 )
@@ -64,7 +66,8 @@ func runSupervisor(baseIncarnation uint64) {
 	}()
 
 	stripFaults := false
-	backoff := superviseBackoffBase
+	respawn := backoff.New(superviseBackoffBase, superviseBackoffCap, int64(inc))
+	crashes := 0 // consecutive start-up crashes: the backoff attempt
 	for generation := 1; ; generation++ {
 		args := childArgs(os.Args[1:], inc, stripFaults)
 		cmd := exec.Command(self, args...)
@@ -92,14 +95,13 @@ func runSupervisor(baseIncarnation uint64) {
 			log.Printf("supervise: worker died: %v", err)
 		}
 		if time.Since(start) > superviseStableAfter {
-			backoff = superviseBackoffBase
+			crashes = 0
 		}
 		inc++
-		log.Printf("supervise: respawning as incarnation %d in %v", inc, backoff)
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > superviseBackoffCap {
-			backoff = superviseBackoffCap
-		}
+		wait := respawn.Delay(crashes)
+		crashes++
+		log.Printf("supervise: respawning as incarnation %d in %v", inc, wait)
+		time.Sleep(wait)
 	}
 }
 
@@ -125,7 +127,7 @@ func childArgs(argv []string, inc uint64, stripFaults bool) []string {
 		}
 		out = append(out, arg)
 	}
-	return append(out, "-incarnation="+utoa(inc), "-supervised")
+	return append(out, "-incarnation="+strconv.FormatUint(inc, 10), "-supervised")
 }
 
 // flagName extracts the bare flag name from "-name", "--name" or
@@ -151,25 +153,4 @@ func envWithout(key string) []string {
 		}
 	}
 	return out
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

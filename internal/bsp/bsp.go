@@ -69,8 +69,9 @@ import (
 // superstep is charged h·WordTime + SyncLatency of *virtual*
 // communication time, where h is the superstep's h-relation. Goroutines
 // exchange words through shared memory at near-zero real cost, which
-// hides exactly the costs this paper is about; the virtual clock makes
-// them visible again at configurable interconnect speeds.
+// hides exactly the costs this paper is about; Stats.SimComm makes them
+// visible again at configurable interconnect speeds — evaluated from a
+// finished run's ledger, so one run answers for every interconnect.
 type CostModel struct {
 	// WordTime is the per-word gap g (e.g. 4ns ≈ 2 GB/s per processor
 	// for 8-byte words).
@@ -80,17 +81,14 @@ type CostModel struct {
 	SyncLatency time.Duration
 }
 
-func (cm CostModel) enabled() bool { return cm.WordTime > 0 || cm.SyncLatency > 0 }
-
 // Machine is one communicator's shared state: a handle on a transport
 // fabric plus the processors (Comms) this process hosts. A Machine is
 // sized once for p processors and may be reused across many Run calls
 // when its fabric supports it (the serving layer pools in-process
 // machines per request size); it must not run two bodies concurrently.
 type Machine struct {
-	p    int
-	cost CostModel
-	tag  uint64 // deterministic fabric tag (0 for root machines)
+	p   int
+	tag uint64 // deterministic fabric tag (0 for root machines)
 
 	tr transport.Transport
 	// abortFlag aliases the fabric's flag: cancellation and failure
@@ -139,8 +137,8 @@ func NewMachine(p int) (*Machine, error) {
 
 // NewMachineOver builds a machine over an existing transport fabric. The
 // machine hosts Comms only for the fabric's local ranks — over TCP each
-// worker process hosts exactly one. The fabric's abort, ledger, and cost
-// configuration are owned by the machine from here on.
+// worker process hosts exactly one. The fabric's abort and ledger are
+// owned by the machine from here on.
 func NewMachineOver(tr transport.Transport) (*Machine, error) {
 	p := tr.Size()
 	if p <= 0 {
@@ -172,13 +170,6 @@ func (m *Machine) P() int { return m.p }
 // Transport returns the fabric kind label (transport.KindLocal,
 // transport.KindTCP) the machine runs over.
 func (m *Machine) Transport() string { return m.tr.Kind() }
-
-// SetCost configures the emulated interconnect for subsequent Run calls.
-// It must not be called while a body is running.
-func (m *Machine) SetCost(cost CostModel) {
-	m.cost = cost
-	m.tr.SetCost(cost.WordTime, cost.SyncLatency)
-}
 
 // reset restores the machine to its pre-run state, keeping every mailbox
 // cell's and scratch buffer's capacity for reuse. Single-run fabrics
@@ -572,8 +563,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			newRank = i
 		}
 	}
-	// Get or create the shared machine for this group; the derived fabric
-	// inherits the parent's interconnect cost model. The registry key is
+	// Get or create the shared machine for this group. The registry key is
 	// the members' barrier sense at this split point — identical across
 	// members of a collective call, distinct across successive Splits
 	// (each Split Syncs).
@@ -598,7 +588,6 @@ func (c *Comm) Split(color, key int) *Comm {
 			m.abort(err)
 			panic(abortError{err})
 		}
-		sm.cost = m.cost
 		sm.tag = childTag(m.tag, c.sense, color)
 		sm.faultHook = m.faultHook
 		grp = &subGroup{m: sm, members: parentRanks}
@@ -644,24 +633,13 @@ type WorkerStats struct {
 
 // Stats summarizes one Run.
 type Stats struct {
-	P          int
-	Supersteps int
+	P int
+	// Ledger is the fabric's accounting of the run, as is: Supersteps,
+	// CommVolume, HRelations, WireBytes and WireRawBytes.
+	transport.Ledger
 	// Transport is the fabric kind the run executed over
 	// (transport.KindLocal, transport.KindTCP).
 	Transport string
-	// CommVolume is the sum over supersteps of the largest number of words
-	// sent or received by any processor (the BSP communication volume).
-	CommVolume uint64
-	// HRelations records each superstep's h-relation.
-	HRelations []uint64
-	// WireBytes counts real bytes moved over sockets during the run
-	// (frame headers included); zero on the in-process fabric.
-	WireBytes uint64
-	// WireRawBytes counts what the same frames would have cost under
-	// the raw (uncompressed) payload codec; the difference from
-	// WireBytes is what the wire codecs saved. Zero on the in-process
-	// fabric.
-	WireRawBytes uint64
 	// MaxAppTime / MaxCommTime are the per-run maxima over processors of
 	// cumulative computation and communication (Sync) wall time, matching
 	// the paper's "maximum among all participating processors" metric.
@@ -679,22 +657,13 @@ type Stats struct {
 	// decisions, so every rank records the same amounts.
 	AvoidedCollectives int
 	AvoidedCommVolume  uint64
-	// SimCommTime is the virtual communication time Σ(h·g + L) accrued
-	// under the run's CostModel (zero when no model was configured).
-	SimCommTime time.Duration
 }
 
-// SimTotal returns the virtual-interconnect wall time estimate: real
-// computation time plus simulated communication time.
-func (s *Stats) SimTotal() time.Duration { return s.MaxAppTime + s.SimCommTime }
-
-// SimCommFraction returns SimCommTime / SimTotal.
-func (s *Stats) SimCommFraction() float64 {
-	t := s.SimTotal()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.SimCommTime) / float64(t)
+// SimComm returns the run's virtual communication time on the emulated
+// interconnect cm: Σ over supersteps of h·WordTime + SyncLatency, which
+// the ledger's two totals determine exactly.
+func (s *Stats) SimComm(cm CostModel) time.Duration {
+	return time.Duration(s.CommVolume)*cm.WordTime + time.Duration(s.Supersteps)*cm.SyncLatency
 }
 
 // Total returns total wall time (app + comm maxima).
@@ -710,15 +679,6 @@ func (s *Stats) MaxHRelation() uint64 {
 		}
 	}
 	return max
-}
-
-// MeanHRelation returns the average per-superstep h-relation, or 0 for a
-// run with no supersteps.
-func (s *Stats) MeanHRelation() float64 {
-	if s.Supersteps == 0 {
-		return 0
-	}
-	return float64(s.CommVolume) / float64(s.Supersteps)
 }
 
 // CommFraction returns MaxCommTime / Total, the T_MPI/T ratio of Figure 1b.
@@ -738,18 +698,6 @@ func Run(p int, body func(c *Comm)) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(body)
-}
-
-// RunWithCost is Run with an emulated interconnect: each superstep
-// accrues h·WordTime + SyncLatency of virtual communication time,
-// reported as Stats.SimCommTime.
-func RunWithCost(p int, cost CostModel, body func(c *Comm)) (*Stats, error) {
-	m, err := NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	m.SetCost(cost)
 	return m.Run(body)
 }
 
@@ -860,17 +808,7 @@ func (m *Machine) run(body func(c *Comm)) (*Stats, error) {
 	if err := m.tr.FinishRun(); err != nil {
 		return nil, wrapAbort(err)
 	}
-	ledger := m.tr.Ledger()
-	st := &Stats{
-		P:            m.p,
-		Supersteps:   ledger.Supersteps,
-		Transport:    m.tr.Kind(),
-		CommVolume:   ledger.Volume,
-		HRelations:   ledger.HRelations,
-		WireBytes:    ledger.WireBytes,
-		WireRawBytes: ledger.WireRawBytes,
-		SimCommTime:  ledger.SimComm,
-	}
+	st := &Stats{P: m.p, Ledger: m.tr.Ledger(), Transport: m.tr.Kind()}
 	for _, c := range m.comms {
 		if c == nil {
 			continue

@@ -298,10 +298,20 @@ func TestTimingSplit(t *testing.T) {
 	}
 }
 
-func TestRunWithCostVirtualClock(t *testing.T) {
-	// One superstep with h=10: virtual comm = 10·WordTime + SyncLatency.
-	cost := CostModel{WordTime: 3 * time.Microsecond, SyncLatency: 50 * time.Microsecond}
-	st, err := RunWithCost(2, cost, func(c *Comm) {
+// accrued is the virtual clock run superstep by superstep: what a fabric
+// charging h·WordTime + SyncLatency at every barrier would have summed.
+func accrued(st *Stats, cm CostModel) time.Duration {
+	var d time.Duration
+	for _, h := range st.HRelations {
+		d += time.Duration(h)*cm.WordTime + cm.SyncLatency
+	}
+	return d
+}
+
+func TestSimCommVirtualClock(t *testing.T) {
+	// One superstep with h=10: virtual comm = 10·WordTime + SyncLatency,
+	// for every interconnect the one ledger is evaluated on.
+	st, err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, make([]uint64, 10))
 		}
@@ -310,16 +320,14 @@ func TestRunWithCostVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 10*cost.WordTime + cost.SyncLatency
-	if st.SimCommTime != want {
-		t.Errorf("SimCommTime = %v, want %v", st.SimCommTime, want)
-	}
-	if st.SimTotal() < want {
-		t.Error("SimTotal below virtual comm time")
-	}
-	f := st.SimCommFraction()
-	if f <= 0 || f > 1 {
-		t.Errorf("SimCommFraction = %v", f)
+	for _, cost := range []CostModel{
+		{WordTime: 3 * time.Microsecond, SyncLatency: 50 * time.Microsecond},
+		{WordTime: 40 * time.Nanosecond, SyncLatency: 100 * time.Microsecond},
+	} {
+		want := 10*cost.WordTime + cost.SyncLatency
+		if got := st.SimComm(cost); got != want || got != accrued(st, cost) {
+			t.Errorf("SimComm(%+v) = %v, want %v", cost, got, want)
+		}
 	}
 }
 
@@ -331,14 +339,14 @@ func TestRunWithoutCostZeroSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SimCommTime != 0 {
-		t.Errorf("SimCommTime without model = %v", st.SimCommTime)
+	if got := st.SimComm(CostModel{}); got != 0 {
+		t.Errorf("SimComm without model = %v", got)
 	}
 }
 
 func TestCostModelInheritedBySplit(t *testing.T) {
 	cost := CostModel{WordTime: time.Microsecond, SyncLatency: 10 * time.Microsecond}
-	st, err := RunWithCost(4, cost, func(c *Comm) {
+	st, err := Run(4, func(c *Comm) {
 		sub := c.Split(c.Rank()%2, 0)
 		sub.Send(0, []uint64{1, 2})
 		sub.Sync()
@@ -347,9 +355,12 @@ func TestCostModelInheritedBySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Parent split superstep (h=8: 2 words to 4 ranks from each... max 8)
-	// plus each child's superstep fold in nonzero virtual time.
-	if st.SimCommTime <= 0 {
-		t.Errorf("split virtual time not accumulated: %v", st.SimCommTime)
+	// The parent's split superstep plus each child group's own superstep,
+	// folded into the parent ledger: the children are charged too.
+	if len(st.HRelations) != 3 {
+		t.Fatalf("h-relations %v, want the split's and two children's", st.HRelations)
+	}
+	if got := st.SimComm(cost); got != accrued(st, cost) || got <= 3*cost.SyncLatency {
+		t.Errorf("SimComm = %v, per-superstep accrual %v", got, accrued(st, cost))
 	}
 }

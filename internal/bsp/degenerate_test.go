@@ -166,11 +166,10 @@ func TestHRelationHelpers(t *testing.T) {
 	if got := st.MaxHRelation(); got != 3 {
 		t.Errorf("MaxHRelation = %d, want 3", got)
 	}
-	if got := st.MeanHRelation(); got != 2 {
-		t.Errorf("MeanHRelation = %v, want 2", got)
+	if st.CommVolume != 4 || st.Supersteps != 2 {
+		t.Errorf("volume %d over %d supersteps, want 4 over 2", st.CommVolume, st.Supersteps)
 	}
-	empty := &Stats{}
-	if empty.MaxHRelation() != 0 || empty.MeanHRelation() != 0 {
-		t.Error("empty stats h-relation helpers nonzero")
+	if empty := (&Stats{}); empty.MaxHRelation() != 0 {
+		t.Error("empty stats h-relation helper nonzero")
 	}
 }

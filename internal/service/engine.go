@@ -369,12 +369,7 @@ func (e *Engine) observePlanned(c *call) {
 	if k == nil {
 		return
 	}
-	s := perfmodel.Sample{
-		Comp:       float64(c.res.Kernel.MaxOps),
-		Volume:     float64(c.res.Kernel.CommVolume),
-		Supersteps: float64(c.res.Kernel.Supersteps),
-		P:          float64(c.res.Kernel.P),
-	}
+	s := modelSample(&c.res.Kernel)
 	if k.Shared {
 		s = k.Cost(planner.StatsOf(c.Graph.Snap), 1, plannerParams(c.alg, c.Graph, c.Params))
 	}
@@ -444,7 +439,7 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*Reply, error) {
 				Algorithm: req.Algorithm,
 				Outcome:   trace.OutcomeCacheHit,
 				Latency:   lat,
-				P:         res.Kernel.P,
+				Kernel:    &res.Kernel,
 			})
 			return &Reply{Outcome: trace.OutcomeCacheHit, Result: res, Latency: lat}, nil
 		}
@@ -561,17 +556,7 @@ func (e *Engine) wait(ctx context.Context, c *call, start time.Time, outcome str
 		QueueDepth: len(e.jobs),
 	}
 	if outcome == trace.OutcomeExecuted {
-		sample.P = c.res.Kernel.P
-		sample.Supersteps = c.res.Kernel.Supersteps
-		sample.CommVolume = c.res.Kernel.CommVolume
-		sample.AvoidedCollectives = c.res.Kernel.AvoidedCollectives
-		sample.AvoidedCommVolume = c.res.Kernel.AvoidedCommVolume
-		sample.Transport = c.res.Kernel.Transport
-		sample.WireBytes = c.res.Kernel.WireBytes
-		sample.WireRawBytes = c.res.Kernel.WireRawBytes
-		sample.Kernel = c.res.Kernel.Kernel
-		sample.PredictedMs = c.res.Kernel.PredictedMs
-		sample.KernelTimeMs = c.res.Kernel.TimeMs
+		sample.Kernel = &c.res.Kernel
 		sample.PlannerFallback = c.dec != nil && c.dec.Fallback
 	}
 	e.collector.Observe(sample)
@@ -579,6 +564,9 @@ func (e *Engine) wait(ctx context.Context, c *call, start time.Time, outcome str
 }
 
 func (e *Engine) observeFailure(alg, outcome string, start time.Time) {
+	if !knownAlgorithm(alg) {
+		alg = algUnknown // a request that failed resolution may name anything
+	}
 	e.collector.Observe(trace.QuerySample{
 		Algorithm: alg,
 		Outcome:   outcome,

@@ -10,7 +10,9 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/perfmodel"
 	"repro/internal/planner"
+	"repro/internal/trace"
 )
 
 // Supported algorithms.
@@ -19,6 +21,15 @@ const (
 	AlgMinCut    = "mincut"    // exact minimum cut (§4)
 	AlgApproxCut = "approxcut" // O(log n)-approximate minimum cut (§3.3)
 )
+
+// algUnknown is the one metrics label every unsupported algorithm name is
+// observed under: request bodies are untrusted, and each distinct label
+// is a permanent /metrics series.
+const algUnknown = "unknown"
+
+func knownAlgorithm(alg string) bool {
+	return alg == AlgCC || alg == AlgMinCut || alg == AlgApproxCut
+}
 
 // QueryRequest describes one analytics query against a registered graph.
 // The zero value of every tuning field selects the repo-wide default.
@@ -72,9 +83,7 @@ type QueryRequest struct {
 // defaulted form — the canonical identity used for cache keys and
 // coalescing, and what a distributed executor ships to its peers.
 func normalize(req *QueryRequest) (planner.RunParams, error) {
-	switch req.Algorithm {
-	case AlgCC, AlgMinCut, AlgApproxCut:
-	default:
+	if !knownAlgorithm(req.Algorithm) {
 		return planner.RunParams{}, fmt.Errorf("%w: unknown algorithm %q (want %s|%s|%s)",
 			ErrBadRequest, req.Algorithm, AlgCC, AlgMinCut, AlgApproxCut)
 	}
@@ -107,40 +116,9 @@ func normalize(req *QueryRequest) (planner.RunParams, error) {
 	return p, nil
 }
 
-// KernelStats is the BSP cost profile of one kernel execution, lifted
-// from bsp.Stats into a JSON-ready form.
-type KernelStats struct {
-	P            int     `json:"p"`
-	Supersteps   int     `json:"supersteps"`
-	CommVolume   uint64  `json:"comm_volume"`
-	MaxHRelation uint64  `json:"max_h_relation"`
-	TimeMs       float64 `json:"time_ms"`
-	CommTimeMs   float64 `json:"comm_time_ms"`
-	MaxOps       uint64  `json:"max_ops"`
-	// AvoidedCollectives / AvoidedCommVolume report what the run skipped
-	// by consuming snapshot-resident plan facts instead of communicating
-	// — the explicit ledger entry that keeps warm-path accounting honest.
-	// Zero on cold runs.
-	AvoidedCollectives int    `json:"avoided_collectives"`
-	AvoidedCommVolume  uint64 `json:"avoided_comm_volume"`
-	// Transport labels the BSP fabric that carried the run ("local",
-	// "tcp", "shared" for the machine-less shared-memory kernels);
-	// WireBytes is the framed socket traffic it cost — zero for the
-	// in-process fabric.
-	Transport string `json:"transport,omitempty"`
-	WireBytes uint64 `json:"wire_bytes,omitempty"`
-	// WireRawBytes is what the same frames would have cost uncompressed
-	// (raw codec); the difference from WireBytes is the payload codecs'
-	// saving. Zero for the in-process fabric.
-	WireRawBytes uint64 `json:"wire_raw_bytes,omitempty"`
-	// Kernel names the portfolio kernel that produced the result; empty
-	// when the planner is off and no kernel was pinned (the default
-	// kernel ran). PredictedMs is the planner's predicted wall time for
-	// this execution (0 when unplanned) — compare with TimeMs for the
-	// model's accuracy on this query.
-	Kernel      string  `json:"kernel,omitempty"`
-	PredictedMs float64 `json:"predicted_ms,omitempty"`
-}
+// KernelStats is the BSP cost profile of one kernel execution; the
+// record is declared in internal/trace, where its aggregates are.
+type KernelStats = trace.KernelStats
 
 // QueryResult is the full outcome of one kernel execution; it is the
 // unit the cache stores, so it always carries the complete labelling /
@@ -179,6 +157,17 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 		Transport:          st.Transport,
 		WireBytes:          st.WireBytes,
 		WireRawBytes:       st.WireRawBytes,
+	}
+}
+
+// modelSample is the execution's ledger as the planner's cost model
+// reads it (§5: ops, volume·log p, supersteps); the caller stamps Time.
+func modelSample(k *KernelStats) perfmodel.Sample {
+	return perfmodel.Sample{
+		Comp:       float64(k.MaxOps),
+		Volume:     float64(k.CommVolume),
+		Supersteps: float64(k.Supersteps),
+		P:          float64(k.P),
 	}
 }
 

@@ -17,39 +17,18 @@ import (
 // text format is a dozen lines of printf, and the collector already
 // holds every aggregate the scrape needs).
 //
-// Naming scheme (see DESIGN.md §4g):
-//
-//	camc_queries_total{algorithm,outcome}       query resolutions
-//	camc_retries_total{algorithm}               absorbed transient faults
-//	camc_query_latency_seconds{algorithm}       histogram + _sum/_count
-//	camc_supersteps_total{algorithm}            BSP cost counters
-//	camc_comm_volume_words_total{algorithm}
-//	camc_avoided_collectives_total{algorithm}   the warm path's ledger
-//	camc_avoided_comm_volume_words_total{algorithm}
-//	camc_transport_*_total{transport}           per-fabric kernel costs
-//	camc_cache_*                                result-cache counters
-//	camc_queue_depth / camc_workers / ...       pool gauges
-//	camc_tenant_*{tenant}                       quota state and rejections
+// What is exported is declared where the aggregates are, not here:
+// trace.OutcomeTable (camc_queries_total's outcome labels),
+// trace.AlgoCounters and trace.TransportCounters (the per-algorithm and
+// per-fabric cost counters) and trace.KernelFamilies name every family,
+// help text and field, and WriteMetrics only walks them. Adding a
+// counter is one aggregate field plus one table row in internal/trace;
+// nothing in this package changes. The engine's own scalars (cache, pool,
+// planner) are rows of the scalar shape below; DESIGN.md §4g lists the
+// naming scheme.
 //
 // Label sets are emitted in sorted order so the output is deterministic
 // for a given state — the property the golden-file test pins.
-
-// outcomeCounters maps each outcome label to its AlgoStats counter.
-var outcomeCounters = []struct {
-	label string
-	get   func(*trace.AlgoStats) uint64
-}{
-	{trace.OutcomeExecuted, func(a *trace.AlgoStats) uint64 { return a.KernelExecutions }},
-	{trace.OutcomeCacheHit, func(a *trace.AlgoStats) uint64 { return a.CacheHits }},
-	{trace.OutcomeCoalesced, func(a *trace.AlgoStats) uint64 { return a.Coalesced }},
-	{trace.OutcomeRejected, func(a *trace.AlgoStats) uint64 { return a.Rejected }},
-	{trace.OutcomeExpired, func(a *trace.AlgoStats) uint64 { return a.Expired }},
-	{trace.OutcomeError, func(a *trace.AlgoStats) uint64 { return a.Errors }},
-	{trace.OutcomeCancelled, func(a *trace.AlgoStats) uint64 { return a.Cancelled }},
-	{trace.OutcomeDegraded, func(a *trace.AlgoStats) uint64 { return a.Degraded }},
-	{trace.OutcomeFaulted, func(a *trace.AlgoStats) uint64 { return a.Faulted }},
-	{trace.OutcomeTransport, func(a *trace.AlgoStats) uint64 { return a.TransportLost }},
-}
 
 // fmtFloat renders a float the Prometheus way: integral values without
 // an exponent, everything else in Go's shortest form.
@@ -73,14 +52,45 @@ func (m metricsWriter) val(name, labels string, v float64) {
 	}
 }
 
-// sortedAlgos returns the snapshot's algorithm names in stable order.
-func sortedAlgos(snap *trace.CollectorSnapshot) []string {
-	names := make([]string, 0, len(snap.Algorithms))
-	for name := range snap.Algorithms {
+// scalar is one unlabelled family: a single engine-level value.
+type scalar struct {
+	name, help, typ string
+	v               float64
+}
+
+func (m metricsWriter) scalars(rows []scalar) {
+	for _, r := range rows {
+		m.header(r.name, r.help, r.typ)
+		m.val(r.name, "", r.v)
+	}
+}
+
+// sortedKeys returns a label map's keys in stable order.
+func sortedKeys[V any](byLabel map[string]V) []string {
+	names := make([]string, 0, len(byLabel))
+	for name := range byLabel {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// writeCounters renders a counter table's exported rows over the
+// aggregates kept under each label value; zeros are series only on request.
+func writeCounters[T any](m metricsWriter, rows []trace.Counter[T], label string, byLabel map[string]T, zeros bool) {
+	names := sortedKeys(byLabel)
+	for _, c := range rows {
+		if c.Family == "" {
+			continue
+		}
+		m.header(c.Family, c.Help, "counter")
+		for _, name := range names {
+			agg := byLabel[name]
+			if v := *c.Field(&agg); v > 0 || zeros {
+				m.val(c.Family, fmt.Sprintf("%s=%q", label, name), float64(v))
+			}
+		}
+	}
 }
 
 // WriteMetrics renders the engine state as Prometheus exposition text.
@@ -88,14 +98,14 @@ func sortedAlgos(snap *trace.CollectorSnapshot) []string {
 func WriteMetrics(w io.Writer, st EngineStats) {
 	m := metricsWriter{w}
 	snap := &st.Queries
-	algos := sortedAlgos(snap)
+	algos := sortedKeys(snap.Algorithms)
 
 	m.header("camc_queries_total", "Query resolutions by algorithm and outcome.", "counter")
 	for _, alg := range algos {
 		a := snap.Algorithms[alg]
-		for _, oc := range outcomeCounters {
-			if v := oc.get(&a); v > 0 {
-				m.val("camc_queries_total", fmt.Sprintf("algorithm=%q,outcome=%q", alg, oc.label), float64(v))
+		for _, oc := range trace.OutcomeTable {
+			if v := *oc.Field(&a); v > 0 {
+				m.val("camc_queries_total", fmt.Sprintf("algorithm=%q,outcome=%q", alg, oc.Label), float64(v))
 			}
 		}
 	}
@@ -126,100 +136,44 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 		m.val("camc_query_latency_seconds_count", fmt.Sprintf("algorithm=%q", alg), float64(cum))
 	}
 
-	for _, c := range []struct {
-		name, help string
-		get        func(*trace.AlgoStats) float64
-	}{
-		{"camc_supersteps_total", "BSP supersteps executed.", func(a *trace.AlgoStats) float64 { return float64(a.Supersteps) }},
-		{"camc_comm_volume_words_total", "BSP words communicated.", func(a *trace.AlgoStats) float64 { return float64(a.CommVolume) }},
-		{"camc_avoided_collectives_total", "Collectives skipped via snapshot-resident plans.", func(a *trace.AlgoStats) float64 { return float64(a.AvoidedCollectives) }},
-		{"camc_avoided_comm_volume_words_total", "Words not communicated thanks to plans.", func(a *trace.AlgoStats) float64 { return float64(a.AvoidedCommVolume) }},
-	} {
-		m.header(c.name, c.help, "counter")
-		for _, alg := range algos {
-			a := snap.Algorithms[alg]
-			if v := c.get(&a); v > 0 {
-				m.val(c.name, fmt.Sprintf("algorithm=%q", alg), v)
-			}
-		}
-	}
+	writeCounters(m, trace.AlgoCounters, "algorithm", snap.Algorithms, false)
 
 	// Per-fabric kernel costs: wire bytes on "tcp" vs zero on "local" is
-	// the communication-avoidance claim, scrapeable.
-	transports := make([]string, 0, len(snap.Transports))
-	for name := range snap.Transports {
-		transports = append(transports, name)
-	}
-	sort.Strings(transports)
-	for _, c := range []struct {
-		name, help string
-		get        func(trace.TransportStats) uint64
-	}{
-		{"camc_transport_kernel_executions_total", "Kernel executions per BSP fabric.", func(t trace.TransportStats) uint64 { return t.KernelExecutions }},
-		{"camc_transport_supersteps_total", "Supersteps per BSP fabric.", func(t trace.TransportStats) uint64 { return t.Supersteps }},
-		{"camc_transport_comm_volume_words_total", "Words communicated per BSP fabric.", func(t trace.TransportStats) uint64 { return t.CommVolume }},
-		{"camc_transport_wire_bytes_total", "Framed socket bytes per BSP fabric (0 for local).", func(t trace.TransportStats) uint64 { return t.WireBytes }},
-		{"camc_wire_saved_bytes_total", "Socket bytes the payload codecs saved per BSP fabric (raw-equivalent minus on-wire).", func(t trace.TransportStats) uint64 {
-			if t.WireRawBytes < t.WireBytes {
-				return 0
-			}
-			return t.WireRawBytes - t.WireBytes
-		}},
-	} {
-		m.header(c.name, c.help, "counter")
-		for _, tr := range transports {
-			m.val(c.name, fmt.Sprintf("transport=%q", tr), float64(c.get(snap.Transports[tr])))
-		}
+	// the communication-avoidance claim, scrapeable — so a fabric's zeros
+	// are series too.
+	writeCounters(m, trace.TransportCounters, "transport", snap.Transports, true)
+	m.header("camc_wire_saved_bytes_total", "Socket bytes the payload codecs saved per BSP fabric (raw-equivalent minus on-wire).", "counter")
+	for _, tr := range sortedKeys(snap.Transports) {
+		t := snap.Transports[tr]
+		m.val("camc_wire_saved_bytes_total", fmt.Sprintf("transport=%q", tr), float64(t.WireSaved()))
 	}
 
-	m.header("camc_cache_entries", "Result cache entries.", "gauge")
-	m.val("camc_cache_entries", "", float64(st.Cache.Size))
-	m.header("camc_cache_hits_total", "Result cache hits.", "counter")
-	m.val("camc_cache_hits_total", "", float64(st.Cache.Hits))
-	m.header("camc_cache_misses_total", "Result cache misses.", "counter")
-	m.val("camc_cache_misses_total", "", float64(st.Cache.Misses))
-	m.header("camc_cache_evictions_total", "Result cache evictions.", "counter")
-	m.val("camc_cache_evictions_total", "", float64(st.Cache.Evictions))
-
-	m.header("camc_graphs", "Registered graphs.", "gauge")
-	m.val("camc_graphs", "", float64(st.Graphs))
-	m.header("camc_plans", "Snapshot-resident query plans.", "gauge")
-	m.val("camc_plans", "", float64(st.Plans))
-	m.header("camc_workers", "Kernel worker pool size.", "gauge")
-	m.val("camc_workers", "", float64(st.Workers))
-	m.header("camc_queue_depth", "Admission queue depth.", "gauge")
-	m.val("camc_queue_depth", "", float64(st.QueueDepth))
-	m.header("camc_queue_capacity", "Admission queue capacity.", "gauge")
-	m.val("camc_queue_capacity", "", float64(st.QueueCapacity))
-	m.header("camc_queue_depth_max", "High-water admission queue depth.", "gauge")
-	m.val("camc_queue_depth_max", "", float64(snap.MaxQueueDepth))
-	m.header("camc_inflight_calls", "Distinct kernel executions in flight.", "gauge")
-	m.val("camc_inflight_calls", "", float64(st.InflightCalls))
-	m.header("camc_coalesced_waiters", "Followers waiting on in-flight calls.", "gauge")
-	m.val("camc_coalesced_waiters", "", float64(st.CoalescedWaiters))
-	m.header("camc_uptime_seconds", "Process uptime.", "gauge")
-	m.val("camc_uptime_seconds", "", st.UptimeMs/1e3)
+	m.scalars([]scalar{
+		{"camc_cache_entries", "Result cache entries.", "gauge", float64(st.Cache.Size)},
+		{"camc_cache_hits_total", "Result cache hits.", "counter", float64(st.Cache.Hits)},
+		{"camc_cache_misses_total", "Result cache misses.", "counter", float64(st.Cache.Misses)},
+		{"camc_cache_evictions_total", "Result cache evictions.", "counter", float64(st.Cache.Evictions)},
+		{"camc_graphs", "Registered graphs.", "gauge", float64(st.Graphs)},
+		{"camc_plans", "Snapshot-resident query plans.", "gauge", float64(st.Plans)},
+		{"camc_workers", "Kernel worker pool size.", "gauge", float64(st.Workers)},
+		{"camc_queue_depth", "Admission queue depth.", "gauge", float64(st.QueueDepth)},
+		{"camc_queue_capacity", "Admission queue capacity.", "gauge", float64(st.QueueCapacity)},
+		{"camc_queue_depth_max", "High-water admission queue depth.", "gauge", float64(snap.MaxQueueDepth)},
+		{"camc_inflight_calls", "Distinct kernel executions in flight.", "gauge", float64(st.InflightCalls)},
+		{"camc_coalesced_waiters", "Followers waiting on in-flight calls.", "gauge", float64(st.CoalescedWaiters)},
+		{"camc_uptime_seconds", "Process uptime.", "gauge", st.UptimeMs / 1e3},
+	})
 
 	// Per-kernel execution aggregates appear once any named portfolio
 	// kernel has run (planner on, or a request-pinned kernel); absent
 	// otherwise, so pre-portfolio scrapes are byte-identical.
 	if len(snap.Kernels) > 0 {
-		kernels := make([]string, 0, len(snap.Kernels))
-		for name := range snap.Kernels {
-			kernels = append(kernels, name)
-		}
-		sort.Strings(kernels)
-		for _, c := range []struct {
-			name, help string
-			get        func(trace.KernelAgg) float64
-		}{
-			{"camc_kernel_executions_total", "Kernel executions per portfolio kernel.", func(k trace.KernelAgg) float64 { return float64(k.Executions) }},
-			{"camc_kernel_time_seconds_total", "Measured kernel time per portfolio kernel.", func(k trace.KernelAgg) float64 { return k.TotalKernelMs / 1e3 }},
-			{"camc_kernel_predicted_seconds_total", "Planner-predicted time per portfolio kernel.", func(k trace.KernelAgg) float64 { return k.TotalPredictedMs / 1e3 }},
-		} {
-			m.header(c.name, c.help, "counter")
+		kernels := sortedKeys(snap.Kernels)
+		for _, f := range trace.KernelFamilies {
+			m.header(f.Family, f.Help, "counter")
 			for _, name := range kernels {
-				m.val(c.name, fmt.Sprintf("kernel=%q", name), c.get(snap.Kernels[name]))
+				k := snap.Kernels[name]
+				m.val(f.Family, fmt.Sprintf("kernel=%q", name), f.Value(&k))
 			}
 		}
 	}
@@ -228,10 +182,7 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 	// planner-off exposition unchanged.
 	if st.Planner != nil {
 		pl := st.Planner
-		for _, c := range []struct {
-			name, help, typ string
-			v               float64
-		}{
+		m.scalars([]scalar{
 			{"camc_planner_decisions_total", "Planner decisions made.", "counter", float64(pl.Decisions)},
 			{"camc_planner_fallbacks_total", "Decisions without a calibrated default model.", "counter", float64(pl.Fallbacks)},
 			{"camc_planner_executed_total", "Planned queries observed after execution.", "counter", float64(pl.Executed)},
@@ -240,18 +191,10 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 			{"camc_planner_refits_total", "Adaptive model refits from live samples.", "counter", float64(pl.Refits)},
 			{"camc_planner_win_rate", "Wins over diverged decisions.", "gauge", pl.WinRate},
 			{"camc_planner_prediction_mean_abs_err", "Mean |predicted-actual|/actual over planned executions.", "gauge", pl.MeanAbsErr},
-		} {
-			m.header(c.name, c.help, c.typ)
-			m.val(c.name, "", c.v)
-		}
+		})
 		if len(pl.Choices) > 0 {
-			names := make([]string, 0, len(pl.Choices))
-			for name := range pl.Choices {
-				names = append(names, name)
-			}
-			sort.Strings(names)
 			m.header("camc_planner_choices_total", "Planner decisions per chosen kernel.", "counter")
-			for _, name := range names {
+			for _, name := range sortedKeys(pl.Choices) {
 				m.val("camc_planner_choices_total", fmt.Sprintf("kernel=%q", name), float64(pl.Choices[name]))
 			}
 		}
@@ -259,38 +202,6 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 
 	if len(st.Tenants) > 0 {
 		writeTenantMetrics(m, st.Tenants)
-	}
-}
-
-func writeTenantMetrics(m metricsWriter, snaps []tenant.TenantSnapshot) {
-	for _, c := range []struct {
-		name, help, typ string
-		get             func(tenant.TenantSnapshot) float64
-	}{
-		{"camc_tenant_graphs", "Graphs registered by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Graphs) }},
-		{"camc_tenant_bytes", "Graph bytes stored by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Bytes) }},
-		{"camc_tenant_concurrent_queries", "In-flight queries by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Concurrent) }},
-		{"camc_tenant_qps_tokens", "Token-bucket level by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return s.QPSTokens }},
-		{"camc_tenant_admitted_total", "Requests admitted by tenant.", "counter", func(s tenant.TenantSnapshot) float64 { return float64(s.Admitted) }},
-	} {
-		m.header(c.name, c.help, c.typ)
-		for _, s := range snaps {
-			m.val(c.name, fmt.Sprintf("tenant=%q", s.Name), c.get(s))
-		}
-	}
-	m.header("camc_tenant_rejected_total", "Requests rejected by tenant and quota dimension.", "counter")
-	for _, s := range snaps {
-		for _, r := range []struct {
-			reason string
-			v      uint64
-		}{
-			{"qps", s.RejectedQPS},
-			{"concurrency", s.RejectedConcurrency},
-			{"graphs", s.RejectedGraphQuota},
-			{"bytes", s.RejectedByteQuota},
-		} {
-			m.val("camc_tenant_rejected_total", fmt.Sprintf("tenant=%q,reason=%q", s.Name, r.reason), float64(r.v))
-		}
 	}
 }
 

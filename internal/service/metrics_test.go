@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,15 +29,18 @@ func goldenStats() EngineStats {
 	col := trace.NewCollector()
 	col.Observe(trace.QuerySample{
 		Algorithm: "cc", Outcome: trace.OutcomeExecuted, Latency: 800 * time.Microsecond,
-		P: 4, Supersteps: 13, CommVolume: 11465, Transport: "local",
+		Kernel: &KernelStats{P: 4, Supersteps: 13, CommVolume: 11465, Transport: "local"},
 	})
 	col.Observe(trace.QuerySample{
-		Algorithm: "cc", Outcome: trace.OutcomeCacheHit, Latency: 30 * time.Microsecond, P: 4,
+		Algorithm: "cc", Outcome: trace.OutcomeCacheHit, Latency: 30 * time.Microsecond,
+		Kernel: &KernelStats{P: 4, Supersteps: 13, CommVolume: 11465, Transport: "local"},
 	})
 	col.Observe(trace.QuerySample{
 		Algorithm: "mincut", Outcome: trace.OutcomeExecuted, Latency: 45 * time.Millisecond,
-		P: 2, Supersteps: 24, CommVolume: 24132, AvoidedCollectives: 3, AvoidedCommVolume: 4096,
-		Transport: "tcp", WireBytes: 131072, WireRawBytes: 196608,
+		Kernel: &KernelStats{
+			P: 2, Supersteps: 24, CommVolume: 24132, AvoidedCollectives: 3, AvoidedCommVolume: 4096,
+			Transport: "tcp", WireBytes: 131072, WireRawBytes: 196608,
+		},
 	})
 	col.Observe(trace.QuerySample{Algorithm: "mincut", Outcome: trace.OutcomeRetried})
 	col.Observe(trace.QuerySample{Algorithm: "mincut", Outcome: trace.OutcomeRejected, QueueDepth: 7})
@@ -220,4 +225,43 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestUnknownAlgorithmsShareOneLabel: the algorithm name comes from the
+// request body, so a thousand distinct bogus names must not become a
+// thousand permanent aggregates and /metrics series.
+func TestUnknownAlgorithmsShareOneLabel(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, MaxProcessors: 1})
+	defer e.Close()
+	if _, err := e.Registry().Put("g", gen.Cycle(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		_, err := e.Query(context.Background(), QueryRequest{Graph: "g", Algorithm: fmt.Sprintf("bogus-%d", i)})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("query %d: %v, want ErrBadRequest", i, err)
+		}
+	}
+	// A known algorithm failing resolution keeps its own label.
+	if _, err := e.Query(context.Background(), QueryRequest{Graph: "missing", Algorithm: AlgCC}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing graph: %v", err)
+	}
+	st := e.Stats()
+	if n := len(st.Queries.Algorithms); n > 4 {
+		t.Errorf("%d per-algorithm aggregates, want at most 4", n)
+	}
+	if got := st.Queries.Totals.Errors; got != 1001 {
+		t.Errorf("totals.errors = %d, want 1001", got)
+	}
+	if got := st.Queries.Algorithms["unknown"].Errors; got != 1000 {
+		t.Errorf("unknown.errors = %d, want 1000", got)
+	}
+	var buf bytes.Buffer
+	WriteMetrics(&buf, st)
+	if n := strings.Count(buf.String(), `camc_queries_total{algorithm="unknown"`); n != 1 {
+		t.Errorf("%d camc_queries_total series for algorithm=\"unknown\", want 1", n)
+	}
+	if strings.Contains(buf.String(), "bogus") {
+		t.Error("a request-supplied algorithm name reached the exposition")
+	}
 }

@@ -122,3 +122,37 @@ func tenantUpload(tn *tenant.Tenant, next http.Handler, w http.ResponseWriter, r
 		res.Abort()
 	}
 }
+
+// writeTenantMetrics renders the quota state as the camc_tenant_*
+// families of the /metrics exposition.
+func writeTenantMetrics(m metricsWriter, snaps []tenant.TenantSnapshot) {
+	for _, c := range []struct {
+		name, help, typ string
+		get             func(tenant.TenantSnapshot) float64
+	}{
+		{"camc_tenant_graphs", "Graphs registered by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Graphs) }},
+		{"camc_tenant_bytes", "Graph bytes stored by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Bytes) }},
+		{"camc_tenant_concurrent_queries", "In-flight queries by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return float64(s.Concurrent) }},
+		{"camc_tenant_qps_tokens", "Token-bucket level by tenant.", "gauge", func(s tenant.TenantSnapshot) float64 { return s.QPSTokens }},
+		{"camc_tenant_admitted_total", "Requests admitted by tenant.", "counter", func(s tenant.TenantSnapshot) float64 { return float64(s.Admitted) }},
+	} {
+		m.header(c.name, c.help, c.typ)
+		for _, s := range snaps {
+			m.val(c.name, fmt.Sprintf("tenant=%q", s.Name), c.get(s))
+		}
+	}
+	m.header("camc_tenant_rejected_total", "Requests rejected by tenant and quota dimension.", "counter")
+	for _, s := range snaps {
+		for _, r := range []struct {
+			reason string
+			v      uint64
+		}{
+			{"qps", s.RejectedQPS},
+			{"concurrency", s.RejectedConcurrency},
+			{"graphs", s.RejectedGraphQuota},
+			{"bytes", s.RejectedByteQuota},
+		} {
+			m.val("camc_tenant_rejected_total", fmt.Sprintf("tenant=%q,reason=%q", s.Name, r.reason), float64(r.v))
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/service"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -34,7 +35,7 @@ type Frontend struct {
 	shards   [][]string
 	client   *http.Client
 	attempts int
-	backoff  *jitterBackoff
+	backoff  *backoff.Jitter
 	// breakers[i] guards shard i's leader.
 	breakers   []*breaker
 	hedgeDelay time.Duration
@@ -52,10 +53,6 @@ type FrontendOptions struct {
 	// Attempts bounds transport-level tries per worker request
 	// (default 3).
 	Attempts int
-	// BackoffBase / BackoffCap shape the full-jitter retry delays
-	// (defaults 25ms / 1s): attempt k sleeps uniform [0, min(cap, base·2^k)].
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// BreakerThreshold consecutive leader failures trip the breaker
 	// (default 3); BreakerCooldown is the open→half-open delay
 	// (default 1s).
@@ -65,6 +62,13 @@ type FrontendOptions struct {
 	// before racing a replica copy (default 50ms).
 	HedgeDelay time.Duration
 }
+
+// Transport-level retries sleep uniform [0, min(cap, base·2^k)] before
+// attempt k+1.
+const (
+	retryBackoffBase = 25 * time.Millisecond
+	retryBackoffCap  = time.Second
+)
 
 // SetTenants attaches a tenant registry so the merged /v1/stats view
 // carries the fleet-wide quota state. Quota enforcement itself happens
@@ -95,12 +99,6 @@ func NewFrontendOpts(shards [][]string, opts FrontendOptions) (*Frontend, error)
 	if opts.Attempts <= 0 {
 		opts.Attempts = 3
 	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 25 * time.Millisecond
-	}
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = time.Second
-	}
 	if opts.HedgeDelay <= 0 {
 		opts.HedgeDelay = 50 * time.Millisecond
 	}
@@ -109,7 +107,7 @@ func NewFrontendOpts(shards [][]string, opts FrontendOptions) (*Frontend, error)
 		shards:     shards,
 		client:     &http.Client{Timeout: 5 * time.Minute},
 		attempts:   opts.Attempts,
-		backoff:    newJitterBackoff(opts.BackoffBase, opts.BackoffCap, int64(len(shards))),
+		backoff:    backoff.New(retryBackoffBase, retryBackoffCap, int64(len(shards))),
 		breakers:   make([]*breaker, len(shards)),
 		hedgeDelay: opts.HedgeDelay,
 	}
@@ -153,7 +151,7 @@ func (f *Frontend) do(method, url string, body []byte, contentType string) (*htt
 	for attempt := 0; attempt < f.attempts; attempt++ {
 		if attempt > 0 {
 			f.retries.Add(1)
-			time.Sleep(f.backoff.delay(attempt - 1))
+			time.Sleep(f.backoff.Delay(attempt - 1))
 		}
 		var rd io.Reader
 		if body != nil {
@@ -530,54 +528,57 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, b.String())
 }
 
+// workerStats fetches one worker's /v1/stats.
+func (f *Frontend) workerStats(worker string) (*service.EngineStats, error) {
+	resp, err := f.do(http.MethodGet, worker+"/v1/stats", nil, "")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	st := new(service.EngineStats)
+	return st, json.NewDecoder(resp.Body).Decode(st)
+}
+
+// addLeader folds one shard leader's totals into the fleet view.
+func (out *FrontendStats) addLeader(st *service.EngineStats) {
+	out.Graphs += st.Graphs
+	out.Queries += st.Queries.Totals.Queries
+	out.KernelExecutions += st.Queries.Totals.KernelExecutions
+	out.CacheHits += st.Queries.Totals.CacheHits
+	out.TransportLost += st.Queries.Totals.TransportLost
+	out.WireBytes += st.Queries.Totals.WireBytes
+	out.WireRawBytes += st.Queries.Totals.WireRawBytes
+	for kind, ts := range st.Queries.Transports {
+		if out.Transports == nil {
+			out.Transports = make(map[string]trace.TransportStats)
+		}
+		agg := out.Transports[kind]
+		agg.Add(ts)
+		out.Transports[kind] = agg
+	}
+}
+
 func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 	out := FrontendStats{Shards: make([]ShardStats, len(f.shards)), Fleet: f.fleetStats()}
 	if f.tenants != nil {
 		out.Tenants = f.tenants.Snapshot()
 	}
 	for si, workers := range f.shards {
-		ss := ShardStats{Shard: si, Workers: make([]WorkerStats, len(workers))}
+		out.Shards[si] = ShardStats{Shard: si, Workers: make([]WorkerStats, len(workers))}
 		for wi, worker := range workers {
-			ws := WorkerStats{URL: worker}
-			resp, err := f.do(http.MethodGet, worker+"/v1/stats", nil, "")
+			ws := &out.Shards[si].Workers[wi]
+			ws.URL = worker
+			st, err := f.workerStats(worker)
 			if err != nil {
 				ws.Error = err.Error()
 				out.UnreachableWorkers++
-			} else {
-				var st service.EngineStats
-				err := json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if err != nil {
-					ws.Error = err.Error()
-					out.UnreachableWorkers++
-				} else {
-					ws.Stats = &st
-					if wi == 0 {
-						out.Graphs += st.Graphs
-						out.Queries += st.Queries.Totals.Queries
-						out.KernelExecutions += st.Queries.Totals.KernelExecutions
-						out.CacheHits += st.Queries.Totals.CacheHits
-						out.TransportLost += st.Queries.Totals.TransportLost
-						out.WireBytes += st.Queries.Totals.WireBytes
-						out.WireRawBytes += st.Queries.Totals.WireRawBytes
-						for kind, ts := range st.Queries.Transports {
-							if out.Transports == nil {
-								out.Transports = make(map[string]trace.TransportStats)
-							}
-							agg := out.Transports[kind]
-							agg.KernelExecutions += ts.KernelExecutions
-							agg.Supersteps += ts.Supersteps
-							agg.CommVolume += ts.CommVolume
-							agg.WireBytes += ts.WireBytes
-							agg.WireRawBytes += ts.WireRawBytes
-							out.Transports[kind] = agg
-						}
-					}
-				}
+				continue
 			}
-			ss.Workers[wi] = ws
+			ws.Stats = st
+			if wi == 0 {
+				out.addLeader(st)
+			}
 		}
-		out.Shards[si] = ss
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -504,24 +504,6 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestJitterBackoff pins the full-jitter envelope: every delay is in
-// [0, min(cap, base·2^k)] and the ceiling saturates at the cap.
-func TestJitterBackoff(t *testing.T) {
-	jb := newJitterBackoff(10*time.Millisecond, 80*time.Millisecond, 1)
-	for attempt := 0; attempt < 10; attempt++ {
-		ceil := 10 * time.Millisecond << uint(attempt)
-		if ceil > 80*time.Millisecond {
-			ceil = 80 * time.Millisecond
-		}
-		for i := 0; i < 50; i++ {
-			d := jb.delay(attempt)
-			if d < 0 || d > ceil {
-				t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, d, ceil)
-			}
-		}
-	}
-}
-
 // --- BENCH_fleet.json ---------------------------------------------------
 
 // fleetBenchRecord is the self-healing scorecard CI gates on: the

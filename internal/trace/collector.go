@@ -26,42 +26,129 @@ const (
 	OutcomeRetried = "retried"
 )
 
+// KernelStats is the BSP cost profile of one kernel execution, lifted
+// from bsp.Stats into a JSON-ready form. It is the one record a query's
+// cost travels in: the serving layer puts it in the reply as is and hands
+// the collector a pointer to it, and every aggregate below is folded from
+// it by the counter table.
+type KernelStats struct {
+	P            int     `json:"p"`
+	Supersteps   int     `json:"supersteps"`
+	CommVolume   uint64  `json:"comm_volume"`
+	MaxHRelation uint64  `json:"max_h_relation"`
+	TimeMs       float64 `json:"time_ms"`
+	CommTimeMs   float64 `json:"comm_time_ms"`
+	MaxOps       uint64  `json:"max_ops"`
+	// AvoidedCollectives / AvoidedCommVolume report what the run skipped
+	// by consuming snapshot-resident plan facts instead of communicating
+	// — the explicit ledger entry that keeps warm-path accounting honest.
+	// Zero on cold runs.
+	AvoidedCollectives int    `json:"avoided_collectives"`
+	AvoidedCommVolume  uint64 `json:"avoided_comm_volume"`
+	// Transport labels the BSP fabric that carried the run ("local",
+	// "tcp", "shared" for the machine-less shared-memory kernels);
+	// WireBytes is the framed socket traffic it cost — zero for the
+	// in-process fabric.
+	Transport string `json:"transport,omitempty"`
+	WireBytes uint64 `json:"wire_bytes,omitempty"`
+	// WireRawBytes is what the same frames would have cost uncompressed
+	// (raw codec); the difference from WireBytes is the payload codecs'
+	// saving. Zero for the in-process fabric.
+	WireRawBytes uint64 `json:"wire_raw_bytes,omitempty"`
+	// Kernel names the portfolio kernel that produced the result; empty
+	// when the planner is off and no kernel was pinned (the default
+	// kernel ran). PredictedMs is the planner's predicted wall time for
+	// this execution (0 when unplanned) — compare with TimeMs for the
+	// model's accuracy on this query.
+	Kernel      string  `json:"kernel,omitempty"`
+	PredictedMs float64 `json:"predicted_ms,omitempty"`
+}
+
 // QuerySample is one finished (or shed) query as seen by the serving
-// layer: what ran, how it resolved, and the BSP cost profile when a
-// kernel actually executed.
+// layer: what was asked, how it resolved, and the cost profile behind
+// the answer.
 type QuerySample struct {
 	Algorithm  string
 	Outcome    string // one of the Outcome constants
 	Latency    time.Duration
-	P          int    // BSP processors used (0 if no kernel ran)
-	Supersteps int    // 0 if no kernel ran
-	CommVolume uint64 // words; 0 if no kernel ran
-	// AvoidedCollectives / AvoidedCommVolume count the collectives (and
-	// their words) the kernel skipped by consuming snapshot-resident plan
-	// facts — the warm path's explicit accounting; 0 on cold runs.
-	AvoidedCollectives int
-	AvoidedCommVolume  uint64
-	QueueDepth         int // scheduler queue depth observed at admission
-	// Transport labels which fabric carried the kernel ("local", "tcp");
-	// empty if no kernel ran. WireBytes is the framed bytes the run put on
-	// sockets — always 0 for the in-process fabric.
-	Transport string
-	WireBytes uint64
-	// WireRawBytes is what the same frames would have cost uncompressed
-	// (raw codec); WireRawBytes − WireBytes is the wire codecs' saving.
-	WireRawBytes uint64
-	// Kernel names the portfolio kernel that computed the result
-	// ("sampling", "lowround", ...); empty when the planner is off and no
-	// kernel was pinned. PredictedMs is the planner's predicted time for
-	// the chosen kernel (0 for unplanned runs); KernelTimeMs the measured
-	// kernel wall time — together they feed the per-kernel
-	// prediction-vs-actual aggregates. PlannerFallback marks a query the
-	// planner could not score (no calibrated model for the default
-	// kernel) and handed to the default path.
-	Kernel          string
-	PredictedMs     float64
-	KernelTimeMs    float64
+	QueueDepth int // scheduler queue depth observed at admission
+	// Kernel is the profile of the execution behind the answer, nil when
+	// there is none. Its costs are counted once, under OutcomeExecuted;
+	// a cache hit carries the stored profile so max_p still sees its P.
+	Kernel *KernelStats
+	// PlannerFallback marks a query the planner could not score (no
+	// calibrated model for the default kernel) and handed to the default
+	// path.
 	PlannerFallback bool
+}
+
+// OutcomeTable pairs every resolution label with the AlgoStats counter it
+// bumps, in /metrics order. A label not listed here counts as an error.
+// (OutcomeRetried is an event, not a resolution, and has no row.)
+var OutcomeTable = []struct {
+	Label string
+	Field func(*AlgoStats) *uint64
+}{
+	{OutcomeExecuted, func(a *AlgoStats) *uint64 { return &a.KernelExecutions }},
+	{OutcomeCacheHit, func(a *AlgoStats) *uint64 { return &a.CacheHits }},
+	{OutcomeCoalesced, func(a *AlgoStats) *uint64 { return &a.Coalesced }},
+	{OutcomeRejected, func(a *AlgoStats) *uint64 { return &a.Rejected }},
+	{OutcomeExpired, func(a *AlgoStats) *uint64 { return &a.Expired }},
+	{OutcomeError, func(a *AlgoStats) *uint64 { return &a.Errors }},
+	{OutcomeCancelled, func(a *AlgoStats) *uint64 { return &a.Cancelled }},
+	{OutcomeDegraded, func(a *AlgoStats) *uint64 { return &a.Degraded }},
+	{OutcomeFaulted, func(a *AlgoStats) *uint64 { return &a.Faulted }},
+	{OutcomeTransport, func(a *AlgoStats) *uint64 { return &a.TransportLost }},
+}
+
+// Counter is one row of a counter table: a count every executed kernel
+// adds to an aggregate of type T, declared once — the /metrics family
+// that exports it ("" = served on /v1/stats only), the field that
+// accumulates it, and what one execution's profile contributes.
+type Counter[T any] struct {
+	Family, Help string
+	Field        func(*T) *uint64
+	Of           func(*KernelStats) uint64
+}
+
+// fold adds one executed kernel's contributions to agg.
+func fold[T any](rows []Counter[T], agg *T, k *KernelStats) {
+	for i := range rows {
+		*rows[i].Field(agg) += rows[i].Of(k)
+	}
+}
+
+// The contributions more than one table row draws.
+var (
+	supersteps   = func(k *KernelStats) uint64 { return uint64(k.Supersteps) }
+	commVolume   = func(k *KernelStats) uint64 { return k.CommVolume }
+	wireBytes    = func(k *KernelStats) uint64 { return k.WireBytes }
+	wireRawBytes = func(k *KernelStats) uint64 { return k.WireRawBytes }
+)
+
+// AlgoCounters and TransportCounters are the counter tables of the
+// per-algorithm and per-fabric aggregates, in /metrics order. Observe,
+// TransportStats.Add and service.WriteMetrics only walk them, so a new
+// counter is one aggregate field (its json tag is the /v1/stats name)
+// plus one row here; TestTablesComplete fails on a field without a row.
+var AlgoCounters = []Counter[AlgoStats]{
+	{"camc_supersteps_total", "BSP supersteps executed.", func(a *AlgoStats) *uint64 { return &a.Supersteps }, supersteps},
+	{"camc_comm_volume_words_total", "BSP words communicated.", func(a *AlgoStats) *uint64 { return &a.CommVolume }, commVolume},
+	{"camc_avoided_collectives_total", "Collectives skipped via snapshot-resident plans.", func(a *AlgoStats) *uint64 { return &a.AvoidedCollectives },
+		func(k *KernelStats) uint64 { return uint64(k.AvoidedCollectives) }},
+	{"camc_avoided_comm_volume_words_total", "Words not communicated thanks to plans.", func(a *AlgoStats) *uint64 { return &a.AvoidedCommVolume },
+		func(k *KernelStats) uint64 { return k.AvoidedCommVolume }},
+	{"", "", func(a *AlgoStats) *uint64 { return &a.WireBytes }, wireBytes},
+	{"", "", func(a *AlgoStats) *uint64 { return &a.WireRawBytes }, wireRawBytes},
+}
+
+var TransportCounters = []Counter[TransportStats]{
+	{"camc_transport_kernel_executions_total", "Kernel executions per BSP fabric.", func(t *TransportStats) *uint64 { return &t.KernelExecutions },
+		func(*KernelStats) uint64 { return 1 }},
+	{"camc_transport_supersteps_total", "Supersteps per BSP fabric.", func(t *TransportStats) *uint64 { return &t.Supersteps }, supersteps},
+	{"camc_transport_comm_volume_words_total", "Words communicated per BSP fabric.", func(t *TransportStats) *uint64 { return &t.CommVolume }, commVolume},
+	{"camc_transport_wire_bytes_total", "Framed socket bytes per BSP fabric (0 for local).", func(t *TransportStats) *uint64 { return &t.WireBytes }, wireBytes},
+	{"", "", func(t *TransportStats) *uint64 { return &t.WireRawBytes }, wireRawBytes},
 }
 
 // LatencyBuckets are the upper bounds, in seconds, of the collector's
@@ -109,7 +196,7 @@ type AlgoStats struct {
 	latencySamples uint64
 }
 
-func (a *AlgoStats) observe(s QuerySample) {
+func (a *AlgoStats) observe(s *QuerySample) {
 	// A retried sample marks an absorbed transient fault, not a resolved
 	// query: count the event and nothing else.
 	if s.Outcome == OutcomeRetried {
@@ -117,36 +204,21 @@ func (a *AlgoStats) observe(s QuerySample) {
 		return
 	}
 	a.Queries++
-	switch s.Outcome {
-	case OutcomeExecuted:
-		a.KernelExecutions++
-	case OutcomeCacheHit:
-		a.CacheHits++
-	case OutcomeCoalesced:
-		a.Coalesced++
-	case OutcomeRejected:
-		a.Rejected++
-	case OutcomeExpired:
-		a.Expired++
-	case OutcomeCancelled:
-		a.Cancelled++
-	case OutcomeDegraded:
-		a.Degraded++
-	case OutcomeFaulted:
-		a.Faulted++
-	case OutcomeTransport:
-		a.TransportLost++
-	default:
-		a.Errors++
+	resolved := &a.Errors
+	for i := range OutcomeTable {
+		if OutcomeTable[i].Label == s.Outcome {
+			resolved = OutcomeTable[i].Field(a)
+			break
+		}
 	}
-	a.Supersteps += uint64(s.Supersteps)
-	a.CommVolume += s.CommVolume
-	a.WireBytes += s.WireBytes
-	a.WireRawBytes += s.WireRawBytes
-	a.AvoidedCollectives += uint64(s.AvoidedCollectives)
-	a.AvoidedCommVolume += s.AvoidedCommVolume
-	if s.P > a.MaxP {
-		a.MaxP = s.P
+	*resolved++
+	if k := s.Kernel; k != nil {
+		if s.Outcome == OutcomeExecuted {
+			fold(AlgoCounters, a, k)
+		}
+		if k.P > a.MaxP {
+			a.MaxP = k.P
+		}
 	}
 	// Rejections resolve before any work happens; their near-zero
 	// latencies would only distort the latency profile.
@@ -186,6 +258,17 @@ type KernelAgg struct {
 	TotalPredictedMs float64 `json:"total_predicted_ms"`
 }
 
+// KernelFamilies are KernelAgg's /metrics families; Value reads one, in
+// the family's unit (seconds).
+var KernelFamilies = []struct {
+	Family, Help string
+	Value        func(*KernelAgg) float64
+}{
+	{"camc_kernel_executions_total", "Kernel executions per portfolio kernel.", func(k *KernelAgg) float64 { return float64(k.Executions) }},
+	{"camc_kernel_time_seconds_total", "Measured kernel time per portfolio kernel.", func(k *KernelAgg) float64 { return k.TotalKernelMs / 1e3 }},
+	{"camc_kernel_predicted_seconds_total", "Planner-predicted time per portfolio kernel.", func(k *KernelAgg) float64 { return k.TotalPredictedMs / 1e3 }},
+}
+
 // TransportStats aggregates the kernel executions carried by one BSP
 // fabric ("local", "tcp"). WireBytes stays zero for the in-process
 // fabric, which is precisely the communication-avoidance claim the
@@ -196,6 +279,22 @@ type TransportStats struct {
 	CommVolume       uint64 `json:"comm_volume"`
 	WireBytes        uint64 `json:"wire_bytes"`
 	WireRawBytes     uint64 `json:"wire_raw_bytes"`
+}
+
+// Add folds another process's aggregate for the same fabric into t.
+func (t *TransportStats) Add(o TransportStats) {
+	for _, c := range TransportCounters {
+		*c.Field(t) += *c.Field(&o)
+	}
+}
+
+// WireSaved is what the payload codecs kept off the sockets: the
+// raw-equivalent bytes minus the bytes actually framed.
+func (t *TransportStats) WireSaved() uint64 {
+	if t.WireRawBytes < t.WireBytes {
+		return 0
+	}
+	return t.WireRawBytes - t.WireBytes
 }
 
 // CollectorSnapshot is a point-in-time copy of a Collector's aggregates.
@@ -232,38 +331,32 @@ func NewCollector() *Collector {
 	}
 }
 
+// entry returns the aggregate kept under label, creating it on first use.
+func entry[T any](byLabel map[string]*T, label string) *T {
+	agg := byLabel[label]
+	if agg == nil {
+		agg = new(T)
+		byLabel[label] = agg
+	}
+	return agg
+}
+
 // Observe records one query sample.
 func (c *Collector) Observe(s QuerySample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.totals.observe(s)
-	a := c.algos[s.Algorithm]
-	if a == nil {
-		a = &AlgoStats{}
-		c.algos[s.Algorithm] = a
-	}
-	a.observe(s)
-	if s.Transport != "" {
-		tr := c.transports[s.Transport]
-		if tr == nil {
-			tr = &TransportStats{}
-			c.transports[s.Transport] = tr
+	c.totals.observe(&s)
+	entry(c.algos, s.Algorithm).observe(&s)
+	if k := s.Kernel; k != nil && s.Outcome == OutcomeExecuted {
+		if k.Transport != "" {
+			fold(TransportCounters, entry(c.transports, k.Transport), k)
 		}
-		tr.KernelExecutions++
-		tr.Supersteps += uint64(s.Supersteps)
-		tr.CommVolume += s.CommVolume
-		tr.WireBytes += s.WireBytes
-		tr.WireRawBytes += s.WireRawBytes
-	}
-	if s.Kernel != "" {
-		k := c.kernels[s.Kernel]
-		if k == nil {
-			k = &KernelAgg{}
-			c.kernels[s.Kernel] = k
+		if k.Kernel != "" {
+			agg := entry(c.kernels, k.Kernel)
+			agg.Executions++
+			agg.TotalKernelMs += k.TimeMs
+			agg.TotalPredictedMs += k.PredictedMs
 		}
-		k.Executions++
-		k.TotalKernelMs += s.KernelTimeMs
-		k.TotalPredictedMs += s.PredictedMs
 	}
 	if s.PlannerFallback {
 		c.plannerFallbacks++
@@ -308,16 +401,4 @@ func (c *Collector) Snapshot() CollectorSnapshot {
 		}
 	}
 	return out
-}
-
-// Reset clears all aggregates (test and ops convenience).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.totals = AlgoStats{}
-	c.algos = make(map[string]*AlgoStats)
-	c.transports = make(map[string]*TransportStats)
-	c.kernels = make(map[string]*KernelAgg)
-	c.maxQueueDepth = 0
-	c.plannerFallbacks = 0
 }

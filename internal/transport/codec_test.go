@@ -239,7 +239,7 @@ func binaryLE32(buf []byte, v uint32) []byte {
 // TestLedgerRoundtripWireBytes checks the end-of-run merge carries both
 // wire-byte counters.
 func TestLedgerRoundtripWireBytes(t *testing.T) {
-	in := []Ledger{{Supersteps: 3, Volume: 77, HRelations: []uint64{10, 30, 37}}}
+	in := []Ledger{{Supersteps: 3, CommVolume: 77, HRelations: []uint64{10, 30, 37}}}
 	buf := encodeLedgers(1000, 2500, in)
 	wire, raw, out, err := decodeLedgers(buf)
 	if err != nil {

@@ -22,7 +22,7 @@ func FuzzParseFrame(f *testing.F) {
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
 	f.Add(buf)
-	f.Add(encodeLedgers(10, 20, []Ledger{{Supersteps: 1, Volume: 2, HRelations: []uint64{2}}}))
+	f.Add(encodeLedgers(10, 20, []Ledger{{Supersteps: 1, CommVolume: 2, HRelations: []uint64{2}}}))
 	f.Add(encodeAbort(true, false, "cause"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 

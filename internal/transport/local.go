@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The Local fabric is the in-process implementation extracted from
@@ -38,9 +37,6 @@ type padAtomic struct {
 // concurrently.
 type Local struct {
 	p int
-
-	wordTime    time.Duration
-	syncLatency time.Duration
 
 	// Two-phase sense-reversing barrier. arrive counts arrivals of the
 	// current superstep; release carries the phase number whose delivery
@@ -157,12 +153,6 @@ func (l *Local) LocalEndpointAt(rank int) *LocalEndpoint { return &l.eps[rank] }
 // AbortFlag exposes the fabric's abort flag for cheap polling.
 func (l *Local) AbortFlag() *atomic.Bool { return &l.abortFlag }
 
-// SetCost configures the emulated interconnect for subsequent runs.
-func (l *Local) SetCost(wordTime, syncLatency time.Duration) {
-	l.wordTime = wordTime
-	l.syncLatency = syncLatency
-}
-
 // Reset restores the fabric to its pre-run state, keeping every mailbox
 // cell's and scratch buffer's capacity for reuse.
 func (l *Local) Reset() error {
@@ -177,9 +167,8 @@ func (l *Local) Reset() error {
 	l.parked = 0
 	l.parkMu.Unlock()
 	l.ledger.Supersteps = 0
-	l.ledger.Volume = 0
+	l.ledger.CommVolume = 0
 	l.ledger.HRelations = l.ledger.HRelations[:0]
-	l.ledger.SimComm = 0
 	for i := range l.sentWords {
 		l.sentWords[i].v = 0
 	}
@@ -215,17 +204,10 @@ func (l *Local) Err() error {
 }
 
 // Derive creates an independent in-process sub-fabric for a Split
-// group; it inherits the cost model. The tag is unused locally (frame
-// routing is a socket concern) and members only sizes the group.
-func (l *Local) Derive(tag uint64, members []int) (Transport, error) {
-	_ = tag
-	sub, err := NewLocal(len(members))
-	if err != nil {
-		return nil, err
-	}
-	sub.wordTime = l.wordTime
-	sub.syncLatency = l.syncLatency
-	return sub, nil
+// group. The tag is unused locally (frame routing is a socket concern)
+// and members only sizes the group.
+func (l *Local) Derive(_ uint64, members []int) (Transport, error) {
+	return NewLocal(len(members))
 }
 
 // FoldChild folds a derived sub-fabric's ledger into this fabric's.
@@ -298,11 +280,8 @@ func (l *Local) finalize() {
 		}
 	}
 	l.ledger.Supersteps++
-	l.ledger.Volume += h
+	l.ledger.CommVolume += h
 	l.ledger.HRelations = append(l.ledger.HRelations, h)
-	if l.wordTime > 0 || l.syncLatency > 0 {
-		l.ledger.SimComm += time.Duration(h)*l.wordTime + l.syncLatency
-	}
 	l.inbox, l.staging = l.staging, l.inbox
 }
 

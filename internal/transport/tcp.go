@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // The TCP fabric: each mesh rank is a separate worker process holding
@@ -223,8 +225,9 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		go m.acceptLoop(accepted)
 	}
 	// Dial every lower rank; they are accepting already or will be soon.
+	retry := backoff.New(dialBackoffBase, dialBackoffCap, int64(m.rank))
 	for j := 0; j < m.rank; j++ {
-		conn, err := dialRetry(cfg.Addrs[j], deadline)
+		conn, err := dialRetry(cfg.Addrs[j], deadline, retry)
 		var peerCodecs byte
 		if err == nil {
 			peerCodecs, err = m.dialHandshake(conn, deadline)
@@ -282,20 +285,24 @@ func (m *Mesh) dialHandshake(conn net.Conn, deadline time.Time) (peerCodecs byte
 	return peerCodecs, err
 }
 
-func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
-	backoff := 10 * time.Millisecond
-	for {
+// A peer that is not listening yet is redialled on the shared backoff
+// schedule, from 10ms up to half a second between tries.
+const (
+	dialBackoffBase = 10 * time.Millisecond
+	dialBackoffCap  = 500 * time.Millisecond
+)
+
+func dialRetry(addr string, deadline time.Time, retry *backoff.Jitter) (net.Conn, error) {
+	for attempt := 0; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 		if err == nil {
 			return conn, nil
 		}
-		if time.Now().Add(backoff).After(deadline) {
+		wait := retry.Delay(attempt)
+		if time.Now().Add(wait).After(deadline) {
 			return nil, fmt.Errorf("%w: %v", ErrPeerLost, err)
 		}
-		time.Sleep(backoff)
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
-		}
+		time.Sleep(wait)
 	}
 }
 
@@ -1002,9 +1009,6 @@ type tcpGroup struct {
 	rank    int   // this process's group rank
 	used    bool  // Reset burns it: socket groups are single-run
 
-	wordTime    time.Duration
-	syncLatency time.Duration
-
 	step    uint64
 	staging [][]uint64
 	inbox   [][]uint64
@@ -1276,11 +1280,8 @@ func (g *tcpGroup) Exchange() error {
 		}
 	}
 	g.ledger.Supersteps++
-	g.ledger.Volume += h
+	g.ledger.CommVolume += h
 	g.ledger.HRelations = append(g.ledger.HRelations, h)
-	if g.wordTime > 0 || g.syncLatency > 0 {
-		g.ledger.SimComm += time.Duration(h)*g.wordTime + g.syncLatency
-	}
 	g.step = step + 1
 	return nil
 }
@@ -1323,12 +1324,6 @@ func (g *tcpGroup) Abort(err error) { g.sess.abort(err, true) }
 // Err returns the abort cause, or nil.
 func (g *tcpGroup) Err() error { return g.sess.Err() }
 
-// SetCost configures the emulated interconnect.
-func (g *tcpGroup) SetCost(wordTime, syncLatency time.Duration) {
-	g.wordTime = wordTime
-	g.syncLatency = syncLatency
-}
-
 // Derive creates the group for a Split: members are parent-group ranks
 // in sub-rank order; they translate to mesh ranks through this group's
 // membership. Every member derives the same tag, so frames route
@@ -1350,8 +1345,6 @@ func (g *tcpGroup) Derive(tag uint64, members []int) (Transport, error) {
 		return nil, fmt.Errorf("transport: deriving group %#x without local rank %d", tag, g.rank)
 	}
 	child := newTCPGroup(g.sess, tag, meshMembers, childRank)
-	child.wordTime = g.wordTime
-	child.syncLatency = g.syncLatency
 	if err := g.sess.registerGroup(child); err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func trafficPattern(ep Endpoint, steps int) error {
 }
 
 func ledgerEq(a, b Ledger) bool {
-	if a.Supersteps != b.Supersteps || a.Volume != b.Volume || len(a.HRelations) != len(b.HRelations) {
+	if a.Supersteps != b.Supersteps || a.CommVolume != b.CommVolume || len(a.HRelations) != len(b.HRelations) {
 		return false
 	}
 	for i := range a.HRelations {
@@ -297,7 +297,7 @@ func TestTCPDeriveSubgroups(t *testing.T) {
 		// H-relation fold order differs across processes; compare as
 		// multisets the way the golden fingerprints do.
 		for r := 0; r < p; r++ {
-			if ledgers[r].Supersteps != wantLedger.Supersteps || ledgers[r].Volume != wantLedger.Volume {
+			if ledgers[r].Supersteps != wantLedger.Supersteps || ledgers[r].CommVolume != wantLedger.CommVolume {
 				t.Fatalf("rank %d ledger %+v != local %+v", r, ledgers[r], wantLedger)
 			}
 			if !sameMultiset(ledgers[r].HRelations, wantLedger.HRelations) {

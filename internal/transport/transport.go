@@ -25,8 +25,8 @@ package transport
 
 import (
 	"errors"
+	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // Fabric kind labels, reported through Kind() and surfaced in serving
@@ -64,7 +64,7 @@ type RemoteAbort struct {
 }
 
 func (e *RemoteAbort) Error() string {
-	return "transport: remote abort from rank " + itoa(e.Rank) + ": " + e.Msg
+	return "transport: remote abort from rank " + strconv.Itoa(e.Rank) + ": " + e.Msg
 }
 
 // Is lets errors.Is(err, ErrPeerLost) see through a relayed abort.
@@ -78,13 +78,11 @@ func (e *RemoteAbort) Is(target error) bool {
 // it once; TCP: every process computes it from the same size matrices).
 type Ledger struct {
 	Supersteps int
-	// Volume is the sum over supersteps of the h-relation (the largest
-	// number of words any rank sent or received that superstep).
-	Volume     uint64
+	// CommVolume is the sum over supersteps of the h-relation (the largest
+	// number of words any rank sent or received that superstep) — the BSP
+	// communication volume. HRelations records each superstep's.
+	CommVolume uint64
 	HRelations []uint64
-	// SimComm is the virtual communication time Σ(h·wordTime + syncLatency)
-	// accrued under the configured cost model.
-	SimComm time.Duration
 	// WireBytes counts real bytes moved over sockets (frame headers
 	// included), so ledger words and wire traffic can be compared; always
 	// zero on the Local fabric.
@@ -99,9 +97,8 @@ type Ledger struct {
 // sub-groups and the TCP end-of-run ledger merge).
 func (l *Ledger) add(o *Ledger) {
 	l.Supersteps += o.Supersteps
-	l.Volume += o.Volume
+	l.CommVolume += o.CommVolume
 	l.HRelations = append(l.HRelations, o.HRelations...)
-	l.SimComm += o.SimComm
 }
 
 // Endpoint is one rank's handle on a fabric. It is owned by exactly one
@@ -154,14 +151,12 @@ type Transport interface {
 	Abort(err error)
 	// Err returns the abort cause, or nil.
 	Err() error
-	// SetCost configures the emulated interconnect charged per exchange.
-	SetCost(wordTime, syncLatency time.Duration)
 	// Derive creates the sub-fabric for a Split group. members lists the
 	// group's ranks in THIS fabric, in sub-rank order; tag is a
 	// deterministic group id every member derives identically (it keys
-	// frame routing on socket fabrics). The sub-fabric inherits the cost
-	// model. On fabrics hosting several local ranks, Derive is called
-	// once per group (the bsp layer shares the result among members).
+	// frame routing on socket fabrics). On fabrics hosting several local
+	// ranks, Derive is called once per group (the bsp layer shares the
+	// result among members).
 	Derive(tag uint64, members []int) (Transport, error)
 	// FoldChild folds a derived sub-fabric's ledger into this fabric's
 	// accounting, exactly once per group (the bsp layer calls it from
@@ -181,27 +176,4 @@ type Transport interface {
 	Ledger() Ledger
 	// Close releases fabric resources (sockets, session registrations).
 	Close() error
-}
-
-// itoa is strconv.Itoa without the import (hot-path-free helper).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [24]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -62,8 +62,8 @@ func TestLocalExchangeDelivers(t *testing.T) {
 	if len(led.HRelations) != 2 || led.HRelations[0] != p || led.HRelations[1] != 0 {
 		t.Fatalf("h-relations = %v, want [%d 0]", led.HRelations, p)
 	}
-	if led.Volume != p {
-		t.Fatalf("volume = %d, want %d", led.Volume, p)
+	if led.CommVolume != p {
+		t.Fatalf("volume = %d, want %d", led.CommVolume, p)
 	}
 }
 
@@ -105,14 +105,14 @@ func TestLocalFoldChild(t *testing.T) {
 	}
 	sub := subT.(*Local)
 	sub.ledger.Supersteps = 3
-	sub.ledger.Volume = 17
+	sub.ledger.CommVolume = 17
 	sub.ledger.HRelations = []uint64{5, 5, 7}
 	parent.ledger.Supersteps = 1
-	parent.ledger.Volume = 2
+	parent.ledger.CommVolume = 2
 	parent.ledger.HRelations = []uint64{2}
 	parent.FoldChild(sub)
 	led := parent.Ledger()
-	if led.Supersteps != 4 || led.Volume != 19 || len(led.HRelations) != 4 {
+	if led.Supersteps != 4 || led.CommVolume != 19 || len(led.HRelations) != 4 {
 		t.Fatalf("folded ledger = %+v", led)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Wire protocol of the TCP fabric (DESIGN.md §4f, §4i, §4j).
@@ -39,11 +38,12 @@ import (
 // of a group reconstruct the same p×p size matrix and account the
 // superstep's h-relation identically to the in-process fabric's
 // finalizer — in words, so the choice of codec never shows up in the
-// ledger's logical volume.
+// ledger's logical volume. Ledger frames (version 4) carry counts only:
+// supersteps, volume and the h-relations, per folded sub-group.
 
 const (
 	wireMagic   = "CAMT"
-	wireVersion = 3
+	wireVersion = 4
 	ackMagic    = "CAMA"
 
 	// Frame kinds.
@@ -283,8 +283,7 @@ func encodeLedgers(wireBytes, wireRawBytes uint64, ledgers []Ledger) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ledgers)))
 	for _, l := range ledgers {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Supersteps))
-		buf = binary.LittleEndian.AppendUint64(buf, l.Volume)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(l.SimComm))
+		buf = binary.LittleEndian.AppendUint64(buf, l.CommVolume)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.HRelations)))
 		buf = appendWords(buf, l.HRelations)
 	}
@@ -304,15 +303,14 @@ func decodeLedgers(payload []byte) (wireBytes, wireRawBytes uint64, ledgers []Le
 	count := int(binary.LittleEndian.Uint32(payload[16:20]))
 	off := 20
 	for i := 0; i < count; i++ {
-		if len(payload) < off+28 {
+		if len(payload) < off+20 {
 			return bad()
 		}
 		var l Ledger
 		l.Supersteps = int(binary.LittleEndian.Uint64(payload[off:]))
-		l.Volume = binary.LittleEndian.Uint64(payload[off+8:])
-		l.SimComm = time.Duration(binary.LittleEndian.Uint64(payload[off+16:]))
-		hlen := int(binary.LittleEndian.Uint32(payload[off+24:]))
-		off += 28
+		l.CommVolume = binary.LittleEndian.Uint64(payload[off+8:])
+		hlen := int(binary.LittleEndian.Uint32(payload[off+16:]))
+		off += 20
 		if hlen > maxFrameLen/8 || len(payload) < off+8*hlen {
 			return bad()
 		}

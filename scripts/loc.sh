@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Go line counts of the root module (benchmark/ is its own module and is
+# left out): non-test / test lines per package directory, the module
+# totals, and the ROADMAP item 6 budget line. Lines are `wc -l` lines —
+# comments and blanks included — so numbers compare across PRs.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+count() { # count <dir> <find-predicate...>: lines of the Go files directly in dir
+	local dir=$1; shift
+	find "$dir" -maxdepth 1 -name '*.go' "$@" -print0 | xargs -0 -r cat | wc -l
+}
+
+printf '%-28s %9s %9s\n' package non-test test
+total=0 total_test=0 budget=0
+while read -r dir; do
+	n=$(count "$dir" ! -name '*_test.go')
+	t=$(count "$dir" -name '*_test.go')
+	printf '%-28s %9d %9d\n' "${dir#./}" "$n" "$t"
+	total=$((total + n)) total_test=$((total_test + t))
+	case "${dir#./}" in
+	internal/service | internal/shard | internal/transport | cmd/benchgate) budget=$((budget + n)) ;;
+	esac
+done < <(find . -name '*.go' -not -path './benchmark/*' -printf '%h\n' | sort -u)
+printf '%-28s %9d %9d\n' 'root module' "$total" "$total_test"
+echo "budget (service+shard+transport+benchgate non-test, ROADMAP item 6: under 6800): $budget"
