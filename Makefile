@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench-build check loc chaos chaos-fleet lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
+.PHONY: all build test vet race bench-build check loc chaos chaos-fleet fuzz lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
 
 all: check
 
@@ -28,7 +28,8 @@ vet:
 # union-finds from the one pool concurrent queries share; mincut's trial
 # arenas come from a sync.Pool shared the same way and its dynamic trial
 # scheduling claims chunks across ranks, on streams from rng (-short
-# there only shrinks the statistical admission test's seed count). graph
+# there only shrinks the seed and trial counts of the statistical
+# admission tests and the bounded-trial contract tests). graph
 # is where those shared pools live: the UnionFind and Remap every
 # concurrent query checks out are handed between goroutines there. trace's
 # Collector is the one mutex every query of a process crosses, and
@@ -68,6 +69,12 @@ chaos:
 # byte-identical graph re-replication.
 chaos-fleet:
 	bash scripts/chaos_fleet.sh
+
+# Every Fuzz* target in the module (union-find, frame parser, payload
+# codecs, min-cut certificate) for 10s each; their
+# seed corpora already run under `make test`.
+fuzz:
+	GO=$(GO) bash scripts/fuzz.sh
 
 # Static analysis beyond vet. Uses golangci-lint when installed (CI
 # always has it); locally it degrades to a hint rather than failing.

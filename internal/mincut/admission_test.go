@@ -167,7 +167,7 @@ func TestAdmissionPerTrialSuccess(t *testing.T) {
 			st := rng.New(41, 0, 0)
 			hits := 0
 			for i := 0; i < trials; i++ {
-				if val, _, _ := sequentialTrial(a, in.g, st.At(uint32(i), trialLane)); val == in.want {
+				if val, _, _ := sequentialTrial(a, in.g, st.At(uint32(i), trialLane), math.MaxUint64); val == in.want {
 					hits++
 				}
 			}
@@ -193,7 +193,7 @@ func TestAdmissionRecursionSuccess(t *testing.T) {
 	st := rng.New(43, 0, 0)
 	hits := 0
 	for i := 0; i < runs; i++ {
-		val, side := a.ksRecurse(m, st.At(uint32(i), trialLane))
+		val, side := a.ksRecurse(m, st.At(uint32(i), trialLane), math.MaxUint64)
 		a.putBools(side)
 		if val == in.want {
 			hits++

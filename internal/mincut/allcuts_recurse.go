@@ -117,24 +117,16 @@ func ksRecurseAll(a *ksArena, m *graph.Matrix, st *rng.Stream) (uint64, [][]bool
 // sequentialTrialAll is one Eager+Recursive trial that reports every
 // tied minimum cut it encounters, lifted to g's vertices.
 func sequentialTrialAll(g *graph.Graph, st *rng.Stream) (uint64, [][]bool) {
-	t := eagerTarget(len(g.Edges))
-	work := g
-	mapping := make([]int32, g.N)
-	for i := range mapping {
-		mapping[i] = int32(i)
-	}
-	if t < g.N {
-		work, mapping, _ = eagerSequential(g, t, st)
-	}
-	if work.N < 2 {
+	a := getKSArena()
+	defer putKSArena(a)
+	mat, mapping, _ := eagerSequential(a, g, eagerTarget(len(g.Edges)), st)
+	defer a.putInts(mapping)
+	defer a.putWords(mat.W)
+	if mat.N < 2 {
 		v, s := minDegreeCut(g)
 		return v, [][]bool{s}
 	}
-	a := getKSArena()
-	mat := a.matrixFromEdges(work.N, work.Edges)
 	val, sides := ksRecurseAll(a, mat, st)
-	a.putWords(mat.W)
-	putKSArena(a)
 	out := make([][]bool, len(sides))
 	for i, s := range sides {
 		lifted := make([]bool, g.N)

@@ -74,19 +74,30 @@ func (a *ksArena) getBools(n int) []bool {
 	return make([]bool, n)
 }
 
-func (a *ksArena) putBools(s []bool) { a.bools = append(a.bools, s) }
+// putBools releases a side; a certified leaf's nil side is not kept.
+func (a *ksArena) putBools(s []bool) {
+	if s != nil {
+		a.bools = append(a.bools, s)
+	}
+}
 
 // matrixFromEdges accumulates an edge array into an arena-backed dense
-// matrix (parallel edges combined). Release with putWords(m.W).
-func (a *ksArena) matrixFromEdges(n int, edges []graph.Edge) *graph.Matrix {
+// n×n matrix, renaming every endpoint through lab first when it is
+// non-nil; loops (before or after renaming) are dropped and parallel
+// edges summed. Release with putWords(m.W).
+func (a *ksArena) matrixFromEdges(n int, edges []graph.Edge, lab []int32) *graph.Matrix {
 	w := a.getWords(n * n)
 	clear(w)
 	for _, e := range edges {
-		if e.U == e.V {
+		u, v := e.U, e.V
+		if lab != nil {
+			u, v = lab[u], lab[v]
+		}
+		if u == v {
 			continue
 		}
-		w[int(e.U)*n+int(e.V)] += e.W
-		w[int(e.V)*n+int(e.U)] += e.W
+		w[int(u)*n+int(v)] += e.W
+		w[int(v)*n+int(u)] += e.W
 	}
 	return &graph.Matrix{N: n, W: w}
 }

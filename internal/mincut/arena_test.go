@@ -8,6 +8,10 @@ import (
 	"repro/internal/rng"
 )
 
+// freshArena is an arena no pool has seen: every buffer it hands out is
+// a new allocation, so its results are the reference for recycled ones.
+func freshArena() *ksArena { return &ksArena{uf: &graph.UnionFind{}} }
+
 // TestArenaReuseBitIdentical checks the arena's core contract: a
 // recursion running on dirty, recycled buffers must produce bit-identical
 // results to one running on fresh allocations, because every arena slice
@@ -50,16 +54,16 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestArenaContractToMatchesStandalone pins the arena contraction against
-// the standalone copy-out wrapper: same stream, same matrix, identical
-// contracted matrix and mapping.
+// TestArenaContractToMatchesStandalone pins the contraction on a dirty,
+// recycled arena against the same contraction on a fresh, never-used
+// one: same stream, same matrix, identical contracted matrix and mapping.
 func TestArenaContractToMatchesStandalone(t *testing.T) {
 	g := gen.ErdosRenyiM(40, 300, 17, gen.Config{MaxWeight: 5})
 	m := graph.MatrixFromGraph(g)
 	for trial := 0; trial < 8; trial++ {
 		st1 := rng.New(7, uint32(trial), 0)
 		st2 := rng.New(7, uint32(trial), 0)
-		wantM, wantMap := contractTo(m, 12, st1)
+		wantM, wantMap := freshArena().contractTo(m, 12, st1)
 
 		a := getKSArena()
 		// Dirty the arena first so reuse is actually exercised.

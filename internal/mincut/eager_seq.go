@@ -49,16 +49,21 @@ func prefixContract(uf *graph.UnionFind, sample []graph.Edge, t int) int {
 // stopping time on the i.i.d. sample sequence, so the contracted prefix
 // has exactly the law of "draw s, contract the longest usable prefix"
 // without drawing the discarded tail — then bulk-contracts. It returns
-// the contracted simple graph, the vertex mapping g.N → contracted ids,
-// and a deterministic work count (edges scanned plus samples drawn plus
-// labels touched, summed over rounds — the measured per-trial cost that
-// drives dynamic trial scheduling). If the graph has fewer than t
-// connected components reachable by contraction (disconnected input), it
-// stops when no edges remain.
-func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int32, uint64) {
+// the contracted graph as an arena-backed dense matrix (release with
+// putWords(m.W)), the arena-owned vertex mapping g.N → matrix slots
+// (release with putInts), and a deterministic work count (edges scanned
+// plus samples drawn plus labels touched, summed over rounds — the
+// measured per-trial cost that drives dynamic trial scheduling). The
+// round that reaches t adds its edges into the matrix through the
+// round's labels rather than relabelling them into a combined edge
+// array first: the sums are the same, so the matrix is too. With t ≥
+// g.N no round runs and the matrix is g's own. If the graph has fewer
+// than t connected components reachable by contraction (disconnected
+// input), it stops when no edges remain.
+func eagerSequential(a *ksArena, g *graph.Graph, t int, st *rng.Stream) (*graph.Matrix, []int32, uint64) {
 	var work uint64
 	n := g.N
-	mapping := make([]int32, n)
+	mapping := a.getInts(n)
 	for i := range mapping {
 		mapping[i] = int32(i)
 	}
@@ -67,10 +72,11 @@ func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int
 		t = 2
 	}
 	// Round scratch is hoisted out of the loop: the graph only shrinks, so
-	// first-round capacity serves every later round, and the union-find is
-	// recycled with Reset.
-	var uf *graph.UnionFind
-	var labels, lscratch []int32
+	// first-round capacity serves every later round, and the arena's
+	// union-find (idle until the recursion) is recycled with Reset.
+	uf := a.uf
+	labels, lscratch := a.getInts(n), a.getInts(n)
+	var mat *graph.Matrix
 	for cur.N > t && len(cur.Edges) > 0 {
 		weights := xsort.BorrowWords(len(cur.Edges))
 		for i, e := range cur.Edges {
@@ -78,13 +84,7 @@ func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int
 		}
 		ps := rng.NewPrefixSampler(weights)
 		xsort.ReleaseWords(weights)
-		if uf == nil {
-			uf = graph.NewUnionFind(cur.N)
-			labels = make([]int32, cur.N)
-			lscratch = make([]int32, cur.N)
-		} else {
-			uf.Reset(cur.N)
-		}
+		uf.Reset(cur.N)
 		draws := 0
 		for s := sampleBudget(cur.N, len(cur.Edges)); draws < s && uf.Count() > t; draws++ {
 			e := cur.Edges[ps.Sample(st)]
@@ -92,12 +92,20 @@ func eagerSequential(g *graph.Graph, t int, st *rng.Stream) (*graph.Graph, []int
 		}
 		work += uint64(len(cur.Edges)) + uint64(draws) + uint64(cur.N)
 		lab := labels[:cur.N]
-		uf.LabelsInto(lab, lscratch[:cur.N])
-		next := cur.Relabel(lab, uf.Count())
+		k := uf.LabelsInto(lab, lscratch[:cur.N])
 		for v := 0; v < n; v++ {
 			mapping[v] = lab[mapping[v]]
 		}
-		cur = next
+		if k <= t {
+			mat = a.matrixFromEdges(k, cur.Edges, lab)
+			break
+		}
+		cur = cur.Relabel(lab, k)
 	}
-	return cur, mapping, work
+	if mat == nil {
+		mat = a.matrixFromEdges(cur.N, cur.Edges, nil)
+	}
+	a.putInts(lscratch)
+	a.putInts(labels)
+	return mat, mapping, work
 }

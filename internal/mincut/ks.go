@@ -230,26 +230,118 @@ func (a *ksArena) contractTo(m *graph.Matrix, t int, st *rng.Stream) (*graph.Mat
 	return out, mapping
 }
 
-// contractTo is the standalone form: same contraction, but the returned
-// matrix and mapping are fresh copies the caller owns outright.
-func contractTo(m *graph.Matrix, t int, st *rng.Stream) (*graph.Matrix, []int32) {
-	a := getKSArena()
-	cm, mapping := a.contractTo(m, t, st)
-	outM := &graph.Matrix{N: cm.N, W: append([]uint64(nil), cm.W...)}
-	outMap := append([]int32(nil), mapping...)
-	a.putWords(cm.W)
-	a.putInts(mapping)
-	putKSArena(a)
-	return outM, outMap
+// cutsAtLeast reports whether every cut of m weighs at least bound. It is
+// a proof, never a guess: Nagamochi and Ibaraki's lemma says that in a
+// maximum-adjacency order v_1…v_k, where r(v_i) is v_i's weight into
+// {v_1…v_{i−1}} when it joins, λ(v_{i−1}, v_i) ≥ r(v_i). A cut lighter
+// than bound therefore separates no consecutive pair with r ≥ bound, so
+// one pass contracts every such pair at once and the next pass repeats
+// on the contracted matrix; reaching one vertex proves the claim. It
+// gives up — and the caller solves exactly — at the first vertex whose
+// degree is below bound (a real cut; the last pair's cut of the phase is
+// one of these), or after a pass that merges nothing. Like exactCut it
+// keeps the live vertices in slots [0, k) of an arena copy, m is not
+// modified, and it reads no randomness. m.N must be at least 1.
+func (a *ksArena) cutsAtLeast(m *graph.Matrix, bound uint64) bool {
+	n := m.N
+	w, nw := a.getWords(n*n), a.getWords(n*n)
+	copy(w, m.W)
+	conn := a.getWords(n)
+	cand, label := a.getInts(n), a.getInts(n)
+	defer func() {
+		a.putInts(label)
+		a.putInts(cand)
+		a.putWords(conn)
+		a.putWords(nw)
+		a.putWords(w)
+	}()
+	for k := n; k > 1; {
+		for v := 0; v < k; v++ {
+			var d uint64
+			for _, x := range w[v*n : v*n+k] {
+				d += x
+			}
+			if d < bound {
+				return false
+			}
+		}
+		// MA order from slot 0; a vertex joins its predecessor's class
+		// when its attachment certifies the pair.
+		c := k - 1
+		sel, selW := 0, uint64(0)
+		for i := 0; i < c; i++ {
+			cand[i] = int32(i + 1)
+			x := w[i+1]
+			conn[i+1] = x
+			if x > selW {
+				sel, selW = i, x
+			}
+		}
+		label[0] = 0
+		classes, prev := int32(1), 0
+		for c > 0 {
+			v := int(cand[sel])
+			c--
+			cand[sel] = cand[c]
+			if selW >= bound {
+				label[v] = label[prev]
+			} else {
+				label[v] = classes
+				classes++
+			}
+			prev = v
+			row := w[v*n : v*n+k]
+			sel, selW = 0, 0
+			for i, u := range cand[:c] {
+				x := conn[u] + row[u]
+				conn[u] = x
+				if x > selW {
+					sel, selW = i, x
+				}
+			}
+		}
+		kk := int(classes)
+		switch kk {
+		case 1:
+			return true
+		case k:
+			return false
+		}
+		for i := 0; i < kk; i++ {
+			clear(nw[i*n : i*n+kk])
+		}
+		for i := 0; i < k; i++ {
+			dst := nw[int(label[i])*n:]
+			for j, x := range w[i*n : i*n+k] {
+				dst[label[j]] += x
+			}
+		}
+		for i := 0; i < kk; i++ {
+			nw[i*n+i] = 0
+		}
+		w, nw, k = nw, w, kk
+	}
+	return true
 }
 
 // ksRecurse is one run of recursive contraction (§2.4): contract to
 // ⌈n/√2⌉+1 twice independently, recurse on both, keep the better cut.
 // Returns the best cut value found and its side over m's vertices; the
 // side is arena-owned — the caller releases it with putBools once done.
-func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
+//
+// bound is a value the caller already holds a cut for (math.MaxUint64:
+// none). A leaf whose every cut cutsAtLeast proves to weigh ≥ bound
+// returns (math.MaxUint64, nil) without solving; otherwise it solves
+// exactly. Both read no randomness, so the draws are the unbounded run's
+// and — branches keep the strictly better cut, first branch on ties —
+// the run returns the unbounded (value, side) whenever that value is
+// below bound and a value ≥ bound otherwise.
+func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream, bound uint64) (uint64, []bool) {
 	n := m.N
 	if n <= BaseCaseSize {
+		if bound < math.MaxUint64 && a.cutsAtLeast(m, bound) {
+			return math.MaxUint64, nil
+		}
 		return a.exactCut(m)
 	}
 	t := recursionTarget(n)
@@ -257,7 +349,7 @@ func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 	var bestSide []bool
 	for branch := 0; branch < 2; branch++ {
 		cm, mapping := a.contractTo(m, t, st)
-		val, side := a.ksRecurse(cm, st)
+		val, side := a.ksRecurse(cm, st, bound)
 		a.putWords(cm.W)
 		if val < bestVal {
 			bestVal = val
@@ -280,7 +372,7 @@ func (a *ksArena) ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 // run and returns a side the caller owns outright.
 func ksRecurse(m *graph.Matrix, st *rng.Stream) (uint64, []bool) {
 	a := getKSArena()
-	val, side := a.ksRecurse(m, st)
+	val, side := a.ksRecurse(m, st, math.MaxUint64)
 	out := append([]bool(nil), side...)
 	a.putBools(side)
 	putKSArena(a)
@@ -303,7 +395,8 @@ func KargerSteinTrials(n int, successProb float64) int {
 // "KS" baseline (the cache-oblivious variant shares this exact algorithm;
 // our compact matrix layout stands in for its cache-friendly layout).
 // One arena serves all trials, so the steady-state allocation rate across
-// the whole run is near zero.
+// the whole run is near zero. Its runs are unbounded: as the baseline it
+// solves every leaf.
 func KargerStein(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult {
 	if g.N < 2 {
 		return &CutResult{Value: 0, Side: make([]bool, g.N)}
@@ -313,7 +406,7 @@ func KargerStein(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult
 	trials := KargerSteinTrials(g.N, successProb)
 	a := getKSArena()
 	for i := 0; i < trials; i++ {
-		val, side := a.ksRecurse(m, st)
+		val, side := a.ksRecurse(m, st, math.MaxUint64)
 		if val < best.Value {
 			best.Value = val
 			best.Side = append(best.Side[:0], side...)

@@ -138,7 +138,11 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		g := &graph.Graph{N: n, Edges: all}
 		a := getKSArena()
 		runTrial := func(i int) {
-			val, side, work := sequentialTrial(a, g, st.At(uint32(i), trialLane))
+			// Only a cut below bestVal can matter: a rank runs its trials in
+			// increasing index order, so a later trial cannot win a tie. The
+			// bound changes which leaves solve, never the draws or the work
+			// count, so the argmin and the ledger stay schedule-independent.
+			val, side, work := sequentialTrial(a, g, st.At(uint32(i), trialLane), bestVal)
 			c.Ops(work)
 			if cp != nil {
 				cp.note(val, side)

@@ -227,7 +227,7 @@ func TestContractToPreservesWeightStructure(t *testing.T) {
 	g := gen.ErdosRenyiM(20, 80, 3, gen.Config{MaxWeight: 6})
 	m := graph.MatrixFromGraph(g)
 	st := rng.New(7, 0, 0)
-	cm, mapping := contractTo(m, 8, st)
+	cm, mapping := freshArena().contractTo(m, 8, st)
 	if cm.N != 8 {
 		t.Fatalf("contracted to %d vertices, want 8", cm.N)
 	}
@@ -256,7 +256,7 @@ func TestContractToPreservesWeightStructure(t *testing.T) {
 func TestContractToNoOp(t *testing.T) {
 	g := gen.Cycle(5, 1)
 	m := graph.MatrixFromGraph(g)
-	cm, mapping := contractTo(m, 10, rng.New(1, 0, 0))
+	cm, mapping := freshArena().contractTo(m, 10, rng.New(1, 0, 0))
 	if cm.N != 5 {
 		t.Errorf("t >= n should be a no-op, got n=%d", cm.N)
 	}
@@ -307,21 +307,26 @@ func TestKargerSteinMatchesStoerWagnerRandom(t *testing.T) {
 
 func TestEagerSequentialContracts(t *testing.T) {
 	g := gen.ErdosRenyiM(200, 2000, 5, gen.Config{MaxWeight: 4})
-	cg, mapping, _ := eagerSequential(g, 40, rng.New(3, 0, 0))
-	if cg.N > 40 {
-		t.Errorf("eager left %d vertices, want <= 40", cg.N)
-	}
-	if err := cg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Mapping consistency: edges of cg must be the mapped non-loop edges.
-	if cg.TotalWeight() > g.TotalWeight() {
-		t.Error("contraction increased weight")
+	cm, mapping, _ := eagerSequential(freshArena(), g, 40, rng.New(3, 0, 0))
+	if cm.N > 40 {
+		t.Errorf("eager left %d vertices, want <= 40", cm.N)
 	}
 	for v, l := range mapping {
-		if int(l) >= cg.N || l < 0 {
+		if int(l) >= cm.N || l < 0 {
 			t.Fatalf("mapping[%d] = %d out of range", v, l)
 		}
+	}
+	// The matrix the last round writes directly must be the contraction
+	// of g by the returned mapping: symmetric, loop-free, parallel edges
+	// summed — what relabelling and then accumulating would have built.
+	want := graph.MatrixFromGraph(g).Contract(mapping, cm.N)
+	for i := range want.W {
+		if cm.W[i] != want.W[i] {
+			t.Fatalf("matrix cell (%d,%d) = %d, contraction by mapping %d", i/cm.N, i%cm.N, cm.W[i], want.W[i])
+		}
+	}
+	if cm.TotalWeight() > g.TotalWeight() {
+		t.Error("contraction increased weight")
 	}
 	// The contracted graph's cut values are cuts of the original: check a
 	// singleton of the contracted graph.
@@ -329,10 +334,8 @@ func TestEagerSequentialContracts(t *testing.T) {
 	for v := range side {
 		side[v] = mapping[v] == 0
 	}
-	cside := make([]bool, cg.N)
-	cside[0] = true
-	if g.CutValue(side) != cg.CutValue(cside) {
-		t.Errorf("lifted cut %d != contracted cut %d", g.CutValue(side), cg.CutValue(cside))
+	if g.CutValue(side) != cm.WeightedDegree(0) {
+		t.Errorf("lifted cut %d != contracted cut %d", g.CutValue(side), cm.WeightedDegree(0))
 	}
 }
 
@@ -344,12 +347,12 @@ func TestEagerSequentialDisconnected(t *testing.T) {
 	}
 	// 10 isolated + two rings; contracting to 2 is impossible (>= 12
 	// components), must stop when edges run out.
-	cg, _, _ := eagerSequential(g, 2, rng.New(4, 0, 0))
-	if len(cg.Edges) != 0 {
-		t.Errorf("%d edges left after exhaustive contraction", len(cg.Edges))
+	cm, _, _ := eagerSequential(freshArena(), g, 2, rng.New(4, 0, 0))
+	if w := cm.TotalWeight(); w != 0 {
+		t.Errorf("weight %d left after exhaustive contraction", w)
 	}
-	if cg.N != 12 {
-		t.Errorf("components = %d, want 12", cg.N)
+	if cm.N != 12 {
+		t.Errorf("components = %d, want 12", cm.N)
 	}
 }
 

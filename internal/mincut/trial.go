@@ -27,32 +27,31 @@ func eagerTarget(m int) int {
 // The graph must have at least 2 vertices and 1 edge. The caller owns the
 // returned side; all recursion scratch comes from a, so a trial loop
 // sharing one arena allocates only the lifted side per trial.
-func sequentialTrial(a *ksArena, g *graph.Graph, st *rng.Stream) (uint64, []bool, uint64) {
-	t := eagerTarget(len(g.Edges))
-	work := g
-	var mapping []int32
-	var ops uint64
-	if t < g.N {
-		work, mapping, ops = eagerSequential(g, t, st)
-	}
-	if work.N < 2 {
+//
+// bound is what the caller's best cut already makes unbeatable (see
+// ksRecurse): the trial returns its unbounded (value, side) whenever
+// that value is below bound, and otherwise some value ≥ bound, possibly
+// math.MaxUint64 with a nil side. math.MaxUint64 bounds nothing. The
+// work count never depends on it.
+func sequentialTrial(a *ksArena, g *graph.Graph, st *rng.Stream, bound uint64) (uint64, []bool, uint64) {
+	mat, mapping, ops := eagerSequential(a, g, eagerTarget(len(g.Edges)), st)
+	defer a.putInts(mapping)
+	defer a.putWords(mat.W)
+	if mat.N < 2 {
 		// Fully contracted (can happen on tiny graphs): fall back to the
 		// min-degree cut of the original.
 		val, side := minDegreeCut(g)
 		return val, side, ops + uint64(len(g.Edges))
 	}
-	tn := float64(work.N)
+	tn := float64(mat.N)
 	ops += uint64(tn*tn) + uint64(2*tn*tn*math.Log2(tn+2))
-	mat := a.matrixFromEdges(work.N, work.Edges)
-	val, side := a.ksRecurse(mat, st)
-	a.putWords(mat.W)
+	val, side := a.ksRecurse(mat, st, bound)
+	if side == nil {
+		return val, nil, ops
+	}
 	lifted := make([]bool, g.N)
-	if mapping == nil {
-		copy(lifted, side)
-	} else {
-		for v := 0; v < g.N; v++ {
-			lifted[v] = side[mapping[v]]
-		}
+	for v := range lifted {
+		lifted[v] = side[mapping[v]]
 	}
 	a.putBools(side)
 	return val, lifted, ops
@@ -164,7 +163,9 @@ func denseRegime(n, m int) bool {
 // successProb using the full algorithm of §4 run on one processor: t
 // trials of Eager Step + Recursive Contraction, keeping the best cut.
 // Dense inputs (m ≥ n²/log n) skip the Eager Step and share one
-// adjacency matrix across trials — the paper's AM representation.
+// adjacency matrix across trials — the paper's AM representation. A
+// trial only replaces a strictly better best, so each is bounded by
+// the best so far.
 func Sequential(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult {
 	if g.N < 2 {
 		return &CutResult{Value: 0, Side: make([]bool, g.N)}
@@ -179,7 +180,7 @@ func Sequential(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult 
 	if denseRegime(g.N, len(g.Edges)) && eagerTarget(len(g.Edges)) >= g.N {
 		mat := graph.MatrixFromGraph(g)
 		for i := 0; i < trials; i++ {
-			val, side := a.ksRecurse(mat, st)
+			val, side := a.ksRecurse(mat, st, best.Value)
 			if val < best.Value {
 				best.Value = val
 				best.Side = append(best.Side[:0], side...)
@@ -188,7 +189,7 @@ func Sequential(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult 
 		}
 	} else {
 		for i := 0; i < trials; i++ {
-			val, side, _ := sequentialTrial(a, g, st)
+			val, side, _ := sequentialTrial(a, g, st, best.Value)
 			if val < best.Value {
 				best.Value = val
 				best.Side = side
