@@ -33,11 +33,17 @@ vet:
 # is where those shared pools live: the UnionFind and Remap every
 # concurrent query checks out are handed between goroutines there. trace's
 # Collector is the one mutex every query of a process crosses, and
-# backoff's generator is drawn from request goroutines.
+# backoff's generator is drawn from request goroutines. tenant's quota
+# buckets and the planner's decisions and refits are taken under a mutex
+# by every request; dist's collectives run on every rank's goroutine over
+# slices the ranks share; sort's scratch pools are shared by all of them;
+# perfmodel's fits are what the planner's refits run from request
+# goroutines.
 race:
 	$(GO) test -race ./internal/service/... ./internal/bsp/... ./internal/cc/... ./internal/core/... \
 		./internal/approxcut/... ./internal/sparsify/... ./internal/graph/... \
-		./internal/trace/... ./internal/backoff/...
+		./internal/trace/... ./internal/backoff/... ./internal/tenant/... \
+		./internal/planner/... ./internal/dist/... ./internal/sort/... ./internal/perfmodel/...
 	$(GO) test -race -short . ./internal/mincut/... ./internal/rng/...
 
 # benchmark/ is its own module (`replace repro => ../`), so `go build

@@ -38,8 +38,9 @@ func SequentialSampling(g *graph.Graph, st *rng.Stream, epsilon float64) *Result
 				uf.Union(e.U, e.V)
 			}
 		} else {
+			pick := rng.NewBounded(uint64(len(edges)))
 			for k := 0; k < s; k++ {
-				e := edges[st.Intn(len(edges))]
+				e := edges[pick.Draw(st)]
 				uf.Union(e.U, e.V)
 			}
 		}

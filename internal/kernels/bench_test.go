@@ -505,6 +505,18 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	// the amortised bound on an order numbered against it shows up.
 	snap.Add(benchsnap.Info, "unionfind_chain_ns_op",
 		float64(bench(func(b *testing.B) { benchUnionPass(b, rem, chain) }).NsPerOp()), -1, 0)
+
+	// The eager round's draw: a 64-bit read against the rolled Philox
+	// loop, and a unit-weight m = 1 536 edge draw against the division
+	// and the n/8 index it replaced. Both sides take the quickest of
+	// three for the reason unionfind does.
+	st, rolled := rng.New(1, 0, 0), newRolledStream(1, 0, 0)
+	pair("philox", fastest(func(b *testing.B) { benchStreamUint64(b, st) }),
+		fastest(func(b *testing.B) { benchRolledUint64(b, rolled) }))
+	unit := drawWeights()["unit"]
+	ps, ds := rng.NewPrefixSampler(unit), newDivSampler(unit)
+	pair("bounded", fastest(func(b *testing.B) { benchPrefixSample(b, ps, st) }),
+		fastest(func(b *testing.B) { benchDivSample(b, ds, st) }))
 	return nil
 }
 

@@ -164,10 +164,10 @@ func TestAdmissionPerTrialSuccess(t *testing.T) {
 	defer putKSArena(a)
 	for _, in := range admissionInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
-			st := rng.New(41, 0, 0)
+			st, first := rng.New(41, 0, 0), edgeSampler(in.g.Edges)
 			hits := 0
 			for i := 0; i < trials; i++ {
-				if val, _, _ := sequentialTrial(a, in.g, st.At(uint32(i), trialLane), math.MaxUint64); val == in.want {
+				if val, _, _ := sequentialTrial(a, in.g, first, st.At(uint32(i), trialLane), math.MaxUint64); val == in.want {
 					hits++
 				}
 			}

@@ -81,8 +81,9 @@ func AllMinCuts(g *graph.Graph, st *rng.Stream, successProb float64) []*CutResul
 			found[key] = canon
 		}
 	}
+	first := edgeSampler(g.Edges)
 	for i := 0; i < trials; i++ {
-		val, sides := sequentialTrialAll(g, st)
+		val, sides := sequentialTrialAll(g, first, st)
 		for _, side := range sides {
 			record(val, side)
 		}

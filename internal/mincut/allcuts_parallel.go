@@ -53,8 +53,9 @@ func ParallelAllMinCuts(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, 
 			found[key] = canon
 		}
 	}
+	first := edgeSampler(all)
 	for i := lo; i < hi; i++ {
-		val, sides := sequentialTrialAll(g, st)
+		val, sides := sequentialTrialAll(g, first, st)
 		for _, side := range sides {
 			record(val, side)
 		}

@@ -115,11 +115,12 @@ func ksRecurseAll(a *ksArena, m *graph.Matrix, st *rng.Stream) (uint64, [][]bool
 }
 
 // sequentialTrialAll is one Eager+Recursive trial that reports every
-// tied minimum cut it encounters, lifted to g's vertices.
-func sequentialTrialAll(g *graph.Graph, st *rng.Stream) (uint64, [][]bool) {
+// tied minimum cut it encounters, lifted to g's vertices. first is
+// edgeSampler(g.Edges), shared by every trial of a call.
+func sequentialTrialAll(g *graph.Graph, first *rng.PrefixSampler, st *rng.Stream) (uint64, [][]bool) {
 	a := getKSArena()
 	defer putKSArena(a)
-	mat, mapping, _ := eagerSequential(a, g, eagerTarget(len(g.Edges)), st)
+	mat, mapping, _ := eagerSequential(a, g, first, eagerTarget(len(g.Edges)), st)
 	defer a.putInts(mapping)
 	defer a.putWords(mat.W)
 	if mat.N < 2 {

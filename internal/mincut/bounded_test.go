@@ -48,14 +48,14 @@ func TestBoundedTrialContract(t *testing.T) {
 	for _, in := range boundedInputs(t) {
 		lambda := in.want
 		bounds := []uint64{0, lambda - 1, lambda, lambda + 1, math.MaxUint64}
-		st := rng.New(59, 0, 0)
+		st, first := rng.New(59, 0, 0), edgeSampler(in.g.Edges)
 		for i := 0; i < trials; i++ {
-			val, side, work := sequentialTrial(a, in.g, st.At(uint32(i), trialLane), math.MaxUint64)
+			val, side, work := sequentialTrial(a, in.g, first, st.At(uint32(i), trialLane), math.MaxUint64)
 			if side == nil || in.g.CutValue(side) != val {
 				t.Fatalf("%s trial %d: unbounded trial returned value %d with side %v", in.name, i, val, side)
 			}
 			for _, b := range bounds {
-				bv, bside, bwork := sequentialTrial(a, in.g, st.At(uint32(i), trialLane), b)
+				bv, bside, bwork := sequentialTrial(a, in.g, first, st.At(uint32(i), trialLane), b)
 				triples++
 				if bwork != work {
 					t.Fatalf("%s trial %d bound %d: work %d, unbounded %d", in.name, i, b, bwork, work)
@@ -94,12 +94,12 @@ func TestParallelMatchesUnboundedArgmin(t *testing.T) {
 	defer putKSArena(a)
 	for _, in := range boundedInputs(t)[:2] { // ws256, weighted-er
 		g := in.g
-		trials := Trials(g.N, g.M(), 0.9)
+		trials, first := Trials(g.N, g.M(), 0.9), edgeSampler(g.Edges)
 		for seed := uint64(1); seed <= seeds; seed++ {
 			want := &CutResult{Value: math.MaxUint64, Trials: trials}
 			st := rng.New(seed, 0, 0)
 			for i := 0; i < trials; i++ {
-				if val, side, _ := sequentialTrial(a, g, st.At(uint32(i), trialLane), math.MaxUint64); val < want.Value {
+				if val, side, _ := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), math.MaxUint64); val < want.Value {
 					want.Value, want.Side = val, side
 				}
 			}
@@ -132,10 +132,10 @@ func TestCertificateSkipsExactCut(t *testing.T) {
 	}
 	a := getKSArena()
 	defer putKSArena(a)
-	st := rng.New(1, 0, 0)
+	st, first := rng.New(1, 0, 0), edgeSampler(g.Edges)
 	best, solved := uint64(math.MaxUint64), 0
 	for i := 0; i < trials; i++ {
-		mat, mapping, _ := eagerSequential(a, g, eagerTarget(g.M()), st.At(uint32(i), trialLane))
+		mat, mapping, _ := eagerSequential(a, g, first, eagerTarget(g.M()), st.At(uint32(i), trialLane))
 		if best == math.MaxUint64 || !a.cutsAtLeast(mat, best) {
 			solved++
 			val, side := a.exactCut(mat)

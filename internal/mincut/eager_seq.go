@@ -42,6 +42,18 @@ func prefixContract(uf *graph.UnionFind, sample []graph.Edge, t int) int {
 	return uf.Count()
 }
 
+// edgeSampler builds the weight-proportional sampler over edges that an
+// eager round draws from.
+func edgeSampler(edges []graph.Edge) *rng.PrefixSampler {
+	weights := xsort.BorrowWords(len(edges))
+	for i, e := range edges {
+		weights[i] = e.W
+	}
+	ps := rng.NewPrefixSampler(weights)
+	xsort.ReleaseWords(weights)
+	return ps
+}
+
 // eagerSequential contracts g to at most t vertices using sequential
 // iterated sampling: each round draws weighted edges one at a time
 // straight into the union-find and stops as soon as t components remain
@@ -60,7 +72,14 @@ func prefixContract(uf *graph.UnionFind, sample []graph.Edge, t int) int {
 // g.N no round runs and the matrix is g's own. If the graph has fewer
 // than t connected components reachable by contraction (disconnected
 // input), it stops when no edges remain.
-func eagerSequential(a *ksArena, g *graph.Graph, t int, st *rng.Stream) (*graph.Matrix, []int32, uint64) {
+//
+// first is edgeSampler(g.Edges), which the first round draws from: a
+// solve builds it once and shares it read-only with all its trials,
+// since every trial's first round samples the same edges. Later rounds
+// sample their own relabelled edges and build their own. The work count
+// still charges the first round for its scan of g.Edges, so it is the
+// same whichever trial built the sampler.
+func eagerSequential(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, t int, st *rng.Stream) (*graph.Matrix, []int32, uint64) {
 	var work uint64
 	n := g.N
 	mapping := a.getInts(n)
@@ -77,13 +96,11 @@ func eagerSequential(a *ksArena, g *graph.Graph, t int, st *rng.Stream) (*graph.
 	uf := a.uf
 	labels, lscratch := a.getInts(n), a.getInts(n)
 	var mat *graph.Matrix
+	ps := first
 	for cur.N > t && len(cur.Edges) > 0 {
-		weights := xsort.BorrowWords(len(cur.Edges))
-		for i, e := range cur.Edges {
-			weights[i] = e.W
+		if cur != g {
+			ps = edgeSampler(cur.Edges)
 		}
-		ps := rng.NewPrefixSampler(weights)
-		xsort.ReleaseWords(weights)
 		uf.Reset(cur.N)
 		draws := 0
 		for s := sampleBudget(cur.N, len(cur.Edges)); draws < s && uf.Count() > t; draws++ {

@@ -137,12 +137,13 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		}
 		g := &graph.Graph{N: n, Edges: all}
 		a := getKSArena()
+		first := edgeSampler(all)
 		runTrial := func(i int) {
 			// Only a cut below bestVal can matter: a rank runs its trials in
 			// increasing index order, so a later trial cannot win a tie. The
 			// bound changes which leaves solve, never the draws or the work
 			// count, so the argmin and the ledger stay schedule-independent.
-			val, side, work := sequentialTrial(a, g, st.At(uint32(i), trialLane), bestVal)
+			val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bestVal)
 			c.Ops(work)
 			if cp != nil {
 				cp.note(val, side)

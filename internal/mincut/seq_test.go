@@ -307,7 +307,7 @@ func TestKargerSteinMatchesStoerWagnerRandom(t *testing.T) {
 
 func TestEagerSequentialContracts(t *testing.T) {
 	g := gen.ErdosRenyiM(200, 2000, 5, gen.Config{MaxWeight: 4})
-	cm, mapping, _ := eagerSequential(freshArena(), g, 40, rng.New(3, 0, 0))
+	cm, mapping, _ := eagerSequential(freshArena(), g, edgeSampler(g.Edges), 40, rng.New(3, 0, 0))
 	if cm.N > 40 {
 		t.Errorf("eager left %d vertices, want <= 40", cm.N)
 	}
@@ -347,7 +347,7 @@ func TestEagerSequentialDisconnected(t *testing.T) {
 	}
 	// 10 isolated + two rings; contracting to 2 is impossible (>= 12
 	// components), must stop when edges run out.
-	cm, _, _ := eagerSequential(freshArena(), g, 2, rng.New(4, 0, 0))
+	cm, _, _ := eagerSequential(freshArena(), g, edgeSampler(g.Edges), 2, rng.New(4, 0, 0))
 	if w := cm.TotalWeight(); w != 0 {
 		t.Errorf("weight %d left after exhaustive contraction", w)
 	}

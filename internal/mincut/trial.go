@@ -32,9 +32,10 @@ func eagerTarget(m int) int {
 // ksRecurse): the trial returns its unbounded (value, side) whenever
 // that value is below bound, and otherwise some value ≥ bound, possibly
 // math.MaxUint64 with a nil side. math.MaxUint64 bounds nothing. The
-// work count never depends on it.
-func sequentialTrial(a *ksArena, g *graph.Graph, st *rng.Stream, bound uint64) (uint64, []bool, uint64) {
-	mat, mapping, ops := eagerSequential(a, g, eagerTarget(len(g.Edges)), st)
+// work count never depends on it. first is edgeSampler(g.Edges), shared
+// by every trial of a solve (see eagerSequential).
+func sequentialTrial(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, st *rng.Stream, bound uint64) (uint64, []bool, uint64) {
+	mat, mapping, ops := eagerSequential(a, g, first, eagerTarget(len(g.Edges)), st)
 	defer a.putInts(mapping)
 	defer a.putWords(mat.W)
 	if mat.N < 2 {
@@ -188,8 +189,9 @@ func Sequential(g *graph.Graph, st *rng.Stream, successProb float64) *CutResult 
 			a.putBools(side)
 		}
 	} else {
+		first := edgeSampler(g.Edges)
 		for i := 0; i < trials; i++ {
-			val, side, _ := sequentialTrial(a, g, st, best.Value)
+			val, side, _ := sequentialTrial(a, g, first, st, best.Value)
 			if val < best.Value {
 				best.Value = val
 				best.Side = side

@@ -10,7 +10,10 @@
 // random choices on every virtual processor.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Philox4x32-10 round constants (Salmon et al., "Parallel Random Numbers:
 // As Easy as 1, 2, 3").
@@ -21,21 +24,12 @@ const (
 	philoxW1 = 0xBB67AE85 // sqrt(3)-1
 )
 
-// philoxBlock applies 10 Philox rounds to the counter ctr under key,
-// producing 128 bits of output.
-func philoxBlock(ctr [4]uint32, key [2]uint32) [4]uint32 {
-	k0, k1 := key[0], key[1]
-	c0, c1, c2, c3 := ctr[0], ctr[1], ctr[2], ctr[3]
-	for i := 0; i < 10; i++ {
-		p0 := uint64(philoxM0) * uint64(c0)
-		p1 := uint64(philoxM1) * uint64(c2)
-		hi0, lo0 := uint32(p0>>32), uint32(p0)
-		hi1, lo1 := uint32(p1>>32), uint32(p1)
-		c0, c1, c2, c3 = hi1^c1^k0, lo1, hi0^c3^k1, lo0
-		k0 += philoxW0
-		k1 += philoxW1
-	}
-	return [4]uint32{c0, c1, c2, c3}
+// philoxRound is one Philox4x32 round of the counter (c0, c1, c2, c3)
+// under the round key (k0, k1).
+func philoxRound(c0, c1, c2, c3, k0, k1 uint32) (uint32, uint32, uint32, uint32) {
+	hi0, lo0 := bits.Mul32(philoxM0, c0)
+	hi1, lo1 := bits.Mul32(philoxM1, c2)
+	return hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
 }
 
 // Stream is a deterministic random stream. Distinct (seed, rank, sub)
@@ -76,8 +70,31 @@ func (s *Stream) At(lane, sub uint32) *Stream {
 	return &Stream{key: s.key, base: [2]uint32{lane, sub}}
 }
 
+// refill encrypts the next counter block — (ctr, base) under key, ten
+// rounds — into buf. The rounds are written out so that the block and
+// the round keys stay in registers for the whole encryption.
 func (s *Stream) refill() {
-	s.buf = philoxBlock([4]uint32{uint32(s.ctr), uint32(s.ctr >> 32), s.base[0], s.base[1]}, s.key)
+	k0, k1 := s.key[0], s.key[1]
+	c0, c1, c2, c3 := philoxRound(uint32(s.ctr), uint32(s.ctr>>32), s.base[0], s.base[1], k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	k0, k1 = k0+philoxW0, k1+philoxW1
+	c0, c1, c2, c3 = philoxRound(c0, c1, c2, c3, k0, k1)
+	s.buf = [4]uint32{c0, c1, c2, c3}
 	s.ctr++
 	s.n = 4
 }
@@ -91,11 +108,19 @@ func (s *Stream) Uint32() uint32 {
 	return s.buf[s.n]
 }
 
-// Uint64 returns a uniformly distributed 64-bit value.
+// Uint64 returns a uniformly distributed 64-bit value: the next two
+// 32-bit words, high word first, exactly as two Uint32 calls would
+// return them.
 func (s *Stream) Uint64() uint64 {
-	hi := uint64(s.Uint32())
-	lo := uint64(s.Uint32())
-	return hi<<32 | lo
+	if s.n == 0 {
+		s.refill()
+	}
+	if s.n == 1 { // the high word ends this block, the low word starts the next
+		hi := uint64(s.Uint32())
+		return hi<<32 | uint64(s.Uint32())
+	}
+	s.n -= 2
+	return uint64(s.buf[s.n+1])<<32 | uint64(s.buf[s.n])
 }
 
 // Float64 returns a uniformly distributed value in [0, 1) with 53 bits of
@@ -105,22 +130,10 @@ func (s *Stream) Float64() float64 {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
-// Bias is removed by rejection.
+// Bias is removed by rejection. A caller drawing many values under one n
+// keeps a Bounded instead, which pays the setup once.
 func (s *Stream) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n with n == 0")
-	}
-	if n&(n-1) == 0 { // power of two
-		return s.Uint64() & (n - 1)
-	}
-	// Rejection sampling over the largest multiple of n below 2^64.
-	limit := -n % n // (2^64 - n) mod n == 2^64 mod n
-	for {
-		v := s.Uint64()
-		if v >= limit {
-			return v % n
-		}
-	}
+	return NewBounded(n).Draw(s)
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -30,11 +31,56 @@ func TestPhiloxKnownAnswer(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		got := philoxBlock(c.ctr, c.key)
+		// The stream's first block is the counter (ctr, base) under key;
+		// Uint32 hands its words out last first.
+		s := &Stream{key: c.key, base: [2]uint32(c.ctr[2:4]), ctr: uint64(c.ctr[0]) | uint64(c.ctr[1])<<32}
+		var got [4]uint32
+		for k := 3; k >= 0; k-- {
+			got[k] = s.Uint32()
+		}
 		if got != c.want {
-			t.Errorf("case %d: philoxBlock(%x, %x) = %x, want %x", i, c.ctr, c.key, got, c.want)
+			t.Errorf("case %d: block(%x, %x) = %x, want %x", i, c.ctr, c.key, got, c.want)
 		}
 	}
+}
+
+// TestUint64MatchesTwoUint32 pins Uint64's two-word fast path to its
+// definition, two Uint32 reads (high word first), under every
+// interleaving of 32- and 64-bit reads up to 12 reads long — so every
+// buffer count, odd ones included, meets both kinds of read — and over a
+// long random interleaving that crosses the 32-bit counter carry.
+func TestUint64MatchesTwoUint32(t *testing.T) {
+	check := func(name string, fast, ref *Stream, wide []bool) {
+		t.Helper()
+		for k, w := range wide {
+			if !w {
+				if a, b := fast.Uint32(), ref.Uint32(); a != b {
+					t.Fatalf("%s read %d: Uint32 %#x, reference %#x", name, k, a, b)
+				}
+				continue
+			}
+			hi := uint64(ref.Uint32())
+			if a, b := fast.Uint64(), hi<<32|uint64(ref.Uint32()); a != b {
+				t.Fatalf("%s read %d: Uint64 %#x, two Uint32 %#x", name, k, a, b)
+			}
+		}
+	}
+	const depth = 12
+	wide := make([]bool, depth)
+	for mask := 0; mask < 1<<depth; mask++ {
+		for k := range wide {
+			wide[k] = mask>>k&1 == 1
+		}
+		check(fmt.Sprintf("mask %#x", mask), New(uint64(mask), 3, 1), New(uint64(mask), 3, 1), wide)
+	}
+	pick := New(17, 0, 0)
+	wide = make([]bool, 100_000)
+	for k := range wide {
+		wide[k] = pick.Uint32()&1 == 1
+	}
+	fast, ref := New(5, 1, 2), New(5, 1, 2)
+	fast.ctr, ref.ctr = 1<<32-3, 1<<32-3
+	check("random", fast, ref, wide)
 }
 
 func TestStreamDeterminism(t *testing.T) {

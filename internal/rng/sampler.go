@@ -3,22 +3,30 @@ package rng
 // PrefixSampler draws indices with probability proportional to fixed
 // nonnegative integer weights by looking a uniform variate up in the
 // cumulative weights — the scheme Karger–Stein §5 assume for weighted
-// edge selection. The lookup starts from a bucket index, not a binary
-// search: [0, total) is cut into about n/8 equal buckets, each
+// edge selection. The variate comes from a Bounded over the total, so a
+// draw divides nothing. The lookup starts from a bucket index, not a
+// binary search: [0, total) is cut into about n equal buckets (the
+// narrowest power-of-two width w with total/w ≤ n), each
 // remembering where its first variate lands. Buckets carry equal
-// probability mass, so the expected scan is ~8 sequential entries
-// whatever the weights' skew; a finer index would cost more to build,
-// and the Eager Step builds one sampler per round for a short prefix.
+// probability mass, so the expected scan is under two entries whatever
+// the weights' skew, and on unit weights every bucket is one variate
+// wide and the lookup is exactly one probe. The Eager Step builds
+// its first round's sampler once per solve and shares it read-only with
+// every trial, which is what pays for an index as long as the array.
+// Neither the Bounded nor the index changes which index a variate maps
+// to — the first i with cum[i] > x — so draws are the same as a division
+// and a binary search would give.
 type PrefixSampler struct {
 	cum   []uint64 // cum[i] = sum of weights[0..i]
-	total uint64
-	shift uint    // bucket of variate x is x>>shift
-	start []int32 // start[b] = first i with cum[i] > b<<shift
+	draw  Bounded  // over [0, total); the zero value when total is 0
+	shift uint     // bucket of variate x is x>>shift
+	start []int32  // start[b] = first i with cum[i] > b<<shift
 }
 
 // NewPrefixSampler builds a sampler over the given weights. Zero-weight
 // entries are never drawn. Total returns 0 if all weights are zero, in
-// which case Sample must not be called.
+// which case Sample must not be called. A built sampler is read-only, so
+// concurrent Samples, each with its own Stream, are safe.
 func NewPrefixSampler(weights []uint64) *PrefixSampler {
 	cum := make([]uint64, len(weights))
 	var total uint64
@@ -26,11 +34,12 @@ func NewPrefixSampler(weights []uint64) *PrefixSampler {
 		total += w
 		cum[i] = total
 	}
-	ps := &PrefixSampler{cum: cum, total: total}
-	for total>>ps.shift > uint64(len(weights))/8 {
+	ps := &PrefixSampler{cum: cum}
+	for total>>ps.shift > uint64(len(weights)) {
 		ps.shift++
 	}
 	if total > 0 {
+		ps.draw = NewBounded(total)
 		ps.start = make([]int32, (total-1)>>ps.shift+1)
 		i := 0
 		for b := range ps.start {
@@ -44,14 +53,14 @@ func NewPrefixSampler(weights []uint64) *PrefixSampler {
 }
 
 // Total returns the sum of all weights.
-func (ps *PrefixSampler) Total() uint64 { return ps.total }
+func (ps *PrefixSampler) Total() uint64 { return ps.draw.n }
 
 // Sample draws one index i with probability weights[i]/Total().
 func (ps *PrefixSampler) Sample(s *Stream) int {
-	if ps.total == 0 {
+	if ps.draw.n == 0 {
 		panic("rng: PrefixSampler.Sample with zero total weight")
 	}
-	return ps.index(s.Uint64n(ps.total))
+	return ps.index(ps.draw.Draw(s))
 }
 
 // index returns the first i with cum[i] > x, for x in [0, total).

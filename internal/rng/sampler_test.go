@@ -68,7 +68,7 @@ func TestPrefixSamplerMatchesBinarySearch(t *testing.T) {
 		ps := NewPrefixSampler(weights)
 		a, b := New(uint64(ci), 1, 2), New(uint64(ci), 1, 2)
 		for k := 0; k < 2000; k++ {
-			x := b.Uint64n(ps.total)
+			x := b.Uint64n(ps.Total())
 			want := sort.Search(len(ps.cum), func(i int) bool { return ps.cum[i] > x })
 			if got := ps.Sample(a); got != want {
 				t.Fatalf("case %d draw %d: x=%d Sample=%d, binary search=%d", ci, k, x, got, want)
@@ -77,7 +77,7 @@ func TestPrefixSamplerMatchesBinarySearch(t *testing.T) {
 		// Both ends of every bucket, where an off-by-one would sit.
 		for bkt := range ps.start {
 			for _, x := range []uint64{uint64(bkt) << ps.shift, uint64(bkt+1)<<ps.shift - 1} {
-				if x >= ps.total {
+				if x >= ps.Total() {
 					continue
 				}
 				want := sort.Search(len(ps.cum), func(i int) bool { return ps.cum[i] > x })

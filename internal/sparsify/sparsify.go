@@ -111,8 +111,9 @@ func Unweighted(c *bsp.Comm, root int, local []graph.Edge, s, n int, delta float
 	chosen := local
 	if k, whole := quota(len(local), m, s, n, delta); !whole {
 		chosen = make([]graph.Edge, k)
+		pick := rng.NewBounded(uint64(len(local)))
 		for i := range chosen {
-			chosen[i] = local[st.Intn(len(local))]
+			chosen[i] = local[pick.Draw(st)]
 		}
 		c.Ops(uint64(k))
 	}
@@ -154,8 +155,11 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 	exact = float64(m) <= (1+delta)*float64(s)
 	uf.Reset(n)
 	k, whole := quota(len(local), m, s, n, delta)
+	var pick rng.Bounded
 	if whole {
 		k = len(local)
+	} else {
+		pick = rng.NewBounded(uint64(len(local)))
 	}
 	send := c.Rank() != root
 	var forest []uint64
@@ -165,7 +169,7 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 	for i := 0; i < k; i++ {
 		j := i
 		if !whole {
-			j = st.Intn(len(local))
+			j = int(pick.Draw(st))
 		}
 		e := &local[j]
 		if uf.Union(e.U, e.V) && send {
