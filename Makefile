@@ -56,7 +56,7 @@ bench-build:
 check: build vet test race bench-build
 
 # Non-test / test Go lines per package of the root module, plus the
-# ROADMAP item 6 budget line (service + shard + transport + benchgate).
+# ROADMAP item 9 budget line (service + shard + transport + benchgate).
 loc:
 	@bash scripts/loc.sh
 

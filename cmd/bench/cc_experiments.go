@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -8,22 +9,19 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/planner"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// onBlocks runs body on a fresh p-processor machine with rank r reading
-// block r of g.Edges in place — the born-distributed edge array the
-// library hands its own kernels, so nothing timed against them pays for a
-// scatter they do not pay for.
+// onBlocks runs body through the library's own block runner — a pooled
+// p-processor machine, rank r reading block r of g.Edges in place — so
+// nothing timed against the library's kernels pays for a scatter or a
+// machine build they do not pay for.
 func onBlocks(p int, g *graph.Graph, body func(c *bsp.Comm, local []graph.Edge)) *bsp.Stats {
-	st, err := bsp.Run(p, func(c *bsp.Comm) {
-		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
-		body(c, g.Edges[lo:hi])
-	})
+	st, err := planner.RunBlocks(context.Background(), planner.Shape{P: p}, g.Edges, body)
 	if err != nil {
 		log.Fatal(err)
 	}

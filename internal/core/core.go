@@ -1,26 +1,27 @@
-// Package core orchestrates the paper's algorithms end to end: it checks
-// out a pooled BSP machine, hands every rank its block of the input edge
-// array, runs the requested computation (connected components §3.2,
-// approximate minimum cut §3.3, or exact minimum cut §4), and reports the
-// result together with the run's BSP cost profile (supersteps,
-// communication volume, and the application/communication wall-time
-// split — the paper's measurement set). The root package camc re-exports
-// this API for downstream users.
+// Package core is the library facade over the paper's algorithms:
+// connected components (§3.2), approximate minimum cut (§3.3), and exact
+// minimum cut (§4). It validates the input and runs the algorithm's
+// default member of the planner's kernel table through Kernel.Exec — the
+// same call, with the same RunParams, that an unpinned query makes — on a
+// pooled BSP machine, rank r reading block r of the edge array, and
+// reports the result together with the run's BSP cost profile
+// (supersteps, communication volume, and the application/communication
+// wall-time split — the paper's measurement set). The root package camc
+// re-exports this API for downstream users.
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/approxcut"
 	"repro/internal/bsp"
-	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/mincut"
-	"repro/internal/rng"
+	"repro/internal/planner"
 )
 
 // Options configures a run. The zero value selects sensible defaults.
@@ -61,18 +62,15 @@ func (o Options) processors() int {
 	return p
 }
 
-func (o Options) seed() uint64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	return 1
-}
-
-func (o Options) successProb() float64 {
+// params maps the options onto the kernel table's RunParams, defaulted
+// the way a query's tuning fields are. An out-of-range success
+// probability falls back to the default instead of failing.
+func (o Options) params() planner.RunParams {
+	par := planner.RunParams{Seed: o.Seed, Epsilon: o.Epsilon, MaxTrials: o.MaxTrials, Trials: o.ApproxTrials, Pipelined: o.Pipelined}
 	if o.SuccessProb > 0 && o.SuccessProb < 1 {
-		return o.SuccessProb
+		par.SuccessProb = o.SuccessProb
 	}
-	return 0.9
+	return par.Defaulted()
 }
 
 // RunStats summarizes the BSP cost profile of one run. Like the paper's
@@ -100,7 +98,7 @@ func statsOf(st *bsp.Stats) RunStats {
 	}
 }
 
-// validate is g.Validate() done the way run hands the edge array out:
+// validate is g.Validate() done the way a run hands the edge array out:
 // the p blocks are checked concurrently, and the lowest block's error —
 // the violation a serial scan meets first — is the one returned.
 func validate(g *graph.Graph, p int) error {
@@ -127,32 +125,26 @@ func validate(g *graph.Graph, p int) error {
 	return nil
 }
 
-// run is the one way the library executes a kernel: validate the input,
-// check out a pooled p-processor machine, give rank r the r-th block of
-// g.Edges in place — the paper's born-distributed edge array; kernels
-// only read their block — with its own random stream, and return the
-// machine to the pool. A failed run's machine is dropped, not pooled.
-func run(g *graph.Graph, opts Options, body func(c *bsp.Comm, local []graph.Edge, st *rng.Stream)) (RunStats, error) {
+// shape checks g and returns the pooled machine a run of it takes.
+func shape(g *graph.Graph, opts Options) (planner.Shape, error) {
 	if g == nil {
-		return RunStats{}, fmt.Errorf("core: nil graph")
+		return planner.Shape{}, fmt.Errorf("core: nil graph")
 	}
 	p := opts.processors()
-	if err := validate(g, p); err != nil {
-		return RunStats{}, err
-	}
-	m, err := bsp.AcquireMachine(p)
+	return planner.Shape{P: p}, validate(g, p)
+}
+
+// exec runs alg's default kernel over g and returns rank 0's outcome.
+func exec(g *graph.Graph, opts Options, alg string) (*planner.Outcome, RunStats, error) {
+	sh, err := shape(g, opts)
 	if err != nil {
-		return RunStats{}, err
+		return nil, RunStats{}, err
 	}
-	st, err := m.Run(func(c *bsp.Comm) {
-		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
-		body(c, g.Edges[lo:hi], rng.New(opts.seed(), uint32(c.Rank()), 0))
-	})
+	out, st, err := planner.Lookup(alg, "").Exec(context.Background(), sh, g.N, g.Edges, opts.params(), nil)
 	if err != nil {
-		return RunStats{}, err
+		return nil, RunStats{}, err
 	}
-	bsp.ReleaseMachine(m)
-	return statsOf(st), nil
+	return out, statsOf(st), nil
 }
 
 // MinCutResult is the outcome of an exact minimum cut run.
@@ -166,20 +158,11 @@ type MinCutResult struct {
 // MinCut computes a global minimum cut of g with probability at least
 // SuccessProb using the communication-avoiding parallel algorithm.
 func MinCut(g *graph.Graph, opts Options) (*MinCutResult, error) {
-	var res *mincut.CutResult
-	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
-		r := mincut.Parallel(c, g.N, local, stream, mincut.Options{
-			SuccessProb: opts.successProb(),
-			MaxTrials:   opts.MaxTrials,
-		})
-		if c.Rank() == 0 {
-			res = r
-		}
-	})
+	out, st, err := exec(g, opts, "mincut")
 	if err != nil {
 		return nil, err
 	}
-	return &MinCutResult{Value: res.Value, Side: res.Side, Trials: res.Trials, Stats: st}, nil
+	return &MinCutResult{Value: out.Value, Side: out.Side, Trials: out.Trials, Stats: st}, nil
 }
 
 // ApproxCutResult is the outcome of an approximate minimum cut run.
@@ -192,20 +175,11 @@ type ApproxCutResult struct {
 // ApproxMinCut estimates the minimum cut of g within an O(log n) factor
 // w.h.p. using near-linear work (§3.3).
 func ApproxMinCut(g *graph.Graph, opts Options) (*ApproxCutResult, error) {
-	var res *approxcut.Result
-	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
-		r := approxcut.Parallel(c, g.N, local, stream, approxcut.Options{
-			Trials:    opts.ApproxTrials,
-			Pipelined: opts.Pipelined,
-		})
-		if c.Rank() == 0 {
-			res = r
-		}
-	})
+	out, st, err := exec(g, opts, "approxcut")
 	if err != nil {
 		return nil, err
 	}
-	return &ApproxCutResult{Value: res.Value, Iterations: res.Iterations, Stats: st}, nil
+	return &ApproxCutResult{Value: out.Value, Iterations: out.Iterations, Stats: st}, nil
 }
 
 // CCResult is a connected-components labelling.
@@ -218,17 +192,11 @@ type CCResult struct {
 // ConnectedComponents labels the connected components of g with the
 // communication-avoiding iterated-sampling algorithm (§3.2).
 func ConnectedComponents(g *graph.Graph, opts Options) (*CCResult, error) {
-	var res *cc.Result
-	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
-		r := cc.Parallel(c, g.N, local, stream, cc.Options{Epsilon: opts.Epsilon})
-		if c.Rank() == 0 {
-			res = r
-		}
-	})
+	out, st, err := exec(g, opts, "cc")
 	if err != nil {
 		return nil, err
 	}
-	return &CCResult{Labels: res.Labels, Count: res.Count, Stats: st}, nil
+	return &CCResult{Labels: out.Labels, Count: out.Components, Stats: st}, nil
 }
 
 // AllCutsResult carries every distinct minimum cut of a graph.
@@ -241,18 +209,25 @@ type AllCutsResult struct {
 // AllMinCuts computes the set of all distinct global minimum cuts
 // (Lemma 4.3), each found with probability at least SuccessProb, with
 // the tie-preserving trials distributed over the processors.
+//
+// It is not a portfolio kernel, so it runs its body through
+// planner.RunBlocks directly, on the same pooled machine shape.
 func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
+	sh, err := shape(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	par := opts.params()
 	var cuts []*mincut.CutResult
-	st, err := run(g, opts, func(c *bsp.Comm, local []graph.Edge, stream *rng.Stream) {
-		r := mincut.ParallelAllMinCuts(c, g.N, local, stream, opts.successProb())
-		if c.Rank() == 0 {
+	st, err := planner.RunBlocks(context.Background(), sh, g.Edges, func(c *bsp.Comm, local []graph.Edge) {
+		if r := mincut.ParallelAllMinCuts(c, g.N, local, par.Stream(c), par.SuccessProb); c.Rank() == 0 {
 			cuts = r
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &AllCutsResult{Stats: st}
+	res := &AllCutsResult{Stats: statsOf(st)}
 	for _, c := range cuts {
 		res.Value = c.Value
 		res.Sides = append(res.Sides, c.Side)

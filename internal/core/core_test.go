@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bsp"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/rng"
+	"repro/internal/planner"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -15,18 +16,15 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.processors() < 1 {
 		t.Error("default processors < 1")
 	}
-	if o.seed() != 1 {
-		t.Errorf("default seed = %d", o.seed())
-	}
-	if o.successProb() != 0.9 {
-		t.Errorf("default success prob = %v", o.successProb())
+	if par := o.params(); par.Seed != 1 || par.SuccessProb != 0.9 || par.Epsilon != 0.5 {
+		t.Errorf("defaults = %+v", par)
 	}
 	o = Options{Processors: 3, Seed: 9, SuccessProb: 0.75}
-	if o.processors() != 3 || o.seed() != 9 || o.successProb() != 0.75 {
+	if par := o.params(); o.processors() != 3 || par.Seed != 9 || par.SuccessProb != 0.75 {
 		t.Error("explicit options not honored")
 	}
 	o = Options{SuccessProb: 1.5}
-	if o.successProb() != 0.9 {
+	if o.params().SuccessProb != 0.9 {
 		t.Error("out-of-range success prob not defaulted")
 	}
 }
@@ -234,8 +232,8 @@ func TestAllMinCutsCore(t *testing.T) {
 func TestFailedRunDropsItsMachine(t *testing.T) {
 	const p = 7 // a size no other test in this package pools
 	g := gen.Cycle(20, 1)
-	rank0 := func(into **bsp.Comm, fail bool) func(*bsp.Comm, []graph.Edge, *rng.Stream) {
-		return func(c *bsp.Comm, _ []graph.Edge, _ *rng.Stream) {
+	rank0 := func(into **bsp.Comm, fail bool) func(*bsp.Comm, []graph.Edge) {
+		return func(c *bsp.Comm, _ []graph.Edge) {
 			if c.Rank() == 0 {
 				*into = c
 			}
@@ -246,13 +244,14 @@ func TestFailedRunDropsItsMachine(t *testing.T) {
 			c.Sync()
 		}
 	}
+	sh := planner.Shape{P: p}
 	var failed *bsp.Comm
-	if _, err := run(g, Options{Processors: p}, rank0(&failed, true)); err == nil {
+	if _, err := planner.RunBlocks(context.Background(), sh, g.Edges, rank0(&failed, true)); err == nil {
 		t.Fatal("a panicking rank did not fail the run")
 	}
 	for i := 0; i < 20; i++ {
 		var c *bsp.Comm
-		if _, err := run(g, Options{Processors: p}, rank0(&c, false)); err != nil {
+		if _, err := planner.RunBlocks(context.Background(), sh, g.Edges, rank0(&c, false)); err != nil {
 			t.Fatal(err)
 		}
 		if c == failed {

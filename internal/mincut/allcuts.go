@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -61,45 +62,79 @@ func AllMinCuts(g *graph.Graph, st *rng.Stream, successProb float64) []*CutResul
 	}
 
 	trials := allCutsTrials(g.N, len(g.Edges), successProb)
-	best := uint64(math.MaxUint64)
-	found := map[string][]bool{}
-	record := func(val uint64, side []bool) {
-		if val > best {
-			return
-		}
-		if val < best {
-			best = val
-			clear(found)
-		}
-		key := canonicalSideKey(side)
-		if _, ok := found[key]; !ok {
-			canon := make([]bool, len(side))
-			flip := side[0]
-			for i, s := range side {
-				canon[i] = s != flip
-			}
-			found[key] = canon
-		}
-	}
-	first := edgeSampler(g.Edges)
-	for i := 0; i < trials; i++ {
-		val, sides := sequentialTrialAll(g, first, st)
-		for _, side := range sides {
-			record(val, side)
-		}
-	}
-	// Singleton cuts can tie the minimum; enumerate them exactly.
-	deg := g.Degrees()
-	for v := 0; v < g.N; v++ {
-		if deg[v] <= best {
-			side := make([]bool, g.N)
-			side[v] = true
-			record(deg[v], side)
-		}
-	}
-	out := make([]*CutResult, 0, len(found))
-	for _, side := range found {
-		out = append(out, &CutResult{Value: best, Side: side, Trials: trials})
+	cuts := collectCuts(g, st, 0, trials)
+	out := make([]*CutResult, 0, len(cuts.found))
+	for _, side := range cuts.sides() {
+		out = append(out, &CutResult{Value: cuts.best, Side: side, Trials: trials})
 	}
 	return out
+}
+
+// cutSet collects the distinct minimum cuts seen so far: a value above
+// the best is ignored, a lower one starts the set over. Sides are kept
+// in canonical orientation (vertex 0 outside), keyed by canonicalSideKey.
+type cutSet struct {
+	best  uint64
+	found map[string][]bool
+}
+
+func newCutSet() *cutSet {
+	return &cutSet{best: math.MaxUint64, found: map[string][]bool{}}
+}
+
+func (s *cutSet) add(val uint64, side []bool) {
+	if val > s.best {
+		return
+	}
+	if val < s.best {
+		s.best = val
+		clear(s.found)
+	}
+	key := canonicalSideKey(side)
+	if _, ok := s.found[key]; !ok {
+		canon := make([]bool, len(side))
+		flip := side[0]
+		for i, v := range side {
+			canon[i] = v != flip
+		}
+		s.found[key] = canon
+	}
+}
+
+// sides returns the set ordered by canonicalSideKey, so the output never
+// depends on map iteration order.
+func (s *cutSet) sides() [][]bool {
+	keys := make([]string, 0, len(s.found))
+	for k := range s.found {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([][]bool, len(keys))
+	for i, k := range keys {
+		out[i] = s.found[k]
+	}
+	return out
+}
+
+// collectCuts runs trials [lo, hi) of the tie-preserving schedule on the
+// connected graph g, then enumerates the singleton cuts exactly — they
+// can tie the minimum — and returns every distinct minimum cut seen.
+func collectCuts(g *graph.Graph, st *rng.Stream, lo, hi int) *cutSet {
+	cuts := newCutSet()
+	first := edgeSampler(g.Edges)
+	for i := lo; i < hi; i++ {
+		val, sides := sequentialTrialAll(g, first, st)
+		for _, side := range sides {
+			cuts.add(val, side)
+		}
+	}
+	deg := g.Degrees()
+	for v := 0; v < g.N; v++ {
+		if deg[v] <= cuts.best {
+			side := make([]bool, g.N)
+			side[v] = true
+			cuts.add(deg[v], side)
+		}
+	}
+	return cuts
 }

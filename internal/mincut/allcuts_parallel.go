@@ -1,8 +1,6 @@
 package mincut
 
 import (
-	"math"
-
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/dist"
@@ -32,78 +30,32 @@ func ParallelAllMinCuts(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, 
 
 	trials := allCutsTrials(n, len(all), successProb)
 	lo, hi := dist.BlockRange(trials, c.Size(), c.Rank())
-
-	best := uint64(math.MaxUint64)
-	found := map[string][]bool{}
-	record := func(val uint64, side []bool) {
-		if val > best {
-			return
-		}
-		if val < best {
-			best = val
-			clear(found)
-		}
-		key := canonicalSideKey(side)
-		if _, ok := found[key]; !ok {
-			canon := make([]bool, len(side))
-			flip := side[0]
-			for i, s := range side {
-				canon[i] = s != flip
-			}
-			found[key] = canon
-		}
-	}
-	first := edgeSampler(all)
-	for i := lo; i < hi; i++ {
-		val, sides := sequentialTrialAll(g, first, st)
-		for _, side := range sides {
-			record(val, side)
-		}
-	}
-	// Singleton cuts (exact, cheap) — evaluated identically everywhere.
-	deg := g.Degrees()
-	for v := 0; v < n; v++ {
-		if deg[v] <= best {
-			side := make([]bool, n)
-			side[v] = true
-			record(deg[v], side)
-		}
-	}
+	mine := collectCuts(g, st, lo, hi)
 
 	// Gather every processor's (value, sides) at the root and merge.
-	payload := []uint64{best}
-	for _, side := range found {
+	payload := []uint64{mine.best}
+	for _, side := range mine.sides() {
 		payload = append(payload, packSide(side)...)
 	}
 	parts := c.Gather(0, payload)
+	sideWords := 1 + (n+63)/64
 	var out []uint64
 	if c.Rank() == 0 {
-		merged := map[string][]bool{}
-		gBest := uint64(math.MaxUint64)
-		sideWords := 1 + (n+63)/64
+		merged := newCutSet()
 		for _, part := range parts {
-			val := part[0]
-			if val > gBest {
-				continue
-			}
-			if val < gBest {
-				gBest = val
-				clear(merged)
-			}
 			for off := 1; off+sideWords <= len(part); off += sideWords {
-				side := unpackSide(part[off : off+sideWords])
-				merged[canonicalSideKey(side)] = side
+				merged.add(part[0], unpackSide(part[off:off+sideWords]))
 			}
 		}
-		out = []uint64{gBest, uint64(len(merged))}
-		for _, side := range merged {
+		sides := merged.sides()
+		out = []uint64{merged.best, uint64(len(sides))}
+		for _, side := range sides {
 			out = append(out, packSide(side)...)
 		}
 	}
 	out = c.Broadcast(0, out)
 	gBest := out[0]
 	count := int(out[1])
-	sideWords := 1 + (n+63)/64
 	results := make([]*CutResult, 0, count)
 	for k := 0; k < count; k++ {
 		off := 2 + k*sideWords

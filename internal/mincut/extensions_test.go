@@ -1,6 +1,7 @@
 package mincut
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bsp"
@@ -273,6 +274,36 @@ func TestParallelAllMinCutsDisconnected(t *testing.T) {
 	for _, c := range cuts {
 		if c.Value != 0 || !c.Check(g) {
 			t.Error("bad zero cut")
+		}
+	}
+}
+
+// TestAllMinCutsOrderDeterministic: the sides come out ordered by their
+// canonical key, never in map iteration order, so repeated calls and
+// every machine size return the identical [][]bool.
+func TestAllMinCutsOrderDeterministic(t *testing.T) {
+	g := gen.Cycle(12, 1) // C(12,2) = 66 tied minimum cuts
+	sides := func(cuts []*CutResult) [][]bool {
+		out := make([][]bool, len(cuts))
+		for i, c := range cuts {
+			out[i] = c.Side
+		}
+		return out
+	}
+	want := sides(AllMinCuts(g, rng.New(5, 0, 0), 0.99))
+	if len(want) != 66 {
+		t.Fatalf("found %d of 66 cuts", len(want))
+	}
+	for rep := 0; rep < 5; rep++ {
+		if got := sides(AllMinCuts(g, rng.New(5, 0, 0), 0.99)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("repeat %d: sequential sides differ", rep)
+		}
+	}
+	for p := 1; p <= 4; p++ {
+		for rep := 0; rep < 3; rep++ {
+			if got := sides(runParallelAllCuts(t, g, p, 5)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("p=%d repeat %d: sides differ from the sequential order", p, rep)
+			}
 		}
 	}
 }

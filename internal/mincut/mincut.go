@@ -142,7 +142,8 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 			// Only a cut below bestVal can matter: a rank runs its trials in
 			// increasing index order, so a later trial cannot win a tie. The
 			// bound changes which leaves solve, never the draws or the work
-			// count, so the argmin and the ledger stay schedule-independent.
+			// count, so the argmin and the words moved stay
+			// schedule-independent (MaxOps is not; see dynamicTrials).
 			val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bestVal)
 			c.Ops(work)
 			if cp != nil {

@@ -38,12 +38,15 @@ const overdecompose = 4
 // fast ranks absorb its leftovers.
 //
 // The claimed assignment depends on measured time and so varies run to
-// run, but nothing observable does: the round structure (⌈C/p⌉−1
-// claim supersteps of one word per rank) is fixed, so superstep counts,
-// h-relations, and accounted volume are deterministic; and the cut
-// result is bit-identical to static scheduling whichever rank runs
-// which trial, because trial streams derive from the trial index and
-// the winner tie-break is by trial index.
+// run, and so does one observable: a rank's Ops is the work of the
+// trials it claimed, so the run's MaxOps (RunStats.Ops,
+// KernelStats.MaxOps) — a max over ranks — moves with the assignment
+// at p ≥ 2. Everything else is fixed: the round structure (⌈C/p⌉−1
+// claim supersteps of one word per rank) makes superstep counts,
+// h-relations, and accounted volume deterministic; and the cut result
+// is bit-identical to static scheduling whichever rank runs which
+// trial, because trial streams derive from the trial index and the
+// winner tie-break is by trial index.
 //
 // runTrial(i) executes trial i. The first round degenerates to
 // round-robin (no timings yet); later rounds see the true imbalance.

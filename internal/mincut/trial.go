@@ -22,8 +22,9 @@ func eagerTarget(m int) int {
 // vertices, plus the trial's deterministic work count (the eager rounds'
 // measured scans plus the recursion's O(t̄² log t̄) estimate on the
 // contracted size). The work count is a function of the trial's stream
-// alone, never of the rank running it — the property dynamic trial
-// scheduling relies on for a deterministic, schedule-independent ledger.
+// alone, never of the rank running it, so the total work is
+// schedule-independent; the per-rank sum, and with it MaxOps, is not
+// under dynamic scheduling (see dynamicTrials).
 // The graph must have at least 2 vertices and 1 edge. The caller owns the
 // returned side; all recursion scratch comes from a, so a trial loop
 // sharing one arena allocates only the lifted side per trial.

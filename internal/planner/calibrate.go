@@ -1,12 +1,12 @@
 package planner
 
 import (
+	"context"
 	"errors"
 	"math"
 	"time"
 
 	"repro/internal/bsp"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
@@ -38,7 +38,7 @@ func calPath(n int) *graph.Graph {
 // of near-identical small samples and the per-kernel ordering becomes a
 // coin flip. All graphs are deterministic (fixed seeds).
 func calibrationSuite() []calGraph {
-	run := RunParams{Seed: 42, Epsilon: 0.5, SuccessProb: 0.9}
+	run := RunParams{Seed: 42}.Defaulted()
 	var suite []calGraph
 	for _, g := range []*graph.Graph{
 		calPath(512),
@@ -74,25 +74,20 @@ const calReps = 2
 
 // measure runs k over cg calReps times and returns the sample its fit
 // consumes, timed at the fastest rep. On a machine the features are the
-// measured ledger's; a shared member (mach nil) runs on this goroutine and
-// keeps its formula features — the same ones Choose later predicts with.
+// measured ledger's; a shared member runs on this goroutine and keeps its
+// formula features — the same ones Choose later predicts with.
 func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ error) {
-	if mach == nil {
+	if k.Shared {
 		s = k.Cost(cg.st, 1, Params{Epsilon: cg.run.Epsilon, Trials: cg.run.MaxTrials})
 	}
 	s.Time = math.MaxFloat64
 	for rep := 0; rep < calReps; rep++ {
 		start := time.Now()
-		if mach == nil {
-			k.Run(nil, cg.g.N, cg.g.Edges, cg.run, nil, nil)
-		} else {
-			st, err := mach.Run(func(c *bsp.Comm) {
-				lo, hi := dist.BlockRange(len(cg.g.Edges), c.Size(), c.Rank())
-				k.Run(c, cg.g.N, cg.g.Edges[lo:hi], cg.run, nil, nil)
-			})
-			if err != nil {
-				return s, err
-			}
+		_, st, err := k.Exec(context.TODO(), Shape{Machine: mach}, cg.g.N, cg.g.Edges, cg.run, nil)
+		if err != nil {
+			return s, err
+		}
+		if !k.Shared {
 			s.Comp, s.Volume = float64(st.MaxOps), float64(st.CommVolume)
 			s.Supersteps, s.P = float64(st.Supersteps), float64(st.P)
 		}
@@ -102,7 +97,7 @@ func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ 
 }
 
 // CalibrateBuiltins measures every registered kernel over the built-in
-// suite — through the same Kernel.Run serving dispatches — and fits its
+// suite — through the same Kernel.Exec serving and the library use — and fits its
 // model: BSP kernels run on real machines at p in {1,2,4,8,16} (clamped
 // to maxP — the spread in log₂p is what separates the volume constant
 // from the intercept), shared kernels once each. A kernel whose fit

@@ -49,7 +49,25 @@ type RunParams struct {
 	Pipelined   bool    `json:"pipelined"`
 }
 
-func (par RunParams) stream(c *bsp.Comm) *rng.Stream {
+// Defaulted fills each zero field that has a repo-wide default: seed 1,
+// ε 0.5 and success probability 0.9 (the artifact's setting). It is the
+// one place those defaults are written; the library facade and a query's
+// normalization both go through it.
+func (par RunParams) Defaulted() RunParams {
+	if par.Seed == 0 {
+		par.Seed = 1
+	}
+	if par.Epsilon == 0 {
+		par.Epsilon = 0.5
+	}
+	if par.SuccessProb == 0 {
+		par.SuccessProb = 0.9
+	}
+	return par
+}
+
+// Stream is rank c's random stream for a run with these parameters.
+func (par RunParams) Stream(c *bsp.Comm) *rng.Stream {
 	return rng.New(par.Seed, uint32(c.Rank()), 0)
 }
 
@@ -107,7 +125,7 @@ func (cp approxCheckpoint) Partial() (*Outcome, int, int) {
 }
 
 // Kernel is one member of the kernel table: an algorithm implementation
-// with the single entry everything that executes it goes through (Run),
+// with the single entry everything that executes it goes through (Exec),
 // and — for the scored portfolio — a closed-form cost profile.
 type Kernel struct {
 	// Name identifies the kernel in cache keys, traces, and stats.
@@ -135,11 +153,12 @@ type Kernel struct {
 	// portfolio: Kernels, KernelsFor, a Lookup by name, calibration, and
 	// Choose never see it.
 	Cost func(st GraphStats, p int, par Params) perfmodel.Sample
-	// Run executes the kernel; serving, failover, distributed workers, and
-	// calibration all call it and nothing else. A BSP member runs SPMD —
-	// every rank calls Run with its Comm and its block of the edge array
-	// and returns the outcome, callers keep rank 0's; a Shared member is
-	// called once, with a nil Comm and the whole edge array. plan, if any,
+	// Run executes the kernel; Exec is its one caller, and the library
+	// facade, serving, failover, distributed workers, and calibration all
+	// go through Exec. A BSP member runs SPMD — every rank calls Run with
+	// its Comm and its block of the edge array and returns the outcome,
+	// Exec keeps rank 0's; a Shared member is called once, with a nil
+	// Comm and the whole edge array. plan, if any,
 	// is the snapshot-resident plan whose facts replace the matching cold
 	// collectives; cp, if any, is what NewCheckpoint returned for this run.
 	Run func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome
@@ -230,10 +249,7 @@ func init() {
 		Name: KernelCCSampling, Algorithm: "cc", Default: true,
 		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
 			n, m := float64(st.N), float64(st.M)
-			eps := par.Epsilon
-			if eps <= 0 {
-				eps = 0.5
-			}
+			eps := RunParams{Epsilon: par.Epsilon}.Defaulted().Epsilon
 			full := math.Pow(n, 1+eps/2)
 			s := math.Min(full, m)
 			// Each non-root rank ships a spanning forest of its
@@ -261,7 +277,7 @@ func init() {
 			}
 		},
 		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
-			return ccOutcome(cc.Parallel(c, n, local, par.stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan}))
+			return ccOutcome(cc.Parallel(c, n, local, par.Stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan}))
 		},
 	})
 	Register(&Kernel{
@@ -339,7 +355,7 @@ func init() {
 		},
 		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
 			mcp, _ := cp.(mincutCheckpoint)
-			return cutOutcome(mincut.Parallel(c, n, local, par.stream(c), mincut.Options{
+			return cutOutcome(mincut.Parallel(c, n, local, par.Stream(c), mincut.Options{
 				SuccessProb: par.SuccessProb,
 				MaxTrials:   par.MaxTrials,
 				Checkpoint:  mcp.Checkpoint,
@@ -366,7 +382,7 @@ func init() {
 		Name: KernelApproxCut, Algorithm: "approxcut", Default: true,
 		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
 			acp, _ := cp.(approxCheckpoint)
-			r := approxcut.Parallel(c, n, local, par.stream(c), approxcut.Options{
+			r := approxcut.Parallel(c, n, local, par.Stream(c), approxcut.Options{
 				Trials:     par.Trials,
 				Pipelined:  par.Pipelined,
 				Checkpoint: acp.Checkpoint,

@@ -283,7 +283,7 @@ func (e *Engine) attempt(c *call) (*QueryResult, error) {
 		return e.cfg.Executor.Execute(c.ctx, c.Graph, c.alg, c.Params)
 	}
 	return Run(c.ctx, c.Graph, c.alg, c.Kernel, c.Params,
-		Shape{P: c.P, Plan: e.planFor(c.Graph, c.P), Faults: e.cfg.Faults})
+		planner.Shape{P: c.P, Plan: e.planFor(c.Graph, c.P), Faults: e.cfg.Faults})
 }
 
 // Resolved is a query after request resolution: the graph version it

@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bsp"
-	"repro/internal/dist"
-	"repro/internal/faults"
-	"repro/internal/graph"
 	"repro/internal/perfmodel"
 	"repro/internal/planner"
 	"repro/internal/trace"
@@ -94,18 +91,9 @@ func normalize(req *QueryRequest) (planner.RunParams, error) {
 		MaxTrials:   req.MaxTrials,
 		Trials:      req.Trials,
 		Pipelined:   req.Pipelined,
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.Epsilon == 0 {
-		p.Epsilon = 0.5
-	}
+	}.Defaulted()
 	if p.Epsilon < 0 || p.Epsilon > 2 {
 		return p, fmt.Errorf("%w: epsilon %g out of (0, 2]", ErrBadRequest, req.Epsilon)
-	}
-	if p.SuccessProb == 0 {
-		p.SuccessProb = 0.9
 	}
 	if p.SuccessProb <= 0 || p.SuccessProb >= 1 {
 		return p, fmt.Errorf("%w: success_prob %g out of (0, 1)", ErrBadRequest, req.SuccessProb)
@@ -171,104 +159,35 @@ func modelSample(k *KernelStats) perfmodel.Sample {
 	}
 }
 
-// Shape is where a kernel runs — the one thing Run is parameterised by:
+// Run is the one way a query's kernel is executed: it resolves (alg,
+// kern) in the planner's kernel table ("" = the algorithm's default
+// member) and drives Kernel.Exec over the snapshot's frozen edge array in
+// the given shape, cancellable through ctx — when the deadline fires (or
+// every waiter abandons the call) the machine is cancelled and unwinds
+// within one superstep. A cancelled run on a pooled machine degrades to
+// the kernel checkpoint's best-so-far answer when one exists; otherwise
+// the error wraps bsp.ErrCancelled for the engine to map. A process of a
+// TCP machine hosting no global rank 0 gets (nil, nil).
 //
-//	Shape{P: p}        a pooled in-process machine of p processors
-//	Shape{Machine: m}  the caller-supplied machine (a distributed run)
-//	any Shape          no machine at all, when the kernel is Shared
-type Shape struct {
-	P int
-	// Machine: every process of a TCP machine calls Run with the same
-	// arguments; the one hosting global rank 0 gets the result, the others
-	// (nil, nil). Distributed runs never degrade (a rank-local checkpoint
-	// sees only its own trials) — a cancelled run surfaces its error on
-	// every process — and always run cold: plans are keyed to a single
-	// process's registry.
-	Machine *bsp.Machine
-	// Plan, when non-nil, is the snapshot-resident plan for (sg, P): the
-	// kernels consume its precomputed facts instead of running the
-	// matching cold collectives, recording each skip on the BSP ledger.
-	Plan *graph.Plan
-	// Faults, when enabled, hooks fault injection into the pooled machine.
-	Faults *faults.Registry
-}
-
-// Run is the one way a kernel is executed: it resolves (alg, kern) in
-// the planner's kernel table ("" = the algorithm's default member) and
-// drives Kernel.Run over the snapshot in the given shape, cancellable
-// through ctx — when the deadline fires (or every waiter abandons the
-// call) the machine is cancelled and unwinds within one superstep. A
-// cancelled run on a pooled machine degrades to the kernel checkpoint's
-// best-so-far answer when one exists; otherwise the error wraps
-// bsp.ErrCancelled for the engine to map.
-//
-// The snapshot's frozen edge array is sliced across c.Size() global ranks
-// with the block distribution — zero copies at ingestion; the kernels
-// treat local slices as read-only — so the same call serves an in-process
-// machine and each worker process of a TCP machine (every process holds
-// the full snapshot; each rank touches only its block).
-//
-// Shared kernels run on the calling goroutine: no BSP machine, no
-// mailboxes, no superstep ledger — the planner's cheapest shape for
-// small warm graphs (Stoer–Wagner is additionally MaxN-gated), so runs
-// are short; cancellation is checked at entry but not mid-kernel, and
-// fault injection (a BSP-machine hook) does not apply.
-//
-// Beyond the machine pool (bsp.AcquireMachine, shared with the library
+// Beyond the machine pool (planner.RunBlocks, shared with the library
 // facade), the kernels themselves draw scratch from process-wide
 // sync.Pools (the Karger–Stein arena in internal/mincut, sort buffers in
 // internal/sort, remap tables and union-finds in internal/graph), so
 // concurrent queries recycle each other's
 // allocations instead of growing the heap per query. See
 // stress_test.go for the race-checked exercise of that sharing.
-func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunParams, sh Shape) (*QueryResult, error) {
+func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunParams, sh planner.Shape) (*QueryResult, error) {
 	k := planner.Lookup(alg, kern)
 	if k == nil {
 		return nil, fmt.Errorf("%w: no kernel %q answers %q", ErrBadRequest, kern, alg)
 	}
-	res := &QueryResult{Graph: sg.Name, Version: sg.Version, Algorithm: alg}
-	n, edges := sg.Snap.N(), sg.Snap.Edges()
-	if k.Shared {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", bsp.ErrCancelled, err)
-		}
-		start := time.Now()
-		res.Outcome = *k.Run(nil, n, edges, pr, nil, nil)
-		res.Kernel = KernelStats{P: 1, TimeMs: ms(time.Since(start)), Transport: "shared", Kernel: kern}
-		return res, nil
-	}
-	mach, pooled := sh.Machine, sh.Machine == nil
 	var cp planner.Checkpoint
-	if pooled {
-		var err error
-		if mach, err = bsp.AcquireMachine(sh.P); err != nil {
-			return nil, err
-		}
-		if sh.Faults.Enabled() {
-			mach.SetFaultHook(sh.Faults.Hook(mach))
-		}
-		if k.NewCheckpoint != nil {
-			cp = k.NewCheckpoint()
-		}
+	if sh.Machine == nil && k.NewCheckpoint != nil {
+		cp = k.NewCheckpoint()
 	}
-	var out *planner.Outcome // rank 0's; nil on a process hosting no rank 0
+	res := &QueryResult{Graph: sg.Name, Version: sg.Version, Algorithm: alg}
 	start := time.Now()
-	st, err := mach.RunCtx(ctx, func(c *bsp.Comm) {
-		lo, hi := dist.BlockRange(len(edges), c.Size(), c.Rank())
-		if o := k.Run(c, n, edges[lo:hi], pr, sh.Plan, cp); c.Rank() == 0 {
-			out = o
-		}
-	})
-	if pooled {
-		// Detach the fault hook either way, so a dropped machine does not
-		// pin the fault registry (and its captured state) until the GC
-		// finds it; a failed run may leave mailboxes mid-superstep, so only
-		// a clean machine returns to the pool.
-		mach.SetFaultHook(nil)
-		if err == nil {
-			bsp.ReleaseMachine(mach)
-		}
-	}
+	out, st, err := k.Exec(ctx, sh, sg.Snap.N(), sg.Snap.Edges(), pr, cp)
 	if err != nil {
 		if cp != nil && errors.Is(err, bsp.ErrCancelled) {
 			// Degrade to the checkpoint's best-so-far answer, if any.

@@ -65,13 +65,13 @@ func TestCancelledRunDropsItsMachine(t *testing.T) {
 
 	ctx, stop := context.WithCancel(context.Background())
 	cancel = stop
-	if _, err := Run(ctx, sg, AlgCC, "spy", planner.RunParams{}, Shape{P: p}); !errors.Is(err, bsp.ErrCancelled) {
+	if _, err := Run(ctx, sg, AlgCC, "spy", planner.RunParams{}, planner.Shape{P: p}); !errors.Is(err, bsp.ErrCancelled) {
 		t.Fatalf("cancelled run returned %v, want ErrCancelled", err)
 	}
 	cancelled := rank0
 	cancel = nil
 	for i := 0; i < 20; i++ {
-		if _, err := Run(context.Background(), sg, AlgCC, "spy", planner.RunParams{}, Shape{P: p}); err != nil {
+		if _, err := Run(context.Background(), sg, AlgCC, "spy", planner.RunParams{}, planner.Shape{P: p}); err != nil {
 			t.Fatal(err)
 		}
 		if rank0 == cancelled {

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/planner"
 	"repro/internal/rng"
 )
 
@@ -26,20 +28,6 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 
 	edges := sg.Snap.Edges()
 	n := sg.Snap.N()
-	mach, err := bsp.AcquireMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	measure := func(body func(c *bsp.Comm, local []graph.Edge)) (graph.CollectiveCost, error) {
-		st, err := mach.Run(func(c *bsp.Comm) {
-			lo, hi := dist.BlockRange(len(edges), p, c.Rank())
-			body(c, edges[lo:hi])
-		})
-		if err != nil {
-			return graph.CollectiveCost{}, err
-		}
-		return graph.CollectiveCost{Collectives: st.Supersteps, Words: st.CommVolume}, nil
-	}
 	segments := []struct {
 		cost *graph.CollectiveCost
 		body func(c *bsp.Comm, local []graph.Edge)
@@ -69,15 +57,12 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 		}},
 	}
 	for _, seg := range segments {
-		cost, err := measure(seg.body)
+		st, err := planner.RunBlocks(context.TODO(), planner.Shape{P: p}, edges, seg.body)
 		if err != nil {
-			// A failed measurement run may leave mailboxes mid-superstep;
-			// drop the machine rather than pooling it.
 			return nil, err
 		}
-		*seg.cost = cost
+		*seg.cost = graph.CollectiveCost{Collectives: st.Supersteps, Words: st.CommVolume}
 	}
-	bsp.ReleaseMachine(mach)
 	return pl, nil
 }
 

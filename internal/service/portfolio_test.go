@@ -58,7 +58,7 @@ func TestPortfolioConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(kern string, sh Shape) *QueryResult {
+			run := func(kern string, sh planner.Shape) *QueryResult {
 				t.Helper()
 				res, err := Run(context.Background(), sg, k.Algorithm, kern, pr, sh)
 				if err != nil {
@@ -82,14 +82,14 @@ func TestPortfolioConformance(t *testing.T) {
 				kern = "" // unscored members are reachable only as their algorithm's default
 			}
 			if k.Shared {
-				res := run(kern, Shape{})
+				res := run(kern, planner.Shape{})
 				if res.Kernel.Transport != "shared" || res.Kernel.P != 1 {
 					t.Errorf("no-machine shape reported %+v", res.Kernel)
 				}
 				return
 			}
-			p1 := run(kern, Shape{P: 1})
-			p2 := run(kern, Shape{P: 2})
+			p1 := run(kern, planner.Shape{P: 1})
+			p2 := run(kern, planner.Shape{P: 2})
 			if p1.Kernel.P != 1 || p2.Kernel.P != 2 {
 				t.Errorf("pooled shapes ran at p=%d and p=%d, want 1 and 2", p1.Kernel.P, p2.Kernel.P)
 			}
@@ -99,14 +99,14 @@ func TestPortfolioConformance(t *testing.T) {
 			}
 			// A caller-supplied machine is the pooled machine minus the pool:
 			// same ranks, same streams, same answer — for every algorithm.
-			same("caller-supplied machine vs pooled p=2", run(kern, Shape{Machine: m}), p2)
+			same("caller-supplied machine vs pooled p=2", run(kern, planner.Shape{Machine: m}), p2)
 			if k.Algorithm != AlgApproxCut {
 				// Exact answers are also p-invariant (the estimate is not: its
 				// sampling streams are per rank).
 				same("pooled p=1 vs p=2", p1, p2)
 			}
 			if k.Default && kern != "" {
-				same(`default resolution ("") vs by name`, run("", Shape{P: 2}), p2)
+				same(`default resolution ("") vs by name`, run("", planner.Shape{P: 2}), p2)
 			}
 		})
 	}

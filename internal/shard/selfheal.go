@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/planner"
 	"repro/internal/service"
 )
 
@@ -273,7 +274,7 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Kernel, rs.Params, service.Shape{P: 1})
+	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Kernel, rs.Params, planner.Shape{P: 1})
 	if err != nil {
 		rw.Header().Set("Retry-After", "1")
 		writeShardError(rw, http.StatusServiceUnavailable, err)

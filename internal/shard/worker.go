@@ -327,7 +327,7 @@ func (w *Worker) runOnSession(ctx context.Context, run uint64, sg *service.Store
 	if err != nil {
 		return nil, err
 	}
-	return service.Run(ctx, sg, alg, "", pr, service.Shape{Machine: m})
+	return service.Run(ctx, sg, alg, "", pr, planner.Shape{Machine: m})
 }
 
 // distExecutor is the leader's service.Executor: it runs every query on

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Go line counts of the root module (benchmark/ is its own module and is
 # left out): non-test / test lines per package directory, the module
-# totals, and the ROADMAP item 6 budget line. Lines are `wc -l` lines —
+# totals, and the ROADMAP item 9 budget line. Lines are `wc -l` lines —
 # comments and blanks included — so numbers compare across PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,4 +23,4 @@ while read -r dir; do
 	esac
 done < <(find . -name '*.go' -not -path './benchmark/*' -printf '%h\n' | sort -u)
 printf '%-28s %9d %9d\n' 'root module' "$total" "$total_test"
-echo "budget (service+shard+transport+benchgate non-test, ROADMAP item 6: under 6800): $budget"
+echo "budget (service+shard+transport+benchgate non-test, ROADMAP item 9: under 6800): $budget"
