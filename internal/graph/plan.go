@@ -2,8 +2,8 @@ package graph
 
 // Plan holds the snapshot-invariant facts of a graph that every query
 // otherwise recomputes with per-query collectives: the replicated edge
-// view, the edge count, the weighted degree array and its min-degree
-// singleton cut, the total weight, and the exact connectivity labelling.
+// view, the edge count, the min-degree singleton cut, the total weight,
+// and the exact connectivity labelling.
 // The serving layer builds one Plan per (snapshot version, machine size)
 // at first query and threads it into the kernels through their Options,
 // turning the warm query path communication-free where the facts allow.
@@ -31,11 +31,9 @@ type Plan struct {
 	// holding a plan costs no edge copies. Read-only.
 	Edges []Edge
 
-	// Degrees is the weighted degree of every vertex; MinDegVertex is the
-	// first vertex attaining the minimum MinDegree — the singleton cut the
-	// exact min cut algorithm folds in. TotalWeight is the global edge
-	// weight sum.
-	Degrees      []uint64
+	// MinDegVertex is the first vertex attaining the minimum weighted
+	// degree MinDegree — the singleton cut the exact min cut algorithm
+	// folds in. TotalWeight is the global edge weight sum.
 	MinDegVertex int
 	MinDegree    uint64
 	TotalWeight  uint64
@@ -47,11 +45,6 @@ type Plan struct {
 	Connected  bool
 	Labels     []int32
 	Components int
-
-	// Probe is the snapshot's statistics probe (estimated diameter,
-	// weight skew) — the planner's cost-model inputs, cached here so a
-	// plan hit never recomputes the BFS sweeps.
-	Probe *Probe
 
 	// Measured cold-path costs of the collectives a warm query skips.
 	CCCost     CollectiveCost // connectivity check (cc.Parallel)
@@ -91,7 +84,6 @@ func (s *Snapshot) PlanFacts() *Plan {
 		deg[e.U] += e.W
 		deg[e.V] += e.W
 	}
-	pl.Degrees = deg
 	if s.n > 0 {
 		pl.MinDegVertex, pl.MinDegree = 0, deg[0]
 		for v := 1; v < s.n; v++ {
@@ -102,6 +94,5 @@ func (s *Snapshot) PlanFacts() *Plan {
 	}
 	pl.Labels, pl.Components = s.Graph().ConnectedComponents()
 	pl.Connected = pl.Components <= 1
-	pl.Probe = s.Probe()
 	return pl
 }

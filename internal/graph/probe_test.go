@@ -66,11 +66,3 @@ func TestProbeEmptyAndDisconnected(t *testing.T) {
 		t.Fatalf("disconnected probe diameter = %d, want 2", pr.EstDiameter)
 	}
 }
-
-func TestPlanFactsCarriesProbe(t *testing.T) {
-	s := pathGraph(10).Snapshot()
-	pl := s.PlanFacts()
-	if pl.Probe == nil || pl.Probe != s.Probe() {
-		t.Fatal("PlanFacts did not cache the snapshot probe on the plan")
-	}
-}

@@ -199,6 +199,17 @@ func writeFrontendError(w http.ResponseWriter, status int, err error) {
 // maxUploadBytes mirrors the worker-side bound.
 const maxUploadBytes = 64 << 20
 
+// bodyStatus is the status for a failed request-body read: 413 when the
+// body overran its MaxBytesReader bound, as the worker's own endpoints
+// answer, and fallback otherwise.
+func bodyStatus(err error, fallback int) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return fallback
+}
+
 // handleUpload places the graph by name and replicates the body to
 // every worker of the owning shard: a distributed run slices the frozen
 // edge array by rank, so each rank process must hold the full snapshot.
@@ -219,12 +230,7 @@ func (f *Frontend) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
-		status := http.StatusInternalServerError
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeFrontendError(w, status, err)
+		writeFrontendError(w, bodyStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	shard := f.ring.Shard(name)
@@ -269,7 +275,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeFrontendError(w, http.StatusBadRequest, err)
+		writeFrontendError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
 	var peek struct {

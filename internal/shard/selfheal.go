@@ -260,7 +260,7 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeShardError(rw, http.StatusBadRequest, fmt.Errorf("bad query body: %w", err))
+		writeShardError(rw, bodyStatus(err, http.StatusBadRequest), fmt.Errorf("bad query body: %w", err))
 		return
 	}
 	if req.Algorithm != service.AlgCC {

@@ -457,6 +457,32 @@ func TestWorkerProbesAndTenantPassthrough(t *testing.T) {
 	}
 }
 
+// TestOversizedQueryBody413 pins one answer for a query body over the
+// 1 MiB bound on every tier: the frontend's /v1/query, the worker's
+// /v1/query and the worker's /v1/local all say 413, not 400.
+func TestOversizedQueryBody413(t *testing.T) {
+	workers, urls, _ := fastWorkerGroup(t, 1, 905, nil, nil)
+	defer workers[0].Close()
+	fe, err := NewFrontend([][]string{{urls[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fe.Handler())
+	defer srv.Close()
+
+	body := `{"graph":"` + strings.Repeat("x", 1<<20) + `","algorithm":"cc"}`
+	for _, url := range []string{srv.URL + "/v1/query", urls[0] + "/v1/query", urls[0] + "/v1/local"} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", url, len(body), resp.StatusCode)
+		}
+	}
+}
+
 // TestBreakerTransitions unit-tests the breaker state machine.
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)

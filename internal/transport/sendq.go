@@ -7,25 +7,19 @@ import (
 	"sync/atomic"
 )
 
-// Per-peer eager flushing (DESIGN.md §4j).
+// The write path (DESIGN.md §4j): a frame is written whole, on the
+// sending goroutine, under the peer connection's write mutex. Nothing
+// overlaps socket writes with encoding: a BSP superstep's frames only
+// have to arrive by the barrier, and Exchange already runs on its own
+// goroutine. Because send returns only after the kernel accepted the
+// whole frame, any two causally ordered sends to one peer reach the
+// socket in order (DATA before a later ABORT, CONTROL before a later
+// DATA), which is all the abort cascade and the shard control plane
+// require.
 //
-// Each live peer connection owns one writer goroutine fed by a bounded
-// FIFO queue. Exchange seals a destination's coalesced DATA frame and
-// enqueues it immediately, so the frame starts streaming into the
-// socket while Exchange is still serializing the remaining peers'
-// frames — network time overlaps the remaining local work instead of
-// serializing under one write mutex. Because every frame to a peer
-// passes through that peer's single queue, the wire order any peer
-// observes (DATA before a later ABORT, control before a later DATA) is
-// exactly the enqueue order, which is all the abort cascade and the
-// shard control plane require.
-//
-// The writer drains its queue in batches and issues one vectored write
-// (net.Buffers → writev) per batch, so a burst of frames costs one
-// syscall. Frame buffers come from framePool and return to it after
-// the kernel has consumed them — the zero-copy half of the wire path:
-// payload words are serialized exactly once, into a pooled buffer that
-// the writer hands to the kernel verbatim.
+// Frame buffers come from framePool and return to it once written —
+// the zero-copy half of the wire path: payload words are serialized
+// exactly once, into a pooled buffer handed to the kernel verbatim.
 
 // framePool recycles frame build/receive buffers across supersteps and
 // connections. Buffers above maxPooledBuf are left to the GC so one
@@ -54,230 +48,61 @@ func frameBufPut(b []byte) {
 	framePool.Put(&b)
 }
 
-// sendItem is one queued outbound frame. pooled marks buffers owned by
-// framePool, which the writer returns after the kernel consumed them;
-// shared buffers (heartbeats, abort broadcasts) pass pooled=false.
-type sendItem struct {
-	buf    []byte
-	pooled bool
-}
-
-// sendQueueDepth bounds the per-peer queue. Deep enough that a whole
-// superstep's burst never blocks the sender on a healthy connection,
-// shallow enough that a stalled peer exerts backpressure instead of
-// buffering unboundedly.
-const sendQueueDepth = 64
-
-// writeBatch caps how many queued frames one vectored write covers
-// (IOV_MAX on Linux is 1024; staying far below it keeps each writev's
-// latency bounded so an ABORT behind a burst still flushes promptly).
-const writeBatch = 32
-
 type peerConn struct {
 	rank   int
 	conn   net.Conn
 	codecs byte // negotiated send mask for this connection (raw always set)
-	sendq  chan sendItem
-	kick   chan struct{} // wakes the writer after an enqueue (cap 1)
-	quit   chan struct{}
 	once   sync.Once
 	dead   atomic.Bool
-	// wmu serializes socket writes between the writer goroutine and the
-	// inline fast path in send. The queue is only ever dequeued under
-	// wmu, and whoever holds it drains the queue before writing anything
-	// newer — that pair of rules is what keeps per-peer FIFO order.
+	// wmu is held for the whole of one frame's write; a held wmu is how
+	// a beacon sees a busy socket.
 	wmu sync.Mutex
 }
 
 func newPeerConn(rank int, conn net.Conn, codecs byte) *peerConn {
-	return &peerConn{
-		rank:   rank,
-		conn:   conn,
-		codecs: codecs | codecMaskRaw,
-		sendq:  make(chan sendItem, sendQueueDepth),
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-	}
+	return &peerConn{rank: rank, conn: conn, codecs: codecs | codecMaskRaw}
 }
 
-// kill marks the connection dead, closes the socket (unblocking a read
-// pump parked on it), and releases queue waiters. Idempotent — every
-// loss path (write failure, read failure, phi sever, drop fault, mesh
-// close, rejoin drain) funnels through here.
+// kill marks the connection dead and closes the socket, which unblocks
+// a read pump parked on it and a writer blocked in it. Idempotent —
+// every loss path (write failure, read failure, phi sever, drop fault,
+// mesh close, rejoin drain) funnels through here.
 func (pc *peerConn) kill() {
 	pc.once.Do(func() {
 		pc.dead.Store(true)
 		pc.conn.Close()
-		close(pc.quit)
 	})
 }
 
-// send transmits one frame toward the peer, preserving per-peer FIFO
-// order. Fast path: when no other goroutine holds the socket, drain
-// whatever is queued and write inline on the caller's goroutine — the
-// frame reaches the kernel without a scheduler handoff, which on a
-// lockstep superstep saves two context switches per frame. A contended
-// send falls back to the writer goroutine's queue.
-func (pc *peerConn) send(it sendItem) error {
-	if pc.dead.Load() {
-		if it.pooled {
-			frameBufPut(it.buf)
-		}
-		return fmt.Errorf("%w: rank %d", ErrPeerLost, pc.rank)
-	}
+// send writes one whole frame to the peer on the caller's goroutine,
+// waiting for any write already in progress. The caller keeps ownership
+// of buf. A failed write kills the connection; the read pump, unblocked
+// by the close, then runs the shared loss path.
+func (pc *peerConn) send(buf []byte) error {
+	pc.wmu.Lock()
+	defer pc.wmu.Unlock()
+	return pc.writeLocked(buf)
+}
+
+// beacon writes a heartbeat unless a frame is being written right now:
+// data in flight is better proof of life than the beacon.
+func (pc *peerConn) beacon(buf []byte) {
 	if pc.wmu.TryLock() {
-		err := pc.writeLocked(it)
+		// A failed write has already killed the connection, which is
+		// all a lost beacon has to report.
+		_ = pc.writeLocked(buf)
 		pc.wmu.Unlock()
-		if err != nil {
-			pc.kill()
-			pc.drainQueue()
-			return fmt.Errorf("%w: write to rank %d: %v", ErrPeerLost, pc.rank, err)
-		}
-		return nil
 	}
-	return pc.enqueue(it)
 }
 
-// enqueue queues one frame for the writer, blocking when the queue is
-// full (backpressure toward a slow peer). The item's buffer ownership
-// transfers to the writer; on failure a pooled buffer is released here.
-func (pc *peerConn) enqueue(it sendItem) error {
+// writeLocked puts buf on the socket; the caller holds wmu.
+func (pc *peerConn) writeLocked(buf []byte) error {
 	if pc.dead.Load() {
-		if it.pooled {
-			frameBufPut(it.buf)
-		}
 		return fmt.Errorf("%w: rank %d", ErrPeerLost, pc.rank)
 	}
-	select {
-	case pc.sendq <- it:
-		pc.kickWriter()
-		return nil
-	case <-pc.quit:
-		if it.pooled {
-			frameBufPut(it.buf)
-		}
-		return fmt.Errorf("%w: write to rank %d: connection failed", ErrPeerLost, pc.rank)
+	if _, err := pc.conn.Write(buf); err != nil {
+		pc.kill()
+		return fmt.Errorf("%w: write to rank %d: %v", ErrPeerLost, pc.rank, err)
 	}
-}
-
-// tryEnqueue queues without blocking — the heartbeat path. A full queue
-// means the connection is already moving data, which is better proof of
-// life than the beacon; dropping it is correct.
-func (pc *peerConn) tryEnqueue(it sendItem) {
-	if pc.dead.Load() {
-		return
-	}
-	select {
-	case pc.sendq <- it:
-		pc.kickWriter()
-	default:
-	}
-}
-
-// kickWriter nudges the writer goroutine; the buffered channel makes
-// it a set-once flag, so a burst of enqueues costs one wakeup.
-func (pc *peerConn) kickWriter() {
-	select {
-	case pc.kick <- struct{}{}:
-	default:
-	}
-}
-
-// errConnDead marks writes refused because kill already ran.
-var errConnDead = fmt.Errorf("connection closed")
-
-// writeLocked drains every queued frame to the socket and then writes
-// extra (when its buf is non-nil). The caller holds wmu. Queued bursts
-// go out as one vectored write (net.Buffers → writev) so they cost one
-// syscall; the common single-frame case is a plain Write. Pooled
-// buffers are recycled even on error; the first socket error sticks
-// and later frames are dropped (the connection is about to die).
-func (pc *peerConn) writeLocked(extra sendItem) error {
-	var err error
-	if pc.dead.Load() {
-		err = errConnDead
-	}
-	var batch [writeBatch]sendItem
-	var vecs net.Buffers
-	for {
-		n := 0
-	drain:
-		for n < writeBatch {
-			select {
-			case it := <-pc.sendq:
-				batch[n] = it
-				n++
-			default:
-				break drain
-			}
-		}
-		if n == 0 {
-			break
-		}
-		if err == nil {
-			if n == 1 {
-				_, err = pc.conn.Write(batch[0].buf)
-			} else {
-				vecs = vecs[:0]
-				for _, it := range batch[:n] {
-					vecs = append(vecs, it.buf)
-				}
-				_, err = vecs.WriteTo(pc.conn)
-			}
-		}
-		for _, it := range batch[:n] {
-			if it.pooled {
-				frameBufPut(it.buf)
-			}
-		}
-	}
-	if extra.buf != nil {
-		if err == nil {
-			_, err = pc.conn.Write(extra.buf)
-		}
-		if extra.pooled {
-			frameBufPut(extra.buf)
-		}
-	}
-	return err
-}
-
-// writePump is the connection's writer goroutine: it owns the slow
-// path. Woken by kickWriter, it takes the write mutex and drains the
-// queue; because dequeuing only ever happens under wmu, inline senders
-// and the pump can never reorder frames. A failed write kills the
-// connection; the read pump (unblocked by the close) then runs the
-// shared loss path.
-func (m *Mesh) writePump(pc *peerConn) {
-	defer m.pumps.Done()
-	for {
-		select {
-		case <-pc.kick:
-		case <-pc.quit:
-			pc.drainQueue()
-			return
-		}
-		pc.wmu.Lock()
-		err := pc.writeLocked(sendItem{})
-		pc.wmu.Unlock()
-		if err != nil {
-			pc.kill()
-			pc.drainQueue()
-			return
-		}
-	}
-}
-
-// drainQueue releases whatever is still queued when the writer exits.
-func (pc *peerConn) drainQueue() {
-	for {
-		select {
-		case it := <-pc.sendq:
-			if it.pooled {
-				frameBufPut(it.buf)
-			}
-		default:
-			return
-		}
-	}
+	return nil
 }

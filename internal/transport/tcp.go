@@ -394,9 +394,8 @@ func (m *Mesh) admitPeer(rank int, inc uint64, conn net.Conn, peerCodecs byte) {
 	if old != nil {
 		old.kill()
 	}
-	m.pumps.Add(2)
+	m.pumps.Add(1)
 	go m.readPump(pc, det)
-	go m.writePump(pc)
 	if up != nil {
 		up(rank, inc)
 	}
@@ -514,14 +513,14 @@ func (m *Mesh) peer(dst int) (*peerConn, error) {
 	return pc, nil
 }
 
-// sendFrame queues one unpooled (caller-owned, possibly shared) frame
-// buffer for a mesh peer's writer, returning the bytes queued.
+// sendFrame writes one frame to a mesh peer, returning the bytes
+// written.
 func (m *Mesh) sendFrame(dst int, buf []byte) (int, error) {
 	pc, err := m.peer(dst)
 	if err != nil {
 		return 0, err
 	}
-	if err := pc.send(sendItem{buf: buf}); err != nil {
+	if err := pc.send(buf); err != nil {
 		return 0, err
 	}
 	return len(buf), nil
@@ -629,9 +628,13 @@ func (m *Mesh) maintain() {
 			if filter != nil && !filter(lp.pc.rank) {
 				continue
 			}
-			// One shared read-only beacon buffer for every peer; a full
-			// queue means frames are flowing, which beats the beacon.
-			lp.pc.tryEnqueue(sendItem{buf: buf})
+			// One shared read-only beacon buffer for every peer, written
+			// off this loop so a stalled socket never delays the detector.
+			m.pumps.Add(1)
+			go func(pc *peerConn) {
+				defer m.pumps.Done()
+				pc.beacon(buf)
+			}(lp.pc)
 		}
 		for _, r := range redial {
 			go m.redial(r)
@@ -1172,10 +1175,8 @@ func (g *tcpGroup) Exchange() error {
 		g.mySizes[d] = uint32(len(g.staging[d]))
 	}
 	// Serialize each destination's coalesced frame straight into a
-	// pooled buffer and hand it to that peer's writer immediately, so
-	// the first frame is streaming into its socket while the later ones
-	// are still being encoded. Buffer ownership transfers to the writer,
-	// which recycles it after the vectored write.
+	// pooled buffer, write it to that peer's socket on this goroutine,
+	// and recycle the buffer once the kernel has it.
 	for dst := 0; dst < gp; dst++ {
 		if dst == g.rank {
 			continue
@@ -1196,7 +1197,9 @@ func (g *tcpGroup) Exchange() error {
 		buf = appendEncodedPayload(buf, words, pc.codecs)
 		patchFrameLen(buf)
 		n := len(buf)
-		if err := pc.send(sendItem{buf: buf, pooled: true}); err != nil {
+		err = pc.send(buf)
+		frameBufPut(buf)
+		if err != nil {
 			s.abort(err, true)
 			return g.waitErr()
 		}
@@ -1477,17 +1480,7 @@ func appendUint32(buf []byte, v uint32) []byte {
 // multi-process behaviour without spawning processes. Callers own the
 // meshes and must Close each.
 func NewLoopbackMeshes(p int, epoch uint64) ([]*Mesh, error) {
-	return NewLoopbackMeshesControl(p, epoch, nil)
-}
-
-// NewLoopbackMeshesControl is NewLoopbackMeshes with a per-rank control
-// handler factory (may be nil).
-func NewLoopbackMeshesControl(p int, epoch uint64, control func(rank int) func(src int, epoch uint64, payload []byte)) ([]*Mesh, error) {
-	var mut func(rank int, cfg *MeshConfig)
-	if control != nil {
-		mut = func(rank int, cfg *MeshConfig) { cfg.Control = control(rank) }
-	}
-	return NewLoopbackMeshesWith(p, epoch, mut)
+	return NewLoopbackMeshesWith(p, epoch, nil)
 }
 
 // NewLoopbackMeshesWith is the general loopback harness: mut (may be

@@ -437,3 +437,134 @@ func TestTCPSingleRun(t *testing.T) {
 		}
 	})
 }
+
+// sessionRun drives one session's root group through steps supersteps
+// of salted, rank- and step-dependent payloads (hundreds of words, so
+// concurrent writers hold a peer's socket long enough to contend), with
+// a CONTROL frame to every peer before each Exchange. It returns every
+// word the rank received, in order, and the merged ledger.
+func sessionRun(m *Mesh, epoch uint64, p, steps int, salt uint64) ([]uint64, Ledger, error) {
+	sess, err := m.NewSession(epoch, allMembers(p))
+	if err != nil {
+		return nil, Ledger{}, err
+	}
+	defer sess.Close()
+	root := sess.Root()
+	if err := root.Reset(); err != nil {
+		return nil, Ledger{}, err
+	}
+	r := m.Rank()
+	ep := root.Endpoint(r)
+	var got []uint64
+	for s := 0; s < steps; s++ {
+		for dst := 0; dst < p; dst++ {
+			for i := 0; i < 40*((r+s+dst)%7)+1; i++ {
+				ep.Send(dst, []uint64{salt<<48 | uint64(s)<<32 | uint64(r)<<24 | uint64(dst)<<16 | uint64(i)})
+			}
+			if dst != r {
+				if err := m.SendControl(dst, epoch, []byte{byte(s)}); err != nil {
+					return nil, Ledger{}, err
+				}
+			}
+		}
+		if err := ep.Exchange(); err != nil {
+			return nil, Ledger{}, err
+		}
+		for src := 0; src < p; src++ {
+			got = append(got, ep.Recv(src)...)
+		}
+	}
+	if err := root.FinishRun(); err != nil {
+		return nil, Ledger{}, err
+	}
+	return got, root.Ledger(), nil
+}
+
+// TestTwoSessionsShareOneMesh runs two sessions concurrently over the
+// same p=3 meshes — two writers contending for every peer connection,
+// as a worker with two executors does — with CONTROL frames interleaved
+// between their DATA frames. Every rank must receive exactly the words
+// and ledger each session produces when it runs alone, and each peer's
+// CONTROL frames must arrive in the order they were sent.
+func TestTwoSessionsShareOneMesh(t *testing.T) {
+	const p, steps = 3, 20
+	var mu sync.Mutex
+	ctrl := make(map[[3]uint64][]byte) // (rank, epoch, src) → payloads in arrival order
+	meshes, err := NewLoopbackMeshesWith(p, 42, func(rank int, cfg *MeshConfig) {
+		cfg.Control = func(src int, epoch uint64, payload []byte) {
+			mu.Lock()
+			k := [3]uint64{uint64(rank), epoch, uint64(src)}
+			ctrl[k] = append(ctrl[k], payload...)
+			mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, m := range meshes {
+			m.Close()
+		}
+	}()
+
+	type result struct {
+		words  []uint64
+		ledger Ledger
+	}
+	run := func(epoch, salt uint64) []result {
+		out := make([]result, p)
+		errs := runRanks(p, func(r int) (err error) {
+			out[r].words, out[r].ledger, err = sessionRun(meshes[r], epoch, p, steps, salt)
+			return err
+		})
+		for r, err := range errs {
+			if err != nil {
+				t.Errorf("epoch %d rank %d: %v", epoch, r, err)
+			}
+		}
+		return out
+	}
+	want := [][]result{run(1, 1), run(2, 2)}
+	var got [2][]result
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(uint64(3+i), uint64(1+i))
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i := range got {
+		for r := 0; r < p; r++ {
+			g, w := got[i][r], want[i][r]
+			if !ledgerEq(g.ledger, w.ledger) || g.ledger.WireBytes != w.ledger.WireBytes {
+				t.Errorf("session %d rank %d: ledger %+v, alone %+v", i, r, g.ledger, w.ledger)
+			}
+			if fmt.Sprint(g.words) != fmt.Sprint(w.words) {
+				t.Errorf("session %d rank %d: received words differ from the session run alone", i, r)
+			}
+		}
+	}
+	inOrder := make([]byte, steps)
+	for s := range inOrder {
+		inOrder[s] = byte(s)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for r := 0; r < p; r++ {
+		for epoch := uint64(1); epoch <= 4; epoch++ {
+			for src := 0; src < p; src++ {
+				if src == r {
+					continue
+				}
+				if k := [3]uint64{uint64(r), epoch, uint64(src)}; string(ctrl[k]) != string(inOrder) {
+					t.Errorf("rank %d epoch %d: CONTROL from %d arrived as %v", r, epoch, src, ctrl[k])
+				}
+			}
+		}
+	}
+}

@@ -24,6 +24,8 @@ go build -o "$BIN/loadgen" ./cmd/loadgen
 pids=()
 cleanup() {
   for pid in "${pids[@]:-}"; do
+    # A stopped supervisor would hold SIGTERM pending forever.
+    kill -CONT "$pid" 2>/dev/null || true
     kill "$pid" 2>/dev/null || true
   done
   wait 2>/dev/null || true
@@ -76,6 +78,10 @@ pids+=($LOADGEN)
 sleep 1
 WORKER_PID=$(pgrep -P "$SUPERVISOR" | head -1)
 [ -n "$WORKER_PID" ] || { echo "chaos_fleet: no worker child under supervisor" >&2; exit 1; }
+# Freeze the supervisor until the missed upload below has landed on the
+# leader: its respawn would otherwise race the upload, and an upload
+# that lands after the new rank has caught up is never replicated to it.
+kill -STOP "$SUPERVISOR"
 kill -9 "$WORKER_PID"
 echo "killed worker pid $WORKER_PID (supervisor $SUPERVISOR)"
 
@@ -104,6 +110,7 @@ for i in range(32):
     print(i, (i + 1) % 32, 2)
 EOF
 curl -fsS -X POST --data-binary @"$BIN/missed.edges" "$W0/v1/graphs?name=chaos-missed" >/dev/null
+kill -CONT "$SUPERVISOR"
 
 wait_status "$W0" /readyz 200
 wait_status "$W1" /readyz 200
