@@ -60,7 +60,7 @@ check: build vet test race bench-build
 loc:
 	@bash scripts/loc.sh
 
-# Chaos suite: fault injection, cancellation races, abort cascades, and
+# Chaos suite: fault injection, cancellation races, abort propagation, and
 # degraded-result delivery, run twice under the race detector to shake
 # out ordering-dependent bugs. Set CHAOS_SNAPSHOT=/path.json to export
 # the outcome ledger (CI archives it as an artifact).

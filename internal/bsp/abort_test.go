@@ -58,26 +58,6 @@ func TestAbortPanicInsideCollective(t *testing.T) {
 	}
 }
 
-// A panic inside a nested Split must cascade through both sub-machine
-// levels: siblings blocked in grandchild barriers poll their own
-// machine's flag, so only the cascade can reach them.
-func TestAbortPanicInsideNestedSplit(t *testing.T) {
-	defer leakGuard(t)()
-	_, err := Run(4, func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		inner := sub.Split(0, sub.Rank())
-		if c.Rank() == 3 {
-			panic("nested boom")
-		}
-		for i := 0; i < 1000; i++ {
-			inner.AllReduce([]uint64{1}, OpSum)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "nested boom") {
-		t.Fatalf("err = %v, want the nested panic surfaced", err)
-	}
-}
-
 // Cancel while processors are pounding the barrier: whatever instant the
 // flag lands, every processor must unwind and Run must report
 // ErrCancelled wrapping the cause.
@@ -110,36 +90,6 @@ func TestCancelRacingSync(t *testing.T) {
 				t.Fatalf("err = %v, want ErrCancelled wrapping the cause", err)
 			}
 		})
-	}
-}
-
-// Cancel must reach processors looping inside Split sub-machine
-// collectives — the cascade from the root machine into live children.
-func TestCancelReachesSplitChildren(t *testing.T) {
-	defer leakGuard(t)()
-	m, err := NewMachine(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := m.Run(func(c *Comm) {
-			sub := c.Split(c.Rank()/2, c.Rank())
-			for {
-				sub.AllReduce([]uint64{1}, OpSum)
-			}
-		})
-		errCh <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
-	m.Cancel(errors.New("stop the groups"))
-	select {
-	case err = <-errCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("split children did not unwind after Cancel")
-	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 }
 
@@ -304,27 +254,6 @@ func TestFaultHookInjection(t *testing.T) {
 		var nilReg *faults.Registry
 		if h := nilReg.Hook(nil); h != nil {
 			t.Fatal("nil registry compiled a non-nil hook")
-		}
-	})
-	t.Run("hook-reaches-split-children", func(t *testing.T) {
-		defer leakGuard(t)()
-		// Superstep 50 is reachable only inside the child machines: the
-		// parent performs just the Split exchange's few Syncs, so a firing
-		// proves children inherit the hook.
-		reg := faults.New(1).Add(faults.Rule{Kind: faults.Panic, Rank: faults.AnyRank, Superstep: 50})
-		m, err := NewMachine(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetFaultHook(reg.Hook(m))
-		_, err = m.Run(func(c *Comm) {
-			sub := c.Split(c.Rank()%2, c.Rank())
-			for i := 0; i < 100; i++ {
-				sub.AllReduce([]uint64{1}, OpSum)
-			}
-		})
-		if err == nil || !strings.Contains(err.Error(), "injected panic") {
-			t.Fatalf("err = %v, want an injected panic from a child machine", err)
 		}
 	})
 }

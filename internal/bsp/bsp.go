@@ -57,7 +57,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,8 +86,7 @@ type CostModel struct {
 // when its fabric supports it (the serving layer pools in-process
 // machines per request size); it must not run two bodies concurrently.
 type Machine struct {
-	p   int
-	tag uint64 // deterministic fabric tag (0 for root machines)
+	p int
 
 	tr transport.Transport
 	// abortFlag aliases the fabric's flag: cancellation and failure
@@ -105,21 +103,7 @@ type Machine struct {
 	// bufPool backs the per-Comm payload free lists (see Comm.Buffer).
 	bufPool sync.Pool
 
-	// registry for Split sub-communicators, keyed by superstep and color
-	subsMu sync.Mutex
-	subs   map[subKey]*subGroup
-
 	comms []*Comm // indexed by rank; nil for ranks hosted elsewhere
-}
-
-type subKey struct {
-	phase uint64 // the members' Comm sense at the split point
-	color int
-}
-
-type subGroup struct {
-	m       *Machine
-	members []int // parent ranks in rank order
 }
 
 // NewMachine builds a reusable p-processor BSP machine over the
@@ -148,7 +132,6 @@ func NewMachineOver(tr transport.Transport) (*Machine, error) {
 		p:         p,
 		tr:        tr,
 		abortFlag: tr.AbortFlag(),
-		subs:      make(map[subKey]*subGroup),
 		comms:     make([]*Comm, p),
 	}
 	for _, r := range tr.LocalRanks() {
@@ -178,11 +161,6 @@ func (m *Machine) reset() error {
 	if err := m.tr.Reset(); err != nil {
 		return err
 	}
-	m.subsMu.Lock()
-	for k := range m.subs {
-		delete(m.subs, k)
-	}
-	m.subsMu.Unlock()
 	for _, c := range m.comms {
 		if c == nil {
 			continue
@@ -232,8 +210,6 @@ type Comm struct {
 	// they would have moved) this processor declared avoided via SkipComm.
 	skipColl  int
 	skipWords uint64
-
-	parent *Comm // non-nil for communicators created by Split
 
 	// free is this processor's payload free list: mailbox arrays displaced
 	// by SendOwned, handed back out by Buffer. Overflow spills to the
@@ -404,26 +380,24 @@ func (e cancelError) Unwrap() error { return e.cause }
 
 // FaultHook is an injection point called on every processor at Sync
 // entry, before the superstep finalizes, with the caller's rank and
-// 0-based superstep index (per communicator — Split children count from
-// zero again). Hooks may panic, stall, or Cancel the machine; they must
-// not send or receive, so accounting is unchanged by a hook that does
-// not fire.
+// 0-based superstep index. Hooks may panic, stall, or Cancel the
+// machine; they must not send or receive, so accounting is unchanged by
+// a hook that does not fire.
 type FaultHook func(rank int, superstep uint64)
 
 // SetFaultHook installs (or, with nil, removes) the machine's fault
-// hook. It must be called while no body is running; Split sub-machines
-// inherit the hook at creation.
+// hook. It must be called while no body is running.
 func (m *Machine) SetFaultHook(h FaultHook) { m.faultHook = h }
 
 // Cancel requests cooperative cancellation of the running body: every
 // processor unwinds at its next cancellation point (Sync entry, barrier
-// wait, or an explicit Aborting poll), including processors currently
-// inside Split sub-machines. Run returns an error matching ErrCancelled
-// and wrapping cause. Cancelling an idle machine is harmless — the next
-// Run resets the flag. Over TCP the cancellation propagates to every
-// peer worker process via the fabric's abort frames.
+// wait, or an explicit Aborting poll). Run returns an error matching
+// ErrCancelled and wrapping cause. Cancelling an idle machine is
+// harmless — the next Run resets the flag. Over TCP the cancellation
+// propagates to every peer worker process via the fabric's abort
+// frames.
 func (m *Machine) Cancel(cause error) {
-	m.abort(cancelError{cause: cause})
+	m.tr.Abort(cancelError{cause: cause})
 }
 
 // Aborting reports whether the machine is unwinding (cancellation or a
@@ -482,145 +456,8 @@ func wrapAbort(err error) error {
 	return err
 }
 
-// abort marks the communicator failed and wakes all waiters. Any
-// subsequent or pending Sync panics with the cause. The abort cascades
-// into every live Split sub-machine: a processor blocked in a child
-// barrier polls the *child's* flag, so without the cascade a failure (or
-// cancellation) on the parent would strand siblings inside their groups.
-// The cascade walks the split tree top-down; lock order is always
-// parent.subsMu before the child's own state, so concurrent aborts
-// cannot cycle.
-func (m *Machine) abort(err error) {
-	m.tr.Abort(err)
-	m.subsMu.Lock()
-	subs := make([]*Machine, 0, len(m.subs))
-	for _, grp := range m.subs {
-		subs = append(subs, grp.m)
-	}
-	m.subsMu.Unlock()
-	for _, sm := range subs {
-		sm.abort(err)
-	}
-}
-
 func (m *Machine) abortCause() error {
 	return wrapAbort(m.tr.Err())
-}
-
-// childTag derives the deterministic fabric tag for a Split group:
-// every member mixes the same (parent tag, superstep sense, color), so
-// over sockets all worker processes route the group's frames under the
-// same id with no extra negotiation. splitmix64-style finalizer.
-func childTag(parent, sense uint64, color int) uint64 {
-	x := parent ^ 0x9e3779b97f4a7c15
-	x ^= sense * 0xbf58476d1ce4e5b9
-	x ^= uint64(int64(color)) * 0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Split partitions the communicator: processors passing the same color
-// form a new communicator, ranked by (key, parent rank). It is a
-// collective call — every processor must participate. The returned Comm
-// shares cost accounting with nothing; its stats are folded back into the
-// parent's worker stats because times accumulate on the same *Comm-owning
-// goroutine via the returned child (the caller should use the child for
-// all communication until done, then resume with the parent).
-func (c *Comm) Split(color, key int) *Comm {
-	// Exchange (color, key) so everyone can compute group membership.
-	payload := []uint64{uint64(int64(color)), uint64(int64(key))}
-	for dst := 0; dst < c.m.p; dst++ {
-		c.Send(dst, payload)
-	}
-	c.Sync()
-	type member struct{ color, key, rank int }
-	members := make([]member, c.m.p)
-	for src := 0; src < c.m.p; src++ {
-		w := c.Recv(src)
-		members[src] = member{color: int(int64(w[0])), key: int(int64(w[1])), rank: src}
-	}
-	var mine []member
-	for _, mm := range members {
-		if mm.color == color {
-			mine = append(mine, mm)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
-		}
-		return mine[i].rank < mine[j].rank
-	})
-	newRank := -1
-	parentRanks := make([]int, len(mine))
-	for i, mm := range mine {
-		parentRanks[i] = mm.rank
-		if mm.rank == c.rank {
-			newRank = i
-		}
-	}
-	// Get or create the shared machine for this group. The registry key is
-	// the members' barrier sense at this split point — identical across
-	// members of a collective call, distinct across successive Splits
-	// (each Split Syncs).
-	m := c.m
-	m.subsMu.Lock()
-	key2 := subKey{phase: c.sense, color: color}
-	grp, ok := m.subs[key2]
-	if !ok {
-		tr, err := m.tr.Derive(childTag(m.tag, c.sense, color), parentRanks)
-		var sm *Machine
-		if err == nil {
-			sm, err = NewMachineOver(tr)
-		}
-		if err != nil {
-			// Route the failure through the abort protocol instead of
-			// panicking raw: sibling processors — including ones already
-			// blocked inside other groups' sub-machine barriers — unwind
-			// at their next cancellation point rather than deadlocking on
-			// a group that never materialized.
-			m.subsMu.Unlock()
-			err = fmt.Errorf("bsp: split(color=%d): %w", color, err)
-			m.abort(err)
-			panic(abortError{err})
-		}
-		sm.tag = childTag(m.tag, c.sense, color)
-		sm.faultHook = m.faultHook
-		grp = &subGroup{m: sm, members: parentRanks}
-		m.subs[key2] = grp
-	}
-	m.subsMu.Unlock()
-	child := grp.m.comms[newRank]
-	child.parent = c
-	child.lastMark = time.Now()
-	return child
-}
-
-// Close folds a split communicator's accumulated times and operation
-// counts back into its parent, and (once per group, via the group's rank
-// 0) folds the child fabric's superstep and volume accounting into the
-// parent fabric. It must be called once per Split, after the last use of
-// the child. Concurrent Closes at different nesting depths are safe; for
-// the fold totals to be deterministic, a parent-communicator barrier (any
-// collective) should separate nested children's Closes from the parent's
-// own Close — the pattern the kernels follow naturally.
-func (c *Comm) Close() {
-	if c.parent == nil {
-		return
-	}
-	c.parent.appTime += c.appTime
-	c.parent.commTime += c.commTime
-	c.parent.ops += c.ops
-	c.parent.skipColl += c.skipColl
-	c.parent.skipWords += c.skipWords
-	c.parent.lastMark = time.Now()
-	if c.rank == 0 {
-		c.parent.m.tr.FoldChild(c.m.tr)
-	}
 }
 
 // WorkerStats carries one processor's cost measurements.
@@ -790,7 +627,7 @@ func (m *Machine) run(body func(c *Comm)) (*Stats, error) {
 						firstErr = err
 					}
 					errMu.Unlock()
-					m.abort(err)
+					m.tr.Abort(err)
 				}
 			}()
 			body(c)
@@ -802,8 +639,8 @@ func (m *Machine) run(body func(c *Comm)) (*Stats, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// FinishRun completes the fabric's accounting; over TCP it merges the
-	// sub-group ledgers of all worker processes. A merge failure (peer
+	// FinishRun completes the fabric's accounting; over TCP it sums the
+	// wire-byte counts of all worker processes. A failure there (peer
 	// lost at end of run) is a transport failure, not a kernel result.
 	if err := m.tr.FinishRun(); err != nil {
 		return nil, wrapAbort(err)

@@ -136,23 +136,6 @@ func TestReduceEmptyVector(t *testing.T) {
 	}
 }
 
-func TestSplitP1(t *testing.T) {
-	_, err := Run(1, func(c *Comm) {
-		sub := c.Split(0, 0)
-		if sub.Size() != 1 || sub.Rank() != 0 {
-			t.Errorf("split size/rank = %d/%d", sub.Size(), sub.Rank())
-		}
-		b := sub.Broadcast(0, []uint64{1})
-		if len(b) != 1 || b[0] != 1 {
-			t.Errorf("sub broadcast = %v", b)
-		}
-		sub.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHRelationHelpers(t *testing.T) {
 	st, err := Run(2, func(c *Comm) {
 		c.Send(1-c.Rank(), []uint64{1, 2, 3})

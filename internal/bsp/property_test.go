@@ -133,46 +133,3 @@ func TestGatherScatterInverse(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSplitPartitionInvariant(t *testing.T) {
-	// Every processor lands in exactly one subgroup; subgroup sizes sum
-	// to p; ranks within each subgroup are a permutation of 0..size-1.
-	err := quick.Check(func(rawP, rawColors uint8) bool {
-		p := int(rawP%8) + 1
-		colors := int(rawColors%3) + 1
-		sizes := make([]int, colors)
-		ranks := make([][]int, colors)
-		var err error
-		_, err = Run(p, func(c *Comm) {
-			color := c.Rank() % colors
-			sub := c.Split(color, c.Rank())
-			defer sub.Close()
-			sub.Send(0, []uint64{uint64(sub.Rank())})
-			sub.Sync()
-			if sub.Rank() == 0 {
-				sizes[color] = sub.Size()
-				for src := 0; src < sub.Size(); src++ {
-					ranks[color] = append(ranks[color], int(sub.Recv(src)[0]))
-				}
-			}
-		})
-		if err != nil {
-			return false
-		}
-		total := 0
-		for color, sz := range sizes {
-			total += sz
-			seen := make([]bool, sz)
-			for _, r := range ranks[color] {
-				if r < 0 || r >= sz || seen[r] {
-					return false
-				}
-				seen[r] = true
-			}
-		}
-		return total == p
-	}, &quick.Config{MaxCount: 25})
-	if err != nil {
-		t.Error(err)
-	}
-}

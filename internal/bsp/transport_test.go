@@ -54,8 +54,8 @@ func runOverTCP(t *testing.T, p int, epoch uint64, body func(c *bsp.Comm)) ([]*b
 	return stats, errs
 }
 
-// collectiveWorkout exercises every collective plus Split; the returned
-// word is a per-rank checksum every transport must reproduce.
+// collectiveWorkout exercises every collective; the returned word is a
+// per-rank checksum every transport must reproduce.
 func collectiveWorkout(c *bsp.Comm) uint64 {
 	p := c.Size()
 	r := c.Rank()
@@ -84,11 +84,8 @@ func collectiveWorkout(c *bsp.Comm) uint64 {
 		sum += w
 	}
 
-	// Split into two groups, reduce inside each, rejoin.
-	sub := c.Split(r%2, r)
-	sr := sub.AllReduce([]uint64{uint64(r + 100)}, bsp.OpMax)
-	sum += sr[0] * 7
-	sub.Close()
+	mx := c.AllReduce([]uint64{uint64(r + 100)}, bsp.OpMax)
+	sum += mx[0] * 7
 	c.Barrier()
 
 	all := c.AllToAll(func() [][]uint64 {

@@ -31,9 +31,9 @@ type acctCase struct {
 // fingerprint renders the accounting of one run plus the rank-0 result
 // word into a comparable string: supersteps, total volume, and an FNV-1a
 // hash over the sorted per-superstep h-relations. The h-relations are
-// hashed as a multiset, not a sequence: when Split sub-communicators fold
-// into the parent, the fold order across groups depends on goroutine
-// scheduling even though the h-relations themselves are deterministic.
+// hashed as a multiset, not a sequence. Every run's sequence is
+// deterministic, but the goldens below were pinned as multisets, and a
+// sequence hash would re-pin every row for no new information.
 func fingerprint(st *bsp.Stats, result uint64) string {
 	hs := append([]uint64(nil), st.HRelations...)
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
@@ -86,7 +86,7 @@ func acctCases() []acctCase {
 
 // ws256G is the shape benchmark/'s mincut_batch solves: Watts–Strogatz
 // n=256, k=12, β=0.3, unit weights — 92 trials at success 0.9, run in
-// full at p ≤ 2 (the replicated regime the benchmark times).
+// full at p ≤ 2 (the machine sizes the benchmark times).
 var ws256G = gen.WattsStrogatz(256, 12, 0.3, 19, gen.Config{})
 
 // mincutCase pins one exact-minimum-cut configuration (maxTrials 0 = the
@@ -186,14 +186,17 @@ func acctCasesFor(ps ...int) []acctCase {
 // (approxcut/ws300/pipelined/p=4 ss 24 → 10, vol 125940 → 6768). The
 // mincut/ws256 rows were generated at the commit before the trial drew
 // its prefix lazily and solved its base case exactly at 41 vertices;
-// after it every mincut res is byte-identical, the replicated-regime
-// rows (er96 p ≤ 4, ws256) did not move at all — a trial there sends
-// nothing — and the group-regime row fell because its recursion now
-// ends at the larger base case (mincut/er96/p=8 ss 125 → 81, vol
-// 28698 → 20362). The ws256 rows ran 686 trials when they were generated
-// and run 92 since Trials evaluates the recursion's success recurrence;
-// none moved, for the same reason. The samplesort and lp rows are the
-// pre-overhaul ones.
+// after it every mincut res is byte-identical, the rows whose trials ran
+// on one rank each (er96 p ≤ 4, ws256) did not move at all — a trial
+// there sends nothing — and mincut/er96/p=8, then solved by processor
+// groups running distributed trials, fell because their recursion ended
+// at the larger base case (ss 125 → 81, vol 28698 → 20362). The ws256
+// rows ran 686 trials when they were generated and run 92 since Trials
+// evaluates the recursion's success recurrence; none moved, for the same
+// reason. mincut/er96/p=8 moved once more when the processor-group
+// regime was deleted: its four trials now run on ranks 0–3 while ranks
+// 4–7 idle, as at p = 4 (ss 81 → 20, vol 20362 → 3398, res unchanged).
+// The samplesort and lp rows are the pre-overhaul ones.
 var acctGolden = map[string]string{
 	"cc/er400/p=1":                  "ss=2 vol=1 hrel=692558b056101a44 res=12197969927824375844",
 	"mincut/er96/p=1":               "ss=7 vol=1541 hrel=3f75a9f3bfba16ad res=9",
@@ -214,7 +217,7 @@ var acctGolden = map[string]string{
 	"approxcut/er96/early/p=4":      "ss=17 vol=3578 hrel=dc220ff04af8af5a res=1026",
 	"approxcut/er96/pipelined/p=4":  "ss=15 vol=5208 hrel=6e51ab32b0de718f res=1036",
 	"cc/er400/p=8":                  "ss=6 vol=2581 hrel=b1ed82c962009e12 res=12197969927824375844",
-	"mincut/er96/p=8":               "ss=81 vol=20362 hrel=2a32ddd70ba3aa91 res=9",
+	"mincut/er96/p=8":               "ss=20 vol=3398 hrel=34d0a5dc9878341c res=9",
 	"samplesort/rmat10/p=8":         "ss=5 vol=2064 hrel=0b88c594df445be2 res=7070751790068031407",
 	"lp/er400/p=8":                  "ss=24 vol=16192 hrel=c26fb758e15ab6e5 res=12197969927824375844",
 	"approxcut/ws300/early/p=8":     "ss=10 vol=4221 hrel=272ae3e8639e6574 res=513",

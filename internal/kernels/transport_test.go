@@ -124,8 +124,8 @@ func TestCrossTransportAccounting(t *testing.T) {
 // TestScheduleIndependenceTCP is the transport-level counterpart of
 // mincut's TestScheduleIndependence: for a fixed seed the cut value and
 // side must be bit-identical across p, schedule, *and* transport. The
-// recursive contraction inside mincut exercises Split/Derive over the
-// wire, which no other kernel path reaches.
+// p = 3, two-trial row runs with a rank that claims no trial, so the
+// idle rank's empty supersteps cross the wire too.
 func TestScheduleIndependenceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP schedule-independence matrix is slow under -short")
@@ -135,32 +135,30 @@ func TestScheduleIndependenceTCP(t *testing.T) {
 		t.Fatal("test graph must be connected")
 	}
 	const seed = 7
-	opts := func(s mincut.Schedule) mincut.Options {
-		return mincut.Options{SuccessProb: 0.9, MaxTrials: 32, Schedule: s}
-	}
-
-	// Reference: single-rank, static schedule, in-process.
-	var ref *mincut.CutResult
-	_, err := bsp.Run(1, func(c *bsp.Comm) {
-		st := rng.New(seed, uint32(c.Rank()), 0)
-		ref = mincut.Parallel(c, g.N, g.Edges, st, opts(mincut.SchedStatic))
-	})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if !ref.Check(g) {
-		t.Fatal("reference partition inconsistent")
-	}
-
 	epoch := uint64(9500)
-	for _, p := range []int{2, 4} {
+	for _, row := range []struct{ p, maxTrials int }{{2, 32}, {4, 32}, {3, 2}} {
+		opts := func(s mincut.Schedule) mincut.Options {
+			return mincut.Options{SuccessProb: 0.9, MaxTrials: row.maxTrials, Schedule: s}
+		}
+		// Reference: single-rank, static schedule, in-process.
+		var ref *mincut.CutResult
+		_, err := bsp.Run(1, func(c *bsp.Comm) {
+			st := rng.New(seed, uint32(c.Rank()), 0)
+			ref = mincut.Parallel(c, g.N, g.Edges, st, opts(mincut.SchedStatic))
+		})
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		if !ref.Check(g) {
+			t.Fatal("reference partition inconsistent")
+		}
 		for _, sched := range []mincut.Schedule{mincut.SchedStatic, mincut.SchedDynamic} {
 			epoch++
 			var (
 				mu  sync.Mutex
 				got *mincut.CutResult
 			)
-			_, _ = runKernelOverTCP(t, p, epoch, func(c *bsp.Comm) uint64 {
+			_, _ = runKernelOverTCP(t, row.p, epoch, func(c *bsp.Comm) uint64 {
 				var in *graph.Graph
 				if c.Rank() == 0 {
 					in = g
@@ -175,14 +173,15 @@ func TestScheduleIndependenceTCP(t *testing.T) {
 				}
 				return r.Value
 			})
+			where := fmt.Sprintf("p=%d trials=%d sched=%d over tcp", row.p, row.maxTrials, sched)
 			if got == nil {
-				t.Fatalf("p=%d sched=%d: no result from rank 0", p, sched)
+				t.Fatalf("%s: no result from rank 0", where)
 			}
 			if got.Value != ref.Value {
-				t.Errorf("p=%d sched=%d over tcp: value %d, want %d", p, sched, got.Value, ref.Value)
+				t.Errorf("%s: value %d, want %d", where, got.Value, ref.Value)
 			}
 			if fmt.Sprint(got.Side) != fmt.Sprint(ref.Side) {
-				t.Errorf("p=%d sched=%d over tcp: partition side differs from reference", p, sched)
+				t.Errorf("%s: partition side differs from reference", where)
 			}
 		}
 	}

@@ -28,20 +28,6 @@ func sampleBudget(nCur, m int) int {
 	return s
 }
 
-// prefixContract processes sampled edges in order, contracting as many as
-// possible while at least t components remain (Prefix Selection + Bulk
-// Edge Contraction, §2.4). It mutates uf and returns the new component
-// count.
-func prefixContract(uf *graph.UnionFind, sample []graph.Edge, t int) int {
-	for _, e := range sample {
-		if uf.Count() <= t {
-			break
-		}
-		uf.Union(e.U, e.V)
-	}
-	return uf.Count()
-}
-
 // edgeSampler builds the weight-proportional sampler over edges that an
 // eager round draws from.
 func edgeSampler(edges []graph.Edge) *rng.PrefixSampler {

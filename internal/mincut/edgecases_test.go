@@ -80,7 +80,7 @@ func TestHeavyWeights(t *testing.T) {
 }
 
 func TestUnevenGroupSplit(t *testing.T) {
-	// p=5, trials=2: groups of sizes 3 and 2 run distributed trials.
+	// p=5, trials=2: ranks 0 and 1 run one trial each, ranks 2-4 idle.
 	g := gen.Cycle(36, 2)
 	var res *CutResult
 	_, err := bsp.Run(5, func(c *bsp.Comm) {

@@ -15,8 +15,6 @@ import (
 // monotonically up to this value and is flat beyond it (table in
 // DESIGN.md). An exact leaf never misses a cut that reached it, which
 // is what recursionSuccess — and through it Trials — is computed from.
-// The same constant ends the processor-group recursion of
-// recursiveDistributed.
 const BaseCaseSize = 41
 
 // exactCut's member sets are one-word bitmasks.

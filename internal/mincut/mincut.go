@@ -31,17 +31,17 @@ type Options struct {
 	// all checkpoint work; BSP accounting is identical either way —
 	// checkpointing is purely local.
 	Checkpoint *Checkpoint
-	// Schedule selects the trial scheduling policy in the replicated
-	// regime (p ≤ t); default SchedDynamic. Results are bit-identical
-	// across schedules for a fixed seed: trial streams derive from the
-	// trial index and ties break on the trial index.
+	// Schedule selects the trial scheduling policy; default SchedDynamic.
+	// Results are bit-identical across schedules for a fixed seed: trial
+	// streams derive from the trial index and ties break on the trial
+	// index.
 	Schedule Schedule
 	// OnTrial, when non-nil, is invoked after each locally executed
-	// trial with the trial index (replicated regime only). It runs on
-	// the executing rank's clock, so its cost is attributed to that
-	// rank by the dynamic scheduler — which makes it both a progress
-	// hook for serving layers and the injection point load-balance
-	// benchmarks use to simulate straggling ranks.
+	// trial with the trial index. It runs on the executing rank's
+	// clock, so its cost is attributed to that rank by the dynamic
+	// scheduler — which makes it both a progress hook for serving layers
+	// and the injection point load-balance benchmarks use to simulate
+	// straggling ranks.
 	OnTrial func(trial int)
 	// Plan, when non-nil and matching the input, supplies the snapshot's
 	// precomputed invariants (connectivity, edge count, replicated edge
@@ -60,13 +60,11 @@ func (o *Options) defaults() {
 
 // Parallel computes a global minimum cut of the distributed edge array
 // with probability at least SuccessProb — the full algorithm of §4. The
-// trials are scheduled over the processors: with p ≤ t the graph is
-// replicated and the trials are handed out in dynamically claimed chunks
-// (static block partition under SchedStatic); with p > t the processors
-// split into t groups, each running one distributed trial (Eager Step
-// within the group, then Recursive Contraction with processor-group
-// halving). Every processor returns the same result, independent of the
-// schedule and of p in the replicated regime.
+// graph is replicated and each trial runs whole on one processor; the
+// trials are handed out in dynamically claimed chunks (static block
+// partition under SchedStatic), and ranks at or beyond the trial count
+// run none. Every processor returns the same result, independent of p
+// and of the schedule.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *CutResult {
 	opts.defaults()
 	if n < 2 {
@@ -125,89 +123,52 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	var bestSide []bool
 	p := c.Size()
 
-	if p <= trials {
-		// Replicate the graph (or read the plan's shared replicated view —
-		// rank-order reassembly makes them identical); distribute trials.
-		var all []graph.Edge
-		if pl != nil {
-			all = pl.Edges
-			c.SkipComm(pl.GatherCost.Collectives, pl.GatherCost.Words)
-		} else {
-			all = dist.AllGatherEdges(c, local)
-		}
-		g := &graph.Graph{N: n, Edges: all}
-		a := getKSArena()
-		first := edgeSampler(all)
-		runTrial := func(i int) {
-			// Only a cut below bestVal can matter: a rank runs its trials in
-			// increasing index order, so a later trial cannot win a tie. The
-			// bound changes which leaves solve, never the draws or the work
-			// count, so the argmin and the words moved stay
-			// schedule-independent (MaxOps is not; see dynamicTrials).
-			val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bestVal)
-			c.Ops(work)
-			if cp != nil {
-				cp.note(val, side)
-			}
-			if val < bestVal || (val == bestVal && i < bestTrial) {
-				bestVal, bestTrial, bestSide = val, i, side
-			}
-			if opts.OnTrial != nil {
-				opts.OnTrial(i)
-			}
-		}
-		if p == 1 || trials < 2 || opts.Schedule == SchedStatic {
-			lo, hi := dist.BlockRange(trials, p, c.Rank())
-			for i := lo; i < hi; i++ {
-				// The trial loop is the one compute phase with no intervening
-				// Sync, so it polls the abort flag itself: a cancelled machine
-				// stops trialing immediately and unwinds at the collective
-				// below instead of burning through the remaining trials.
-				if c.Aborting() {
-					break
-				}
-				runTrial(i)
-			}
-		} else {
-			dynamicTrials(c, trials, runTrial)
-		}
-		putKSArena(a)
+	// Replicate the graph (or read the plan's shared replicated view —
+	// rank-order reassembly makes them identical); distribute trials.
+	var all []graph.Edge
+	if pl != nil {
+		all = pl.Edges
+		c.SkipComm(pl.GatherCost.Collectives, pl.GatherCost.Words)
 	} else {
-		// One distributed trial per group of ~p/trials processors.
-		var all []graph.Edge
-		if pl != nil {
-			all = pl.Edges
-			c.SkipComm(pl.GatherCost.Collectives, pl.GatherCost.Words)
-		} else {
-			all = dist.AllGatherEdges(c, local)
+		all = dist.AllGatherEdges(c, local)
+	}
+	g := &graph.Graph{N: n, Edges: all}
+	a := getKSArena()
+	first := edgeSampler(all)
+	runTrial := func(i int) {
+		// Only a cut below bestVal can matter: a rank runs its trials in
+		// increasing index order, so a later trial cannot win a tie. The
+		// bound changes which leaves solve, never the draws or the work
+		// count, so the argmin and the words moved stay
+		// schedule-independent (MaxOps is not; see dynamicTrials).
+		val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bestVal)
+		c.Ops(work)
+		if cp != nil {
+			cp.note(val, side)
 		}
-		color := c.Rank() * trials / p
-		sub := c.Split(color, c.Rank())
-		lo, hi := dist.BlockRange(len(all), sub.Size(), sub.Rank())
-		groupLocal := all[lo:hi]
-
-		edges, count, mapping := eagerDistributed(sub, n, groupLocal, eagerTarget(m), st)
-		if count >= 2 {
-			blk := matrixFromDistributedEdges(sub, count, edges)
-			val, side := recursiveDistributed(sub, blk, st)
-			bestVal = val
-			bestTrial = color
-			bestSide = make([]bool, n)
-			for v := 0; v < n; v++ {
-				bestSide[v] = side[mapping[v]]
-			}
-			if cp != nil && sub.Rank() == 0 {
-				cp.note(bestVal, bestSide)
-			}
+		if val < bestVal || (val == bestVal && i < bestTrial) {
+			bestVal, bestTrial, bestSide = val, i, side
 		}
-		isLeader := sub.Rank() == 0
-		sub.Close()
-		if !isLeader {
-			bestVal = math.MaxUint64
-			bestTrial = trials
-			bestSide = nil
+		if opts.OnTrial != nil {
+			opts.OnTrial(i)
 		}
 	}
+	if p == 1 || trials < 2 || opts.Schedule == SchedStatic {
+		lo, hi := dist.BlockRange(trials, p, c.Rank())
+		for i := lo; i < hi; i++ {
+			// The trial loop is the one compute phase with no intervening
+			// Sync, so it polls the abort flag itself: a cancelled machine
+			// stops trialing immediately and unwinds at the collective
+			// below instead of burning through the remaining trials.
+			if c.Aborting() {
+				break
+			}
+			runTrial(i)
+		}
+	} else {
+		dynamicTrials(c, trials, runTrial)
+	}
+	putKSArena(a)
 
 	// Fold in the min-degree (singleton) cut — from the plan's degree
 	// array when warm, otherwise computed distributedly.

@@ -1,6 +1,7 @@
 package mincut
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bsp"
@@ -12,8 +13,15 @@ import (
 
 func parallelCut(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options) *CutResult {
 	t.Helper()
+	res, _ := parallelCutStats(t, g, p, seed, opts)
+	return res
+}
+
+// parallelCutStats is parallelCut plus the run's BSP ledger.
+func parallelCutStats(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options) (*CutResult, *bsp.Stats) {
+	t.Helper()
 	var res *CutResult
-	_, err := bsp.Run(p, func(c *bsp.Comm) {
+	stats, err := bsp.Run(p, func(c *bsp.Comm) {
 		var in *graph.Graph
 		if c.Rank() == 0 {
 			in = g
@@ -28,7 +36,7 @@ func parallelCut(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, stats
 }
 
 func TestParallelKnownCuts(t *testing.T) {
@@ -84,34 +92,89 @@ func TestParallelDisconnected(t *testing.T) {
 	}
 }
 
+// TestParallelGroupMode runs p > trials, where the paper's §4.2 would form
+// processor groups: here each of the two trials runs whole on one rank and
+// the other four ranks claim nothing, so the answer is the one-rank run's.
 func TestParallelGroupMode(t *testing.T) {
-	// Force p > trials so processor groups run distributed trials:
-	// MaxTrials=2 with p=6 gives two 3-processor groups.
 	g := gen.TwoCliques(10, 2, 6, 1)
-	got := parallelCut(t, g, 6, 3, Options{SuccessProb: 0.9, MaxTrials: 2})
+	opts := Options{SuccessProb: 0.9, MaxTrials: 2}
+	got := parallelCut(t, g, 6, 3, opts)
 	if !got.Check(g) {
-		t.Fatal("inconsistent partition from group mode")
+		t.Fatal("inconsistent partition at p > trials")
 	}
-	// Two eager+recursive trials on this graph find the bridge cut
-	// essentially always; accept the min-degree fallback bound too.
 	if got.Value != 2 {
-		t.Errorf("group-mode MC = %d, want 2", got.Value)
+		t.Errorf("p > trials: MC = %d, want 2", got.Value)
 	}
 	if got.Trials != 2 {
 		t.Errorf("trials = %d, want 2", got.Trials)
 	}
+	if ref := parallelCut(t, g, 1, 3, opts); fmt.Sprint(got.Side) != fmt.Sprint(ref.Side) {
+		t.Error("p=6 side differs from p=1's")
+	}
 }
 
+// TestParallelGroupModeSingleGroup runs one trial on four ranks: rank 0
+// runs it and ranks 1–3 idle until the final broadcast.
 func TestParallelGroupModeSingleGroup(t *testing.T) {
-	// p > trials with trials=1: all processors form one group and run a
-	// single fully distributed trial.
 	g := gen.Cycle(40, 3)
 	got := parallelCut(t, g, 4, 11, Options{SuccessProb: 0.9, MaxTrials: 1})
 	if !got.Check(g) {
 		t.Fatal("inconsistent partition")
 	}
 	if got.Value != 6 {
-		t.Errorf("single distributed trial on cycle: %d, want 6", got.Value)
+		t.Errorf("single trial on cycle at p=4: %d, want 6", got.Value)
+	}
+	if got.Trials != 1 {
+		t.Errorf("trials = %d, want 1", got.Trials)
+	}
+}
+
+// TestParallelIndependentOfP pins the runtime's promise that p never
+// changes the answer: every trial runs whole on one rank from a stream
+// keyed by its index, so value, side and trial count equal the one-rank
+// run at every p — including p above the trial count, where the extra
+// ranks claim nothing. Supersteps are pinned too. From p = 2 on they are
+// the p = 2 static run's count plus the dynamic scheduler's
+// ⌈min(4p, t)/p⌉−1 claim rounds, which vanish at p ≥ t. (A one-rank
+// machine's connectivity check and collectives take fewer supersteps, so
+// p = 1 has its own count.)
+func TestParallelIndependentOfP(t *testing.T) {
+	const trials = 4
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"er96", gen.ErdosRenyiM(96, 480, 11, gen.Config{MaxWeight: 4})},
+		{"ws128", gen.WattsStrogatz(128, 6, 0.3, 5, gen.Config{})},
+		{"cycle40", gen.Cycle(40, 3)},
+	}
+	for _, in := range inputs {
+		for seed := uint64(1); seed <= 8; seed++ {
+			opts := Options{MaxTrials: trials, Schedule: SchedStatic}
+			ref := parallelCut(t, in.g, 1, seed, opts)
+			_, base := parallelCutStats(t, in.g, 2, seed, opts)
+			for _, sched := range []Schedule{SchedStatic, SchedDynamic} {
+				opts.Schedule = sched
+				for _, p := range []int{1, 2, 3, 4, 5, 8, 16} {
+					got, st := parallelCutStats(t, in.g, p, seed, opts)
+					where := fmt.Sprintf("%s seed=%d sched=%d p=%d", in.name, seed, sched, p)
+					if got.Value != ref.Value || got.Trials != ref.Trials || fmt.Sprint(got.Side) != fmt.Sprint(ref.Side) {
+						t.Fatalf("%s: (value %d, trials %d) differs from p=1's (%d, %d) or its side does",
+							where, got.Value, got.Trials, ref.Value, ref.Trials)
+					}
+					if p == 1 {
+						continue
+					}
+					want := base.Supersteps
+					if sched == SchedDynamic {
+						want += (min(4*p, trials)+p-1)/p - 1
+					}
+					if st.Supersteps != want {
+						t.Fatalf("%s: %d supersteps, want %d", where, st.Supersteps, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -136,178 +199,6 @@ func TestParallelAgreesAcrossP(t *testing.T) {
 		got := parallelCut(t, g, p, 21, Options{SuccessProb: 0.95})
 		if got.Value != want {
 			t.Errorf("p=%d: %d, want %d", p, got.Value, want)
-		}
-	}
-}
-
-func TestSparseBulkContractMatchesSequential(t *testing.T) {
-	g := gen.ErdosRenyiM(30, 200, 9, gen.Config{MaxWeight: 5})
-	mapping := make([]int32, 30)
-	for i := range mapping {
-		mapping[i] = int32(i / 3) // 30 -> 10
-	}
-	want := g.Relabel(mapping, 10)
-	for _, p := range []int{1, 2, 4, 5} {
-		_, err := bsp.Run(p, func(c *bsp.Comm) {
-			var in *graph.Graph
-			if c.Rank() == 0 {
-				in = g
-			}
-			_, local := dist.ScatterGraph(c, 0, in)
-			out := sparseBulkContract(c, local, mapping)
-			all := dist.GatherEdges(c, 0, out)
-			if c.Rank() == 0 {
-				combined := graph.CombineParallel(all)
-				if len(combined) != len(want.Edges) {
-					t.Fatalf("p=%d: %d combined edges, want %d", p, len(combined), len(want.Edges))
-				}
-				for i := range combined {
-					if combined[i] != want.Edges[i] {
-						t.Fatalf("p=%d: edge %d = %v, want %v", p, i, combined[i], want.Edges[i])
-					}
-				}
-				// The distributed result must already be fully combined:
-				// no duplicate keys across the gathered runs.
-				seen := map[[2]int32]bool{}
-				for _, e := range all {
-					k := [2]int32{e.U, e.V}
-					if seen[k] {
-						t.Fatalf("p=%d: duplicate group %v survived", p, k)
-					}
-					seen[k] = true
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestResolveBoundariesSpanningGroups(t *testing.T) {
-	// Manually construct sorted runs where one group spans processors:
-	// rank 0: (0,1,5) (2,3,7) ; rank 1: (2,3,1) (entire run one group)
-	// rank 2: (2,3,2) (4,5,9). The (2,3) group must collapse into rank 0
-	// with weight 10.
-	_, err := bsp.Run(3, func(c *bsp.Comm) {
-		var run []graph.Edge
-		switch c.Rank() {
-		case 0:
-			run = []graph.Edge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 7}}
-		case 1:
-			run = []graph.Edge{{U: 2, V: 3, W: 1}}
-		case 2:
-			run = []graph.Edge{{U: 2, V: 3, W: 2}, {U: 4, V: 5, W: 9}}
-		}
-		out := resolveBoundaries(c, run)
-		all := dist.GatherEdges(c, 0, out)
-		if c.Rank() == 0 {
-			want := []graph.Edge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 10}, {U: 4, V: 5, W: 9}}
-			if len(all) != len(want) {
-				t.Fatalf("got %v, want %v", all, want)
-			}
-			for i := range want {
-				if all[i] != want[i] {
-					t.Fatalf("edge %d: got %v, want %v", i, all[i], want[i])
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResolveBoundariesEmptyRuns(t *testing.T) {
-	_, err := bsp.Run(4, func(c *bsp.Comm) {
-		var run []graph.Edge
-		if c.Rank() == 1 {
-			run = []graph.Edge{{U: 1, V: 2, W: 3}}
-		}
-		out := resolveBoundaries(c, run)
-		total := dist.CountEdges(c, out)
-		if total != 1 {
-			t.Errorf("rank %d: total %d, want 1", c.Rank(), total)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEagerDistributedMatchesTarget(t *testing.T) {
-	g := gen.ErdosRenyiM(120, 1200, 10, gen.Config{MaxWeight: 3})
-	for _, p := range []int{1, 3, 5} {
-		_, err := bsp.Run(p, func(c *bsp.Comm) {
-			var in *graph.Graph
-			if c.Rank() == 0 {
-				in = g
-			}
-			n, local := dist.ScatterGraph(c, 0, in)
-			st := rng.New(33, uint32(c.Rank()), 0)
-			edges, count, mapping := eagerDistributed(c, n, local, 20, st)
-			if count > 20 || count < 2 {
-				t.Errorf("p=%d: contracted to %d vertices", p, count)
-			}
-			// Total weight preserved (no edges lost, only merged/looped).
-			all := dist.GatherEdges(c, 0, edges)
-			if c.Rank() == 0 {
-				cg := &graph.Graph{N: count, Edges: all}
-				if err := cg.Validate(); err != nil {
-					t.Errorf("p=%d: invalid contracted graph: %v", p, err)
-				}
-				// Lifted singleton cut consistency.
-				side := make([]bool, g.N)
-				for v := range side {
-					side[v] = mapping[v] == 0
-				}
-				cside := make([]bool, count)
-				cside[0] = true
-				if g.CutValue(side) != cg.CutValue(cside) {
-					t.Errorf("p=%d: lifted cut mismatch", p)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestRecursiveDistributedFindsCut(t *testing.T) {
-	g := gen.TwoCliques(24, 2, 5, 1) // min cut 2, n=48
-	if g.N <= BaseCaseSize {
-		t.Fatalf("test graph too small to force the processor-group recursion (n=%d)", g.N)
-	}
-	m := graph.MatrixFromGraph(g)
-	for _, p := range []int{1, 2, 3, 4, 5} {
-		best := uint64(1 << 62)
-		// A few attempts: recursive contraction is randomized with
-		// success >= 1/O(log n) per run.
-		for attempt := 0; attempt < 6 && best != 2; attempt++ {
-			_, err := bsp.Run(p, func(c *bsp.Comm) {
-				var in *graph.Matrix
-				if c.Rank() == 0 {
-					in = m
-				}
-				blk := dist.ScatterMatrix(c, 0, in)
-				st := rng.New(uint64(100+attempt), uint32(c.Rank()), 0)
-				val, side := recursiveDistributed(c, blk, st)
-				if c.Rank() == 0 {
-					if g.CutValue(side) != val {
-						t.Errorf("p=%d: side value %d != reported %d", p, g.CutValue(side), val)
-					}
-					if val < best {
-						best = val
-					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if best != 2 {
-			t.Errorf("p=%d: best over attempts = %d, want 2", p, best)
 		}
 	}
 }

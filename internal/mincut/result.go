@@ -1,12 +1,11 @@
 // Package mincut implements the paper's exact communication-avoiding
 // global minimum cut algorithm (§4) and its sequential baselines. The
 // parallel algorithm runs Θ((n²/m)·polylog) independent trials, each of
-// which (1) eagerly contracts the graph to ⌈√m⌉+1 vertices with sparse
-// iterated sampling — sparsification (§3.1) plus sparse bulk edge
-// contraction (§4.1) — and (2) runs recursive contraction (Karger–Stein)
-// with dense bulk edge contraction and processor-group halving (§4.3).
-// The trials are distributed over processors (p ≤ t: replicate the graph
-// and split the trials; p > t: processor groups run distributed trials).
+// which (1) eagerly contracts the graph to ⌈√m⌉+1 vertices with
+// iterated sampling and bulk edge contraction, and (2) runs recursive
+// contraction (Karger–Stein) with dense bulk edge contraction. The graph
+// is replicated and every trial runs whole on one processor; ranks at or
+// beyond the trial count run none.
 //
 // The sequential baselines are Karger–Stein recursive contraction (the
 // "KS" baseline, whose cache-oblivious variant the paper compares
@@ -58,4 +57,26 @@ func minDegreeCut(g *graph.Graph) (uint64, []bool) {
 		side[v] = true
 	}
 	return d, side
+}
+
+// packSide encodes a boolean side as bit-packed words prefixed by length.
+func packSide(side []bool) []uint64 {
+	words := make([]uint64, 1+(len(side)+63)/64)
+	words[0] = uint64(len(side))
+	for i, s := range side {
+		if s {
+			words[1+i/64] |= 1 << uint(i%64)
+		}
+	}
+	return words
+}
+
+// unpackSide decodes packSide's encoding.
+func unpackSide(words []uint64) []bool {
+	n := int(words[0])
+	side := make([]bool, n)
+	for i := range side {
+		side[i] = words[1+i/64]>>uint(i%64)&1 == 1
+	}
+	return side
 }

@@ -7,8 +7,7 @@ import (
 	"repro/internal/dist"
 )
 
-// Schedule selects how trials are distributed over processors when the
-// graph is replicated (p ≤ t).
+// Schedule selects how trials are distributed over processors.
 type Schedule int
 
 const (

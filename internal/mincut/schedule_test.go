@@ -8,9 +8,8 @@ import (
 
 // The dynamic scheduler must be invisible in the results: for a fixed
 // seed the cut value and side are bit-identical whichever schedule runs
-// the trials, and — in the replicated regime — whatever p is, because
-// trial i's stream derives from i alone and ties break on the trial
-// index. This is the property that lets the serving layer cache and
+// the trials, and whatever p is, because trial i's stream derives from i
+// alone and ties break on the trial index. This is the property that lets the serving layer cache and
 // coalesce by (graph, seed, params) while sizing machines freely.
 func TestScheduleIndependence(t *testing.T) {
 	g := gen.ErdosRenyiM(64, 256, 3, gen.Config{MaxWeight: 4})

@@ -61,9 +61,9 @@ func sequentialTrial(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, st *r
 
 // recursionTarget is the vertex count one recursive-contraction branch
 // contracts an n-vertex graph to: ⌈n/√2⌉+1 (§2.4), clamped so a branch
-// always contracts at least one edge. Every recursion in the package —
-// ksRecurse, ksRecurseAll, recursiveDistributed — and the bound that
-// describes them, recursionSuccess, take their target from here.
+// always contracts at least one edge. Both recursions in the package —
+// ksRecurse and ksRecurseAll — and the bound that describes them,
+// recursionSuccess, take their target from here.
 func recursionTarget(n int) int {
 	t := int(math.Ceil(float64(n)/math.Sqrt2)) + 1
 	if t >= n {

@@ -236,22 +236,18 @@ func binaryLE32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// TestLedgerRoundtripWireBytes checks the end-of-run merge carries both
-// wire-byte counters.
+// TestLedgerRoundtripWireBytes checks the end-of-run LEDGER frame
+// carries both wire-byte counters.
 func TestLedgerRoundtripWireBytes(t *testing.T) {
-	in := []Ledger{{Supersteps: 3, CommVolume: 77, HRelations: []uint64{10, 30, 37}}}
-	buf := encodeLedgers(1000, 2500, in)
-	wire, raw, out, err := decodeLedgers(buf)
+	buf := encodeLedger(1000, 2500)
+	wire, raw, err := decodeLedger(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire != 1000 || raw != 2500 {
 		t.Fatalf("wire=%d raw=%d, want 1000/2500", wire, raw)
 	}
-	if len(out) != 1 || !ledgerEq(out[0], in[0]) {
-		t.Fatalf("ledger roundtrip: %+v", out)
-	}
-	if _, _, _, err := decodeLedgers(buf[:10]); err == nil {
+	if _, _, err := decodeLedger(buf[:10]); err == nil {
 		t.Fatal("truncated ledger frame accepted")
 	}
 }

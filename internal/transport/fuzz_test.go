@@ -8,7 +8,7 @@ import (
 
 // FuzzParseFrame throws arbitrary bytes at the receive path a hostile
 // or corrupt peer controls: frame parsing, data-payload decoding
-// (through every codec), ledger-merge decoding, and abort decoding.
+// (through every codec), ledger decoding, and abort decoding.
 // The invariant is error-not-panic, with allocation bounded by the
 // declared frame length.
 func FuzzParseFrame(f *testing.F) {
@@ -18,11 +18,11 @@ func FuzzParseFrame(f *testing.F) {
 	payload = binary.LittleEndian.AppendUint32(payload, 0)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(words)))
 	payload = appendEncodedPayload(payload, words, codecMaskAll)
-	buf := appendFrameHeader(nil, frameData, 7, 0, 3, 1)
+	buf := appendFrameHeader(nil, frameData, 7, 3, 1)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
 	f.Add(buf)
-	f.Add(encodeLedgers(10, 20, []Ledger{{Supersteps: 1, CommVolume: 2, HRelations: []uint64{2}}}))
+	f.Add(encodeLedger(10, 20))
 	f.Add(encodeAbort(true, false, "cause"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -34,13 +34,13 @@ func FuzzParseFrame(f *testing.F) {
 					_, _, _ = decodeDataPayload(fr.payload, gp, rank, nil)
 				}
 			}
-			_, _, _, _ = decodeLedgers(fr.payload)
+			_, _, _ = decodeLedger(fr.payload)
 			_, _, _ = decodeAbort(fr.payload)
 			fr.release()
 		}
 		// The unframed bytes through the inner decoders too, so truncation
 		// points the framing would reject still get coverage.
-		_, _, _, _ = decodeLedgers(data)
+		_, _, _ = decodeLedger(data)
 		for _, gp := range []int{1, 3} {
 			_, _, _ = decodeDataPayload(data, gp, 0, nil)
 		}

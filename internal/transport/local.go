@@ -79,10 +79,8 @@ type Local struct {
 	bufPool sync.Pool
 
 	// Accounting, owned by the finalizing rank of each barrier and read
-	// after the run completes. foldMu orders concurrent FoldChild calls
-	// from split sub-fabrics.
+	// after the run completes.
 	ledger Ledger
-	foldMu sync.Mutex
 
 	eps []LocalEndpoint
 }
@@ -203,39 +201,12 @@ func (l *Local) Err() error {
 	return l.abortErr
 }
 
-// Derive creates an independent in-process sub-fabric for a Split
-// group. The tag is unused locally (frame routing is a socket concern)
-// and members only sizes the group.
-func (l *Local) Derive(_ uint64, members []int) (Transport, error) {
-	return NewLocal(len(members))
-}
-
-// FoldChild folds a derived sub-fabric's ledger into this fabric's.
-// With nested splits the child may itself still be receiving folds from
-// its own children (their rank 0s run on other goroutines), so its
-// counters are read under its own foldMu. Locking child before parent
-// is a consistent order — folds always go child → parent along the
-// split tree.
-func (l *Local) FoldChild(sub Transport) {
-	cl, ok := sub.(*Local)
-	if !ok {
-		panic("transport: FoldChild across fabric kinds")
-	}
-	cl.foldMu.Lock()
-	l.foldMu.Lock()
-	l.ledger.add(&cl.ledger)
-	l.foldMu.Unlock()
-	cl.foldMu.Unlock()
-}
-
 // FinishRun is a no-op on the in-process fabric: the shared ledger is
 // already complete.
 func (l *Local) FinishRun() error { return nil }
 
 // Ledger returns the run's accounting.
 func (l *Local) Ledger() Ledger {
-	l.foldMu.Lock()
-	defer l.foldMu.Unlock()
 	out := l.ledger
 	out.HRelations = append([]uint64(nil), l.ledger.HRelations...)
 	return out

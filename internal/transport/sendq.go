@@ -14,7 +14,7 @@ import (
 // goroutine. Because send returns only after the kernel accepted the
 // whole frame, any two causally ordered sends to one peer reach the
 // socket in order (DATA before a later ABORT, CONTROL before a later
-// DATA), which is all the abort cascade and the shard control plane
+// DATA), which is all the abort protocol and the shard control plane
 // require.
 //
 // Frame buffers come from framePool and return to it once written —

@@ -15,25 +15,22 @@ import (
 
 // The TCP fabric: each mesh rank is a separate worker process holding
 // one persistent framed connection to every peer (full mesh). On top of
-// the mesh, a Session scopes one BSP run (keyed by epoch), and tcpGroup
-// implements Transport+Endpoint for the run's root communicator and
-// every Split sub-group (keyed by deterministic group tags).
+// the mesh, a Session scopes one BSP run (keyed by epoch), and its one
+// tcpGroup implements Transport+Endpoint for the run's communicator.
 //
 // Superstep delivery: Exchange coalesces everything staged for a peer
 // into one data frame carrying the sender's full per-destination size
 // vector, so every member reconstructs the same p×p size matrix and
 // accounts the identical h-relation the in-process finalizer would.
 // Read pumps (one goroutine per connection) decode inbound frames and
-// park them on the owning group's step state; Exchange blocks on a
+// park them on the session group's step state; Exchange blocks on a
 // condition variable until all gp-1 peer frames for its step arrived.
 //
 // Aborts ride the PR 4 protocol: a local Machine.Cancel (or worker
 // panic) poisons the session and broadcasts an ABORT frame to every
 // peer; a lost connection aborts every session on both sides with
 // ErrPeerLost. End of run, FinishRun exchanges LEDGER frames so every
-// process folds the sub-group ledgers it did not witness (each group's
-// rank-0 process logs that group's ledger; the flat union over processes
-// equals the in-process hierarchical fold as a multiset).
+// process reports the run's total wire traffic.
 //
 // Self-healing (DESIGN.md §4i): the mesh outlives individual
 // connections. Each peer rank is a slot whose connection can be
@@ -146,8 +143,8 @@ type peerSlot struct {
 	dialing     bool // a redial attempt is in flight
 }
 
-// maxOrphans bounds frames buffered for a not-yet-registered session or
-// group; beyond it the sender is protocol-broken and the frames are
+// maxOrphans bounds frames buffered for a not-yet-registered session;
+// beyond it the sender is protocol-broken and the frames are
 // dropped (the eventual barrier wait surfaces the loss as a stall that
 // the job deadline converts into a cancel).
 const maxOrphans = 1 << 16
@@ -535,7 +532,7 @@ func (m *Mesh) SendControl(dst int, epoch uint64, payload []byte) error {
 		}
 		return nil
 	}
-	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameControl, epoch, 0, 0, m.rank)
+	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameControl, epoch, 0, m.rank)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
 	_, err := m.sendFrame(dst, buf)
@@ -583,7 +580,7 @@ func (m *Mesh) maintain() {
 	defer m.loops.Done()
 	t := time.NewTicker(m.hbInterval)
 	defer t.Stop()
-	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen), frameHeartbeat, 0, 0, 0, m.rank)
+	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen), frameHeartbeat, 0, 0, m.rank)
 	patchFrameLen(buf)
 	for {
 		select {
@@ -763,16 +760,14 @@ func (m *Mesh) Close() error {
 }
 
 // Session scopes one BSP run (one job) on a mesh, keyed by epoch. It
-// owns the run's groups, abort state, fold-log, and wire-byte count.
+// owns the run's group, abort state, and wire-byte count.
 type Session struct {
 	mesh  *Mesh
 	epoch uint64
 
-	mu      sync.Mutex
-	groups  map[uint64]*tcpGroup
-	orphans map[uint64][]frame
-	abortE  error
-	sent    bool // abort frames already broadcast
+	mu     sync.Mutex
+	abortE error
+	sent   bool // abort frames already broadcast
 
 	abortFlag atomic.Bool
 	// wireBytes counts what this process actually wrote for the session;
@@ -791,21 +786,18 @@ type Session struct {
 	// into Buffer slices).
 	wordPool sync.Pool
 
-	// wireHook, when non-nil, runs before each root-group Exchange's
-	// sends with the group superstep; it may request a drop (sever all
+	// wireHook, when non-nil, runs before each Exchange's sends with the
+	// superstep; it may request a drop (sever all
 	// connections), a stall (delay the outbound flush), a crash (hard
 	// process exit), or a partition (sever + refuse reconnects for the
 	// duration). The seam internal/faults' transport kinds compile onto.
 	wireHook func(step uint64) (drop bool, stall time.Duration, crash bool, partition time.Duration)
 
-	foldMu  sync.Mutex
-	foldLog []Ledger
-
 	root *tcpGroup
 }
 
 // NewSession registers a run on the mesh. members lists the mesh ranks
-// participating in the run's root group, ascending; this process's rank
+// participating in the run, ascending; this process's rank
 // must be among them. The returned session's Root() group is the
 // Transport to hand to bsp.NewMachineOver.
 func (m *Mesh) NewSession(epoch uint64, members []int) (*Session, error) {
@@ -821,14 +813,8 @@ func (m *Mesh) NewSession(epoch uint64, members []int) (*Session, error) {
 	if localRank < 0 {
 		return nil, fmt.Errorf("transport: rank %d not in session members %v", m.rank, members)
 	}
-	s := &Session{
-		mesh:    m,
-		epoch:   epoch,
-		groups:  make(map[uint64]*tcpGroup),
-		orphans: make(map[uint64][]frame),
-	}
-	s.root = newTCPGroup(s, 0, append([]int(nil), members...), localRank)
-	s.groups[0] = s.root
+	s := &Session{mesh: m, epoch: epoch}
+	s.root = newTCPGroup(s, append([]int(nil), members...), localRank)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -848,7 +834,7 @@ func (m *Mesh) NewSession(epoch uint64, members []int) (*Session, error) {
 	return s, nil
 }
 
-// Root returns the session's root group — the run's Transport.
+// Root returns the session's group — the run's Transport.
 func (s *Session) Root() Transport { return s.root }
 
 // SetWireHook installs the session's wire fault hook (see wireHook).
@@ -905,9 +891,9 @@ func (s *Session) Err() error {
 	return s.abortE
 }
 
-// abort poisons the session: the first cause is recorded, every group's
-// waiters wake, and (when notifyPeers) every peer of the root group is
-// sent an ABORT frame. Remote aborts pass notifyPeers=false — the
+// abort poisons the session: the first cause is recorded, the group's
+// waiters wake, and (when notifyPeers) every peer of the run is sent an
+// ABORT frame. Remote aborts pass notifyPeers=false — the
 // originator already told everyone.
 func (s *Session) abort(err error, notifyPeers bool) {
 	s.mu.Lock()
@@ -918,22 +904,17 @@ func (s *Session) abort(err error, notifyPeers bool) {
 	if first {
 		s.sent = true
 	}
-	groups := make([]*tcpGroup, 0, len(s.groups))
-	for _, g := range s.groups {
-		groups = append(groups, g)
-	}
 	s.mu.Unlock()
 	s.abortFlag.Store(true)
-	for _, g := range groups {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
+	g := s.root
+	g.mu.Lock()
+	g.cond.Broadcast()
+	g.mu.Unlock()
 	if !first {
 		return
 	}
 	payload := encodeAbort(errors.Is(err, ErrCancelled), errors.Is(err, ErrPeerLost), err.Error())
-	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameAbort, s.epoch, 0, 0, s.mesh.rank)
+	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameAbort, s.epoch, 0, s.mesh.rank)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
 	for i, r := range s.root.members {
@@ -947,9 +928,8 @@ func (s *Session) abort(err error, notifyPeers bool) {
 	}
 }
 
-// deliver routes one inbound frame to its group (or the orphan buffer —
-// a peer may legally exchange on a Split group before this process
-// derives it).
+// deliver handles one inbound frame: an ABORT poisons the session,
+// anything else goes to the session's group.
 func (s *Session) deliver(f frame) {
 	if f.kind == frameAbort {
 		cancelled, peerLost, msg := decodeAbort(f.payload)
@@ -957,36 +937,7 @@ func (s *Session) deliver(f frame) {
 		s.abort(&RemoteAbort{Rank: f.src, Msg: msg, Cancelled: cancelled, PeerLost: peerLost}, false)
 		return
 	}
-	s.mu.Lock()
-	g := s.groups[f.tag]
-	if g == nil {
-		if len(s.orphans[f.tag]) < maxOrphans {
-			s.orphans[f.tag] = append(s.orphans[f.tag], f)
-		} else {
-			f.release()
-		}
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	g.deliver(f)
-}
-
-// registerGroup adds a derived group and replays its orphaned frames.
-func (s *Session) registerGroup(g *tcpGroup) error {
-	s.mu.Lock()
-	if _, dup := s.groups[g.tag]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("transport: group tag %#x already derived", g.tag)
-	}
-	s.groups[g.tag] = g
-	backlog := s.orphans[g.tag]
-	delete(s.orphans, g.tag)
-	s.mu.Unlock()
-	for _, f := range backlog {
-		g.deliver(f)
-	}
-	return nil
+	s.root.deliver(f)
 }
 
 // stepState accumulates one superstep's inbound frames for a group.
@@ -996,18 +947,17 @@ type stepState struct {
 	words [][]uint64 // per source group rank: the payload for this rank
 }
 
-type ledgerMsg struct {
-	wireBytes    uint64
-	wireRawBytes uint64
-	ledgers      []Ledger
+// wireCounts is one process's wire traffic for a run, as its LEDGER
+// frame reports it.
+type wireCounts struct {
+	bytes, raw uint64
 }
 
-// tcpGroup is one communicator over the mesh: the session's root group
-// or a Split sub-group. It implements both Transport and Endpoint — a
-// worker process hosts exactly one rank of each group it is a member of.
+// tcpGroup is a session's communicator over the mesh. It implements both
+// Transport and Endpoint — a worker process hosts exactly one of its
+// ranks.
 type tcpGroup struct {
 	sess    *Session
-	tag     uint64
 	members []int // mesh ranks, by group rank
 	rank    int   // this process's group rank
 	used    bool  // Reset burns it: socket groups are single-run
@@ -1017,26 +967,24 @@ type tcpGroup struct {
 	inbox   [][]uint64
 	mySizes []uint32 // size vector scratch
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  map[uint64]*stepState
-	ledgerIn map[int]ledgerMsg
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending map[uint64]*stepState
+	wireIn  map[int]wireCounts
 
 	ledger Ledger
-	merged *Ledger // root only, set by FinishRun
 }
 
-func newTCPGroup(s *Session, tag uint64, members []int, rank int) *tcpGroup {
+func newTCPGroup(s *Session, members []int, rank int) *tcpGroup {
 	g := &tcpGroup{
-		sess:     s,
-		tag:      tag,
-		members:  members,
-		rank:     rank,
-		staging:  make([][]uint64, len(members)),
-		inbox:    make([][]uint64, len(members)),
-		mySizes:  make([]uint32, len(members)),
-		pending:  make(map[uint64]*stepState),
-		ledgerIn: make(map[int]ledgerMsg),
+		sess:    s,
+		members: members,
+		rank:    rank,
+		staging: make([][]uint64, len(members)),
+		inbox:   make([][]uint64, len(members)),
+		mySizes: make([]uint32, len(members)),
+		pending: make(map[uint64]*stepState),
+		wireIn:  make(map[int]wireCounts),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -1058,7 +1006,7 @@ func (g *tcpGroup) deliver(f frame) {
 	src := g.groupRankOf(f.src)
 	if src < 0 || src == g.rank {
 		f.release()
-		g.sess.abort(fmt.Errorf("%w: frame from rank %d not a peer of group %#x", ErrPeerLost, f.src, g.tag), true)
+		g.sess.abort(fmt.Errorf("%w: frame from rank %d not a peer of session %d", ErrPeerLost, f.src, g.sess.epoch), true)
 		return
 	}
 	switch f.kind {
@@ -1088,14 +1036,14 @@ func (g *tcpGroup) deliver(f frame) {
 		}
 		g.mu.Unlock()
 	case frameLedger:
-		wb, wrb, ledgers, err := decodeLedgers(f.payload)
+		wb, wrb, err := decodeLedger(f.payload)
 		f.release()
 		if err != nil {
 			g.sess.abort(fmt.Errorf("%w: rank %d: %v", ErrPeerLost, f.src, err), true)
 			return
 		}
 		g.mu.Lock()
-		g.ledgerIn[src] = ledgerMsg{wireBytes: wb, wireRawBytes: wrb, ledgers: ledgers}
+		g.wireIn[src] = wireCounts{bytes: wb, raw: wrb}
 		g.cond.Broadcast()
 		g.mu.Unlock()
 	default:
@@ -1189,7 +1137,7 @@ func (g *tcpGroup) Exchange() error {
 		words := g.staging[dst]
 		head := 4 + frameHeaderLen + 4 + 4*gp + 1
 		buf := frameBufGet(head + 8*len(words))[:0]
-		buf = appendFrameHeader(buf, frameData, s.epoch, g.tag, step, s.mesh.rank)
+		buf = appendFrameHeader(buf, frameData, s.epoch, step, s.mesh.rank)
 		buf = appendUint32(buf, uint32(gp))
 		for _, sz := range g.mySizes {
 			buf = appendUint32(buf, sz)
@@ -1317,8 +1265,7 @@ func (g *tcpGroup) Endpoint(rank int) Endpoint {
 	return g
 }
 
-// AbortFlag returns the session-wide abort flag: all groups of a run
-// poison together, which is exactly the bsp cascade's contract.
+// AbortFlag returns the session's abort flag.
 func (g *tcpGroup) AbortFlag() *atomic.Bool { return &g.sess.abortFlag }
 
 // Abort poisons the session and notifies every peer process.
@@ -1326,50 +1273,6 @@ func (g *tcpGroup) Abort(err error) { g.sess.abort(err, true) }
 
 // Err returns the abort cause, or nil.
 func (g *tcpGroup) Err() error { return g.sess.Err() }
-
-// Derive creates the group for a Split: members are parent-group ranks
-// in sub-rank order; they translate to mesh ranks through this group's
-// membership. Every member derives the same tag, so frames route
-// correctly even when a peer exchanges on the child before this process
-// derives it (the session orphan buffer holds them).
-func (g *tcpGroup) Derive(tag uint64, members []int) (Transport, error) {
-	meshMembers := make([]int, len(members))
-	childRank := -1
-	for i, pr := range members {
-		if pr < 0 || pr >= len(g.members) {
-			return nil, fmt.Errorf("transport: derive member %d of %d", pr, len(g.members))
-		}
-		meshMembers[i] = g.members[pr]
-		if pr == g.rank {
-			childRank = i
-		}
-	}
-	if childRank < 0 {
-		return nil, fmt.Errorf("transport: deriving group %#x without local rank %d", tag, g.rank)
-	}
-	child := newTCPGroup(g.sess, tag, meshMembers, childRank)
-	if err := g.sess.registerGroup(child); err != nil {
-		return nil, err
-	}
-	return child, nil
-}
-
-// FoldChild logs a derived group's ledger for the end-of-run merge.
-// Called exactly once per group, from the process hosting its rank 0 —
-// so across all processes each group is logged exactly once, and the
-// flat union FinishRun merges equals the in-process hierarchical fold.
-func (g *tcpGroup) FoldChild(sub Transport) {
-	child, ok := sub.(*tcpGroup)
-	if !ok {
-		panic("transport: FoldChild across fabric kinds")
-	}
-	s := g.sess
-	entry := child.ledger
-	entry.HRelations = append([]uint64(nil), child.ledger.HRelations...)
-	s.foldMu.Lock()
-	s.foldLog = append(s.foldLog, entry)
-	s.foldMu.Unlock()
-}
 
 // Reset burns the group's single run; a second Reset is an error
 // (sessions are per-job, the serving layer never pools them).
@@ -1381,27 +1284,23 @@ func (g *tcpGroup) Reset() error {
 	return nil
 }
 
-// FinishRun merges the run's accounting across processes: every member
-// of the root group broadcasts its fold-log (the ledgers of sub-groups
-// it hosted rank 0 of) plus its wire-byte count, and merges what it
-// receives. After it, every process holds the identical ledger the
-// in-process fabric would have produced, plus the summed wire traffic.
+// FinishRun sums the run's wire traffic across processes: every member
+// broadcasts its wire-byte counts and adds up what it receives. The
+// superstep ledger needs no merge — every member computed the same one
+// from the same size matrices.
 func (g *tcpGroup) FinishRun() error {
 	s := g.sess
 	gp := len(g.members)
-	s.foldMu.Lock()
-	ownLog := append([]Ledger(nil), s.foldLog...)
-	s.foldMu.Unlock()
 	ownWire := s.wireBytes.Load()
 	ownRaw := s.wireRawBytes.Load()
 
 	if gp > 1 {
-		payload := encodeLedgers(ownWire, ownRaw, ownLog)
+		payload := encodeLedger(ownWire, ownRaw)
 		for i, r := range g.members {
 			if i == g.rank {
 				continue
 			}
-			buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameLedger, s.epoch, g.tag, 0, s.mesh.rank)
+			buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameLedger, s.epoch, 0, s.mesh.rank)
 			buf = append(buf, payload...)
 			patchFrameLen(buf)
 			n, err := s.mesh.sendFrame(r, buf)
@@ -1413,7 +1312,7 @@ func (g *tcpGroup) FinishRun() error {
 			s.wireRawBytes.Add(uint64(n))
 		}
 		g.mu.Lock()
-		for len(g.ledgerIn) < gp-1 {
+		for len(g.wireIn) < gp-1 {
 			if s.abortFlag.Load() {
 				g.mu.Unlock()
 				return g.waitErr()
@@ -1423,52 +1322,27 @@ func (g *tcpGroup) FinishRun() error {
 		g.mu.Unlock()
 	}
 
-	merged := g.ledger
-	merged.HRelations = append([]uint64(nil), g.ledger.HRelations...)
-	for _, l := range ownLog {
-		merged.add(&l)
-	}
-	merged.WireBytes = ownWire
-	merged.WireRawBytes = ownRaw
+	g.ledger.WireBytes = ownWire
+	g.ledger.WireRawBytes = ownRaw
 	g.mu.Lock()
-	for _, msg := range g.ledgerIn {
-		for _, l := range msg.ledgers {
-			merged.add(&l)
-		}
-		merged.WireBytes += msg.wireBytes
-		merged.WireRawBytes += msg.wireRawBytes
+	for _, w := range g.wireIn {
+		g.ledger.WireBytes += w.bytes
+		g.ledger.WireRawBytes += w.raw
 	}
 	g.mu.Unlock()
-	g.merged = &merged
 	return nil
 }
 
-// Ledger returns the merged run accounting (root, after FinishRun) or
-// this group's own share.
+// Ledger returns the run's accounting; its wire-byte counts are the
+// whole run's after FinishRun and zero before.
 func (g *tcpGroup) Ledger() Ledger {
-	src := &g.ledger
-	if g.merged != nil {
-		src = g.merged
-	}
-	out := *src
-	out.HRelations = append([]uint64(nil), src.HRelations...)
+	out := g.ledger
+	out.HRelations = append([]uint64(nil), g.ledger.HRelations...)
 	return out
 }
 
-// Close deregisters: the root group closes its whole session, a child
-// removes just itself.
-func (g *tcpGroup) Close() error {
-	s := g.sess
-	if g == s.root {
-		return s.Close()
-	}
-	s.mu.Lock()
-	if s.groups[g.tag] == g {
-		delete(s.groups, g.tag)
-	}
-	s.mu.Unlock()
-	return nil
-}
+// Close closes the group's session.
+func (g *tcpGroup) Close() error { return g.sess.Close() }
 
 // appendUint32 appends v little-endian.
 func appendUint32(buf []byte, v uint32) []byte {

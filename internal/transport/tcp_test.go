@@ -214,118 +214,6 @@ func TestTCPPeerLossAborts(t *testing.T) {
 	})
 }
 
-func TestTCPDeriveSubgroups(t *testing.T) {
-	const p = 4
-	withMeshes(t, p, func(meshes []*Mesh) {
-		// Split into even/odd groups; run the traffic pattern inside each
-		// group; fold; verify the merged ledger matches the local fabric
-		// doing the same.
-		local := runLocal(t, p, func(ep *LocalEndpoint) error {
-			return trafficPattern(ep, 1)
-		})
-		// Emulate the sub-run on the local side by hand: two size-2 groups
-		// each running 2 steps of the pattern.
-		for color := 0; color < 2; color++ {
-			subT, err := local.Derive(uint64(100+color), []int{0, 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub := subT.(*Local)
-			var wg sync.WaitGroup
-			serrs := make([]error, 2)
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					serrs[r] = trafficPattern(sub.LocalEndpointAt(r), 2)
-				}(r)
-			}
-			wg.Wait()
-			for _, err := range serrs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			local.FoldChild(sub)
-		}
-		wantLedger := local.Ledger()
-
-		ledgers := make([]Ledger, p)
-		errs := runRanks(p, func(r int) error {
-			sess, err := meshes[r].NewSession(77, allMembers(p))
-			if err != nil {
-				return err
-			}
-			defer sess.Close()
-			root := sess.Root()
-			if err := root.Reset(); err != nil {
-				return err
-			}
-			ep := root.Endpoint(r)
-			if err := trafficPattern(ep, 1); err != nil {
-				return err
-			}
-			color := r % 2
-			var members []int
-			for _, mr := range allMembers(p) {
-				if mr%2 == color {
-					members = append(members, mr)
-				}
-			}
-			sub, err := root.Derive(uint64(100+color), members)
-			if err != nil {
-				return err
-			}
-			subRank := r / 2
-			if err := trafficPattern(sub.Endpoint(subRank), 2); err != nil {
-				return err
-			}
-			if subRank == 0 {
-				root.FoldChild(sub)
-			}
-			if err := root.FinishRun(); err != nil {
-				return err
-			}
-			ledgers[r] = root.Ledger()
-			return nil
-		})
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
-			}
-		}
-		// H-relation fold order differs across processes; compare as
-		// multisets the way the golden fingerprints do.
-		for r := 0; r < p; r++ {
-			if ledgers[r].Supersteps != wantLedger.Supersteps || ledgers[r].CommVolume != wantLedger.CommVolume {
-				t.Fatalf("rank %d ledger %+v != local %+v", r, ledgers[r], wantLedger)
-			}
-			if !sameMultiset(ledgers[r].HRelations, wantLedger.HRelations) {
-				t.Fatalf("rank %d h-relations %v != local %v (as multisets)", r, ledgers[r].HRelations, wantLedger.HRelations)
-			}
-		}
-	})
-}
-
-func sameMultiset(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	counts := make(map[uint64]int, len(a))
-	for _, v := range a {
-		counts[v]++
-	}
-	for _, v := range b {
-		counts[v]--
-	}
-	for _, n := range counts {
-		if n != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func TestTCPWireStallHook(t *testing.T) {
 	const p = 2
 	withMeshes(t, p, func(meshes []*Mesh) {

@@ -93,14 +93,6 @@ type Ledger struct {
 	WireRawBytes uint64
 }
 
-// add folds another ledger's accounting into l (used for Split
-// sub-groups and the TCP end-of-run ledger merge).
-func (l *Ledger) add(o *Ledger) {
-	l.Supersteps += o.Supersteps
-	l.CommVolume += o.CommVolume
-	l.HRelations = append(l.HRelations, o.HRelations...)
-}
-
 // Endpoint is one rank's handle on a fabric. It is owned by exactly one
 // goroutine. The Local fabric's *LocalEndpoint is the concrete fast
 // path; remote fabrics are driven through this interface.
@@ -151,25 +143,13 @@ type Transport interface {
 	Abort(err error)
 	// Err returns the abort cause, or nil.
 	Err() error
-	// Derive creates the sub-fabric for a Split group. members lists the
-	// group's ranks in THIS fabric, in sub-rank order; tag is a
-	// deterministic group id every member derives identically (it keys
-	// frame routing on socket fabrics). On fabrics hosting several local
-	// ranks, Derive is called once per group (the bsp layer shares the
-	// result among members).
-	Derive(tag uint64, members []int) (Transport, error)
-	// FoldChild folds a derived sub-fabric's ledger into this fabric's
-	// accounting, exactly once per group (the bsp layer calls it from
-	// the group's rank 0).
-	FoldChild(sub Transport)
 	// Reset prepares the fabric for a fresh run, keeping buffer
 	// capacity. Socket fabrics are single-run and return an error once
 	// used.
 	Reset() error
 	// FinishRun completes a successful run's accounting. On socket
-	// fabrics it performs the end-of-run ledger merge (every process
-	// broadcasts the sub-group ledgers it folded, so all processes
-	// account sibling groups they were not members of); on Local it is a
+	// fabrics every process broadcasts its wire-byte counts, so all
+	// processes report the run's total wire traffic; on Local it is a
 	// no-op.
 	FinishRun() error
 	// Ledger returns the run's accounting. Valid after FinishRun.

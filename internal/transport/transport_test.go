@@ -97,26 +97,6 @@ func TestLocalAbortWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestLocalFoldChild(t *testing.T) {
-	parent, _ := NewLocal(2)
-	subT, err := parent.Derive(7, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := subT.(*Local)
-	sub.ledger.Supersteps = 3
-	sub.ledger.CommVolume = 17
-	sub.ledger.HRelations = []uint64{5, 5, 7}
-	parent.ledger.Supersteps = 1
-	parent.ledger.CommVolume = 2
-	parent.ledger.HRelations = []uint64{2}
-	parent.FoldChild(sub)
-	led := parent.Ledger()
-	if led.Supersteps != 4 || led.CommVolume != 19 || len(led.HRelations) != 4 {
-		t.Fatalf("folded ledger = %+v", led)
-	}
-}
-
 func TestLocalResetClearsAbort(t *testing.T) {
 	l, _ := NewLocal(2)
 	l.Abort(errors.New("stale"))

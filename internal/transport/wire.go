@@ -27,33 +27,33 @@ import (
 //	u32  length of the remainder (kind..payload)
 //	u8   kind
 //	u64  session epoch
-//	u64  group tag (0 = the session's root group)
-//	u64  superstep within the group
+//	u64  superstep within the session
 //	u32  sender's mesh rank
 //	...  kind-specific payload
 //
 // Data frames carry the sender's complete per-destination size vector,
 // then a one-byte payload codec identifier (version 3, see codec.go),
 // then the codec-encoded payload words. The size vector lets every rank
-// of a group reconstruct the same p×p size matrix and account the
+// of a session reconstruct the same p×p size matrix and account the
 // superstep's h-relation identically to the in-process fabric's
 // finalizer — in words, so the choice of codec never shows up in the
-// ledger's logical volume. Ledger frames (version 4) carry counts only:
-// supersteps, volume and the h-relations, per folded sub-group.
+// ledger's logical volume. Ledger frames carry the sender's two
+// wire-byte counts. Version 5 dropped the header's group tag: a session
+// has exactly one group.
 
 const (
 	wireMagic   = "CAMT"
-	wireVersion = 4
+	wireVersion = 5
 	ackMagic    = "CAMA"
 
 	// Frame kinds.
 	frameData      = 1 // superstep payload + size vector
 	frameAbort     = 2 // abort propagation (payload: u8 cancelled, error text)
-	frameLedger    = 3 // end-of-run fold-log merge
+	frameLedger    = 3 // end-of-run wire-byte counts
 	frameControl   = 4 // out-of-band job control (payload: opaque bytes)
 	frameHeartbeat = 5 // liveness beacon (empty payload)
 
-	frameHeaderLen = 1 + 8 + 8 + 8 + 4 // kind..src, after the length prefix
+	frameHeaderLen = 1 + 8 + 8 + 4 // kind..src, after the length prefix
 
 	// maxFrameLen bounds a frame's self-declared length so a corrupt or
 	// hostile peer cannot make the pump allocate unboundedly.
@@ -71,7 +71,6 @@ const (
 type frame struct {
 	kind    byte
 	epoch   uint64
-	tag     uint64
 	step    uint64
 	src     int
 	payload []byte
@@ -156,11 +155,10 @@ func readAck(r io.Reader) (codecs byte, err error) {
 
 // appendFrameHeader appends the frame header (with a placeholder length
 // that encodeFrameLen patches) to buf.
-func appendFrameHeader(buf []byte, kind byte, epoch, tag, step uint64, src int) []byte {
+func appendFrameHeader(buf []byte, kind byte, epoch, step uint64, src int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // length, patched later
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, tag)
 	buf = binary.LittleEndian.AppendUint64(buf, step)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(src))
 	return buf
@@ -215,9 +213,8 @@ func readFrame(r io.Reader) (frame, error) {
 	f := frame{
 		kind:    body[0],
 		epoch:   binary.LittleEndian.Uint64(body[1:9]),
-		tag:     binary.LittleEndian.Uint64(body[9:17]),
-		step:    binary.LittleEndian.Uint64(body[17:25]),
-		src:     int(binary.LittleEndian.Uint32(body[25:29])),
+		step:    binary.LittleEndian.Uint64(body[9:17]),
+		src:     int(binary.LittleEndian.Uint32(body[17:21])),
 		payload: body[frameHeaderLen:],
 		raw:     body,
 	}
@@ -275,56 +272,19 @@ func decodeDataPayload(payload []byte, groupSize, myRank int, alloc func(int) []
 	return sizes, words, nil
 }
 
-// encodeLedgers serializes a process's fold-log (plus its wire-byte
-// counts, actual and raw-equivalent) for the end-of-run merge.
-func encodeLedgers(wireBytes, wireRawBytes uint64, ledgers []Ledger) []byte {
+// encodeLedger serializes a process's wire-byte counts, actual and
+// raw-equivalent, for the end-of-run LEDGER frame.
+func encodeLedger(wireBytes, wireRawBytes uint64) []byte {
 	buf := binary.LittleEndian.AppendUint64(nil, wireBytes)
-	buf = binary.LittleEndian.AppendUint64(buf, wireRawBytes)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ledgers)))
-	for _, l := range ledgers {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Supersteps))
-		buf = binary.LittleEndian.AppendUint64(buf, l.CommVolume)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.HRelations)))
-		buf = appendWords(buf, l.HRelations)
-	}
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, wireRawBytes)
 }
 
-// decodeLedgers parses encodeLedgers' output.
-func decodeLedgers(payload []byte) (wireBytes, wireRawBytes uint64, ledgers []Ledger, err error) {
-	bad := func() (uint64, uint64, []Ledger, error) {
-		return 0, 0, nil, fmt.Errorf("malformed ledger frame (%dB)", len(payload))
+// decodeLedger parses encodeLedger's output.
+func decodeLedger(payload []byte) (wireBytes, wireRawBytes uint64, err error) {
+	if len(payload) != 16 {
+		return 0, 0, fmt.Errorf("malformed ledger frame (%dB)", len(payload))
 	}
-	if len(payload) < 20 {
-		return bad()
-	}
-	wireBytes = binary.LittleEndian.Uint64(payload[:8])
-	wireRawBytes = binary.LittleEndian.Uint64(payload[8:16])
-	count := int(binary.LittleEndian.Uint32(payload[16:20]))
-	off := 20
-	for i := 0; i < count; i++ {
-		if len(payload) < off+20 {
-			return bad()
-		}
-		var l Ledger
-		l.Supersteps = int(binary.LittleEndian.Uint64(payload[off:]))
-		l.CommVolume = binary.LittleEndian.Uint64(payload[off+8:])
-		hlen := int(binary.LittleEndian.Uint32(payload[off+16:]))
-		off += 20
-		if hlen > maxFrameLen/8 || len(payload) < off+8*hlen {
-			return bad()
-		}
-		l.HRelations = make([]uint64, hlen)
-		for j := range l.HRelations {
-			l.HRelations[j] = binary.LittleEndian.Uint64(payload[off+8*j:])
-		}
-		off += 8 * hlen
-		ledgers = append(ledgers, l)
-	}
-	if off != len(payload) {
-		return bad()
-	}
-	return wireBytes, wireRawBytes, ledgers, nil
+	return binary.LittleEndian.Uint64(payload[:8]), binary.LittleEndian.Uint64(payload[8:]), nil
 }
 
 // Abort-payload flag bits (first byte). They carry the originating
