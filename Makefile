@@ -77,7 +77,7 @@ chaos-fleet:
 	bash scripts/chaos_fleet.sh
 
 # Every Fuzz* target in the module (union-find, frame parser, payload
-# codecs, min-cut certificate) for 10s each; their
+# codecs, handshake parsers, min-cut certificate) for 10s each; their
 # seed corpora already run under `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
@@ -132,8 +132,8 @@ bench-service:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/service/
 
 # Cross-fabric benchmarks: the same all-to-all superstep through the
-# in-process fabric and the TCP-loopback fabric (with and without
-# payload codecs) at p in {2,4,8} × {64,1024,65536} words/peer. The
+# in-process fabric and the TCP-loopback fabric at p in {2,4,8} ×
+# {64,1024,65536} words/peer. The
 # transport TestMain runs the full sweep itself and writes
 # internal/transport/BENCH_transport.json, so the named run is just the
 # minimal trigger.

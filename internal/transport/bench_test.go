@@ -2,9 +2,7 @@ package transport_test
 
 // Cross-fabric benchmarks: the same all-to-all superstep driven through
 // the in-process fabric and the TCP-loopback fabric, at matching rank
-// counts and payloads, so the socket tax is directly measurable. The
-// TCP fabric runs in two variants — payload codecs on (the default)
-// and off — so the wire-compression win is measurable too. When
+// counts and payloads, so the socket tax is directly measurable. When
 // benchmarks run, TestMain also writes BENCH_transport.json — the
 // machine-readable comparison CI archives.
 
@@ -81,22 +79,7 @@ func BenchmarkExchangeTCPLoopback(b *testing.B) {
 	for _, p := range benchPs {
 		for _, w := range benchWords {
 			b.Run(fmt.Sprintf("p=%d/w=%d", p, w), func(b *testing.B) {
-				eps, _, cleanup := newLoopbackEndpoints(b, p, false)
-				defer cleanup()
-				driveAllToAll(b, eps, w)
-			})
-		}
-	}
-}
-
-// BenchmarkExchangeTCPRaw is the codec-less control: identical frames,
-// raw 8-byte-word encoding. The gap to BenchmarkExchangeTCPLoopback is
-// what the payload codecs buy.
-func BenchmarkExchangeTCPRaw(b *testing.B) {
-	for _, p := range benchPs {
-		for _, w := range benchWords {
-			b.Run(fmt.Sprintf("p=%d/w=%d", p, w), func(b *testing.B) {
-				eps, _, cleanup := newLoopbackEndpoints(b, p, true)
+				eps, _, cleanup := newLoopbackEndpoints(b, p)
 				defer cleanup()
 				driveAllToAll(b, eps, w)
 			})
@@ -107,11 +90,9 @@ func BenchmarkExchangeTCPRaw(b *testing.B) {
 // newLoopbackEndpoints brings up a p-process-equivalent loopback mesh
 // and opens one session across it, returning each rank's endpoint and
 // session (the latter for wire-byte accounting).
-func newLoopbackEndpoints(tb testing.TB, p int, disableCodecs bool) ([]transport.Endpoint, []*transport.Session, func()) {
+func newLoopbackEndpoints(tb testing.TB, p int) ([]transport.Endpoint, []*transport.Session, func()) {
 	tb.Helper()
-	meshes, err := transport.NewLoopbackMeshesWith(p, 1, func(rank int, cfg *transport.MeshConfig) {
-		cfg.DisableCodecs = disableCodecs
-	})
+	meshes, err := transport.NewLoopbackMeshes(p, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -145,13 +126,13 @@ func TestMain(m *testing.M) {
 	os.Exit(benchsnap.Main(m.Run, "BENCH_transport.json", fillBenchSnapshot))
 }
 
-// fillBenchSnapshot sweeps local / tcp+codecs / tcp-raw over every (p, w).
+// fillBenchSnapshot sweeps local / tcp over every (p, w).
 // Throughput is raw wire speed — machine-bound, so informational. What
 // is gated is what survives a machine change: the codec's wire
 // compression ratio (what crossed the socket per superstep, summed over
 // ranks, under what the raw codec would have cost — a property of the
-// payloads and the codec choice) and the socket tax, tcp-with-codecs ns
-// over local ns from the same run. The tax gates only at the 1024-word
+// payloads and the codec choice) and the socket tax, tcp ns over local
+// ns from the same run. The tax gates only at the 1024-word
 // point: smaller payloads divide by a sub-microsecond local superstep,
 // where timer noise swamps the ratio. Its Abs slack absorbs the
 // core-count shift in the denominator (the in-process fabric speeds up
@@ -160,13 +141,11 @@ func TestMain(m *testing.M) {
 // blowing up several-fold relative to the local fabric. A variant that
 // did not measure yields Inf or NaN, which the snapshot write rejects.
 func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
-	variants := []struct {
-		kind  string
-		codec bool
-	}{
-		{transport.KindLocal, false},
-		{transport.KindTCP, true},
-		{transport.KindTCP, false},
+	// The tcp rows keep the codec=true segment their gated compression
+	// ratio has always been keyed by.
+	variants := []struct{ kind, key string }{
+		{transport.KindLocal, transport.KindLocal},
+		{transport.KindTCP, transport.KindTCP + "/codec=true"},
 	}
 	for _, p := range benchPs {
 		p := p
@@ -193,7 +172,7 @@ func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 						}
 					case transport.KindTCP:
 						var cleanup func()
-						eps, sessions, cleanup = newLoopbackEndpoints(b, p, !v.codec)
+						eps, sessions, cleanup = newLoopbackEndpoints(b, p)
 						defer cleanup()
 					}
 					driveAllToAll(b, eps, w)
@@ -209,14 +188,13 @@ func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 				if failed != nil {
 					return failed
 				}
-				k := fmt.Sprintf("%s/codec=%v/p=%d/w=%d", v.kind, v.codec, p, w)
+				k := fmt.Sprintf("%s/p=%d/w=%d", v.key, p, w)
 				ns := float64(res.NsPerOp())
 				snap.Add(benchsnap.Info, "ns_per_superstep/"+k, ns, -1, 0)
 				snap.Add(benchsnap.Info, "mb_per_s/"+k, float64(p*(p-1)*w*8)/ns*1e9/(1<<20), +1, 0)
-				switch {
-				case v.kind == transport.KindLocal:
+				if v.kind == transport.KindLocal {
 					localNs = ns
-				case v.codec:
+				} else {
 					tcpNs = ns
 					snap.Add(benchsnap.Count, "compression_ratio/"+k, float64(raw)/float64(wire), +1, 0)
 				}

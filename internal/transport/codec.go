@@ -30,27 +30,19 @@ import (
 //     produced by dist.EncodeEdges — u non-decreasing, v non-decreasing
 //     within a u-run, u and v 32-bit. Encodes Δu, then v (raw when the
 //     u-run changed, Δv inside a run), then w, all as uvarints. The
-//     dominant payload class of the sample-sort and contraction
-//     kernels; a few bits per edge instead of 24 bytes.
+//     payload class of the sample sort's sorted runs; a few bits per
+//     edge instead of 24 bytes.
 //
-// Codec support is negotiated per connection in the wire handshake:
-// each side advertises a codec bitmask, and a sender only emits codecs
-// the intersection allows (raw is always in the set). The sender picks
-// the codec per frame with a cheap heuristic and falls back to raw when
-// the encoded form fails to beat 8 bytes/word, so the wire never pays
-// for an incompressible payload.
+// Every admitted peer runs the same wire version, so every receiver
+// decodes all three. The sender picks the codec per frame with a cheap
+// heuristic and falls back to raw when the encoded form fails to beat
+// 8 bytes/word, so the wire never pays for an incompressible payload.
 
 // Codec identifiers (the per-frame codec byte).
 const (
 	codecRaw       byte = 0
 	codecPack      byte = 1
 	codecEdgeDelta byte = 2
-)
-
-// Codec capability bitmasks for the handshake.
-const (
-	codecMaskRaw byte = 1 << codecRaw
-	codecMaskAll byte = 1<<codecRaw | 1<<codecPack | 1<<codecEdgeDelta
 )
 
 // EdgeStride is the word stride of an encoded edge stream: (u, v, w)
@@ -62,27 +54,24 @@ const EdgeStride = 3
 // pay for itself; smaller payloads always go raw.
 const minCodecWords = 16
 
-// chooseCodec picks the codec for one payload under the connection's
-// negotiated capability mask, returning a pack-width *guess* alongside.
-// The guess comes from a deterministic O(n/64) sample, so choosing pack
-// costs no full scan; because the sample is a subset of the payload the
-// guess can only undershoot the true width, and the encoder verifies
-// the true OR during its store pass and re-encodes on the rare
-// undershoot — the emitted bytes are always identical to what an exact
-// pre-scan would produce.
-func chooseCodec(words []uint64, mask byte) (c byte, width int) {
+// chooseCodec picks the codec for one payload, returning a pack-width
+// *guess* alongside. The guess comes from a deterministic O(n/64)
+// sample, so choosing pack costs no full scan; because the sample is a
+// subset of the payload the guess can only undershoot the true width,
+// and the encoder verifies the true OR during its store pass and
+// re-encodes on the rare undershoot — the emitted bytes are always
+// identical to what an exact pre-scan would produce.
+func chooseCodec(words []uint64) (c byte, width int) {
 	if len(words) < minCodecWords {
 		return codecRaw, 8
 	}
-	if mask&(1<<codecEdgeDelta) != 0 && isSortedEdgeStream(words) {
+	if isSortedEdgeStream(words) {
 		return codecEdgeDelta, 8
 	}
-	if mask&(1<<codecPack) != 0 {
-		// A sampled width of 8 proves the true width is 8 (OR is
-		// monotone over subsets): raw, with no full scan at all.
-		if w := widthOf(packSample(words)); w < 8 {
-			return codecPack, w
-		}
+	// A sampled width of 8 proves the true width is 8 (OR is monotone
+	// over subsets): raw, with no full scan at all.
+	if w := widthOf(packSample(words)); w < 8 {
+		return codecPack, w
 	}
 	return codecRaw, 8
 }
@@ -161,8 +150,8 @@ func packWidth(words []uint64) int {
 // the codec byte: codecPack is only chosen when its fixed width beats 8
 // bytes, and the edge-delta encoder rewinds to raw when the deltas fail
 // to shrink the payload.
-func appendEncodedPayload(buf []byte, words []uint64, mask byte) []byte {
-	c, width := chooseCodec(words, mask)
+func appendEncodedPayload(buf []byte, words []uint64) []byte {
+	c, width := chooseCodec(words)
 	if c == codecRaw {
 		buf = append(buf, codecRaw)
 		return appendWords(buf, words)

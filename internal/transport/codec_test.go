@@ -9,9 +9,9 @@ import (
 // encodeDecode runs one payload through the sender-side encoder and the
 // receiver-side decoder, returning the codec byte that went on the wire
 // and the reconstructed words.
-func encodeDecode(t *testing.T, words []uint64, mask byte) (byte, []uint64) {
+func encodeDecode(t *testing.T, words []uint64) (byte, []uint64) {
 	t.Helper()
-	buf := appendEncodedPayload(nil, words, mask)
+	buf := appendEncodedPayload(nil, words)
 	if len(buf) < 1 {
 		t.Fatal("empty encoded payload")
 	}
@@ -88,7 +88,7 @@ func TestCodecRoundtripAll(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, got := encodeDecode(t, tc.words, codecMaskAll)
+			c, got := encodeDecode(t, tc.words)
 			if c != tc.want {
 				t.Fatalf("codec %d, want %d", c, tc.want)
 			}
@@ -96,22 +96,6 @@ func TestCodecRoundtripAll(t *testing.T) {
 				t.Fatalf("roundtrip mismatch: %d words in, %d out", len(tc.words), len(got))
 			}
 		})
-	}
-}
-
-// TestCodecMaskRestricts checks a sender never emits a codec the
-// negotiated mask forbids — the interop invariant with DisableCodecs
-// peers.
-func TestCodecMaskRestricts(t *testing.T) {
-	edges := sortedEdgeWords(100)
-	if c, got := encodeDecode(t, edges, codecMaskRaw); c != codecRaw || !wordsEq(got, edges) {
-		t.Fatalf("raw-only mask produced codec %d", c)
-	}
-	// Without edge-delta the sorted stream still compresses via packing
-	// (u, v, w are all small).
-	mask := codecMaskRaw | 1<<codecPack
-	if c, got := encodeDecode(t, edges, mask); c != codecPack || !wordsEq(got, edges) {
-		t.Fatalf("pack-only mask produced codec %d", c)
 	}
 }
 
@@ -133,7 +117,7 @@ func TestCodecNeverBeatenByRaw(t *testing.T) {
 				words[i] = rng.Uint64()
 			}
 		}
-		buf := appendEncodedPayload(nil, words, codecMaskAll)
+		buf := appendEncodedPayload(nil, words)
 		if len(buf) > 1+8*len(words) {
 			t.Fatalf("trial %d: encoded %dB > raw %dB", trial, len(buf), 1+8*len(words))
 		}
@@ -167,7 +151,7 @@ func TestIsSortedEdgeStream(t *testing.T) {
 
 func TestDecodeCodecRejectsMalformed(t *testing.T) {
 	words := []uint64{300, 1, 2}
-	enc := appendEncodedPayload(nil, words, codecMaskAll)
+	enc := appendEncodedPayload(nil, words)
 	cases := []struct {
 		name string
 		c    byte
@@ -207,7 +191,7 @@ func TestDecodeDataPayloadMalformed(t *testing.T) {
 	valid := binaryLE32(nil, 2)
 	valid = binaryLE32(valid, 0)
 	valid = binaryLE32(valid, 3)
-	valid = appendEncodedPayload(valid, words, codecMaskAll)
+	valid = appendEncodedPayload(valid, words)
 	if sizes, got, err := decodeDataPayload(valid, 2, 1, nil); err != nil || sizes[1] != 3 || !wordsEq(got, words) {
 		t.Fatalf("valid payload rejected: %v", err)
 	}
@@ -285,7 +269,7 @@ func TestPackSampledWidthMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	check := func(words []uint64) {
 		t.Helper()
-		enc := appendEncodedPayload(nil, words, codecMaskRaw|1<<codecPack)
+		enc := appendEncodedPayload(nil, words)
 		exact := packWidth(words)
 		switch enc[0] {
 		case codecRaw:
@@ -332,7 +316,7 @@ func TestCodecPackRoundtripWidths(t *testing.T) {
 				words[i] = rng.Uint64() & max
 			}
 			words[0] = max // pin the width exactly
-			c, got := encodeDecode(t, words, codecMaskAll)
+			c, got := encodeDecode(t, words)
 			if c != codecPack && c != codecEdgeDelta {
 				t.Fatalf("width %d n %d: codec %d", width, n, c)
 			}
@@ -347,8 +331,8 @@ func TestCodecPackRoundtripWidths(t *testing.T) {
 // identical bytes — the property the wire-bytes bench gate relies on.
 func TestAppendEncodedPayloadDeterministic(t *testing.T) {
 	words := sortedEdgeWords(128)
-	a := appendEncodedPayload(nil, words, codecMaskAll)
-	b := appendEncodedPayload(nil, words, codecMaskAll)
+	a := appendEncodedPayload(nil, words)
+	b := appendEncodedPayload(nil, words)
 	if !bytes.Equal(a, b) {
 		t.Fatal("non-deterministic encoding")
 	}

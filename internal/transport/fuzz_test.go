@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func FuzzParseFrame(f *testing.F) {
 	payload := binary.LittleEndian.AppendUint32(nil, 2)
 	payload = binary.LittleEndian.AppendUint32(payload, 0)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(words)))
-	payload = appendEncodedPayload(payload, words, codecMaskAll)
+	payload = appendEncodedPayload(payload, words)
 	buf := appendFrameHeader(nil, frameData, 7, 3, 1)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
@@ -47,6 +48,56 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
+// FuzzHandshake throws arbitrary bytes at the two handshake parsers,
+// which read from a socket before the peer is admitted. Properties:
+// neither panics; a preamble for the right epoch round-trips rank and
+// incarnation; any input either parser accepts begins with exactly the
+// bytes its writer would emit, so every other input fails — and fails
+// with ErrPeerLost, the error the accept loop and dialers expect.
+func FuzzHandshake(f *testing.F) {
+	const epoch = 7
+	var pre, ack bytes.Buffer
+	_ = writePreamble(&pre, 3, epoch, 9)
+	_ = writeAck(&ack)
+	f.Add(uint32(3), uint64(9), pre.Bytes())
+	f.Add(uint32(0), uint64(1), ack.Bytes())
+	f.Add(uint32(1<<31), uint64(1<<63), pre.Bytes()[:preambleLen-1])
+
+	f.Fuzz(func(t *testing.T, rank uint32, inc uint64, data []byte) {
+		var buf bytes.Buffer
+		if err := writePreamble(&buf, int(rank), epoch, inc); err != nil {
+			t.Fatal(err)
+		}
+		gotRank, gotInc, err := readPreamble(bytes.NewReader(buf.Bytes()), epoch)
+		if err != nil || gotRank != int(rank) || gotInc != inc {
+			t.Fatalf("preamble (rank %d, inc %d) read back as (%d, %d, %v)", rank, inc, gotRank, gotInc, err)
+		}
+		if _, _, err := readPreamble(bytes.NewReader(buf.Bytes()), epoch+1); !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("preamble for another epoch: %v, want ErrPeerLost", err)
+		}
+
+		gotRank, gotInc, err = readPreamble(bytes.NewReader(data), epoch)
+		if err != nil {
+			if !errors.Is(err, ErrPeerLost) {
+				t.Fatalf("preamble rejected without ErrPeerLost: %v", err)
+			}
+		} else {
+			buf.Reset()
+			_ = writePreamble(&buf, gotRank, epoch, gotInc)
+			if !bytes.Equal(buf.Bytes(), data[:preambleLen]) {
+				t.Fatalf("accepted preamble %x, canonical form %x", data[:preambleLen], buf.Bytes())
+			}
+		}
+		if err := readAck(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrPeerLost) {
+				t.Fatalf("ack rejected without ErrPeerLost: %v", err)
+			}
+		} else if !bytes.Equal(ack.Bytes(), data[:ackLen]) {
+			t.Fatalf("accepted ack %x, canonical form %x", data[:ackLen], ack.Bytes())
+		}
+	})
+}
+
 // FuzzDecodeCodec checks two properties: (1) arbitrary bodies under any
 // codec byte and word count decode to an error or n words, never a
 // panic; (2) every encodable payload roundtrips bit-identically through
@@ -72,7 +123,7 @@ func FuzzDecodeCodec(f *testing.F) {
 		for i := 0; i+8 <= len(body); i += 8 {
 			words = append(words, binary.LittleEndian.Uint64(body[i:]))
 		}
-		enc := appendEncodedPayload(nil, words, codecMaskAll)
+		enc := appendEncodedPayload(nil, words)
 		if len(enc) > 1+8*len(words) {
 			t.Fatalf("encoding grew payload: %dB for %d words", len(enc), len(words))
 		}

@@ -75,9 +75,6 @@ type Local struct {
 	// (owner-written, finalizer-read).
 	sentWords []padCounter
 
-	// bufPool backs the per-rank payload free lists.
-	bufPool sync.Pool
-
 	// Accounting, owned by the finalizing rank of each barrier and read
 	// after the run completes.
 	ledger Ledger
@@ -142,11 +139,6 @@ func (l *Local) LocalRanks() []int {
 
 // Endpoint returns rank's handle.
 func (l *Local) Endpoint(rank int) Endpoint { return &l.eps[rank] }
-
-// LocalEndpointAt returns the concrete endpoint for rank — the zero-
-// overhead fast path internal/bsp builds its cached staging-row access
-// on.
-func (l *Local) LocalEndpointAt(rank int) *LocalEndpoint { return &l.eps[rank] }
 
 // AbortFlag exposes the fabric's abort flag for cheap polling.
 func (l *Local) AbortFlag() *atomic.Bool { return &l.abortFlag }
@@ -215,21 +207,6 @@ func (l *Local) Ledger() Ledger {
 // Close releases nothing: the in-process fabric holds no external
 // resources.
 func (l *Local) Close() error { return nil }
-
-// PoolGet draws a recycled payload buffer from the fabric-wide pool, or
-// nil.
-func (l *Local) PoolGet() []uint64 {
-	if v := l.bufPool.Get(); v != nil {
-		return *(v.(*[]uint64))
-	}
-	return nil
-}
-
-// PoolPut returns a payload buffer to the fabric-wide pool.
-func (l *Local) PoolPut(buf []uint64) {
-	buf = buf[:0]
-	l.bufPool.Put(&buf)
-}
 
 // finalize runs on the last arriver, with every other rank blocked: it
 // accounts the superstep's h-relation and swaps the mailboxes.
@@ -341,36 +318,25 @@ func (e *LocalEndpoint) Send(to int, words []uint64) {
 	l.sentWords[e.rank].v += uint64(len(words))
 }
 
-// SendOwned stages words transferring slice ownership; a displaced
-// empty cell's buffer is returned to the pool.
+// SendOwned stages words, adopting the slice when nothing is staged for
+// `to` yet. The BSP layer bypasses it: its SendOwned writes the cached
+// staging row and recycles the displaced cell into its own free list.
 func (e *LocalEndpoint) SendOwned(to int, words []uint64) {
 	l := e.l
 	if to < 0 || to >= l.p {
 		panic(fmt.Sprintf("transport: send to rank %d of %d", to, l.p))
 	}
 	row := l.staging[e.rank]
-	box := row[to]
-	if len(box) == 0 {
-		if cap(box) > 0 {
-			l.PoolPut(box)
-		}
+	if len(row[to]) == 0 {
 		row[to] = words
 	} else {
-		row[to] = append(box, words...)
+		row[to] = append(row[to], words...)
 	}
 	l.sentWords[e.rank].v += uint64(len(words))
 }
 
 // Recv returns the words delivered from `src` at the last Exchange.
 func (e *LocalEndpoint) Recv(src int) []uint64 { return e.l.inbox[src][e.rank] }
-
-// Buffer returns a recycled (or fresh) word slice of length n.
-func (e *LocalEndpoint) Buffer(n int) []uint64 {
-	if buf := e.l.PoolGet(); cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]uint64, n)
-}
 
 // Exchange is the superstep barrier: it blocks until all ranks arrive,
 // then atomically delivers all staged words. Post-barrier, every rank

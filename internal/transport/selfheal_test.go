@@ -323,7 +323,7 @@ func TestMeshRejectsStaleIncarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writePreamble(stale, 1, epoch, 3, codecMaskAll); err != nil {
+	if err := writePreamble(stale, 1, epoch, 3); err != nil {
 		t.Fatal(err)
 	}
 	// The accepter must close the stale connection...

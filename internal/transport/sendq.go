@@ -49,18 +49,13 @@ func frameBufPut(b []byte) {
 }
 
 type peerConn struct {
-	rank   int
-	conn   net.Conn
-	codecs byte // negotiated send mask for this connection (raw always set)
-	once   sync.Once
-	dead   atomic.Bool
+	rank int
+	conn net.Conn
+	once sync.Once
+	dead atomic.Bool
 	// wmu is held for the whole of one frame's write; a held wmu is how
 	// a beacon sees a busy socket.
 	wmu sync.Mutex
-}
-
-func newPeerConn(rank int, conn net.Conn, codecs byte) *peerConn {
-	return &peerConn{rank: rank, conn: conn, codecs: codecs | codecMaskRaw}
 }
 
 // kill marks the connection dead and closes the socket, which unblocks

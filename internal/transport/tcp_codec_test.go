@@ -6,19 +6,20 @@ import (
 )
 
 // pooledTraffic drives a pool-hostile exchange pattern: every payload
-// is built in a Buffer()-provided slice (so each superstep reuses
-// memory recycled from earlier supersteps and from delivered inboxes),
-// sizes vary per step so differently-sized buffers recirculate, and
-// values cover all three codec classes. Returns a positional checksum
-// of everything received, which must be fabric- and codec-independent.
-func pooledTraffic(ep Endpoint, steps int) (uint64, error) {
+// is handed off with SendOwned (so each superstep displaces staging
+// cells into the session's word pool, which the decode path then draws
+// from), sizes vary per step so differently-sized buffers recirculate,
+// and values cover all three codec classes. Returns a positional
+// checksum of everything received, which must be fabric- and
+// codec-independent, and the number of words this rank sent to its
+// peers.
+func pooledTraffic(ep Endpoint, steps int) (sum uint64, peerWords int, err error) {
 	p := ep.Size()
 	r := ep.Rank()
-	var sum uint64
 	for s := 0; s < steps; s++ {
 		for dst := 0; dst < p; dst++ {
 			n := 8 + 32*((s+r+dst)%5)
-			buf := ep.Buffer(n)[:0]
+			buf := make([]uint64, 0, n)
 			for i := 0; i < n; i++ {
 				switch s % 3 {
 				case 0: // small values: varint territory
@@ -29,10 +30,13 @@ func pooledTraffic(ep Endpoint, steps int) (uint64, error) {
 					buf = append(buf, (uint64(s)<<56)|(uint64(r)<<48)|(uint64(i)*0x9e3779b97f4a7c15))
 				}
 			}
+			if dst != r {
+				peerWords += len(buf)
+			}
 			ep.SendOwned(dst, buf)
 		}
 		if err := ep.Exchange(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		for src := 0; src < p; src++ {
 			for i, w := range ep.Recv(src) {
@@ -40,21 +44,20 @@ func pooledTraffic(ep Endpoint, steps int) (uint64, error) {
 			}
 		}
 	}
-	return sum, nil
+	return sum, peerWords, nil
 }
 
-// TestBufferPoolReuseBitIdentical proves the session word pool behind
-// (*tcpGroup).Buffer is invisible to kernels: a pool-hostile pattern
-// over sockets produces bit-identical payload streams (positional
-// checksum) and an identical ledger to the in-process fabric, whose
-// Buffer has always been pool-backed.
+// TestBufferPoolReuseBitIdentical proves the session word pool is
+// invisible to kernels: a pool-hostile pattern over sockets produces
+// bit-identical payload streams (positional checksum) and an identical
+// ledger to the in-process fabric.
 func TestBufferPoolReuseBitIdentical(t *testing.T) {
 	const steps = 9
 	for _, p := range []int{2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			sums := make([]uint64, p)
 			local := runLocal(t, p, func(ep *LocalEndpoint) error {
-				sum, err := pooledTraffic(ep, steps)
+				sum, _, err := pooledTraffic(ep, steps)
 				sums[ep.Rank()] = sum
 				return err
 			})
@@ -73,7 +76,7 @@ func TestBufferPoolReuseBitIdentical(t *testing.T) {
 					if err := root.Reset(); err != nil {
 						return err
 					}
-					sum, err := pooledTraffic(root.Endpoint(r), steps)
+					sum, _, err := pooledTraffic(root.Endpoint(r), steps)
 					if err != nil {
 						return err
 					}
@@ -102,76 +105,59 @@ func TestBufferPoolReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// runCodecMeshes runs pooledTraffic over loopback meshes with codecs
-// enabled or disabled and returns per-rank (checksum, ledger).
-func runCodecMeshes(t *testing.T, p, steps int, disable bool) ([]uint64, []Ledger) {
-	t.Helper()
-	meshes, err := NewLoopbackMeshesWith(p, 77, func(rank int, cfg *MeshConfig) {
-		cfg.DisableCodecs = disable
+// TestWireRawBytesMatchesFrameSizes pins the raw-equivalent wire counter
+// to the frame layout: a DATA frame costs its header, the size vector,
+// the codec byte and 8 bytes per word; a LEDGER frame its header and two
+// counts. The run's ledger sums every rank's DATA frames (each rank
+// reports its count before its LEDGER frames go out), and the codecs
+// must shrink what actually crossed the socket.
+func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
+	const p, steps = 3, 9
+	withMeshes(t, p, func(meshes []*Mesh) {
+		sessions := make([]*Session, p)
+		peerWords := make([]int, p)
+		ledgers := make([]Ledger, p)
+		errs := runRanks(p, func(r int) error {
+			sess, err := meshes[r].NewSession(1, allMembers(p))
+			if err != nil {
+				return err
+			}
+			defer sess.Close()
+			sessions[r] = sess
+			if err := sess.Reset(); err != nil {
+				return err
+			}
+			if _, peerWords[r], err = pooledTraffic(sess, steps); err != nil {
+				return err
+			}
+			if err := sess.FinishRun(); err != nil {
+				return err
+			}
+			ledgers[r] = sess.Ledger()
+			return nil
+		})
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		const dataHead = 4 + frameHeaderLen + 4 + 4*p + 1
+		const ledgerFrame = 4 + frameHeaderLen + 16
+		var dataRaw uint64
+		for r, s := range sessions {
+			own := uint64(steps*(p-1)*dataHead + 8*peerWords[r])
+			dataRaw += own
+			if got, want := s.WireRawBytes(), own+(p-1)*ledgerFrame; got != want {
+				t.Errorf("rank %d: raw-equivalent bytes %d, frame sizes say %d", r, got, want)
+			}
+			if s.WireBytes() >= s.WireRawBytes() {
+				t.Errorf("rank %d: codecs did not shrink the wire: %d bytes vs %d raw", r, s.WireBytes(), s.WireRawBytes())
+			}
+		}
+		for r, l := range ledgers {
+			if l.WireRawBytes != dataRaw {
+				t.Errorf("rank %d: ledger raw-equivalent bytes %d, the run's DATA frames sum to %d", r, l.WireRawBytes, dataRaw)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatalf("loopback meshes: %v", err)
-	}
-	defer func() {
-		for _, m := range meshes {
-			m.Close()
-		}
-	}()
-	sums := make([]uint64, p)
-	ledgers := make([]Ledger, p)
-	errs := runRanks(p, func(r int) error {
-		sess, err := meshes[r].NewSession(1, allMembers(p))
-		if err != nil {
-			return err
-		}
-		defer sess.Close()
-		root := sess.Root()
-		if err := root.Reset(); err != nil {
-			return err
-		}
-		sum, err := pooledTraffic(root.Endpoint(r), steps)
-		if err != nil {
-			return err
-		}
-		sums[r] = sum
-		if err := root.FinishRun(); err != nil {
-			return err
-		}
-		ledgers[r] = root.Ledger()
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d (disable=%v): %v", r, disable, err)
-		}
-	}
-	return sums, ledgers
-}
-
-// TestCodecOnOffCrossCheck runs identical traffic with codecs on and
-// off: payloads and the logical ledger must be identical, while the
-// codec run's on-wire bytes must be strictly smaller and its
-// raw-equivalent counter must equal the codec-less run's wire bytes
-// exactly (same frames, raw encoding).
-func TestCodecOnOffCrossCheck(t *testing.T) {
-	const p, steps = 2, 9
-	onSums, onLedgers := runCodecMeshes(t, p, steps, false)
-	offSums, offLedgers := runCodecMeshes(t, p, steps, true)
-	for r := 0; r < p; r++ {
-		if onSums[r] != offSums[r] {
-			t.Fatalf("rank %d: codec checksum %#x != raw %#x", r, onSums[r], offSums[r])
-		}
-		if !ledgerEq(onLedgers[r], offLedgers[r]) {
-			t.Fatalf("rank %d: logical ledger differs with codecs: %+v vs %+v", r, onLedgers[r], offLedgers[r])
-		}
-		if onLedgers[r].WireBytes >= offLedgers[r].WireBytes {
-			t.Fatalf("rank %d: codecs did not shrink wire bytes: %d vs %d", r, onLedgers[r].WireBytes, offLedgers[r].WireBytes)
-		}
-		if onLedgers[r].WireRawBytes != offLedgers[r].WireBytes {
-			t.Fatalf("rank %d: raw-equivalent %d != codec-less wire bytes %d", r, onLedgers[r].WireRawBytes, offLedgers[r].WireBytes)
-		}
-		if offLedgers[r].WireRawBytes != offLedgers[r].WireBytes {
-			t.Fatalf("rank %d: raw run raw-equivalent %d != wire %d", r, offLedgers[r].WireRawBytes, offLedgers[r].WireBytes)
-		}
-	}
 }

@@ -326,6 +326,86 @@ func TestTCPSingleRun(t *testing.T) {
 	})
 }
 
+// A run spans the whole mesh: a session whose members are a subset, a
+// permutation or a superset of the mesh's ranks is refused.
+func TestNewSessionRequiresWholeMesh(t *testing.T) {
+	const p = 3
+	withMeshes(t, p, func(meshes []*Mesh) {
+		for i, members := range [][]int{nil, {0, 1}, {0, 2}, {0, 2, 1}, {1, 2, 0}, {0, 1, 2, 3}, {0, 1, 1}} {
+			if sess, err := meshes[0].NewSession(uint64(10+i), members); err == nil {
+				sess.Close()
+				t.Errorf("members %v: session accepted on a %d-rank mesh", members, p)
+			}
+		}
+		sess, err := meshes[0].NewSession(1, allMembers(p))
+		if err != nil {
+			t.Fatalf("whole mesh refused: %v", err)
+		}
+		sess.Close()
+	})
+}
+
+// orphanFrames reports how many frames rank m holds parked for epoch.
+func orphanFrames(m *Mesh, epoch uint64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if q := m.orphans[epoch]; q != nil {
+		return len(q.frames)
+	}
+	return -1
+}
+
+// A frame for an epoch with no session parks until the session
+// registers; the maintenance purge frees a backlog older than
+// orphanTTL — whether its session never registers or already closed —
+// and leaves a younger one for its session.
+func TestOrphanedFramesFreed(t *testing.T) {
+	withMeshes(t, 2, func(meshes []*Mesh) {
+		park := func(epoch uint64) {
+			t.Helper()
+			payload := encodeAbort(true, false, "leader gave up")
+			buf := appendFrameHeader(nil, frameAbort, epoch, 0, 1)
+			buf = append(buf, payload...)
+			patchFrameLen(buf)
+			if _, err := meshes[1].sendFrame(0, buf); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, "frame to park", func() bool { return orphanFrames(meshes[0], epoch) == 1 })
+		}
+		const never, closed, late = 100, 200, 300
+
+		park(never)
+		sess, err := meshes[0].NewSession(closed, allMembers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+		park(closed)
+		cut := time.Now() // after the first two backlogs arrived, before the third
+		park(late)
+
+		meshes[0].purgeOrphans(cut.Add(orphanTTL))
+		for _, epoch := range []uint64{never, closed} {
+			if n := orphanFrames(meshes[0], epoch); n != -1 {
+				t.Errorf("epoch %d: %d frames still parked past orphanTTL", epoch, n)
+			}
+		}
+		if n := orphanFrames(meshes[0], late); n != 1 {
+			t.Fatalf("epoch %d: %d frames parked within orphanTTL, want 1", late, n)
+		}
+
+		sess, err = meshes[0].NewSession(late, allMembers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var ra *RemoteAbort
+		if !errors.As(sess.Err(), &ra) || !ra.Cancelled {
+			t.Fatalf("late session: %v, want the parked remote cancel", sess.Err())
+		}
+	})
+}
+
 // sessionRun drives one session's root group through steps supersteps
 // of salted, rank- and step-dependent payloads (hundreds of words, so
 // concurrent writers hold a peer's socket long enough to contend), with

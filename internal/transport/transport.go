@@ -10,11 +10,12 @@
 //     concrete types (cached staging rows, no interface calls per Send).
 //   - TCP (Mesh/Session): each rank is a separate OS process holding
 //     persistent length-prefixed framed connections to its peers. A
-//     superstep's staged words are coalesced into one frame per peer;
-//     frames carry the sender's full per-destination size vector, so every
-//     rank assembles the same p×p size matrix and computes a ledger
-//     (supersteps, per-superstep h-relations, volume) byte-identical to
-//     the in-process fabric's.
+//     Session is one run over the whole mesh and is that run's
+//     Transport and this process's Endpoint. A superstep's staged words
+//     are coalesced into one frame per peer; frames carry the sender's
+//     full per-destination size vector, so every rank assembles the same
+//     p×p size matrix and computes a ledger (supersteps, per-superstep
+//     h-relations, volume) byte-identical to the in-process fabric's.
 //
 // The unit of exchange is the superstep: an Endpoint stages words per
 // destination, and Exchange() delivers everything staged fabric-wide and
@@ -112,9 +113,6 @@ type Endpoint interface {
 	// Exchange. The slice aliases fabric storage, valid until the next
 	// Exchange.
 	Recv(src int) []uint64
-	// Buffer returns a word slice of length n for building payloads,
-	// recycled from buffers the fabric has reclaimed.
-	Buffer(n int) []uint64
 	// Exchange is the superstep barrier: it delivers everything staged
 	// fabric-wide, blocks until this rank's inbound payloads for the
 	// superstep arrived, and accounts the superstep's h-relation on the
@@ -123,8 +121,9 @@ type Endpoint interface {
 }
 
 // Transport is a p-rank message fabric for one BSP run. The Local
-// fabric hosts all p ranks in-process; a TCP group hosts exactly the one
-// rank this worker process plays, with the rest reached over sockets.
+// fabric hosts all p ranks in-process; a TCP Session hosts exactly the
+// one rank this worker process plays, with the rest reached over
+// sockets.
 type Transport interface {
 	// Kind returns the fabric label (KindLocal, KindTCP).
 	Kind() string

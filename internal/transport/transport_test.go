@@ -23,7 +23,7 @@ func runLocal(t *testing.T, p int, body func(ep *LocalEndpoint) error) *Local {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = body(l.LocalEndpointAt(r))
+			errs[r] = body(l.Endpoint(r).(*LocalEndpoint))
 		}(r)
 	}
 	wg.Wait()
@@ -80,7 +80,7 @@ func TestLocalAbortWakesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep := l.LocalEndpointAt(r)
+			ep := l.Endpoint(r)
 			if r == 0 {
 				// Rank 0 never arrives; it aborts instead.
 				l.Abort(boom)

@@ -8,13 +8,17 @@ import (
 
 // Wire protocol of the TCP fabric (DESIGN.md §4f, §4i, §4j).
 //
-// A connection opens with a fixed 26-byte preamble — magic "CAMT",
-// protocol version, the dialer's mesh rank, the dialer's machine
-// epoch, the dialer's incarnation number, and the dialer's payload
-// codec capability mask — answered by an 8-byte accept acknowledgement
-// ("CAMA", version, the accepter's codec mask) so both sides learn the
-// other's codec support. The connection then carries length-prefixed
-// frames both ways for its lifetime. All integers are little-endian.
+// A connection opens with a fixed 25-byte preamble — magic "CAMT",
+// protocol version, the dialer's mesh rank, the dialer's machine epoch
+// and the dialer's incarnation number — answered by a 5-byte accept
+// acknowledgement ("CAMA", version) that tells the dialer it was
+// admitted. The connection then carries length-prefixed frames both
+// ways for its lifetime. All integers are little-endian.
+//
+// Both halves carry the version and either side refuses a mismatch, so
+// every admitted peer speaks the same frames and decodes the same
+// payload codecs; version 6 dropped the per-connection codec masks that
+// nothing could make differ.
 //
 // The incarnation number (version 2) is what makes rejoin safe: a
 // respawned worker presents a strictly larger incarnation than its
@@ -39,12 +43,15 @@ import (
 // finalizer — in words, so the choice of codec never shows up in the
 // ledger's logical volume. Ledger frames carry the sender's two
 // wire-byte counts. Version 5 dropped the header's group tag: a session
-// has exactly one group.
+// spans the whole mesh.
 
 const (
 	wireMagic   = "CAMT"
-	wireVersion = 5
+	wireVersion = 6
 	ackMagic    = "CAMA"
+
+	preambleLen = 4 + 1 + 4 + 8 + 8 // magic, version, rank, epoch, incarnation
+	ackLen      = 4 + 1             // magic, version
 
 	// Frame kinds.
 	frameData      = 1 // superstep payload + size vector
@@ -87,70 +94,66 @@ func (f *frame) release() {
 }
 
 // writePreamble emits the connection handshake.
-func writePreamble(w io.Writer, rank int, epoch, incarnation uint64, codecs byte) error {
-	var b [26]byte
+func writePreamble(w io.Writer, rank int, epoch, incarnation uint64) error {
+	var b [preambleLen]byte
 	copy(b[:4], wireMagic)
 	b[4] = wireVersion
 	binary.LittleEndian.PutUint32(b[5:9], uint32(rank))
 	binary.LittleEndian.PutUint64(b[9:17], epoch)
 	binary.LittleEndian.PutUint64(b[17:25], incarnation)
-	b[25] = codecs | codecMaskRaw
 	_, err := w.Write(b[:])
 	return err
 }
 
-// readPreamble validates the handshake and returns the dialer's rank,
-// incarnation, and codec capability mask. The accepter checks magic,
-// protocol version, and machine epoch; a mismatch is a deployment error
-// surfaced as ErrPeerLost. Incarnation admission (stale-dialer
-// rejection) is the mesh's job — the wire layer only transports the
-// number.
-func readPreamble(r io.Reader, wantEpoch uint64) (rank int, incarnation uint64, codecs byte, err error) {
-	var b [26]byte
+// readPreamble validates the handshake and returns the dialer's rank
+// and incarnation. The accepter checks magic, protocol version, and
+// machine epoch; a mismatch is a deployment error surfaced as
+// ErrPeerLost. Incarnation admission (stale-dialer rejection) is the
+// mesh's job — the wire layer only transports the number.
+func readPreamble(r io.Reader, wantEpoch uint64) (rank int, incarnation uint64, err error) {
+	var b [preambleLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: handshake read: %w", ErrPeerLost, err)
+		return 0, 0, fmt.Errorf("%w: handshake read: %w", ErrPeerLost, err)
 	}
 	if string(b[:4]) != wireMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad handshake magic %q", ErrPeerLost, b[:4])
+		return 0, 0, fmt.Errorf("%w: bad handshake magic %q", ErrPeerLost, b[:4])
 	}
 	if b[4] != wireVersion {
-		return 0, 0, 0, fmt.Errorf("%w: protocol version %d, want %d", ErrPeerLost, b[4], wireVersion)
+		return 0, 0, fmt.Errorf("%w: protocol version %d, want %d", ErrPeerLost, b[4], wireVersion)
 	}
 	rank = int(binary.LittleEndian.Uint32(b[5:9]))
 	epoch := binary.LittleEndian.Uint64(b[9:17])
 	incarnation = binary.LittleEndian.Uint64(b[17:25])
 	if epoch != wantEpoch {
-		return 0, 0, 0, fmt.Errorf("%w: machine epoch %d, want %d", ErrPeerLost, epoch, wantEpoch)
+		return 0, 0, fmt.Errorf("%w: machine epoch %d, want %d", ErrPeerLost, epoch, wantEpoch)
 	}
-	return rank, incarnation, b[25] | codecMaskRaw, nil
+	return rank, incarnation, nil
 }
 
-// writeAck emits the accepter's half of the handshake: its codec
-// capability mask, so the dialer knows what it may send (the preamble
-// alone is one-way).
-func writeAck(w io.Writer, codecs byte) error {
-	var b [8]byte
+// writeAck emits the accepter's half of the handshake. The preamble is
+// one-way; the ack is what tells a dialer it was admitted rather than
+// refused with a silent close.
+func writeAck(w io.Writer) error {
+	var b [ackLen]byte
 	copy(b[:4], ackMagic)
 	b[4] = wireVersion
-	b[5] = codecs | codecMaskRaw
 	_, err := w.Write(b[:])
 	return err
 }
 
-// readAck validates the accepter's acknowledgement and returns its
-// codec capability mask.
-func readAck(r io.Reader) (codecs byte, err error) {
-	var b [8]byte
+// readAck validates the accepter's acknowledgement.
+func readAck(r io.Reader) error {
+	var b [ackLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("%w: handshake ack read: %w", ErrPeerLost, err)
+		return fmt.Errorf("%w: handshake ack read: %w", ErrPeerLost, err)
 	}
 	if string(b[:4]) != ackMagic {
-		return 0, fmt.Errorf("%w: bad handshake ack magic %q", ErrPeerLost, b[:4])
+		return fmt.Errorf("%w: bad handshake ack magic %q", ErrPeerLost, b[:4])
 	}
 	if b[4] != wireVersion {
-		return 0, fmt.Errorf("%w: ack protocol version %d, want %d", ErrPeerLost, b[4], wireVersion)
+		return fmt.Errorf("%w: ack protocol version %d, want %d", ErrPeerLost, b[4], wireVersion)
 	}
-	return b[5] | codecMaskRaw, nil
+	return nil
 }
 
 // appendFrameHeader appends the frame header (with a placeholder length

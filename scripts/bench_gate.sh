@@ -32,7 +32,7 @@ go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/bsp/
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/kernels/
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/service/
 # Any matched benchmark makes the transport TestMain regenerate
-# BENCH_transport.json with its full local/tcp × codec sweep at
+# BENCH_transport.json with its full local/tcp sweep at
 # $BENCHTIME, so the named run is kept minimal.
 go test -run='^$' -bench='ExchangeLocal/p=2/w=64$' -benchtime="$BENCHTIME" ./internal/transport/
 # The fleet scorecard is a scripted scenario, not a timing loop: one
