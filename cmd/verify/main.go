@@ -4,24 +4,30 @@
 // deterministic Stoer–Wagner baseline on random inputs; ③ multi-seed
 // consistency — with per-run success probability ≥ 0.9 and k independent
 // seeds agreeing, the probability that all are wrong is ≤ (1-0.9)^k;
-// ④ approximation-ratio audit of the approximate cut; ⑤ connected
-// components checked against the traversal baseline.
+// ④ the approximate cut's bracket audit and ⑤ every connected-components
+// kernel against the traversal baseline, both run by internal/oracle.
 //
 // Exit status 0 means every check passed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
+	"repro/internal/oracle"
+	"repro/internal/planner"
 )
+
+// falseAlarm is the rate at which a statistical check below fails a
+// correct kernel.
+const falseAlarm = 1e-3
 
 var failures int
 
@@ -105,29 +111,45 @@ func main() {
 	check(allSame, "WS(n=%d): %d independent seeds agree on cut %d (P[all wrong] <= 0.1^%d)",
 		big.N, *seeds, values[0], *seeds)
 
-	fmt.Println("== approximation ratio audit ==")
+	fmt.Println("== approximate cut inside its O(log n) bracket (oracle) ==")
+	ins := oracle.CutInputs(func(g *graph.Graph) uint64 { return mincut.StoerWagner(g).Value })
 	for _, c := range corner {
-		res, err := core.ApproxMinCut(c.g, core.Options{Processors: *p, Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ratio := float64(res.Value) / float64(c.want)
-		if ratio < 1 {
-			ratio = 1 / ratio
-		}
-		check(ratio <= 11, "%-20s approx=%d exact=%d ratio=%.1f (artifact observed < 11)",
-			c.name, res.Value, c.want, ratio)
+		ins = append(ins, oracle.Input{Name: c.name, G: c.g, Lambda: c.want})
+	}
+	approxSeeds := 200
+	if *quick {
+		approxSeeds = 50
+	}
+	rows, err := oracle.Approx(ins, []int{*p}, approxSeeds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range rows {
+		check(r.Check(falseAlarm) == nil, "%-20s pipelined=%-5v %d/%d inside the 4·log₂ n bracket (share ≥ %.2f: p-value %.2g)",
+			r.Input, r.Pipelined, r.Inside, r.Runs, oracle.ApproxShare, r.PValue())
 	}
 
-	fmt.Println("== connected components vs traversal baseline ==")
-	for s := uint64(0); s < 3; s++ {
-		g := gen.ErdosRenyiM(n*10, m*2, *seed+s, gen.Config{})
-		want := cc.Sequential(g).Count
-		res, err := core.ConnectedComponents(g, core.Options{Processors: *p, Seed: *seed + s})
-		if err != nil {
-			log.Fatal(err)
+	fmt.Println("== connected components vs traversal baseline (oracle) ==")
+	var kernels []oracle.CCKernel
+	for _, k := range planner.KernelsFor("cc") {
+		kernels = append(kernels, oracle.CCKernel{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
+			out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
+			if err != nil {
+				return nil, err
+			}
+			return out.Labels, nil
+		}})
+	}
+	ccRows, err := oracle.CC(kernels, oracle.CCInputs(), []int{*p}, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range ccRows {
+		verdict := "equal"
+		if r.Mismatch != "" {
+			verdict = r.Mismatch
 		}
-		check(res.Count == want, "ER(n=%d,m=%d): parallel=%d BFS=%d", g.N, g.M(), res.Count, want)
+		check(r.Mismatch == "", "%-10s on %-10s %d runs, labels vs BFS: %s", r.Kernel, r.Input, r.Runs, verdict)
 	}
 
 	if failures > 0 {

@@ -70,22 +70,35 @@ func TestTwoCliquesEstimate(t *testing.T) {
 	checkApprox(t, "twocliques", got, 2, 16)
 }
 
+// TestDisconnectedInputGivesZero: a disconnected input is answered 0,
+// exactly, and that is not a disconnection the scan observed — cold (the
+// base forests of the first round find it), warm (the plan knows it) and
+// in both variants.
 func TestDisconnectedInputGivesZero(t *testing.T) {
 	g := graph.New(20)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(2, 3, 5) // two tiny components + isolated vertices
-	got := estimate(t, g, 3, 1, Options{})
-	if got.Value != 0 {
-		t.Errorf("disconnected input: estimate %d, want 0", got.Value)
+	plan := g.Snapshot().PlanFacts()
+	for _, pipelined := range []bool{false, true} {
+		for _, pl := range []*graph.Plan{nil, plan} {
+			got := estimate(t, g, 3, 1, Options{Pipelined: pipelined, Plan: pl})
+			if *got != (Result{}) {
+				t.Errorf("disconnected input (pipelined=%v, warm=%v): %+v, want value 0 and no observed disconnection",
+					pipelined, pl != nil, *got)
+			}
+		}
 	}
 }
 
+// TestEmptyAndTrivialInputs: a single vertex and an edgeless graph are
+// answered 0 with nothing observed, cold and warm.
 func TestEmptyAndTrivialInputs(t *testing.T) {
-	if got := estimate(t, graph.New(1), 2, 1, Options{}); got.Value != 0 {
-		t.Errorf("single vertex: %d", got.Value)
-	}
-	if got := estimate(t, graph.New(5), 2, 1, Options{}); got.Value != 0 {
-		t.Errorf("edgeless: %d", got.Value)
+	for _, g := range []*graph.Graph{graph.New(1), graph.New(5)} {
+		for _, pl := range []*graph.Plan{nil, g.Snapshot().PlanFacts()} {
+			if got := estimate(t, g, 2, 1, Options{Plan: pl}); *got != (Result{}) {
+				t.Errorf("n=%d, no edges, warm=%v: %+v, want the zero result", g.N, pl != nil, *got)
+			}
+		}
 	}
 }
 
@@ -179,5 +192,58 @@ func TestPipelinedConstantSupersteps(t *testing.T) {
 	}
 	if pipeHeavy >= earlyHeavy {
 		t.Errorf("pipelined (%d) not fewer supersteps than early stopping (%d) on heavy weights", pipeHeavy, earlyHeavy)
+	}
+}
+
+// TestWarmSkipsOnlyTheWeightReduction: a warm run takes the total weight
+// and connectivity from the plan and records only the weight AllReduce
+// as avoided — a cold run has no connectivity collective left to skip,
+// because its base forests ride the first scan round. So the cold run
+// takes exactly the weight reduction's supersteps more than the warm one,
+// moves more words (the forests), and both answer the same.
+func TestWarmSkipsOnlyTheWeightReduction(t *testing.T) {
+	g := gen.WattsStrogatz(200, 6, 0.3, 3, gen.Config{MaxWeight: 4})
+	pl := g.Snapshot().PlanFacts()
+	pl.WeightCost = graph.CollectiveCost{Collectives: 2, Words: 7}
+	pl.CCCost = graph.CollectiveCost{Collectives: 5, Words: 999}
+	const p = 4
+	blocks := func(body func(c *bsp.Comm, local []graph.Edge)) *bsp.Stats {
+		st, err := bsp.Run(p, func(c *bsp.Comm) {
+			lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+			body(c, g.Edges[lo:hi])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	weight := blocks(func(c *bsp.Comm, local []graph.Edge) { dist.TotalWeight(c, local) })
+	for _, pipelined := range []bool{false, true} {
+		var res [2]Result
+		var st [2]*bsp.Stats
+		for i, plan := range []*graph.Plan{nil, pl} {
+			st[i] = blocks(func(c *bsp.Comm, local []graph.Edge) {
+				r := Parallel(c, g.N, local, rng.New(9, uint32(c.Rank()), 0), Options{Pipelined: pipelined, Plan: plan})
+				if c.Rank() == 0 {
+					res[i] = *r
+				}
+			})
+		}
+		cold, warm := st[0], st[1]
+		if res[0] != res[1] {
+			t.Errorf("pipelined=%v: cold %+v, warm %+v", pipelined, res[0], res[1])
+		}
+		if warm.AvoidedCollectives != 2 || warm.AvoidedCommVolume != 7 {
+			t.Errorf("pipelined=%v: warm avoided %d collectives, %d words; want the weight reduction's 2, 7",
+				pipelined, warm.AvoidedCollectives, warm.AvoidedCommVolume)
+		}
+		if cold.AvoidedCollectives != 0 || cold.Supersteps != warm.Supersteps+weight.Supersteps {
+			t.Errorf("pipelined=%v: cold %d supersteps (%d avoided), warm %d, weight reduction %d",
+				pipelined, cold.Supersteps, cold.AvoidedCollectives, warm.Supersteps, weight.Supersteps)
+		}
+		if cold.CommVolume <= warm.CommVolume+weight.CommVolume {
+			t.Errorf("pipelined=%v: cold moved %d words, warm %d + weight reduction %d: no base forests shipped",
+				pipelined, cold.CommVolume, warm.CommVolume, weight.CommVolume)
+		}
 	}
 }

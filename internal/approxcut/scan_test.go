@@ -37,9 +37,9 @@ func onBlocks[T any](t testing.TB, g *graph.Graph, p int, seed uint64, body func
 }
 
 // refScan is the test-only reference for scan: it materialises every
-// trial's kept edges — the same per-rank streams, drawn through
-// Bernoulli(keepProb) in trial-major, edge-minor order — and asks
-// cc.Sequential whether the sampled subgraph is connected.
+// trial's kept edges — the same per-rank streams, each level's coins
+// flipped through one rng.Bits in trial-major, edge-minor order — and
+// asks cc.Sequential whether the sampled subgraph is connected.
 func refScan(g *graph.Graph, p int, seed uint64, trials, lo, hi int) int {
 	for i := lo; i <= hi; i++ {
 		subs := make([]*graph.Graph, trials)
@@ -48,10 +48,10 @@ func refScan(g *graph.Graph, p int, seed uint64, trials, lo, hi int) int {
 		}
 		for r := 0; r < p; r++ {
 			blo, bhi := dist.BlockRange(len(g.Edges), p, r)
-			ds := rng.New(seed, uint32(r), 0).Derive(uint32(i))
+			coins := rng.NewBits(rng.New(seed, uint32(r), 0).Derive(uint32(i)))
 			for _, sub := range subs {
 				for _, e := range g.Edges[blo:bhi] {
-					if ds.Bernoulli(keepProb(i, e.W)) {
+					if coins.Below(keepThreshold(i, e.W)) {
 						sub.AddEdge(e.U, e.V, 1)
 					}
 				}
@@ -84,7 +84,9 @@ func scanInputs() map[string]*graph.Graph {
 // answers exactly what labelling the materialised samples would, one
 // level at a time (the early-stopping variant's call, including levels
 // at which no trial disconnects) and over the whole range at once (the
-// pipelined variant's).
+// pipelined variant's) — with and without the base forests in front,
+// which change no draw and answer inputDisconnected only for the
+// disconnected input.
 func TestScanMatchesMaterialisedReference(t *testing.T) {
 	const trials, levels = 5, 14
 	for name, g := range scanInputs() {
@@ -93,7 +95,7 @@ func TestScanMatchesMaterialisedReference(t *testing.T) {
 				cleared := 0
 				for i := 1; i <= levels; i++ {
 					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
-						return scan(c, g.N, local, st, trials, i, i)
+						return scan(c, g.N, local, st, trials, i, i, false)
 					})
 					if want := refScan(g, p, seed, trials, i, i); got != want {
 						t.Fatalf("%s p=%d seed=%d level %d: scan says %d, reference %d", name, p, seed, i, got, want)
@@ -102,16 +104,23 @@ func TestScanMatchesMaterialisedReference(t *testing.T) {
 						cleared++
 					}
 				}
-				got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
-					return scan(c, g.N, local, st, trials, 1, levels)
-				})
-				if want := refScan(g, p, seed, trials, 1, levels); got != want {
-					t.Fatalf("%s p=%d seed=%d levels 1..%d: scan says %d, reference %d", name, p, seed, levels, got, want)
+				want := refScan(g, p, seed, trials, 1, levels)
+				for _, base := range []bool{false, true} {
+					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
+						return scan(c, g.N, local, st, trials, 1, levels, base)
+					})
+					w := want
+					if base && name == "disconnected" {
+						w = inputDisconnected
+					}
+					if got != w {
+						t.Fatalf("%s p=%d seed=%d levels 1..%d base=%v: scan says %d, want %d", name, p, seed, levels, base, got, w)
+					}
 				}
 				switch name {
 				case "disconnected":
-					if got != 1 {
-						t.Errorf("%s p=%d seed=%d: first disconnected level %d, want 1", name, p, seed, got)
+					if want != 1 {
+						t.Errorf("%s p=%d seed=%d: first disconnected level %d, want 1", name, p, seed, want)
 					}
 				case "k24-heavy":
 					if cleared == 0 {

@@ -47,7 +47,7 @@ type Plan struct {
 	Components int
 
 	// Measured cold-path costs of the collectives a warm query skips.
-	CCCost     CollectiveCost // connectivity check (cc.Parallel)
+	CCCost     CollectiveCost // connectivity check (cc.Parallel), skipped by warm cc and mincut runs
 	CountCost  CollectiveCost // edge-count AllReduce
 	GatherCost CollectiveCost // edge replication (AllGatherEdges)
 	DegreeCost CollectiveCost // weighted-degree AllReduce

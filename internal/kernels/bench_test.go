@@ -7,7 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/approxcut"
 	"repro/internal/benchsnap"
+	"repro/internal/bsp"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
@@ -361,6 +364,35 @@ func BenchmarkUnionFind(b *testing.B) {
 	b.Run("ref/chain", func(b *testing.B) { benchRefUnionPass(b, &refUnionFind{}, chain) })
 }
 
+// bitsPerCoin is the mean number of random bits n coins read through one
+// rng.Bits on a fixed seed; keep 0 draws each threshold uniformly from
+// [1, 2⁵³).
+func bitsPerCoin(keep uint64, n int) float64 {
+	coins, keeps := rng.NewBits(rng.New(1, 0, 0)), rng.New(2, 0, 0)
+	for i := 0; i < n; i++ {
+		k := keep
+		if k == 0 {
+			k = keeps.Uint64()>>11 | 1
+		}
+		coins.Below(k)
+	}
+	return float64(coins.Used()) / float64(n)
+}
+
+// approxSupersteps is the superstep count of one cold early-stopping
+// approximate cut at p = 2 on Watts–Strogatz n = 2 048.
+func approxSupersteps() (float64, error) {
+	g := gen.WattsStrogatz(2048, 8, 0.3, 1, gen.Config{})
+	st, err := bsp.Run(2, func(c *bsp.Comm) {
+		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+		approxcut.Parallel(c, g.N, g.Edges[lo:hi], rng.New(1, uint32(c.Rank()), 0), approxcut.Options{})
+	})
+	if err != nil {
+		return 0, err
+	}
+	return float64(st.Supersteps), nil
+}
+
 // ---------------------------------------------------------------------------
 // BENCH_kernels.json
 // ---------------------------------------------------------------------------
@@ -517,6 +549,18 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	ps, ds := rng.NewPrefixSampler(unit), newDivSampler(unit)
 	pair("bounded", fastest(func(b *testing.B) { benchPrefixSample(b, ps, st) }),
 		fastest(func(b *testing.B) { benchDivSample(b, ds, st) }))
+
+	// The approximate cut's coins: a fair coin must read one bit and a
+	// random threshold about two, and a cold scan must show the input
+	// connected inside its first round — a word per coin or a separate
+	// connectivity run would each move one of these.
+	snap.Add(benchsnap.Exact, "rng_bits_per_coin/keep=2^52", bitsPerCoin(1<<52, 100_000), -1, 0)
+	snap.Add(benchsnap.Exact, "rng_bits_per_coin/random", bitsPerCoin(0, 100_000), -1, 0)
+	steps, err := approxSupersteps()
+	if err != nil {
+		return err
+	}
+	snap.Add(benchsnap.Exact, "approxcut_supersteps/ws2048/p=2", steps, -1, 0)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
@@ -22,24 +23,6 @@ type admissionInput struct {
 	name string
 	g    *graph.Graph
 	want uint64 // Stoer–Wagner's value
-}
-
-func plantedBisection(half, cross int, seed uint64) *graph.Graph {
-	st := rng.New(seed, 0, 0)
-	g := graph.New(2 * half)
-	for side := 0; side < 2; side++ {
-		for i := 0; i < half; i++ {
-			for j := i + 1; j < half; j++ {
-				if st.Intn(2) == 0 {
-					g.AddEdge(int32(side*half+i), int32(side*half+j), 1)
-				}
-			}
-		}
-	}
-	for k := 0; k < cross; k++ {
-		g.AddEdge(int32(st.Intn(half)), int32(half+st.Intn(half)), 1)
-	}
-	return g
 }
 
 // sparseWeightedER returns the first connected weighted Erdős–Rényi
@@ -67,7 +50,7 @@ func sparseWeightedER(t *testing.T, n, m int) *graph.Graph {
 func admissionInputs(t *testing.T) []admissionInput {
 	ins := []admissionInput{
 		{name: "two-cliques", g: gen.TwoCliques(42, 5, 1, 1)},
-		{name: "planted-bisection", g: plantedBisection(60, 4, 3)},
+		{name: "planted-bisection", g: oracle.PlantedBisection(60, 4, 3)},
 		{name: "dumbbell", g: gen.Dumbbell(24, 2, 3)},
 		{name: "weighted-er", g: sparseWeightedER(t, 40, 70)},
 	}
@@ -84,18 +67,6 @@ func admissionInputs(t *testing.T) []admissionInput {
 		}
 	}
 	return ins
-}
-
-// binomialCDF returns P[X ≤ k] for X ~ Binomial(n, p).
-func binomialCDF(k, n int, p float64) float64 {
-	var cdf float64
-	for i := 0; i <= k; i++ {
-		lc, _ := math.Lgamma(float64(n + 1))
-		la, _ := math.Lgamma(float64(i + 1))
-		lb, _ := math.Lgamma(float64(n - i + 1))
-		cdf += math.Exp(lc - la - lb + float64(i)*math.Log(p) + float64(n-i)*math.Log1p(-p))
-	}
-	return cdf
 }
 
 // TestAdmissionSuccessProbability: Parallel over 300 seeds per row, p
@@ -144,7 +115,7 @@ func TestAdmissionSuccessProbability(t *testing.T) {
 			rate := float64(hits) / float64(seeds)
 			t.Logf("n=%d m=%d, %d trials: success %d/%d = %.4f", in.g.N, in.g.M(),
 				Trials(in.g.N, in.g.M(), in.target), hits, seeds, rate)
-			if pv := binomialCDF(hits, seeds, in.target); pv < falseAlarm {
+			if pv := oracle.BinomialCDF(hits, seeds, in.target); pv < falseAlarm {
 				t.Errorf("success rate %.4f rejects \"success ≥ %.1f\" (p-value %.2g < %.0e)",
 					rate, in.target, pv, falseAlarm)
 			}
@@ -253,7 +224,7 @@ func TestAdmissionAllMinCuts(t *testing.T) {
 			rate := float64(hits) / float64(seeds)
 			t.Logf("n=%d m=%d, %d trials: all %d cuts in %d/%d = %.4f runs", in.g.N, in.g.M(),
 				allCutsTrials(in.g.N, in.g.M(), target), in.wantCuts, hits, seeds, rate)
-			if pv := binomialCDF(hits, seeds, target); pv < falseAlarm {
+			if pv := oracle.BinomialCDF(hits, seeds, target); pv < falseAlarm {
 				t.Errorf("whole-set rate %.4f rejects \"success ≥ %.1f\" (p-value %.2g < %.0e)",
 					rate, target, pv, falseAlarm)
 			}
