@@ -145,11 +145,6 @@ func AllGatherEdges(c *bsp.Comm, local []graph.Edge) []graph.Edge {
 	return all
 }
 
-// CountEdges returns the global number of edges across processors.
-func CountEdges(c *bsp.Comm, local []graph.Edge) uint64 {
-	return c.AllReduce([]uint64{uint64(len(local))}, bsp.OpSum)[0]
-}
-
 // TotalWeight returns the global sum of local edge weights.
 func TotalWeight(c *bsp.Comm, local []graph.Edge) uint64 {
 	var w uint64

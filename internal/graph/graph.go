@@ -146,24 +146,6 @@ func CombineParallel(edges []Edge) []Edge {
 	return out
 }
 
-// CombineSorted merges runs of parallel edges in a slice already sorted by
-// (U, V); the merge happens in place and the shortened slice is returned.
-// Loops must already have been removed.
-func CombineSorted(es []Edge) []Edge {
-	out := es[:0]
-	for _, e := range es {
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.U == e.U && last.V == e.V {
-				last.W += e.W
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // Relabel returns a new graph with every edge (u,v) replaced by
 // (mapping[u], mapping[v]); loops produced by the mapping are dropped and
 // parallel edges combined. newN is the vertex count of the image.

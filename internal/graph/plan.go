@@ -2,8 +2,7 @@ package graph
 
 // Plan holds the snapshot-invariant facts of a graph that every query
 // otherwise recomputes with per-query collectives: the replicated edge
-// view, the edge count, the min-degree singleton cut, the total weight,
-// and the exact connectivity labelling.
+// view, the total weight, and the exact connectivity labelling.
 // The serving layer builds one Plan per (snapshot version, machine size)
 // at first query and threads it into the kernels through their Options,
 // turning the warm query path communication-free where the facts allow.
@@ -17,7 +16,6 @@ package graph
 // implementations instead of hand-derived formulas.
 type Plan struct {
 	N int // vertex count of the snapshot
-	M int // edge count of the snapshot
 	// Version and Fingerprint identify the snapshot the plan was built
 	// from (registry version and content hash); P is the machine size the
 	// cost table was measured at.
@@ -31,12 +29,8 @@ type Plan struct {
 	// holding a plan costs no edge copies. Read-only.
 	Edges []Edge
 
-	// MinDegVertex is the first vertex attaining the minimum weighted
-	// degree MinDegree — the singleton cut the exact min cut algorithm
-	// folds in. TotalWeight is the global edge weight sum.
-	MinDegVertex int
-	MinDegree    uint64
-	TotalWeight  uint64
+	// TotalWeight is the global edge weight sum.
+	TotalWeight uint64
 
 	// Connected, Labels, and Components are the exact connectivity result.
 	// Labels are dense in first-occurrence order (vertex 0 → label 0),
@@ -47,10 +41,8 @@ type Plan struct {
 	Components int
 
 	// Measured cold-path costs of the collectives a warm query skips.
-	CCCost     CollectiveCost // connectivity check (cc.Parallel), skipped by warm cc and mincut runs
-	CountCost  CollectiveCost // edge-count AllReduce
-	GatherCost CollectiveCost // edge replication (AllGatherEdges)
-	DegreeCost CollectiveCost // weighted-degree AllReduce
+	CCCost     CollectiveCost // connectivity labelling (cc.Parallel), skipped by warm cc runs
+	GatherCost CollectiveCost // edge replication (AllGatherEdges), skipped by warm mincut runs
 	WeightCost CollectiveCost // total-weight AllReduce
 }
 
@@ -67,30 +59,15 @@ func (pl *Plan) Matches(n int) bool { return pl != nil && pl.N == n }
 
 // PlanFacts computes the snapshot-invariant facts of s sequentially and
 // returns a Plan with a zero cost table (the caller measures costs at its
-// machine size). The degree scan and connectivity labelling reproduce the
-// distributed kernels' results exactly: degrees are plain sums (identical
-// to a partial-sum AllReduce), the min-degree vertex is the first
-// minimum, and labels come from union-find in first-occurrence order.
+// machine size). The connectivity labelling reproduces the distributed
+// kernels' result exactly: labels come from union-find in
+// first-occurrence order.
 func (s *Snapshot) PlanFacts() *Plan {
 	pl := &Plan{
 		N:           s.n,
-		M:           len(s.edges),
 		Fingerprint: s.fingerprint,
 		Edges:       s.edges,
 		TotalWeight: s.totalWeight,
-	}
-	deg := make([]uint64, s.n)
-	for _, e := range s.edges {
-		deg[e.U] += e.W
-		deg[e.V] += e.W
-	}
-	if s.n > 0 {
-		pl.MinDegVertex, pl.MinDegree = 0, deg[0]
-		for v := 1; v < s.n; v++ {
-			if deg[v] < pl.MinDegree {
-				pl.MinDegVertex, pl.MinDegree = v, deg[v]
-			}
-		}
 	}
 	pl.Labels, pl.Components = s.Graph().ConnectedComponents()
 	pl.Connected = pl.Components <= 1

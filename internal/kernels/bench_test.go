@@ -64,7 +64,25 @@ func combineStd(edges []graph.Edge) []graph.Edge {
 		es = append(es, e.Normalize())
 	}
 	sortEdgesStd(es)
-	return graph.CombineSorted(es)
+	return combineSorted(es)
+}
+
+// combineSorted merges runs of parallel edges in a slice already sorted
+// by (U, V); the merge happens in place and the shortened slice is
+// returned. Loops must already have been removed.
+func combineSorted(es []graph.Edge) []graph.Edge {
+	out := es[:0]
+	for _, e := range es {
+		if len(out) > 0 {
+			last := &out[len(out)-1]
+			if last.U == e.U && last.V == e.V {
+				last.W += e.W
+				continue
+			}
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ package mincut
 
 import (
 	"repro/internal/bsp"
-	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -19,12 +18,12 @@ func ParallelAllMinCuts(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, 
 	if n < 2 {
 		return nil
 	}
-	// Disconnected inputs: delegate to the sequential handler at the root
-	// (zero cuts are enumerated from the component structure, no trials).
-	comp := cc.Parallel(c, n, local, st.Derive(0xac), cc.Options{})
 	all := dist.AllGatherEdges(c, local)
 	g := &graph.Graph{N: n, Edges: all}
-	if comp.Count > 1 {
+	// Disconnected inputs: every rank holds the graph, so the sequential
+	// handler enumerates the zero cuts from the component structure, with
+	// no trials and no further communication.
+	if !g.IsConnected() {
 		return AllMinCuts(g, st, successProb)
 	}
 

@@ -216,14 +216,18 @@ func TestMaxTiedSidesBounds(t *testing.T) {
 
 func runParallelAllCuts(t *testing.T, g *graph.Graph, p int, seed uint64) []*CutResult {
 	t.Helper()
+	res, _ := runParallelAllCutsStats(t, g, p, seed)
+	return res
+}
+
+// runParallelAllCutsStats is runParallelAllCuts plus the run's BSP
+// ledger; each rank reads its block of g's edges in place.
+func runParallelAllCutsStats(t *testing.T, g *graph.Graph, p int, seed uint64) ([]*CutResult, *bsp.Stats) {
+	t.Helper()
 	var res []*CutResult
-	_, err := bsp.Run(p, func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		r := ParallelAllMinCuts(c, n, local, rng.New(seed, uint32(c.Rank()), 0), 0.99)
+	st, err := bsp.Run(p, func(c *bsp.Comm) {
+		lo, hi := dist.BlockRange(len(g.Edges), p, c.Rank())
+		r := ParallelAllMinCuts(c, g.N, g.Edges[lo:hi], rng.New(seed, uint32(c.Rank()), 0), 0.99)
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -231,7 +235,7 @@ func runParallelAllCuts(t *testing.T, g *graph.Graph, p int, seed uint64) []*Cut
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, st
 }
 
 func TestParallelAllMinCutsCycle(t *testing.T) {
@@ -263,17 +267,26 @@ func TestParallelAllMinCutsUnique(t *testing.T) {
 	}
 }
 
+// TestParallelAllMinCutsDisconnected: a disconnected input's zero cuts
+// are the sequential enumeration's, found after one superstep, the edge
+// gather.
 func TestParallelAllMinCutsDisconnected(t *testing.T) {
 	g := graph.New(8)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
-	cuts := runParallelAllCuts(t, g, 3, 2)
-	if len(cuts) == 0 {
+	want := AllMinCuts(g, rng.New(2, 0, 0), 0.99)
+	if len(want) == 0 {
 		t.Fatal("no zero cuts")
 	}
-	for _, c := range cuts {
-		if c.Value != 0 || !c.Check(g) {
-			t.Error("bad zero cut")
+	for _, p := range []int{1, 2, 4} {
+		cuts, st := runParallelAllCutsStats(t, g, p, 2)
+		if !reflect.DeepEqual(cuts, want) || st.Supersteps != 1 {
+			t.Errorf("p=%d: %d cuts after %d supersteps, want the sequential %d after 1", p, len(cuts), st.Supersteps, len(want))
+		}
+		for _, c := range cuts {
+			if c.Value != 0 || !c.Check(g) {
+				t.Errorf("p=%d: bad zero cut", p)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bsp"
-	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -44,11 +43,10 @@ type Options struct {
 	// straggling ranks.
 	OnTrial func(trial int)
 	// Plan, when non-nil and matching the input, supplies the snapshot's
-	// precomputed invariants (connectivity, edge count, replicated edge
-	// view, degree array), letting the run skip the per-query CC check,
-	// CountEdges, AllGatherEdges, and degree AllReduce. Each skip is
-	// recorded on the BSP ledger via SkipComm with the plan's measured
-	// cold cost. A mismatched plan (wrong N) is ignored.
+	// replicated edge view and connectivity bit, letting the run skip
+	// AllGatherEdges (recorded on the BSP ledger via SkipComm with the
+	// plan's measured cold cost) and the connectivity scan. A mismatched
+	// plan (wrong N) is ignored.
 	Plan *graph.Plan
 }
 
@@ -75,56 +73,11 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		pl = nil
 	}
 
-	// A disconnected input has minimum cut 0; detect it with the
-	// communication-avoiding CC algorithm (O(1) supersteps) — or, warm,
-	// read the plan's connectivity bit and skip the query entirely.
-	if pl != nil {
-		c.SkipComm(pl.CCCost.Collectives, pl.CCCost.Words)
-		if !pl.Connected {
-			side := make([]bool, n)
-			for v := range side {
-				side[v] = pl.Labels[v] == pl.Labels[0]
-			}
-			return &CutResult{Value: 0, Side: side}
-		}
-	} else {
-		comp := cc.Parallel(c, n, local, st.Derive(0xc0), cc.Options{})
-		if comp.Count > 1 {
-			side := make([]bool, n)
-			for v := range side {
-				side[v] = comp.Labels[v] == comp.Labels[0]
-			}
-			return &CutResult{Value: 0, Side: side}
-		}
-	}
-
-	var m int
-	if pl != nil {
-		m = pl.M
-		c.SkipComm(pl.CountCost.Collectives, pl.CountCost.Words)
-	} else {
-		m = int(dist.CountEdges(c, local))
-	}
-	trials := Trials(n, m, opts.SuccessProb)
-	if opts.MaxTrials > 0 && trials > opts.MaxTrials {
-		trials = opts.MaxTrials
-	}
-	cp := opts.Checkpoint
-	if cp != nil {
-		cp.plan(n, m, trials)
-	}
-
-	var bestVal uint64 = math.MaxUint64
-	// bestTrial is the schedule-independent tie-break: the lowest trial
-	// index attaining bestVal wins the global argmin, so the returned
-	// side never depends on which rank ran which trial. The min-degree
-	// cut ranks after every trial (sentinel index = trials).
-	bestTrial := trials
-	var bestSide []bool
-	p := c.Size()
-
 	// Replicate the graph (or read the plan's shared replicated view —
-	// rank-order reassembly makes them identical); distribute trials.
+	// rank-order reassembly makes them identical). This is the only
+	// communication before the trials: everything below is a local pass
+	// over the same bytes on every rank, so every rank computes the same
+	// values.
 	var all []graph.Edge
 	if pl != nil {
 		all = pl.Edges
@@ -133,15 +86,68 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		all = dist.AllGatherEdges(c, local)
 	}
 	g := &graph.Graph{N: n, Edges: all}
+
+	// A disconnected input has minimum cut 0. Warm, the plan's
+	// connectivity bit answers without a scan.
+	if pl != nil && !pl.Connected || pl == nil && !g.IsConnected() {
+		return &CutResult{Value: 0, Side: g.ComponentOf(0)}
+	}
+
+	m := len(all)
+	trials := Trials(n, m, opts.SuccessProb)
+	if opts.MaxTrials > 0 && trials > opts.MaxTrials {
+		trials = opts.MaxTrials
+	}
+
+	// The min-degree (singleton) cut is the initial best of rank 0 and of
+	// every rank that runs a trial, from before its first one; rank 0's
+	// stands in the argmin for the ranks that run none. bestTrial is the
+	// schedule-independent tie-break: the lowest trial index attaining
+	// bestVal wins the global argmin, so the returned side never depends
+	// on which rank ran which trial. The singleton ranks after every trial
+	// (sentinel index = trials).
+	var bestVal uint64 = math.MaxUint64
+	var bestSide []bool
+	bestTrial := trials
+	cp := opts.Checkpoint
+	if cp != nil {
+		cp.plan(n, m, trials)
+	}
+	seedBest := func() {
+		bestVal, bestSide = minDegreeCut(g)
+		if cp != nil {
+			// Seeded with the singleton before this rank's trials, the
+			// checkpoint never takes a bounded trial's (≥ bound, nil)
+			// return as its best.
+			cp.noteBound(bestVal, bestSide)
+		}
+	}
+	if c.Rank() == 0 {
+		seedBest()
+	}
+	p := c.Size()
+
 	a := getKSArena()
-	first := edgeSampler(all)
+	var first *rng.PrefixSampler // built by the first trial this rank runs
 	runTrial := func(i int) {
-		// Only a cut below bestVal can matter: a rank runs its trials in
-		// increasing index order, so a later trial cannot win a tie. The
-		// bound changes which leaves solve, never the draws or the work
-		// count, so the argmin and the words moved stay
-		// schedule-independent (MaxOps is not; see dynamicTrials).
-		val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bestVal)
+		if first == nil {
+			if bestSide == nil {
+				seedBest()
+			}
+			first = edgeSampler(all)
+		}
+		// Only a cut that beats the best can matter. A rank runs its
+		// trials in increasing index order, so a later trial cannot win a
+		// tie against an earlier one; but every trial wins a tie against
+		// the singleton, so while the singleton holds, a trial of its value
+		// must still solve. The bound changes which leaves solve, never
+		// the draws or the work count, so the argmin and the words moved
+		// stay schedule-independent (MaxOps is not; see dynamicTrials).
+		bound := bestVal
+		if bestTrial == trials && bound < math.MaxUint64 {
+			bound++
+		}
+		val, side, work := sequentialTrial(a, g, first, st.At(uint32(i), trialLane), bound)
 		c.Ops(work)
 		if cp != nil {
 			cp.note(val, side)
@@ -169,42 +175,6 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		dynamicTrials(c, trials, runTrial)
 	}
 	putKSArena(a)
-
-	// Fold in the min-degree (singleton) cut — from the plan's degree
-	// array when warm, otherwise computed distributedly.
-	var minV int
-	var minD uint64
-	if pl != nil {
-		minV, minD = pl.MinDegVertex, pl.MinDegree
-		c.SkipComm(pl.DegreeCost.Collectives, pl.DegreeCost.Words)
-	} else {
-		deg := make([]uint64, n)
-		for _, e := range local {
-			deg[e.U] += e.W
-			deg[e.V] += e.W
-		}
-		deg = c.AllReduce(deg, bsp.OpSum)
-		minV, minD = 0, deg[0]
-		for v := 1; v < n; v++ {
-			if deg[v] < minD {
-				minV, minD = v, deg[v]
-			}
-		}
-	}
-	if minD < bestVal {
-		bestVal = minD
-		bestTrial = trials
-		bestSide = make([]bool, n)
-		bestSide[minV] = true
-	}
-	if cp != nil && c.Rank() == 0 {
-		// The min-degree cut is a deterministic bound, not a trial; fold
-		// it into the checkpoint so a cancellation during the final
-		// argmin/broadcast still degrades to the freshest best.
-		side := make([]bool, n)
-		side[minV] = true
-		cp.noteBound(minD, side)
-	}
 
 	// Global argmin across processors — (value, trial index) with
 	// lexicographic order, so the winner is the same cut whichever rank

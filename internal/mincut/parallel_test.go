@@ -17,18 +17,16 @@ func parallelCut(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options)
 	return res
 }
 
-// parallelCutStats is parallelCut plus the run's BSP ledger.
+// parallelCutStats is parallelCut plus the run's BSP ledger. Each rank
+// reads its block of g's edges in place, so the ledger is the kernel's
+// alone.
 func parallelCutStats(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options) (*CutResult, *bsp.Stats) {
 	t.Helper()
 	var res *CutResult
 	stats, err := bsp.Run(p, func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
+		lo, hi := dist.BlockRange(len(g.Edges), p, c.Rank())
 		st := rng.New(seed, uint32(c.Rank()), 0)
-		r := Parallel(c, n, local, st, opts)
+		r := Parallel(c, g.N, g.Edges[lo:hi], st, opts)
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -78,17 +76,28 @@ func TestParallelMatchesStoerWagner(t *testing.T) {
 	}
 }
 
+// TestParallelDisconnected: a disconnected input's cut is 0 with vertex
+// 0's component as the side. Cold, the run finds that after its one
+// superstep, the edge gather; warm, the plan's connectivity bit answers
+// with no superstep at all.
 func TestParallelDisconnected(t *testing.T) {
 	g := graph.New(12)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, 5)
 	g.AddEdge(3, 4, 5)
-	got := parallelCut(t, g, 3, 1, Options{})
-	if got.Value != 0 {
-		t.Errorf("disconnected: %d, want 0", got.Value)
-	}
-	if !got.Check(g) {
-		t.Error("inconsistent zero-cut partition")
+	want := fmt.Sprint(g.ComponentOf(0))
+	for _, p := range []int{1, 2, 4} {
+		for _, pl := range []*graph.Plan{nil, g.Snapshot().PlanFacts()} {
+			got, st := parallelCutStats(t, g, p, 1, Options{Plan: pl})
+			wantSS := 1
+			if pl != nil {
+				wantSS = 0
+			}
+			if got.Value != 0 || fmt.Sprint(got.Side) != want || st.Supersteps != wantSS {
+				t.Errorf("p=%d warm=%v: value %d, %d supersteps (want 0, %d), side %v, want %s",
+					p, pl != nil, got.Value, st.Supersteps, wantSS, got.Side, want)
+			}
+		}
 	}
 }
 
@@ -133,11 +142,11 @@ func TestParallelGroupModeSingleGroup(t *testing.T) {
 // changes the answer: every trial runs whole on one rank from a stream
 // keyed by its index, so value, side and trial count equal the one-rank
 // run at every p — including p above the trial count, where the extra
-// ranks claim nothing. Supersteps are pinned too. From p = 2 on they are
-// the p = 2 static run's count plus the dynamic scheduler's
-// ⌈min(4p, t)/p⌉−1 claim rounds, which vanish at p ≥ t. (A one-rank
-// machine's connectivity check and collectives take fewer supersteps, so
-// p = 1 has its own count.)
+// ranks claim nothing. Supersteps are pinned too: the edge gather, the
+// dynamic scheduler's ⌈min(4p, t)/p⌉−1 claim rounds (none at p = 1 or
+// p ≥ t), the argmin AllGather and the side broadcast — one superstep
+// for these small sides, none on a one-rank machine. Nothing else
+// communicates.
 func TestParallelIndependentOfP(t *testing.T) {
 	const trials = 4
 	inputs := []struct {
@@ -152,7 +161,6 @@ func TestParallelIndependentOfP(t *testing.T) {
 		for seed := uint64(1); seed <= 8; seed++ {
 			opts := Options{MaxTrials: trials, Schedule: SchedStatic}
 			ref := parallelCut(t, in.g, 1, seed, opts)
-			_, base := parallelCutStats(t, in.g, 2, seed, opts)
 			for _, sched := range []Schedule{SchedStatic, SchedDynamic} {
 				opts.Schedule = sched
 				for _, p := range []int{1, 2, 3, 4, 5, 8, 16} {
@@ -162,12 +170,12 @@ func TestParallelIndependentOfP(t *testing.T) {
 						t.Fatalf("%s: (value %d, trials %d) differs from p=1's (%d, %d) or its side does",
 							where, got.Value, got.Trials, ref.Value, ref.Trials)
 					}
-					if p == 1 {
-						continue
-					}
-					want := base.Supersteps
-					if sched == SchedDynamic {
-						want += (min(4*p, trials)+p-1)/p - 1
+					want := 2 // gather, argmin
+					if p > 1 {
+						want++ // side broadcast
+						if sched == SchedDynamic {
+							want += (min(4*p, trials)+p-1)/p - 1
+						}
 					}
 					if st.Supersteps != want {
 						t.Fatalf("%s: %d supersteps, want %d", where, st.Supersteps, want)

@@ -45,9 +45,9 @@ func ccGraph() *graph.Graph {
 
 // mincutGraph is the repeated-mincut workload: a sparse graph queried
 // with MaxTrials=1 at p=16 — the cheap screening query a serving tier
-// issues repeatedly — where the cold path's per-query connectivity
-// check (n-word label broadcasts), degree AllReduce, and p-way edge
-// replication are a large fixed tax next to the single eager trial.
+// issues repeatedly — where the cold path's p-way edge replication and
+// its connectivity scan are a large fixed tax next to the single eager
+// trial.
 func mincutGraph() *graph.Graph {
 	g := gen.ErdosRenyiM(16384, 16384, 7, gen.Config{MaxWeight: 4})
 	for v := 1; v < g.N; v++ {

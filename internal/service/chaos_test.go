@@ -83,10 +83,10 @@ func TestChaosDegradedMincut(t *testing.T) {
 // and hits the next Sync — not after the remaining seconds of trials.
 func TestChaosSlowProcessorRelease(t *testing.T) {
 	reg := faults.New(1).Add(faults.Rule{
-		Kind: faults.Stall, Rank: 1, Superstep: 2, Delay: 600 * time.Millisecond,
+		Kind: faults.Stall, Rank: 1, Superstep: 0, Delay: 600 * time.Millisecond,
 	})
-	// DisablePlans: the stall rule targets a cold-path superstep index;
-	// warm plans would remove it and the rule would never fire.
+	// DisablePlans: the stall rule targets the cold path's edge gather;
+	// a warm plan would skip it and the rule would never fire.
 	e := newTestEngine(t, Config{Workers: 1, MaxProcessors: 2, Faults: reg, DisablePlans: true})
 	if _, err := e.Registry().Put("big", testGraph(3000, 9000)); err != nil {
 		t.Fatal(err)
@@ -100,9 +100,9 @@ func TestChaosSlowProcessorRelease(t *testing.T) {
 	if reg.TotalFired() == 0 {
 		t.Fatal("the stall rule never fired")
 	}
-	// The stall sits in the early supersteps (component check), before
-	// any trial completes: nothing to degrade to, so the query resolves
-	// as cancelled once the straggler clears its superstep.
+	// The stall sits in the edge gather, before any trial completes:
+	// nothing to degrade to, so the query resolves as cancelled once the
+	// straggler clears its superstep.
 	if err == nil {
 		if !reply.Result.Degraded {
 			t.Fatalf("run completed normally in %v — the deadline never landed", elapsed)

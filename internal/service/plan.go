@@ -15,12 +15,11 @@ import (
 // buildPlan computes the snapshot-resident plan for one (graph, machine
 // size): the sequential facts from PlanFacts, plus a *measured* cost
 // table — the builder runs each cold collective a warm query will skip
-// (connectivity check, edge count, edge replication, degree reduction,
-// total weight) once on a real p-processor machine and reads its Stats,
-// so SkipComm later reports exactly what the implementation would have
-// charged, not a hand-derived formula. The build is pure overhead on the
-// first query of a (version, p) pair and is amortized by every query
-// after it.
+// (connectivity labelling, edge replication, total weight) once on a
+// real p-processor machine and reads its Stats, so SkipComm later
+// reports exactly what the implementation would have charged, not a
+// hand-derived formula. The build is pure overhead on the first query of
+// a (version, p) pair and is amortized by every query after it.
 func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 	pl := sg.Snap.PlanFacts()
 	pl.Version = sg.Version
@@ -33,24 +32,12 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 		body func(c *bsp.Comm, local []graph.Edge)
 	}{
 		{&pl.CCCost, func(c *bsp.Comm, local []graph.Edge) {
-			// The same stream a cold mincut query burns on its CC check; the
-			// seed only perturbs the sampling rounds, so seed 1 is a faithful
-			// cost proxy for any query seed.
-			cc.Parallel(c, n, local, rng.New(1, uint32(c.Rank()), 0).Derive(0xc0), cc.Options{})
-		}},
-		{&pl.CountCost, func(c *bsp.Comm, local []graph.Edge) {
-			dist.CountEdges(c, local)
+			// The seed only perturbs the sampling rounds, so seed 1 is a
+			// faithful cost proxy for any query seed.
+			cc.Parallel(c, n, local, rng.New(1, uint32(c.Rank()), 0), cc.Options{})
 		}},
 		{&pl.GatherCost, func(c *bsp.Comm, local []graph.Edge) {
 			dist.AllGatherEdges(c, local)
-		}},
-		{&pl.DegreeCost, func(c *bsp.Comm, local []graph.Edge) {
-			deg := make([]uint64, n)
-			for _, e := range local {
-				deg[e.U] += e.W
-				deg[e.V] += e.W
-			}
-			c.AllReduce(deg, bsp.OpSum)
 		}},
 		{&pl.WeightCost, func(c *bsp.Comm, local []graph.Edge) {
 			dist.TotalWeight(c, local)

@@ -1,12 +1,10 @@
 // Package sparsify implements the paper's communication-avoiding
-// sparsification (§3.1): drawing s edges from a distributed edge array,
-// each independently with probability proportional to its weight, in O(1)
-// supersteps and O(s + p) communication volume (Lemmas 3.1 and 3.2).
-//
-// Two variants are provided: the weighted scheme used by iterated
-// sampling for minimum cuts, and the cheaper unweighted oversampling
-// scheme (Chernoff-bounded) used by the connected-components algorithm,
-// which skips the root's distribution step and samples O(1) per edge.
+// sparsification (§3.1) in the form the connected-components algorithm
+// uses: an unweighted oversampling scheme (Chernoff-bounded) that draws
+// about s edges from a distributed edge array in O(1) supersteps without
+// the root's distribution step, sampling O(1) per edge. The weighted
+// scheme of Lemma 3.2 has no caller here: the exact min cut replicates
+// the graph and each trial samples its edges locally.
 package sparsify
 
 import (
@@ -16,88 +14,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	xsort "repro/internal/sort"
 )
-
-// Weighted draws s edges from the distributed edge array, each slot
-// independently holding edge e with probability w(e)/W (with
-// replacement). The permuted sample is returned at the root; other ranks
-// return nil. It takes O(1) supersteps, O(s+p) communication volume,
-// O(s log n + m/p) time (Lemma 3.2).
-//
-// Steps: ① gather per-slice weights W_i at the root; ② the root draws the
-// multinomial split of s slots over processors and scatters the counts;
-// ③ each processor draws its quota from its slice by binary search over
-// local cumulative weights; ④ the root gathers and randomly permutes the
-// sample (the order matters for prefix selection downstream).
-func Weighted(c *bsp.Comm, root int, local []graph.Edge, s int, st *rng.Stream) []graph.Edge {
-	p := c.Size()
-
-	// ① Local weight sums, gathered at the root.
-	var wi uint64
-	for _, e := range local {
-		wi += e.W
-	}
-	c.Ops(uint64(len(local)))
-	sums := c.Gather(root, []uint64{wi})
-
-	// ② Root distributes the s slots over processors proportionally to
-	// W_i. The per-rank counts are one-word windows into a single pooled
-	// buffer (the samplers do not retain their weight slices, so the
-	// borrowed buffers go straight back to the pool).
-	var counts [][]uint64
-	if c.Rank() == root {
-		weights := xsort.BorrowWords(p)
-		var total uint64
-		for r := 0; r < p; r++ {
-			weights[r] = sums[r][0]
-			total += sums[r][0]
-		}
-		flat := xsort.BorrowWords(p)
-		counts = make([][]uint64, p)
-		for r := range counts {
-			flat[r] = 0
-			counts[r] = flat[r : r+1 : r+1]
-		}
-		if total > 0 {
-			alias := rng.NewAliasSampler(weights)
-			for k := 0; k < s; k++ {
-				counts[alias.Sample(st)][0]++
-			}
-			c.Ops(uint64(s))
-		}
-		xsort.ReleaseWords(weights)
-		defer xsort.ReleaseWords(flat)
-	}
-	quota := int(c.Scatter(root, counts)[0])
-
-	// ③ Draw the local quota by weight-proportional selection.
-	chosen := make([]graph.Edge, 0, quota)
-	if quota > 0 {
-		weights := xsort.BorrowWords(len(local))
-		for i, e := range local {
-			weights[i] = e.W
-		}
-		ps := rng.NewPrefixSampler(weights)
-		xsort.ReleaseWords(weights)
-		for k := 0; k < quota; k++ {
-			chosen = append(chosen, local[ps.Sample(st)])
-		}
-		c.Ops(uint64(len(local)) + uint64(quota)*uint64(math.Ilogb(float64(len(local)+2))+1))
-	}
-	gathered := gatherEdges(c, root, chosen)
-	if c.Rank() != root {
-		return nil
-	}
-
-	// ④ Random permutation at the root, required so that every edge is
-	// equally likely at every sample position (Lemma 3.1).
-	st.Shuffle(len(gathered), func(i, j int) {
-		gathered[i], gathered[j] = gathered[j], gathered[i]
-	})
-	c.Ops(uint64(len(gathered)))
-	return gathered
-}
 
 // Unweighted draws an (over)sample of about s edges uniformly from the
 // distributed edge array without the root round-trip: each processor

@@ -1,7 +1,6 @@
 package sparsify
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/bsp"
@@ -10,141 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// runWeighted distributes g over p processors and draws a weighted sample
-// of size s, returning it (from the root).
-func runWeighted(t *testing.T, g *graph.Graph, p, s int, seed uint64) []graph.Edge {
-	t.Helper()
-	var sample []graph.Edge
-	_, err := bsp.Run(p, func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		_, local := dist.ScatterGraph(c, 0, in)
-		st := rng.New(seed, uint32(c.Rank()), 0)
-		got := Weighted(c, 0, local, s, st)
-		if c.Rank() == 0 {
-			sample = got
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sample
-}
-
-func TestWeightedSampleSize(t *testing.T) {
-	g := gen.ErdosRenyiM(60, 400, 3, gen.Config{MaxWeight: 20})
-	for _, p := range []int{1, 2, 4} {
-		sample := runWeighted(t, g, p, 150, 42)
-		if len(sample) != 150 {
-			t.Errorf("p=%d: sample size %d, want 150", p, len(sample))
-		}
-		for _, e := range sample {
-			if int(e.U) >= g.N || int(e.V) >= g.N || e.W == 0 {
-				t.Fatalf("p=%d: invalid sampled edge %v", p, e)
-			}
-		}
-	}
-}
-
-func TestWeightedProportionalToWeight(t *testing.T) {
-	// A 4-edge graph with very skewed weights; draw many samples and
-	// check the empirical frequency of the heavy edge (Lemma 3.1).
-	g := graph.New(5)
-	g.AddEdge(0, 1, 80)
-	g.AddEdge(1, 2, 10)
-	g.AddEdge(2, 3, 5)
-	g.AddEdge(3, 4, 5)
-	sample := runWeighted(t, g, 2, 20000, 7)
-	heavy := 0
-	for _, e := range sample {
-		if e.W == 80 {
-			heavy++
-		}
-	}
-	rate := float64(heavy) / float64(len(sample))
-	if math.Abs(rate-0.8) > 0.02 {
-		t.Errorf("heavy edge rate = %v, want ~0.8", rate)
-	}
-}
-
-func TestWeightedPositionUniformity(t *testing.T) {
-	// Lemma 3.1 requires every position of the sample to have the same
-	// distribution. The heavy edge must appear at the first position with
-	// the same frequency as anywhere else. All edges live on processor 0
-	// to stress the permutation step.
-	g := graph.New(3)
-	g.AddEdge(0, 1, 90)
-	g.AddEdge(1, 2, 10)
-	firstHeavy := 0
-	const trials = 400
-	for trial := 0; trial < trials; trial++ {
-		sample := runWeighted(t, g, 3, 5, uint64(trial+1000))
-		if sample[0].W == 90 {
-			firstHeavy++
-		}
-	}
-	rate := float64(firstHeavy) / trials
-	if math.Abs(rate-0.9) > 0.07 {
-		t.Errorf("P[first sample = heavy] = %v, want ~0.9", rate)
-	}
-}
-
-func TestWeightedEmptyGraph(t *testing.T) {
-	g := graph.New(10) // no edges
-	sample := runWeighted(t, g, 3, 50, 1)
-	if len(sample) != 0 {
-		t.Errorf("sampled %d edges from empty graph", len(sample))
-	}
-}
-
-func TestWeightedNonRootGetsNil(t *testing.T) {
-	g := gen.Cycle(20, 1)
-	_, err := bsp.Run(3, func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		_, local := dist.ScatterGraph(c, 0, in)
-		st := rng.New(5, uint32(c.Rank()), 0)
-		got := Weighted(c, 0, local, 10, st)
-		if c.Rank() != 0 && got != nil {
-			t.Errorf("rank %d received a sample", c.Rank())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedSupersteps(t *testing.T) {
-	// O(1) supersteps regardless of p and s.
-	g := gen.ErdosRenyiM(100, 800, 4, gen.Config{MaxWeight: 3})
-	var steps [2]int
-	for i, p := range []int{2, 8} {
-		st, err := bsp.Run(p, func(c *bsp.Comm) {
-			var in *graph.Graph
-			if c.Rank() == 0 {
-				in = g
-			}
-			_, local := dist.ScatterGraph(c, 0, in)
-			stream := rng.New(9, uint32(c.Rank()), 0)
-			Weighted(c, 0, local, 200, stream)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps[i] = st.Supersteps
-	}
-	if steps[0] != steps[1] {
-		t.Errorf("superstep count depends on p: %v", steps)
-	}
-	if steps[0] > 8 {
-		t.Errorf("sparsification used %d supersteps, want O(1) small", steps[0])
-	}
-}
 
 func runUnweighted(t *testing.T, g *graph.Graph, p, s int, seed uint64) []graph.Edge {
 	t.Helper()
