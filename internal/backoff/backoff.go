@@ -1,6 +1,7 @@
 // Package backoff is the repo's one capped-exponential retry delay: the
-// frontend's transport retries, the mesh's dial loop and the supervisor's
-// respawn loop all draw from it, each with its own base and cap.
+// frontend's transport retries, the mesh's dial loop, the supervisor's
+// respawn loop and the engine's transient-fault retry all draw from it,
+// each with its own base and cap.
 package backoff
 
 import (

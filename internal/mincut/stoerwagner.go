@@ -6,13 +6,6 @@ import (
 	"repro/internal/graph"
 )
 
-// StoerWagnerMaxN is the largest vertex count the query planner may
-// route to StoerWagner: the dense adjacency matrix costs n² words
-// (32 MiB at n=2048) and the n³ row scans stop being competitive with
-// contraction trials well below that. Direct callers are not bound by
-// it.
-const StoerWagnerMaxN = 2048
-
 // StoerWagner computes the exact global minimum cut deterministically by
 // maximum-adjacency search (Stoer & Wagner, JACM 1997) — the paper's "SW"
 // baseline. This adjacency-matrix implementation runs n-1 phases of O(n²)

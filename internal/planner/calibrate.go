@@ -141,7 +141,7 @@ func (pl *Planner) CalibrateBuiltins(maxP int) error {
 	}
 	for i := range suite {
 		for _, k := range KernelsFor(suite[i].alg) {
-			if k.Shared && (k.MaxN <= 0 || suite[i].g.N <= k.MaxN) {
+			if k.Shared {
 				s, _ := measure(k, &suite[i], nil)
 				samples[k.Name] = append(samples[k.Name], s)
 			}

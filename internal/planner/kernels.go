@@ -18,8 +18,7 @@ import (
 // the capped double-sweep diameter estimate, and the weight skew.
 // WeightSkew rides along for the decision trace and future formulas; the
 // shipped cost models are skew-invariant (the CC sparsifier samples
-// unweighted and Stoer–Wagner is exact regardless of weights), and live
-// refits absorb residual weight effects through measured time.
+// unweighted, and the Karger–Stein formula counts edges, not weight).
 type GraphStats struct {
 	N           int
 	M           int
@@ -141,9 +140,6 @@ type Kernel struct {
 	// machine at all; the planner only considers it when the request
 	// does not pin p > 1.
 	Shared bool
-	// MaxN, when positive, bounds eligible graph sizes (Stoer–Wagner's
-	// dense adjacency matrix is quadratic memory).
-	MaxN int
 	// Cost estimates the kernel's BSP cost profile on a graph with the
 	// given statistics at machine size p. Predicted features approximate
 	// the implementation's measured accounting (the fit maps measured
@@ -170,13 +166,12 @@ type Kernel struct {
 // Kernel names. Cache keys use these, so they are part of the query
 // identity.
 const (
-	KernelCCSampling   = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
-	KernelCCLowRound   = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
-	KernelCCLabelProp  = "labelprop"   // cc.LabelPropagation — PBGL baseline
-	KernelCCShared     = "shared"      // cc.SharedAdaptive — p=1, no machine
-	KernelMCKargerSt   = "kargerstein" // mincut.Parallel — contraction trials
-	KernelMCStoerWagnr = "stoerwagner" // mincut.StoerWagner — deterministic O(n³), p=1
-	KernelApproxCut    = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
+	KernelCCSampling  = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
+	KernelCCLowRound  = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
+	KernelCCLabelProp = "labelprop"   // cc.LabelPropagation — PBGL baseline
+	KernelCCShared    = "shared"      // cc.SharedAdaptive — p=1, no machine
+	KernelMCKargerSt  = "kargerstein" // mincut.Parallel — contraction trials
+	KernelApproxCut   = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
 )
 
 var (
@@ -335,7 +330,7 @@ func init() {
 		},
 	})
 
-	// ---- Mincut portfolio ----
+	// ---- Mincut: one member, scored for its machine size ----
 	Register(&Kernel{
 		Name: KernelMCKargerSt, Algorithm: "mincut", Default: true,
 		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
@@ -363,18 +358,6 @@ func init() {
 			}))
 		},
 		NewCheckpoint: func() Checkpoint { return mincutCheckpoint{mincut.NewCheckpoint()} },
-	})
-	Register(&Kernel{
-		Name: KernelMCStoerWagnr, Algorithm: "mincut", Shared: true,
-		MaxN: mincut.StoerWagnerMaxN,
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n := float64(st.N)
-			// n-1 maximum-adjacency phases of O(n²) row scans.
-			return perfmodel.Sample{Comp: n*n*n/2 + n*n, P: 1}
-		},
-		Run: func(_ *bsp.Comm, n int, edges []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
-			return cutOutcome(mincut.StoerWagner(&graph.Graph{N: n, Edges: edges}))
-		},
 	})
 
 	// ---- Approximate cut: one member, no cost model, never scored ----

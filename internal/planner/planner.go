@@ -3,9 +3,7 @@
 // candidate with §5's fitted performance model T = A·Comp +
 // B·Volume·log₂p + C·Supersteps + D and dispatches the winner. Model
 // constants are fitted per kernel from a startup calibration suite
-// (calibrate.go) and, in adaptive mode, refitted from live execution
-// samples, so predicted-vs-actual error self-corrects toward the
-// machine the daemon actually runs on.
+// (calibrate.go) run on the machine the daemon serves from.
 //
 // The planner never affects results — every portfolio kernel is
 // result-equivalent (bit-identical CC labels, identical cut values; see
@@ -29,11 +27,8 @@ const (
 	// ModeOff disables planning: every query runs the default kernel at
 	// the heuristic p (the pre-portfolio behavior).
 	ModeOff Mode = "off"
-	// ModeStatic plans from the startup calibration only.
+	// ModeStatic plans from the models fitted by the startup calibration.
 	ModeStatic Mode = "static"
-	// ModeAdaptive additionally refits each kernel's model from live
-	// execution samples.
-	ModeAdaptive Mode = "adaptive"
 )
 
 // ParseMode parses a -planner flag value. The empty string is ModeOff.
@@ -43,10 +38,8 @@ func ParseMode(s string) (Mode, error) {
 		return ModeOff, nil
 	case ModeStatic:
 		return ModeStatic, nil
-	case ModeAdaptive:
-		return ModeAdaptive, nil
 	}
-	return ModeOff, fmt.Errorf("planner: unknown mode %q (want off|static|adaptive)", s)
+	return ModeOff, fmt.Errorf("planner: unknown mode %q (want off|static)", s)
 }
 
 // Decision is the planner's answer for one query: which kernel at which
@@ -72,34 +65,21 @@ type Decision struct {
 	Fallback bool
 }
 
-const (
-	windowCap  = 256 // live samples retained per kernel
-	refitEvery = 32  // adaptive refit cadence, in observations
-	refitMin   = 8   // minimum window before any refit
-)
-
-type kernelState struct {
-	model      *perfmodel.Model
-	window     *perfmodel.Window
-	sinceRefit int
-}
-
 // Planner scores kernel×p candidates and tracks its own accuracy.
 type Planner struct {
 	mode Mode
 
 	mu      sync.Mutex
-	state   map[string]*kernelState
+	models  map[string]*perfmodel.Model
 	choices map[string]uint64
 	// decisions counts Choose calls; fallbacks those without a usable
 	// model. executed/diverged/wins track observed executions of planned
-	// queries; refits counts adaptive model refreshes.
+	// queries.
 	decisions uint64
 	fallbacks uint64
 	executed  uint64
 	diverged  uint64
 	wins      uint64
-	refits    uint64
 	absErrSum float64 // Σ |predicted-actual|/actual over executed
 	errCount  uint64
 	calErr    string // startup calibration failure, surfaced in Snapshot
@@ -111,7 +91,7 @@ type Planner struct {
 func New(mode Mode) *Planner {
 	return &Planner{
 		mode:    mode,
-		state:   make(map[string]*kernelState),
+		models:  make(map[string]*perfmodel.Model),
 		choices: make(map[string]uint64),
 	}
 }
@@ -119,40 +99,24 @@ func New(mode Mode) *Planner {
 // Mode reports the planner's mode.
 func (pl *Planner) Mode() Mode { return pl.mode }
 
-func (pl *Planner) stateFor(kernel string) *kernelState {
-	ks := pl.state[kernel]
-	if ks == nil {
-		ks = &kernelState{window: perfmodel.NewWindow(windowCap)}
-		pl.state[kernel] = ks
-	}
-	return ks
-}
-
 // SetModel installs a fitted model for kernel, replacing any previous
 // one. Tests use it to pin deterministic decisions.
 func (pl *Planner) SetModel(kernel string, m *perfmodel.Model) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.stateFor(kernel).model = m
+	pl.models[kernel] = m
 }
 
 // Fit fits a model for kernel from measured samples, surfacing the
 // perfmodel error instead of leaving a silent default: a kernel whose
 // fit fails stays uncalibrated, and decisions needing it fall back
-// (counted in Snapshot().Fallbacks). Successful samples also seed the
-// kernel's live refit window.
+// (counted in Snapshot().Fallbacks).
 func (pl *Planner) Fit(kernel string, samples []perfmodel.Sample) error {
 	m, err := perfmodel.FitRobust(samples)
 	if err != nil {
 		return fmt.Errorf("planner: calibrating %q (%d samples): %w", kernel, len(samples), err)
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	ks := pl.stateFor(kernel)
-	ks.model = m
-	for _, s := range samples {
-		ks.window.Add(s)
-	}
+	pl.SetModel(kernel, m)
 	return nil
 }
 
@@ -170,18 +134,7 @@ func (pl *Planner) SetCalibrationError(err error) {
 }
 
 // Calibrated returns the sorted names of kernels holding a fitted model.
-func (pl *Planner) Calibrated() []string {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	var out []string
-	for name, ks := range pl.state {
-		if ks.model != nil {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (pl *Planner) Calibrated() []string { return pl.Snapshot().Calibrated }
 
 // HeuristicP is the planner-off machine sizing: an explicit request is
 // honored (clamped to maxP); otherwise p doubles while each processor
@@ -231,8 +184,8 @@ func candidatePs(explicit, maxP int) []int {
 // Choose picks the kernel×p candidate with the lowest predicted time
 // for alg on a graph with the given statistics. Ties and the
 // no-usable-model case resolve to the default kernel at the heuristic
-// p; candidates without a calibrated model, shared kernels under an
-// explicit p>1, and kernels whose MaxN excludes the graph are skipped.
+// p; candidates without a calibrated model and shared kernels under an
+// explicit p>1 are skipped.
 // Deterministic: registration order breaks kernel ties, ascending order
 // breaks p ties.
 func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP int) Decision {
@@ -250,8 +203,8 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		pl.fallbacks++
 		return Decision{P: hp, DefaultP: hp, Fallback: true}
 	}
-	defKS := pl.state[def.Name]
-	if defKS == nil || defKS.model == nil {
+	defModel := pl.models[def.Name]
+	if defModel == nil {
 		pl.fallbacks++
 		pl.choices[def.Name]++
 		return Decision{
@@ -260,15 +213,12 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 			Fallback: true,
 		}
 	}
-	defPred := defKS.model.Predict(def.Cost(st, hp, par))
+	defPred := defModel.Predict(def.Cost(st, hp, par))
 
 	bestK, bestP, bestPred := def.Name, hp, defPred
 	for _, k := range KernelsFor(alg) {
-		ks := pl.state[k.Name]
-		if ks == nil || ks.model == nil {
-			continue
-		}
-		if k.MaxN > 0 && st.N > k.MaxN {
+		model := pl.models[k.Name]
+		if model == nil {
 			continue
 		}
 		var ps []int
@@ -281,7 +231,7 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 			ps = candidatePs(explicitP, maxP)
 		}
 		for _, p := range ps {
-			if pred := ks.model.Predict(k.Cost(st, p, par)); pred < bestPred {
+			if pred := model.Predict(k.Cost(st, p, par)); pred < bestPred {
 				bestK, bestP, bestPred = k.Name, p, pred
 			}
 		}
@@ -294,39 +244,25 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 	}
 }
 
-// Observe feeds one completed execution back: s carries the measured
-// cost profile and wall time (seconds), dec the decision that scheduled
-// it (nil for unplanned executions, which still feed adaptive refits).
-// Wins are divergent decisions whose measured time beat the predicted
-// default-path time.
-func (pl *Planner) Observe(kernel string, s perfmodel.Sample, dec *Decision) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if dec != nil && !dec.Fallback {
-		pl.executed++
-		actualMs := s.Time * 1000
-		if dec.PredictedMs > 0 && actualMs > 0 {
-			pl.absErrSum += math.Abs(dec.PredictedMs-actualMs) / actualMs
-			pl.errCount++
-		}
-		if dec.Diverged {
-			pl.diverged++
-			if actualMs <= dec.DefaultPredictedMs {
-				pl.wins++
-			}
-		}
-	}
-	if pl.mode != ModeAdaptive {
+// Observe feeds one completed planned execution back: timeMs is its
+// measured wall time, dec the decision that scheduled it. Wins are
+// divergent decisions whose measured time beat the predicted default-path
+// time.
+func (pl *Planner) Observe(timeMs float64, dec *Decision) {
+	if dec.Fallback {
 		return
 	}
-	ks := pl.stateFor(kernel)
-	ks.window.Add(s)
-	ks.sinceRefit++
-	if ks.sinceRefit >= refitEvery && ks.window.Len() >= refitMin {
-		ks.sinceRefit = 0
-		if m, err := perfmodel.FitRobust(ks.window.Samples()); err == nil {
-			ks.model = m
-			pl.refits++
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.executed++
+	if dec.PredictedMs > 0 && timeMs > 0 {
+		pl.absErrSum += math.Abs(dec.PredictedMs-timeMs) / timeMs
+		pl.errCount++
+	}
+	if dec.Diverged {
+		pl.diverged++
+		if timeMs <= dec.DefaultPredictedMs {
+			pl.wins++
 		}
 	}
 }
@@ -348,13 +284,12 @@ type Snapshot struct {
 	// a calibrated default model. Executed counts observed runs of
 	// planned queries; Diverged those where the planner overrode the
 	// default choice; Wins the overrides whose measured time beat the
-	// predicted default path. Refits counts adaptive model refreshes.
+	// predicted default path.
 	Decisions uint64 `json:"decisions"`
 	Fallbacks uint64 `json:"fallbacks"`
 	Executed  uint64 `json:"executed"`
 	Diverged  uint64 `json:"diverged"`
 	Wins      uint64 `json:"wins"`
-	Refits    uint64 `json:"refits"`
 	// WinRate is Wins/Diverged; MeanAbsErr is the mean of
 	// |predicted-actual|/actual over executed planned queries.
 	WinRate    float64                   `json:"win_rate"`
@@ -379,7 +314,6 @@ func (pl *Planner) Snapshot() *Snapshot {
 		Executed:         pl.executed,
 		Diverged:         pl.diverged,
 		Wins:             pl.wins,
-		Refits:           pl.refits,
 	}
 	if pl.diverged > 0 {
 		sn.WinRate = float64(pl.wins) / float64(pl.diverged)
@@ -393,14 +327,11 @@ func (pl *Planner) Snapshot() *Snapshot {
 			sn.Choices[k] = v
 		}
 	}
-	for name, ks := range pl.state {
-		if ks.model == nil {
-			continue
-		}
+	for name, m := range pl.models {
 		if sn.Models == nil {
 			sn.Models = make(map[string]ModelConstants)
 		}
-		sn.Models[name] = ModelConstants{A: ks.model.A, B: ks.model.B, C: ks.model.C, D: ks.model.D}
+		sn.Models[name] = ModelConstants{A: m.A, B: m.B, C: m.C, D: m.D}
 		sn.Calibrated = append(sn.Calibrated, name)
 	}
 	sort.Strings(sn.Calibrated)

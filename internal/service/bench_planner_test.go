@@ -53,9 +53,9 @@ func plannerSmallGraph() *graph.Graph {
 	return g
 }
 
-// plannerMincutGraph is the small-n exact-cut workload: well under
-// mincut.StoerWagnerMaxN, where the planner routes away from
-// Karger–Stein's trial bill to the deterministic O(n³) kernel.
+// plannerMincutGraph is the small connected exact-cut workload of the
+// prediction batch: planner-scheduled Karger–Stein runs whose measured
+// times the info-only accounting rows compare with their predictions.
 func plannerMincutGraph() *graph.Graph {
 	g := gen.ErdosRenyiM(150, 600, 7, gen.Config{MaxWeight: 4})
 	for v := 1; v < g.N; v++ {
@@ -155,10 +155,10 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	snap.Add(benchsnap.Exact, "lowround_components", float64(lr.Result.Components), 0, 0)
 
 	// --- prediction: feed the planner a batch of small unpinned mincut
-	// queries — the divergence with the widest predicted margin (exact
-	// cut on n ≪ StoerWagnerMaxN routes to Stoer–Wagner, displacing
-	// Karger–Stein's trial bill), so the win-rate baseline is robust —
-	// and snapshot the accounting over everything above.
+	// queries — eight more planned executions, each observed against its
+	// prediction — and snapshot the accounting over everything above.
+	// These rows are info only: they compare a measured time with a
+	// model's prediction.
 	for i := 0; i < 8; i++ {
 		if _, err := pe.Query(context.Background(), QueryRequest{Graph: "mc", Algorithm: AlgMinCut, NoCache: true}); err != nil {
 			return err

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/bsp"
 	"repro/internal/faults"
 	"repro/internal/mincut"
@@ -51,10 +51,10 @@ type Config struct {
 	// default; see internal/faults.
 	Faults *faults.Registry
 	// DisablePlans turns off snapshot-resident query plans: every query
-	// runs the full cold path (per-query connectivity check, edge count,
-	// replication, and degree collectives). Plans are on by default; the
-	// switch exists for A/B benchmarking and for tests that target the
-	// cold path's exact superstep structure.
+	// runs the full cold path (the CC labelling, the edge gather, and the
+	// total-weight AllReduce). Plans are on by default; the switch exists
+	// for A/B benchmarking and for tests that target the cold path's exact
+	// superstep structure.
 	DisablePlans bool
 	// Executor, when non-nil, replaces in-process kernel execution: every
 	// query runs through it at its fixed machine size (the shard tier
@@ -64,8 +64,7 @@ type Config struct {
 	// Planner selects the cost-model query planner mode: "off" (default
 	// and any unparseable value) runs every query on the default kernel
 	// at the heuristic p; "static" scores the kernel portfolio with
-	// models fitted once at startup; "adaptive" additionally refits them
-	// from live execution samples. Ignored when Executor is set (a
+	// models fitted once at startup. Ignored when Executor is set (a
 	// distributed machine's kernel and size are fixed by its worker
 	// group).
 	Planner string
@@ -143,6 +142,7 @@ type Engine struct {
 	cache     *lruCache
 	collector *trace.Collector
 	planner   *planner.Planner // nil when planning is off
+	retry     *backoff.Jitter  // the delay before a transient fault's one retry
 	started   time.Time
 
 	mu       sync.Mutex
@@ -161,6 +161,7 @@ func NewEngine(cfg Config) *Engine {
 		reg:       NewRegistry(),
 		cache:     newLRUCache(cfg.CacheCapacity),
 		collector: trace.NewCollector(),
+		retry:     backoff.New(retryDelayCap, retryDelayCap, 1),
 		started:   time.Now(),
 		inflight:  make(map[string]*call),
 		jobs:      make(chan *call, cfg.QueueBound),
@@ -221,6 +222,10 @@ func (e *Engine) worker() {
 	}
 }
 
+// retryDelayCap bounds the jittered sleep before a transient fault's one
+// retry (Engine.retry draws it uniformly from [0, retryDelayCap]).
+const retryDelayCap = 10 * time.Millisecond
+
 // serve runs one call to completion: execute, absorb a single transient
 // fault with a jittered retry, classify the final error, and publish.
 // Cancelled, faulted, and degraded results are never cached.
@@ -239,7 +244,7 @@ func (e *Engine) serve(c *call) {
 			// an injected failure). The jittered backoff decorrelates
 			// retries of coalesced call groups that faulted together.
 			e.collector.Observe(trace.QuerySample{Algorithm: c.alg, Outcome: trace.OutcomeRetried})
-			time.Sleep(time.Duration(2+rand.Intn(8)) * time.Millisecond)
+			time.Sleep(e.retry.Delay(0))
 			if c.ctx.Err() == nil {
 				c.res, c.err = e.attempt(c)
 			}
@@ -261,7 +266,7 @@ func (e *Engine) serve(c *call) {
 	if c.err == nil && c.dec != nil {
 		c.res.Kernel.PredictedMs = c.dec.PredictedMs
 		if e.planner != nil && !c.res.Degraded {
-			e.observePlanned(c)
+			e.planner.Observe(c.res.Kernel.TimeMs, c.dec)
 		}
 	}
 	if c.err == nil && !c.res.Degraded {
@@ -341,9 +346,6 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams
 			}
 			rs.P = 1
 		}
-		if k.MaxN > 0 && sg.Snap.N() > k.MaxN {
-			return rs, fmt.Errorf("%w: kernel %q is bounded to n ≤ %d (graph has %d vertices)", ErrBadRequest, k.Name, k.MaxN, sg.Snap.N())
-		}
 		rs.Kernel = k.Name
 		return rs, nil
 	}
@@ -356,25 +358,6 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams
 	// kernel ("" when none is registered) at the heuristic p.
 	rs.dec, rs.Kernel, rs.P = &dec, dec.Kernel, dec.P
 	return rs, nil
-}
-
-// observePlanned feeds one successful planned execution back into the
-// planner: win/error accounting against the decision, and (in adaptive
-// mode) a live sample for the chosen kernel's refit window. BSP kernels
-// report their measured ledger features; shared kernels have no ledger,
-// so they report the same formula features Choose predicts with — each
-// model stays self-consistent with how it is queried.
-func (e *Engine) observePlanned(c *call) {
-	k := planner.Lookup(c.alg, c.Kernel)
-	if k == nil {
-		return
-	}
-	s := modelSample(&c.res.Kernel)
-	if k.Shared {
-		s = k.Cost(planner.StatsOf(c.Graph.Snap), 1, plannerParams(c.alg, c.Graph, c.Params))
-	}
-	s.Time = c.res.Kernel.TimeMs / 1000
-	e.planner.Observe(c.Kernel, s, c.dec)
 }
 
 // plannerParams resolves the per-query knobs the cost formulas consume:

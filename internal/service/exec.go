@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bsp"
-	"repro/internal/perfmodel"
 	"repro/internal/planner"
 	"repro/internal/trace"
 )
@@ -41,10 +40,9 @@ type QueryRequest struct {
 	// from the graph (clamped to the engine's MaxProcessors either way).
 	Processors int `json:"processors,omitempty"`
 	// Kernel pins a specific portfolio kernel ("sampling", "lowround",
-	// "labelprop", "shared" for cc; "kargerstein", "stoerwagner" for
-	// mincut), bypassing the planner. Empty lets the planner (or, with the
-	// planner off, the default kernel) decide. Shared-memory kernels
-	// reject Processors > 1.
+	// "labelprop", "shared" for cc; "kargerstein" for mincut), bypassing
+	// the planner. Empty lets the planner (or, with the planner off, the
+	// default kernel) decide. Shared-memory kernels reject Processors > 1.
 	Kernel string `json:"kernel,omitempty"`
 	// SuccessProb targets the exact min cut success probability
 	// (default 0.9).
@@ -148,17 +146,6 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 	}
 }
 
-// modelSample is the execution's ledger as the planner's cost model
-// reads it (§5: ops, volume·log p, supersteps); the caller stamps Time.
-func modelSample(k *KernelStats) perfmodel.Sample {
-	return perfmodel.Sample{
-		Comp:       float64(k.MaxOps),
-		Volume:     float64(k.CommVolume),
-		Supersteps: float64(k.Supersteps),
-		P:          float64(k.P),
-	}
-}
-
 // Run is the one way a query's kernel is executed: it resolves (alg,
 // kern) in the planner's kernel table ("" = the algorithm's default
 // member) and drives Kernel.Exec over the snapshot's frozen edge array in
@@ -233,9 +220,9 @@ func retryHint(elapsed time.Duration, done, planned int) int64 {
 // and content fingerprint, algorithm, resolved kernel, machine size, and
 // every normalized tuning parameter. Two requests with equal keys are
 // the same computation — safe to coalesce and to serve from cache. The
-// kernel is part of the identity because the planner resolves it per
-// query: an adaptive refit may route the next identical request to a
-// different (result-equivalent) kernel, which must not collide.
+// kernel is part of the identity because a pin and the planner may
+// resolve equal parameters to different (result-equivalent) kernels,
+// whose reported profiles differ.
 func cacheKey(sg *StoredGraph, alg, kern string, p int, pr planner.RunParams) string {
 	return fmt.Sprintf("%s@%d#%016x|%s|k%s|p%d|s%d|e%g|sp%g|mt%d|t%d|pl%t",
 		sg.Name, sg.Version, sg.Snap.Fingerprint(), alg, kern, p,

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -17,12 +18,11 @@ func testModels() map[string]*perfmodel.Model {
 	bsp := &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5}
 	shared := &perfmodel.Model{A: 1e-9, D: 1e-6}
 	return map[string]*perfmodel.Model{
-		planner.KernelCCSampling:   bsp,
-		planner.KernelCCLowRound:   bsp,
-		planner.KernelCCLabelProp:  bsp,
-		planner.KernelCCShared:     shared,
-		planner.KernelMCKargerSt:   {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
-		planner.KernelMCStoerWagnr: shared,
+		planner.KernelCCSampling:  bsp,
+		planner.KernelCCLowRound:  bsp,
+		planner.KernelCCLabelProp: bsp,
+		planner.KernelCCShared:    shared,
+		planner.KernelMCKargerSt:  {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
 	}
 }
 
@@ -130,9 +130,6 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mcOn.Result.Kernel.Kernel != planner.KernelMCStoerWagnr {
-		t.Fatalf("planner-on mincut kernel = %q, want stoerwagner (injected models)", mcOn.Result.Kernel.Kernel)
-	}
 	if mcOff.Result.Value != mcOn.Result.Value {
 		t.Fatalf("cut value diverged: off %d, on %d", mcOff.Result.Value, mcOn.Result.Value)
 	}
@@ -204,8 +201,13 @@ func TestKernelPinning(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: "bogus"}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("unknown kernel error = %v, want ErrBadRequest", err)
+	for _, req := range []QueryRequest{
+		{Graph: "g", Algorithm: AlgCC, Kernel: "bogus"},
+		{Graph: "g", Algorithm: AlgMinCut, Kernel: "stoerwagner"},
+	} {
+		if _, err := e.Query(ctx, req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "unknown kernel") {
+			t.Fatalf("%s pin error = %v, want ErrBadRequest unknown kernel", req.Kernel, err)
+		}
 	}
 	if _, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCShared, Processors: 4}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("shared kernel with p=4 error = %v, want ErrBadRequest", err)
