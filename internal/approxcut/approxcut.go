@@ -14,8 +14,11 @@
 // variants from the paper are provided: the fully pipelined one (every
 // trial of every iteration goes through one such round — O(1)
 // supersteps) and the practical early-stopping one (iterations run in
-// order, a round each, and stop at the first disconnection — O(log µ)
-// supersteps, less space and time when the cut is small).
+// order and stop at the first disconnection — O(log µ) supersteps, less
+// space and time when the cut is small). Its rounds are shifted back by
+// one trial: the first probes level 1's first trial alone, and each
+// later one finishes a level and probes the next, so a level whose first
+// trial disconnects draws no other.
 package approxcut
 
 import (
@@ -141,31 +144,43 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		maxIter = 1
 	}
 
-	// The early-stopping variant scans one level per round and stops at
-	// the first disconnection; the pipelined one scans them all at once.
-	step := 1
+	// Both variants walk the level-major (level, trial) sequence, pair k
+	// being trial k%trials of level 1+k/trials, in windows of one round
+	// each, and stop at the first disconnected pair. The pipelined
+	// variant's one window is every pair. The early-stopping variant's
+	// first window is level 1's first trial alone — the probe — and every
+	// later one the rest of a level plus the next level's probe: when a
+	// level's first trial already disconnects, as it does at the answer
+	// level of a sparse cut, its other trials are never drawn. Cold, the
+	// input must be shown connected for the estimate to mean anything: the
+	// first window carries a forest of every rank's whole block ahead of
+	// its trials.
+	total := maxIter * trials
+	to := 1
 	if opts.Pipelined {
-		step = maxIter
+		to = total
 	}
-	// Cold, the input must be shown connected for the estimate to mean
-	// anything: the first round carries a forest of every rank's whole
-	// block ahead of its trials.
-	for lo := 1; lo <= maxIter; lo += step {
-		hi := lo + step - 1
-		i := scan(c, n, local, st, trials, lo, hi, pl == nil && lo == 1)
-		if i == inputDisconnected {
+	var coins rng.Bits
+	for from := 0; from < total; from, to = to, min(to+trials, total) {
+		k := scan(c, n, local, st, trials, from, to, pl == nil && from == 0, &coins)
+		if k == inputDisconnected {
 			return &Result{Value: 0}
 		}
-		if i != 0 {
+		if k != noDisconnection {
+			i := 1 + k/trials
+			iters := i
+			if opts.Pipelined {
+				iters = maxIter
+			}
 			return &Result{
 				Value:              uint64(1) << uint(i),
-				Iterations:         hi,
+				Iterations:         iters,
 				TrialsPerIteration: trials,
 				Disconnected:       true,
 			}
 		}
 		if opts.Checkpoint != nil {
-			opts.Checkpoint.note(hi, trials, maxIter)
+			opts.Checkpoint.note(to/trials, trials, maxIter)
 		}
 	}
 	return &Result{
@@ -190,36 +205,44 @@ func keepThreshold(i int, w uint64) uint64 {
 	return uint64(math.Ceil(keepProb(i, w) * (1 << 53)))
 }
 
-// inputDisconnected is scan's verdict when the base forests show the
-// input itself disconnected.
-const inputDisconnected = -1
+// scan's verdicts besides the index of a disconnected pair: no pair of
+// the window disconnected, or the base forests show the input itself
+// disconnected.
+const (
+	noDisconnection   = -1
+	inputDisconnected = -2
+)
 
-// scan samples `trials` subgraphs at each sparsity level lo..hi and
-// returns the first level at which one of them is disconnected, 0 if
-// none is. Nothing is materialised: per (level, trial) a rank draws its
-// slice's edges straight into an n-vertex union-find and keeps only the
-// ones that merged two sets — a spanning forest of its share of the
-// sample, as a count-prefixed section of packed words u<<32|v (the wire
-// format of sparsify.UnweightedForest). With base set, a section with a
-// spanning forest of the rank's whole slice, drawn without coins, goes
-// ahead of the trials'. One superstep ships the buffers to the root,
-// which re-unions the sections trial by trial (the base section first:
-// if the input itself is disconnected the verdict is inputDisconnected)
-// and broadcasts the verdict, a single word.
+// scan samples pairs from..to-1 of the level-major (level, trial)
+// sequence — pair k is trial k%trials of sparsity level 1+k/trials — and
+// returns the index of the first one whose subgraph is disconnected,
+// noDisconnection if none is. Nothing is materialised: per pair a rank
+// draws its slice's edges straight into an n-vertex union-find and keeps
+// only the ones that merged two sets — a spanning forest of its share of
+// the sample, as a count-prefixed section of packed words u<<32|v (the
+// wire format of sparsify.UnweightedForest). With base set, a section
+// with a spanning forest of the rank's whole slice, drawn without coins,
+// goes ahead of the pairs'. One superstep ships the buffers to the root,
+// which re-unions the sections pair by pair (the base section first: if
+// the input itself is disconnected the verdict is inputDisconnected) and
+// broadcasts the verdict, a single word.
 //
 // Level i's coins come from one rng.Bits over st.Derive(i), read on
 // through all of the level's trials in trial-major, edge-minor order:
 // each edge reads only the bits that decide it, one at level 1 on unit
-// weights, two on average.
-func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, lo, hi int, base bool) int {
+// weights, two on average. The reader is *coins, which a window starting
+// at a level's trial 0 replaces and every other window reads on, so the
+// caller scans consecutive windows with one coins and where a boundary
+// falls changes no draw and no verdict.
+func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, from, to int, base bool, coins *rng.Bits) int {
 	const root = 0
 	uf := graph.GetUnionFind(n)
 	defer graph.PutUnionFind(uf)
 	section := min(len(local), n-1) + 1
-	// One level's worst case and the base section. A pipelined scan lets
-	// append grow it by what its sparser levels really keep, not by
+	// At most a level's worst case and the base section. A pipelined scan
+	// lets append grow it by what its sparser levels really keep, not by
 	// levels× as much.
-	buf := c.Buffer((trials + 1) * section)[:0]
+	buf := c.Buffer((min(to-from, trials) + 1) * section)[:0]
 	if base {
 		uf.Reset(n)
 		buf = append(buf, 0)
@@ -231,31 +254,31 @@ func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, lo, hi
 		buf[0] = uint64(len(buf) - 1)
 		c.Ops(uint64(len(local)))
 	}
-	var coins rng.Bits
-	for lt := 0; lt < (hi-lo+1)*trials; lt++ {
-		// The scan is one compute phase of trials·m/p draws per level
-		// with no Sync inside, so it polls the abort flag itself and a
-		// cancelled machine unwinds at the Sync below.
+	bits := *coins
+	for k := from; k < to; k++ {
+		// The scan is one compute phase of (to-from)·m/p draws with no
+		// Sync inside, so it polls the abort flag itself and a cancelled
+		// machine unwinds at the Sync below.
 		if c.Aborting() {
 			break
 		}
-		i := lo + lt/trials
-		if lt%trials == 0 {
-			coins = rng.NewBits(st.Derive(uint32(i)))
+		i := 1 + k/trials
+		if k%trials == 0 {
+			bits = rng.NewBits(st.Derive(uint32(i)))
 		}
 		uf.Reset(n)
 		head := len(buf)
 		buf = append(buf, 0)
 		// keep is the threshold for the weight last seen.
 		var w, keep uint64
-		for k := range local {
-			e := &local[k]
+		for j := range local {
+			e := &local[j]
 			if e.W != w {
 				w, keep = e.W, keepThreshold(i, e.W)
 			}
-			kept, ok := coins.TryBelow(keep)
+			kept, ok := bits.TryBelow(keep)
 			if !ok {
-				kept = coins.Below(keep)
+				kept = bits.Below(keep)
 			}
 			if kept && uf.Union(e.U, e.V) {
 				buf = append(buf, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
@@ -263,11 +286,13 @@ func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, lo, hi
 		}
 		buf[head] = uint64(len(buf) - head - 1)
 	}
-	c.Ops(uint64(len(local)) * uint64(trials) * uint64(hi-lo+1))
+	*coins = bits
+	c.Ops(uint64(len(local)) * uint64(to-from))
 	if c.Rank() != root {
 		c.SendOwned(root, buf)
 	}
 	c.Sync()
+	// The verdict word is 1 + the disconnected pair's index, 0 for none.
 	verdict := []uint64{0}
 	if c.Rank() == root {
 		parts := c.RecvAll()
@@ -289,19 +314,16 @@ func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, lo, hi
 		if base && merge() {
 			verdict[0] = math.MaxUint64
 		} else {
-		levels:
-			for i := lo; i <= hi; i++ {
-				for t := 0; t < trials; t++ {
-					if merge() {
-						verdict[0] = uint64(i)
-						break levels
-					}
+			for k := from; k < to; k++ {
+				if merge() {
+					verdict[0] = uint64(k) + 1
+					break
 				}
 			}
 		}
 	}
 	if v := c.Broadcast(root, verdict)[0]; v != math.MaxUint64 {
-		return int(v)
+		return int(v) - 1
 	}
 	return inputDisconnected
 }

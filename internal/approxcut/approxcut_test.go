@@ -163,7 +163,8 @@ func TestPipelinedConstantSupersteps(t *testing.T) {
 	// §3.3: the pipelined variant performs O(1) supersteps — a single
 	// scan round over all trials of all levels — independent of the
 	// weight range, while the early-stopping variant's superstep count
-	// grows with log µ (one round per sparsity level examined).
+	// grows with log µ (level 1's probe round, then a round per sparsity
+	// level examined).
 	light := gen.Cycle(48, 1)   // min cut 2: early stopping exits level 1
 	heavy := gen.Cycle(48, 256) // min cut 512: early stopping walks ~9 levels
 	steps := func(g *graph.Graph, opts Options) int {

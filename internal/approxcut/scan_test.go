@@ -36,12 +36,14 @@ func onBlocks[T any](t testing.TB, g *graph.Graph, p int, seed uint64, body func
 	return out
 }
 
-// refScan is the test-only reference for scan: it materialises every
-// trial's kept edges — the same per-rank streams, each level's coins
-// flipped through one rng.Bits in trial-major, edge-minor order — and
-// asks cc.Sequential whether the sampled subgraph is connected.
-func refScan(g *graph.Graph, p int, seed uint64, trials, lo, hi int) int {
-	for i := lo; i <= hi; i++ {
+// refScan is the test-only reference for scan: it materialises the
+// sampled subgraph of every pair from..to-1 of the level-major (level,
+// trial) sequence — the same per-rank streams, each level's coins flipped
+// through one rng.Bits in trial-major, edge-minor order — and returns the
+// index of the first one cc.Sequential finds disconnected,
+// noDisconnection if none is.
+func refScan(g *graph.Graph, p int, seed uint64, trials, from, to int) int {
+	for i := 1 + from/trials; i <= 1+(to-1)/trials; i++ {
 		subs := make([]*graph.Graph, trials)
 		for t := range subs {
 			subs[t] = graph.New(g.N)
@@ -57,13 +59,38 @@ func refScan(g *graph.Graph, p int, seed uint64, trials, lo, hi int) int {
 				}
 			}
 		}
-		for _, sub := range subs {
-			if cc.Sequential(sub).Count > 1 {
-				return i
+		for t, sub := range subs {
+			if k := (i-1)*trials + t; k >= from && k < to && cc.Sequential(sub).Count > 1 {
+				return k
 			}
 		}
 	}
-	return 0
+	return noDisconnection
+}
+
+// scanWindows scans the windows cuts[0]..cuts[1], cuts[1]..cuts[2], …
+// the way Parallel does — one coin reader carried across them, the base
+// forests in the first — and returns the first verdict other than
+// noDisconnection.
+func scanWindows(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials int, cuts []int, base bool) int {
+	var coins rng.Bits
+	for w := 0; w+1 < len(cuts); w++ {
+		if k := scan(c, n, local, st, trials, cuts[w], cuts[w+1], base && w == 0, &coins); k != noDisconnection {
+			return k
+		}
+	}
+	return noDisconnection
+}
+
+// earlyCuts are the early-stopping variant's window bounds over levels
+// levels: the probe [0, 1), then the rest of each level with the next
+// level's probe.
+func earlyCuts(trials, levels int) []int {
+	cuts := []int{0}
+	for to := 1; to < levels*trials; to += trials {
+		cuts = append(cuts, to)
+	}
+	return append(cuts, levels*trials)
 }
 
 func scanInputs() map[string]*graph.Graph {
@@ -81,46 +108,64 @@ func scanInputs() map[string]*graph.Graph {
 }
 
 // TestScanMatchesMaterialisedReference: the forests-and-verdict data path
-// answers exactly what labelling the materialised samples would, one
-// level at a time (the early-stopping variant's call, including levels
-// at which no trial disconnects) and over the whole range at once (the
-// pipelined variant's) — with and without the base forests in front,
-// which change no draw and answer inputDisconnected only for the
-// disconnected input.
+// answers exactly what labelling the materialised samples would — one
+// level per window (including levels at which no trial disconnects), over
+// the whole range at once (the pipelined variant's window), and over
+// windows that split levels (the early-stopping variant's probe-shifted
+// ones, and a window [T-2, T+3) straddling levels 1 and 2): carrying the
+// coin reader across windows changes no draw, so every windowing finds
+// the same first disconnected pair. With the base forests in front no
+// draw changes either, and only the disconnected input answers
+// inputDisconnected.
 func TestScanMatchesMaterialisedReference(t *testing.T) {
 	const trials, levels = 5, 14
+	const total = levels * trials
+	splits := map[string][]int{
+		"early":    earlyCuts(trials, levels),
+		"straddle": {0, trials - 2, trials + 3, total},
+		"ragged":   {0, 3, 4, 2*trials + 1, 3 * trials, 3*trials + 1, total},
+	}
 	for name, g := range scanInputs() {
 		for _, p := range []int{1, 2, 3, 4, 8} {
 			for seed := uint64(1); seed <= 6; seed++ {
 				cleared := 0
 				for i := 1; i <= levels; i++ {
+					from, to := (i-1)*trials, i*trials
 					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
-						return scan(c, g.N, local, st, trials, i, i, false)
+						return scan(c, g.N, local, st, trials, from, to, false, new(rng.Bits))
 					})
-					if want := refScan(g, p, seed, trials, i, i); got != want {
+					if want := refScan(g, p, seed, trials, from, to); got != want {
 						t.Fatalf("%s p=%d seed=%d level %d: scan says %d, reference %d", name, p, seed, i, got, want)
 					}
-					if got == 0 {
+					if got == noDisconnection {
 						cleared++
 					}
 				}
-				want := refScan(g, p, seed, trials, 1, levels)
+				want := refScan(g, p, seed, trials, 0, total)
 				for _, base := range []bool{false, true} {
-					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
-						return scan(c, g.N, local, st, trials, 1, levels, base)
-					})
 					w := want
 					if base && name == "disconnected" {
 						w = inputDisconnected
 					}
+					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
+						return scan(c, g.N, local, st, trials, 0, total, base, new(rng.Bits))
+					})
 					if got != w {
-						t.Fatalf("%s p=%d seed=%d levels 1..%d base=%v: scan says %d, want %d", name, p, seed, levels, base, got, w)
+						t.Fatalf("%s p=%d seed=%d one window base=%v: scan says %d, want %d", name, p, seed, base, got, w)
+					}
+					for split, cuts := range splits {
+						got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
+							return scanWindows(c, g.N, local, st, trials, cuts, base)
+						})
+						if got != w {
+							t.Fatalf("%s p=%d seed=%d %s windows %v base=%v: scan says %d, want %d", name, p, seed, split, cuts, base, got, w)
+						}
 					}
 				}
 				switch name {
 				case "disconnected":
-					if want != 1 {
-						t.Errorf("%s p=%d seed=%d: first disconnected level %d, want 1", name, p, seed, want)
+					if want != 0 {
+						t.Errorf("%s p=%d seed=%d: first disconnected pair %d, want 0", name, p, seed, want)
 					}
 				case "k24-heavy":
 					if cleared == 0 {
@@ -130,6 +175,46 @@ func TestScanMatchesMaterialisedReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzScanWindows cuts the (level, trial) sequence at random points:
+// however the windows fall, the first disconnected pair is the one a
+// single window over every pair finds.
+func FuzzScanWindows(f *testing.F) {
+	const trials, levels = 5, 8
+	const total = levels * trials
+	inputs := scanInputs()
+	var names []string
+	for name := range inputs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	f.Add(uint64(1), uint8(1), false, []byte{0, 4, 5})
+	f.Add(uint64(2), uint8(3), true, []byte{3, 9, 1, 1, 7})
+	f.Add(uint64(7), uint8(2), true, []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, p uint8, base bool, steps []byte) {
+		name := names[seed%uint64(len(names))]
+		g := inputs[name]
+		procs := 1 + int(p%4)
+		cuts := []int{0}
+		for _, b := range steps {
+			next := cuts[len(cuts)-1] + 1 + int(b)%(2*trials)
+			if next >= total {
+				break
+			}
+			cuts = append(cuts, next)
+		}
+		cuts = append(cuts, total)
+		want := onBlocks(t, g, procs, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
+			return scan(c, g.N, local, st, trials, 0, total, base, new(rng.Bits))
+		})
+		got := onBlocks(t, g, procs, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) int {
+			return scanWindows(c, g.N, local, st, trials, cuts, base)
+		})
+		if got != want {
+			t.Fatalf("%s p=%d seed=%d windows %v base=%v: %d, one window %d", name, procs, seed, cuts, base, got, want)
+		}
+	})
 }
 
 // TestParallelMatchesMaterialisedReference holds both variants' results
@@ -145,7 +230,10 @@ func TestParallelMatchesMaterialisedReference(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 4, 8} {
 			for seed := uint64(1); seed <= 6; seed++ {
 				const trials = 5
-				j := refScan(g, p, seed, trials, 1, maxIter)
+				j := 0
+				if k := refScan(g, p, seed, trials, 0, maxIter*trials); k != noDisconnection {
+					j = 1 + k/trials
+				}
 				for _, pipelined := range []bool{false, true} {
 					got := onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) *Result {
 						return Parallel(c, g.N, local, st, Options{Trials: trials, Pipelined: pipelined})
@@ -160,6 +248,89 @@ func TestParallelMatchesMaterialisedReference(t *testing.T) {
 					if *got != want {
 						t.Errorf("%s p=%d seed=%d pipelined=%v: got %+v, want %+v", name, p, seed, pipelined, *got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestProbeDisconnectedColdRunScansOneTrial: on unit weights level 1
+// keeps each edge with probability ½, so a Watts–Strogatz graph's first
+// trial already isolates a vertex. A cold early-stopping run then draws
+// that one trial and nothing else: every non-root rank's operations are
+// its slice once for the base forest and once for the probe, and the run
+// takes the weight reduction's supersteps and one scan round.
+func TestProbeDisconnectedColdRunScansOneTrial(t *testing.T) {
+	g := gen.WattsStrogatz(2048, 8, 0.3, 1, gen.Config{})
+	for _, p := range []int{2, 4} {
+		if k := refScan(g, p, 1, 11, 0, 1); k != 0 {
+			t.Fatalf("p=%d: level 1's probe does not disconnect (%d): pick another graph", p, k)
+		}
+		weight, err := bsp.Run(p, func(c *bsp.Comm) {
+			lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+			dist.TotalWeight(c, g.Edges[lo:hi])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		st, err := bsp.Run(p, func(c *bsp.Comm) {
+			lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
+			r := Parallel(c, g.N, g.Edges[lo:hi], rng.New(1, uint32(c.Rank()), 0), Options{})
+			if c.Rank() == 0 {
+				res = r
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Result{Value: 2, Iterations: 1, TrialsPerIteration: 11, Disconnected: true}); *res != want {
+			t.Errorf("p=%d: got %+v, want %+v", p, *res, want)
+		}
+		if st.Supersteps != weight.Supersteps+2 {
+			t.Errorf("p=%d: %d supersteps, want the weight reduction's %d + one scan round's 2", p, st.Supersteps, weight.Supersteps)
+		}
+		for _, ws := range st.Workers {
+			if ws.Rank == 0 {
+				continue // the root also merges every section
+			}
+			lo, hi := dist.BlockRange(len(g.Edges), p, ws.Rank)
+			if want := uint64(2 * (hi - lo)); ws.Ops != want {
+				t.Errorf("p=%d rank %d: %d ops, want base + one slice = %d", p, ws.Rank, ws.Ops, want)
+			}
+		}
+	}
+}
+
+// TestCheckpointCountsWholeLevels: the early-stopping run notes ⌊to/T⌋
+// cleared levels after each window [from, to) without a disconnection,
+// so when it stops at pair k it holds the levels that window's start had
+// cleared — ⌊(k-1)/T⌋ for k ≥ 1, none when level 1's probe disconnects.
+func TestCheckpointCountsWholeLevels(t *testing.T) {
+	for name, g := range scanInputs() {
+		if name == "disconnected" {
+			continue
+		}
+		maxIter := int(math.Ceil(math.Log2(float64(g.TotalWeight())))) + 1
+		for _, p := range []int{1, 3} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				const trials = 5
+				k := refScan(g, p, seed, trials, 0, maxIter*trials)
+				want := maxIter
+				switch {
+				case k == 0:
+					want = 0
+				case k != noDisconnection:
+					want = (k - 1) / trials
+				}
+				cp := NewCheckpoint()
+				onBlocks(t, g, p, seed, func(c *bsp.Comm, local []graph.Edge, st *rng.Stream) *Result {
+					return Parallel(c, g.N, local, st, Options{Trials: trials, Checkpoint: cp})
+				})
+				iters, tr, planned, ok := cp.Partial()
+				if iters != want || ok != (want > 0) || (ok && (tr != trials || planned != maxIter)) {
+					t.Errorf("%s p=%d seed=%d: stop at pair %d left iterations=%d trials=%d planned=%d ok=%v, want %d levels of %d",
+						name, p, seed, k, iters, tr, planned, ok, want, maxIter)
 				}
 			}
 		}
@@ -220,10 +391,11 @@ func TestSharedInputNeverWritten(t *testing.T) {
 }
 
 // TestCancelMidLevelKeepsPartial cancels the machine as soon as the
-// first level has cleared, i.e. inside the second level's draws: the
-// scan's per-trial abort poll must end the level within a trial or two
-// instead of drawing all of it, and the checkpoint must still hold what
-// had cleared.
+// first level has cleared — after the window holding the rest of level 1
+// and level 2's probe — i.e. inside the next window's draws: the scan's
+// per-trial abort poll must end the window within a trial or two instead
+// of drawing all of it, and the checkpoint must still hold what had
+// cleared, the degraded answer a cancelled query returns.
 func TestCancelMidLevelKeepsPartial(t *testing.T) {
 	// Weight 2^12 on every edge puts the first disconnection near level
 	// 15; 1024 trials make a level long enough (~0.1 s) to time against.

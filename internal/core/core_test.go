@@ -185,16 +185,18 @@ func TestEpsilonOption(t *testing.T) {
 }
 
 func TestApproxTrialsOption(t *testing.T) {
-	g := gen.Cycle(64, 1)
+	// Min cut 16. On unit weights level 1's first trial already cuts a
+	// cycle and no other trial is drawn; at weight 8 it does not, so the
+	// rest of the level's trial forests ship and the trial count shows on
+	// the ledger. 0 means the ⌈log₂n⌉ = 6 default.
+	g := gen.Cycle(64, 8)
 	res, err := ApproxMinCut(g, Options{Processors: 2, Seed: 4, ApproxTrials: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value < 1 || res.Value > 16 {
+	if res.Value < 2 || res.Value > 128 {
 		t.Errorf("estimate %d", res.Value)
 	}
-	// Each sparsity level labels a trials×n vertex space, so the trial
-	// count shows on the ledger; 0 means the ⌈log₂n⌉ = 6 default.
 	def, err := ApproxMinCut(g, Options{Processors: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

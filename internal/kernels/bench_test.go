@@ -397,18 +397,14 @@ func bitsPerCoin(keep uint64, n int) float64 {
 	return float64(coins.Used()) / float64(n)
 }
 
-// approxSupersteps is the superstep count of one cold early-stopping
-// approximate cut at p = 2 on Watts–Strogatz n = 2 048.
-func approxSupersteps() (float64, error) {
+// approxRun is the ledger of one cold early-stopping approximate cut at
+// p = 2 on Watts–Strogatz n = 2 048.
+func approxRun() (*bsp.Stats, error) {
 	g := gen.WattsStrogatz(2048, 8, 0.3, 1, gen.Config{})
-	st, err := bsp.Run(2, func(c *bsp.Comm) {
+	return bsp.Run(2, func(c *bsp.Comm) {
 		lo, hi := dist.BlockRange(len(g.Edges), c.Size(), c.Rank())
 		approxcut.Parallel(c, g.N, g.Edges[lo:hi], rng.New(1, uint32(c.Rank()), 0), approxcut.Options{})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(st.Supersteps), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -569,16 +565,19 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 		fastest(func(b *testing.B) { benchDivSample(b, ds, st) }))
 
 	// The approximate cut's coins: a fair coin must read one bit and a
-	// random threshold about two, and a cold scan must show the input
-	// connected inside its first round — a word per coin or a separate
-	// connectivity run would each move one of these.
+	// random threshold about two, a cold scan must show the input
+	// connected inside its first round, and a level whose first trial
+	// disconnects must draw no other — a word per coin, a separate
+	// connectivity run or a whole level drawn ahead of its probe would
+	// each move one of these.
 	snap.Add(benchsnap.Exact, "rng_bits_per_coin/keep=2^52", bitsPerCoin(1<<52, 100_000), -1, 0)
 	snap.Add(benchsnap.Exact, "rng_bits_per_coin/random", bitsPerCoin(0, 100_000), -1, 0)
-	steps, err := approxSupersteps()
+	ac, err := approxRun()
 	if err != nil {
 		return err
 	}
-	snap.Add(benchsnap.Exact, "approxcut_supersteps/ws2048/p=2", steps, -1, 0)
+	snap.Add(benchsnap.Exact, "approxcut_supersteps/ws2048/p=2", float64(ac.Supersteps), -1, 0)
+	snap.Add(benchsnap.Exact, "approxcut_ops/ws2048/p=2", float64(ac.MaxOps), -1, 0)
 	return nil
 }
 

@@ -292,7 +292,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetQueryUnknownGraph exercises the leader's start/ack round
+// TestFleetPartialReplication exercises the leader's start/ack round
 // failing closed: the graph exists on the leader but not on the peer
 // (registered around the frontend), so the run must be rejected before
 // any superstep, surfacing as a retryable 503.
@@ -314,6 +314,35 @@ func TestFleetPartialReplication(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 reply lacks Retry-After")
+	}
+}
+
+// TestFleetPeerContentMismatch: the peer holds a graph under the name
+// the leader runs, but at another version and with other content. The
+// peer's ack must reject the run at once — a retryable 503 well inside
+// the query deadline — rather than acknowledge it and then sit the run
+// out, which leaves the leader waiting on the peer until the deadline.
+func TestFleetPeerContentMismatch(t *testing.T) {
+	workers, urls := newWorkerGroup(t, 2, 350, nil)
+	waitReady(t, workers[1])
+	if _, err := workers[0].Engine().Registry().Put("twin", gen.Cycle(32, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workers[1].Engine().Registry().PutVersion("twin", 2, gen.Cycle(33, 2)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "twin", Algorithm: service.AlgCC})
+	defer resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d after %v, want 503 (peer holds other content)", resp.StatusCode, elapsed)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 reply lacks Retry-After")
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("rejection took %v, want it from the ack, not the deadline", elapsed)
 	}
 }
 

@@ -90,6 +90,14 @@ type ackResult struct {
 	err  string
 }
 
+// stagedRun is a run a peer has acknowledged: the announcement and the
+// registration it validated, so "go" runs exactly that immutable
+// snapshot even if the name is re-registered in between.
+type stagedRun struct {
+	job ctrlMsg
+	sg  *service.StoredGraph
+}
+
 // Worker is one rank process of a shard group: a mesh endpoint, the
 // job-control state machine, and an HTTP-facing service engine.
 type Worker struct {
@@ -106,7 +114,7 @@ type Worker struct {
 
 	mu     sync.Mutex
 	acks   map[uint64]chan ackResult // leader: pending run acknowledgements
-	staged map[uint64]ctrlMsg        // peer: validated runs awaiting "go"
+	staged map[uint64]stagedRun      // peer: validated runs awaiting "go"
 	closed bool
 	jobs   sync.WaitGroup
 
@@ -132,7 +140,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		faults:     cfg.Faults,
 		jobTimeout: cfg.JobTimeout,
 		acks:       make(map[uint64]chan ackResult),
-		staged:     make(map[uint64]ctrlMsg),
+		staged:     make(map[uint64]stagedRun),
 		meshUp:     make(chan struct{}),
 	}
 	for i := range w.members {
@@ -230,20 +238,26 @@ func (w *Worker) handleControl(src int, epoch uint64, payload []byte) {
 	}
 	switch msg.Type {
 	case "start":
-		w.mu.Lock()
-		closed := w.closed
-		if !closed {
-			w.staged[msg.Run] = msg
-		}
-		w.mu.Unlock()
-		ack := ctrlMsg{Type: "ack", Run: msg.Run, Rank: w.rank, OK: !closed}
-		if closed {
-			ack.Err = "worker shutting down"
-		} else if _, err := w.engine.Registry().Get(msg.Graph); err != nil {
-			ack.OK = false
+		ack := ctrlMsg{Type: "ack", Run: msg.Run, Rank: w.rank}
+		sg, err := w.engine.Registry().Get(msg.Graph)
+		switch {
+		case err != nil:
 			ack.Err = fmt.Sprintf("graph %q not registered on rank %d", msg.Graph, w.rank)
+		case sg.Version != msg.Version && fingerprintOf(sg) != msg.FP:
+			// Version skew alone is benign — startup anti-entropy racing a
+			// direct upload can leave identical content at different
+			// versions on different ranks — so content identity (the
+			// fingerprint) is what gates participation.
+			ack.Err = fmt.Sprintf("rank %d holds other content under %q (version %d, leader's %d)",
+				w.rank, msg.Graph, sg.Version, msg.Version)
+		default:
 			w.mu.Lock()
-			delete(w.staged, msg.Run)
+			if w.closed {
+				ack.Err = "worker shutting down"
+			} else {
+				w.staged[msg.Run] = stagedRun{job: msg, sg: sg}
+				ack.OK = true
+			}
 			w.mu.Unlock()
 		}
 		go w.sendCtrl(src, ack)
@@ -259,7 +273,7 @@ func (w *Worker) handleControl(src int, epoch uint64, payload []byte) {
 		}
 	case "go":
 		w.mu.Lock()
-		job, ok := w.staged[msg.Run]
+		run, ok := w.staged[msg.Run]
 		delete(w.staged, msg.Run)
 		closed := w.closed
 		if ok && !closed {
@@ -267,7 +281,7 @@ func (w *Worker) handleControl(src int, epoch uint64, payload []byte) {
 		}
 		w.mu.Unlock()
 		if ok && !closed {
-			go w.runPeerJob(job)
+			go w.runPeerJob(run)
 		}
 	case "state":
 		if w.rank == 0 {
@@ -290,24 +304,15 @@ func (w *Worker) sendCtrl(dst int, msg ctrlMsg) error {
 
 // runPeerJob is a non-leader rank's share of one distributed run: build
 // the session and machine for the announced run and make the same
-// service.Run call the leader makes. The result is nil here (no global rank
-// 0); errors surface on the leader through the abort protocol, so they
-// are deliberately dropped.
-func (w *Worker) runPeerJob(job ctrlMsg) {
+// service.Run call the leader makes, on the snapshot validated at
+// "start". The result is nil here (no global rank 0); errors surface on
+// the leader through the abort protocol, so they are deliberately
+// dropped.
+func (w *Worker) runPeerJob(run stagedRun) {
 	defer w.jobs.Done()
-	sg, err := w.engine.Registry().Get(job.Graph)
-	if err != nil || (sg.Version != job.Version && fingerprintOf(sg) != job.FP) {
-		// Validated at "start"; a registration that truly changed the
-		// graph's content since then aborts via the leader's timeout.
-		// Version skew alone is benign — startup anti-entropy racing a
-		// direct upload can leave identical content at different
-		// versions on different ranks — so content identity (the
-		// fingerprint) is what gates participation.
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), w.jobTimeout)
 	defer cancel()
-	w.runOnSession(ctx, job.Run, sg, job.Alg, job.Params)
+	w.runOnSession(ctx, run.job.Run, run.sg, run.job.Alg, run.job.Params)
 }
 
 // runOnSession executes one distributed run's local share: session,
