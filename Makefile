@@ -57,7 +57,8 @@ bench-build:
 check: build vet test race bench-build
 
 # Non-test / test Go lines per package of the root module, plus the
-# ROADMAP item 9 budget line (service + shard + transport + benchgate).
+# ROADMAP item 9 budget line (service + shard + transport + benchgate)
+# and the item 6 line (planner + perfmodel).
 loc:
 	@bash scripts/loc.sh
 

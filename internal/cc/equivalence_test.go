@@ -97,9 +97,6 @@ func TestKernelEquivalence(t *testing.T) {
 				})
 			}
 		}
-		t.Run(gname+"/shared-adaptive", func(t *testing.T) {
-			check(t, "shared-adaptive", SharedAdaptive(g))
-		})
 		t.Run(gname+"/shared-unionfind", func(t *testing.T) {
 			check(t, "shared-unionfind", SharedMemory(g, 4))
 		})
@@ -165,14 +162,5 @@ func TestLowRoundPlanShortcut(t *testing.T) {
 	}
 	if st.AvoidedCollectives == 0 || st.AvoidedCommVolume == 0 {
 		t.Errorf("plan shortcut left no avoided-cost trace: %+v", st)
-	}
-}
-
-func TestSharedAdaptiveEmpty(t *testing.T) {
-	if res := SharedAdaptive(graph.New(0)); res.Count != 0 {
-		t.Fatalf("empty graph count = %d", res.Count)
-	}
-	if res := SharedAdaptive(graph.New(5)); res.Count != 5 {
-		t.Fatalf("edgeless count = %d", res.Count)
 	}
 }

@@ -72,14 +72,9 @@ func calibrationSuite() []calGraph {
 // and a single outlier can flip the fitted per-kernel ordering.
 const calReps = 2
 
-// measure runs k over cg calReps times and returns the sample its fit
-// consumes, timed at the fastest rep. On a machine the features are the
-// measured ledger's; a shared member runs on this goroutine and keeps its
-// formula features — the same ones Choose later predicts with.
+// measure runs k over cg on mach calReps times and returns the sample its
+// fit consumes: the measured ledger's features, timed at the fastest rep.
 func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ error) {
-	if k.Shared {
-		s = k.Cost(cg.st, 1, Params{Epsilon: cg.run.Epsilon, Trials: cg.run.MaxTrials})
-	}
 	s.Time = math.MaxFloat64
 	for rep := 0; rep < calReps; rep++ {
 		start := time.Now()
@@ -87,23 +82,21 @@ func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ 
 		if err != nil {
 			return s, err
 		}
-		if !k.Shared {
-			s.Comp, s.Volume = float64(st.MaxOps), float64(st.CommVolume)
-			s.Supersteps, s.P = float64(st.Supersteps), float64(st.P)
-		}
+		s.Comp, s.Volume = float64(st.MaxOps), float64(st.CommVolume)
+		s.Supersteps, s.P = float64(st.Supersteps), float64(st.P)
 		s.Time = min(s.Time, time.Since(start).Seconds())
 	}
 	return s, nil
 }
 
 // CalibrateBuiltins measures every registered kernel over the built-in
-// suite — through the same Kernel.Exec serving and the library use — and fits its
-// model: BSP kernels run on real machines at p in {1,2,4,8,16} (clamped
-// to maxP — the spread in log₂p is what separates the volume constant
-// from the intercept), shared kernels once each. A kernel whose fit
-// fails stays uncalibrated — decisions needing it fall back to the
-// default kernel and count as planner fallbacks — and the joined error
-// reports every such kernel rather than silently defaulting.
+// suite — through the same Kernel.Exec serving and the library use — and
+// fits its model: kernels run on real machines at p in {1,2,4,8,16}
+// (clamped to maxP — the spread in log₂p is what separates the volume
+// constant from the intercept). A kernel whose fit fails stays
+// uncalibrated — decisions needing it fall back to the default kernel
+// and count as planner fallbacks — and the joined error reports every
+// such kernel rather than silently defaulting.
 func (pl *Planner) CalibrateBuiltins(maxP int) error {
 	if maxP < 1 {
 		maxP = 1
@@ -128,9 +121,6 @@ func (pl *Planner) CalibrateBuiltins(maxP int) error {
 		}
 		for i := range suite {
 			for _, k := range KernelsFor(suite[i].alg) {
-				if k.Shared {
-					continue
-				}
 				s, err := measure(k, &suite[i], mach)
 				if err != nil {
 					return err
@@ -139,15 +129,6 @@ func (pl *Planner) CalibrateBuiltins(maxP int) error {
 			}
 		}
 	}
-	for i := range suite {
-		for _, k := range KernelsFor(suite[i].alg) {
-			if k.Shared {
-				s, _ := measure(k, &suite[i], nil)
-				samples[k.Name] = append(samples[k.Name], s)
-			}
-		}
-	}
-
 	var errs []error
 	for _, k := range Kernels() {
 		ss := samples[k.Name]

@@ -136,10 +136,6 @@ type Kernel struct {
 	// Default marks the kernel dispatched when the planner is off or
 	// uncalibrated — the pre-portfolio behavior.
 	Default bool
-	// Shared marks a p=1 shared-memory kernel that runs with no BSP
-	// machine at all; the planner only considers it when the request
-	// does not pin p > 1.
-	Shared bool
 	// Cost estimates the kernel's BSP cost profile on a graph with the
 	// given statistics at machine size p. Predicted features approximate
 	// the implementation's measured accounting (the fit maps measured
@@ -151,12 +147,11 @@ type Kernel struct {
 	Cost func(st GraphStats, p int, par Params) perfmodel.Sample
 	// Run executes the kernel; Exec is its one caller, and the library
 	// facade, serving, failover, distributed workers, and calibration all
-	// go through Exec. A BSP member runs SPMD — every rank calls Run with
+	// go through Exec. Every member runs SPMD — every rank calls Run with
 	// its Comm and its block of the edge array and returns the outcome,
-	// Exec keeps rank 0's; a Shared member is called once, with a nil
-	// Comm and the whole edge array. plan, if any,
-	// is the snapshot-resident plan whose facts replace the matching cold
-	// collectives; cp, if any, is what NewCheckpoint returned for this run.
+	// Exec keeps rank 0's. plan, if any, is the snapshot-resident plan
+	// whose facts replace the matching cold collectives; cp, if any, is
+	// what NewCheckpoint returned for this run.
 	Run func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome
 	// NewCheckpoint, when non-nil, allocates the recorder that lets a
 	// cancelled run degrade to a best-so-far answer.
@@ -166,12 +161,10 @@ type Kernel struct {
 // Kernel names. Cache keys use these, so they are part of the query
 // identity.
 const (
-	KernelCCSampling  = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
-	KernelCCLowRound  = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
-	KernelCCLabelProp = "labelprop"   // cc.LabelPropagation — PBGL baseline
-	KernelCCShared    = "shared"      // cc.SharedAdaptive — p=1, no machine
-	KernelMCKargerSt  = "kargerstein" // mincut.Parallel — contraction trials
-	KernelApproxCut   = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
+	KernelCCSampling = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
+	KernelCCLowRound = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
+	KernelMCKargerSt = "kargerstein" // mincut.Parallel — contraction trials
+	KernelApproxCut  = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
 )
 
 var (
@@ -295,38 +288,6 @@ func init() {
 		},
 		Run: func(c *bsp.Comm, n int, local []graph.Edge, _ RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
 			return ccOutcome(cc.LowRound(c, n, local, cc.Options{Plan: plan}))
-		},
-	})
-	Register(&Kernel{
-		Name: KernelCCLabelProp, Algorithm: "cc",
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			d := float64(st.EstDiameter)
-			// Hook plus two pointer jumps quadruples the propagation reach
-			// per round: Θ(log₄ d) rounds, each with an n-word AllReduce —
-			// the superstep bill the portfolio exists to avoid.
-			rounds := 2 + lg2(1+d)/2
-			return perfmodel.Sample{
-				Comp:       rounds * (m/float64(p) + 4*n),
-				Volume:     rounds * (xVol(p, n) + xVol(p, 1)),
-				Supersteps: 4 * rounds,
-				P:          float64(p),
-			}
-		},
-		Run: func(c *bsp.Comm, n int, local []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
-			return ccOutcome(cc.LabelPropagation(c, n, local))
-		},
-	})
-	Register(&Kernel{
-		Name: KernelCCShared, Algorithm: "cc", Shared: true,
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			// CSR build + neighbor-sampling passes + the non-giant scan;
-			// zero volume, zero supersteps, zero machine spin-up.
-			return perfmodel.Sample{Comp: 2 * (n + m), P: 1}
-		},
-		Run: func(_ *bsp.Comm, n int, edges []graph.Edge, _ RunParams, _ *graph.Plan, _ Checkpoint) *Outcome {
-			return ccOutcome(cc.SharedAdaptive(&graph.Graph{N: n, Edges: edges}))
 		},
 	})
 

@@ -184,8 +184,7 @@ func candidatePs(explicit, maxP int) []int {
 // Choose picks the kernel×p candidate with the lowest predicted time
 // for alg on a graph with the given statistics. Ties and the
 // no-usable-model case resolve to the default kernel at the heuristic
-// p; candidates without a calibrated model and shared kernels under an
-// explicit p>1 are skipped.
+// p; candidates without a calibrated model are skipped.
 // Deterministic: registration order breaks kernel ties, ascending order
 // breaks p ties.
 func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP int) Decision {
@@ -221,16 +220,7 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		if model == nil {
 			continue
 		}
-		var ps []int
-		if k.Shared {
-			if explicitP > 1 {
-				continue
-			}
-			ps = []int{1}
-		} else {
-			ps = candidatePs(explicitP, maxP)
-		}
-		for _, p := range ps {
+		for _, p := range candidatePs(explicitP, maxP) {
 			if pred := model.Predict(k.Cost(st, p, par)); pred < bestPred {
 				bestK, bestP, bestPred = k.Name, p, pred
 			}

@@ -7,18 +7,19 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// bspModel/sharedModel are the fixed constants the deterministic tests
+// bspModel/lightModel are the fixed constants the deterministic tests
 // pin decisions with: 1ns/op, 2ns/word (scaled by log2 p), 1µs/superstep,
-// 50µs of machine overhead for BSP kernels; no overhead for shared ones.
-func bspModel() *perfmodel.Model    { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5} }
-func sharedModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, D: 1e-6} }
+// and 50µs of fixed overhead for bspModel but 1µs for lightModel.
+func bspModel() *perfmodel.Model   { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5} }
+func lightModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6} }
 
+// calibratedCC prices the default sampling kernel with bspModel and
+// lowround with lightModel, so small graphs route to lowround while
+// large volumes still favor sampling.
 func calibratedCC() *Planner {
 	pl := New(ModeStatic)
 	pl.SetModel(KernelCCSampling, bspModel())
-	pl.SetModel(KernelCCLowRound, bspModel())
-	pl.SetModel(KernelCCLabelProp, bspModel())
-	pl.SetModel(KernelCCShared, sharedModel())
+	pl.SetModel(KernelCCLowRound, lightModel())
 	return pl
 }
 
@@ -43,9 +44,16 @@ func TestKernelsPortfolio(t *testing.T) {
 	for _, k := range Kernels() {
 		got = append(got, k.Name)
 	}
-	want := []string{KernelCCSampling, KernelCCLowRound, KernelCCLabelProp, KernelCCShared, KernelMCKargerSt}
+	want := []string{KernelCCSampling, KernelCCLowRound, KernelMCKargerSt}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Kernels() = %v, want %v", got, want)
+	}
+	got = got[:0]
+	for _, k := range KernelsFor("cc") {
+		got = append(got, k.Name)
+	}
+	if want := []string{KernelCCSampling, KernelCCLowRound}; !slices.Equal(got, want) {
+		t.Fatalf(`KernelsFor("cc") = %v, want %v`, got, want)
 	}
 }
 
@@ -98,30 +106,35 @@ func TestChooseFallbackWithoutModels(t *testing.T) {
 	}
 }
 
-func TestChooseSharedForSmallGraphs(t *testing.T) {
+func TestChooseCheaperMemberForSmallGraphs(t *testing.T) {
 	pl := calibratedCC()
 	d := pl.Choose("cc", GraphStats{N: 500, M: 2000, EstDiameter: 6, WeightSkew: 1}, Params{Epsilon: 0.5}, 0, 16)
-	if d.Kernel != KernelCCShared || d.P != 1 {
-		t.Fatalf("small graph decision = %+v, want shared at p=1", d)
+	if d.Kernel != KernelCCLowRound || d.P != 1 {
+		t.Fatalf("small graph decision = %+v, want lowround at p=1", d)
 	}
-	if !d.Diverged && d.DefaultP == 1 && d.DefaultKernel == KernelCCSampling {
-		// shared at p=1 vs sampling at p=1 — still a kernel divergence.
-		t.Fatalf("shared pick not marked diverged: %+v", d)
+	if !d.Diverged || d.DefaultP != 1 || d.DefaultKernel != KernelCCSampling {
+		// lowround at p=1 vs sampling at p=1 — still a kernel divergence.
+		t.Fatalf("lowround pick not marked diverged from sampling at p=1: %+v", d)
 	}
 }
 
 func TestChooseRespectsExplicitP(t *testing.T) {
 	pl := calibratedCC()
-	st := GraphStats{N: 100001, M: 100000, EstDiameter: 100000, WeightSkew: 1}
-	d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 16, 16)
+	// On the small graph lowround at p=1 is cheapest, but a pinned p=16
+	// leaves only p=16 candidates.
+	small := GraphStats{N: 500, M: 2000, EstDiameter: 6, WeightSkew: 1}
+	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 16, 16); d.P != 16 {
+		t.Fatalf("explicit p=16 not honored on a small graph: %+v", d)
+	}
+	path := GraphStats{N: 100001, M: 100000, EstDiameter: 100000, WeightSkew: 1}
+	d := pl.Choose("cc", path, Params{Epsilon: 0.5}, 16, 16)
 	if d.P != 16 {
 		t.Fatalf("explicit p=16 not honored: %+v", d)
 	}
-	if d.Kernel == KernelCCShared {
-		t.Fatalf("shared kernel chosen despite explicit p=16: %+v", d)
-	}
-	if d.Kernel == KernelCCLabelProp {
-		t.Fatalf("label propagation chosen on a high-diameter path: %+v", d)
+	if d.Kernel != KernelCCSampling {
+		// lowround's n-word AllReduce per round outweighs its lighter
+		// overhead on a 100k-vertex path at p=16.
+		t.Fatalf("lowround chosen on a high-diameter path at p=16: %+v", d)
 	}
 }
 
@@ -179,10 +192,8 @@ func TestCalibrateBuiltins(t *testing.T) {
 	if err := pl.CalibrateBuiltins(4); err != nil {
 		t.Fatalf("calibration error: %v", err)
 	}
-	want := []string{KernelCCLabelProp, KernelCCLowRound, KernelCCSampling, KernelCCShared,
-		KernelMCKargerSt}
-	got := pl.Calibrated()
-	if len(got) != len(want) {
+	want := []string{KernelMCKargerSt, KernelCCLowRound, KernelCCSampling}
+	if got := pl.Calibrated(); !slices.Equal(got, want) {
 		t.Fatalf("calibrated kernels = %v, want %v", got, want)
 	}
 	// A calibrated planner must never fall back.

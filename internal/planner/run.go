@@ -2,8 +2,6 @@ package planner
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/dist"
@@ -15,7 +13,6 @@ import (
 //
 //	Shape{P: p}        a pooled in-process machine of p processors
 //	Shape{Machine: m}  the caller-supplied machine (a distributed run)
-//	any Shape          no machine at all, when the kernel is Shared
 type Shape struct {
 	P int
 	// Machine: every process of a TCP machine runs with the same
@@ -69,22 +66,11 @@ func RunBlocks(ctx context.Context, sh Shape, edges []graph.Edge, body func(c *b
 
 // Exec runs k over an n-vertex edge array in shape sh — the one call
 // site of Kernel.Run, shared by the library facade, serving, failover,
-// the shard workers and calibration. A BSP member runs SPMD through
-// RunBlocks; Exec returns rank 0's outcome (nil on a process hosting no
-// rank 0) and the machine's ledger. A Shared member runs once on this
-// goroutine with no machine: cancellation is checked at entry, not
-// mid-kernel, fault injection does not apply, and its ledger is just
-// P = 1, the elapsed time and the "shared" transport. cp, if any, is
-// what k.NewCheckpoint returned for this run.
+// the shard workers and calibration. k runs SPMD through RunBlocks;
+// Exec returns rank 0's outcome (nil on a process hosting no rank 0) and
+// the machine's ledger. cp, if any, is what k.NewCheckpoint returned for
+// this run.
 func (k *Kernel) Exec(ctx context.Context, sh Shape, n int, edges []graph.Edge, par RunParams, cp Checkpoint) (*Outcome, *bsp.Stats, error) {
-	if k.Shared {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", bsp.ErrCancelled, err)
-		}
-		start := time.Now()
-		out := k.Run(nil, n, edges, par, nil, nil)
-		return out, &bsp.Stats{P: 1, MaxAppTime: time.Since(start), Transport: "shared"}, nil
-	}
 	var out *Outcome
 	st, err := RunBlocks(ctx, sh, edges, func(c *bsp.Comm, local []graph.Edge) {
 		if o := k.Run(c, n, local, par, sh.Plan, cp); c.Rank() == 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -338,13 +339,12 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams
 	if req.Kernel != "" {
 		k := planner.Lookup(req.Algorithm, req.Kernel)
 		if k == nil {
-			return rs, fmt.Errorf("%w: unknown kernel %q for algorithm %q", ErrBadRequest, req.Kernel, req.Algorithm)
-		}
-		if k.Shared {
-			if req.Processors > 1 {
-				return rs, fmt.Errorf("%w: kernel %q is shared-memory (p=1), processors=%d conflicts", ErrBadRequest, k.Name, req.Processors)
+			var have []string
+			for _, m := range planner.KernelsFor(req.Algorithm) {
+				have = append(have, m.Name)
 			}
-			rs.P = 1
+			return rs, fmt.Errorf("%w: unknown kernel %q for algorithm %q (have: %s)",
+				ErrBadRequest, req.Kernel, req.Algorithm, strings.Join(have, ", "))
 		}
 		rs.Kernel = k.Name
 		return rs, nil

@@ -39,10 +39,10 @@ type QueryRequest struct {
 	// Processors pins the BSP machine size; 0 lets the scheduler size it
 	// from the graph (clamped to the engine's MaxProcessors either way).
 	Processors int `json:"processors,omitempty"`
-	// Kernel pins a specific portfolio kernel ("sampling", "lowround",
-	// "labelprop", "shared" for cc; "kargerstein" for mincut), bypassing
-	// the planner. Empty lets the planner (or, with the planner off, the
-	// default kernel) decide. Shared-memory kernels reject Processors > 1.
+	// Kernel pins a specific portfolio kernel ("sampling", "lowround" for
+	// cc; "kargerstein" for mincut), bypassing the planner; any other name
+	// is a bad request. Empty lets the planner (or, with the planner off,
+	// the default kernel) decide.
 	Kernel string `json:"kernel,omitempty"`
 	// SuccessProb targets the exact min cut success probability
 	// (default 0.9).

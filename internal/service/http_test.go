@@ -171,6 +171,32 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// A kernel pin that names no member of the algorithm's table — a typo,
+// or a member the table no longer has — is a 400 whose message lists the
+// valid members.
+func TestHTTPUnknownKernelPin(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	for _, c := range []struct{ alg, kernel, want string }{
+		{AlgCC, "shared", `unknown kernel "shared" for algorithm "cc" (have: sampling, lowround)`},
+		{AlgCC, "labelprop", `unknown kernel "labelprop" for algorithm "cc" (have: sampling, lowround)`},
+		{AlgMinCut, "stoerwagner", `unknown kernel "stoerwagner" for algorithm "mincut" (have: kargerstein)`},
+	} {
+		resp := postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "g", Algorithm: c.alg, Kernel: c.kernel})
+		var body struct{ Error string }
+		err := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, c.want) {
+			t.Errorf("%s pin %q: status %d, error %q (%v); want 400 with %q", c.alg, c.kernel, resp.StatusCode, body.Error, err, c.want)
+		}
+	}
+}
+
 // TestHTTPEndToEndCoalescingAndShedding is the acceptance scenario over
 // the wire: upload a graph, issue 64 concurrent identical CC queries and
 // observe exactly one kernel execution via /v1/stats, then overflow the

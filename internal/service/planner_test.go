@@ -11,18 +11,13 @@ import (
 )
 
 // testModels are fixed model constants that make decisions deterministic
-// in tests: BSP kernels pay 50µs of machine overhead, shared kernels
-// 1µs, so small graphs route to the shared path and pinned-p requests
-// stay on the cheapest BSP kernel.
+// in tests: the default sampling kernel pays 50µs of fixed overhead,
+// lowround 1µs, so small graphs route to lowround on a small machine.
 func testModels() map[string]*perfmodel.Model {
-	bsp := &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5}
-	shared := &perfmodel.Model{A: 1e-9, D: 1e-6}
 	return map[string]*perfmodel.Model{
-		planner.KernelCCSampling:  bsp,
-		planner.KernelCCLowRound:  bsp,
-		planner.KernelCCLabelProp: bsp,
-		planner.KernelCCShared:    shared,
-		planner.KernelMCKargerSt:  {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
+		planner.KernelCCSampling: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
+		planner.KernelCCLowRound: {A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6},
+		planner.KernelMCKargerSt: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
 	}
 }
 
@@ -60,23 +55,23 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under the injected constants a 21k-edge graph is far cheaper on the
-	// machine-less shared kernel than on a 4-processor BSP machine: the
-	// planner must override both the kernel and the thresholds' p.
-	if rsOn.Kernel != planner.KernelCCShared || rsOn.P != 1 {
-		t.Fatalf("planner on: decide = kern=%q p=%d, want shared at p=1", rsOn.Kernel, rsOn.P)
+	// Under the injected constants a 21k-edge graph is cheaper on
+	// lowround at a smaller machine than on sampling at the thresholds'
+	// 4 processors: the planner must override both the kernel and the p.
+	if rsOn.Kernel != planner.KernelCCLowRound || rsOn.P == heuristic {
+		t.Fatalf("planner on: decide = kern=%q p=%d, want lowround at p != %d", rsOn.Kernel, rsOn.P, heuristic)
 	}
 	if rsOn.dec == nil || !rsOn.dec.Diverged || rsOn.dec.Fallback {
 		t.Fatalf("planner on: decision = %+v, want diverged non-fallback", rsOn.dec)
 	}
 	// An explicit processor pin is still honored — the planner only picks
-	// among BSP kernels at that p.
+	// among kernels at that p.
 	rsPin, err := on.decide(&QueryRequest{Graph: "g", Algorithm: AlgCC, Processors: 8}, sgOn, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsPin.P != 8 || rsPin.Kernel == planner.KernelCCShared {
-		t.Fatalf("explicit p: decide = kern=%q p=%d, want BSP kernel at p=8", rsPin.Kernel, rsPin.P)
+	if rsPin.P != 8 {
+		t.Fatalf("explicit p: decide = kern=%q p=%d, want p=8", rsPin.Kernel, rsPin.P)
 	}
 }
 
@@ -107,8 +102,8 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ccOn.Result.Kernel.Kernel != planner.KernelCCShared {
-		t.Fatalf("planner-on cc kernel = %q, want shared (injected models)", ccOn.Result.Kernel.Kernel)
+	if ccOn.Result.Kernel.Kernel != planner.KernelCCLowRound {
+		t.Fatalf("planner-on cc kernel = %q, want lowround (injected models)", ccOn.Result.Kernel.Kernel)
 	}
 	if ccOff.Result.Components != ccOn.Result.Components {
 		t.Fatalf("component count diverged: off %d, on %d", ccOff.Result.Components, ccOn.Result.Components)
@@ -181,9 +176,8 @@ func TestKernelPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kern := range []string{
+		planner.KernelCCSampling,
 		planner.KernelCCLowRound,
-		planner.KernelCCLabelProp,
-		planner.KernelCCShared,
 	} {
 		rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: kern, IncludeLabels: true})
 		if err != nil {
@@ -201,27 +195,26 @@ func TestKernelPinning(t *testing.T) {
 			}
 		}
 	}
+	// Names outside the table — including the deleted members — and a cc
+	// kernel on mincut are bad requests.
 	for _, req := range []QueryRequest{
 		{Graph: "g", Algorithm: AlgCC, Kernel: "bogus"},
+		{Graph: "g", Algorithm: AlgCC, Kernel: "labelprop"},
+		{Graph: "g", Algorithm: AlgCC, Kernel: "shared"},
 		{Graph: "g", Algorithm: AlgMinCut, Kernel: "stoerwagner"},
+		{Graph: "g", Algorithm: AlgMinCut, Kernel: planner.KernelCCLowRound},
 	} {
 		if _, err := e.Query(ctx, req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "unknown kernel") {
 			t.Fatalf("%s pin error = %v, want ErrBadRequest unknown kernel", req.Kernel, err)
 		}
 	}
-	if _, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCShared, Processors: 4}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("shared kernel with p=4 error = %v, want ErrBadRequest", err)
-	}
-	if _, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgMinCut, Kernel: planner.KernelCCShared}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("cc kernel on mincut error = %v, want ErrBadRequest", err)
-	}
-	// The shared pin ran with no machine: transport says so.
-	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCShared, NoCache: true})
+	// A pin runs on a machine of the requested size.
+	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCLowRound, Processors: 4, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Result.Kernel.Transport != "shared" || rep.Result.Kernel.P != 1 {
-		t.Fatalf("shared pin kernel stats = %+v", rep.Result.Kernel)
+	if rep.Result.Kernel.Transport != "local" || rep.Result.Kernel.P != 4 {
+		t.Fatalf("pinned lowround at p=4 kernel stats = %+v", rep.Result.Kernel)
 	}
 }
 
@@ -248,9 +241,9 @@ func TestPlannerStatsAccounting(t *testing.T) {
 	if len(st.Queries.Kernels) == 0 {
 		t.Fatal("collector kernel aggregates missing")
 	}
-	agg, ok := st.Queries.Kernels[planner.KernelCCShared]
+	agg, ok := st.Queries.Kernels[planner.KernelCCLowRound]
 	if !ok || agg.Executions == 0 {
-		t.Fatalf("kernel aggregate missing for shared: %+v", st.Queries.Kernels)
+		t.Fatalf("kernel aggregate missing for lowround: %+v", st.Queries.Kernels)
 	}
 	if agg.TotalPredictedMs <= 0 {
 		t.Fatalf("predicted time not aggregated: %+v", agg)

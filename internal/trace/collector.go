@@ -45,9 +45,8 @@ type KernelStats struct {
 	// Zero on cold runs.
 	AvoidedCollectives int    `json:"avoided_collectives"`
 	AvoidedCommVolume  uint64 `json:"avoided_comm_volume"`
-	// Transport labels the BSP fabric that carried the run ("local",
-	// "tcp", "shared" for the machine-less shared-memory kernels);
-	// WireBytes is the framed socket traffic it cost — zero for the
+	// Transport labels the BSP fabric that carried the run ("local" or
+	// "tcp"); WireBytes is the framed socket traffic it cost — zero for the
 	// in-process fabric.
 	Transport string `json:"transport,omitempty"`
 	WireBytes uint64 `json:"wire_bytes,omitempty"`
