@@ -12,7 +12,9 @@
 //   - ApproxMinCut: an O(log n)-approximate global minimum cut with
 //     near-linear work (§3.3);
 //   - MinCut: the exact global minimum cut, w.h.p., via eager sparse
-//     contraction plus recursive contraction (§4).
+//     contraction plus recursive contraction (§4) — or with certainty and
+//     no trials at all when a deterministic Nagamochi–Ibaraki certificate
+//     proves the min-degree cut minimum.
 //
 // Sequential baselines (Stoer–Wagner, Karger–Stein, BFS components) are
 // exported for comparison, along with the synthetic graph generators the
@@ -71,7 +73,8 @@ type Options = core.Options
 type RunStats = core.RunStats
 
 // MinCutResult carries an exact minimum cut: value, one side of the
-// partition, trial count, and the run's cost profile.
+// partition, trial count (0 when the min-degree cut is proven minimum;
+// no randomness drawn), and the run's cost profile.
 type MinCutResult = core.MinCutResult
 
 // ApproxCutResult carries an O(log n)-approximate minimum cut estimate.
@@ -81,7 +84,8 @@ type ApproxCutResult = core.ApproxCutResult
 type CCResult = core.CCResult
 
 // MinCut computes a global minimum cut of g, correct with probability at
-// least opts.SuccessProb.
+// least opts.SuccessProb — with certainty when its certificate proves the
+// min-degree cut minimum, which then returns with Trials 0.
 func MinCut(g *Graph, opts Options) (*MinCutResult, error) { return core.MinCut(g, opts) }
 
 // ApproxMinCut estimates the minimum cut within an O(log n) factor using

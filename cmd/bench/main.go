@@ -113,6 +113,7 @@ func main() {
 		{"abl-sampler", "Ablation: prefix vs alias weighted sampler", runAblSampler},
 		{"abl-network", "Ablation: emulated interconnects (virtual g/L clock)", runAblNetwork},
 		{"abl-flow", "Ablation: min cut via n-1 max-flows (related-work baseline)", runAblFlow},
+		{"certify", "Census: the sparse min-cut certificate on every exact-cut input", runCertify},
 	}
 	byID := map[string]experiment{}
 	var order []string

@@ -5,10 +5,13 @@ import (
 	"log"
 	"runtime"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mincut"
 	"repro/internal/perfmodel"
+	"repro/internal/planner"
 	"repro/internal/stats"
 )
 
@@ -40,9 +43,27 @@ func absf(x float64) float64 {
 	return x
 }
 
+// paperMinCut is §4's exact minimum cut as the paper runs it — every
+// trial drawn, no certificate — on a pooled p-processor machine through
+// the library's block runner, as core.AllMinCuts runs its body. The
+// figures below time it, because core.MinCut proves the min-degree cut
+// minimum on their inputs and then draws no trial at all.
+func paperMinCut(g *graph.Graph, p int, seed uint64, success float64) (uint64, core.RunStats) {
+	par := planner.RunParams{Seed: seed, SuccessProb: success}.Defaulted()
+	var cut uint64
+	st := onBlocks(p, g, func(c *bsp.Comm, local []graph.Edge) {
+		r := mincut.ParallelTrials(c, g.N, local, par.Stream(c), mincut.Options{SuccessProb: par.SuccessProb})
+		if c.Rank() == 0 {
+			cut = r.Value
+		}
+	})
+	return cut, core.StatsOf(st)
+}
+
 // mcStrongScaling runs the Figure 1 / Figure 6 protocol on g: a p-sweep
 // of the exact minimum cut, printing time, T_MPI, their ratio, and the
-// fitted BSP model's prediction.
+// fitted BSP model's prediction. One reduced row follows: core.MinCut at
+// p = 1, which runs the certificate first.
 func mcStrongScaling(e *env, g *graph.Graph, success float64) {
 	fmt.Println("p\ttime_s\tcomm_s\tcomm_frac\tsupersteps\tvolume\tmodel_s\tcut")
 	type row struct {
@@ -55,14 +76,9 @@ func mcStrongScaling(e *env, g *graph.Graph, success float64) {
 	for _, p := range e.pSweep() {
 		var cut uint64
 		st := medianStats(e, func(rep int) core.RunStats {
-			res, err := core.MinCut(g, core.Options{
-				Processors: p, Seed: e.seed + uint64(rep), SuccessProb: success,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cut = res.Value
-			return res.Stats
+			var st core.RunStats
+			cut, st = paperMinCut(g, p, e.seed+uint64(rep), success)
+			return st
 		})
 		rows = append(rows, row{p: p, st: st, cut: cut})
 		// On real clusters the per-processor maximum (st.Ops) drives wall
@@ -95,6 +111,17 @@ func mcStrongScaling(e *env, g *graph.Graph, success float64) {
 		fmt.Printf("# model fit: T = %.3g·comp + %.3g·vol·log2(p) + %.3g·steps + %.3g  (R²=%.3f)\n",
 			model.A, model.B, model.C, model.D, model.R2(samples))
 	}
+	var red *core.MinCutResult
+	st := medianStats(e, func(rep int) core.RunStats {
+		res, err := core.MinCut(g, core.Options{Processors: 1, Seed: e.seed + uint64(rep), SuccessProb: success})
+		if err != nil {
+			log.Fatal(err)
+		}
+		red = res
+		return res.Stats
+	})
+	fmt.Printf("# reduced (core.MinCut, certificate first): p=1 time_s=%.4f supersteps=%d volume=%d trials=%d cut=%d\n",
+		st.Time.Seconds(), st.Supersteps, st.CommVolume, red.Trials, red.Value)
 	fmt.Println("# paper shape: near-linear scaling; comm fraction small and slowly growing; model tracks measurements")
 }
 
@@ -123,12 +150,9 @@ func runFig7(e *env) {
 		g := gen.WattsStrogatz(n, 32, 0.3, e.seed, gen.Config{})
 		var cut uint64
 		st := medianStats(e, func(rep int) core.RunStats {
-			res, err := core.MinCut(g, core.Options{Processors: p, Seed: e.seed + uint64(rep)})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cut = res.Value
-			return res.Stats
+			var st core.RunStats
+			cut, st = paperMinCut(g, p, e.seed+uint64(rep), 0)
+			return st
 		})
 		fmt.Printf("%d\t%d\t%.4f\t%.3f\t%d\n", p, n, st.Time.Seconds(), st.CommFraction, cut)
 	}
@@ -140,12 +164,9 @@ func runFig7(e *env) {
 		g := gen.ErdosRenyiM(n, n*32, e.seed, gen.Config{})
 		var cut uint64
 		st := medianStats(e, func(rep int) core.RunStats {
-			res, err := core.MinCut(g, core.Options{Processors: p, Seed: e.seed + uint64(rep)})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cut = res.Value
-			return res.Stats
+			var st core.RunStats
+			cut, st = paperMinCut(g, p, e.seed+uint64(rep), 0)
+			return st
 		})
 		fmt.Printf("%d\t%d\t%.4f\t%.3f\t%d\n", p, n, st.Time.Seconds(), st.CommFraction, cut)
 	}

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"log"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/perfmodel"
 )
@@ -28,11 +26,8 @@ func runTable1(e *env) {
 	}
 	measure := func(n, p int) cell {
 		g := gen.ErdosRenyiM(n, n*d/2, e.seed, gen.Config{})
-		res, err := core.MinCut(g, core.Options{Processors: p, Seed: e.seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return cell{steps: res.Stats.Supersteps, comp: res.Stats.Ops, volume: res.Stats.CommVolume}
+		_, st := paperMinCut(g, p, e.seed, 0)
+		return cell{steps: st.Supersteps, comp: st.Ops, volume: st.CommVolume}
 	}
 
 	fmt.Println("n\tp\tsupersteps\tcomputation\tvolume")

@@ -213,8 +213,9 @@ func BenchmarkKernelCC(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMinCut runs the exact minimum cut with a capped trial
-// count so the benchmark measures the BSP machinery, not trial variance.
+// BenchmarkKernelMinCut runs the exact minimum cut's trial body with a
+// capped trial count so the benchmark measures the BSP machinery, not
+// trial variance (Parallel would prove this input's cut with no trial).
 func BenchmarkKernelMinCut(b *testing.B) {
 	g := benchGraph()
 	for _, p := range benchPs {
@@ -224,7 +225,7 @@ func BenchmarkKernelMinCut(b *testing.B) {
 				_, err := bsp.Run(p, func(c *bsp.Comm) {
 					lo, hi := dist.BlockRange(len(g.Edges), p, c.Rank())
 					st := rng.New(13, uint32(c.Rank()), 0)
-					r := mincut.Parallel(c, g.N, g.Edges[lo:hi], st, mincut.Options{
+					r := mincut.ParallelTrials(c, g.N, g.Edges[lo:hi], st, mincut.Options{
 						SuccessProb: 0.9,
 						MaxTrials:   4,
 					})

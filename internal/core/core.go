@@ -86,7 +86,10 @@ type RunStats struct {
 	Ops          uint64        // max local operations over processors
 }
 
-func statsOf(st *bsp.Stats) RunStats {
+// StatsOf summarizes a machine's ledger the way every result here
+// reports it; cmd/bench uses it for the bodies it runs through
+// planner.RunBlocks itself.
+func StatsOf(st *bsp.Stats) RunStats {
 	return RunStats{
 		P:            st.P,
 		Supersteps:   st.Supersteps,
@@ -144,19 +147,23 @@ func exec(g *graph.Graph, opts Options, alg string) (*planner.Outcome, RunStats,
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	return out, statsOf(st), nil
+	return out, StatsOf(st), nil
 }
 
 // MinCutResult is the outcome of an exact minimum cut run.
 type MinCutResult struct {
-	Value  uint64
-	Side   []bool // one side of the cut partition
+	Value uint64
+	Side  []bool // one side of the cut partition
+	// Trials is the number of contraction trials run: 0 when the
+	// min-degree cut is proven minimum; no randomness drawn.
 	Trials int
 	Stats  RunStats
 }
 
 // MinCut computes a global minimum cut of g with probability at least
-// SuccessProb using the communication-avoiding parallel algorithm.
+// SuccessProb using the communication-avoiding parallel algorithm, led
+// by a deterministic certificate: when that proves the min-degree cut
+// minimum, the run ends after the edge gather with Trials 0.
 func MinCut(g *graph.Graph, opts Options) (*MinCutResult, error) {
 	out, st, err := exec(g, opts, "mincut")
 	if err != nil {
@@ -227,7 +234,7 @@ func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AllCutsResult{Stats: statsOf(st)}
+	res := &AllCutsResult{Stats: StatsOf(st)}
 	for _, c := range cuts {
 		res.Value = c.Value
 		res.Sides = append(res.Sides, c.Side)

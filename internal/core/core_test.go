@@ -135,14 +135,26 @@ func TestBlockValidationMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestMaxTrialsRespected: the cap bounds the trials a run draws. A
+// cycle's min-degree cut is minimum, so the certificate proves it and the
+// run draws none; a dumbbell's bridge is lighter than every singleton, so
+// its certificate fails and the trials run, capped at 5.
 func TestMaxTrialsRespected(t *testing.T) {
-	g := gen.Cycle(40, 1)
-	res, err := MinCut(g, Options{Processors: 2, Seed: 3, MaxTrials: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 5 {
-		t.Errorf("trials = %d, want capped 5", res.Trials)
+	for _, c := range []struct {
+		g     *graph.Graph
+		want  int
+		value uint64
+	}{
+		{gen.Cycle(40, 1), 0, 2},
+		{gen.Dumbbell(20, 2, 1), 5, 1},
+	} {
+		res, err := MinCut(c.g, Options{Processors: 2, Seed: 3, MaxTrials: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trials != c.want || res.Value != c.value {
+			t.Errorf("n=%d: %d trials, value %d; want %d trials, value %d", c.g.N, res.Trials, res.Value, c.want, c.value)
+		}
 	}
 }
 

@@ -121,3 +121,23 @@ func Dumbbell(size int, ringW, bridgeW uint64) *graph.Graph {
 	g.AddEdge(0, int32(size), bridgeW)
 	return g
 }
+
+// PlantedCut returns two Watts–Strogatz(half, k, 0.3) halves (seeds seed
+// and seed+1) joined by cross unit edges i — half+i. While cross is below
+// both halves' minimum cuts the planted cut, value cross, is the unique
+// minimum and lighter than every singleton.
+func PlantedCut(half, k, cross int, seed uint64) *graph.Graph {
+	if cross > half {
+		panic(fmt.Sprintf("gen: PlantedCut needs cross <= half, got cross=%d half=%d", cross, half))
+	}
+	g := graph.New(2 * half)
+	for i, s := range []uint64{seed, seed + 1} {
+		for _, e := range WattsStrogatz(half, k, 0.3, s, Config{}).Edges {
+			g.AddEdge(e.U+int32(i*half), e.V+int32(i*half), e.W)
+		}
+	}
+	for i := 0; i < cross; i++ {
+		g.AddEdge(int32(i), int32(half+i), 1)
+	}
+	return g
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/approxcut"
 	"repro/internal/benchsnap"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/mincut"
 	"repro/internal/rng"
 	xsort "repro/internal/sort"
+	"repro/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -407,6 +409,49 @@ func approxRun() (*bsp.Stats, error) {
 	})
 }
 
+// benchMinCutWS is benchmark/'s mincut_batch input at seed 1 (its graph
+// seed is 1 ^ 0x6a09e667f3bcc908): Watts–Strogatz n = 256, k = 12.
+var benchMinCutWS = gen.WattsStrogatz(256, 12, 0.3, 1^0x6a09e667f3bcc908, gen.Config{})
+
+// plantedWS is two Watts–Strogatz(128, 12) halves joined by 3 edges: λ = 3
+// below λ̂ = 6, so the certificate fails and the trials must run.
+var plantedWS = gen.PlantedCut(128, 12, 3, 1)
+
+// minCutP1 runs one cold exact minimum cut of g at p = 1 through entry —
+// Parallel, or the trial body it falls back to — and returns its wall
+// time.
+func minCutP1(g *graph.Graph, entry func(*bsp.Comm, int, []graph.Edge, *rng.Stream, mincut.Options) *mincut.CutResult) (time.Duration, error) {
+	start := time.Now()
+	_, err := bsp.Run(1, func(c *bsp.Comm) {
+		entry(c, g.N, g.Edges, rng.New(1, 0, 0), mincut.Options{})
+	})
+	return time.Since(start), err
+}
+
+// pairedRatio is median(a) / median(b) over pairs runs that alternate
+// a and b op by op, so a neighbour's load lands on both sides alike;
+// whole testing.Benchmark runs, seconds apart, read 0.97–1.26 for the
+// same ratio.
+func pairedRatio(pairs int, a, b func() (time.Duration, error)) (float64, error) {
+	ta, tb := make([]float64, pairs), make([]float64, pairs)
+	for i := range pairs {
+		da, err := a()
+		if err != nil {
+			return 0, err
+		}
+		db, err := b()
+		if err != nil {
+			return 0, err
+		}
+		ta[i], tb[i] = da.Seconds(), db.Seconds()
+	}
+	return stats.Median(ta) / stats.Median(tb), nil
+}
+
+// certFailRatioMax is the most a failed certificate may add to a run
+// that must draw its trials anyway.
+const certFailRatioMax = 1.10
+
 // ---------------------------------------------------------------------------
 // BENCH_kernels.json
 // ---------------------------------------------------------------------------
@@ -578,6 +623,29 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	}
 	snap.Add(benchsnap.Exact, "approxcut_supersteps/ws2048/p=2", float64(ac.Supersteps), -1, 0)
 	snap.Add(benchsnap.Exact, "approxcut_ops/ws2048/p=2", float64(ac.MaxOps), -1, 0)
+
+	// The exact cut's certificate: the passes it takes to prove the
+	// benchmark's input, and what it costs a run it cannot prove — full
+	// Parallel over the trial body alone on the planted cut. The ratio
+	// gates at certFailRatioMax whatever it measured: a measurement
+	// above that fails the snapshot.
+	_, bound := benchMinCutWS.MinDegreeVertex()
+	ok, passes := mincut.Certify(benchMinCutWS, bound)
+	if !ok {
+		return fmt.Errorf("the benchmark's ws256 did not certify")
+	}
+	snap.Add(benchsnap.Exact, "mincut_certify_passes/ws256", float64(passes), -1, 0)
+	ratio, err := pairedRatio(400,
+		func() (time.Duration, error) { return minCutP1(plantedWS, mincut.Parallel) },
+		func() (time.Duration, error) { return minCutP1(plantedWS, mincut.ParallelTrials) })
+	if err != nil {
+		return err
+	}
+	if ratio > certFailRatioMax {
+		return fmt.Errorf("mincut_cert_fail_ratio/planted256/p=1 = %.3f, above %.2f", ratio, certFailRatioMax)
+	}
+	snap.Metrics = append(snap.Metrics, benchsnap.Metric{ID: "mincut_cert_fail_ratio/planted256/p=1",
+		Value: ratio, Kind: benchsnap.Ratio, Better: -1, Tol: certFailRatioMax/ratio - 1})
 	return nil
 }
 

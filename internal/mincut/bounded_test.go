@@ -81,10 +81,12 @@ func TestBoundedTrialContract(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesUnboundedArgmin checks the bound Parallel derives
-// from the rank-local best against the argmin it must not change: the
-// lowest-index best over unbounded trials, then the min-degree fold, for
-// every machine size, both schedules and 40 seeds.
+// TestParallelMatchesUnboundedArgmin checks the bound the trial body
+// derives from the rank-local best against the argmin it must not
+// change: the lowest-index best over unbounded trials, then the
+// min-degree fold, for every machine size, both schedules and 40 seeds.
+// Parallel must return that argmin too, unless its certificate proves the
+// min-degree cut minimum; then it returns that cut with no trials.
 func TestParallelMatchesUnboundedArgmin(t *testing.T) {
 	seeds := uint64(40)
 	if testing.Short() {
@@ -106,12 +108,21 @@ func TestParallelMatchesUnboundedArgmin(t *testing.T) {
 			if dv, ds := minDegreeCut(g); dv < want.Value {
 				want.Value, want.Side = dv, ds
 			}
+			full := want
+			if cert, ok := certifiedCut(g); ok {
+				full = cert
+			}
 			for p := 1; p <= 4; p++ {
 				for _, sched := range []Schedule{SchedDynamic, SchedStatic} {
-					got := parallelCut(t, g, p, seed, Options{Schedule: sched})
+					got, _ := trialsCutStats(t, g, p, seed, Options{Schedule: sched})
 					if got.Value != want.Value || got.Trials != want.Trials || !slices.Equal(got.Side, want.Side) {
 						t.Fatalf("%s seed %d p=%d schedule %d: (%d, %d trials) differs from the unbounded argmin (%d, %d trials) or its side",
 							in.name, seed, p, sched, got.Value, got.Trials, want.Value, want.Trials)
+					}
+					got = parallelCut(t, g, p, seed, Options{Schedule: sched})
+					if got.Value != full.Value || got.Trials != full.Trials || !slices.Equal(got.Side, full.Side) {
+						t.Fatalf("%s seed %d p=%d schedule %d: Parallel (%d, %d trials) differs from (%d, %d trials) or its side",
+							in.name, seed, p, sched, got.Value, got.Trials, full.Value, full.Trials)
 					}
 				}
 			}

@@ -57,13 +57,29 @@ func (o *Options) defaults() {
 }
 
 // Parallel computes a global minimum cut of the distributed edge array
-// with probability at least SuccessProb — the full algorithm of §4. The
-// graph is replicated and each trial runs whole on one processor; the
-// trials are handed out in dynamically claimed chunks (static block
-// partition under SchedStatic), and ranks at or beyond the trial count
-// run none. Every processor returns the same result, independent of p
-// and of the schedule.
+// with probability at least SuccessProb — the algorithm of §4, led by a
+// deterministic certificate. After the edge gather every rank runs the
+// same communication-free Nagamochi–Ibaraki pass over the replicated
+// graph with the min-degree cut λ̂ as its bound (certify); when it proves
+// that no cut is lighter than λ̂, the min-degree cut is the answer, with
+// Trials 0 and no randomness drawn. Otherwise the run is
+// ParallelTrials's, draw for draw. Every processor returns the same
+// result, independent of p and of the schedule.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *CutResult {
+	return parallel(c, n, local, st, opts, true)
+}
+
+// ParallelTrials is §4's algorithm as the paper states it: the graph is
+// replicated and each trial runs whole on one processor; the trials are
+// handed out in dynamically claimed chunks (static block partition under
+// SchedStatic), and ranks at or beyond the trial count run none. It draws
+// every trial whatever the min-degree cut is, so the paper's figures time
+// it, and it is Parallel's body whenever the certificate fails.
+func ParallelTrials(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *CutResult {
+	return parallel(c, n, local, st, opts, false)
+}
+
+func parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options, tryCert bool) *CutResult {
 	opts.defaults()
 	if n < 2 {
 		return &CutResult{Value: 0, Side: make([]bool, n)}
@@ -93,6 +109,17 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		return &CutResult{Value: 0, Side: g.ComponentOf(0)}
 	}
 
+	// The certificate: every rank proves the same thing from the same
+	// edges, so a proven λ̂ needs no argmin and no side broadcast.
+	singleVal, singleSide := minDegreeCut(g)
+	if tryCert {
+		ok, _, work := certify(n, all, singleVal)
+		c.Ops(work)
+		if ok {
+			return &CutResult{Value: singleVal, Side: singleSide}
+		}
+	}
+
 	m := len(all)
 	trials := Trials(n, m, opts.SuccessProb)
 	if opts.MaxTrials > 0 && trials > opts.MaxTrials {
@@ -114,7 +141,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		cp.plan(n, m, trials)
 	}
 	seedBest := func() {
-		bestVal, bestSide = minDegreeCut(g)
+		bestVal, bestSide = singleVal, singleSide
 		if cp != nil {
 			// Seeded with the singleton before this rank's trials, the
 			// checkpoint never takes a bounded trial's (≥ bound, nil)

@@ -22,11 +22,24 @@ func parallelCut(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options)
 // alone.
 func parallelCutStats(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options) (*CutResult, *bsp.Stats) {
 	t.Helper()
+	return runCut(t, Parallel, g, p, seed, opts)
+}
+
+// trialsCutStats is parallelCutStats through the trial body alone, the
+// path Parallel takes whenever its certificate fails.
+func trialsCutStats(t testing.TB, g *graph.Graph, p int, seed uint64, opts Options) (*CutResult, *bsp.Stats) {
+	t.Helper()
+	return runCut(t, ParallelTrials, g, p, seed, opts)
+}
+
+func runCut(t testing.TB, entry func(*bsp.Comm, int, []graph.Edge, *rng.Stream, Options) *CutResult,
+	g *graph.Graph, p int, seed uint64, opts Options) (*CutResult, *bsp.Stats) {
+	t.Helper()
 	var res *CutResult
 	stats, err := bsp.Run(p, func(c *bsp.Comm) {
 		lo, hi := dist.BlockRange(len(g.Edges), p, c.Rank())
 		st := rng.New(seed, uint32(c.Rank()), 0)
-		r := Parallel(c, g.N, g.Edges[lo:hi], st, opts)
+		r := entry(c, g.N, g.Edges[lo:hi], st, opts)
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -35,6 +48,14 @@ func parallelCutStats(t testing.TB, g *graph.Graph, p int, seed uint64, opts Opt
 		t.Fatal(err)
 	}
 	return res, stats
+}
+
+// certifiedCut is what Parallel must return when its certificate holds:
+// the min-degree cut, no trials.
+func certifiedCut(g *graph.Graph) (*CutResult, bool) {
+	v, side := minDegreeCut(g)
+	ok, _ := Certify(g, v)
+	return &CutResult{Value: v, Side: side}, ok
 }
 
 func TestParallelKnownCuts(t *testing.T) {
@@ -123,10 +144,12 @@ func TestParallelGroupMode(t *testing.T) {
 }
 
 // TestParallelGroupModeSingleGroup runs one trial on four ranks: rank 0
-// runs it and ranks 1–3 idle until the final broadcast.
+// runs it and ranks 1–3 idle until the final broadcast. The cycle's
+// min-degree cut is minimum, so Parallel itself proves it and runs none.
 func TestParallelGroupModeSingleGroup(t *testing.T) {
 	g := gen.Cycle(40, 3)
-	got := parallelCut(t, g, 4, 11, Options{SuccessProb: 0.9, MaxTrials: 1})
+	opts := Options{SuccessProb: 0.9, MaxTrials: 1}
+	got, _ := trialsCutStats(t, g, 4, 11, opts)
 	if !got.Check(g) {
 		t.Fatal("inconsistent partition")
 	}
@@ -135,6 +158,9 @@ func TestParallelGroupModeSingleGroup(t *testing.T) {
 	}
 	if got.Trials != 1 {
 		t.Errorf("trials = %d, want 1", got.Trials)
+	}
+	if cert := parallelCut(t, g, 4, 11, opts); cert.Value != 6 || cert.Trials != 0 || !cert.Check(g) {
+		t.Errorf("certified cycle at p=4: value %d, %d trials, want 6 and 0", cert.Value, cert.Trials)
 	}
 }
 
@@ -146,7 +172,9 @@ func TestParallelGroupModeSingleGroup(t *testing.T) {
 // dynamic scheduler's ⌈min(4p, t)/p⌉−1 claim rounds (none at p = 1 or
 // p ≥ t), the argmin AllGather and the side broadcast — one superstep
 // for these small sides, none on a one-rank machine. Nothing else
-// communicates.
+// communicates. The trial body runs on its own; Parallel then either
+// certifies (the min-degree cut, no trials, the gather alone) or returns
+// exactly the trial body's run.
 func TestParallelIndependentOfP(t *testing.T) {
 	const trials = 4
 	inputs := []struct {
@@ -156,15 +184,17 @@ func TestParallelIndependentOfP(t *testing.T) {
 		{"er96", gen.ErdosRenyiM(96, 480, 11, gen.Config{MaxWeight: 4})},
 		{"ws128", gen.WattsStrogatz(128, 6, 0.3, 5, gen.Config{})},
 		{"cycle40", gen.Cycle(40, 3)},
+		{"dumbbell", gen.Dumbbell(24, 2, 3)},
 	}
 	for _, in := range inputs {
+		cert, certified := certifiedCut(in.g)
 		for seed := uint64(1); seed <= 8; seed++ {
 			opts := Options{MaxTrials: trials, Schedule: SchedStatic}
-			ref := parallelCut(t, in.g, 1, seed, opts)
+			ref, _ := trialsCutStats(t, in.g, 1, seed, opts)
 			for _, sched := range []Schedule{SchedStatic, SchedDynamic} {
 				opts.Schedule = sched
 				for _, p := range []int{1, 2, 3, 4, 5, 8, 16} {
-					got, st := parallelCutStats(t, in.g, p, seed, opts)
+					got, st := trialsCutStats(t, in.g, p, seed, opts)
 					where := fmt.Sprintf("%s seed=%d sched=%d p=%d", in.name, seed, sched, p)
 					if got.Value != ref.Value || got.Trials != ref.Trials || fmt.Sprint(got.Side) != fmt.Sprint(ref.Side) {
 						t.Fatalf("%s: (value %d, trials %d) differs from p=1's (%d, %d) or its side does",
@@ -179,6 +209,14 @@ func TestParallelIndependentOfP(t *testing.T) {
 					}
 					if st.Supersteps != want {
 						t.Fatalf("%s: %d supersteps, want %d", where, st.Supersteps, want)
+					}
+					full, fst := parallelCutStats(t, in.g, p, seed, opts)
+					if certified {
+						got, want = cert, 1 // the gather alone
+					}
+					if full.Value != got.Value || full.Trials != got.Trials || fmt.Sprint(full.Side) != fmt.Sprint(got.Side) || fst.Supersteps != want {
+						t.Fatalf("%s: Parallel (value %d, trials %d, %d supersteps) differs from (%d, %d, %d), certified=%v",
+							where, full.Value, full.Trials, fst.Supersteps, got.Value, got.Trials, want, certified)
 					}
 				}
 			}

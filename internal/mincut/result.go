@@ -1,10 +1,14 @@
 // Package mincut implements the paper's exact communication-avoiding
 // global minimum cut algorithm (§4) and its sequential baselines. The
-// parallel algorithm runs Θ((n²/m)·polylog) independent trials, each of
-// which (1) eagerly contracts the graph to ⌈√m⌉+1 vertices with
-// iterated sampling and bulk edge contraction, and (2) runs recursive
-// contraction (Karger–Stein) with dense bulk edge contraction. The graph
-// is replicated and every trial runs whole on one processor; ranks at or
+// parallel algorithm replicates the graph, then first tries to prove
+// that the min-degree cut λ̂ is minimum with a sparse Nagamochi–Ibaraki
+// certificate (Certify) that every rank runs on the same edges; when
+// that succeeds it returns λ̂ with zero trials and no randomness drawn.
+// Otherwise (ParallelTrials) it runs Θ((n²/m)·polylog) independent
+// trials, each of which (1) eagerly contracts the graph to ⌈√m⌉+1
+// vertices with iterated sampling and bulk edge contraction, and (2)
+// runs recursive contraction (Karger–Stein) with dense bulk edge
+// contraction. Every trial runs whole on one processor; ranks at or
 // beyond the trial count run none.
 //
 // The sequential baselines are Karger–Stein recursive contraction (the
@@ -25,7 +29,8 @@ type CutResult struct {
 	// callers should treat it as an unordered bipartition).
 	Side []bool
 	// Trials is the number of contraction trials executed (randomized
-	// algorithms only).
+	// algorithms only): 0 when the min-degree cut is proven minimum; no
+	// randomness drawn.
 	Trials int
 }
 

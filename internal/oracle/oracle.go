@@ -15,6 +15,8 @@
 //
 // The package imports no exact-cut or planner code (the mincut tests
 // import it for BinomialCDF), so callers pass λ and the CC kernels in.
+// For the same reason the exact cut's certificate sweep, which runs the
+// mincut kernel, is a test of this package (TestCertificateArm).
 package oracle
 
 import (

@@ -3,9 +3,11 @@ package oracle
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/planner"
@@ -201,5 +203,82 @@ func TestCCArm(t *testing.T) {
 		if r.Mismatch != "" {
 			t.Errorf("%s on %s: labels differ from BFS (%s)", r.Kernel, r.Input, r.Mismatch)
 		}
+	}
+}
+
+// certInput draws graph i of the certificate sweep: a connected or
+// disconnected Erdős–Rényi graph, unit or weighted, a Watts–Strogatz
+// graph, or a planted cut below every singleton — all with n ≤ 64.
+func certInput(i int) (family string, g *graph.Graph) {
+	st := rng.New(uint64(i), 0, 0)
+	seed := uint64(i) + 1
+	switch i % 4 {
+	case 0:
+		n := 12 + st.Intn(53)
+		return "er", gen.ErdosRenyiM(n, n*(3+st.Intn(8))/2, seed, gen.Config{})
+	case 1:
+		n := 12 + st.Intn(53)
+		return "weighted-er", gen.ErdosRenyiM(n, n*(3+st.Intn(8))/2, seed, gen.Config{MaxWeight: 8})
+	case 2:
+		n := 12 + st.Intn(53)
+		return "ws", gen.WattsStrogatz(n, 4+2*st.Intn(4), 0.3, seed, gen.Config{})
+	default:
+		half := 8 + st.Intn(25)
+		return "planted", gen.PlantedCut(half, 4+2*st.Intn(2), 1+st.Intn(3), seed)
+	}
+}
+
+// TestCertificateArm holds the exact cut's certificate to the oracle:
+// over a seeded sweep of small graphs, every run that certifies (no
+// trials) returns a value equal to Stoer–Wagner's and a side whose cut
+// has that value. It logs, per family, how often the certificate proves
+// the min-degree cut when it is in fact minimum.
+func TestCertificateArm(t *testing.T) {
+	graphs := 1200
+	if testing.Short() {
+		graphs = 200
+	}
+	mc := planner.Lookup("mincut", "")
+	type tally struct{ graphs, tight, certified int }
+	rates := map[string]*tally{}
+	for i := 0; i < graphs; i++ {
+		family, g := certInput(i)
+		r := rates[family]
+		if r == nil {
+			r = &tally{}
+			rates[family] = r
+		}
+		r.graphs++
+		out, _, err := mc.Exec(context.Background(), planner.Shape{P: 1 + i%2}, g.N, g.Edges,
+			planner.RunParams{Seed: uint64(i) + 1, MaxTrials: 1}.Defaulted(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lambda := swLambda(g)
+		if _, minDeg := g.MinDegreeVertex(); lambda == minDeg && lambda > 0 {
+			r.tight++
+		}
+		if out.Trials != 0 || lambda == 0 {
+			continue // the trials ran, or the input is disconnected
+		}
+		r.certified++
+		if out.Value != lambda || g.CutValue(out.Side) != out.Value {
+			t.Fatalf("graph %d (%s, n=%d): certified value %d, Stoer–Wagner %d, CutValue(side) %d",
+				i, family, g.N, out.Value, lambda, g.CutValue(out.Side))
+		}
+	}
+	families := make([]string, 0, len(rates))
+	for family := range rates {
+		families = append(families, family)
+	}
+	slices.Sort(families)
+	total := 0
+	for _, family := range families {
+		r := rates[family]
+		t.Logf("%s: %d graphs, λ = λ̂ > 0 on %d, certified %d", family, r.graphs, r.tight, r.certified)
+		total += r.certified
+	}
+	if total == 0 {
+		t.Error("no graph certified: the arm checked nothing")
 	}
 }

@@ -184,21 +184,33 @@ func TestFitSurfacesError(t *testing.T) {
 	}
 }
 
+// TestCalibrateBuiltins calibrates at the machine sizes the daemon
+// meets: one and two cores (serve_mix, a 2-core camcd) as well as four.
+// At maxP = 1 every sample shares one p, so each fit rests on the
+// measured compute alone; a kernel whose samples all measure the same
+// compute (a mincut that proves its answer without charging the passes
+// to the ledger, say) would fail to calibrate and silently fall back.
 func TestCalibrateBuiltins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs real kernels")
 	}
-	pl := New(ModeStatic)
-	if err := pl.CalibrateBuiltins(4); err != nil {
-		t.Fatalf("calibration error: %v", err)
-	}
-	want := []string{KernelMCKargerSt, KernelCCLowRound, KernelCCSampling}
-	if got := pl.Calibrated(); !slices.Equal(got, want) {
-		t.Fatalf("calibrated kernels = %v, want %v", got, want)
-	}
-	// A calibrated planner must never fall back.
-	d := pl.Choose("cc", GraphStats{N: 1000, M: 5000, EstDiameter: 10, WeightSkew: 1}, Params{Epsilon: 0.5}, 0, 4)
-	if d.Fallback || d.Kernel == "" {
-		t.Fatalf("calibrated planner fell back: %+v", d)
+	for _, maxP := range []int{1, 2, 4} {
+		pl := New(ModeStatic)
+		if err := pl.CalibrateBuiltins(maxP); err != nil {
+			t.Fatalf("maxP=%d: calibration error: %v", maxP, err)
+		}
+		want := []string{KernelMCKargerSt, KernelCCLowRound, KernelCCSampling}
+		if got := pl.Calibrated(); !slices.Equal(got, want) {
+			t.Fatalf("maxP=%d: calibrated kernels = %v, want %v", maxP, got, want)
+		}
+		// A calibrated planner must never fall back.
+		for _, d := range []Decision{
+			pl.Choose("cc", GraphStats{N: 1000, M: 5000, EstDiameter: 10, WeightSkew: 1}, Params{Epsilon: 0.5}, 0, maxP),
+			pl.Choose("mincut", GraphStats{N: 256, M: 1536, EstDiameter: 6, WeightSkew: 1}, Params{Trials: 92}, 0, maxP),
+		} {
+			if d.Fallback || d.Kernel == "" {
+				t.Fatalf("maxP=%d: calibrated planner fell back: %+v", maxP, d)
+			}
+		}
 	}
 }

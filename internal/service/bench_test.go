@@ -109,7 +109,9 @@ func BenchmarkQueryMincutCold(b *testing.B) { benchQueries(b, true, mincutGraph,
 func BenchmarkQueryCCWarm(b *testing.B)     { benchQueries(b, false, ccGraph, ccReq) }
 func BenchmarkQueryCCCold(b *testing.B)     { benchQueries(b, true, ccGraph, ccReq) }
 
-// runScheduled executes one mincut with the given schedule at p=4,
+// runScheduled executes one mincut's trial body (the schedule only
+// places trials, and Parallel proves skewGraph's cut with none) with the
+// given schedule at p=4,
 // slowing every trial on the last rank by stragglerDelay via the
 // OnTrial hook, and returns the machine stats plus the number of
 // trials the straggler ended up running — the per-worker app times and
@@ -121,7 +123,7 @@ func runScheduled(g *graph.Graph, sched mincut.Schedule, trials int) (*bsp.Stats
 		straggler := c.Rank() == c.Size()-1
 		ran := 0
 		lo, hi := dist.BlockRange(len(g.Edges), 4, c.Rank())
-		r := mincut.Parallel(c, g.N, g.Edges[lo:hi], rng.New(11, uint32(c.Rank()), 0), mincut.Options{
+		r := mincut.ParallelTrials(c, g.N, g.Edges[lo:hi], rng.New(11, uint32(c.Rank()), 0), mincut.Options{
 			MaxTrials: trials,
 			Schedule:  sched,
 			OnTrial: func(int) {

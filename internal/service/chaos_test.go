@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/trace"
 )
@@ -24,12 +26,18 @@ import (
 // deadline to land mid-trial-loop deterministically.
 const chaosSuccessProb = 0.999999999
 
+// trialGraph is a 3 000-vertex instance whose trial loop runs: two
+// Watts–Strogatz halves joined by two edges, a cut lighter than every
+// singleton, so the certificate cannot prove the min-degree cut minimum
+// and the run must draw its trials.
+func trialGraph() *graph.Graph { return gen.PlantedCut(1500, 8, 2, 7) }
+
 // A mincut whose deadline fires mid-trial-loop must come back degraded:
 // the best cut over the completed trials, the achieved success
 // probability, a retry hint — and it must never enter the cache.
 func TestChaosDegradedMincut(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, MaxProcessors: 1})
-	sg, err := e.Registry().Put("big", testGraph(3000, 9000))
+	sg, err := e.Registry().Put("big", trialGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +216,7 @@ func TestChaosCancelInjected(t *testing.T) {
 func TestChaosHTTP(t *testing.T) {
 	t.Run("degraded-200", func(t *testing.T) {
 		e := newTestEngine(t, Config{Workers: 1, MaxProcessors: 1})
-		if _, err := e.Registry().Put("big", testGraph(3000, 9000)); err != nil {
+		if _, err := e.Registry().Put("big", trialGraph()); err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(NewHandler(e))

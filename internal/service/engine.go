@@ -362,8 +362,9 @@ func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams
 
 // plannerParams resolves the per-query knobs the cost formulas consume:
 // epsilon as normalized, and — for mincut — the trial count derived from
-// (n, m, success probability) capped by the request, matching what
-// mincut.Parallel will actually run.
+// (n, m, success probability) capped by the request: what mincut.Parallel
+// runs when its certificate fails (none when it holds, which the
+// statistics here cannot foresee).
 func plannerParams(alg string, sg *StoredGraph, pr planner.RunParams) planner.Params {
 	par := planner.Params{Epsilon: pr.Epsilon}
 	if alg == AlgMinCut {

@@ -250,9 +250,12 @@ func TestCrashFaultAbortsRun(t *testing.T) {
 	defer ws[0].Close()
 	defer ws[1].Close()
 
-	cycle := edgeListOf(t, gen.Cycle(64, 3))
-	uploadGraph(t, urls[0], "victim", cycle)
-	uploadGraph(t, urls[1], "victim", cycle)
+	// A dumbbell's bridge is lighter than every singleton, so the
+	// certificate fails and the run reaches the supersteps after the
+	// gather, where the crash fires.
+	victim := edgeListOf(t, gen.Dumbbell(32, 3, 1))
+	uploadGraph(t, urls[0], "victim", victim)
+	uploadGraph(t, urls[1], "victim", victim)
 
 	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "victim", Algorithm: service.AlgMinCut})
 	defer resp.Body.Close()
