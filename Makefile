@@ -79,8 +79,9 @@ chaos-fleet:
 	bash scripts/chaos_fleet.sh
 
 # Every Fuzz* target in the module (union-find, frame parser, payload
-# codecs, handshake parsers, min-cut certificate) for 10s each; their
-# seed corpora already run under `make test`.
+# codecs, handshake parsers, min-cut certificate, the library's
+# connected-components input path) for 10s each; their seed corpora
+# already run under `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
 

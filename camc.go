@@ -85,16 +85,23 @@ type CCResult = core.CCResult
 
 // MinCut computes a global minimum cut of g, correct with probability at
 // least opts.SuccessProb — with certainty when its certificate proves the
-// min-degree cut minimum, which then returns with Trials 0.
+// min-degree cut minimum, which then returns with Trials 0. An invalid g
+// (see Graph.Validate) returns g.Validate()'s error and no result; g is
+// checked before the run.
 func MinCut(g *Graph, opts Options) (*MinCutResult, error) { return core.MinCut(g, opts) }
 
 // ApproxMinCut estimates the minimum cut within an O(log n) factor using
-// near-linear work, a fraction of MinCut's time.
+// near-linear work, a fraction of MinCut's time. An invalid g returns
+// g.Validate()'s error and no result; g is checked before the run.
 func ApproxMinCut(g *Graph, opts Options) (*ApproxCutResult, error) {
 	return core.ApproxMinCut(g, opts)
 }
 
-// ConnectedComponents labels the connected components of g.
+// ConnectedComponents labels the connected components of g. An invalid g
+// returns g.Validate()'s error and no result, the same error, byte for
+// byte, whatever opts.Processors is. The edges are checked as the
+// solve reads them, in its one pass over the array; g.Validate() runs
+// only after that pass has failed, to name the lowest invalid edge.
 func ConnectedComponents(g *Graph, opts Options) (*CCResult, error) {
 	return core.ConnectedComponents(g, opts)
 }

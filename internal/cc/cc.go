@@ -10,6 +10,8 @@ package cc
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -67,6 +69,13 @@ func (o *Options) defaults() {
 // everyone contracts locally, repeat until no edge remains. local is
 // never written: the first round's survivors go to a fresh slice. Every
 // processor returns the same Result.
+//
+// The first round reads every edge of local — whole in the forest pass
+// when the round is exact, otherwise in the relabel pass — and checks
+// each on that first read (graph.Edge.Valid): an edge out of range for
+// n, a loop or a zero weight panics the rank with graph.ErrInvalidEdge,
+// and the machine fails the run. Which rank trips first is a race, so
+// the caller re-derives the canonical error (graph.Validate) itself.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *Result {
 	opts.defaults()
 	if pl := opts.Plan; pl.Matches(n) {
@@ -80,18 +89,18 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	const root = 0
 
 	// The root tracks the label of each original vertex; its per-round
-	// labelling is hoisted out of the loop. The broadcast payload g is
-	// allocated by the first round that sends it: an exact round — the
-	// only one, when every rank holds its whole slice — never does.
+	// labelling is hoisted out of the loop, and both of its broadcasts
+	// are built in one word buffer: g, the per-round relabelling, and
+	// words, the final labelling behind a count. All of it is pooled.
 	var comp, labels, lscratch []int32
-	var g []uint64
+	var words []uint64
 	if c.Rank() == root {
-		comp = make([]int32, n)
+		sc := getRootScratch(n)
+		defer rootPool.Put(sc)
+		comp, labels, lscratch, words = sc.comp, sc.labels, sc.lscratch, sc.words
 		for i := range comp {
 			comp[i] = int32(i)
 		}
-		labels = make([]int32, n)
-		lscratch = make([]int32, n)
 	}
 	uf := graph.GetUnionFind(n)
 	defer graph.PutUnionFind(uf)
@@ -132,8 +141,9 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		if exact {
 			break
 		}
-		if g == nil && c.Rank() == root {
-			g = make([]uint64, n)
+		var g []uint64
+		if c.Rank() == root {
+			g = words[:n]
 		}
 		for i, l := range labels { // the root's alone: nil elsewhere
 			g[i] = uint64(uint32(l))
@@ -142,11 +152,17 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 
 		// Everyone: relabel local edges and drop loops. Only from the
 		// second round on is edges this call's own slice to overwrite.
+		// The first round meets here every edge its sample skipped, so
+		// each is checked before it indexes gw; the later rounds' edges
+		// are the kernel's own and always pass.
 		var out []graph.Edge
 		if iters > 1 {
 			out = edges[:0]
 		}
 		for _, e := range edges {
+			if !e.Valid(n) {
+				panic(graph.ErrInvalidEdge)
+			}
 			u := int32(uint32(gw[e.U]))
 			v := int32(uint32(gw[e.V]))
 			if u != v {
@@ -161,13 +177,11 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	// dense over the final label space already, but singleton components
 	// of untouched vertices share that space; recompact for a dense
 	// [0, Count) labelling.
-	var words []uint64
 	if c.Rank() == root {
 		remap := graph.GetRemap(n)
 		for v := range comp {
 			comp[v] = remap.Of(comp[v])
 		}
-		words = make([]uint64, n+1)
 		words[0] = uint64(remap.Len())
 		graph.PutRemap(remap)
 		for v, l := range comp {
@@ -184,6 +198,27 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		res.Labels[v] = int32(uint32(words[v+1]))
 	}
 	return res
+}
+
+// rootScratch is the root's n-sized working set of one Parallel call.
+// Every call of every concurrent query needs one, so it is pooled like
+// the union-find; the Result's Labels are allocated fresh.
+type rootScratch struct {
+	comp, labels, lscratch []int32
+	words                  []uint64 // n+1: a count, then n labels
+}
+
+var rootPool = sync.Pool{New: func() any { return new(rootScratch) }}
+
+// getRootScratch returns a pooled working set sized for n vertices; its
+// contents are left over from the last call.
+func getRootScratch(n int) *rootScratch {
+	sc := rootPool.Get().(*rootScratch)
+	sc.comp = slices.Grow(sc.comp[:0], n)[:n]
+	sc.labels = slices.Grow(sc.labels[:0], n)[:n]
+	sc.lscratch = slices.Grow(sc.lscratch[:0], n)[:n]
+	sc.words = slices.Grow(sc.words[:0], n+1)[:n+1]
+	return sc
 }
 
 // sampleSize returns s = ⌈n^(1+ε/2)⌉, clamped to at least 32.

@@ -1,13 +1,23 @@
 // Package core is the library facade over the paper's algorithms:
 // connected components (§3.2), approximate minimum cut (§3.3), and exact
-// minimum cut (§4). It validates the input and runs the algorithm's
-// default member of the planner's kernel table through Kernel.Exec — the
-// same call, with the same RunParams, that an unpinned query makes — on a
-// pooled BSP machine, rank r reading block r of the edge array, and
-// reports the result together with the run's BSP cost profile
-// (supersteps, communication volume, and the application/communication
-// wall-time split — the paper's measurement set). The root package camc
-// re-exports this API for downstream users.
+// minimum cut (§4). It runs the algorithm's default member of the
+// planner's kernel table through Kernel.Exec — the same call, with the
+// same RunParams, that an unpinned query makes — on a pooled BSP machine,
+// rank r reading block r of the edge array, and reports the result
+// together with the run's BSP cost profile (supersteps, communication
+// volume, and the application/communication wall-time split — the
+// paper's measurement set). The root package camc re-exports this API
+// for downstream users.
+//
+// An invalid input returns g.Validate()'s error and no result, but the
+// order differs. The cut algorithms validate the edge array before the
+// run: their first reads are shared helpers (the edge gather, the total
+// weight) whose other callers pass validated data, and a loop or a zero
+// weight would give a wrong answer, not a failed run. Connected
+// components does not: its kernel checks every edge on its first read
+// of it and fails the run on an invalid one, so a valid array streams
+// from memory once instead of twice, and the array is validated only
+// after a failed run, to name the violation.
 package core
 
 import (
@@ -128,23 +138,38 @@ func validate(g *graph.Graph, p int) error {
 	return nil
 }
 
-// shape checks g and returns the pooled machine a run of it takes.
-func shape(g *graph.Graph, opts Options) (planner.Shape, error) {
+// shape returns the pooled machine a run of g takes, validating g first
+// when pre is set.
+func shape(g *graph.Graph, opts Options, pre bool) (planner.Shape, error) {
 	if g == nil {
 		return planner.Shape{}, fmt.Errorf("core: nil graph")
 	}
-	p := opts.processors()
-	return planner.Shape{P: p}, validate(g, p)
+	sh := planner.Shape{P: opts.processors()}
+	if !pre {
+		return sh, nil
+	}
+	return sh, validate(g, sh.P)
 }
 
 // exec runs alg's default kernel over g and returns rank 0's outcome.
+// The cut kernels run on a validated g. The CC kernel checks each edge
+// as it first reads it, so g is validated only after a failed run: any
+// rank may trip first, and validate's error names the lowest invalid
+// index whichever did. (A negative vertex count fails the run too, on
+// its first n-sized buffer.)
 func exec(g *graph.Graph, opts Options, alg string) (*planner.Outcome, RunStats, error) {
-	sh, err := shape(g, opts)
+	checked := alg == "cc"
+	sh, err := shape(g, opts, !checked)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
 	out, st, err := planner.Lookup(alg, "").Exec(context.Background(), sh, g.N, g.Edges, opts.params(), nil)
 	if err != nil {
+		if checked {
+			if verr := validate(g, sh.P); verr != nil {
+				err = verr
+			}
+		}
 		return nil, RunStats{}, err
 	}
 	return out, StatsOf(st), nil
@@ -197,7 +222,9 @@ type CCResult struct {
 }
 
 // ConnectedComponents labels the connected components of g with the
-// communication-avoiding iterated-sampling algorithm (§3.2).
+// communication-avoiding iterated-sampling algorithm (§3.2). An invalid
+// g returns g.Validate()'s error and no result; the kernel finds it on
+// its one pass over the edges, and only then is g validated.
 func ConnectedComponents(g *graph.Graph, opts Options) (*CCResult, error) {
 	out, st, err := exec(g, opts, "cc")
 	if err != nil {
@@ -220,7 +247,7 @@ type AllCutsResult struct {
 // It is not a portfolio kernel, so it runs its body through
 // planner.RunBlocks directly, on the same pooled machine shape.
 func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
-	sh, err := shape(g, opts)
+	sh, err := shape(g, opts, true)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 
 	xsort "repro/internal/sort"
@@ -86,6 +87,22 @@ func (g *Graph) Degrees() []uint64 {
 	return d
 }
 
+// Valid reports whether e may be an edge of a graph on n ≥ 0 vertices:
+// both endpoints in [0, n), no loop, a positive weight. It is the one
+// definition of edge validity — ValidateEdges decides with it, and the
+// connected-components kernel calls it on its first read of each edge —
+// and it inlines into a loop as a few compares. (A negative endpoint
+// converts to a uint above any vertex count.)
+func (e Edge) Valid(n int) bool {
+	return uint(e.U) < uint(n) && uint(e.V) < uint(n) && e.U != e.V && e.W != 0
+}
+
+// ErrInvalidEdge is what a kernel that checks its edges as it reads them
+// panics with on one that is not Valid. It names no edge: a rank sees
+// only its block, so the caller re-derives Validate's error, which names
+// the lowest invalid index.
+var ErrInvalidEdge = errors.New("graph: invalid edge")
+
 // Validate checks structural invariants: endpoints in range, no loops,
 // positive weights. It returns a descriptive error for the first violation.
 func (g *Graph) Validate() error {
@@ -101,13 +118,15 @@ func ValidateEdges(n int, edges []Edge, base int) error {
 		return fmt.Errorf("graph: negative vertex count %d", n)
 	}
 	for i, e := range edges {
-		if e.U < 0 || e.V < 0 || int(e.U) >= n || int(e.V) >= n {
+		if e.Valid(n) {
+			continue
+		}
+		switch {
+		case e.U < 0 || e.V < 0 || int(e.U) >= n || int(e.V) >= n:
 			return fmt.Errorf("graph: edge %d (%d,%d) out of range for n=%d", base+i, e.U, e.V, n)
-		}
-		if e.U == e.V {
+		case e.U == e.V:
 			return fmt.Errorf("graph: edge %d is a loop at %d", base+i, e.U)
-		}
-		if e.W == 0 {
+		default:
 			return fmt.Errorf("graph: edge %d has zero weight", base+i)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/approxcut"
 	"repro/internal/benchsnap"
 	"repro/internal/bsp"
+	"repro/internal/cc"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -452,6 +453,27 @@ func pairedRatio(pairs int, a, b func() (time.Duration, error)) (float64, error)
 // that must draw its trials anyway.
 const certFailRatioMax = 1.10
 
+// ccP1 runs one cold connected-components labelling of the n-vertex edge
+// array at p = 1, after a separate graph.ValidateEdges pass over it when
+// validate is set, and returns its wall time.
+func ccP1(n int, edges []graph.Edge, validate bool) (time.Duration, error) {
+	start := time.Now()
+	if validate {
+		if err := graph.ValidateEdges(n, edges, 0); err != nil {
+			return 0, err
+		}
+	}
+	_, err := bsp.Run(1, func(c *bsp.Comm) {
+		cc.Parallel(c, n, edges, rng.New(1, 0, 0), cc.Options{})
+	})
+	return time.Since(start), err
+}
+
+// ccCheckedRatioMax is the most the checked single pass may cost against
+// a validation pass plus the same run: a check that streamed the edges
+// again, or one as dear as ValidateEdges, would read above it.
+const ccCheckedRatioMax = 0.90
+
 // ---------------------------------------------------------------------------
 // BENCH_kernels.json
 // ---------------------------------------------------------------------------
@@ -646,6 +668,22 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	}
 	snap.Metrics = append(snap.Metrics, benchsnap.Metric{ID: "mincut_cert_fail_ratio/planted256/p=1",
 		Value: ratio, Kind: benchsnap.Ratio, Better: -1, Tol: certFailRatioMax/ratio - 1})
+
+	// Connected components checks each edge inside its union pass, so the
+	// edge array streams once; against a ValidateEdges pass and the same
+	// run, in the cc_batch regime (every rank takes its whole slice) at
+	// p = 1. Gated at ccCheckedRatioMax like the row above.
+	ratio, err = pairedRatio(40,
+		func() (time.Duration, error) { return ccP1(ufBenchN, ba, false) },
+		func() (time.Duration, error) { return ccP1(ufBenchN, ba, true) })
+	if err != nil {
+		return err
+	}
+	if ratio > ccCheckedRatioMax {
+		return fmt.Errorf("cc_checked_pass_ratio/ba100k/p=1 = %.3f, above %.2f", ratio, ccCheckedRatioMax)
+	}
+	snap.Metrics = append(snap.Metrics, benchsnap.Metric{ID: "cc_checked_pass_ratio/ba100k/p=1",
+		Value: ratio, Kind: benchsnap.Ratio, Better: -1, Tol: ccCheckedRatioMax/ratio - 1})
 	return nil
 }
 

@@ -59,7 +59,10 @@ func quota(mi int, m uint64, s, n int, delta float64) (k int, whole bool) {
 // root unions the forests it receives into its own uf, which then holds
 // the components of the combined sample; it sends itself nothing. m is
 // the global edge count, which the caller has already reduced. local is
-// only read.
+// only read, and each edge it draws is checked (graph.Edge.Valid) before
+// it reaches uf: an invalid one panics with graph.ErrInvalidEdge, which
+// the machine turns into a failed run. A slice taken whole is thereby
+// checked in full.
 //
 // It reports whether the root's uf is exact, i.e. holds the components
 // of the whole edge array and not just of a sample: m ≤ (1+δ)s makes k
@@ -89,6 +92,9 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 			j = int(pick.Draw(st))
 		}
 		e := &local[j]
+		if !e.Valid(n) {
+			panic(graph.ErrInvalidEdge)
+		}
 		if uf.Union(e.U, e.V) && send {
 			forest = append(forest, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
 		}
