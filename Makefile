@@ -126,9 +126,9 @@ bench-kernels:
 # Serving-layer benchmarks: warm-plan vs cold repeated-query throughput,
 # static vs dynamic trial scheduling under an injected straggler, and
 # the planner/portfolio set (planner-selected kernel vs the
-# always-label-propagation baseline on a high-diameter path, the
-# machine-less shared kernel vs the p=1 BSP path, exact lowround
-# counts, win-rate/prediction accounting as info). One TestMain writes both
+# always-label-propagation baseline on a high-diameter path, cold
+# sampling@1 over lowround@1 on a small graph, exact lowround counts,
+# win-rate/prediction accounting as info). One TestMain writes both
 # internal/service/BENCH_service.json and
 # internal/service/BENCH_planner.json.
 bench-service:

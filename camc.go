@@ -124,10 +124,13 @@ func AllMinCuts(g *Graph, seed uint64, successProb float64) (value uint64, sides
 }
 
 // ContractHeavyEdges applies the Karger–Stein §7.1 preprocessing: every
-// edge heavier than bound (an upper bound on the minimum cut value, e.g.
-// an ApproxMinCut estimate) is contracted, shrinking the graph without
-// touching any minimum cut. It returns the contracted graph and the
-// vertex mapping for lifting results back.
+// edge heavier than bound is contracted, shrinking the graph without
+// touching any minimum cut. bound must be at least the minimum cut value
+// λ: the smallest weighted degree (g.MinDegreeVertex()) or CutValue of
+// any side always is. An ApproxMinCut estimate is not — it is a power of
+// two that can sit below λ, and contracting at it can raise the minimum
+// cut. It returns the contracted graph and the vertex mapping for
+// lifting results back.
 func ContractHeavyEdges(g *Graph, bound uint64) (*Graph, []int32) {
 	return mincut.ContractHeavyEdges(g, bound)
 }

@@ -19,30 +19,56 @@ func TestAllMinCutsAPI(t *testing.T) {
 }
 
 func TestContractHeavyEdgesAPI(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 100)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 100)
-	g.AddEdge(3, 0, 1)
-	// Minimum cut is 2 (the two light edges); bound 2 contracts the heavy
+	// Minimum cut 2 (the two light edges); bound 2 contracts the heavy
 	// ones.
-	cg, mapping := ContractHeavyEdges(g, 2)
-	if cg.N != 2 {
-		t.Fatalf("contracted N = %d, want 2", cg.N)
+	square := NewGraph(4)
+	square.AddEdge(0, 1, 100)
+	square.AddEdge(1, 2, 1)
+	square.AddEdge(2, 3, 100)
+	square.AddEdge(3, 0, 1)
+	// Two 6-cliques of weight-3 edges joined by one weight-7 edge:
+	// λ = 7, below the smallest weighted degree (15). An approximate-cut
+	// estimate of 4 would contract the bridge and raise the cut to 15;
+	// the min-degree bound is always safe.
+	cliques := NewGraph(12)
+	for c := int32(0); c < 12; c += 6 {
+		for u := c; u < c+6; u++ {
+			for v := u + 1; v < c+6; v++ {
+				cliques.AddEdge(u, v, 3)
+			}
+		}
 	}
-	res, err := MinCut(cg, Options{Processors: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 2 {
-		t.Errorf("cut on contracted graph = %d, want 2", res.Value)
-	}
-	lifted := make([]bool, g.N)
-	for v := range lifted {
-		lifted[v] = res.Side[mapping[v]]
-	}
-	if CutValue(g, lifted) != 2 {
-		t.Errorf("lifted cut = %d", CutValue(g, lifted))
+	cliques.AddEdge(5, 6, 7)
+	_, minDeg := cliques.MinDegreeVertex()
+
+	for _, tc := range []struct {
+		name   string
+		g      *Graph
+		bound  uint64
+		wantN  int
+		lambda uint64
+	}{
+		{"square", square, 2, 2, 2},
+		{"cliques", cliques, minDeg, 12, 7},
+	} {
+		cg, mapping := ContractHeavyEdges(tc.g, tc.bound)
+		if cg.N != tc.wantN {
+			t.Fatalf("%s: contracted N = %d, want %d", tc.name, cg.N, tc.wantN)
+		}
+		res, err := MinCut(cg, Options{Processors: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != tc.lambda {
+			t.Errorf("%s: cut on contracted graph = %d, want %d", tc.name, res.Value, tc.lambda)
+		}
+		lifted := make([]bool, tc.g.N)
+		for v := range lifted {
+			lifted[v] = res.Side[mapping[v]]
+		}
+		if CutValue(tc.g, lifted) != tc.lambda {
+			t.Errorf("%s: lifted cut = %d, want %d", tc.name, CutValue(tc.g, lifted), tc.lambda)
+		}
 	}
 }
 

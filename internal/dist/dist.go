@@ -153,35 +153,3 @@ func TotalWeight(c *bsp.Comm, local []graph.Edge) uint64 {
 	}
 	return c.AllReduce([]uint64{w}, bsp.OpSum)[0]
 }
-
-// Rebalance redistributes edges so that every processor ends with
-// ⌈m/p⌉±1 edges, preserving nothing about order. It takes O(1)
-// supersteps. Useful after contraction shrinks some processors' slices.
-func Rebalance(c *bsp.Comm, local []graph.Edge) []graph.Edge {
-	p := c.Size()
-	counts := c.AllGather([]uint64{uint64(len(local))})
-	// Compute global offsets: this proc's edges occupy positions
-	// [myOff, myOff+len) of the conceptual concatenation.
-	var myOff, total uint64
-	for r := 0; r < p; r++ {
-		if r < c.Rank() {
-			myOff += counts[r][0]
-		}
-		total += counts[r][0]
-	}
-	parts := make([][]uint64, p)
-	for dst := range parts {
-		parts[dst] = c.Buffer(0)[:0]
-	}
-	for i, e := range local {
-		pos := myOff + uint64(i)
-		dst := OwnerOf(int(total), p, int(pos))
-		parts[dst] = AppendEdges(parts[dst], []graph.Edge{e})
-	}
-	got := c.AllToAllOwned(parts)
-	var out []graph.Edge
-	for _, w := range got {
-		out = append(out, DecodeEdges(w)...)
-	}
-	return out
-}

@@ -131,37 +131,3 @@ func TestAllGatherEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRebalance(t *testing.T) {
-	_, err := bsp.Run(4, func(c *bsp.Comm) {
-		// All edges start at rank 0.
-		var local []graph.Edge
-		if c.Rank() == 0 {
-			for i := 0; i < 40; i++ {
-				local = append(local, graph.Edge{U: int32(i), V: int32(i + 1), W: 1})
-			}
-		}
-		bal := Rebalance(c, local)
-		if len(bal) != 10 {
-			t.Errorf("rank %d: %d edges after rebalance, want 10", c.Rank(), len(bal))
-		}
-		if m := len(AllGatherEdges(c, bal)); m != 40 {
-			t.Errorf("rank %d: lost edges: %d", c.Rank(), m)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebalanceEmpty(t *testing.T) {
-	_, err := bsp.Run(3, func(c *bsp.Comm) {
-		bal := Rebalance(c, nil)
-		if len(bal) != 0 {
-			t.Errorf("rank %d: conjured %d edges", c.Rank(), len(bal))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

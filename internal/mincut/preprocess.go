@@ -12,20 +12,14 @@ import (
 // edge heavier than the cut value is a contradiction), so such edges can
 // be contracted away up front.
 
-// WeightCapBound returns a cheap deterministic upper bound on the
-// minimum cut: the smallest weighted vertex degree.
-func WeightCapBound(g *graph.Graph) uint64 {
-	if g.N == 0 {
-		return 0
-	}
-	_, d := g.MinDegreeVertex()
-	return d
-}
-
-// ContractHeavyEdges contracts every edge of weight > bound (an upper
-// bound on the minimum cut value, e.g. WeightCapBound) and returns the
-// contracted graph together with the mapping from g's vertices to the
-// contracted ones. All minimum cuts survive exactly: lifting a side
+// ContractHeavyEdges contracts every edge of weight > bound and returns
+// the contracted graph together with the mapping from g's vertices to
+// the contracted ones. bound must be at least the minimum cut value λ:
+// the smallest weighted degree (g.MinDegreeVertex()) or the CutValue of
+// any side always is. An estimate that can fall below λ, such as
+// ApproxMinCut's power-of-two level, is not: contracting at it can
+// merge a minimum cut's edge and raise the cut. Given a valid bound,
+// all minimum cuts survive exactly: lifting a side
 // through the mapping recovers a side of equal value in g. Contracting
 // can cascade — merged parallel edges may themselves exceed the bound —
 // so the reduction runs to a fixed point.

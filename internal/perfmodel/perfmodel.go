@@ -254,17 +254,7 @@ func PrevBSPVolume(n, p float64) float64 {
 	return MCVolume(n, p) * lg(p)
 }
 
-// KSSeqCacheMisses is CO Karger–Stein's sequential O(n²log³n / B).
-func KSSeqCacheMisses(n, b float64) float64 {
-	return MCCacheMisses(n, 1, b)
-}
-
 // CCVolume is the CC algorithm's O(n^(1+ε)) volume bound.
 func CCVolume(n, epsilon float64) float64 {
 	return math.Pow(n, 1+epsilon)
-}
-
-// CCComputation is the CC algorithm's O(m/p + n^(1+ε)) bound.
-func CCComputation(n, m, p, epsilon float64) float64 {
-	return m/p + CCVolume(n, epsilon)
 }

@@ -107,15 +107,9 @@ func TestTable1BoundsShape(t *testing.T) {
 	if MCCacheMisses(n, p, 8) != MCComputation(n, p)/8 {
 		t.Error("cache miss bound inconsistent")
 	}
-	if KSSeqCacheMisses(n, 8) != MCCacheMisses(n, 1, 8) {
-		t.Error("KS sequential bound inconsistent")
-	}
 	// CC bounds: near-linear volume.
 	if CCVolume(n, 0.5) >= n*n {
 		t.Error("CC volume bound not subquadratic")
-	}
-	if CCComputation(n, m, p, 0.5) < CCVolume(n, 0.5) {
-		t.Error("CC computation below its volume term")
 	}
 }
 

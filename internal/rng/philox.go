@@ -144,17 +144,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements using the provided swap
 // function (Fisher–Yates).
 func (s *Stream) Shuffle(n int, swap func(i, j int)) {

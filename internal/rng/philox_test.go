@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestPhiloxKnownAnswer(t *testing.T) {
@@ -177,25 +176,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1, 0, 0).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(5, 0, 0)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
 }
 
 func TestShufflepreservesMultiset(t *testing.T) {

@@ -139,15 +139,3 @@ func (as *AliasSampler) Sample(s *Stream) int {
 	}
 	return int(as.alias[i])
 }
-
-// Multinomial distributes s draws over the categories of the sampler and
-// returns the per-category counts. This implements step 2 of the paper's
-// sparsification: the root repeatedly (s times) chooses a processor i with
-// probability W_i / ΣW_z.
-func (as *AliasSampler) Multinomial(st *Stream, draws int) []int {
-	counts := make([]int, as.n)
-	for k := 0; k < draws; k++ {
-		counts[as.Sample(st)]++
-	}
-	return counts
-}

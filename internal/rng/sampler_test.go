@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func checkProportional(t *testing.T, name string, weights []uint64, counts []int, draws int) {
@@ -140,29 +139,6 @@ func TestAliasSamplerZeroPanics(t *testing.T) {
 		}
 	}()
 	NewAliasSampler([]uint64{0, 0, 0})
-}
-
-func TestMultinomialCountsSum(t *testing.T) {
-	err := quick.Check(func(seed uint64, rawDraws uint16) bool {
-		draws := int(rawDraws % 2000)
-		as := NewAliasSampler([]uint64{1, 2, 3, 4})
-		counts := as.Multinomial(New(seed, 0, 0), draws)
-		sum := 0
-		for _, c := range counts {
-			sum += c
-		}
-		return sum == draws
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMultinomialProportional(t *testing.T) {
-	weights := []uint64{10, 30, 60}
-	as := NewAliasSampler(weights)
-	counts := as.Multinomial(New(5, 0, 0), 100000)
-	checkProportional(t, "multinomial", weights, counts, 100000)
 }
 
 // Property: prefix and alias samplers agree in distribution.

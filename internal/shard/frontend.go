@@ -214,7 +214,8 @@ func bodyStatus(err error, fallback int) int {
 // every worker of the owning shard: a distributed run slices the frozen
 // edge array by rank, so each rank process must hold the full snapshot.
 // All-or-nothing isn't required — a partially replicated graph fails
-// closed at query time (the leader's start/ack round rejects the run).
+// closed at query time (a peer without it aborts the run it is started
+// on).
 func (f *Frontend) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeFrontendError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))

@@ -292,10 +292,10 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetPartialReplication exercises the leader's start/ack round
-// failing closed: the graph exists on the leader but not on the peer
-// (registered around the frontend), so the run must be rejected before
-// any superstep, surfacing as a retryable 503.
+// TestFleetPartialReplication exercises a run failing closed: the graph
+// exists on the leader but not on the peer (registered around the
+// frontend), so the peer refuses the run by aborting it and the leader
+// fails in its first superstep, surfacing as a retryable 503.
 func TestFleetPartialReplication(t *testing.T) {
 	workers, urls := newWorkerGroup(t, 2, 300, nil)
 	g := gen.Cycle(32, 2)
@@ -319,9 +319,10 @@ func TestFleetPartialReplication(t *testing.T) {
 
 // TestFleetPeerContentMismatch: the peer holds a graph under the name
 // the leader runs, but at another version and with other content. The
-// peer's ack must reject the run at once — a retryable 503 well inside
-// the query deadline — rather than acknowledge it and then sit the run
-// out, which leaves the leader waiting on the peer until the deadline.
+// peer must refuse the run at once by aborting it — a retryable 503
+// well inside the query deadline — rather than join it and then sit the
+// run out, which leaves the leader waiting on the peer until the
+// deadline.
 func TestFleetPeerContentMismatch(t *testing.T) {
 	workers, urls := newWorkerGroup(t, 2, 350, nil)
 	waitReady(t, workers[1])
@@ -342,7 +343,7 @@ func TestFleetPeerContentMismatch(t *testing.T) {
 		t.Fatal("503 reply lacks Retry-After")
 	}
 	if elapsed > 2*time.Second {
-		t.Fatalf("rejection took %v, want it from the ack, not the deadline", elapsed)
+		t.Fatalf("rejection took %v, want it from the peer's abort, not the deadline", elapsed)
 	}
 }
 

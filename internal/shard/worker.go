@@ -63,13 +63,15 @@ type WorkerConfig struct {
 }
 
 // ctrlMsg is the JSON job-control protocol riding the mesh's control
-// frames. Job control: the leader announces a run ("start"), each peer
-// validates its registry and answers ("ack"), and the leader releases
-// the barrier ("go") once every peer is ready. Catch-up (see
-// selfheal.go): a peer offers its inventory to the leader ("state"),
-// and the leader answers with every graph the peer is missing ("sync").
+// frames. Job control is one message: the leader announces a run
+// ("start") and starts its own share at once; each peer checks its
+// registry and either joins the run or refuses it by aborting the run's
+// session, which reaches every rank as the run's own ABORT frame.
+// Catch-up (see selfheal.go): a peer offers its inventory to the leader
+// ("state"), and the leader answers with every graph the peer is
+// missing ("sync").
 type ctrlMsg struct {
-	Type    string `json:"type"` // start | ack | go | state | sync
+	Type    string `json:"type"` // start | state | sync
 	Run     uint64 `json:"run"`
 	Graph   string `json:"graph,omitempty"`
 	Version uint64 `json:"version,omitempty"`
@@ -77,29 +79,13 @@ type ctrlMsg struct {
 
 	Alg    string            `json:"alg,omitempty"`
 	Params planner.RunParams `json:"params,omitempty"`
-	OK     bool              `json:"ok,omitempty"`
-	Err    string            `json:"err,omitempty"`
 	Rank   int               `json:"rank,omitempty"`
 	Graphs []graphState      `json:"graphs,omitempty"` // state: sender's inventory
 	Sync   []syncGraph       `json:"sync,omitempty"`   // sync: graphs the peer lacks
 }
 
-type ackResult struct {
-	rank int
-	ok   bool
-	err  string
-}
-
-// stagedRun is a run a peer has acknowledged: the announcement and the
-// registration it validated, so "go" runs exactly that immutable
-// snapshot even if the name is re-registered in between.
-type stagedRun struct {
-	job ctrlMsg
-	sg  *service.StoredGraph
-}
-
 // Worker is one rank process of a shard group: a mesh endpoint, the
-// job-control state machine, and an HTTP-facing service engine.
+// job-control handler, and an HTTP-facing service engine.
 type Worker struct {
 	rank       int
 	p          int
@@ -113,8 +99,6 @@ type Worker struct {
 	nextRun atomic.Uint64
 
 	mu     sync.Mutex
-	acks   map[uint64]chan ackResult // leader: pending run acknowledgements
-	staged map[uint64]stagedRun      // peer: validated runs awaiting "go"
 	closed bool
 	jobs   sync.WaitGroup
 
@@ -139,8 +123,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		members:    make([]int, p),
 		faults:     cfg.Faults,
 		jobTimeout: cfg.JobTimeout,
-		acks:       make(map[uint64]chan ackResult),
-		staged:     make(map[uint64]stagedRun),
 		meshUp:     make(chan struct{}),
 	}
 	for i := range w.members {
@@ -230,7 +212,7 @@ func (w *Worker) Close() {
 }
 
 // handleControl runs on mesh read-pump goroutines; it must not block,
-// so acks and job execution move to their own goroutines.
+// so job execution and refusals move to their own goroutines.
 func (w *Worker) handleControl(src int, epoch uint64, payload []byte) {
 	var msg ctrlMsg
 	if err := json.Unmarshal(payload, &msg); err != nil {
@@ -238,50 +220,29 @@ func (w *Worker) handleControl(src int, epoch uint64, payload []byte) {
 	}
 	switch msg.Type {
 	case "start":
-		ack := ctrlMsg{Type: "ack", Run: msg.Run, Rank: w.rank}
+		var refusal error
 		sg, err := w.engine.Registry().Get(msg.Graph)
 		switch {
 		case err != nil:
-			ack.Err = fmt.Sprintf("graph %q not registered on rank %d", msg.Graph, w.rank)
+			refusal = fmt.Errorf("graph %q not registered on rank %d", msg.Graph, w.rank)
 		case sg.Version != msg.Version && fingerprintOf(sg) != msg.FP:
 			// Version skew alone is benign — startup anti-entropy racing a
 			// direct upload can leave identical content at different
 			// versions on different ranks — so content identity (the
 			// fingerprint) is what gates participation.
-			ack.Err = fmt.Sprintf("rank %d holds other content under %q (version %d, leader's %d)",
+			refusal = fmt.Errorf("rank %d holds other content under %q (version %d, leader's %d)",
 				w.rank, msg.Graph, sg.Version, msg.Version)
-		default:
-			w.mu.Lock()
-			if w.closed {
-				ack.Err = "worker shutting down"
-			} else {
-				w.staged[msg.Run] = stagedRun{job: msg, sg: sg}
-				ack.OK = true
-			}
-			w.mu.Unlock()
 		}
-		go w.sendCtrl(src, ack)
-	case "ack":
+		// A closing worker takes no run: its mesh close fails the
+		// leader's run as a lost peer.
 		w.mu.Lock()
-		ch := w.acks[msg.Run]
-		w.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- ackResult{rank: msg.Rank, ok: msg.OK, err: msg.Err}:
-			default:
-			}
-		}
-	case "go":
-		w.mu.Lock()
-		run, ok := w.staged[msg.Run]
-		delete(w.staged, msg.Run)
 		closed := w.closed
-		if ok && !closed {
+		if !closed {
 			w.jobs.Add(1)
 		}
 		w.mu.Unlock()
-		if ok && !closed {
-			go w.runPeerJob(run)
+		if !closed {
+			go w.runPeerJob(msg, sg, refusal)
 		}
 	case "state":
 		if w.rank == 0 {
@@ -302,27 +263,33 @@ func (w *Worker) sendCtrl(dst int, msg ctrlMsg) error {
 	return w.mesh.SendControl(dst, msg.Run, payload)
 }
 
-// runPeerJob is a non-leader rank's share of one distributed run: build
-// the session and machine for the announced run and make the same
-// service.Run call the leader makes, on the snapshot validated at
-// "start". The result is nil here (no global rank 0); errors surface on
-// the leader through the abort protocol, so they are deliberately
-// dropped.
-func (w *Worker) runPeerJob(run stagedRun) {
+// runPeerJob is a non-leader rank's share of one distributed run: open
+// the announced run's session and make the same service.Run call the
+// leader makes, on the snapshot checked at "start". A refused run
+// aborts the session instead, so the refusal reaches the leader and
+// every other peer as the run's ABORT. The result is nil here (no
+// global rank 0); errors surface on the leader through the abort
+// protocol, so they are deliberately dropped.
+func (w *Worker) runPeerJob(job ctrlMsg, sg *service.StoredGraph, refusal error) {
 	defer w.jobs.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), w.jobTimeout)
-	defer cancel()
-	w.runOnSession(ctx, run.job.Run, run.sg, run.job.Alg, run.job.Params)
-}
-
-// runOnSession executes one distributed run's local share: session,
-// wire-fault hook, machine, default kernel on the caller-supplied shape.
-func (w *Worker) runOnSession(ctx context.Context, run uint64, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
-	sess, err := w.mesh.NewSession(run, w.members)
+	sess, err := w.mesh.NewSession(job.Run, w.members)
 	if err != nil {
-		return nil, err
+		return
 	}
 	defer sess.Close()
+	if refusal != nil {
+		sess.Abort(refusal)
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), w.jobTimeout)
+	defer cancel()
+	w.runOnSession(ctx, sess, sg, job.Alg, job.Params)
+}
+
+// runOnSession executes one distributed run's local share on its
+// session: wire-fault hook, machine, default kernel on the
+// caller-supplied shape.
+func (w *Worker) runOnSession(ctx context.Context, sess *transport.Session, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	if w.faults != nil {
 		if h := w.faults.WireHook(w.rank); h != nil {
 			sess.SetWireHook(h)
@@ -346,46 +313,25 @@ func (d *distExecutor) MachineP() int { return d.w.p }
 func (d *distExecutor) Execute(ctx context.Context, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	w := d.w
 	run := w.nextRun.Add(1)
-	if w.p > 1 {
-		ch := make(chan ackResult, w.p-1)
-		w.mu.Lock()
-		w.acks[run] = ch
-		w.mu.Unlock()
-		defer func() {
-			w.mu.Lock()
-			delete(w.acks, run)
-			w.mu.Unlock()
-		}()
-
-		start := ctrlMsg{
-			Type: "start", Run: run,
-			Graph: sg.Name, Version: sg.Version, FP: fingerprintOf(sg),
-			Alg: alg, Params: pr,
-		}
-		for peer := 1; peer < w.p; peer++ {
-			if err := w.sendCtrl(peer, start); err != nil {
-				return nil, err // wraps ErrPeerLost → 503 + Retry-After
-			}
-		}
-		for n := 0; n < w.p-1; n++ {
-			select {
-			case ack := <-ch:
-				if !ack.ok {
-					return nil, fmt.Errorf("shard: peer rank %d rejected run %d: %s", ack.rank, run, ack.err)
-				}
-			case <-ctx.Done():
-				return nil, fmt.Errorf("%w: run %d: %d/%d peers acknowledged before the deadline",
-					transport.ErrPeerLost, run, n, w.p-1)
-			}
-		}
-		release := ctrlMsg{Type: "go", Run: run}
-		for peer := 1; peer < w.p; peer++ {
-			if err := w.sendCtrl(peer, release); err != nil {
-				return nil, err
-			}
+	// The session exists before any peer hears of the run, so a peer's
+	// refusal or loss aborts it at once.
+	sess, err := w.mesh.NewSession(run, w.members)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	start := ctrlMsg{
+		Type: "start", Run: run,
+		Graph: sg.Name, Version: sg.Version, FP: fingerprintOf(sg),
+		Alg: alg, Params: pr,
+	}
+	for peer := 1; peer < w.p; peer++ {
+		if err := w.sendCtrl(peer, start); err != nil {
+			sess.Abort(err) // unwinds the peers that already started
+			return nil, err // wraps ErrPeerLost → 503 + Retry-After
 		}
 	}
-	return w.runOnSession(ctx, run, sg, alg, pr)
+	return w.runOnSession(ctx, sess, sg, alg, pr)
 }
 
 // rejectExecutor answers queries sent to a non-leader worker: routing

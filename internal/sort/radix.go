@@ -132,60 +132,6 @@ func Combine(kvs, scratch []KV) []KV {
 	return out
 }
 
-// Uint64s sorts keys ascending in place using scratch (length ≥
-// len(keys)) as the ping-pong buffer. It is Pairs for payload-free keys.
-func Uint64s(keys, scratch []uint64) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	if n < insertionCutoff {
-		for i := 1; i < n; i++ {
-			x := keys[i]
-			j := i - 1
-			for j >= 0 && keys[j] > x {
-				keys[j+1] = keys[j]
-				j--
-			}
-			keys[j+1] = x
-		}
-		return
-	}
-	scratch = scratch[:n]
-	var count [radixDigits][radixBuckets]int
-	for _, k := range keys {
-		count[0][byte(k)]++
-		count[1][byte(k>>8)]++
-		count[2][byte(k>>16)]++
-		count[3][byte(k>>24)]++
-		count[4][byte(k>>32)]++
-		count[5][byte(k>>40)]++
-		count[6][byte(k>>48)]++
-		count[7][byte(k>>56)]++
-	}
-	src, dst := keys, scratch
-	for d := 0; d < radixDigits; d++ {
-		c := &count[d]
-		shift := uint(8 * d)
-		if c[byte(src[0]>>shift)] == n {
-			continue
-		}
-		sum := 0
-		for b := 0; b < radixBuckets; b++ {
-			c[b], sum = sum, sum+c[b]
-		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[c[b]] = k
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
 // kvPool and wordPool recycle sort scratch across calls and goroutines.
 // Buffers whose capacity turns out too small for a request are simply
 // dropped to the collector.

@@ -143,28 +143,6 @@ func TestPairsRandomSweep(t *testing.T) {
 	}
 }
 
-func TestUint64sMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		n := r.Intn(300)
-		in := make([]uint64, n)
-		for i := range in {
-			in[i] = r.Uint64() >> uint(r.Intn(60))
-		}
-		got := append([]uint64(nil), in...)
-		scratch := BorrowWords(n)
-		Uint64s(got, scratch)
-		ReleaseWords(scratch)
-		want := append([]uint64(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d at %d: got %d want %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestKeyRoundTrip(t *testing.T) {
 	for _, uv := range [][2]int32{{0, 0}, {1, 2}, {1<<31 - 1, 1<<31 - 1}, {7, 1 << 30}} {
 		k := Key(uv[0], uv[1])

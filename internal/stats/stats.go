@@ -83,29 +83,3 @@ func BootstrapMedianCI(xs []float64, level float64, resamples int, st *rng.Strea
 	}
 	return CI{Lo: meds[lo], Hi: meds[hi]}, nil
 }
-
-// MeasureUntilStable repeatedly invokes measure and returns the median
-// once the bootstrap CI at `level` is within relWidth of the median, or
-// after maxRuns measurements — the artifact's measurement loop. At least
-// minRuns measurements are always taken.
-func MeasureUntilStable(measure func() float64, minRuns, maxRuns int, level, relWidth float64, st *rng.Stream) (median float64, runs int) {
-	if minRuns < 3 {
-		minRuns = 3
-	}
-	if maxRuns < minRuns {
-		maxRuns = minRuns
-	}
-	var xs []float64
-	for len(xs) < maxRuns {
-		xs = append(xs, measure())
-		if len(xs) < minRuns {
-			continue
-		}
-		med := Median(xs)
-		ci, err := BootstrapMedianCI(xs, level, 400, st)
-		if err == nil && ci.RelativeWidth(med) <= relWidth {
-			return med, len(xs)
-		}
-	}
-	return Median(xs), len(xs)
-}

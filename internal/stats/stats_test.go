@@ -70,33 +70,6 @@ func TestBootstrapCIErrors(t *testing.T) {
 	}
 }
 
-func TestMeasureUntilStableConvergesFast(t *testing.T) {
-	st := rng.New(9, 0, 0)
-	calls := 0
-	med, runs := MeasureUntilStable(func() float64 {
-		calls++
-		return 5 // perfectly stable
-	}, 3, 100, 0.95, 0.05, st)
-	if med != 5 {
-		t.Errorf("median = %v", med)
-	}
-	if runs != 3 || calls != 3 {
-		t.Errorf("took %d runs (%d calls), want 3", runs, calls)
-	}
-}
-
-func TestMeasureUntilStableCapsAtMax(t *testing.T) {
-	st := rng.New(9, 0, 0)
-	i := 0.0
-	_, runs := MeasureUntilStable(func() float64 {
-		i += 1
-		return i * 100 // never stabilizes
-	}, 3, 12, 0.95, 0.01, st)
-	if runs != 12 {
-		t.Errorf("runs = %d, want max 12", runs)
-	}
-}
-
 func TestRelativeWidthZeroCenter(t *testing.T) {
 	ci := CI{Lo: -1, Hi: 1}
 	if ci.RelativeWidth(0) != 0 {

@@ -125,3 +125,58 @@ func TestObserveAllocFree(t *testing.T) {
 		t.Errorf("steady-state Observe allocates %v times per %d samples", n, len(samples))
 	}
 }
+
+func TestCollectorAggregates(t *testing.T) {
+	c := NewCollector()
+	c.Observe(QuerySample{Algorithm: "cc", Outcome: OutcomeExecuted, Latency: 10 * time.Millisecond, QueueDepth: 1,
+		Kernel: &KernelStats{P: 4, Supersteps: 12, CommVolume: 100}})
+	c.Observe(QuerySample{Algorithm: "cc", Outcome: OutcomeCacheHit, Latency: time.Millisecond})
+	c.Observe(QuerySample{Algorithm: "cc", Outcome: OutcomeCoalesced, Latency: 9 * time.Millisecond})
+	c.Observe(QuerySample{Algorithm: "mincut", Outcome: OutcomeRejected, QueueDepth: 7})
+	c.Observe(QuerySample{Algorithm: "mincut", Outcome: OutcomeError, Latency: 2 * time.Millisecond})
+
+	s := c.Snapshot()
+	if s.Totals.Queries != 5 || s.Totals.KernelExecutions != 1 ||
+		s.Totals.CacheHits != 1 || s.Totals.Coalesced != 1 ||
+		s.Totals.Rejected != 1 || s.Totals.Errors != 1 {
+		t.Errorf("totals = %+v", s.Totals)
+	}
+	cc := s.Algorithms["cc"]
+	if cc.Queries != 3 || cc.KernelExecutions != 1 || cc.Supersteps != 12 || cc.CommVolume != 100 {
+		t.Errorf("cc stats = %+v", cc)
+	}
+	if cc.MinLatencyMs != 1 || cc.MaxLatencyMs != 10 {
+		t.Errorf("cc latency min/max = %v/%v", cc.MinLatencyMs, cc.MaxLatencyMs)
+	}
+	if cc.MaxP != 4 {
+		t.Errorf("cc MaxP = %d", cc.MaxP)
+	}
+	if s.MaxQueueDepth != 7 {
+		t.Errorf("max queue depth = %d", s.MaxQueueDepth)
+	}
+
+	// Rejections must not pollute the latency profile.
+	mc := s.Algorithms["mincut"]
+	if mc.MinLatencyMs != 2 || mc.MaxLatencyMs != 2 {
+		t.Errorf("mincut latency min/max = %v/%v", mc.MinLatencyMs, mc.MaxLatencyMs)
+	}
+}
+
+func TestCollectorConcurrent(t *testing.T) {
+	c := NewCollector()
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for j := 0; j < 1000; j++ {
+				c.Observe(QuerySample{Algorithm: "cc", Outcome: OutcomeCacheHit})
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		<-done
+	}
+	if got := c.Snapshot().Totals.Queries; got != 8000 {
+		t.Errorf("queries = %d, want 8000", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"time"
 )
 
 // snapshotRecord is the JSON wire form of a Record: durations in
@@ -109,4 +110,10 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 		return err
 	}
 	return f.Close()
+}
+
+// secondsToDuration converts %f-formatted seconds back to a Duration,
+// rounding to the microsecond the format carries.
+func secondsToDuration(s float64) time.Duration {
+	return time.Duration(s*1e6+0.5) * time.Microsecond
 }

@@ -1,8 +1,6 @@
 // Package trace records per-execution metrics in the artifact's CSV
 // output format (§A.5, Listing 1): a profiling line with input identity,
-// seed, parallelism, timings, and the summarized result, optionally
-// preceded by a counter line (the artifact's PAPI values; here the
-// cache-simulator counters).
+// seed, parallelism, timings, and the summarized result.
 package trace
 
 import (
@@ -39,20 +37,5 @@ func (r *Record) WriteProfile(w io.Writer) error {
 		r.Input, r.Seed, r.Trial, r.N, r.M,
 		r.Time.Seconds(), r.MPITime.Seconds(), r.Algorithm, r.P,
 		r.Result, r.Supersteps, r.CommVolume)
-	return err
-}
-
-// Counters mirrors the artifact's PAPI counter line using the cache
-// simulator's measurements.
-type Counters struct {
-	Rank         int
-	Accesses     uint64
-	Misses       uint64
-	Instructions uint64
-}
-
-// WriteCounters emits the artifact-style "PAPI,..." line.
-func (c *Counters) WriteCounters(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "PAPI,%d,%d,%d,%d\n", c.Rank, c.Accesses, c.Misses, c.Instructions)
 	return err
 }

@@ -25,14 +25,3 @@ func TestWriteProfileFormat(t *testing.T) {
 		t.Error("missing newline")
 	}
 }
-
-func TestWriteCountersFormat(t *testing.T) {
-	c := &Counters{Rank: 0, Accesses: 39125749, Misses: 627998425, Instructions: 1184539166}
-	var buf bytes.Buffer
-	if err := c.WriteCounters(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "PAPI,0,39125749,627998425,1184539166\n" {
-		t.Errorf("line = %q", got)
-	}
-}
