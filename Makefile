@@ -80,8 +80,9 @@ chaos-fleet:
 
 # Every Fuzz* target in the module (union-find, frame parser, payload
 # codecs, handshake parsers, min-cut certificate, the library's
-# connected-components input path) for 10s each; their seed corpora
-# already run under `make test`.
+# connected-components input path, the upload loaders FuzzReadEdgeList
+# and FuzzReadSNAP) for 10s each; their seed corpora already run under
+# `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
 
@@ -166,10 +167,12 @@ bench-gate:
 load-smoke:
 	bash scripts/load_smoke.sh
 
-# Multi-process tier: the transport fabric, the shard serving tier, and
-# the 3-process fleet e2e (spawns real camcd processes), race-checked.
+# Multi-process tier: the transport fabric, the shard serving tier, the
+# cross-fabric kernel test (every kernel over loopback TCP meshes, ledgers
+# checked rank by rank), and the 3-process fleet e2e (spawns real camcd
+# processes), race-checked.
 transport:
-	$(GO) test -race -count=1 ./internal/transport/ ./internal/shard/ ./cmd/camcd/
+	$(GO) test -race -count=1 ./internal/transport/ ./internal/shard/ ./internal/kernels/ ./cmd/camcd/
 
 camcd:
 	$(GO) run ./cmd/camcd

@@ -639,12 +639,6 @@ func (m *Machine) run(body func(c *Comm)) (*Stats, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// FinishRun completes the fabric's accounting; over TCP it sums the
-	// wire-byte counts of all worker processes. A failure there (peer
-	// lost at end of run) is a transport failure, not a kernel result.
-	if err := m.tr.FinishRun(); err != nil {
-		return nil, wrapAbort(err)
-	}
 	st := &Stats{P: m.p, Ledger: m.tr.Ledger(), Transport: m.tr.Kind()}
 	for _, c := range m.comms {
 		if c == nil {

@@ -199,3 +199,71 @@ func TestMachineOverTCPCancelPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPRunEndsAtLastSuperstep pins where a socket run ends: at its
+// last Exchange. Rank 1's body, after three supersteps, waits for rank
+// 0's Run to return, so any message wave after the last superstep that
+// rank 0 waited on would hold both ranks until the guard fires.
+func TestTCPRunEndsAtLastSuperstep(t *testing.T) {
+	const p, steps = 2, 3
+	meshes, err := transport.NewLoopbackMeshes(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, m := range meshes {
+			m.Close()
+		}
+	}()
+	rank0Done := make(chan struct{})
+	stats := make([]*bsp.Stats, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if r == 0 {
+				defer close(rank0Done)
+			}
+			sess, err := meshes[r].NewSession(3, []int{0, 1})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer sess.Close()
+			m, err := bsp.NewMachineOver(sess.Root())
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			stats[r], errs[r] = m.Run(func(c *bsp.Comm) {
+				for s := 0; s < steps; s++ {
+					c.Send(1-c.Rank(), []uint64{uint64(s), uint64(c.Rank())})
+					c.Sync()
+				}
+				if c.Rank() == 1 {
+					select {
+					case <-rank0Done:
+					case <-time.After(5 * time.Second):
+						t.Error("rank 0's run did not return before rank 1's body ended")
+					}
+				}
+			})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, st := range stats {
+		if st.Supersteps != steps {
+			t.Errorf("rank %d: %d supersteps, want %d", r, st.Supersteps, steps)
+		}
+		if st.WireBytes == 0 || st.WireBytes != stats[0].WireBytes || st.WireRawBytes != stats[0].WireRawBytes {
+			t.Errorf("rank %d: wire %d/%d raw, rank 0 %d/%d", r, st.WireBytes, st.WireRawBytes, stats[0].WireBytes, stats[0].WireRawBytes)
+		}
+	}
+}

@@ -124,6 +124,10 @@ func ReadSNAP(r io.Reader) (*Graph, error) {
 	return &Graph{N: int(maxID + 1), Edges: edges}, nil
 }
 
+// maxEdgeHint caps the edge capacity ReadEdgeList reserves from a
+// header's edge count; longer lists grow by append.
+const maxEdgeHint = 1 << 16
+
 // ReadEdgeList parses the format produced by WriteEdgeList. A missing
 // weight column defaults to weight 1, so unweighted graph files load too.
 // Lines starting with '#' or '%' are comments.
@@ -152,7 +156,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if err != nil || m < 0 {
 				return nil, malformedf("line %d: bad edge count %q", line, fields[1])
 			}
-			g = &Graph{N: n, Edges: make([]Edge, 0, m)}
+			// m comes from the input, so it is only a capacity hint, and a
+			// capped one: a header claiming billions of edges must not
+			// allocate them before a single edge line has arrived.
+			g = &Graph{N: n, Edges: make([]Edge, 0, min(m, maxEdgeHint))}
 			continue
 		}
 		if len(fields) < 2 {

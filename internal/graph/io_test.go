@@ -47,6 +47,21 @@ func TestReadEdgeListComments(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListEdgeCountIsAHint: the header's edge count sizes no
+// allocation beyond a small cap, so a header claiming far more edges
+// than the body holds (here 80 GB worth) loads the edges that are there.
+func TestReadEdgeListEdgeCountIsAHint(t *testing.T) {
+	for _, in := range []string{"2 5000000000\n0 1 1\n", "2 0\n0 1 1\n"} {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if g.N != 2 || len(g.Edges) != 1 || g.Edges[0] != (Edge{U: 0, V: 1, W: 1}) {
+			t.Errorf("%q parsed as %+v", in, g)
+		}
+	}
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
 		"",               // empty

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,7 +18,8 @@ import (
 // runKernelOverTCP executes body once per rank over a loopback TCP mesh
 // and returns rank 0's Stats and result word. Every rank is its own
 // session on its own mesh, exactly as separate camcd -worker processes
-// would be, minus the process boundary.
+// would be, minus the process boundary. Every rank must report the same
+// ledger as rank 0, wire-byte counts included.
 func runKernelOverTCP(t *testing.T, p int, epoch uint64, body func(c *bsp.Comm) uint64) (*bsp.Stats, uint64) {
 	t.Helper()
 	meshes, err := transport.NewLoopbackMeshes(p, 1)
@@ -36,8 +38,8 @@ func runKernelOverTCP(t *testing.T, p int, epoch uint64, body func(c *bsp.Comm) 
 	var (
 		wg     sync.WaitGroup
 		result uint64
-		stats  *bsp.Stats
 	)
+	stats := make([]*bsp.Stats, p)
 	errs := make([]error, p)
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -54,19 +56,12 @@ func runKernelOverTCP(t *testing.T, p int, epoch uint64, body func(c *bsp.Comm) 
 				errs[r] = err
 				return
 			}
-			st, err := m.Run(func(c *bsp.Comm) {
+			stats[r], errs[r] = m.Run(func(c *bsp.Comm) {
 				res := body(c)
 				if c.Rank() == 0 {
 					result = res
 				}
 			})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			if r == 0 {
-				stats = st
-			}
 		}(r)
 	}
 	wg.Wait()
@@ -75,7 +70,12 @@ func runKernelOverTCP(t *testing.T, p int, epoch uint64, body func(c *bsp.Comm) 
 			t.Fatalf("tcp rank %d: %v", r, err)
 		}
 	}
-	return stats, result
+	for r, st := range stats {
+		if !reflect.DeepEqual(st.Ledger, stats[0].Ledger) {
+			t.Errorf("tcp rank %d ledger %+v, rank 0 %+v", r, st.Ledger, stats[0].Ledger)
+		}
+	}
+	return stats[0], result
 }
 
 // TestCrossTransportAccounting runs every pinned kernel configuration at

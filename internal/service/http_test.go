@@ -117,6 +117,41 @@ func TestHTTPUploadQueryStats(t *testing.T) {
 	}
 }
 
+// TestHTTPUploadHugeEdgeCountHeader: the edge-list header's edge count
+// comes from the client, so a 19-byte body claiming five billion edges
+// must get an answer — not an allocation that kills the process — and
+// the engine must go on serving.
+func TestHTTPUploadHugeEdgeCountHeader(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/graphs?name=tiny", "text/plain", strings.NewReader("2 5000000000\n0 1 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("upload status %d: %s", resp.StatusCode, b)
+	}
+	var info GraphInfo
+	decode(t, resp, &info)
+	if info.N != 2 || info.M != 1 {
+		t.Fatalf("upload info = %+v", info)
+	}
+
+	resp = postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "tiny", Algorithm: AlgCC})
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("query status %d: %s", resp.StatusCode, b)
+	}
+	var qr QueryResponse
+	decode(t, resp, &qr)
+	if qr.Components == nil || *qr.Components != 1 {
+		t.Fatalf("cc response = %+v", qr)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	srv := httptest.NewServer(NewHandler(e))

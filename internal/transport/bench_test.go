@@ -177,12 +177,12 @@ func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 					}
 					driveAllToAll(b, eps, w)
 					// driveAllToAll returns only after every rank finished
-					// its Exchange barriers, so the send-side counters are
-					// settled; snapshot the last (largest-N) run.
-					wire, raw = 0, 0
-					for _, s := range sessions {
-						wire += s.WireBytes()
-						raw += s.WireRawBytes()
+					// its Exchange barriers, and each rank's ledger then
+					// holds the run's wire totals; snapshot the last
+					// (largest-N) run.
+					if len(sessions) > 0 {
+						l := sessions[0].Ledger()
+						wire, raw = l.WireBytes, l.WireRawBytes
 					}
 				})
 				if failed != nil {

@@ -191,25 +191,29 @@ func TestDecodeDataPayloadMalformed(t *testing.T) {
 	valid := binaryLE32(nil, 2)
 	valid = binaryLE32(valid, 0)
 	valid = binaryLE32(valid, 3)
+	valid = binaryLE32(binaryLE32(valid, 4242), 0) // wire stamp
 	valid = appendEncodedPayload(valid, words)
-	if sizes, got, err := decodeDataPayload(valid, 2, 1, nil); err != nil || sizes[1] != 3 || !wordsEq(got, words) {
+	if sizes, stamp, got, err := decodeDataPayload(valid, 2, 1, nil); err != nil || sizes[1] != 3 || stamp != 4242 || !wordsEq(got, words) {
 		t.Fatalf("valid payload rejected: %v", err)
 	}
 
-	if _, _, err := decodeDataPayload(valid, 3, 1, nil); err == nil {
+	if _, _, _, err := decodeDataPayload(valid, 3, 1, nil); err == nil {
 		t.Fatal("group-size mismatch accepted")
 	}
-	if _, _, err := decodeDataPayload(valid, 2, 5, nil); err == nil {
+	if _, _, _, err := decodeDataPayload(valid, 2, 5, nil); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
-	if _, _, err := decodeDataPayload(valid[:6], 2, 1, nil); err == nil {
+	if _, _, _, err := decodeDataPayload(valid[:6], 2, 1, nil); err == nil {
 		t.Fatal("truncated size vector accepted")
+	}
+	if _, _, _, err := decodeDataPayload(valid[:18], 2, 1, nil); err == nil {
+		t.Fatal("truncated wire stamp accepted")
 	}
 	// Size vector promising more words than the body can hold
 	// (sizes[1] lives at bytes 8..12 of the payload).
 	lying := append([]byte(nil), valid...)
 	lying[8], lying[9], lying[10], lying[11] = 0xff, 0xff, 0xff, 0x3f
-	if _, _, err := decodeDataPayload(lying, 2, 1, nil); err == nil {
+	if _, _, _, err := decodeDataPayload(lying, 2, 1, nil); err == nil {
 		t.Fatal("oversized word count accepted")
 	}
 }
@@ -218,22 +222,6 @@ func TestDecodeDataPayloadMalformed(t *testing.T) {
 // read as byte layouts).
 func binaryLE32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// TestLedgerRoundtripWireBytes checks the end-of-run LEDGER frame
-// carries both wire-byte counters.
-func TestLedgerRoundtripWireBytes(t *testing.T) {
-	buf := encodeLedger(1000, 2500)
-	wire, raw, err := decodeLedger(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire != 1000 || raw != 2500 {
-		t.Fatalf("wire=%d raw=%d, want 1000/2500", wire, raw)
-	}
-	if _, _, err := decodeLedger(buf[:10]); err == nil {
-		t.Fatal("truncated ledger frame accepted")
-	}
 }
 
 // TestPackWidthExact pins the width computation the bench gate's

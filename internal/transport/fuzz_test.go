@@ -9,7 +9,7 @@ import (
 
 // FuzzParseFrame throws arbitrary bytes at the receive path a hostile
 // or corrupt peer controls: frame parsing, data-payload decoding
-// (through every codec), ledger decoding, and abort decoding.
+// (through every codec) and abort decoding.
 // The invariant is error-not-panic, with allocation bounded by the
 // declared frame length.
 func FuzzParseFrame(f *testing.F) {
@@ -18,12 +18,17 @@ func FuzzParseFrame(f *testing.F) {
 	payload := binary.LittleEndian.AppendUint32(nil, 2)
 	payload = binary.LittleEndian.AppendUint32(payload, 0)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(words)))
+	payload = binary.LittleEndian.AppendUint64(payload, 1234) // wire stamp
 	payload = appendEncodedPayload(payload, words)
 	buf := appendFrameHeader(nil, frameData, 7, 3, 1)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
 	f.Add(buf)
-	f.Add(encodeLedger(10, 20))
+	// The same frame cut inside its wire stamp.
+	cut := appendFrameHeader(nil, frameData, 7, 3, 1)
+	cut = append(cut, payload[:4+4*2+3]...)
+	patchFrameLen(cut)
+	f.Add(cut)
 	f.Add(encodeAbort(true, false, "cause"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -32,18 +37,16 @@ func FuzzParseFrame(f *testing.F) {
 		if err == nil {
 			for _, gp := range []int{1, 2, 4} {
 				for rank := 0; rank < gp; rank++ {
-					_, _, _ = decodeDataPayload(fr.payload, gp, rank, nil)
+					_, _, _, _ = decodeDataPayload(fr.payload, gp, rank, nil)
 				}
 			}
-			_, _, _ = decodeLedger(fr.payload)
 			_, _, _ = decodeAbort(fr.payload)
 			fr.release()
 		}
 		// The unframed bytes through the inner decoders too, so truncation
 		// points the framing would reject still get coverage.
-		_, _, _ = decodeLedger(data)
 		for _, gp := range []int{1, 3} {
-			_, _, _ = decodeDataPayload(data, gp, 0, nil)
+			_, _, _, _ = decodeDataPayload(data, gp, 0, nil)
 		}
 	})
 }

@@ -193,10 +193,6 @@ func (l *Local) Err() error {
 	return l.abortErr
 }
 
-// FinishRun is a no-op on the in-process fabric: the shared ledger is
-// already complete.
-func (l *Local) FinishRun() error { return nil }
-
 // Ledger returns the run's accounting.
 func (l *Local) Ledger() Ledger {
 	out := l.ledger

@@ -530,17 +530,13 @@ func (m *Mesh) peer(dst int) (*peerConn, error) {
 	return pc, nil
 }
 
-// sendFrame writes one frame to a mesh peer, returning the bytes
-// written.
-func (m *Mesh) sendFrame(dst int, buf []byte) (int, error) {
+// sendFrame writes one frame to a mesh peer.
+func (m *Mesh) sendFrame(dst int, buf []byte) error {
 	pc, err := m.peer(dst)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := pc.send(buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
+	return pc.send(buf)
 }
 
 // SendControl delivers an out-of-band job-control payload to a peer
@@ -555,8 +551,7 @@ func (m *Mesh) SendControl(dst int, epoch uint64, payload []byte) error {
 	buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameControl, epoch, 0, m.rank)
 	buf = append(buf, payload...)
 	patchFrameLen(buf)
-	_, err := m.sendFrame(dst, buf)
-	return err
+	return m.sendFrame(dst, buf)
 }
 
 // DropPeers severs every peer connection — the "drop" wire fault. Both

@@ -21,11 +21,15 @@ import (
 // Exchange blocks on a condition variable until all p-1 peer frames
 // for its step arrived.
 //
+// Wire accounting: each data frame is stamped with the bytes of data
+// frames its sender has written for the run, this superstep's included,
+// so after every Exchange each rank's ledger holds the run's total wire
+// traffic so far, the same on every rank. A run ends at its last
+// Exchange; no frame follows it.
+//
 // Aborts: a local Machine.Cancel (or worker panic) poisons the session
 // and broadcasts an ABORT frame to every peer; a lost connection aborts
-// every session on both sides with ErrPeerLost. At the end of a run,
-// FinishRun exchanges LEDGER frames so every process reports the run's
-// total wire traffic.
+// every session on both sides with ErrPeerLost.
 type Session struct {
 	mesh  *Mesh
 	epoch uint64
@@ -37,27 +41,22 @@ type Session struct {
 	staging [][]uint64
 	inbox   [][]uint64
 	mySizes []uint32 // size vector scratch
+	frames  [][]byte // per destination: this step's encoded data frame
+	// wireOut counts the bytes of data frames this process has written
+	// for the run: the stamp its frames carry.
+	wireOut uint64
 
-	// mu guards the abort cause, the sent flag, the parked step states
-	// and the peers' LEDGER counts; cond wakes the Exchange and FinishRun
-	// waiters when any of them changes.
+	// mu guards the abort cause, the sent flag and the parked step
+	// states; cond wakes the Exchange waiter when any of them changes.
 	mu      sync.Mutex
 	cond    sync.Cond
 	abortE  error
 	sent    bool // abort frames already broadcast
 	pending map[uint64]*stepState
-	wireIn  map[int]wireCounts
 
 	// abortFlag is set, under mu, after abortE: a reader that sees it
 	// set finds the cause recorded.
 	abortFlag atomic.Bool
-	// wireBytes counts what this process actually wrote for the session;
-	// wireRawBytes counts what the same frames would have cost had every
-	// payload gone out under the raw codec. Their difference is the
-	// codec's savings (the camc_wire_saved_bytes_total metric); neither
-	// feeds the ledger's logical volume, which is counted in words.
-	wireBytes    atomic.Uint64
-	wireRawBytes atomic.Uint64
 
 	// wordPool recycles []uint64 payload buffers: the decode path fills
 	// inbox rows from it, and Exchange returns the previous superstep's
@@ -72,20 +71,21 @@ type Session struct {
 	// duration). The seam internal/faults' transport kinds compile onto.
 	wireHook func(step uint64) (drop bool, stall time.Duration, crash bool, partition time.Duration)
 
+	// ledger is the run's accounting. Its WireBytes is what every rank
+	// actually wrote and WireRawBytes what the same frames would have
+	// cost had every payload gone out under the raw codec; their
+	// difference is the codecs' savings (the
+	// camc_wire_saved_bytes_total metric). Neither feeds the logical
+	// volume, which is counted in words.
 	ledger Ledger
 }
 
 // stepState accumulates one superstep's inbound frames.
 type stepState struct {
-	got   int
-	sizes [][]uint32 // per source rank: its full size vector
-	words [][]uint64 // per source rank: the payload for this rank
-}
-
-// wireCounts is one process's wire traffic for a run, as its LEDGER
-// frame reports it.
-type wireCounts struct {
-	bytes, raw uint64
+	got    int
+	sizes  [][]uint32 // per source rank: its full size vector
+	stamps []uint64   // per source rank: its wire stamp
+	words  [][]uint64 // per source rank: the payload for this rank
 }
 
 // NewSession registers a run on the mesh. members must list every mesh
@@ -107,8 +107,8 @@ func (m *Mesh) NewSession(epoch uint64, members []int) (*Session, error) {
 		staging: make([][]uint64, m.p),
 		inbox:   make([][]uint64, m.p),
 		mySizes: make([]uint32, m.p),
+		frames:  make([][]byte, m.p),
 		pending: make(map[uint64]*stepState),
-		wireIn:  make(map[int]wireCounts),
 	}
 	s.cond.L = &s.mu
 	m.mu.Lock()
@@ -142,13 +142,6 @@ func (s *Session) SetWireHook(h func(step uint64) (drop bool, stall time.Duratio
 	s.wireHook = h
 }
 
-// WireBytes returns the bytes this process has written for the session.
-func (s *Session) WireBytes() uint64 { return s.wireBytes.Load() }
-
-// WireRawBytes returns what this process's writes would have cost
-// under the raw codec — the pre-compression equivalent of WireBytes.
-func (s *Session) WireRawBytes() uint64 { return s.wireRawBytes.Load() }
-
 // getWords returns a pooled word slice of length n (contents arbitrary
 // — every caller overwrites the full length before reading).
 func (s *Session) getWords(n int) []uint64 {
@@ -171,9 +164,9 @@ func (s *Session) putWords(ws []uint64) {
 }
 
 // abort poisons the session: the first cause is recorded, the waiters
-// wake, and (when notifyPeers) every peer is sent an ABORT frame.
-// Remote aborts pass notifyPeers=false — the originator already told
-// everyone.
+// wake, and (when notifyPeers) every peer is sent an ABORT frame, best
+// effort and unaccounted: a failed run reports no ledger. Remote aborts
+// pass notifyPeers=false — the originator already told everyone.
 func (s *Session) abort(err error, notifyPeers bool) {
 	s.mu.Lock()
 	if s.abortE == nil {
@@ -197,15 +190,12 @@ func (s *Session) abort(err error, notifyPeers bool) {
 		if r == s.rank {
 			continue
 		}
-		if n, err2 := s.mesh.sendFrame(r, buf); err2 == nil {
-			s.wireBytes.Add(uint64(n))
-			s.wireRawBytes.Add(uint64(n))
-		}
+		_ = s.mesh.sendFrame(r, buf)
 	}
 }
 
-// deliver parks one inbound frame on the session's step (or ledger)
-// state; an ABORT poisons the session. Runs on read-pump goroutines.
+// deliver parks one inbound frame on the session's step state; an
+// ABORT poisons the session. Runs on read-pump goroutines.
 func (s *Session) deliver(f frame) {
 	if f.kind == frameAbort {
 		cancelled, peerLost, msg := decodeAbort(f.payload)
@@ -221,7 +211,7 @@ func (s *Session) deliver(f frame) {
 	}
 	switch f.kind {
 	case frameData:
-		sizes, words, err := decodeDataPayload(f.payload, s.p, s.rank, s.getWords)
+		sizes, stamp, words, err := decodeDataPayload(f.payload, s.p, s.rank, s.getWords)
 		f.release()
 		if err != nil {
 			s.abort(fmt.Errorf("%w: rank %d: %v", ErrPeerLost, src, err), true)
@@ -233,6 +223,7 @@ func (s *Session) deliver(f frame) {
 			st.got++
 		}
 		st.sizes[src] = sizes
+		st.stamps[src] = stamp
 		st.words[src] = words
 		// Wake the barrier waiter only when its step is complete — each
 		// earlier frame would otherwise cost a spurious wake/recheck/park
@@ -240,17 +231,6 @@ func (s *Session) deliver(f frame) {
 		if st.got >= s.p-1 {
 			s.cond.Broadcast()
 		}
-		s.mu.Unlock()
-	case frameLedger:
-		wb, wrb, err := decodeLedger(f.payload)
-		f.release()
-		if err != nil {
-			s.abort(fmt.Errorf("%w: rank %d: %v", ErrPeerLost, src, err), true)
-			return
-		}
-		s.mu.Lock()
-		s.wireIn[src] = wireCounts{bytes: wb, raw: wrb}
-		s.cond.Broadcast()
 		s.mu.Unlock()
 	default:
 		f.release()
@@ -262,7 +242,7 @@ func (s *Session) deliver(f frame) {
 func (s *Session) stepAt(step uint64) *stepState {
 	st := s.pending[step]
 	if st == nil {
-		st = &stepState{sizes: make([][]uint32, s.p), words: make([][]uint64, s.p)}
+		st = &stepState{sizes: make([][]uint32, s.p), stamps: make([]uint64, s.p), words: make([][]uint64, s.p)}
 		s.pending[step] = st
 	}
 	return st
@@ -299,9 +279,10 @@ func (s *Session) SendOwned(to int, words []uint64) {
 func (s *Session) Recv(src int) []uint64 { return s.inbox[src] }
 
 // Exchange is the superstep barrier over sockets: coalesce one data
-// frame per peer (carrying the full size vector), then block until all
-// p-1 peer frames for this step arrived. Every rank then computes the
-// identical h-relation from the assembled size matrix.
+// frame per peer (carrying the full size vector and the wire stamp),
+// then block until all p-1 peer frames for this step arrived. Every
+// rank then computes the identical h-relation and wire totals from the
+// assembled size matrix and stamps.
 func (s *Session) Exchange() error {
 	if s.abortFlag.Load() {
 		return s.Err()
@@ -328,31 +309,44 @@ func (s *Session) Exchange() error {
 	for d := 0; d < p; d++ {
 		s.mySizes[d] = uint32(len(s.staging[d]))
 	}
-	// Serialize each destination's coalesced frame straight into a
-	// pooled buffer, write it to that peer's socket on this goroutine,
-	// and recycle the buffer once the kernel has it.
+	// Serialize each destination's coalesced frame into a pooled buffer,
+	// stamp every frame with the run's bytes through this step's frames,
+	// then write each to its peer's socket on this goroutine and recycle
+	// the buffer once the kernel has it.
+	head := dataHeadLen(p)
+	stampAt := head - 1 - 8 // the stamp precedes the codec byte
 	for dst := 0; dst < p; dst++ {
 		if dst == s.rank {
 			continue
 		}
 		words := s.staging[dst]
-		head := 4 + frameHeaderLen + 4 + 4*p + 1
 		buf := frameBufGet(head + 8*len(words))[:0]
 		buf = appendFrameHeader(buf, frameData, s.epoch, step, s.rank)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
 		for _, sz := range s.mySizes {
 			buf = binary.LittleEndian.AppendUint32(buf, sz)
 		}
+		buf = binary.LittleEndian.AppendUint64(buf, 0) // stamp, patched below
 		buf = appendEncodedPayload(buf, words)
 		patchFrameLen(buf)
-		n, err := s.mesh.sendFrame(dst, buf)
-		frameBufPut(buf)
-		if err != nil {
-			s.abort(err, true)
-			return s.Err()
+		s.frames[dst] = buf
+		s.wireOut += uint64(len(buf))
+	}
+	var sendErr error
+	for dst, buf := range s.frames {
+		if buf == nil {
+			continue
 		}
-		s.wireBytes.Add(uint64(n))
-		s.wireRawBytes.Add(uint64(head + 8*len(words)))
+		if sendErr == nil {
+			binary.LittleEndian.PutUint64(buf[stampAt:], s.wireOut)
+			sendErr = s.mesh.sendFrame(dst, buf)
+		}
+		frameBufPut(buf)
+		s.frames[dst] = nil
+	}
+	if sendErr != nil {
+		s.abort(sendErr, true)
+		return s.Err()
 	}
 
 	// Barrier: wait for every peer's frame for this step.
@@ -392,8 +386,12 @@ func (s *Session) Exchange() error {
 
 	// Account the h-relation from the full size matrix — byte-identical
 	// to the in-process finalizer: max over destinations of the column
-	// sum and over sources of the row sum.
+	// sum and over sources of the row sum. The wire totals are this
+	// rank's count plus every peer's stamp, and the raw cost of the
+	// step's p(p-1) frames read off the same matrix.
 	var h uint64
+	wire := s.wireOut
+	raw := uint64(p * (p - 1) * head)
 	for dst := 0; dst < p; dst++ {
 		var recv uint64
 		for src := 0; src < p; src++ {
@@ -408,20 +406,22 @@ func (s *Session) Exchange() error {
 		}
 	}
 	for src := 0; src < p; src++ {
+		sizes := s.mySizes
+		if src != s.rank {
+			sizes = st.sizes[src]
+			wire += st.stamps[src]
+		}
 		var sent uint64
-		if src == s.rank {
-			for _, sz := range s.mySizes {
-				sent += uint64(sz)
-			}
-		} else {
-			for _, sz := range st.sizes[src] {
-				sent += uint64(sz)
-			}
+		for _, sz := range sizes {
+			sent += uint64(sz)
 		}
 		if sent > h {
 			h = sent
 		}
+		raw += 8 * (sent - uint64(sizes[src]))
 	}
+	s.ledger.WireBytes = wire
+	s.ledger.WireRawBytes += raw
 	s.ledger.Supersteps++
 	s.ledger.CommVolume += h
 	s.ledger.HRelations = append(s.ledger.HRelations, h)
@@ -472,50 +472,8 @@ func (s *Session) Reset() error {
 	return nil
 }
 
-// FinishRun sums the run's wire traffic across processes: every rank
-// broadcasts its wire-byte counts and adds up what it receives. The
-// superstep ledger needs no merge — every rank computed the same one
-// from the same size matrices.
-func (s *Session) FinishRun() error {
-	ownWire := s.wireBytes.Load()
-	ownRaw := s.wireRawBytes.Load()
-
-	payload := encodeLedger(ownWire, ownRaw)
-	for r := 0; r < s.p; r++ {
-		if r == s.rank {
-			continue
-		}
-		buf := appendFrameHeader(make([]byte, 0, 4+frameHeaderLen+len(payload)), frameLedger, s.epoch, 0, s.rank)
-		buf = append(buf, payload...)
-		patchFrameLen(buf)
-		n, err := s.mesh.sendFrame(r, buf)
-		if err != nil {
-			s.abort(err, true)
-			return s.Err()
-		}
-		s.wireBytes.Add(uint64(n))
-		s.wireRawBytes.Add(uint64(n))
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.wireIn) < s.p-1 {
-		if err := s.abortE; err != nil {
-			return err
-		}
-		s.cond.Wait()
-	}
-	s.ledger.WireBytes = ownWire
-	s.ledger.WireRawBytes = ownRaw
-	for _, w := range s.wireIn {
-		s.ledger.WireBytes += w.bytes
-		s.ledger.WireRawBytes += w.raw
-	}
-	return nil
-}
-
-// Ledger returns the run's accounting; its wire-byte counts are the
-// whole run's after FinishRun and zero before.
+// Ledger returns the run's accounting, valid after every Exchange: its
+// wire-byte counts are the whole run's through the last superstep.
 func (s *Session) Ledger() Ledger {
 	out := s.ledger
 	out.HRelations = append([]uint64(nil), s.ledger.HRelations...)

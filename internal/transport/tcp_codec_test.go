@@ -81,9 +81,6 @@ func TestBufferPoolReuseBitIdentical(t *testing.T) {
 						return err
 					}
 					tcpSums[r] = sum
-					if err := root.FinishRun(); err != nil {
-						return err
-					}
 					ledgers[r] = root.Ledger()
 					return nil
 				})
@@ -105,16 +102,15 @@ func TestBufferPoolReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWireRawBytesMatchesFrameSizes pins the raw-equivalent wire counter
-// to the frame layout: a DATA frame costs its header, the size vector,
-// the codec byte and 8 bytes per word; a LEDGER frame its header and two
-// counts. The run's ledger sums every rank's DATA frames (each rank
-// reports its count before its LEDGER frames go out), and the codecs
-// must shrink what actually crossed the socket.
+// TestWireRawBytesMatchesFrameSizes pins the ledger's wire counts to
+// the frame layout: a DATA frame's raw-equivalent cost is its header,
+// the size vector, the wire stamp, the codec byte and 8 bytes per word.
+// Every rank's ledger carries the run's totals the moment its last
+// Exchange returns — the same on every rank — and the codecs must
+// shrink what actually crossed the socket.
 func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
 	const p, steps = 3, 9
 	withMeshes(t, p, func(meshes []*Mesh) {
-		sessions := make([]*Session, p)
 		peerWords := make([]int, p)
 		ledgers := make([]Ledger, p)
 		errs := runRanks(p, func(r int) error {
@@ -123,14 +119,10 @@ func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
 				return err
 			}
 			defer sess.Close()
-			sessions[r] = sess
 			if err := sess.Reset(); err != nil {
 				return err
 			}
 			if _, peerWords[r], err = pooledTraffic(sess, steps); err != nil {
-				return err
-			}
-			if err := sess.FinishRun(); err != nil {
 				return err
 			}
 			ledgers[r] = sess.Ledger()
@@ -141,22 +133,19 @@ func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
 				t.Fatalf("rank %d: %v", r, err)
 			}
 		}
-		const dataHead = 4 + frameHeaderLen + 4 + 4*p + 1
-		const ledgerFrame = 4 + frameHeaderLen + 16
-		var dataRaw uint64
-		for r, s := range sessions {
-			own := uint64(steps*(p-1)*dataHead + 8*peerWords[r])
-			dataRaw += own
-			if got, want := s.WireRawBytes(), own+(p-1)*ledgerFrame; got != want {
-				t.Errorf("rank %d: raw-equivalent bytes %d, frame sizes say %d", r, got, want)
-			}
-			if s.WireBytes() >= s.WireRawBytes() {
-				t.Errorf("rank %d: codecs did not shrink the wire: %d bytes vs %d raw", r, s.WireBytes(), s.WireRawBytes())
-			}
+		raw := uint64(steps * p * (p - 1) * dataHeadLen(p))
+		for _, w := range peerWords {
+			raw += 8 * uint64(w)
 		}
 		for r, l := range ledgers {
-			if l.WireRawBytes != dataRaw {
-				t.Errorf("rank %d: ledger raw-equivalent bytes %d, the run's DATA frames sum to %d", r, l.WireRawBytes, dataRaw)
+			if l.WireRawBytes != raw {
+				t.Errorf("rank %d: ledger raw-equivalent bytes %d, the run's DATA frames sum to %d", r, l.WireRawBytes, raw)
+			}
+			if l.WireBytes != ledgers[0].WireBytes {
+				t.Errorf("rank %d: ledger wire bytes %d, rank 0 says %d", r, l.WireBytes, ledgers[0].WireBytes)
+			}
+			if l.WireBytes == 0 || l.WireBytes >= l.WireRawBytes {
+				t.Errorf("rank %d: codecs did not shrink the wire: %d bytes vs %d raw", r, l.WireBytes, l.WireRawBytes)
 			}
 		}
 	})

@@ -134,9 +134,6 @@ func TestTCPExchangeMatchesLocal(t *testing.T) {
 					if err := trafficPattern(root.Endpoint(r), steps); err != nil {
 						return err
 					}
-					if err := root.FinishRun(); err != nil {
-						return err
-					}
 					ledgers[r] = root.Ledger()
 					return nil
 				})
@@ -367,7 +364,7 @@ func TestOrphanedFramesFreed(t *testing.T) {
 			buf := appendFrameHeader(nil, frameAbort, epoch, 0, 1)
 			buf = append(buf, payload...)
 			patchFrameLen(buf)
-			if _, err := meshes[1].sendFrame(0, buf); err != nil {
+			if err := meshes[1].sendFrame(0, buf); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, 5*time.Second, "frame to park", func() bool { return orphanFrames(meshes[0], epoch) == 1 })
@@ -410,7 +407,7 @@ func TestOrphanedFramesFreed(t *testing.T) {
 // of salted, rank- and step-dependent payloads (hundreds of words, so
 // concurrent writers hold a peer's socket long enough to contend), with
 // a CONTROL frame to every peer before each Exchange. It returns every
-// word the rank received, in order, and the merged ledger.
+// word the rank received, in order, and the run's ledger.
 func sessionRun(m *Mesh, epoch uint64, p, steps int, salt uint64) ([]uint64, Ledger, error) {
 	sess, err := m.NewSession(epoch, allMembers(p))
 	if err != nil {
@@ -441,9 +438,6 @@ func sessionRun(m *Mesh, epoch uint64, p, steps int, salt uint64) ([]uint64, Led
 		for src := 0; src < p; src++ {
 			got = append(got, ep.Recv(src)...)
 		}
-	}
-	if err := root.FinishRun(); err != nil {
-		return nil, Ledger{}, err
 	}
 	return got, root.Ledger(), nil
 }

@@ -16,6 +16,9 @@
 //     full per-destination size vector, so every rank assembles the same
 //     p×p size matrix and computes a ledger (supersteps, per-superstep
 //     h-relations, volume) byte-identical to the in-process fabric's.
+//     They also carry the bytes their sender has written for the run,
+//     so every rank's ledger holds the run's wire traffic at each
+//     barrier and a run ends at its last Exchange.
 //
 // The unit of exchange is the superstep: an Endpoint stages words per
 // destination, and Exchange() delivers everything staged fabric-wide and
@@ -146,12 +149,8 @@ type Transport interface {
 	// capacity. Socket fabrics are single-run and return an error once
 	// used.
 	Reset() error
-	// FinishRun completes a successful run's accounting. On socket
-	// fabrics every process broadcasts its wire-byte counts, so all
-	// processes report the run's total wire traffic; on Local it is a
-	// no-op.
-	FinishRun() error
-	// Ledger returns the run's accounting. Valid after FinishRun.
+	// Ledger returns the run's accounting. Valid after every Exchange:
+	// a run's accounting is complete at its last superstep.
 	Ledger() Ledger
 	// Close releases fabric resources (sockets, session registrations).
 	Close() error
