@@ -78,11 +78,11 @@ chaos:
 chaos-fleet:
 	bash scripts/chaos_fleet.sh
 
-# Every Fuzz* target in the module (union-find, frame parser, payload
-# codecs, handshake parsers, min-cut certificate, the library's
-# connected-components input path, the upload loaders FuzzReadEdgeList
-# and FuzzReadSNAP) for 10s each; their seed corpora already run under
-# `make test`.
+# Every Fuzz* target in the module (union-find, frame parser, handshake
+# parsers, min-cut certificate, the library's connected-components input
+# path, the upload loaders FuzzReadEdgeList and FuzzReadSNAP, the query
+# body FuzzQueryRequest) for 10s each; their seed corpora already run
+# under `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
 

@@ -157,7 +157,8 @@ func runFig7(e *env) {
 		fmt.Printf("%d\t%d\t%.4f\t%.3f\t%d\n", p, n, st.Time.Seconds(), st.CommFraction, cut)
 	}
 	fmt.Println("## dense: random graph d=64, vertices per processor fixed")
-	perProc = e.scale(128, 64)
+	// d = 64 needs n ≥ 65 vertices at p = 1, so the quick point is 96.
+	perProc = e.scale(128, 96)
 	fmt.Println("p\tn\ttime_s\tcomm_frac\tcut")
 	for _, p := range e.pSweep() {
 		n := perProc * p

@@ -472,7 +472,7 @@ type WorkerStats struct {
 type Stats struct {
 	P int
 	// Ledger is the fabric's accounting of the run, as is: Supersteps,
-	// CommVolume, HRelations, WireBytes and WireRawBytes.
+	// CommVolume, HRelations and WireBytes.
 	transport.Ledger
 	// Transport is the fabric kind the run executed over
 	// (transport.KindLocal, transport.KindTCP).

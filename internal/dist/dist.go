@@ -13,14 +13,8 @@ import (
 	"repro/internal/graph"
 )
 
-// EdgeWords is the number of BSP words per encoded edge: (u, v, w).
-// The TCP fabric's edge-delta payload codec recognizes this exact
-// layout structurally (transport.EdgeStride must equal it), so sorted
-// edge streams staged through these helpers compress on the wire with
-// no tagging from the kernels.
-const EdgeWords = 3
-
-const edgeWords = EdgeWords
+// edgeWords is the number of BSP words per encoded edge: (u, v, w).
+const edgeWords = 3
 
 // EncodeEdges packs edges into BSP words (3 per edge).
 func EncodeEdges(es []graph.Edge) []uint64 {

@@ -7,17 +7,7 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/transport"
 )
-
-// TestEdgeStrideMatchesTransport: the TCP fabric's edge-delta codec
-// recognizes EncodeEdges streams structurally, which only works while
-// both layers agree on the words-per-edge stride.
-func TestEdgeStrideMatchesTransport(t *testing.T) {
-	if EdgeWords != transport.EdgeStride {
-		t.Fatalf("dist.EdgeWords = %d, transport.EdgeStride = %d", EdgeWords, transport.EdgeStride)
-	}
-}
 
 func TestEdgeCodecRoundTrip(t *testing.T) {
 	es := []graph.Edge{{U: 1, V: 2, W: 3}, {U: 0, V: 100000, W: 1 << 40}}

@@ -51,7 +51,8 @@ type QueryRequest struct {
 	MaxTrials int `json:"max_trials,omitempty"`
 	// Epsilon tunes the CC sample size s = n^(1+ε/2) (default 0.5).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Trials overrides the approximate cut's trials per sparsity level.
+	// Trials overrides the approximate cut's trials per sparsity level
+	// (at most maxTrials).
 	Trials int `json:"trials,omitempty"`
 	// Pipelined selects the O(1)-superstep approximate cut variant.
 	Pipelined bool `json:"pipelined,omitempty"`
@@ -73,6 +74,12 @@ type QueryRequest struct {
 	// too expensive to duplicate speculatively).
 	Hedged bool `json:"hedged,omitempty"`
 }
+
+// maxTrials bounds a query's approximate-cut trials per level: twice
+// the largest default, ⌈log₂ n⌉ ≤ 31. The kernel reserves a buffer in
+// proportion to the trial count before its first draw, so an unbounded
+// count is an allocation no recover can catch.
+const maxTrials = 64
 
 // normalize validates a request's tuning fields and returns their
 // defaulted form — the canonical identity used for cache keys and
@@ -98,6 +105,9 @@ func normalize(req *QueryRequest) (planner.RunParams, error) {
 	}
 	if p.MaxTrials < 0 || p.Trials < 0 || req.Processors < 0 {
 		return p, fmt.Errorf("%w: negative tuning parameter", ErrBadRequest)
+	}
+	if p.Trials > maxTrials {
+		return p, fmt.Errorf("%w: trials %d over %d", ErrBadRequest, p.Trials, maxTrials)
 	}
 	return p, nil
 }
@@ -142,7 +152,10 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 		AvoidedCommVolume:  st.AvoidedCommVolume,
 		Transport:          st.Transport,
 		WireBytes:          st.WireBytes,
-		WireRawBytes:       st.WireRawBytes,
+		// Every payload goes raw, so the raw-equivalent count is the
+		// wire count; the field stays only because the benchmark
+		// harness reads it to decide whether to print wire bytes.
+		WireRawBytes: st.WireBytes,
 	}
 }
 

@@ -217,11 +217,17 @@ type QueryResponse struct {
 	RetryAfterMs        int64   `json:"retry_after_ms,omitempty"`
 }
 
+// decodeQuery reads a /v1/query body: one JSON object, no unknown
+// fields.
+func decodeQuery(r io.Reader, req *QueryRequest) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
+}
+
 func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeQuery(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("query body over %d bytes", tooLarge.Limit))

@@ -152,6 +152,55 @@ func TestHTTPUploadHugeEdgeCountHeader(t *testing.T) {
 	}
 }
 
+// TestHTTPApproxCutHugeTrials: an approximate cut reserves a buffer in
+// proportion to its trial count before the first draw, so a query
+// asking for a hundred million trials must be refused — not served by
+// an allocation that kills the process — and the engine must go on
+// serving.
+func TestHTTPApproxCutHugeTrials(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	const n = 200
+	var ring strings.Builder
+	fmt.Fprintf(&ring, "%d %d\n", n, n)
+	for v := 0; v < n; v++ {
+		fmt.Fprintf(&ring, "%d %d 1\n", v, (v+1)%n)
+	}
+	resp, err := http.Post(srv.URL+"/v1/graphs?name=ring", "text/plain", strings.NewReader(ring.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("upload status %d: %s", resp.StatusCode, b)
+	}
+	resp.Body.Close()
+
+	body := `{"graph":"ring","algorithm":"approxcut","trials":100000000,"pipelined":true,"processors":1}`
+	resp, err = http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("huge trials: status %d: %s", resp.StatusCode, b)
+	}
+
+	resp = postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "ring", Algorithm: AlgApproxCut, Pipelined: true, Processors: 1})
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("follow-up query status %d: %s", resp.StatusCode, b)
+	}
+	var qr QueryResponse
+	decode(t, resp, &qr)
+	if qr.Value == nil || *qr.Value == 0 {
+		t.Fatalf("approxcut response = %+v", qr)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	srv := httptest.NewServer(NewHandler(e))

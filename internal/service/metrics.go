@@ -142,11 +142,6 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 	// the communication-avoidance claim, scrapeable — so a fabric's zeros
 	// are series too.
 	writeCounters(m, trace.TransportCounters, "transport", snap.Transports, true)
-	m.header("camc_wire_saved_bytes_total", "Socket bytes the payload codecs saved per BSP fabric (raw-equivalent minus on-wire).", "counter")
-	for _, tr := range sortedKeys(snap.Transports) {
-		t := snap.Transports[tr]
-		m.val("camc_wire_saved_bytes_total", fmt.Sprintf("transport=%q", tr), float64(t.WireSaved()))
-	}
 
 	m.scalars([]scalar{
 		{"camc_cache_entries", "Result cache entries.", "gauge", float64(st.Cache.Size)},

@@ -39,7 +39,7 @@ func goldenStats() EngineStats {
 		Algorithm: "mincut", Outcome: trace.OutcomeExecuted, Latency: 45 * time.Millisecond,
 		Kernel: &KernelStats{
 			P: 2, Supersteps: 24, CommVolume: 24132, AvoidedCollectives: 3, AvoidedCommVolume: 4096,
-			Transport: "tcp", WireBytes: 131072, WireRawBytes: 196608,
+			Transport: "tcp", WireBytes: 131072,
 		},
 	})
 	col.Observe(trace.QuerySample{Algorithm: "mincut", Outcome: trace.OutcomeRetried})

@@ -468,7 +468,6 @@ type FrontendStats struct {
 	CacheHits          uint64                          `json:"cache_hits"`
 	TransportLost      uint64                          `json:"transport_lost"`
 	WireBytes          uint64                          `json:"wire_bytes"`
-	WireRawBytes       uint64                          `json:"wire_raw_bytes"`
 	Transports         map[string]trace.TransportStats `json:"transports,omitempty"`
 	UnreachableWorkers int                             `json:"unreachable_workers"`
 	Tenants            []tenant.TenantSnapshot         `json:"tenants,omitempty"`
@@ -554,7 +553,6 @@ func (out *FrontendStats) addLeader(st *service.EngineStats) {
 	out.CacheHits += st.Queries.Totals.CacheHits
 	out.TransportLost += st.Queries.Totals.TransportLost
 	out.WireBytes += st.Queries.Totals.WireBytes
-	out.WireRawBytes += st.Queries.Totals.WireRawBytes
 	for kind, ts := range st.Queries.Transports {
 		if out.Transports == nil {
 			out.Transports = make(map[string]trace.TransportStats)

@@ -239,6 +239,9 @@ func TestFleetEndToEnd(t *testing.T) {
 			if i == 0 && qr.Kernel.WireBytes == 0 {
 				t.Fatalf("distributed %s run accounted no wire bytes", alg)
 			}
+			if qr.Kernel.WireRawBytes != qr.Kernel.WireBytes {
+				t.Fatalf("%s %s: wire_raw_bytes %d, wire_bytes %d", name, alg, qr.Kernel.WireRawBytes, qr.Kernel.WireBytes)
+			}
 
 			// Identical repeat: served from the leader's cache.
 			resp = postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: alg})

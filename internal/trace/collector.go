@@ -50,9 +50,9 @@ type KernelStats struct {
 	// in-process fabric.
 	Transport string `json:"transport,omitempty"`
 	WireBytes uint64 `json:"wire_bytes,omitempty"`
-	// WireRawBytes is what the same frames would have cost uncompressed
-	// (raw codec); the difference from WireBytes is the payload codecs'
-	// saving. Zero for the in-process fabric.
+	// WireRawBytes equals WireBytes: every payload crosses the wire
+	// raw. It is kept only for the benchmark harness, which reads it to
+	// decide whether a run moved socket bytes.
 	WireRawBytes uint64 `json:"wire_raw_bytes,omitempty"`
 	// Kernel names the portfolio kernel that produced the result; empty
 	// when the planner is off and no kernel was pinned (the default
@@ -119,10 +119,9 @@ func fold[T any](rows []Counter[T], agg *T, k *KernelStats) {
 
 // The contributions more than one table row draws.
 var (
-	supersteps   = func(k *KernelStats) uint64 { return uint64(k.Supersteps) }
-	commVolume   = func(k *KernelStats) uint64 { return k.CommVolume }
-	wireBytes    = func(k *KernelStats) uint64 { return k.WireBytes }
-	wireRawBytes = func(k *KernelStats) uint64 { return k.WireRawBytes }
+	supersteps = func(k *KernelStats) uint64 { return uint64(k.Supersteps) }
+	commVolume = func(k *KernelStats) uint64 { return k.CommVolume }
+	wireBytes  = func(k *KernelStats) uint64 { return k.WireBytes }
 )
 
 // AlgoCounters and TransportCounters are the counter tables of the
@@ -138,7 +137,6 @@ var AlgoCounters = []Counter[AlgoStats]{
 	{"camc_avoided_comm_volume_words_total", "Words not communicated thanks to plans.", func(a *AlgoStats) *uint64 { return &a.AvoidedCommVolume },
 		func(k *KernelStats) uint64 { return k.AvoidedCommVolume }},
 	{"", "", func(a *AlgoStats) *uint64 { return &a.WireBytes }, wireBytes},
-	{"", "", func(a *AlgoStats) *uint64 { return &a.WireRawBytes }, wireRawBytes},
 }
 
 var TransportCounters = []Counter[TransportStats]{
@@ -147,7 +145,6 @@ var TransportCounters = []Counter[TransportStats]{
 	{"camc_transport_supersteps_total", "Supersteps per BSP fabric.", func(t *TransportStats) *uint64 { return &t.Supersteps }, supersteps},
 	{"camc_transport_comm_volume_words_total", "Words communicated per BSP fabric.", func(t *TransportStats) *uint64 { return &t.CommVolume }, commVolume},
 	{"camc_transport_wire_bytes_total", "Framed socket bytes per BSP fabric (0 for local).", func(t *TransportStats) *uint64 { return &t.WireBytes }, wireBytes},
-	{"", "", func(t *TransportStats) *uint64 { return &t.WireRawBytes }, wireRawBytes},
 }
 
 // LatencyBuckets are the upper bounds, in seconds, of the collector's
@@ -181,7 +178,6 @@ type AlgoStats struct {
 	AvoidedCollectives uint64  `json:"avoided_collectives"`
 	AvoidedCommVolume  uint64  `json:"avoided_comm_volume"`
 	WireBytes          uint64  `json:"wire_bytes"`
-	WireRawBytes       uint64  `json:"wire_raw_bytes"`
 	TotalLatencyMs     float64 `json:"total_latency_ms"`
 	MinLatencyMs       float64 `json:"min_latency_ms"`
 	MaxLatencyMs       float64 `json:"max_latency_ms"`
@@ -277,7 +273,6 @@ type TransportStats struct {
 	Supersteps       uint64 `json:"supersteps"`
 	CommVolume       uint64 `json:"comm_volume"`
 	WireBytes        uint64 `json:"wire_bytes"`
-	WireRawBytes     uint64 `json:"wire_raw_bytes"`
 }
 
 // Add folds another process's aggregate for the same fabric into t.
@@ -285,15 +280,6 @@ func (t *TransportStats) Add(o TransportStats) {
 	for _, c := range TransportCounters {
 		*c.Field(t) += *c.Field(&o)
 	}
-}
-
-// WireSaved is what the payload codecs kept off the sockets: the
-// raw-equivalent bytes minus the bytes actually framed.
-func (t *TransportStats) WireSaved() uint64 {
-	if t.WireRawBytes < t.WireBytes {
-		return 0
-	}
-	return t.WireRawBytes - t.WireBytes
 }
 
 // CollectorSnapshot is a point-in-time copy of a Collector's aggregates.

@@ -69,7 +69,7 @@ func TestTablesComplete(t *testing.T) {
 
 var tcpRun = KernelStats{
 	P: 2, Supersteps: 24, CommVolume: 24132, AvoidedCollectives: 3, AvoidedCommVolume: 4096,
-	Transport: "tcp", WireBytes: 131072, WireRawBytes: 196608, Kernel: "kargerstein", TimeMs: 40, PredictedMs: 50,
+	Transport: "tcp", WireBytes: 131072, Kernel: "kargerstein", TimeMs: 40, PredictedMs: 50,
 }
 
 // TestKernelCostsCountedOnce: only the executed sample folds the profile
@@ -84,12 +84,12 @@ func TestKernelCostsCountedOnce(t *testing.T) {
 	}
 	c.Observe(QuerySample{Algorithm: "mincut", Outcome: OutcomeExecuted, Kernel: &tcpRun})
 	s = c.Snapshot()
-	want := TransportStats{KernelExecutions: 1, Supersteps: 24, CommVolume: 24132, WireBytes: 131072, WireRawBytes: 196608}
+	want := TransportStats{KernelExecutions: 1, Supersteps: 24, CommVolume: 24132, WireBytes: 131072}
 	if s.Transports["tcp"] != want {
 		t.Errorf("tcp aggregate = %+v, want %+v", s.Transports["tcp"], want)
 	}
 	if a := s.Algorithms["mincut"]; a.Supersteps != 24 || a.CommVolume != 24132 || a.AvoidedCollectives != 3 ||
-		a.AvoidedCommVolume != 4096 || a.WireBytes != 131072 || a.WireRawBytes != 196608 {
+		a.AvoidedCommVolume != 4096 || a.WireBytes != 131072 {
 		t.Errorf("mincut aggregate = %+v", a)
 	}
 	if k := s.Kernels["kargerstein"]; k != (KernelAgg{Executions: 1, TotalKernelMs: 40, TotalPredictedMs: 50}) {
@@ -99,7 +99,7 @@ func TestKernelCostsCountedOnce(t *testing.T) {
 	// The fleet merge is the same table walked once more.
 	sum := want
 	sum.Add(want)
-	if sum != (TransportStats{KernelExecutions: 2, Supersteps: 48, CommVolume: 48264, WireBytes: 262144, WireRawBytes: 393216}) || sum.WireSaved() != 131072 {
+	if sum != (TransportStats{KernelExecutions: 2, Supersteps: 48, CommVolume: 48264, WireBytes: 262144}) {
 		t.Errorf("Add = %+v", sum)
 	}
 }

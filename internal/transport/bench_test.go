@@ -24,9 +24,8 @@ var (
 // driveAllToAll runs b.N all-to-all supersteps: every rank stages
 // `words` words for every peer, then Exchanges. Exchange itself is the
 // barrier, so the ranks stay in lockstep without extra synchronization.
-// The payload is the word index — small values, so the varint codec has
-// something to chew on, like the rank-bucketed vertex ids real kernels
-// ship.
+// The payload is the word index, like the rank-bucketed vertex ids real
+// kernels ship.
 func driveAllToAll(b *testing.B, eps []transport.Endpoint, words int) {
 	b.Helper()
 	p := len(eps)
@@ -79,7 +78,7 @@ func BenchmarkExchangeTCPLoopback(b *testing.B) {
 	for _, p := range benchPs {
 		for _, w := range benchWords {
 			b.Run(fmt.Sprintf("p=%d/w=%d", p, w), func(b *testing.B) {
-				eps, _, cleanup := newLoopbackEndpoints(b, p)
+				eps, cleanup := newLoopbackEndpoints(b, p)
 				defer cleanup()
 				driveAllToAll(b, eps, w)
 			})
@@ -88,9 +87,8 @@ func BenchmarkExchangeTCPLoopback(b *testing.B) {
 }
 
 // newLoopbackEndpoints brings up a p-process-equivalent loopback mesh
-// and opens one session across it, returning each rank's endpoint and
-// session (the latter for wire-byte accounting).
-func newLoopbackEndpoints(tb testing.TB, p int) ([]transport.Endpoint, []*transport.Session, func()) {
+// and opens one session across it, returning each rank's endpoint.
+func newLoopbackEndpoints(tb testing.TB, p int) ([]transport.Endpoint, func()) {
 	tb.Helper()
 	meshes, err := transport.NewLoopbackMeshes(p, 1)
 	if err != nil {
@@ -110,7 +108,7 @@ func newLoopbackEndpoints(tb testing.TB, p int) ([]transport.Endpoint, []*transp
 		sessions[r] = sess
 		eps[r] = sess.Root().Endpoint(r)
 	}
-	return eps, sessions, func() {
+	return eps, func() {
 		for _, s := range sessions {
 			s.Close()
 		}
@@ -128,11 +126,8 @@ func TestMain(m *testing.M) {
 
 // fillBenchSnapshot sweeps local / tcp over every (p, w).
 // Throughput is raw wire speed — machine-bound, so informational. What
-// is gated is what survives a machine change: the codec's wire
-// compression ratio (what crossed the socket per superstep, summed over
-// ranks, under what the raw codec would have cost — a property of the
-// payloads and the codec choice) and the socket tax, tcp ns over local
-// ns from the same run. The tax gates only at the 1024-word
+// is gated is what survives a machine change: the socket tax, tcp ns
+// over local ns from the same run. The tax gates only at the 1024-word
 // point: smaller payloads divide by a sub-microsecond local superstep,
 // where timer noise swamps the ratio. Its Abs slack absorbs the
 // core-count shift in the denominator (the in-process fabric speeds up
@@ -141,12 +136,7 @@ func TestMain(m *testing.M) {
 // blowing up several-fold relative to the local fabric. A variant that
 // did not measure yields Inf or NaN, which the snapshot write rejects.
 func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
-	// The tcp rows keep the codec=true segment their gated compression
-	// ratio has always been keyed by.
-	variants := []struct{ kind, key string }{
-		{transport.KindLocal, transport.KindLocal},
-		{transport.KindTCP, transport.KindTCP + "/codec=true"},
-	}
+	variants := []string{transport.KindLocal, transport.KindTCP}
 	for _, p := range benchPs {
 		p := p
 		for _, w := range benchWords {
@@ -155,11 +145,9 @@ func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 			for _, v := range variants {
 				v := v
 				var failed error
-				var wire, raw uint64
 				res := testing.Benchmark(func(b *testing.B) {
 					var eps []transport.Endpoint
-					var sessions []*transport.Session
-					switch v.kind {
+					switch v {
 					case transport.KindLocal:
 						l, err := transport.NewLocal(p)
 						if err != nil {
@@ -172,31 +160,22 @@ func fillBenchSnapshot(snap *benchsnap.Snapshot) error {
 						}
 					case transport.KindTCP:
 						var cleanup func()
-						eps, sessions, cleanup = newLoopbackEndpoints(b, p)
+						eps, cleanup = newLoopbackEndpoints(b, p)
 						defer cleanup()
 					}
 					driveAllToAll(b, eps, w)
-					// driveAllToAll returns only after every rank finished
-					// its Exchange barriers, and each rank's ledger then
-					// holds the run's wire totals; snapshot the last
-					// (largest-N) run.
-					if len(sessions) > 0 {
-						l := sessions[0].Ledger()
-						wire, raw = l.WireBytes, l.WireRawBytes
-					}
 				})
 				if failed != nil {
 					return failed
 				}
-				k := fmt.Sprintf("%s/p=%d/w=%d", v.key, p, w)
+				k := fmt.Sprintf("%s/p=%d/w=%d", v, p, w)
 				ns := float64(res.NsPerOp())
 				snap.Add(benchsnap.Info, "ns_per_superstep/"+k, ns, -1, 0)
 				snap.Add(benchsnap.Info, "mb_per_s/"+k, float64(p*(p-1)*w*8)/ns*1e9/(1<<20), +1, 0)
-				if v.kind == transport.KindLocal {
+				if v == transport.KindLocal {
 					localNs = ns
 				} else {
 					tcpNs = ns
-					snap.Add(benchsnap.Count, "compression_ratio/"+k, float64(raw)/float64(wire), +1, 0)
 				}
 			}
 			kind := benchsnap.Info

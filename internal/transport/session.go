@@ -21,11 +21,11 @@ import (
 // Exchange blocks on a condition variable until all p-1 peer frames
 // for its step arrived.
 //
-// Wire accounting: each data frame is stamped with the bytes of data
-// frames its sender has written for the run, this superstep's included,
-// so after every Exchange each rank's ledger holds the run's total wire
-// traffic so far, the same on every rank. A run ends at its last
-// Exchange; no frame follows it.
+// Wire accounting: a data frame's size is fixed by its word count, so
+// every rank computes each superstep's wire bytes from the same size
+// matrix it reads the h-relation off, and after every Exchange each
+// rank's ledger holds the run's wire traffic so far, the same on every
+// rank. A run ends at its last Exchange; no frame follows it.
 //
 // Aborts: a local Machine.Cancel (or worker panic) poisons the session
 // and broadcasts an ABORT frame to every peer; a lost connection aborts
@@ -41,10 +41,6 @@ type Session struct {
 	staging [][]uint64
 	inbox   [][]uint64
 	mySizes []uint32 // size vector scratch
-	frames  [][]byte // per destination: this step's encoded data frame
-	// wireOut counts the bytes of data frames this process has written
-	// for the run: the stamp its frames carry.
-	wireOut uint64
 
 	// mu guards the abort cause, the sent flag and the parked step
 	// states; cond wakes the Exchange waiter when any of them changes.
@@ -72,20 +68,16 @@ type Session struct {
 	wireHook func(step uint64) (drop bool, stall time.Duration, crash bool, partition time.Duration)
 
 	// ledger is the run's accounting. Its WireBytes is what every rank
-	// actually wrote and WireRawBytes what the same frames would have
-	// cost had every payload gone out under the raw codec; their
-	// difference is the codecs' savings (the
-	// camc_wire_saved_bytes_total metric). Neither feeds the logical
-	// volume, which is counted in words.
+	// wrote in data frames; it does not feed the logical volume, which
+	// is counted in words.
 	ledger Ledger
 }
 
 // stepState accumulates one superstep's inbound frames.
 type stepState struct {
-	got    int
-	sizes  [][]uint32 // per source rank: its full size vector
-	stamps []uint64   // per source rank: its wire stamp
-	words  [][]uint64 // per source rank: the payload for this rank
+	got   int
+	sizes [][]uint32 // per source rank: its full size vector
+	words [][]uint64 // per source rank: the payload for this rank
 }
 
 // NewSession registers a run on the mesh. members must list every mesh
@@ -107,7 +99,6 @@ func (m *Mesh) NewSession(epoch uint64, members []int) (*Session, error) {
 		staging: make([][]uint64, m.p),
 		inbox:   make([][]uint64, m.p),
 		mySizes: make([]uint32, m.p),
-		frames:  make([][]byte, m.p),
 		pending: make(map[uint64]*stepState),
 	}
 	s.cond.L = &s.mu
@@ -211,7 +202,7 @@ func (s *Session) deliver(f frame) {
 	}
 	switch f.kind {
 	case frameData:
-		sizes, stamp, words, err := decodeDataPayload(f.payload, s.p, s.rank, s.getWords)
+		sizes, words, err := decodeDataPayload(f.payload, s.p, s.rank, s.getWords)
 		f.release()
 		if err != nil {
 			s.abort(fmt.Errorf("%w: rank %d: %v", ErrPeerLost, src, err), true)
@@ -223,7 +214,6 @@ func (s *Session) deliver(f frame) {
 			st.got++
 		}
 		st.sizes[src] = sizes
-		st.stamps[src] = stamp
 		st.words[src] = words
 		// Wake the barrier waiter only when its step is complete — each
 		// earlier frame would otherwise cost a spurious wake/recheck/park
@@ -242,7 +232,7 @@ func (s *Session) deliver(f frame) {
 func (s *Session) stepAt(step uint64) *stepState {
 	st := s.pending[step]
 	if st == nil {
-		st = &stepState{sizes: make([][]uint32, s.p), stamps: make([]uint64, s.p), words: make([][]uint64, s.p)}
+		st = &stepState{sizes: make([][]uint32, s.p), words: make([][]uint64, s.p)}
 		s.pending[step] = st
 	}
 	return st
@@ -279,10 +269,9 @@ func (s *Session) SendOwned(to int, words []uint64) {
 func (s *Session) Recv(src int) []uint64 { return s.inbox[src] }
 
 // Exchange is the superstep barrier over sockets: coalesce one data
-// frame per peer (carrying the full size vector and the wire stamp),
-// then block until all p-1 peer frames for this step arrived. Every
-// rank then computes the identical h-relation and wire totals from the
-// assembled size matrix and stamps.
+// frame per peer (carrying the full size vector), then block until all
+// p-1 peer frames for this step arrived. Every rank then computes the
+// identical h-relation and wire bytes from the assembled size matrix.
 func (s *Session) Exchange() error {
 	if s.abortFlag.Load() {
 		return s.Err()
@@ -309,12 +298,10 @@ func (s *Session) Exchange() error {
 	for d := 0; d < p; d++ {
 		s.mySizes[d] = uint32(len(s.staging[d]))
 	}
-	// Serialize each destination's coalesced frame into a pooled buffer,
-	// stamp every frame with the run's bytes through this step's frames,
-	// then write each to its peer's socket on this goroutine and recycle
-	// the buffer once the kernel has it.
+	// Serialize each destination's coalesced frame straight into a
+	// pooled buffer, write it to that peer's socket on this goroutine,
+	// and recycle the buffer once the kernel has it.
 	head := dataHeadLen(p)
-	stampAt := head - 1 - 8 // the stamp precedes the codec byte
 	for dst := 0; dst < p; dst++ {
 		if dst == s.rank {
 			continue
@@ -326,27 +313,14 @@ func (s *Session) Exchange() error {
 		for _, sz := range s.mySizes {
 			buf = binary.LittleEndian.AppendUint32(buf, sz)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, 0) // stamp, patched below
-		buf = appendEncodedPayload(buf, words)
+		buf = appendWords(buf, words)
 		patchFrameLen(buf)
-		s.frames[dst] = buf
-		s.wireOut += uint64(len(buf))
-	}
-	var sendErr error
-	for dst, buf := range s.frames {
-		if buf == nil {
-			continue
-		}
-		if sendErr == nil {
-			binary.LittleEndian.PutUint64(buf[stampAt:], s.wireOut)
-			sendErr = s.mesh.sendFrame(dst, buf)
-		}
+		err := s.mesh.sendFrame(dst, buf)
 		frameBufPut(buf)
-		s.frames[dst] = nil
-	}
-	if sendErr != nil {
-		s.abort(sendErr, true)
-		return s.Err()
+		if err != nil {
+			s.abort(err, true)
+			return s.Err()
+		}
 	}
 
 	// Barrier: wait for every peer's frame for this step.
@@ -386,12 +360,11 @@ func (s *Session) Exchange() error {
 
 	// Account the h-relation from the full size matrix — byte-identical
 	// to the in-process finalizer: max over destinations of the column
-	// sum and over sources of the row sum. The wire totals are this
-	// rank's count plus every peer's stamp, and the raw cost of the
-	// step's p(p-1) frames read off the same matrix.
+	// sum and over sources of the row sum. The wire bytes of the step's
+	// p(p-1) data frames read off the same matrix: each frame's head
+	// plus 8 bytes per off-diagonal word.
 	var h uint64
-	wire := s.wireOut
-	raw := uint64(p * (p - 1) * head)
+	wire := uint64(p * (p - 1) * head)
 	for dst := 0; dst < p; dst++ {
 		var recv uint64
 		for src := 0; src < p; src++ {
@@ -409,7 +382,6 @@ func (s *Session) Exchange() error {
 		sizes := s.mySizes
 		if src != s.rank {
 			sizes = st.sizes[src]
-			wire += st.stamps[src]
 		}
 		var sent uint64
 		for _, sz := range sizes {
@@ -418,10 +390,9 @@ func (s *Session) Exchange() error {
 		if sent > h {
 			h = sent
 		}
-		raw += 8 * (sent - uint64(sizes[src]))
+		wire += 8 * (sent - uint64(sizes[src]))
 	}
-	s.ledger.WireBytes = wire
-	s.ledger.WireRawBytes += raw
+	s.ledger.WireBytes += wire
 	s.ledger.Supersteps++
 	s.ledger.CommVolume += h
 	s.ledger.HRelations = append(s.ledger.HRelations, h)
@@ -473,7 +444,7 @@ func (s *Session) Reset() error {
 }
 
 // Ledger returns the run's accounting, valid after every Exchange: its
-// wire-byte counts are the whole run's through the last superstep.
+// wire-byte count is the whole run's through the last superstep.
 func (s *Session) Ledger() Ledger {
 	out := s.ledger
 	out.HRelations = append([]uint64(nil), s.ledger.HRelations...)

@@ -16,9 +16,8 @@
 //     full per-destination size vector, so every rank assembles the same
 //     p×p size matrix and computes a ledger (supersteps, per-superstep
 //     h-relations, volume) byte-identical to the in-process fabric's.
-//     They also carry the bytes their sender has written for the run,
-//     so every rank's ledger holds the run's wire traffic at each
-//     barrier and a run ends at its last Exchange.
+//     Payload words go raw, 8 bytes each, so the same matrix gives the
+//     superstep's wire bytes and a run ends at its last Exchange.
 //
 // The unit of exchange is the superstep: an Endpoint stages words per
 // destination, and Exchange() delivers everything staged fabric-wide and
@@ -87,14 +86,10 @@ type Ledger struct {
 	// communication volume. HRelations records each superstep's.
 	CommVolume uint64
 	HRelations []uint64
-	// WireBytes counts real bytes moved over sockets (frame headers
-	// included), so ledger words and wire traffic can be compared; always
-	// zero on the Local fabric.
+	// WireBytes counts the bytes of data frames moved over sockets
+	// (frame headers included), so ledger words and wire traffic can be
+	// compared; always zero on the Local fabric.
 	WireBytes uint64
-	// WireRawBytes counts what the same frames would have cost under
-	// the raw (uncompressed) payload codec; WireRawBytes − WireBytes is
-	// what the codecs saved. Always zero on the Local fabric.
-	WireRawBytes uint64
 }
 
 // Endpoint is one rank's handle on a fabric. It is owned by exactly one

@@ -16,9 +16,7 @@ import (
 // ways for its lifetime. All integers are little-endian.
 //
 // Both halves carry the version and either side refuses a mismatch, so
-// every admitted peer speaks the same frames and decodes the same
-// payload codecs; version 6 dropped the per-connection codec masks that
-// nothing could make differ.
+// every admitted peer speaks the same frames.
 //
 // The incarnation number (version 2) is what makes rejoin safe: a
 // respawned worker presents a strictly larger incarnation than its
@@ -36,28 +34,24 @@ import (
 //	...  kind-specific payload
 //
 // Data frames carry the sender's complete per-destination size vector,
-// then a u64 wire stamp, then a one-byte payload codec identifier
-// (version 3, see codec.go), then the codec-encoded payload words. The
-// size vector lets every rank of a session reconstruct the same p×p
-// size matrix and account the superstep's h-relation identically to the
-// in-process fabric's finalizer — in words, so the choice of codec
-// never shows up in the ledger's logical volume. The stamp (version 7)
-// is the bytes of DATA frames the sender has written for the run,
-// through and including this superstep's, so every rank sums the run's
-// wire traffic at each barrier and no frame follows the last one.
-// Version 5 dropped the header's group tag: a session spans the whole
-// mesh.
+// then the payload words, 8 bytes each. The size vector lets every rank
+// of a session reconstruct the same p×p size matrix and account the
+// superstep's h-relation identically to the in-process fabric's
+// finalizer. Because a frame's size is fixed by its word count, the
+// same matrix also gives the superstep's wire bytes. Version 8 dropped
+// the payload codecs and the wire stamp; version 5 dropped the header's
+// group tag: a session spans the whole mesh.
 
 const (
 	wireMagic   = "CAMT"
-	wireVersion = 7
+	wireVersion = 8
 	ackMagic    = "CAMA"
 
 	preambleLen = 4 + 1 + 4 + 8 + 8 // magic, version, rank, epoch, incarnation
 	ackLen      = 4 + 1             // magic, version
 
 	// Frame kinds.
-	frameData      = 1 // superstep payload + size vector + wire stamp
+	frameData      = 1 // superstep size vector + payload words
 	frameAbort     = 2 // abort propagation (payload: u8 cancelled, error text)
 	frameControl   = 4 // out-of-band job control (payload: opaque bytes)
 	frameHeartbeat = 5 // liveness beacon (empty payload)
@@ -234,55 +228,48 @@ func appendWords(buf []byte, words []uint64) []byte {
 	return buf
 }
 
-// dataHeadLen is a data frame's size before its codec body for a group
-// of p ranks: length prefix, header, group size, size vector, wire
-// stamp and codec byte. A frame's raw-codec size is dataHeadLen(p) plus
-// 8 bytes per word.
-func dataHeadLen(p int) int { return 4 + frameHeaderLen + 4 + 4*p + 8 + 1 }
+// dataHeadLen is a data frame's size before its words for a group of p
+// ranks: length prefix, header, group size and size vector. A frame
+// carrying n words is dataHeadLen(p) + 8n bytes.
+func dataHeadLen(p int) int { return 4 + frameHeaderLen + 4 + 4*p }
 
 // decodeDataPayload splits a data frame's payload into the sender's
-// per-destination size vector (group-sized), its wire stamp, and the
-// words destined for the receiving rank, decoded through the frame's
-// payload codec. alloc provides the word slice (nil → plain make),
+// per-destination size vector (group-sized) and the words destined for
+// the receiving rank. alloc provides the word slice (nil → plain make),
 // letting the session's word pool back the decode; the returned words
 // have exactly the length the size vector promises. Malformed input —
-// wrong group size, a size vector claiming more words than the body
-// could hold under any codec, a truncated or over-long codec body —
-// returns an error, never panics.
-func decodeDataPayload(payload []byte, groupSize, myRank int, alloc func(int) []uint64) (sizes []uint32, stamp uint64, words []uint64, err error) {
+// wrong group size, a truncated size vector, a body that is not exactly
+// 8 bytes per promised word — returns an error, never panics.
+func decodeDataPayload(payload []byte, groupSize, myRank int, alloc func(int) []uint64) (sizes []uint32, words []uint64, err error) {
 	need := dataHeadLen(groupSize) - 4 - frameHeaderLen
 	if groupSize <= 0 || myRank < 0 || myRank >= groupSize {
-		return nil, 0, nil, fmt.Errorf("data frame decode for rank %d of group size %d", myRank, groupSize)
+		return nil, nil, fmt.Errorf("data frame decode for rank %d of group size %d", myRank, groupSize)
 	}
 	if len(payload) < need {
-		return nil, 0, nil, fmt.Errorf("data frame payload %dB, want ≥%dB", len(payload), need)
+		return nil, nil, fmt.Errorf("data frame payload %dB, want ≥%dB", len(payload), need)
 	}
 	if gp := int(binary.LittleEndian.Uint32(payload[:4])); gp != groupSize {
-		return nil, 0, nil, fmt.Errorf("data frame for group size %d, want %d", gp, groupSize)
+		return nil, nil, fmt.Errorf("data frame for group size %d, want %d", gp, groupSize)
 	}
 	sizes = make([]uint32, groupSize)
 	for i := range sizes {
 		sizes[i] = binary.LittleEndian.Uint32(payload[4+4*i:])
 	}
-	stamp = binary.LittleEndian.Uint64(payload[need-1-8:])
-	codec := payload[need-1]
 	body := payload[need:]
 	n := int(sizes[myRank])
-	// Every codec costs at least one byte per word, so a size vector
-	// claiming more words than the body has bytes is corrupt; rejecting
-	// it here bounds the allocation below by the frame length, which
-	// readFrame already capped.
-	if n > len(body) && !(codec == codecRaw && len(body) == 8*n) {
-		return nil, 0, nil, fmt.Errorf("data frame body %dB, size vector says %d words", len(body), n)
+	// Checked before allocating, so the allocation is bounded by the
+	// frame length readFrame already capped.
+	if len(body) != 8*n {
+		return nil, nil, fmt.Errorf("data frame body %dB, size vector says %d words", len(body), n)
 	}
 	if alloc == nil {
 		alloc = func(n int) []uint64 { return make([]uint64, n) }
 	}
-	words, err = decodeCodec(codec, body, n, alloc(n)[:0])
-	if err != nil {
-		return nil, 0, nil, err
+	words = alloc(n)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(body[8*i:])
 	}
-	return sizes, stamp, words, nil
+	return sizes, words, nil
 }
 
 // Abort-payload flag bits (first byte). They carry the originating

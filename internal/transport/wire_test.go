@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -9,9 +11,9 @@ import (
 // is handed off with SendOwned (so each superstep displaces staging
 // cells into the session's word pool, which the decode path then draws
 // from), sizes vary per step so differently-sized buffers recirculate,
-// and values cover all three codec classes. Returns a positional
-// checksum of everything received, which must be fabric- and
-// codec-independent, and the number of words this rank sent to its
+// and values range from small ids to full 64-bit words. Returns a
+// positional checksum of everything received, which must be
+// fabric-independent, and the number of words this rank sent to its
 // peers.
 func pooledTraffic(ep Endpoint, steps int) (sum uint64, peerWords int, err error) {
 	p := ep.Size()
@@ -22,11 +24,11 @@ func pooledTraffic(ep Endpoint, steps int) (sum uint64, peerWords int, err error
 			buf := make([]uint64, 0, n)
 			for i := 0; i < n; i++ {
 				switch s % 3 {
-				case 0: // small values: varint territory
+				case 0: // small values
 					buf = append(buf, uint64(i+dst))
 				case 1: // sorted edge-ish triples when n%3 == 0
 					buf = append(buf, uint64(i/3), uint64(i%3), uint64(s+1))
-				default: // incompressible
+				default: // full-width values
 					buf = append(buf, (uint64(s)<<56)|(uint64(r)<<48)|(uint64(i)*0x9e3779b97f4a7c15))
 				}
 			}
@@ -102,12 +104,10 @@ func TestBufferPoolReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWireRawBytesMatchesFrameSizes pins the ledger's wire counts to
-// the frame layout: a DATA frame's raw-equivalent cost is its header,
-// the size vector, the wire stamp, the codec byte and 8 bytes per word.
-// Every rank's ledger carries the run's totals the moment its last
-// Exchange returns — the same on every rank — and the codecs must
-// shrink what actually crossed the socket.
+// TestWireRawBytesMatchesFrameSizes pins the ledger's wire count to
+// the raw frame layout: a DATA frame costs its header, the size vector
+// and 8 bytes per word. Every rank's ledger carries the run's total the
+// moment its last Exchange returns, the same on every rank.
 func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
 	const p, steps = 3, 9
 	withMeshes(t, p, func(meshes []*Mesh) {
@@ -133,20 +133,50 @@ func TestWireRawBytesMatchesFrameSizes(t *testing.T) {
 				t.Fatalf("rank %d: %v", r, err)
 			}
 		}
-		raw := uint64(steps * p * (p - 1) * dataHeadLen(p))
+		want := uint64(steps * p * (p - 1) * (4 + frameHeaderLen + 4 + 4*p))
 		for _, w := range peerWords {
-			raw += 8 * uint64(w)
+			want += 8 * uint64(w)
 		}
 		for r, l := range ledgers {
-			if l.WireRawBytes != raw {
-				t.Errorf("rank %d: ledger raw-equivalent bytes %d, the run's DATA frames sum to %d", r, l.WireRawBytes, raw)
-			}
-			if l.WireBytes != ledgers[0].WireBytes {
-				t.Errorf("rank %d: ledger wire bytes %d, rank 0 says %d", r, l.WireBytes, ledgers[0].WireBytes)
-			}
-			if l.WireBytes == 0 || l.WireBytes >= l.WireRawBytes {
-				t.Errorf("rank %d: codecs did not shrink the wire: %d bytes vs %d raw", r, l.WireBytes, l.WireRawBytes)
+			if l.WireBytes != want {
+				t.Errorf("rank %d: ledger wire bytes %d, the run's DATA frames sum to %d", r, l.WireBytes, want)
 			}
 		}
 	})
+}
+
+func TestDecodeDataPayloadMalformed(t *testing.T) {
+	// A valid frame payload for a 2-rank group, 3 words for rank 1.
+	words := []uint64{5, 6, 7}
+	valid := binary.LittleEndian.AppendUint32(nil, 2)
+	valid = binary.LittleEndian.AppendUint32(valid, 0)
+	valid = binary.LittleEndian.AppendUint32(valid, 3)
+	valid = appendWords(valid, words)
+	if sizes, got, err := decodeDataPayload(valid, 2, 1, nil); err != nil || sizes[1] != 3 || !slices.Equal(got, words) {
+		t.Fatalf("valid payload rejected: %v", err)
+	}
+
+	if _, _, err := decodeDataPayload(valid, 3, 1, nil); err == nil {
+		t.Fatal("group-size mismatch accepted")
+	}
+	if _, _, err := decodeDataPayload(valid, 2, 5, nil); err == nil {
+		t.Fatal("out-of-range rank accepted")
+	}
+	if _, _, err := decodeDataPayload(valid[:6], 2, 1, nil); err == nil {
+		t.Fatal("truncated size vector accepted")
+	}
+	// Bodies that are not exactly 8 bytes per promised word.
+	if _, _, err := decodeDataPayload(valid[:len(valid)-1], 2, 1, nil); err == nil {
+		t.Fatal("body one byte short accepted")
+	}
+	if _, _, err := decodeDataPayload(append(valid[:len(valid):len(valid)], 0), 2, 1, nil); err == nil {
+		t.Fatal("body one byte long accepted")
+	}
+	// Size vector promising more words than the body holds
+	// (sizes[1] lives at bytes 8..12 of the payload).
+	lying := append([]byte(nil), valid...)
+	lying[8], lying[9], lying[10], lying[11] = 0xff, 0xff, 0xff, 0x3f
+	if _, _, err := decodeDataPayload(lying, 2, 1, nil); err == nil {
+		t.Fatal("oversized word count accepted")
+	}
 }
