@@ -81,8 +81,9 @@ chaos-fleet:
 # Every Fuzz* target in the module (union-find, frame parser, handshake
 # parsers, min-cut certificate, the library's connected-components input
 # path, the upload loaders FuzzReadEdgeList and FuzzReadSNAP, the query
-# body FuzzQueryRequest) for 10s each; their seed corpora already run
-# under `make test`.
+# body FuzzQueryRequest, the operator-side tenant config FuzzTenantConfig
+# and fault spec FuzzFaultSpec) for 10s each; their seed corpora already
+# run under `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
 
@@ -126,9 +127,8 @@ bench-kernels:
 
 # Serving-layer benchmarks: warm-plan vs cold repeated-query throughput,
 # static vs dynamic trial scheduling under an injected straggler, and
-# the planner/portfolio set (planner-selected kernel vs the
-# always-label-propagation baseline on a high-diameter path, cold
-# sampling@1 over lowround@1 on a small graph, exact lowround counts,
+# the planner set (the planner-scheduled CC kernel vs the
+# always-label-propagation baseline on a high-diameter path,
 # win-rate/prediction accounting as info). One TestMain writes both
 # internal/service/BENCH_service.json and
 # internal/service/BENCH_planner.json.

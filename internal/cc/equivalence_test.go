@@ -59,18 +59,15 @@ func equivalenceGraphs() map[string]*graph.Graph {
 	}
 }
 
-// TestKernelEquivalence proves every registered CC kernel produces the
-// canonical first-occurrence dense labelling — bit-identical labels, not
-// merely the same partition — on the golden graphs, across p in
-// {1, 4, 16} for the BSP kernels. This is what lets the query planner
-// swap kernels per query without ever changing a result.
+// TestKernelEquivalence proves every CC kernel produces the canonical
+// first-occurrence dense labelling — bit-identical labels, not merely the
+// same partition — on the golden graphs, across p in {1, 4, 16} for the
+// BSP kernels. This is what lets a baseline stand in for the served
+// kernel in any comparison without changing a result.
 func TestKernelEquivalence(t *testing.T) {
 	bspKernels := map[string]func(c *bsp.Comm, n int, local []graph.Edge) *Result{
 		"sampling": func(c *bsp.Comm, n int, local []graph.Edge) *Result {
 			return Parallel(c, n, local, rng.New(11, uint32(c.Rank()), 0), Options{})
-		},
-		"lowround": func(c *bsp.Comm, n int, local []graph.Edge) *Result {
-			return LowRound(c, n, local, Options{})
 		},
 		"labelprop": func(c *bsp.Comm, n int, local []graph.Edge) *Result {
 			return LabelPropagation(c, n, local)
@@ -100,67 +97,5 @@ func TestKernelEquivalence(t *testing.T) {
 		t.Run(gname+"/shared-unionfind", func(t *testing.T) {
 			check(t, "shared-unionfind", SharedMemory(g, 4))
 		})
-	}
-}
-
-// TestLowRoundFewRounds pins the kernel's reason to exist: on a
-// high-diameter path with topology-aligned ids it converges in 2 rounds
-// where label propagation needs Θ(log d).
-func TestLowRoundFewRounds(t *testing.T) {
-	path := graph.New(4096)
-	for i := int32(0); i < 4095; i++ {
-		path.AddEdge(i, i+1, 1)
-	}
-	lr := runBSP(t, path, 4, func(c *bsp.Comm, n int, local []graph.Edge) *Result {
-		return LowRound(c, n, local, Options{})
-	})
-	if lr.Count != 1 {
-		t.Fatalf("path components = %d, want 1", lr.Count)
-	}
-	if lr.Iterations > 3 {
-		t.Errorf("lowround took %d rounds on a path, want <= 3", lr.Iterations)
-	}
-	lp := runBSP(t, path, 4, func(c *bsp.Comm, n int, local []graph.Edge) *Result {
-		return LabelPropagation(c, n, local)
-	})
-	if lp.Iterations <= lr.Iterations {
-		t.Errorf("label propagation rounds (%d) should exceed lowround rounds (%d) on a path",
-			lp.Iterations, lr.Iterations)
-	}
-}
-
-// TestLowRoundPlanShortcut mirrors the cc.Parallel warm path: a matching
-// plan returns its labels with zero cold work and the avoided cost on
-// the ledger.
-func TestLowRoundPlanShortcut(t *testing.T) {
-	g := multiComponentGraph(4)
-	pl := g.Snapshot().PlanFacts()
-	pl.CCCost = graph.CollectiveCost{Collectives: 3, Words: 123}
-	var res *Result
-	st, err := bsp.Run(2, func(c *bsp.Comm) {
-		var in *graph.Graph
-		if c.Rank() == 0 {
-			in = g
-		}
-		n, local := dist.ScatterGraph(c, 0, in)
-		r := LowRound(c, n, local, Options{Plan: pl})
-		if c.Rank() == 0 {
-			res = r
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 0 {
-		t.Fatalf("warm lowround iterated %d times", res.Iterations)
-	}
-	want := Sequential(g)
-	for v := range want.Labels {
-		if res.Labels[v] != want.Labels[v] {
-			t.Fatalf("warm label[%d] = %d, want %d", v, res.Labels[v], want.Labels[v])
-		}
-	}
-	if st.AvoidedCollectives == 0 || st.AvoidedCommVolume == 0 {
-		t.Errorf("plan shortcut left no avoided-cost trace: %+v", st)
 	}
 }

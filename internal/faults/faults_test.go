@@ -331,3 +331,40 @@ func TestSyncHookSkipsTransportKinds(t *testing.T) {
 		t.Fatal("wildcard drop rule did not fire through the wire hook")
 	}
 }
+
+// FuzzFaultSpec: no spec panics the parser; an accepted one holds at
+// least one rule, every probability lies in [0, 1], and every kind that
+// sleeps has a positive duration. Only a blank spec parses to no
+// registry.
+func FuzzFaultSpec(f *testing.F) {
+	for _, spec := range []string{
+		"stall@0:2:50ms", "panic@1:3", "cancel@*:4", "drop@1:5",
+		"stall-conn@2:3:80ms", "crash@1:2", "partition@2:1:300ms",
+		"seed=7;panic@*:*:p0.001:x*", "stall@0:2:50ms:0s", " ; ", "seed=3",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		r, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if r == nil {
+			if strings.TrimSpace(spec) != "" {
+				t.Fatalf("Parse(%q) accepted a non-blank spec with no registry", spec)
+			}
+			return
+		}
+		if len(r.rules) == 0 {
+			t.Fatalf("Parse(%q) accepted a spec with no rules", spec)
+		}
+		for _, ru := range r.rules {
+			if ru.Prob < 0 || ru.Prob > 1 {
+				t.Fatalf("Parse(%q): rule %+v has probability outside [0, 1]", spec, ru.Rule)
+			}
+			if (ru.Kind == Stall || ru.Kind == StallConn || ru.Kind == Partition) && ru.Delay <= 0 {
+				t.Fatalf("Parse(%q): %s rule without a positive duration", spec, ru.Kind)
+			}
+		}
+	})
+}

@@ -1,7 +1,5 @@
 package graph
 
-import "sync"
-
 // Snapshot is an immutable, cheaply shareable view of a graph. The edge
 // array is copied exactly once when the snapshot is taken; afterwards any
 // number of concurrent readers (HTTP handlers, BSP workers, cache
@@ -20,11 +18,6 @@ type Snapshot struct {
 	edges       []Edge
 	totalWeight uint64
 	fingerprint uint64
-
-	// probe caches the lazily computed statistics probe (see probe.go).
-	// sync.Once keeps the snapshot safe for concurrent readers.
-	probeOnce sync.Once
-	probe     *Probe
 }
 
 // Snapshot freezes the current state of g into an immutable view.

@@ -35,8 +35,8 @@ func calPath(n int) *graph.Graph {
 // each, so the least-squares system sees independent variation in comp,
 // volume, and supersteps. The two larger CC graphs anchor the slopes —
 // without them the fit extrapolates serving-size queries from a cluster
-// of near-identical small samples and the per-kernel ordering becomes a
-// coin flip. All graphs are deterministic (fixed seeds).
+// of near-identical small samples and the ordering of machine sizes
+// becomes a coin flip. All graphs are deterministic (fixed seeds).
 func calibrationSuite() []calGraph {
 	run := RunParams{Seed: 42}.Defaulted()
 	var suite []calGraph
@@ -69,7 +69,7 @@ func calibrationSuite() []calGraph {
 // calReps is how many times each calibration point runs; the fastest
 // rep is kept. One-shot timings carry GC pauses and scheduler noise
 // that a least-squares fit over a few dozen points cannot average out,
-// and a single outlier can flip the fitted per-kernel ordering.
+// and a single outlier can flip the fitted ordering of machine sizes.
 const calReps = 2
 
 // measure runs k over cg on mach calReps times and returns the sample its

@@ -13,17 +13,13 @@ import (
 	"repro/internal/rng"
 )
 
-// GraphStats are the snapshot statistics the cost formulas consume —
-// exactly what graph.(*Snapshot).Probe computes plus the sizes: n, m,
-// the capped double-sweep diameter estimate, and the weight skew.
-// WeightSkew rides along for the decision trace and future formulas; the
-// shipped cost models are skew-invariant (the CC sparsifier samples
-// unweighted, and the Karger–Stein formula counts edges, not weight).
+// GraphStats are the snapshot statistics the cost formulas consume: the
+// sizes n and m. No shipped formula reads more — the CC sparsifier
+// samples unweighted, and the Karger–Stein formula counts edges, not
+// weight.
 type GraphStats struct {
-	N           int
-	M           int
-	EstDiameter int
-	WeightSkew  float64
+	N int
+	M int
 }
 
 // Params are the per-query tuning knobs that change a kernel's cost
@@ -162,7 +158,6 @@ type Kernel struct {
 // identity.
 const (
 	KernelCCSampling = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
-	KernelCCLowRound = "lowround"    // cc.LowRound — hook + full closure, O(log d) rounds
 	KernelMCKargerSt = "kargerstein" // mincut.Parallel — contraction trials
 	KernelApproxCut  = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
 )
@@ -232,7 +227,7 @@ func lg2(x float64) float64 {
 }
 
 func init() {
-	// ---- CC portfolio ----
+	// ---- CC: one member, scored for its machine size ----
 	Register(&Kernel{
 		Name: KernelCCSampling, Algorithm: "cc", Default: true,
 		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
@@ -266,28 +261,6 @@ func init() {
 		},
 		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
 			return ccOutcome(cc.Parallel(c, n, local, par.Stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan}))
-		},
-	})
-	Register(&Kernel{
-		Name: KernelCCLowRound, Algorithm: "cc",
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			d := float64(st.EstDiameter)
-			// Full per-round closure makes the effective round count
-			// doubly logarithmic in the diameter on id-coherent inputs
-			// (exactly 2 on generated paths/grids); the double log is the
-			// conservative middle ground between that and the O(log d)
-			// worst case.
-			rounds := 2 + math.Log2(1+lg2(1+d))
-			return perfmodel.Sample{
-				Comp:       rounds * (m/float64(p) + 2*n),
-				Volume:     rounds * (xVol(p, n) + xVol(p, 1)),
-				Supersteps: 4*rounds + 2,
-				P:          float64(p),
-			}
-		},
-		Run: func(c *bsp.Comm, n int, local []graph.Edge, _ RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
-			return ccOutcome(cc.LowRound(c, n, local, cc.Options{Plan: plan}))
 		},
 	})
 
@@ -345,14 +318,7 @@ func btof(b bool) float64 {
 	return 0
 }
 
-// StatsOf derives the planner's cost-model inputs from a snapshot,
-// running (or reusing) its cached statistics probe.
+// StatsOf derives the planner's cost-model inputs from a snapshot.
 func StatsOf(s *graph.Snapshot) GraphStats {
-	pr := s.Probe()
-	return GraphStats{
-		N:           s.N(),
-		M:           s.M(),
-		EstDiameter: pr.EstDiameter,
-		WeightSkew:  pr.WeightSkew,
-	}
+	return GraphStats{N: s.N(), M: s.M()}
 }

@@ -5,10 +5,10 @@
 // constants are fitted per kernel from a startup calibration suite
 // (calibrate.go) run on the machine the daemon serves from.
 //
-// The planner never affects results — every portfolio kernel is
-// result-equivalent (bit-identical CC labels, identical cut values; see
-// the equivalence tests in internal/cc and internal/service) — only
-// which machine shape computes them.
+// The planner never affects results — each algorithm has one scored
+// member, whose answer does not depend on p (bit-identical CC labels,
+// identical cut values; see the equivalence tests in internal/cc and
+// internal/service) — only which machine shape computes them.
 package planner
 
 import (

@@ -13,13 +13,34 @@ import (
 func bspModel() *perfmodel.Model   { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5} }
 func lightModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6} }
 
-// calibratedCC prices the default sampling kernel with bspModel and
-// lowround with lightModel, so small graphs route to lowround while
-// large volumes still favor sampling.
-func calibratedCC() *Planner {
+// fakeCC names the second CC member the cross-kernel tests register:
+// the table ships one member per algorithm, and Choose's argmin,
+// tie-break and divergence accounting need two.
+const fakeCC = "fakecc"
+
+// registerFakeCC adds fakeCC for the rest of the test. It runs the
+// default member's kernel, so every pick is result-equivalent; cost is
+// its cost profile, or — nil — a few rounds of one n-word all-reduce
+// each, lighter than sampling's on small graphs and far heavier on a
+// large p.
+func registerFakeCC(t *testing.T, cost func(GraphStats, int, Params) perfmodel.Sample) {
+	if cost == nil {
+		cost = func(st GraphStats, p int, _ Params) perfmodel.Sample {
+			n, m := float64(st.N), float64(st.M)
+			return perfmodel.Sample{Comp: 4 * (m/float64(p) + 2*n), Volume: 4 * xVol(p, n), Supersteps: 18, P: float64(p)}
+		}
+	}
+	t.Cleanup(Register(&Kernel{Name: fakeCC, Algorithm: "cc", Cost: cost, Run: Lookup("cc", "").Run}))
+}
+
+// calibratedCC registers fakeCC and prices the default sampling kernel
+// with bspModel and fakeCC with lightModel, so small graphs route to
+// fakeCC while large volumes still favor sampling.
+func calibratedCC(t *testing.T) *Planner {
+	registerFakeCC(t, nil)
 	pl := New(ModeStatic)
 	pl.SetModel(KernelCCSampling, bspModel())
-	pl.SetModel(KernelCCLowRound, lightModel())
+	pl.SetModel(fakeCC, lightModel())
 	return pl
 }
 
@@ -37,23 +58,35 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// The scored portfolio is exactly these members, in registration order
-// (Choose breaks kernel ties by it).
-func TestKernelsPortfolio(t *testing.T) {
-	var got []string
-	for _, k := range Kernels() {
-		got = append(got, k.Name)
+func names(ks []*Kernel) []string {
+	var out []string
+	for _, k := range ks {
+		out = append(out, k.Name)
 	}
-	want := []string{KernelCCSampling, KernelCCLowRound, KernelMCKargerSt}
-	if !slices.Equal(got, want) {
+	return out
+}
+
+// The scored portfolio is one member per algorithm; a registered member
+// joins it in registration order (Choose breaks kernel ties by it), and
+// its remover takes it out again.
+func TestKernelsPortfolio(t *testing.T) {
+	if got, want := names(Kernels()), []string{KernelCCSampling, KernelMCKargerSt}; !slices.Equal(got, want) {
 		t.Fatalf("Kernels() = %v, want %v", got, want)
 	}
-	got = got[:0]
-	for _, k := range KernelsFor("cc") {
-		got = append(got, k.Name)
-	}
-	if want := []string{KernelCCSampling, KernelCCLowRound}; !slices.Equal(got, want) {
+	if got, want := names(KernelsFor("cc")), []string{KernelCCSampling}; !slices.Equal(got, want) {
 		t.Fatalf(`KernelsFor("cc") = %v, want %v`, got, want)
+	}
+	t.Run("registered", func(t *testing.T) {
+		registerFakeCC(t, nil)
+		if got, want := names(KernelsFor("cc")), []string{KernelCCSampling, fakeCC}; !slices.Equal(got, want) {
+			t.Fatalf(`KernelsFor("cc") = %v, want %v`, got, want)
+		}
+		if k := Lookup("cc", fakeCC); k == nil || Lookup("cc", "").Name != KernelCCSampling {
+			t.Fatalf("Lookup: fake %v, default %v", k, Lookup("cc", ""))
+		}
+	})
+	if got, want := names(KernelsFor("cc")), []string{KernelCCSampling}; !slices.Equal(got, want) {
+		t.Fatalf(`after removal KernelsFor("cc") = %v, want %v`, got, want)
 	}
 }
 
@@ -107,49 +140,62 @@ func TestChooseFallbackWithoutModels(t *testing.T) {
 }
 
 func TestChooseCheaperMemberForSmallGraphs(t *testing.T) {
-	pl := calibratedCC()
-	d := pl.Choose("cc", GraphStats{N: 500, M: 2000, EstDiameter: 6, WeightSkew: 1}, Params{Epsilon: 0.5}, 0, 16)
-	if d.Kernel != KernelCCLowRound || d.P != 1 {
-		t.Fatalf("small graph decision = %+v, want lowround at p=1", d)
+	pl := calibratedCC(t)
+	d := pl.Choose("cc", GraphStats{N: 500, M: 2000}, Params{Epsilon: 0.5}, 0, 16)
+	if d.Kernel != fakeCC || d.P != 1 {
+		t.Fatalf("small graph decision = %+v, want %s at p=1", d, fakeCC)
 	}
 	if !d.Diverged || d.DefaultP != 1 || d.DefaultKernel != KernelCCSampling {
-		// lowround at p=1 vs sampling at p=1 — still a kernel divergence.
-		t.Fatalf("lowround pick not marked diverged from sampling at p=1: %+v", d)
+		// fakeCC at p=1 vs sampling at p=1 — still a kernel divergence.
+		t.Fatalf("%s pick not marked diverged from sampling at p=1: %+v", fakeCC, d)
+	}
+}
+
+// A member predicted exactly as fast as the default loses the tie: the
+// default was registered first, and the decision does not diverge.
+func TestChooseTieKeepsRegistrationOrder(t *testing.T) {
+	registerFakeCC(t, Lookup("cc", "").Cost)
+	pl := New(ModeStatic)
+	pl.SetModel(KernelCCSampling, bspModel())
+	pl.SetModel(fakeCC, bspModel())
+	d := pl.Choose("cc", GraphStats{N: 500, M: 2000}, Params{Epsilon: 0.5}, 0, 1)
+	if d.Kernel != KernelCCSampling || d.Diverged {
+		t.Fatalf("tie decision = %+v, want the default, not diverged", d)
 	}
 }
 
 func TestChooseRespectsExplicitP(t *testing.T) {
-	pl := calibratedCC()
-	// On the small graph lowround at p=1 is cheapest, but a pinned p=16
+	pl := calibratedCC(t)
+	// On the small graph fakeCC at p=1 is cheapest, but a pinned p=16
 	// leaves only p=16 candidates.
-	small := GraphStats{N: 500, M: 2000, EstDiameter: 6, WeightSkew: 1}
+	small := GraphStats{N: 500, M: 2000}
 	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 16, 16); d.P != 16 {
 		t.Fatalf("explicit p=16 not honored on a small graph: %+v", d)
 	}
-	path := GraphStats{N: 100001, M: 100000, EstDiameter: 100000, WeightSkew: 1}
+	path := GraphStats{N: 100001, M: 100000}
 	d := pl.Choose("cc", path, Params{Epsilon: 0.5}, 16, 16)
 	if d.P != 16 {
 		t.Fatalf("explicit p=16 not honored: %+v", d)
 	}
 	if d.Kernel != KernelCCSampling {
-		// lowround's n-word AllReduce per round outweighs its lighter
+		// fakeCC's n-word AllReduce per round outweighs its lighter
 		// overhead on a 100k-vertex path at p=16.
-		t.Fatalf("lowround chosen on a high-diameter path at p=16: %+v", d)
+		t.Fatalf("%s chosen on a 100k-vertex path at p=16: %+v", fakeCC, d)
 	}
 }
 
 func TestChooseMincutRouting(t *testing.T) {
 	pl := New(ModeStatic)
 	pl.SetModel(KernelMCKargerSt, &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3})
-	big := GraphStats{N: 5000, M: 40000, WeightSkew: 1}
+	big := GraphStats{N: 5000, M: 40000}
 	if d := pl.Choose("mincut", big, Params{Trials: 40}, 0, 8); d.Kernel != KernelMCKargerSt || d.Fallback {
 		t.Fatalf("mincut = %+v, want calibrated kargerstein", d)
 	}
 }
 
 func TestObserveWinRateAndError(t *testing.T) {
-	pl := calibratedCC()
-	st := GraphStats{N: 500, M: 2000, EstDiameter: 6, WeightSkew: 1}
+	pl := calibratedCC(t)
+	st := GraphStats{N: 500, M: 2000}
 	d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 0, 16)
 	if !d.Diverged {
 		t.Fatalf("expected divergent decision, got %+v", d)
@@ -199,14 +245,14 @@ func TestCalibrateBuiltins(t *testing.T) {
 		if err := pl.CalibrateBuiltins(maxP); err != nil {
 			t.Fatalf("maxP=%d: calibration error: %v", maxP, err)
 		}
-		want := []string{KernelMCKargerSt, KernelCCLowRound, KernelCCSampling}
+		want := []string{KernelMCKargerSt, KernelCCSampling}
 		if got := pl.Calibrated(); !slices.Equal(got, want) {
 			t.Fatalf("maxP=%d: calibrated kernels = %v, want %v", maxP, got, want)
 		}
 		// A calibrated planner must never fall back.
 		for _, d := range []Decision{
-			pl.Choose("cc", GraphStats{N: 1000, M: 5000, EstDiameter: 10, WeightSkew: 1}, Params{Epsilon: 0.5}, 0, maxP),
-			pl.Choose("mincut", GraphStats{N: 256, M: 1536, EstDiameter: 6, WeightSkew: 1}, Params{Trials: 92}, 0, maxP),
+			pl.Choose("cc", GraphStats{N: 1000, M: 5000}, Params{Epsilon: 0.5}, 0, maxP),
+			pl.Choose("mincut", GraphStats{N: 256, M: 1536}, Params{Trials: 92}, 0, maxP),
 		} {
 			if d.Fallback || d.Kernel == "" {
 				t.Fatalf("maxP=%d: calibrated planner fell back: %+v", maxP, d)

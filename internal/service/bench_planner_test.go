@@ -16,44 +16,23 @@ import (
 // BENCH_planner.json — the portfolio/planner evidence CI archives and
 // cmd/benchgate gates:
 //
-//   - high_diameter: on a 100k-edge path at p=16, the planner-selected
-//     CC kernel vs cc.LabelPropagation (the O(d)-superstep baseline the
-//     portfolio exists to displace) on a p=16 machine — a same-process
+//   - high_diameter: on a 100k-edge path at p=16, the planner-scheduled
+//     CC kernel vs cc.LabelPropagation (the O(d)-superstep baseline
+//     iterated sampling displaces) on a p=16 machine — a same-process
 //     ratio;
-//   - small_graph: on a small graph, cold, the default sampling kernel
-//     vs lowround, both pinned at p=1 — the region where lowround's
-//     fewer collectives win and the reason it stays in the table, a
-//     same-process ratio;
-//   - lowround: supersteps, communication volume and components of one
-//     pinned lowround execution — fixed input, seed-free kernel, fixed
-//     p, so exact;
 //   - prediction: the planner's own accounting (win rate, mean
 //     |predicted−actual|/actual) after the runs above — a measured time
 //     against a model's prediction, so info only (DESIGN §4g).
 // ---------------------------------------------------------------------------
 
 // plannerPathGraph is the high-diameter workload: a 100001-vertex path,
-// the worst case for diameter-bound label propagation (the statistics
-// probe caps its estimate at graph.ProbeLevelCap, still firmly in the
-// high-diameter regime).
+// the worst case for diameter-bound label propagation.
 func plannerPathGraph() *graph.Graph {
 	const n = 100001
 	g := graph.New(n)
 	for v := 0; v < n-1; v++ {
 		g.AddEdge(int32(v), int32(v+1), 1)
 	}
-	return g
-}
-
-// plannerSmallGraph is the small workload: connected, a few thousand
-// edges — the regime where a kernel's fixed per-round costs dominate
-// the labelling work.
-func plannerSmallGraph() *graph.Graph {
-	g := gen.ErdosRenyiM(1024, 8192, 7, gen.Config{MaxWeight: 4})
-	for v := 1; v < g.N; v++ {
-		g.AddEdge(int32(v-1), int32(v), 1)
-	}
-	g.AddEdge(int32(g.N-1), 0, 1)
 	return g
 }
 
@@ -70,7 +49,7 @@ func plannerMincutGraph() *graph.Graph {
 }
 
 // benchQuery measures one repeated query against a live engine: a first
-// run off the clock (plan/probe/machine-pool warmup — the steady state
+// run off the clock (plan/machine-pool warmup — the steady state
 // every later query sees), then ns/op over the benchmark loop.
 func benchQuery(e *Engine, req QueryRequest) (testing.BenchmarkResult, error) {
 	req.NoCache = true
@@ -85,12 +64,9 @@ func benchQuery(e *Engine, req QueryRequest) (testing.BenchmarkResult, error) {
 }
 
 func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
-	// Plans stay disabled throughout: a warm plan shortcuts every CC
-	// kernel identically (that effect is BENCH_service.json's claim), and
-	// this file compares the kernels themselves.
-	base := NewEngine(Config{Workers: 1, MaxProcessors: 16, CacheCapacity: -1, DisablePlans: true})
-	defer base.Close()
-	// The planner engine calibrates its cost models at startup — the same
+	// Plans stay disabled throughout: a warm plan answers CC without
+	// running the kernel (that effect is BENCH_service.json's claim), and
+	// this file times the kernel itself. The planner engine calibrates its cost models at startup — the same
 	// live CalibrateBuiltins path camcd runs, so the chosen kernel below
 	// is a real planning decision, not an injected constant.
 	pe := NewEngine(Config{
@@ -99,17 +75,12 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	})
 	defer pe.Close()
 
-	pathG, smallG, mcG := plannerPathGraph(), plannerSmallGraph(), plannerMincutGraph()
-	for _, e := range []*Engine{base, pe} {
-		if _, err := e.Registry().Put("path", pathG); err != nil {
-			return err
-		}
-		if _, err := e.Registry().Put("small", smallG); err != nil {
-			return err
-		}
-		if _, err := e.Registry().Put("mc", mcG); err != nil {
-			return err
-		}
+	pathG := plannerPathGraph()
+	if _, err := pe.Registry().Put("path", pathG); err != nil {
+		return err
+	}
+	if _, err := pe.Registry().Put("mc", plannerMincutGraph()); err != nil {
+		return err
 	}
 
 	// --- high_diameter: label propagation@16 vs the planner's pick@16 ---
@@ -139,30 +110,6 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	// The cost model's accuracy on one planner-scheduled execution.
 	snap.Add(benchsnap.Info, "high_diameter_predicted_ms", probe.Result.Kernel.PredictedMs, 0, 0)
 	snap.Add(benchsnap.Info, "high_diameter_actual_ms", probe.Result.Kernel.TimeMs, -1, 0)
-
-	// --- small_graph: pinned sampling@1 vs pinned lowround@1, cold ---
-	smRes, err := benchQuery(base, QueryRequest{Graph: "small", Algorithm: AlgCC, Kernel: planner.KernelCCSampling, Processors: 1})
-	if err != nil {
-		return err
-	}
-	lrRes, err := benchQuery(base, QueryRequest{Graph: "small", Algorithm: AlgCC, Kernel: planner.KernelCCLowRound, Processors: 1})
-	if err != nil {
-		return err
-	}
-	snap.Add(benchsnap.Ratio, "small_graph_speedup", float64(smRes.NsPerOp())/float64(lrRes.NsPerOp()), +1, 0)
-	snap.Add(benchsnap.Info, "small_graph_sampling_ns_op", float64(smRes.NsPerOp()), -1, 0)
-	snap.Add(benchsnap.Info, "small_graph_lowround_ns_op", float64(lrRes.NsPerOp()), -1, 0)
-
-	// --- lowround: deterministic counts of one pinned execution ---
-	lr, err := base.Query(context.Background(), QueryRequest{
-		Graph: "small", Algorithm: AlgCC, Kernel: planner.KernelCCLowRound, Processors: 4, NoCache: true,
-	})
-	if err != nil {
-		return err
-	}
-	snap.Add(benchsnap.Exact, "lowround_supersteps", float64(lr.Result.Kernel.Supersteps), -1, 0)
-	snap.Add(benchsnap.Exact, "lowround_comm_volume", float64(lr.Result.Kernel.CommVolume), -1, 0)
-	snap.Add(benchsnap.Exact, "lowround_components", float64(lr.Result.Components), 0, 0)
 
 	// --- prediction: feed the planner a batch of small unpinned mincut
 	// queries — eight more planned executions, each observed against its

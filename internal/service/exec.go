@@ -39,9 +39,9 @@ type QueryRequest struct {
 	// Processors pins the BSP machine size; 0 lets the scheduler size it
 	// from the graph (clamped to the engine's MaxProcessors either way).
 	Processors int `json:"processors,omitempty"`
-	// Kernel pins a specific portfolio kernel ("sampling", "lowround" for
-	// cc; "kargerstein" for mincut), bypassing the planner; any other name
-	// is a bad request. Empty lets the planner (or, with the planner off,
+	// Kernel pins a specific portfolio kernel ("sampling" for cc;
+	// "kargerstein" for mincut), bypassing the planner; any other name is
+	// a bad request. Empty lets the planner (or, with the planner off,
 	// the default kernel) decide.
 	Kernel string `json:"kernel,omitempty"`
 	// SuccessProb targets the exact min cut success probability

@@ -267,8 +267,9 @@ func TestHTTPUnknownKernelPin(t *testing.T) {
 	defer srv.Close()
 
 	for _, c := range []struct{ alg, kernel, want string }{
-		{AlgCC, "shared", `unknown kernel "shared" for algorithm "cc" (have: sampling, lowround)`},
-		{AlgCC, "labelprop", `unknown kernel "labelprop" for algorithm "cc" (have: sampling, lowround)`},
+		{AlgCC, "lowround", `unknown kernel "lowround" for algorithm "cc" (have: sampling)`},
+		{AlgCC, "shared", `unknown kernel "shared" for algorithm "cc" (have: sampling)`},
+		{AlgCC, "labelprop", `unknown kernel "labelprop" for algorithm "cc" (have: sampling)`},
 		{AlgMinCut, "stoerwagner", `unknown kernel "stoerwagner" for algorithm "mincut" (have: kargerstein)`},
 	} {
 		resp := postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "g", Algorithm: c.alg, Kernel: c.kernel})

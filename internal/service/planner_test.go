@@ -10,13 +10,34 @@ import (
 	"repro/internal/planner"
 )
 
-// testModels are fixed model constants that make decisions deterministic
-// in tests: the default sampling kernel pays 50µs of fixed overhead,
-// lowround 1µs, so small graphs route to lowround on a small machine.
-func testModels() map[string]*perfmodel.Model {
+// fakeCC names a second CC member the cross-kernel tests register: the
+// table ships one member per algorithm, and overriding the default
+// kernel, pinning a non-default one and attributing stats per kernel
+// need two.
+const fakeCC = "fakecc"
+
+// registerFakeCC adds fakeCC for the rest of the test. It runs the
+// default member's kernel, so every answer is bit-identical to the
+// default's, priced as a few rounds of one n-word all-reduce each.
+func registerFakeCC(t *testing.T) {
+	t.Cleanup(planner.Register(&planner.Kernel{
+		Name: fakeCC, Algorithm: AlgCC, Run: planner.Lookup(AlgCC, "").Run,
+		Cost: func(st planner.GraphStats, p int, _ planner.Params) perfmodel.Sample {
+			n, m, fp := float64(st.N), float64(st.M), float64(p)
+			return perfmodel.Sample{Comp: 4 * (m/fp + 2*n), Volume: 8 * (fp - 1) * n, Supersteps: 18, P: fp}
+		},
+	}))
+}
+
+// testModels registers fakeCC and returns fixed model constants that
+// make decisions deterministic in tests: the default sampling kernel
+// pays 50µs of fixed overhead, fakeCC 1µs, so small graphs route to
+// fakeCC on a small machine.
+func testModels(t *testing.T) map[string]*perfmodel.Model {
+	registerFakeCC(t)
 	return map[string]*perfmodel.Model{
 		planner.KernelCCSampling: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
-		planner.KernelCCLowRound: {A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6},
+		fakeCC:                   {A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6},
 		planner.KernelMCKargerSt: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
 	}
 }
@@ -46,7 +67,7 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 		t.Fatalf("planner off: decide = %+v, want default kernel at heuristic p=%d", rsOff, heuristic)
 	}
 
-	on := newTestEngine(t, Config{MaxProcessors: 16, Planner: "static", PlannerModels: testModels()})
+	on := newTestEngine(t, Config{MaxProcessors: 16, Planner: "static", PlannerModels: testModels(t)})
 	sgOn, err := on.Registry().Put("g", g)
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +77,10 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Under the injected constants a 21k-edge graph is cheaper on
-	// lowround at a smaller machine than on sampling at the thresholds'
+	// fakeCC at a smaller machine than on sampling at the thresholds'
 	// 4 processors: the planner must override both the kernel and the p.
-	if rsOn.Kernel != planner.KernelCCLowRound || rsOn.P == heuristic {
-		t.Fatalf("planner on: decide = kern=%q p=%d, want lowround at p != %d", rsOn.Kernel, rsOn.P, heuristic)
+	if rsOn.Kernel != fakeCC || rsOn.P == heuristic {
+		t.Fatalf("planner on: decide = kern=%q p=%d, want %s at p != %d", rsOn.Kernel, rsOn.P, fakeCC, heuristic)
 	}
 	if rsOn.dec == nil || !rsOn.dec.Diverged || rsOn.dec.Fallback {
 		t.Fatalf("planner on: decision = %+v, want diverged non-fallback", rsOn.dec)
@@ -83,7 +104,7 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	mcGraph := testGraph(60, 150)
 
 	off := newTestEngine(t, Config{MaxProcessors: 8})
-	on := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels()})
+	on := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels(t)})
 	for _, e := range []*Engine{off, on} {
 		if _, err := e.Registry().Put("cc", ccGraph); err != nil {
 			t.Fatal(err)
@@ -102,8 +123,8 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ccOn.Result.Kernel.Kernel != planner.KernelCCLowRound {
-		t.Fatalf("planner-on cc kernel = %q, want lowround (injected models)", ccOn.Result.Kernel.Kernel)
+	if ccOn.Result.Kernel.Kernel != fakeCC {
+		t.Fatalf("planner-on cc kernel = %q, want %s (injected models)", ccOn.Result.Kernel.Kernel, fakeCC)
 	}
 	if ccOff.Result.Components != ccOn.Result.Components {
 		t.Fatalf("component count diverged: off %d, on %d", ccOff.Result.Components, ccOn.Result.Components)
@@ -135,10 +156,11 @@ func TestPlannerResultEquivalence(t *testing.T) {
 // fallback counter, and the collector's planner_fallbacks counter all
 // fire — never a silent default.
 func TestPlannerFallbackSurfaced(t *testing.T) {
-	// lowround is calibrated but the default (sampling) is not — as after
+	// fakeCC is calibrated but the default (sampling) is not — as after
 	// a partial calibration failure.
+	registerFakeCC(t)
 	models := map[string]*perfmodel.Model{
-		planner.KernelCCLowRound: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
+		fakeCC: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
 	}
 	e := newTestEngine(t, Config{MaxProcessors: 4, Planner: "static", PlannerModels: models})
 	if _, err := e.Registry().Put("g", testGraph(200, 600)); err != nil {
@@ -165,6 +187,7 @@ func TestPlannerFallbackSurfaced(t *testing.T) {
 
 // Request-pinned kernels bypass the planner but are validated.
 func TestKernelPinning(t *testing.T) {
+	registerFakeCC(t)
 	e := newTestEngine(t, Config{MaxProcessors: 4})
 	if _, err := e.Registry().Put("g", testGraph(300, 900)); err != nil {
 		t.Fatal(err)
@@ -177,7 +200,7 @@ func TestKernelPinning(t *testing.T) {
 	}
 	for _, kern := range []string{
 		planner.KernelCCSampling,
-		planner.KernelCCLowRound,
+		fakeCC,
 	} {
 		rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: kern, IncludeLabels: true})
 		if err != nil {
@@ -199,29 +222,30 @@ func TestKernelPinning(t *testing.T) {
 	// kernel on mincut are bad requests.
 	for _, req := range []QueryRequest{
 		{Graph: "g", Algorithm: AlgCC, Kernel: "bogus"},
+		{Graph: "g", Algorithm: AlgCC, Kernel: "lowround"},
 		{Graph: "g", Algorithm: AlgCC, Kernel: "labelprop"},
 		{Graph: "g", Algorithm: AlgCC, Kernel: "shared"},
 		{Graph: "g", Algorithm: AlgMinCut, Kernel: "stoerwagner"},
-		{Graph: "g", Algorithm: AlgMinCut, Kernel: planner.KernelCCLowRound},
+		{Graph: "g", Algorithm: AlgMinCut, Kernel: planner.KernelCCSampling},
 	} {
 		if _, err := e.Query(ctx, req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "unknown kernel") {
 			t.Fatalf("%s pin error = %v, want ErrBadRequest unknown kernel", req.Kernel, err)
 		}
 	}
 	// A pin runs on a machine of the requested size.
-	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCLowRound, Processors: 4, NoCache: true})
+	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: fakeCC, Processors: 4, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Result.Kernel.Transport != "local" || rep.Result.Kernel.P != 4 {
-		t.Fatalf("pinned lowround at p=4 kernel stats = %+v", rep.Result.Kernel)
+		t.Fatalf("pinned %s at p=4 kernel stats = %+v", fakeCC, rep.Result.Kernel)
 	}
 }
 
 // A planner-scheduled execution feeds win-rate and prediction-error
 // accounting visible in the stats snapshot.
 func TestPlannerStatsAccounting(t *testing.T) {
-	e := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels()})
+	e := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels(t)})
 	if _, err := e.Registry().Put("g", testGraph(1000, 20000)); err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +265,9 @@ func TestPlannerStatsAccounting(t *testing.T) {
 	if len(st.Queries.Kernels) == 0 {
 		t.Fatal("collector kernel aggregates missing")
 	}
-	agg, ok := st.Queries.Kernels[planner.KernelCCLowRound]
+	agg, ok := st.Queries.Kernels[fakeCC]
 	if !ok || agg.Executions == 0 {
-		t.Fatalf("kernel aggregate missing for lowround: %+v", st.Queries.Kernels)
+		t.Fatalf("kernel aggregate missing for %s: %+v", fakeCC, st.Queries.Kernels)
 	}
 	if agg.TotalPredictedMs <= 0 {
 		t.Fatalf("predicted time not aggregated: %+v", agg)

@@ -434,7 +434,7 @@ func TestCacheKeyDistinct(t *testing.T) {
 	add("other epsilon", cacheKey(sg, AlgCC, "", 2, eps))
 	sg2 := &StoredGraph{Name: sg.Name, Version: sg.Version + 1, Snap: sg.Snap}
 	add("other version", cacheKey(sg2, AlgCC, "", 2, base))
-	add("other kernel", cacheKey(sg, AlgCC, "lowround", 2, base))
+	add("other kernel", cacheKey(sg, AlgCC, "sampling", 2, base))
 	if len(keys) != 7 {
 		t.Errorf("expected 7 distinct keys, got %d", len(keys))
 	}

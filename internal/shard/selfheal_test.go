@@ -760,7 +760,7 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 	resp.Body.Close()
 
 	rejected := map[string]service.QueryRequest{
-		"pinned kernel": {Graph: name, Algorithm: service.AlgCC, Kernel: "lowround", Processors: 4},
+		"pinned kernel": {Graph: name, Algorithm: service.AlgCC, Kernel: "sampling", Processors: 4},
 		"bad parameter": {Graph: name, Algorithm: service.AlgCC, Epsilon: 9},
 	}
 	// ask posts req and returns the status and error message.

@@ -44,7 +44,8 @@ type Quotas struct {
 	// MaxConcurrent caps in-flight queries.
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// QPS is the token-bucket refill rate in requests per second; Burst
-	// is the bucket depth (default: ceil(QPS), min 1). QPS 0 = unlimited.
+	// is the bucket depth (default: ceil(QPS), at most MaxInt32). QPS 0 =
+	// unlimited.
 	QPS   float64 `json:"qps,omitempty"`
 	Burst int     `json:"burst,omitempty"`
 }
@@ -120,10 +121,9 @@ func NewRegistry(cfg Config) *Registry {
 	for _, tc := range cfg.Tenants {
 		q := tc.Quotas
 		if q.QPS > 0 && q.Burst == 0 {
-			q.Burst = int(math.Ceil(q.QPS))
-			if q.Burst < 1 {
-				q.Burst = 1
-			}
+			// Clamped in float64 first: converting a float beyond the int
+			// range is implementation-defined (MinInt64 on amd64).
+			q.Burst = int(min(math.Ceil(q.QPS), math.MaxInt32))
 		}
 		t := &Tenant{
 			name:   tc.Name,

@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -335,4 +337,59 @@ func TestConcurrentAcquire(t *testing.T) {
 			t.Fatalf("counters %+v vs observed admitted=%d rejected=%d", s, na, nr)
 		}
 	}
+}
+
+// tenantBody is a one-tenant config with the given quotas object.
+func tenantBody(quotas string) string {
+	return `{"tenants":[{"name":"a","token":"t","quotas":` + quotas + `}]}`
+}
+
+// A qps past the int range still defaults to a deep bucket: five
+// queries at one instant all pass.
+func TestHugeQPSDefaultBurst(t *testing.T) {
+	for _, qps := range []string{"1e18", "1e19", "1e300"} {
+		cfg, err := ParseConfig(strings.NewReader(tenantBody(`{"qps":` + qps + `}`)))
+		if err != nil {
+			t.Fatalf("qps %s: %v", qps, err)
+		}
+		r := NewRegistry(cfg)
+		r.SetNow(newFakeClock().now)
+		a, _ := r.Lookup("a")
+		for i := 0; i < 5; i++ {
+			release, _, err := a.AcquireQuery()
+			if err != nil {
+				t.Fatalf("qps %s: query %d of 5 at one instant: %v", qps, i+1, err)
+			}
+			release()
+		}
+	}
+}
+
+// FuzzTenantConfig: no config body panics the parser or the registry,
+// and an accepted tenant with a qps and no burst gets a bucket at least
+// min(⌈qps⌉, MaxInt32) deep.
+func FuzzTenantConfig(f *testing.F) {
+	f.Add([]byte(tenantBody(`{"qps":1e19}`)))
+	f.Add([]byte(tenantBody(`{"qps":0.25,"max_concurrent":2}`)))
+	f.Add([]byte(tenantBody(`{"qps":2,"burst":3,"max_graphs":1,"max_bytes":100}`)))
+	f.Add([]byte(`{"tenants":[{"name":"a","token":"t"},{"name":"b","token":"t"}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg, err := ParseConfig(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		quotas := make(map[string]Quotas, len(cfg.Tenants))
+		for _, tc := range cfg.Tenants {
+			quotas[tc.Name] = tc.Quotas
+		}
+		for _, sn := range NewRegistry(cfg).Snapshot() {
+			q := quotas[sn.Name]
+			if q.QPS <= 0 || q.Burst != 0 {
+				continue
+			}
+			if want := min(math.Ceil(q.QPS), math.MaxInt32); float64(sn.Quotas.Burst) < want {
+				t.Fatalf("%s: qps %g defaulted to burst %d, want >= %g", sn.Name, q.QPS, sn.Quotas.Burst, want)
+			}
+		}
+	})
 }
