@@ -107,7 +107,7 @@ func main() {
 		{"fig8a", "Figure 8a: IPM of MC vs KS vs SW", runFig8a},
 		{"fig8b", "Figure 8b: IPM of CC vs BGL vs Galois", runFig8b},
 		{"fig9", "Figure 9: sequential cache misses and time, KS vs SW vs MC", runFig9},
-		{"abl-bcast", "Ablation: two-phase vs direct broadcast", runAblBroadcast},
+		{"abl-bcast", "Ablation: the library's broadcast vs naive direct sends", runAblBroadcast},
 		{"abl-eager", "Ablation: Eager Step vs recursive contraction only", runAblEager},
 		{"abl-epsilon", "Ablation: sparsification exponent ε in CC", runAblEpsilon},
 		{"abl-sampler", "Ablation: prefix vs alias weighted sampler", runAblSampler},

@@ -21,7 +21,7 @@ package bsp
 // collScratch holds one processor's collective scratch: grow-only buffers
 // reused call over call so steady-state collectives are allocation-free.
 type collScratch struct {
-	hdr      [1]uint64  // one-word headers (lengths, offsets)
+	hdr      [1]uint64  // Broadcast's length header
 	bcast    []uint64   // Broadcast / AllReduce result
 	red      []uint64   // Reduce result
 	scat     []uint64   // Scatter result
@@ -71,10 +71,13 @@ func (c *Comm) collectInbox(s *vecScratch) [][]uint64 {
 }
 
 // Broadcast distributes the root's words to all processors; every caller
-// returns the full payload. For payloads larger than the communicator it
-// uses the two-phase (scatter + all-gather) algorithm so that no processor
-// sends or receives more than O(k + p) words, the classic O(1)-superstep
-// communication-optimal broadcast.
+// returns the full payload. The root's message to each rank opens with the
+// payload length k, so every rank picks the same strategy from what it
+// received (see bcastDirect) with no separate announcement round: a direct
+// send (1 superstep) for small payloads and at p = 2, otherwise the
+// two-phase scatter + all-gather (2 supersteps), in which no processor
+// sends or receives more than O(k + p) words — the classic
+// O(1)-superstep communication-optimal broadcast.
 func (c *Comm) Broadcast(root int, words []uint64) []uint64 {
 	p := c.m.p
 	if p == 1 {
@@ -82,58 +85,51 @@ func (c *Comm) Broadcast(root int, words []uint64) []uint64 {
 		copy(c.sc.bcast, words)
 		return c.sc.bcast
 	}
-	// Superstep 1: the root announces the payload length, so every
-	// processor deterministically picks the same strategy. For the small
-	// (direct) strategy the payload itself piggybacks on this superstep.
+	// Superstep 1: the root sends [k | payload] (direct) or [k | chunk dst]
+	// (two-phase) to every rank.
 	if c.rank == root {
 		k := len(words)
 		c.sc.hdr[0] = uint64(k)
+		direct := bcastDirect(k, p)
 		for dst := 0; dst < p; dst++ {
 			c.Send(dst, c.sc.hdr[:1])
-			if k < 2*p {
+			if direct {
 				c.Send(dst, words)
+			} else {
+				c.Send(dst, words[dst*k/p:(dst+1)*k/p])
 			}
 		}
 	}
 	c.Sync()
 	in := c.Recv(root)
 	k := int(in[0])
-	small := k < 2*p
-	if small {
-		c.sc.bcast = growWords(c.sc.bcast, k)
-		copy(c.sc.bcast, in[1:])
-		return c.sc.bcast
-	}
-	// Two-phase broadcast for large payloads: scatter then all-gather.
-	// Superstep 2: the root scatters ~k/p chunks.
-	if c.rank == root {
-		for dst := 0; dst < p; dst++ {
-			lo := dst * k / p
-			hi := (dst + 1) * k / p
-			c.sc.hdr[0] = uint64(lo)
-			c.Send(dst, c.sc.hdr[:1])
-			c.Send(dst, words[lo:hi])
-		}
-	}
-	c.Sync()
-	chunk := c.Recv(root)
-	myOff := int(chunk[0])
-	body := chunk[1:]
-	// Superstep 3: all-gather the chunks.
-	for dst := 0; dst < p; dst++ {
-		c.sc.hdr[0] = uint64(myOff)
-		c.Send(dst, c.sc.hdr[:1])
-		c.Send(dst, body)
-	}
-	c.Sync()
 	c.sc.bcast = growWords(c.sc.bcast, k)
 	out := c.sc.bcast
+	if bcastDirect(k, p) {
+		copy(out, in[1:])
+		return out
+	}
+	// Superstep 2: all-gather the chunks. Chunk boundaries follow from k,
+	// so the chunks travel without offsets.
+	for dst := 0; dst < p; dst++ {
+		c.Send(dst, in[1:])
+	}
+	c.Sync()
 	for src := 0; src < p; src++ {
-		in := c.Recv(src)
-		copy(out[int(in[0]):], in[1:])
+		copy(out[src*k/p:], c.Recv(src))
 	}
 	return out
 }
+
+// bcastDirect reports whether a k-word broadcast over p > 1 processors
+// sends the payload whole to every rank: one superstep of h = p(k+1),
+// where two-phase takes two of h ≈ k+p and ≈ k. Below 2p words a chunk
+// is at most two words, so the words two-phase saves are O(p²) and a
+// second superstep's latency outweighs them. At p = 2 direct moves
+// 2k+2 words, no more than two-phase's two supersteps together (which
+// also have rank 1 send its half back to a root that holds it), so two
+// processors always broadcast directly.
+func bcastDirect(k, p int) bool { return k < 2*p || p == 2 }
 
 // Gather collects every processor's words at the root. At the root the
 // result has one entry per source rank; at other ranks it is nil.
@@ -231,28 +227,37 @@ func (c *Comm) Reduce(root int, vec []uint64, op ReduceOp) []uint64 {
 	if c.rank != root {
 		return nil
 	}
-	var out []uint64
-	for src := 0; src < c.m.p; src++ {
+	return c.fold(&c.sc.red, op)
+}
+
+// AllReduce combines equal-length vectors elementwise with op and returns
+// the result at every processor in one superstep: every rank sends its
+// vector to every rank and folds its inbox as Reduce's root does, so
+// every rank computes the same words even for a non-commutative op. Each
+// rank receives p·k words, the root's in-degree in Reduce. The result
+// shares Broadcast's scratch.
+func (c *Comm) AllReduce(vec []uint64, op ReduceOp) []uint64 {
+	for dst := 0; dst < c.m.p; dst++ {
+		c.Send(dst, vec)
+	}
+	c.Sync()
+	return c.fold(&c.sc.bcast, op)
+}
+
+// fold combines the delivered vectors elementwise with op in source-rank
+// order into the scratch buffer *dst and returns it.
+func (c *Comm) fold(dst *[]uint64, op ReduceOp) []uint64 {
+	first := c.Recv(0)
+	*dst = growWords(*dst, len(first))
+	out := *dst
+	copy(out, first)
+	for src := 1; src < c.m.p; src++ {
 		in := c.Recv(src)
-		if out == nil {
-			c.sc.red = growWords(c.sc.red, len(in))
-			out = c.sc.red
-			copy(out, in)
-			continue
-		}
 		for i := range out {
 			out[i] = op(out[i], in[i])
 		}
 	}
 	return out
-}
-
-// AllReduce combines equal-length vectors elementwise with op and returns
-// the result at every processor (reduce + broadcast, O(1) supersteps).
-// The result shares Broadcast's scratch.
-func (c *Comm) AllReduce(vec []uint64, op ReduceOp) []uint64 {
-	red := c.Reduce(0, vec, op)
-	return c.Broadcast(0, red)
 }
 
 // Barrier synchronizes without exchanging data.

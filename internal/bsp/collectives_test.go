@@ -247,3 +247,94 @@ func TestCollectivesCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCollectiveCosts pins the exact superstep count and ledger volume of
+// one Broadcast and one AllReduce across machine sizes and payloads on
+// both sides of the broadcast's strategy switch, and checks every rank's
+// result.
+func TestCollectiveCosts(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		for _, k := range []int{0, 1, 2*p - 1, 2 * p, 4096} {
+			root := p - 1
+			payload := seq(k)
+
+			// Broadcast: free at p = 1; direct in one superstep of
+			// [k | payload] to every rank when k < 2p or p = 2; else the
+			// root scatters [k | chunk] and the chunks are all-gathered.
+			var wantSS int
+			var wantVol uint64
+			switch {
+			case p == 1:
+			case k < 2*p || p == 2:
+				wantSS, wantVol = 1, uint64(p*(k+1))
+			default:
+				maxChunk := 0
+				for r := 0; r < p; r++ {
+					maxChunk = max(maxChunk, (r+1)*k/p-r*k/p)
+				}
+				wantSS, wantVol = 2, uint64(k+p+max(k, p*maxChunk))
+			}
+			st, err := Run(p, func(c *Comm) {
+				var in []uint64
+				if c.Rank() == root {
+					in = payload
+				}
+				if got := c.Broadcast(root, in); !equalU64(got, payload) {
+					t.Errorf("p=%d k=%d: Broadcast at rank %d: len %d, want the root's %d words", p, k, c.Rank(), len(got), k)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Supersteps != wantSS || st.CommVolume != wantVol {
+				t.Errorf("p=%d k=%d: Broadcast took ss=%d vol=%d, want ss=%d vol=%d", p, k, st.Supersteps, st.CommVolume, wantSS, wantVol)
+			}
+
+			// AllReduce: one superstep in which every rank sends its k
+			// words to every rank.
+			want := make([]uint64, k)
+			for r := 0; r < p; r++ {
+				for i := range want {
+					want[i] += uint64(r*k + i)
+				}
+			}
+			st, err = Run(p, func(c *Comm) {
+				vec := make([]uint64, k)
+				for i := range vec {
+					vec[i] = uint64(c.Rank()*k + i)
+				}
+				if got := c.AllReduce(vec, OpSum); !equalU64(got, want) {
+					t.Errorf("p=%d k=%d: AllReduce at rank %d differs from the sum", p, k, c.Rank())
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Supersteps != 1 || st.CommVolume != uint64(p*k) {
+				t.Errorf("p=%d k=%d: AllReduce took ss=%d vol=%d, want ss=1 vol=%d", p, k, st.Supersteps, st.CommVolume, p*k)
+			}
+		}
+	}
+}
+
+// TestAllReduceNonCommutative checks that every rank folds the vectors in
+// rank order, so an order-sensitive op gives the same words everywhere.
+func TestAllReduceNonCommutative(t *testing.T) {
+	op := func(a, b uint64) uint64 { return a*31 + b }
+	for _, p := range []int{1, 2, 3, 5} {
+		want := []uint64{100, 200}
+		for r := 1; r < p; r++ {
+			want[0] = op(want[0], uint64(100+r))
+			want[1] = op(want[1], uint64(200+r))
+		}
+		_, err := Run(p, func(c *Comm) {
+			r := uint64(c.Rank())
+			if got := c.AllReduce([]uint64{100 + r, 200 + r}, op); !equalU64(got, want) {
+				t.Errorf("p=%d rank %d: AllReduce = %v, want the rank-order fold %v", p, c.Rank(), got, want)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -209,9 +209,9 @@ func Lookup(alg, name string) *Kernel {
 }
 
 // xVol is the volume model of one n-word AllReduce/Broadcast-style
-// collective: the implementations gather to a root and broadcast back,
-// so the root moves ~(p-1)·words in each direction. Zero at p=1 (the
-// collectives short-circuit locally).
+// collective as a gather to a root and a broadcast back, ~(p-1)·words in
+// each direction. Zero at p=1. AllReduce is one exchange of h = p·words;
+// the model stays until ROADMAP item 6 makes the Cost formulas exact.
 func xVol(p int, words float64) float64 {
 	if p <= 1 {
 		return 0
@@ -238,13 +238,17 @@ func init() {
 			// Each non-root rank ships a spanning forest of its
 			// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
 			forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
-			// The relabelling goes out as a two-phase Broadcast: 2n words
-			// on the ledger whatever p is — not xVol's gather-to-root. Now
-			// that volume no longer tracks comp, the fit gives it a real
-			// coefficient, and xVol's factor p-1 would be billed in full.
+			// The relabelling Broadcast puts ~2n words on the ledger at
+			// every p ≥ 2 — not xVol's gather-to-root: a direct send of
+			// 2(n+1) at p = 2, a two-phase scatter + all-gather of ~2n+p
+			// at p ≥ 3. Now that volume no longer tracks comp, the fit
+			// gives it a real coefficient, and xVol's factor p-1 would be
+			// billed in full.
 			bcast := 2 * n * btof(p > 1)
 			// A round is reduce m, gather forests, one n-word broadcast: the
 			// relabelling or, out of the last round, the published labels.
+			// Supersteps over-count: one exact round is 2 / 3 / 4 at
+			// p = 1 / 2 / ≥ 3; ROADMAP item 6 makes this exact.
 			// O(1) rounds w.h.p., empirically 2 when the first one samples;
 			// when (1+δ)s ≥ m every rank contributes its whole slice and
 			// cc.Parallel leaves after the first.

@@ -38,13 +38,16 @@ import (
 // of a session reconstruct the same p×p size matrix and account the
 // superstep's h-relation identically to the in-process fabric's
 // finalizer. Because a frame's size is fixed by its word count, the
-// same matrix also gives the superstep's wire bytes. Version 8 dropped
+// same matrix also gives the superstep's wire bytes. Version 9 marks a
+// change above the frames: the supersteps inside bsp's Broadcast and
+// AllReduce (no length-announcement round, one-exchange AllReduce), which
+// a peer running version 8 would read out of step. Version 8 dropped
 // the payload codecs and the wire stamp; version 5 dropped the header's
 // group tag: a session spans the whole mesh.
 
 const (
 	wireMagic   = "CAMT"
-	wireVersion = 8
+	wireVersion = 9
 	ackMagic    = "CAMA"
 
 	preambleLen = 4 + 1 + 4 + 8 + 8 // magic, version, rank, epoch, incarnation

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -178,5 +180,28 @@ func TestDecodeDataPayloadMalformed(t *testing.T) {
 	lying[8], lying[9], lying[10], lying[11] = 0xff, 0xff, 0xff, 0x3f
 	if _, _, err := decodeDataPayload(lying, 2, 1, nil); err == nil {
 		t.Fatal("oversized word count accepted")
+	}
+}
+
+// TestHandshakeRefusesVersion8 checks that a peer speaking wire version 8
+// is refused at the handshake: it orders the supersteps inside Broadcast
+// and AllReduce differently, so meshing with it would desynchronise the
+// run instead of failing it.
+func TestHandshakeRefusesVersion8(t *testing.T) {
+	const epoch = 3
+	var pre, ack bytes.Buffer
+	if err := writePreamble(&pre, 1, epoch, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAck(&ack); err != nil {
+		t.Fatal(err)
+	}
+	pre.Bytes()[4], ack.Bytes()[4] = 8, 8
+	_, _, err := readPreamble(&pre, epoch)
+	if !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": protocol version 8, want 9" {
+		t.Errorf("v8 preamble: %v, want ErrPeerLost: protocol version 8, want 9", err)
+	}
+	if err := readAck(&ack); !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": ack protocol version 8, want 9" {
+		t.Errorf("v8 ack: %v, want ErrPeerLost: ack protocol version 8, want 9", err)
 	}
 }
