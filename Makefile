@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench-build check loc chaos chaos-fleet fuzz lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate profile-transport load-smoke transport camcd
+.PHONY: all build test vet race bench-build check loc chaos chaos-fleet fuzz lint vuln bench bench-bsp bench-kernels bench-service bench-transport bench-fleet bench-gate ab profile-transport load-smoke transport camcd
 
 all: check
 
@@ -161,6 +161,16 @@ bench-fleet:
 # 40%; info: never) or vanished. BENCHTIME tunes the re-run cost.
 bench-gate:
 	bash scripts/bench_gate.sh
+
+# Paired A/B of the end-to-end benchmark: AB_BASE (any revision) against
+# this working tree, AB_PAIRS pairs alternating which side runs first,
+# AB_ARGS handed to benchmark/run.sh. Prints both medians, the base IQR
+# and the win count per end-to-end metric.
+AB_BASE ?= HEAD
+AB_PAIRS ?= 10
+AB_ARGS ?= --workload fleet_tcp
+ab:
+	bash scripts/ab.sh $(AB_BASE) $(AB_PAIRS) -- $(AB_ARGS)
 
 # Loadgen smoke: deterministic mixed traffic against a single-process
 # daemon and a 3-process fleet; writes BENCH_load_{single,fleet}.json.

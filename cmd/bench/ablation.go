@@ -56,7 +56,7 @@ func runAblBroadcast(e *env) {
 		fmt.Printf("direct\t%d\t%d\t%d\t%d\n", p, k, st.CommVolume, st.Supersteps)
 	}
 	fmt.Println("# expected: library at p = 2 is the direct send plus a 1-word length header (1 superstep, volume 2k+2);")
-	fmt.Println("# at p >= 3 it is two-phase (2 supersteps, volume ~2k+p, independent of p); direct volume p·k at the root")
+	fmt.Println("# at p >= 3 it is two-phase (2 supersteps, volume 2(p-1)k/p + p-1: no chunk goes to the root or to its own holder); direct volume p·k at the root")
 }
 
 func runAblEager(e *env) {

@@ -75,9 +75,9 @@ func (c *Comm) collectInbox(s *vecScratch) [][]uint64 {
 // payload length k, so every rank picks the same strategy from what it
 // received (see bcastDirect) with no separate announcement round: a direct
 // send (1 superstep) for small payloads and at p = 2, otherwise the
-// two-phase scatter + all-gather (2 supersteps), in which no processor
-// sends or receives more than O(k + p) words — the classic
-// O(1)-superstep communication-optimal broadcast.
+// two-phase scatter + all-gather (2 supersteps, 2(p−1)k/p + p − 1 words:
+// no chunk goes to the root, which keeps the payload, or to its holder)
+// — the classic O(1)-superstep communication-optimal broadcast.
 func (c *Comm) Broadcast(root int, words []uint64) []uint64 {
 	p := c.m.p
 	if p == 1 {
@@ -85,34 +85,47 @@ func (c *Comm) Broadcast(root int, words []uint64) []uint64 {
 		copy(c.sc.bcast, words)
 		return c.sc.bcast
 	}
-	// Superstep 1: the root sends [k | payload] (direct) or [k | chunk dst]
-	// (two-phase) to every rank.
+	// Superstep 1: the root sends [k | payload] to every rank (direct) or
+	// [k | chunk dst] to every other rank (two-phase).
+	k := len(words)
 	if c.rank == root {
-		k := len(words)
 		c.sc.hdr[0] = uint64(k)
 		direct := bcastDirect(k, p)
 		for dst := 0; dst < p; dst++ {
-			c.Send(dst, c.sc.hdr[:1])
 			if direct {
+				c.Send(dst, c.sc.hdr[:1])
 				c.Send(dst, words)
-			} else {
+			} else if dst != root {
+				c.Send(dst, c.sc.hdr[:1])
 				c.Send(dst, words[dst*k/p:(dst+1)*k/p])
 			}
 		}
 	}
 	c.Sync()
-	in := c.Recv(root)
-	k := int(in[0])
+	if c.rank != root || bcastDirect(k, p) {
+		in := c.Recv(root)
+		k, words = int(in[0]), in[1:]
+	}
 	c.sc.bcast = growWords(c.sc.bcast, k)
 	out := c.sc.bcast
 	if bcastDirect(k, p) {
-		copy(out, in[1:])
+		copy(out, words)
 		return out
 	}
-	// Superstep 2: all-gather the chunks. Chunk boundaries follow from k,
-	// so the chunks travel without offsets.
+	// Superstep 2: every rank sends its chunk to each non-root rank but
+	// itself; chunk boundaries follow from k, so no offsets travel. The
+	// root has the whole payload, every other rank its own chunk, already.
+	lo, hi := c.rank*k/p, (c.rank+1)*k/p
+	if c.rank == root {
+		copy(out, words)
+		words = words[lo:hi]
+	} else {
+		copy(out[lo:], words)
+	}
 	for dst := 0; dst < p; dst++ {
-		c.Send(dst, in[1:])
+		if dst != root && dst != c.rank {
+			c.Send(dst, words)
+		}
 	}
 	c.Sync()
 	for src := 0; src < p; src++ {
@@ -123,12 +136,12 @@ func (c *Comm) Broadcast(root int, words []uint64) []uint64 {
 
 // bcastDirect reports whether a k-word broadcast over p > 1 processors
 // sends the payload whole to every rank: one superstep of h = p(k+1),
-// where two-phase takes two of h ≈ k+p and ≈ k. Below 2p words a chunk
-// is at most two words, so the words two-phase saves are O(p²) and a
-// second superstep's latency outweighs them. At p = 2 direct moves
-// 2k+2 words, no more than two-phase's two supersteps together (which
-// also have rank 1 send its half back to a root that holds it), so two
-// processors always broadcast directly.
+// where two-phase takes two of h ≈ (p−1)k/p + p and (p−1)k/p. Below 2p
+// words a chunk is at most two words, so the words two-phase saves are
+// O(p²) and a second superstep's latency outweighs them. At p = 2 direct
+// moves 2k+2 words, where two-phase would spend a second superstep to
+// move k+1 (one half to rank 1 in each), so two processors always
+// broadcast directly.
 func bcastDirect(k, p int) bool { return k < 2*p || p == 2 }
 
 // Gather collects every processor's words at the root. At the root the

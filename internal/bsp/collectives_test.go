@@ -260,7 +260,8 @@ func TestCollectiveCosts(t *testing.T) {
 
 			// Broadcast: free at p = 1; direct in one superstep of
 			// [k | payload] to every rank when k < 2p or p = 2; else the
-			// root scatters [k | chunk] and the chunks are all-gathered.
+			// root scatters [k | chunk] to the other ranks, then every
+			// rank sends its chunk to each non-root rank but itself.
 			var wantSS int
 			var wantVol uint64
 			switch {
@@ -268,11 +269,15 @@ func TestCollectiveCosts(t *testing.T) {
 			case k < 2*p || p == 2:
 				wantSS, wantVol = 1, uint64(p*(k+1))
 			default:
-				maxChunk := 0
+				chunk := func(r int) int { return (r+1)*k/p - r*k/p }
+				scatter := k - chunk(root) + p - 1
+				h := (p - 1) * chunk(root) // the root's sends
 				for r := 0; r < p; r++ {
-					maxChunk = max(maxChunk, (r+1)*k/p-r*k/p)
+					if r != root {
+						h = max(h, (p-2)*chunk(r), k-chunk(r))
+					}
 				}
-				wantSS, wantVol = 2, uint64(k+p+max(k, p*maxChunk))
+				wantSS, wantVol = 2, uint64(scatter+h)
 			}
 			st, err := Run(p, func(c *Comm) {
 				var in []uint64

@@ -67,8 +67,10 @@ func (o *Options) defaults() {
 // sampling: every processor contracts its own sample to a spanning
 // forest, the root merges the forests and broadcasts the relabelling,
 // everyone contracts locally, repeat until no edge remains. local is
-// never written: the first round's survivors go to a fresh slice. Every
-// processor returns the same Result.
+// never written: the first round's survivors go to a fresh slice. The
+// root's merged forest is the labelling, so only the root's Result
+// carries Labels and Count; the other ranks return the Iterations alone
+// (nil Labels), and no collective ships the answer to them.
 //
 // The first round reads every edge of local — whole in the forest pass
 // when the round is exact, otherwise in the relabel pass — and checks
@@ -78,20 +80,18 @@ func (o *Options) defaults() {
 // the caller re-derives the canonical error (graph.Validate) itself.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *Result {
 	opts.defaults()
+	const root = 0
 	if pl := opts.Plan; pl.Matches(n) {
 		c.SkipComm(pl.CCCost.Collectives, pl.CCCost.Words)
-		return &Result{
-			Labels:     append([]int32(nil), pl.Labels...),
-			Count:      pl.Components,
-			Iterations: 0,
+		if c.Rank() != root {
+			return &Result{}
 		}
+		return &Result{Labels: append([]int32(nil), pl.Labels...), Count: pl.Components}
 	}
-	const root = 0
 
 	// The root tracks the label of each original vertex; its per-round
-	// labelling is hoisted out of the loop, and both of its broadcasts
-	// are built in one word buffer: g, the per-round relabelling, and
-	// words, the final labelling behind a count. All of it is pooled.
+	// labelling is hoisted out of the loop, and the relabelling it
+	// broadcasts is built in a word buffer. All of it is pooled.
 	var comp, labels, lscratch []int32
 	var words []uint64
 	if c.Rank() == root {
@@ -141,14 +141,10 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		if exact {
 			break
 		}
-		var g []uint64
-		if c.Rank() == root {
-			g = words[:n]
-		}
 		for i, l := range labels { // the root's alone: nil elsewhere
-			g[i] = uint64(uint32(l))
+			words[i] = uint64(uint32(l))
 		}
-		gw := c.Broadcast(root, g)
+		gw := c.Broadcast(root, words)
 
 		// Everyone: relabel local edges and drop loops. Only from the
 		// second round on is edges this call's own slice to overwrite.
@@ -173,30 +169,19 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		edges = out
 	}
 
-	// Publish the final labelling. The per-round relabellings keep comp
-	// dense over the final label space already, but singleton components
-	// of untouched vertices share that space; recompact for a dense
-	// [0, Count) labelling.
-	if c.Rank() == root {
-		remap := graph.GetRemap(n)
-		for v := range comp {
-			comp[v] = remap.Of(comp[v])
-		}
-		words[0] = uint64(remap.Len())
-		graph.PutRemap(remap)
-		for v, l := range comp {
-			words[v+1] = uint64(uint32(l))
-		}
+	// The per-round relabellings keep comp dense over the final label
+	// space already, but singleton components of untouched vertices share
+	// that space; recompact for a dense [0, Count) labelling.
+	if c.Rank() != root {
+		return &Result{Iterations: iters}
 	}
-	words = c.Broadcast(root, words)
-	res := &Result{
-		Labels:     make([]int32, n),
-		Count:      int(words[0]),
-		Iterations: iters,
+	remap := graph.GetRemap(n)
+	res := &Result{Labels: make([]int32, n), Iterations: iters}
+	for v, l := range comp {
+		res.Labels[v] = remap.Of(l)
 	}
-	for v := 0; v < n; v++ {
-		res.Labels[v] = int32(uint32(words[v+1]))
-	}
+	res.Count = remap.Len()
+	graph.PutRemap(remap)
 	return res
 }
 
@@ -205,7 +190,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 // the union-find; the Result's Labels are allocated fresh.
 type rootScratch struct {
 	comp, labels, lscratch []int32
-	words                  []uint64 // n+1: a count, then n labels
+	words                  []uint64 // the broadcast relabelling
 }
 
 var rootPool = sync.Pool{New: func() any { return new(rootScratch) }}
@@ -217,7 +202,7 @@ func getRootScratch(n int) *rootScratch {
 	sc.comp = slices.Grow(sc.comp[:0], n)[:n]
 	sc.labels = slices.Grow(sc.labels[:0], n)[:n]
 	sc.lscratch = slices.Grow(sc.lscratch[:0], n)[:n]
-	sc.words = slices.Grow(sc.words[:0], n+1)[:n+1]
+	sc.words = slices.Grow(sc.words[:0], n)[:n]
 	return sc
 }
 

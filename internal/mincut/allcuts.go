@@ -62,12 +62,7 @@ func AllMinCuts(g *graph.Graph, st *rng.Stream, successProb float64) []*CutResul
 	}
 
 	trials := allCutsTrials(g.N, len(g.Edges), successProb)
-	cuts := collectCuts(g, st, 0, trials)
-	out := make([]*CutResult, 0, len(cuts.found))
-	for _, side := range cuts.sides() {
-		out = append(out, &CutResult{Value: cuts.best, Side: side, Trials: trials})
-	}
-	return out
+	return collectCuts(g, st, 0, trials).results(trials)
 }
 
 // cutSet collects the distinct minimum cuts seen so far: a value above
@@ -112,6 +107,16 @@ func (s *cutSet) sides() [][]bool {
 	out := make([][]bool, len(keys))
 	for i, k := range keys {
 		out[i] = s.found[k]
+	}
+	return out
+}
+
+// results returns the collected cuts, ordered as sides, as CutResults
+// sharing the best value.
+func (s *cutSet) results(trials int) []*CutResult {
+	out := make([]*CutResult, 0, len(s.found))
+	for _, side := range s.sides() {
+		out = append(out, &CutResult{Value: s.best, Side: side, Trials: trials})
 	}
 	return out
 }

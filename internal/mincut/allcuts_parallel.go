@@ -10,10 +10,10 @@ import (
 // ParallelAllMinCuts distributes the all-minimum-cuts computation
 // (Lemma 4.3) over the BSP machine: the graph is replicated, every
 // processor runs its share of tie-preserving trials, and the per-
-// processor cut sets are gathered and merged at the root. Every
-// processor returns the same result set (canonical orientation, shared
-// Value). Communication is one graph replication plus one gather of at
-// most n(n-1)/2 bit-packed sides.
+// processor cut sets are gathered and merged at the root. Rank 0's
+// result set (canonical orientation, shared Value) is the answer; on a
+// connected input the other ranks return nil. Communication is one graph
+// replication plus one gather of at most n(n-1)/2 bit-packed sides.
 func ParallelAllMinCuts(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, successProb float64) []*CutResult {
 	if n < 2 {
 		return nil
@@ -37,32 +37,15 @@ func ParallelAllMinCuts(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, 
 		payload = append(payload, packSide(side)...)
 	}
 	parts := c.Gather(0, payload)
+	if c.Rank() != 0 {
+		return nil
+	}
 	sideWords := 1 + (n+63)/64
-	var out []uint64
-	if c.Rank() == 0 {
-		merged := newCutSet()
-		for _, part := range parts {
-			for off := 1; off+sideWords <= len(part); off += sideWords {
-				merged.add(part[0], unpackSide(part[off:off+sideWords]))
-			}
-		}
-		sides := merged.sides()
-		out = []uint64{merged.best, uint64(len(sides))}
-		for _, side := range sides {
-			out = append(out, packSide(side)...)
+	merged := newCutSet()
+	for _, part := range parts {
+		for off := 1; off+sideWords <= len(part); off += sideWords {
+			merged.add(part[0], unpackSide(part[off:off+sideWords]))
 		}
 	}
-	out = c.Broadcast(0, out)
-	gBest := out[0]
-	count := int(out[1])
-	results := make([]*CutResult, 0, count)
-	for k := 0; k < count; k++ {
-		off := 2 + k*sideWords
-		results = append(results, &CutResult{
-			Value:  gBest,
-			Side:   unpackSide(out[off : off+sideWords]),
-			Trials: trials,
-		})
-	}
-	return results
+	return merged.results(trials)
 }

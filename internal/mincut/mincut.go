@@ -63,8 +63,10 @@ func (o *Options) defaults() {
 // graph with the min-degree cut λ̂ as its bound (certify); when it proves
 // that no cut is lighter than λ̂, the min-degree cut is the answer, with
 // Trials 0 and no randomness drawn. Otherwise the run is
-// ParallelTrials's, draw for draw. Every processor returns the same
-// result, independent of p and of the schedule.
+// ParallelTrials's, draw for draw. Rank 0's result is the answer,
+// independent of p and of the schedule: when the certificate holds (or
+// the input is disconnected) every rank computes it, but after trials
+// only rank 0 does, and the other ranks return Trials alone.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *CutResult {
 	return parallel(c, n, local, st, opts, true)
 }
@@ -203,24 +205,26 @@ func parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	}
 	putKSArena(a)
 
-	// Global argmin across processors — (value, trial index) with
-	// lexicographic order, so the winner is the same cut whichever rank
-	// happened to run the winning trial — then broadcast the side.
-	vals := c.AllGather([]uint64{bestVal, uint64(bestTrial)})
-	winner, winVal, winTrial := 0, vals[0][0], vals[0][1]
-	for r := 1; r < p; r++ {
-		if vals[r][0] < winVal || (vals[r][0] == winVal && vals[r][1] < winTrial) {
-			winner, winVal, winTrial = r, vals[r][0], vals[r][1]
+	// Global argmin at the root — (value, trial index) in lexicographic
+	// order, so the winner is the same cut whichever rank happened to run
+	// the winning trial — in one superstep: every other rank sends the
+	// root its best and, if it holds one, that cut's side.
+	var payload []uint64
+	if c.Rank() != 0 {
+		payload = []uint64{bestVal, uint64(bestTrial)}
+		if bestSide != nil {
+			payload = append(payload, packSide(bestSide)...)
 		}
 	}
-	var packed []uint64
-	if c.Rank() == winner {
-		packed = packSide(bestSide)
+	parts := c.Gather(0, payload)
+	if c.Rank() != 0 {
+		return &CutResult{Trials: trials}
 	}
-	packed = c.Broadcast(winner, packed)
-	return &CutResult{
-		Value:  winVal,
-		Side:   unpackSide(packed),
-		Trials: trials,
+	winTrial := uint64(bestTrial)
+	for _, part := range parts[1:] {
+		if part[0] < bestVal || part[0] == bestVal && part[1] < winTrial {
+			bestVal, winTrial, bestSide = part[0], part[1], unpackSide(part[2:])
+		}
 	}
+	return &CutResult{Value: bestVal, Side: bestSide, Trials: trials}
 }

@@ -170,11 +170,10 @@ func TestParallelGroupModeSingleGroup(t *testing.T) {
 // run at every p — including p above the trial count, where the extra
 // ranks claim nothing. Supersteps are pinned too: the edge gather, the
 // dynamic scheduler's ⌈min(4p, t)/p⌉−1 claim rounds (none at p = 1 or
-// p ≥ t), the argmin AllGather and the side broadcast — one superstep
-// for these small sides, none on a one-rank machine. Nothing else
-// communicates. The trial body runs on its own; Parallel then either
-// certifies (the min-degree cut, no trials, the gather alone) or returns
-// exactly the trial body's run.
+// p ≥ t), and the one superstep that sends every rank's best to the
+// root. Nothing else communicates. The trial body runs on its own;
+// Parallel then either certifies (the min-degree cut, no trials, the
+// gather alone) or returns exactly the trial body's run.
 func TestParallelIndependentOfP(t *testing.T) {
 	const trials = 4
 	inputs := []struct {
@@ -200,12 +199,9 @@ func TestParallelIndependentOfP(t *testing.T) {
 						t.Fatalf("%s: (value %d, trials %d) differs from p=1's (%d, %d) or its side does",
 							where, got.Value, got.Trials, ref.Value, ref.Trials)
 					}
-					want := 2 // gather, argmin
-					if p > 1 {
-						want++ // side broadcast
-						if sched == SchedDynamic {
-							want += (min(4*p, trials)+p-1)/p - 1
-						}
+					want := 2 // gather, argmin at the root
+					if p > 1 && sched == SchedDynamic {
+						want += (min(4*p, trials)+p-1)/p - 1
 					}
 					if st.Supersteps != want {
 						t.Fatalf("%s: %d supersteps, want %d", where, st.Supersteps, want)

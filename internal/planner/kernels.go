@@ -144,10 +144,11 @@ type Kernel struct {
 	// Run executes the kernel; Exec is its one caller, and the library
 	// facade, serving, failover, distributed workers, and calibration all
 	// go through Exec. Every member runs SPMD — every rank calls Run with
-	// its Comm and its block of the edge array and returns the outcome,
-	// Exec keeps rank 0's. plan, if any, is the snapshot-resident plan
-	// whose facts replace the matching cold collectives; cp, if any, is
-	// what NewCheckpoint returned for this run.
+	// its Comm and its block of the edge array; the answer is rank 0's
+	// outcome, which Exec keeps, and no member ships it to other ranks.
+	// plan, if any, is the snapshot-resident plan whose facts replace the
+	// matching cold collectives; cp, if any, is what NewCheckpoint
+	// returned for this run.
 	Run func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome
 	// NewCheckpoint, when non-nil, allocates the recorder that lets a
 	// cancelled run degrade to a best-so-far answer.
@@ -238,17 +239,12 @@ func init() {
 			// Each non-root rank ships a spanning forest of its
 			// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
 			forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
-			// The relabelling Broadcast puts ~2n words on the ledger at
-			// every p ≥ 2 — not xVol's gather-to-root: a direct send of
-			// 2(n+1) at p = 2, a two-phase scatter + all-gather of ~2n+p
-			// at p ≥ 3. Now that volume no longer tracks comp, the fit
-			// gives it a real coefficient, and xVol's factor p-1 would be
-			// billed in full.
+			// A relabelling Broadcast puts ~2n words on the ledger at p ≥ 2
+			// (not xVol's gather-to-root): 2(n+1) direct at p = 2, ~2(p−1)n/p
+			// two-phase at p ≥ 3. An exact round sends none (the root keeps
+			// the labels); the term stays until ROADMAP item 6, as dropping
+			// it alone would re-rank p = 1 against p = 2 on serve_mix.
 			bcast := 2 * n * btof(p > 1)
-			// A round is reduce m, gather forests, one n-word broadcast: the
-			// relabelling or, out of the last round, the published labels.
-			// Supersteps over-count: one exact round is 2 / 3 / 4 at
-			// p = 1 / 2 / ≥ 3; ROADMAP item 6 makes this exact.
 			// O(1) rounds w.h.p., empirically 2 when the first one samples;
 			// when (1+δ)s ≥ m every rank contributes its whole slice and
 			// cc.Parallel leaves after the first.
@@ -256,10 +252,13 @@ func init() {
 			if 1.5*full >= m {
 				rounds = 1
 			}
+			// The exact last round is 2 supersteps at every p (m AllReduce,
+			// forest gather); a sampled round adds its relabelling Broadcast
+			// at the two-phase 2, so the term moves no choice of p.
 			return perfmodel.Sample{
 				Comp:       rounds * (m/float64(p) + n + s),
 				Volume:     rounds * (float64(p-1)*forest + bcast),
-				Supersteps: 6 * rounds,
+				Supersteps: 4*rounds - 2,
 				P:          float64(p),
 			}
 		},

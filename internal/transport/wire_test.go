@@ -184,24 +184,27 @@ func TestDecodeDataPayloadMalformed(t *testing.T) {
 }
 
 // TestHandshakeRefusesVersion8 checks that a peer speaking wire version 8
-// is refused at the handshake: it orders the supersteps inside Broadcast
-// and AllReduce differently, so meshing with it would desynchronise the
-// run instead of failing it.
+// or 9 is refused at the handshake: version 8 orders the supersteps inside
+// Broadcast and AllReduce differently, and version 9 ends CC and the
+// exact cut with collectives this version no longer runs, so meshing with
+// either would desynchronise the run instead of failing it.
 func TestHandshakeRefusesVersion8(t *testing.T) {
 	const epoch = 3
-	var pre, ack bytes.Buffer
-	if err := writePreamble(&pre, 1, epoch, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeAck(&ack); err != nil {
-		t.Fatal(err)
-	}
-	pre.Bytes()[4], ack.Bytes()[4] = 8, 8
-	_, _, err := readPreamble(&pre, epoch)
-	if !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": protocol version 8, want 9" {
-		t.Errorf("v8 preamble: %v, want ErrPeerLost: protocol version 8, want 9", err)
-	}
-	if err := readAck(&ack); !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": ack protocol version 8, want 9" {
-		t.Errorf("v8 ack: %v, want ErrPeerLost: ack protocol version 8, want 9", err)
+	for _, old := range []byte{8, 9} {
+		var pre, ack bytes.Buffer
+		if err := writePreamble(&pre, 1, epoch, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeAck(&ack); err != nil {
+			t.Fatal(err)
+		}
+		pre.Bytes()[4], ack.Bytes()[4] = old, old
+		want := fmt.Sprintf("protocol version %d, want %d", old, wireVersion)
+		if _, _, err := readPreamble(&pre, epoch); !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": "+want {
+			t.Errorf("v%d preamble: %v, want ErrPeerLost: %s", old, err, want)
+		}
+		if err := readAck(&ack); !errors.Is(err, ErrPeerLost) || err.Error() != ErrPeerLost.Error()+": ack "+want {
+			t.Errorf("v%d ack: %v, want ErrPeerLost: ack %s", old, err, want)
+		}
 	}
 }
