@@ -3,8 +3,12 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestEdgeListRoundTrip(t *testing.T) {
@@ -233,5 +237,68 @@ func TestReadSNAPEmpty(t *testing.T) {
 	}
 	if g.N != 0 || len(g.Edges) != 0 {
 		t.Errorf("empty snap: %+v", g)
+	}
+}
+
+// weightedER is a G(n, m) multigraph without loops whose weights are
+// uniform in [1, maxW].
+func weightedER(seed uint64, n, m int, maxW uint64) *Graph {
+	s := rng.New(seed, 0, 0)
+	g := New(n)
+	for len(g.Edges) < m {
+		u, v := int32(s.Intn(n)), int32(s.Intn(n))
+		if u != v {
+			g.AddEdge(u, v, s.Uint64n(maxW)+1)
+		}
+	}
+	return g
+}
+
+// TestWriteEdgeListMatchesReference: the append-based writer emits the
+// fmt writer's bytes on weighted ER graphs with weights up to 2^40, and
+// what it writes loads back as the same graph; so it does at the
+// extremes of each column, which do not load (the weight total
+// overflows, an endpoint is negative).
+func TestWriteEdgeListMatchesReference(t *testing.T) {
+	same := func(name string, g *Graph) *bytes.Buffer {
+		t.Helper()
+		var got, want bytes.Buffer
+		if err := WriteEdgeList(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteEdgeList(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %d bytes written, the fmt writer wrote %d, or they differ", name, got.Len(), want.Len())
+		}
+		return &got
+	}
+	for seed, n := range []int{2, 17, 1000, 1 << 16} {
+		g := weightedER(uint64(seed), n, 5000, 1<<40)
+		back, err := ReadEdgeList(same(fmt.Sprintf("er n=%d", n), g))
+		if err != nil || back.N != g.N || fmt.Sprint(back.Edges) != fmt.Sprint(g.Edges) {
+			t.Fatalf("er n=%d: written graph does not load back (err %v)", n, err)
+		}
+	}
+	same("extremes", &Graph{N: math.MaxInt, Edges: []Edge{
+		{U: 0, V: math.MaxInt32, W: math.MaxUint64}, {U: math.MinInt32, V: -1, W: 1 << 40}}})
+}
+
+// TestReadEdgeListAllocs: a parse of a 32 768-edge body allocates a
+// constant — the scanner, its buffer, the graph and its edge array —
+// not a string and a field slice per line.
+func TestReadEdgeListAllocs(t *testing.T) {
+	var body bytes.Buffer
+	if err := WriteEdgeList(&body, weightedER(1, 4096, 32768, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadEdgeList(bytes.NewReader(body.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("parse of a 32 768-edge body: %.0f allocations, want ≤ 8", allocs)
 	}
 }

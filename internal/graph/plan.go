@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // Plan holds the snapshot-invariant facts of a graph that every query
 // otherwise recomputes with per-query collectives: the replicated edge
 // view, the total weight, and the exact connectivity labelling.
@@ -40,6 +42,10 @@ type Plan struct {
 	Labels     []int32
 	Components int
 
+	// Cut is the exact minimum cut's certificate outcome on the snapshot,
+	// shared by its plans at every machine size.
+	Cut *CutFact
+
 	// Measured cold-path costs of the collectives a warm query skips.
 	CCCost     CollectiveCost // connectivity labelling (cc.Parallel), skipped by warm cc runs
 	GatherCost CollectiveCost // edge replication (AllGatherEdges), skipped by warm mincut runs
@@ -51,6 +57,27 @@ type Plan struct {
 type CollectiveCost struct {
 	Collectives int
 	Words       uint64
+}
+
+// CutFact is the outcome of the exact minimum cut's certificate on one
+// snapshot: the min-degree cut (its value and side) and whether the
+// certificate proved no cut lighter. It depends on the edges alone, so
+// it is a fact of the snapshot rather than of a plan: the first warm
+// minimum cut on a snapshot version computes it, at whatever machine
+// size, and every later one reads it.
+type CutFact struct {
+	once   sync.Once
+	proven bool
+	value  uint64
+	side   []bool
+}
+
+// Do returns the fact, calling compute to establish it on the first call
+// only; a concurrent first caller waits for that call. side is shared
+// and read-only.
+func (f *CutFact) Do(compute func() (proven bool, value uint64, side []bool)) (proven bool, value uint64, side []bool) {
+	f.once.Do(func() { f.proven, f.value, f.side = compute() })
+	return f.proven, f.value, f.side
 }
 
 // Matches reports whether the plan describes an n-vertex input — the
@@ -68,6 +95,7 @@ func (s *Snapshot) PlanFacts() *Plan {
 		Fingerprint: s.fingerprint,
 		Edges:       s.edges,
 		TotalWeight: s.totalWeight,
+		Cut:         &s.cut,
 	}
 	pl.Labels, pl.Components = s.Graph().ConnectedComponents()
 	pl.Connected = pl.Components <= 1

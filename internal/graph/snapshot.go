@@ -13,11 +13,15 @@ package graph
 // with dist.BlockRange — zero further copies — and the kernels, which
 // treat their local edge slices as read-only inputs, run directly on the
 // shared storage.
+//
+// One fact is filled in later: the minimum-cut certificate's outcome
+// (CutFact), set once, by the first warm minimum cut, and never changed.
 type Snapshot struct {
 	n           int
 	edges       []Edge
 	totalWeight uint64
 	fingerprint uint64
+	cut         CutFact
 }
 
 // Snapshot freezes the current state of g into an immutable view.

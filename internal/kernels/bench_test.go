@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -429,24 +431,39 @@ func minCutP1(g *graph.Graph, entry func(*bsp.Comm, int, []graph.Edge, *rng.Stre
 	return time.Since(start), err
 }
 
-// pairedRatio is median(a) / median(b) over pairs runs that alternate
-// a and b op by op, so a neighbour's load lands on both sides alike;
-// whole testing.Benchmark runs, seconds apart, read 0.97–1.26 for the
-// same ratio.
-func pairedRatio(pairs int, a, b func() (time.Duration, error)) (float64, error) {
+// pairedMedians is the median time of a and of b, in seconds, over pairs
+// runs that alternate a and b op by op, so a neighbour's load lands on
+// both sides alike; whole testing.Benchmark runs, seconds apart, read
+// 0.97–1.26 for the same ratio.
+func pairedMedians(pairs int, a, b func() (time.Duration, error)) (ma, mb float64, err error) {
 	ta, tb := make([]float64, pairs), make([]float64, pairs)
 	for i := range pairs {
 		da, err := a()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		db, err := b()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		ta[i], tb[i] = da.Seconds(), db.Seconds()
 	}
-	return stats.Median(ta) / stats.Median(tb), nil
+	return stats.Median(ta), stats.Median(tb), nil
+}
+
+// pairedRatio is median(a) / median(b) over pairedMedians' runs.
+func pairedRatio(pairs int, a, b func() (time.Duration, error)) (float64, error) {
+	ma, mb, err := pairedMedians(pairs, a, b)
+	return ma / mb, err
+}
+
+// timed wraps an op that cannot fail as a pairedMedians side.
+func timed(op func()) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		start := time.Now()
+		op()
+		return time.Since(start), nil
+	}
 }
 
 // certFailRatioMax is the most a failed certificate may add to a run
@@ -513,23 +530,19 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 		snap.Add(benchsnap.Info, name+"_baseline_ns_op", float64(base.NsPerOp()), -1, 0)
 	}
 
+	// The sort pairs alternate op by op, about a second of sorting per
+	// size.
 	for _, m := range sortSizes {
 		base := benchSortEdges(m)
 		work := make([]graph.Edge, len(base))
-		radix := bench(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				sortEdgesRadix(work)
-			}
-		})
-		std := bench(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				sortEdgesStd(work)
-			}
-		})
-		snap.Add(benchsnap.Ratio, fmt.Sprintf("edge_sort_speedup/m=%d", m), speedup(std, radix), +1, 0)
-		snap.Add(benchsnap.Info, fmt.Sprintf("edge_sort_radix_ns_op/m=%d", m), float64(radix.NsPerOp()), -1, 0)
+		std, radix, err := pairedMedians(4_000_000/m,
+			timed(func() { copy(work, base); sortEdgesStd(work) }),
+			timed(func() { copy(work, base); sortEdgesRadix(work) }))
+		if err != nil {
+			return err
+		}
+		snap.Add(benchsnap.Ratio, fmt.Sprintf("edge_sort_speedup/m=%d", m), std/radix, +1, 0)
+		snap.Add(benchsnap.Info, fmt.Sprintf("edge_sort_radix_ns_op/m=%d", m), radix*1e9, -1, 0)
 	}
 
 	combineIn := benchSortEdges(100_000)
@@ -620,16 +633,51 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 		float64(bench(func(b *testing.B) { benchUnionPass(b, rem, chain) }).NsPerOp()), -1, 0)
 
 	// The eager round's draw: a 64-bit read against the rolled Philox
-	// loop, and a unit-weight m = 1 536 edge draw against the division
-	// and the n/8 index it replaced. Both sides take the quickest of
-	// three for the reason unionfind does.
+	// loop, alternating batch by batch, and a unit-weight m = 1 536 edge
+	// draw against the division and the n/8 index it replaced, whose
+	// sides take the quickest of three for the reason unionfind does.
 	st, rolled := rng.New(1, 0, 0), newRolledStream(1, 0, 0)
-	pair("philox", fastest(func(b *testing.B) { benchStreamUint64(b, st) }),
-		fastest(func(b *testing.B) { benchRolledUint64(b, rolled) }))
+	philox, rolledNs, err := pairedMedians(4000,
+		timed(func() { drawStreamUint64(st) }), timed(func() { drawRolledUint64(rolled) }))
+	if err != nil {
+		return err
+	}
+	snap.Add(benchsnap.Ratio, "philox_speedup", rolledNs/philox, +1, 0)
+	snap.Add(benchsnap.Count, "philox_allocs_op", testing.AllocsPerRun(100, func() { drawStreamUint64(st) }), -1, 2)
+	snap.Add(benchsnap.Info, "philox_ns_op", philox*1e9, -1, 0)
+	snap.Add(benchsnap.Info, "philox_baseline_ns_op", rolledNs*1e9, -1, 0)
 	unit := drawWeights()["unit"]
 	ps, ds := rng.NewPrefixSampler(unit), newDivSampler(unit)
 	pair("bounded", fastest(func(b *testing.B) { benchPrefixSample(b, ps, st) }),
 		fastest(func(b *testing.B) { benchDivSample(b, ds, st) }))
+
+	// The upload path: one parse and one write of serve_mix's largest
+	// body — R-MAT scale 12, 32 768 edges, unit weights — allocate a
+	// constant, not a string per line or an fmt call per edge.
+	rmat := gen.RMAT(12, 32768, 1, gen.Config{})
+	var body bytes.Buffer
+	if err := graph.WriteEdgeList(&body, rmat); err != nil {
+		return err
+	}
+	parse := func() {
+		if _, err := graph.ReadEdgeList(bytes.NewReader(body.Bytes())); err != nil {
+			panic(err)
+		}
+	}
+	write := func() {
+		if err := graph.WriteEdgeList(io.Discard, rmat); err != nil {
+			panic(err)
+		}
+	}
+	m := float64(rmat.M())
+	snap.Add(benchsnap.Exact, "edgelist_parse_allocs/rmat4096", testing.AllocsPerRun(10, parse), -1, 0)
+	snap.Add(benchsnap.Exact, "edgelist_write_allocs/rmat4096", testing.AllocsPerRun(10, write), -1, 0)
+	parseNs, writeNs, err := pairedMedians(100, timed(parse), timed(write))
+	if err != nil {
+		return err
+	}
+	snap.Add(benchsnap.Info, "edgelist_parse_ns_edge/rmat4096", parseNs*1e9/m, -1, 0)
+	snap.Add(benchsnap.Info, "edgelist_write_ns_edge/rmat4096", writeNs*1e9/m, -1, 0)
 
 	// The approximate cut's coins: a fair coin must read one bit and a
 	// random threshold about two, a cold scan must show the input

@@ -163,21 +163,29 @@ const drawBatch = 1536
 
 var drawSink uint64
 
+func drawStreamUint64(s *rng.Stream) {
+	for k := 0; k < drawBatch; k++ {
+		drawSink ^= s.Uint64()
+	}
+}
+
+func drawRolledUint64(s *rolledStream) {
+	for k := 0; k < drawBatch; k++ {
+		drawSink ^= s.Uint64()
+	}
+}
+
 func benchStreamUint64(b *testing.B, s *rng.Stream) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < drawBatch; k++ {
-			drawSink ^= s.Uint64()
-		}
+		drawStreamUint64(s)
 	}
 }
 
 func benchRolledUint64(b *testing.B, s *rolledStream) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < drawBatch; k++ {
-			drawSink ^= s.Uint64()
-		}
+		drawRolledUint64(s)
 	}
 }
 

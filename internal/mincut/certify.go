@@ -3,6 +3,7 @@ package mincut
 import (
 	"sync"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 )
 
@@ -31,6 +32,15 @@ var certifierPool = sync.Pool{New: func() any { return new(certifier) }}
 func Certify(g *graph.Graph, bound uint64) (ok bool, passes int) {
 	ok, passes, _ = certify(g.N, g.Edges, bound)
 	return ok, passes
+}
+
+// certifyMinDegree is the min-degree cut of g and whether the
+// certificate proves it minimum, its work charged to c.
+func certifyMinDegree(c *bsp.Comm, g *graph.Graph) (proven bool, value uint64, side []bool) {
+	value, side = minDegreeCut(g)
+	proven, _, work := certify(g.N, g.Edges, value)
+	c.Ops(work)
+	return proven, value, side
 }
 
 // certify runs the certificate on pooled scratch.

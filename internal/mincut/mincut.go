@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/dist"
@@ -45,8 +46,10 @@ type Options struct {
 	// Plan, when non-nil and matching the input, supplies the snapshot's
 	// replicated edge view and connectivity bit, letting the run skip
 	// AllGatherEdges (recorded on the BSP ledger via SkipComm with the
-	// plan's measured cold cost) and the connectivity scan. A mismatched
-	// plan (wrong N) is ignored.
+	// plan's measured cold cost) and the connectivity scan, and, to
+	// Parallel, the certificate's outcome (Plan.Cut), computed by the
+	// first such run on the snapshot. A mismatched plan (wrong N) is
+	// ignored.
 	Plan *graph.Plan
 }
 
@@ -64,9 +67,10 @@ func (o *Options) defaults() {
 // that no cut is lighter than λ̂, the min-degree cut is the answer, with
 // Trials 0 and no randomness drawn. Otherwise the run is
 // ParallelTrials's, draw for draw. Rank 0's result is the answer,
-// independent of p and of the schedule: when the certificate holds (or
-// the input is disconnected) every rank computes it, but after trials
-// only rank 0 does, and the other ranks return Trials alone.
+// independent of p and of the schedule: when the certificate holds on a
+// cold run (or the input is disconnected) every rank computes it, but
+// after trials, or from a plan's cached certificate, only rank 0 does,
+// and the other ranks return Trials alone.
 func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Options) *CutResult {
 	return parallel(c, n, local, st, opts, true)
 }
@@ -113,13 +117,28 @@ func parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 
 	// The certificate: every rank proves the same thing from the same
 	// edges, so a proven λ̂ needs no argmin and no side broadcast.
-	singleVal, singleSide := minDegreeCut(g)
-	if tryCert {
-		ok, _, work := certify(n, all, singleVal)
-		c.Ops(work)
-		if ok {
-			return &CutResult{Value: singleVal, Side: singleSide}
+	var proven bool
+	var singleVal uint64
+	var singleSide []bool
+	switch {
+	case !tryCert:
+		singleVal, singleSide = minDegreeCut(g)
+	case pl == nil:
+		proven, singleVal, singleSide = certifyMinDegree(c, g)
+	default:
+		// Warm, the outcome is a fact of the snapshot: the first run on it
+		// certifies, its work charged to the rank that does, and every
+		// later run at any p reads it. Only rank 0 answers, with a copy of
+		// the shared side, as a warm CC run copies the plan's labels.
+		var side []bool
+		proven, singleVal, side = pl.Cut.Do(func() (bool, uint64, []bool) { return certifyMinDegree(c, g) })
+		if proven && c.Rank() != 0 {
+			return &CutResult{}
 		}
+		singleSide = slices.Clone(side)
+	}
+	if proven {
+		return &CutResult{Value: singleVal, Side: singleSide}
 	}
 
 	m := len(all)

@@ -262,3 +262,53 @@ func TestPackUnpackSide(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCertificateOncePerSnapshot: the ranks of a warm run race into
+// the snapshot's CutFact and one of them certifies, the work on its
+// ledger alone; every later warm run on the snapshot, at any p, reads
+// the outcome without that work. Value, side and trials are the cold
+// run's throughout, on a certifying input and on a planted cut whose
+// certificate fails.
+func TestWarmCertificateOncePerSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		certified bool
+	}{
+		{"ws256", gen.WattsStrogatz(256, 12, 0.3, 1, gen.Config{}), true},
+		{"planted64", gen.PlantedCut(64, 8, 2, 3), false},
+	} {
+		cold, coldSt := parallelCutStats(t, tc.g, 1, 1, Options{})
+		if (cold.Trials == 0) != tc.certified {
+			t.Fatalf("%s: cold run drew %d trials, want certified = %v", tc.name, cold.Trials, tc.certified)
+		}
+		_, bound := tc.g.MinDegreeVertex()
+		_, _, work := certify(tc.g.N, tc.g.Edges, bound)
+		pl := tc.g.Snapshot().PlanFacts()
+		for i, p := range []int{16, 16, 2, 1} {
+			got, st := parallelCutStats(t, tc.g, p, 1, Options{Plan: pl})
+			if got.Value != cold.Value || fmt.Sprint(got.Side) != fmt.Sprint(cold.Side) || got.Trials != cold.Trials {
+				t.Errorf("%s run %d at p=%d: cut %d over %d trials, cold %d over %d, or the sides differ",
+					tc.name, i, p, got.Value, got.Trials, cold.Value, cold.Trials)
+			}
+			var total uint64
+			for _, w := range st.Workers {
+				total += w.Ops
+			}
+			switch {
+			case tc.certified && i == 0:
+				if total != work || st.MaxOps != work {
+					t.Errorf("%s first warm run: %d ops over the ranks, max %d, want one rank's certificate, %d", tc.name, total, st.MaxOps, work)
+				}
+			case tc.certified:
+				if total != 0 {
+					t.Errorf("%s warm run %d at p=%d: %d ops, want 0", tc.name, i, p, total)
+				}
+			case p == 1:
+				if st.MaxOps != coldSt.MaxOps-work {
+					t.Errorf("%s warm run at p=1: %d ops, want the cold run's %d less the certificate's %d", tc.name, st.MaxOps, coldSt.MaxOps, work)
+				}
+			}
+		}
+	}
+}

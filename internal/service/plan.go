@@ -19,7 +19,10 @@ import (
 // real p-processor machine and reads its Stats, so SkipComm later
 // reports exactly what the implementation would have charged, not a
 // hand-derived formula. The build is pure overhead on the first query of
-// a (version, p) pair and is amortized by every query after it.
+// a (version, p) pair and is amortized by every query after it. The
+// minimum cut's certificate outcome is not built here: PlanFacts points
+// every plan of a version at the snapshot's one CutFact, which the first
+// warm mincut at any p fills.
 func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 	pl := sg.Snap.PlanFacts()
 	pl.Version = sg.Version

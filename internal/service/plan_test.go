@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // queryExec forces a kernel execution (no cache) and returns the result.
@@ -65,44 +68,98 @@ func TestPlanWarmCCCommunicationFree(t *testing.T) {
 	}
 }
 
-// A warm mincut still communicates for its trials (claim rounds, argmin,
-// side broadcast) but skips the edge replication — its one prologue
-// collective and the dominant volume — and returns the same cut as the
-// cold path (trial streams derive from the trial index, not from what
-// was skipped). The ledger balances exactly: warm plus avoided is cold,
-// and avoided is the plan's measured gather cost.
+// A warm mincut skips the edge replication — its one prologue
+// collective and the dominant volume — and returns the same cut, trials
+// and all, as the cold path (trial streams derive from the trial index,
+// not from what was skipped). The ledger balances exactly: warm plus
+// avoided is cold, and avoided is the plan's measured gather cost. The
+// certificate is a fact of the snapshot: at p ∈ {1, 2, 16} it runs on
+// the first warm query of a version only, whatever the query count, and
+// a re-upload runs it again. On the certifying input its work is the
+// whole of a run's ops, so the warm queries' ops add up to one cold
+// run's; on the planted cut it fails, and the warm queries after the
+// first draw exactly the trials the cold run does, without its work.
 func TestPlanWarmMincutAvoidsCollectives(t *testing.T) {
-	warm := newTestEngine(t, Config{Workers: 1, MaxProcessors: 4})
-	cold := newTestEngine(t, Config{Workers: 1, MaxProcessors: 4, DisablePlans: true})
-	g := testGraph(256, 1024)
-	sg, err := warm.Registry().Put("g", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Registry().Put("g", g); err != nil {
-		t.Fatal(err)
-	}
-	req := QueryRequest{Graph: "g", Algorithm: AlgMinCut, Processors: 4, MaxTrials: 8}
-
-	coldRes := queryExec(t, cold, req)
-	warmRes := queryExec(t, warm, req)
-
-	if warmRes.Value != coldRes.Value || fmt.Sprint(warmRes.Side) != fmt.Sprint(coldRes.Side) {
-		t.Errorf("warm cut = %d, cold cut = %d, or their sides differ (plans must not change results)",
-			warmRes.Value, coldRes.Value)
-	}
-	gather := warm.planFor(sg, 4).GatherCost
-	wk, ck := warmRes.Kernel, coldRes.Kernel
-	if wk.AvoidedCollectives != gather.Collectives || wk.AvoidedCommVolume != gather.Words || gather.Words == 0 {
-		t.Errorf("warm mincut avoided %d supersteps / %d words, want the plan's gather cost %d / %d (> 0)",
-			wk.AvoidedCollectives, wk.AvoidedCommVolume, gather.Collectives, gather.Words)
-	}
-	if wk.Supersteps+wk.AvoidedCollectives != ck.Supersteps || wk.CommVolume+wk.AvoidedCommVolume != ck.CommVolume {
-		t.Errorf("warm %d supersteps / %d words + avoided %d / %d ≠ cold %d / %d",
-			wk.Supersteps, wk.CommVolume, wk.AvoidedCollectives, wk.AvoidedCommVolume, ck.Supersteps, ck.CommVolume)
-	}
-	if ck.AvoidedCollectives != 0 || ck.AvoidedCommVolume != 0 {
-		t.Errorf("cold mincut reports avoided=%d/%d, want 0/0", ck.AvoidedCollectives, ck.AvoidedCommVolume)
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		maxTrials int
+		certified bool
+	}{
+		{"er256", testGraph(256, 1024), 8, true},
+		{"planted64", gen.PlantedCut(64, 8, 2, 3), 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm := newTestEngine(t, Config{Workers: 1, MaxProcessors: 16})
+			cold := newTestEngine(t, Config{Workers: 1, MaxProcessors: 16, DisablePlans: true})
+			sg, err := warm.Registry().Put("g", tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cold.Registry().Put("g", tc.g); err != nil {
+				t.Fatal(err)
+			}
+			var warmOps, certOps uint64
+			for i, p := range []int{1, 2, 16} {
+				req := QueryRequest{Graph: "g", Algorithm: AlgMinCut, Processors: p, MaxTrials: tc.maxTrials}
+				coldRes := queryExec(t, cold, req)
+				ck := coldRes.Kernel
+				if ck.AvoidedCollectives != 0 || ck.AvoidedCommVolume != 0 {
+					t.Errorf("p=%d: cold mincut reports avoided=%d/%d, want 0/0", p, ck.AvoidedCollectives, ck.AvoidedCommVolume)
+				}
+				if (coldRes.Trials == 0) != tc.certified {
+					t.Fatalf("p=%d: cold run drew %d trials; the input should certify: %v", p, coldRes.Trials, tc.certified)
+				}
+				gather := warm.planFor(sg, p).GatherCost
+				for q := range 3 {
+					warmRes := queryExec(t, warm, req)
+					wk := warmRes.Kernel
+					if warmRes.Value != coldRes.Value || fmt.Sprint(warmRes.Side) != fmt.Sprint(coldRes.Side) || warmRes.Trials != coldRes.Trials {
+						t.Errorf("p=%d query %d: warm cut %d over %d trials, cold %d over %d, or their sides differ",
+							p, q, warmRes.Value, warmRes.Trials, coldRes.Value, coldRes.Trials)
+					}
+					if wk.AvoidedCollectives != gather.Collectives || wk.AvoidedCommVolume != gather.Words || p > 1 && gather.Words == 0 {
+						t.Errorf("p=%d: warm mincut avoided %d supersteps / %d words, want the plan's gather cost %d / %d (> 0 at p > 1)",
+							p, wk.AvoidedCollectives, wk.AvoidedCommVolume, gather.Collectives, gather.Words)
+					}
+					if wk.Supersteps+wk.AvoidedCollectives != ck.Supersteps || wk.CommVolume+wk.AvoidedCommVolume != ck.CommVolume {
+						t.Errorf("p=%d: warm %d supersteps / %d words + avoided %d / %d ≠ cold %d / %d", p,
+							wk.Supersteps, wk.CommVolume, wk.AvoidedCollectives, wk.AvoidedCommVolume, ck.Supersteps, ck.CommVolume)
+					}
+					warmOps += wk.MaxOps
+					switch {
+					case tc.certified:
+						certOps = ck.MaxOps
+					case p == 1 && i == 0 && q == 0:
+						// Sequential trials: the first warm run is the cold run.
+						if wk.MaxOps != ck.MaxOps {
+							t.Errorf("first warm run: %d ops, cold %d", wk.MaxOps, ck.MaxOps)
+						}
+					case p == 1:
+						if wk.MaxOps >= ck.MaxOps {
+							t.Errorf("warm query %d at p=1: %d ops, not below the cold run's %d: the certificate ran again", q, wk.MaxOps, ck.MaxOps)
+						}
+					}
+				}
+			}
+			if tc.certified && warmOps != certOps {
+				t.Errorf("9 warm queries took %d ops, want one certificate's %d", warmOps, certOps)
+			}
+			if !tc.certified {
+				return
+			}
+			// A re-upload is a new snapshot: its first warm query certifies.
+			if _, err := warm.Registry().Put("g", tc.g); err != nil {
+				t.Fatal(err)
+			}
+			req := QueryRequest{Graph: "g", Algorithm: AlgMinCut, Processors: 2, MaxTrials: tc.maxTrials}
+			if got := queryExec(t, warm, req).Kernel.MaxOps; got != certOps {
+				t.Errorf("first warm query after a re-upload: %d ops, want the certificate's %d", got, certOps)
+			}
+			if got := queryExec(t, warm, req).Kernel.MaxOps; got != 0 {
+				t.Errorf("second warm query after a re-upload: %d ops, want 0", got)
+			}
+		})
 	}
 }
 
