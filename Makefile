@@ -81,9 +81,10 @@ chaos-fleet:
 # Every Fuzz* target in the module (union-find, frame parser, handshake
 # parsers, min-cut certificate, the library's connected-components input
 # path, the upload loaders FuzzReadEdgeList and FuzzReadSNAP, the query
-# body FuzzQueryRequest, the operator-side tenant config FuzzTenantConfig
-# and fault spec FuzzFaultSpec) for 10s each; their seed corpora already
-# run under `make test`.
+# body FuzzQueryRequest, the fleet catch-up message FuzzCatchupSync, the
+# operator-side tenant config FuzzTenantConfig and fault spec
+# FuzzFaultSpec) for 10s each; their seed corpora already run under
+# `make test`.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh
 

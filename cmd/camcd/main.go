@@ -74,7 +74,7 @@ func main() {
 		cacheCap    = flag.Int("cache", 128, "result cache capacity in entries (-1 disables)")
 		maxP        = flag.Int("maxp", 0, "largest per-query BSP machine (0 = CPUs, max 16; single-process mode only)")
 		plannerMode = flag.String("planner", "static",
-			"query planner mode: off (default kernel + heuristic p), static (cost models fitted at startup); single-process mode only")
+			"query planner mode: off (heuristic p), static (p from cost models fitted at startup); single-process mode only")
 		timeout    = flag.Duration("timeout", 60*time.Second, "default per-query deadline")
 		maxTimeout = flag.Duration("max-timeout", 10*time.Minute, "largest honored per-query deadline")
 		faultSpec  = flag.String("faults", os.Getenv(faults.EnvVar),

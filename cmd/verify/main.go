@@ -130,17 +130,15 @@ func main() {
 	}
 
 	fmt.Println("== connected components vs traversal baseline (oracle) ==")
-	var kernels []oracle.CCKernel
-	for _, k := range planner.KernelsFor("cc") {
-		kernels = append(kernels, oracle.CCKernel{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
-			out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
-			if err != nil {
-				return nil, err
-			}
-			return out.Labels, nil
-		}})
-	}
-	ccRows, err := oracle.CC(kernels, oracle.CCInputs(), []int{*p}, 3)
+	k := planner.For("cc")
+	kernel := oracle.CCKernel{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
+		out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
+		if err != nil {
+			return nil, err
+		}
+		return out.Labels, nil
+	}}
+	ccRows, err := oracle.CC([]oracle.CCKernel{kernel}, oracle.CCInputs(), []int{*p}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

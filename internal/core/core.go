@@ -151,7 +151,7 @@ func shape(g *graph.Graph, opts Options, pre bool) (planner.Shape, error) {
 	return sh, validate(g, sh.P)
 }
 
-// exec runs alg's default kernel over g and returns rank 0's outcome.
+// exec runs alg's kernel over g and returns rank 0's outcome.
 // The cut kernels run on a validated g. The CC kernel checks each edge
 // as it first reads it, so g is validated only after a failed run: any
 // rank may trip first, and validate's error names the lowest invalid
@@ -163,7 +163,7 @@ func exec(g *graph.Graph, opts Options, alg string) (*planner.Outcome, RunStats,
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	out, st, err := planner.Lookup(alg, "").Exec(context.Background(), sh, g.N, g.Edges, opts.params(), nil)
+	out, st, err := planner.For(alg).Exec(context.Background(), sh, g.N, g.Edges, opts.params(), nil)
 	if err != nil {
 		if checked {
 			if verr := validate(g, sh.P); verr != nil {
@@ -244,8 +244,9 @@ type AllCutsResult struct {
 // (Lemma 4.3), each found with probability at least SuccessProb, with
 // the tie-preserving trials distributed over the processors.
 //
-// It is not a portfolio kernel, so it runs its body through
-// planner.RunBlocks directly, on the same pooled machine shape.
+// It is not in the planner's kernel table (planner.For), so it runs its
+// body through planner.RunBlocks directly, on the same pooled machine
+// shape.
 func AllMinCuts(g *graph.Graph, opts Options) (*AllCutsResult, error) {
 	sh, err := shape(g, opts, true)
 	if err != nil {

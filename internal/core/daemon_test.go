@@ -12,7 +12,7 @@ import (
 	"repro/internal/service"
 )
 
-// TestLibraryEqualsDaemon: for each algorithm's default kernel, the
+// TestLibraryEqualsDaemon: for each algorithm's kernel, the
 // library facade and the serving path run the same computation — the
 // query resolved by the engine (validation, defaults) and executed by
 // service.Run answers exactly what core returns for the same options,
@@ -95,7 +95,7 @@ func TestLibraryEqualsDaemon(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := service.Run(context.Background(), rs.Graph, alg, "", rs.Params, planner.Shape{P: p})
+						res, err := service.Run(context.Background(), rs.Graph, alg, rs.Params, planner.Shape{P: p})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -340,7 +340,7 @@ func TestAccountingRegression(t *testing.T) {
 // on er400, one exact round, Cost's Supersteps equals the pinned cc/er400
 // ss at every p.
 func TestCCCostSupersteps(t *testing.T) {
-	k := planner.Lookup("cc", "")
+	k := planner.For("cc")
 	for _, p := range []int{1, 2, 4, 8} {
 		var ss int
 		if _, err := fmt.Sscanf(acctGolden[fmt.Sprintf("cc/er400/p=%d", p)], "ss=%d", &ss); err != nil {

@@ -169,28 +169,17 @@ func TestApproxArm(t *testing.T) {
 	}
 }
 
-// ccKernels adapts every registered CC kernel to the CC arm.
-func ccKernels() []CCKernel {
-	var ks []CCKernel
-	for _, k := range planner.KernelsFor("cc") {
-		ks = append(ks, CCKernel{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
-			out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
-			if err != nil {
-				return nil, err
-			}
-			return out.Labels, nil
-		}})
-	}
-	return ks
-}
-
-// TestCCArm: every registered CC kernel labels every input exactly as
-// BFS does, at every machine size and seed.
+// TestCCArm: the CC kernel labels every input exactly as BFS does, at
+// every machine size and seed.
 func TestCCArm(t *testing.T) {
-	ks := ccKernels()
-	if len(ks) == 0 {
-		t.Fatal("no CC kernel registered")
-	}
+	k := planner.For("cc")
+	ks := []CCKernel{{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
+		out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
+		if err != nil {
+			return nil, err
+		}
+		return out.Labels, nil
+	}}}
 	seeds := 3
 	if testing.Short() {
 		seeds = 1
@@ -238,7 +227,7 @@ func TestCertificateArm(t *testing.T) {
 	if testing.Short() {
 		graphs = 200
 	}
-	mc := planner.Lookup("mincut", "")
+	mc := planner.For("mincut")
 	type tally struct{ graphs, tight, certified int }
 	rates := map[string]*tally{}
 	for i := 0; i < graphs; i++ {

@@ -89,14 +89,14 @@ func measure(k *Kernel, cg *calGraph, mach *bsp.Machine) (s perfmodel.Sample, _ 
 	return s, nil
 }
 
-// CalibrateBuiltins measures every registered kernel over the built-in
-// suite — through the same Kernel.Exec serving and the library use — and
-// fits its model: kernels run on real machines at p in {1,2,4,8,16}
-// (clamped to maxP — the spread in log₂p is what separates the volume
-// constant from the intercept). A kernel whose fit fails stays
-// uncalibrated — decisions needing it fall back to the default kernel
-// and count as planner fallbacks — and the joined error reports every
-// such kernel rather than silently defaulting.
+// CalibrateBuiltins measures every kernel with a cost model over the
+// built-in suite — through the same Kernel.Exec serving and the library
+// use — and fits its model: kernels run on real machines at p in
+// {1,2,4,8,16} (clamped to maxP — the spread in log₂p is what separates
+// the volume constant from the intercept). A kernel whose fit fails
+// stays uncalibrated — decisions for it fall back to the heuristic p and
+// count as planner fallbacks — and the joined error reports every such
+// kernel rather than silently defaulting.
 func (pl *Planner) CalibrateBuiltins(maxP int) error {
 	if maxP < 1 {
 		maxP = 1
@@ -120,22 +120,17 @@ func (pl *Planner) CalibrateBuiltins(maxP int) error {
 			return err
 		}
 		for i := range suite {
-			for _, k := range KernelsFor(suite[i].alg) {
-				s, err := measure(k, &suite[i], mach)
-				if err != nil {
-					return err
-				}
-				samples[k.Name] = append(samples[k.Name], s)
+			k := For(suite[i].alg)
+			s, err := measure(k, &suite[i], mach)
+			if err != nil {
+				return err
 			}
+			samples[k.Name] = append(samples[k.Name], s)
 		}
 	}
 	var errs []error
 	for _, k := range Kernels() {
-		ss := samples[k.Name]
-		if len(ss) == 0 {
-			continue
-		}
-		if err := pl.Fit(k.Name, ss); err != nil {
+		if err := pl.Fit(k.Name, samples[k.Name]); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/approxcut"
 	"repro/internal/bsp"
@@ -80,14 +79,6 @@ type Outcome struct {
 	AchievedProb float64
 }
 
-func ccOutcome(r *cc.Result) *Outcome {
-	return &Outcome{Components: r.Count, Iterations: r.Iterations, Labels: r.Labels}
-}
-
-func cutOutcome(r *mincut.CutResult) *Outcome {
-	return &Outcome{Value: r.Value, Trials: r.Trials, Side: r.Side}
-}
-
 // Checkpoint is a kernel's own best-so-far recorder for one run: the
 // runner allocates it (Kernel.NewCheckpoint), hands it to Run, and asks
 // it for a degraded answer when the run is cancelled.
@@ -119,33 +110,26 @@ func (cp approxCheckpoint) Partial() (*Outcome, int, int) {
 	return &Outcome{Value: uint64(1) << uint(iters), Iterations: iters, Trials: trials}, iters, planned
 }
 
-// Kernel is one member of the kernel table: an algorithm implementation
-// with the single entry everything that executes it goes through (Exec),
-// and — for the scored portfolio — a closed-form cost profile.
+// Kernel is one algorithm's implementation: the single entry everything
+// that executes it goes through (Exec) and, for the kernels the planner
+// sizes, a closed-form cost profile. The table is fixed — one kernel per
+// algorithm, the paper's — and For looks it up.
 type Kernel struct {
-	// Name identifies the kernel in cache keys, traces, and stats.
-	// Unique across the whole table.
+	// Name identifies the kernel in traces and stats.
 	Name string
-	// Algorithm is the query algorithm the kernel answers ("cc",
-	// "mincut", "approxcut").
-	Algorithm string
-	// Default marks the kernel dispatched when the planner is off or
-	// uncalibrated — the pre-portfolio behavior.
-	Default bool
 	// Cost estimates the kernel's BSP cost profile on a graph with the
 	// given statistics at machine size p. Predicted features approximate
 	// the implementation's measured accounting (the fit maps measured
 	// features to time, so formula bias shows up directly in the
-	// prediction-vs-actual error the trace records). A member without a
-	// Cost runs as its algorithm's default but stays outside the scored
-	// portfolio: Kernels, KernelsFor, a Lookup by name, calibration, and
-	// Choose never see it.
+	// prediction-vs-actual error the trace records). A kernel without a
+	// Cost always runs at the heuristic p: calibration and Choose never
+	// see it.
 	Cost func(st GraphStats, p int, par Params) perfmodel.Sample
 	// Run executes the kernel; Exec is its one caller, and the library
 	// facade, serving, failover, distributed workers, and calibration all
-	// go through Exec. Every member runs SPMD — every rank calls Run with
+	// go through Exec. Every kernel runs SPMD — every rank calls Run with
 	// its Comm and its block of the edge array; the answer is rank 0's
-	// outcome, which Exec keeps, and no member ships it to other ranks.
+	// outcome, which Exec keeps, and no kernel ships it to other ranks.
 	// plan, if any, is the snapshot-resident plan whose facts replace the
 	// matching cold collectives; cp, if any, is what NewCheckpoint
 	// returned for this run.
@@ -155,59 +139,30 @@ type Kernel struct {
 	NewCheckpoint func() Checkpoint
 }
 
-// Kernel names. Cache keys use these, so they are part of the query
-// identity.
+// Kernel names, as traces, stats and a request's pin spell them.
 const (
 	KernelCCSampling = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
 	KernelMCKargerSt = "kargerstein" // mincut.Parallel — contraction trials
-	KernelApproxCut  = "approxcut"   // approxcut.Parallel — unscored, its algorithm's only member
+	KernelApproxCut  = "approxcut"   // approxcut.Parallel — no cost model
 )
 
-var (
-	registry []*Kernel // every member, registration order
-	scored   []*Kernel // the members with a Cost: the planner's portfolio
-)
-
-// Register adds a kernel to the table and returns a func that removes it
-// again (tests register fakes). Not safe for concurrent use; call from
-// init or before serving starts.
-func Register(k *Kernel) (remove func()) {
-	registry = append(registry, k)
-	if k.Cost != nil {
-		scored = append(scored, k)
-	}
-	return func() {
-		isK := func(x *Kernel) bool { return x == k }
-		registry, scored = slices.DeleteFunc(registry, isK), slices.DeleteFunc(scored, isK)
-	}
-}
-
-// Kernels returns the scored portfolio in registration order.
-func Kernels() []*Kernel { return scored }
-
-// KernelsFor returns the portfolio members answering alg, in
-// registration order (deterministic tie-breaking relies on this).
-func KernelsFor(alg string) []*Kernel {
-	var out []*Kernel
-	for _, k := range scored {
-		if k.Algorithm == alg {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// Lookup finds a kernel by algorithm and name: a portfolio member by its
-// name, or — the empty name — the algorithm's default member, which is
-// the only way to reach an unscored one. nil when there is none.
-func Lookup(alg, name string) *Kernel {
-	for _, k := range registry {
-		if k.Algorithm == alg && (name == "" && k.Default || name == k.Name && k.Cost != nil) {
-			return k
-		}
+// For returns the kernel answering alg ("cc", "mincut", "approxcut"),
+// nil for any other name.
+func For(alg string) *Kernel {
+	switch alg {
+	case "cc":
+		return sampling
+	case "mincut":
+		return kargerstein
+	case "approxcut":
+		return approxCut
 	}
 	return nil
 }
+
+// Kernels returns the kernels with a Cost: the ones calibration fits and
+// Choose sizes.
+func Kernels() []*Kernel { return []*Kernel{sampling, kargerstein} }
 
 // xVol is the volume model of one n-word AllReduce/Broadcast-style
 // collective as a gather to a root and a broadcast back, ~(p-1)·words in
@@ -227,91 +182,92 @@ func lg2(x float64) float64 {
 	return math.Log2(x)
 }
 
-func init() {
-	// ---- CC: one member, scored for its machine size ----
-	Register(&Kernel{
-		Name: KernelCCSampling, Algorithm: "cc", Default: true,
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			eps := RunParams{Epsilon: par.Epsilon}.Defaulted().Epsilon
-			full := math.Pow(n, 1+eps/2)
-			s := math.Min(full, m)
-			// Each non-root rank ships a spanning forest of its
-			// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
-			forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
-			// A relabelling Broadcast puts ~2n words on the ledger at p ≥ 2
-			// (not xVol's gather-to-root): 2(n+1) direct at p = 2, ~2(p−1)n/p
-			// two-phase at p ≥ 3. An exact round sends none (the root keeps
-			// the labels); the term stays until ROADMAP item 6, as dropping
-			// it alone would re-rank p = 1 against p = 2 on serve_mix.
-			bcast := 2 * n * btof(p > 1)
-			// O(1) rounds w.h.p., empirically 2 when the first one samples;
-			// when (1+δ)s ≥ m every rank contributes its whole slice and
-			// cc.Parallel leaves after the first.
-			rounds := 2.0
-			if 1.5*full >= m {
-				rounds = 1
-			}
-			// The exact last round is 2 supersteps at every p (m AllReduce,
-			// forest gather); a sampled round adds its relabelling Broadcast
-			// at the two-phase 2, so the term moves no choice of p.
-			return perfmodel.Sample{
-				Comp:       rounds * (m/float64(p) + n + s),
-				Volume:     rounds * (float64(p-1)*forest + bcast),
-				Supersteps: 4*rounds - 2,
-				P:          float64(p),
-			}
-		},
-		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
-			return ccOutcome(cc.Parallel(c, n, local, par.Stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan}))
-		},
-	})
+// sampling is §3.2's iterated sampling, sized by its cost model.
+var sampling = &Kernel{
+	Name: KernelCCSampling,
+	Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
+		n, m := float64(st.N), float64(st.M)
+		eps := RunParams{Epsilon: par.Epsilon}.Defaulted().Epsilon
+		full := math.Pow(n, 1+eps/2)
+		s := math.Min(full, m)
+		// Each non-root rank ships a spanning forest of its
+		// ⌈(1+δ)s/p⌉-edge sample (δ = 0.5): at most n-1 one-word edges.
+		forest := math.Min(math.Ceil(1.5*s/float64(p)), n-1)
+		// A relabelling Broadcast puts ~2n words on the ledger at p ≥ 2
+		// (not xVol's gather-to-root): 2(n+1) direct at p = 2, ~2(p−1)n/p
+		// two-phase at p ≥ 3. An exact round sends none (the root keeps
+		// the labels); the term stays until ROADMAP item 6, as dropping
+		// it alone would re-rank p = 1 against p = 2 on serve_mix.
+		bcast := 2 * n * btof(p > 1)
+		// O(1) rounds w.h.p., empirically 2 when the first one samples;
+		// when (1+δ)s ≥ m every rank contributes its whole slice and
+		// cc.Parallel leaves after the first.
+		rounds := 2.0
+		if 1.5*full >= m {
+			rounds = 1
+		}
+		// The exact last round is 2 supersteps at every p (m AllReduce,
+		// forest gather); a sampled round adds its relabelling Broadcast
+		// at the two-phase 2, so the term moves no choice of p.
+		return perfmodel.Sample{
+			Comp:       rounds * (m/float64(p) + n + s),
+			Volume:     rounds * (float64(p-1)*forest + bcast),
+			Supersteps: 4*rounds - 2,
+			P:          float64(p),
+		}
+	},
+	Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, _ Checkpoint) *Outcome {
+		r := cc.Parallel(c, n, local, par.Stream(c), cc.Options{Epsilon: par.Epsilon, Plan: plan})
+		return &Outcome{Components: r.Count, Iterations: r.Iterations, Labels: r.Labels}
+	},
+}
 
-	// ---- Mincut: one member, scored for its machine size ----
-	Register(&Kernel{
-		Name: KernelMCKargerSt, Algorithm: "mincut", Default: true,
-		Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			t := float64(par.Trials)
-			if t < 1 {
-				t = 1
-			}
-			pe := math.Min(float64(p), t) // trials bound usable parallelism
-			perTrial := m + n*lg2(n)
-			return perfmodel.Sample{
-				Comp:       math.Ceil(t/pe)*perTrial + m + n,
-				Volume:     3*m*btof(p > 1) + xVol(p, n),
-				Supersteps: 14,
-				P:          float64(p),
-			}
-		},
-		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
-			mcp, _ := cp.(mincutCheckpoint)
-			return cutOutcome(mincut.Parallel(c, n, local, par.Stream(c), mincut.Options{
-				SuccessProb: par.SuccessProb,
-				MaxTrials:   par.MaxTrials,
-				Checkpoint:  mcp.Checkpoint,
-				Plan:        plan,
-			}))
-		},
-		NewCheckpoint: func() Checkpoint { return mincutCheckpoint{mincut.NewCheckpoint()} },
-	})
+// kargerstein is §2.4's Karger–Stein trials, sized by its cost model.
+var kargerstein = &Kernel{
+	Name: KernelMCKargerSt,
+	Cost: func(st GraphStats, p int, par Params) perfmodel.Sample {
+		n, m := float64(st.N), float64(st.M)
+		t := float64(par.Trials)
+		if t < 1 {
+			t = 1
+		}
+		pe := math.Min(float64(p), t) // trials bound usable parallelism
+		perTrial := m + n*lg2(n)
+		return perfmodel.Sample{
+			Comp:       math.Ceil(t/pe)*perTrial + m + n,
+			Volume:     3*m*btof(p > 1) + xVol(p, n),
+			Supersteps: 14,
+			P:          float64(p),
+		}
+	},
+	Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
+		mcp, _ := cp.(mincutCheckpoint)
+		r := mincut.Parallel(c, n, local, par.Stream(c), mincut.Options{
+			SuccessProb: par.SuccessProb,
+			MaxTrials:   par.MaxTrials,
+			Checkpoint:  mcp.Checkpoint,
+			Plan:        plan,
+		})
+		return &Outcome{Value: r.Value, Trials: r.Trials, Side: r.Side}
+	},
+	NewCheckpoint: func() Checkpoint { return mincutCheckpoint{mincut.NewCheckpoint()} },
+}
 
-	// ---- Approximate cut: one member, no cost model, never scored ----
-	Register(&Kernel{
-		Name: KernelApproxCut, Algorithm: "approxcut", Default: true,
-		Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
-			acp, _ := cp.(approxCheckpoint)
-			r := approxcut.Parallel(c, n, local, par.Stream(c), approxcut.Options{
-				Trials:     par.Trials,
-				Pipelined:  par.Pipelined,
-				Checkpoint: acp.Checkpoint,
-				Plan:       plan,
-			})
-			return &Outcome{Value: r.Value, Iterations: r.Iterations, Trials: r.TrialsPerIteration}
-		},
-		NewCheckpoint: func() Checkpoint { return approxCheckpoint{approxcut.NewCheckpoint()} },
-	})
+// approxCut is §3.3's approximate cut; it has no cost model and always
+// runs at the heuristic p.
+var approxCut = &Kernel{
+	Name: KernelApproxCut,
+	Run: func(c *bsp.Comm, n int, local []graph.Edge, par RunParams, plan *graph.Plan, cp Checkpoint) *Outcome {
+		acp, _ := cp.(approxCheckpoint)
+		r := approxcut.Parallel(c, n, local, par.Stream(c), approxcut.Options{
+			Trials:     par.Trials,
+			Pipelined:  par.Pipelined,
+			Checkpoint: acp.Checkpoint,
+			Plan:       plan,
+		})
+		return &Outcome{Value: r.Value, Iterations: r.Iterations, Trials: r.TrialsPerIteration}
+	},
+	NewCheckpoint: func() Checkpoint { return approxCheckpoint{approxcut.NewCheckpoint()} },
 }
 
 func btof(b bool) float64 {

@@ -1,14 +1,15 @@
 // Package planner implements the cost-model query planner: per
-// (snapshot, algorithm, params) it scores every registered kernel × p
-// candidate with §5's fitted performance model T = A·Comp +
-// B·Volume·log₂p + C·Supersteps + D and dispatches the winner. Model
-// constants are fitted per kernel from a startup calibration suite
-// (calibrate.go) run on the machine the daemon serves from.
+// (snapshot, algorithm, params) it scores the algorithm's one kernel at
+// each candidate machine size p with §5's fitted performance model
+// T = A·Comp + B·Volume·log₂p + C·Supersteps + D and runs it at the
+// cheapest. Model constants are fitted per kernel from a startup
+// calibration suite (calibrate.go) run on the machine the daemon serves
+// from.
 //
-// The planner never affects results — each algorithm has one scored
-// member, whose answer does not depend on p (bit-identical CC labels,
-// identical cut values; see the equivalence tests in internal/cc and
-// internal/service) — only which machine shape computes them.
+// The planner never affects results — a kernel's answer does not depend
+// on p (bit-identical CC labels, identical cut values; see the
+// equivalence tests in internal/cc and internal/service) — only which
+// machine shape computes them.
 package planner
 
 import (
@@ -24,8 +25,8 @@ import (
 type Mode string
 
 const (
-	// ModeOff disables planning: every query runs the default kernel at
-	// the heuristic p (the pre-portfolio behavior).
+	// ModeOff disables planning: every query runs its algorithm's kernel
+	// at the heuristic p.
 	ModeOff Mode = "off"
 	// ModeStatic plans from the models fitted by the startup calibration.
 	ModeStatic Mode = "static"
@@ -42,30 +43,27 @@ func ParseMode(s string) (Mode, error) {
 	return ModeOff, fmt.Errorf("planner: unknown mode %q (want off|static)", s)
 }
 
-// Decision is the planner's answer for one query: which kernel at which
-// p, with the prediction that justified it and the default choice it
+// Decision is the planner's answer for one query: the machine size p,
+// with the prediction that justified it and the default choice it
 // displaced (the win-rate baseline).
 type Decision struct {
-	Kernel      string
 	P           int
 	PredictedMs float64
-	// DefaultKernel/DefaultP/DefaultPredictedMs describe what the engine
-	// would have run with the planner off: the default kernel at the
-	// heuristic p.
-	DefaultKernel      string
+	// DefaultP/DefaultPredictedMs describe what the engine would have run
+	// with the planner off: the heuristic p.
 	DefaultP           int
 	DefaultPredictedMs float64
-	// Diverged marks a decision that differs from the default choice —
+	// Diverged marks a decision whose p differs from the heuristic's —
 	// the denominator of the win rate.
 	Diverged bool
 	// Fallback marks a decision made without a calibrated model for the
-	// default kernel (e.g. perfmodel.Fit failed on the calibration
-	// samples): the default kernel runs and the planner_fallback counter
+	// kernel (e.g. perfmodel.Fit failed on the calibration samples): it
+	// runs at the heuristic p and the planner_fallback counter
 	// increments, never a silent default.
 	Fallback bool
 }
 
-// Planner scores kernel×p candidates and tracks its own accuracy.
+// Planner scores candidate machine sizes and tracks its own accuracy.
 type Planner struct {
 	mode Mode
 
@@ -86,8 +84,8 @@ type Planner struct {
 }
 
 // New returns a planner in the given mode with no calibrated models;
-// until Fit or SetModel installs one for a default kernel, every
-// decision is a fallback.
+// until Fit or SetModel installs one for a kernel, every decision for it
+// is a fallback.
 func New(mode Mode) *Planner {
 	return &Planner{
 		mode:    mode,
@@ -181,56 +179,43 @@ func candidatePs(explicit, maxP int) []int {
 	return ps
 }
 
-// Choose picks the kernel×p candidate with the lowest predicted time
-// for alg on a graph with the given statistics. Ties and the
-// no-usable-model case resolve to the default kernel at the heuristic
-// p; candidates without a calibrated model are skipped.
-// Deterministic: registration order breaks kernel ties, ascending order
-// breaks p ties.
+// Choose picks the machine size with the lowest predicted time for
+// alg's kernel on a graph with the given statistics. Ties and the
+// no-usable-model case resolve to the heuristic p; among the other
+// candidates ascending order breaks ties.
 func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP int) Decision {
 	if maxP < 1 {
 		maxP = 1
 	}
 	hp := HeuristicP(st.M, explicitP, maxP)
-	def := Lookup(alg, "")
+	fallback := Decision{P: hp, DefaultP: hp, Fallback: true}
+	k := For(alg)
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.decisions++
 
-	if def == nil || def.Cost == nil {
+	if k == nil || k.Cost == nil {
 		pl.fallbacks++
-		return Decision{P: hp, DefaultP: hp, Fallback: true}
+		return fallback
 	}
-	defModel := pl.models[def.Name]
-	if defModel == nil {
+	pl.choices[k.Name]++
+	model := pl.models[k.Name]
+	if model == nil {
 		pl.fallbacks++
-		pl.choices[def.Name]++
-		return Decision{
-			Kernel: def.Name, P: hp,
-			DefaultKernel: def.Name, DefaultP: hp,
-			Fallback: true,
+		return fallback
+	}
+	defPred := model.Predict(k.Cost(st, hp, par))
+	bestP, bestPred := hp, defPred
+	for _, p := range candidatePs(explicitP, maxP) {
+		if pred := model.Predict(k.Cost(st, p, par)); pred < bestPred {
+			bestP, bestPred = p, pred
 		}
 	}
-	defPred := defModel.Predict(def.Cost(st, hp, par))
-
-	bestK, bestP, bestPred := def.Name, hp, defPred
-	for _, k := range KernelsFor(alg) {
-		model := pl.models[k.Name]
-		if model == nil {
-			continue
-		}
-		for _, p := range candidatePs(explicitP, maxP) {
-			if pred := model.Predict(k.Cost(st, p, par)); pred < bestPred {
-				bestK, bestP, bestPred = k.Name, p, pred
-			}
-		}
-	}
-	pl.choices[bestK]++
 	return Decision{
-		Kernel: bestK, P: bestP, PredictedMs: bestPred * 1000,
-		DefaultKernel: def.Name, DefaultP: hp, DefaultPredictedMs: defPred * 1000,
-		Diverged: bestK != def.Name || bestP != hp,
+		P: bestP, PredictedMs: bestPred * 1000,
+		DefaultP: hp, DefaultPredictedMs: defPred * 1000,
+		Diverged: bestP != hp,
 	}
 }
 
@@ -271,10 +256,10 @@ type Snapshot struct {
 	Mode       string   `json:"mode"`
 	Calibrated []string `json:"calibrated,omitempty"`
 	// Decisions counts Choose calls; Fallbacks the subset decided without
-	// a calibrated default model. Executed counts observed runs of
-	// planned queries; Diverged those where the planner overrode the
-	// default choice; Wins the overrides whose measured time beat the
-	// predicted default path.
+	// a calibrated model. Executed counts observed runs of planned
+	// queries; Diverged those where the planner overrode the heuristic p;
+	// Wins the overrides whose measured time beat the predicted default
+	// path.
 	Decisions uint64 `json:"decisions"`
 	Fallbacks uint64 `json:"fallbacks"`
 	Executed  uint64 `json:"executed"`

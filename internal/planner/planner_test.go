@@ -7,42 +7,18 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// bspModel/lightModel are the fixed constants the deterministic tests
-// pin decisions with: 1ns/op, 2ns/word (scaled by log2 p), 1µs/superstep,
-// and 50µs of fixed overhead for bspModel but 1µs for lightModel.
-func bspModel() *perfmodel.Model   { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5} }
-func lightModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6} }
+// bspModel is the fixed constants the deterministic tests pin
+// decisions with: 1ns/op, 2ns/word (scaled by log2 p), 1µs/superstep and
+// 50µs of fixed overhead.
+func bspModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5} }
 
-// fakeCC names the second CC member the cross-kernel tests register:
-// the table ships one member per algorithm, and Choose's argmin,
-// tie-break and divergence accounting need two.
-const fakeCC = "fakecc"
+// volumeModel prices one word at 1ms: nothing but p = 1 ships none, so
+// it wins every choice.
+func volumeModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 1e-3, C: 1e-6, D: 5e-5} }
 
-// registerFakeCC adds fakeCC for the rest of the test. It runs the
-// default member's kernel, so every pick is result-equivalent; cost is
-// its cost profile, or — nil — a few rounds of one n-word all-reduce
-// each, lighter than sampling's on small graphs and far heavier on a
-// large p.
-func registerFakeCC(t *testing.T, cost func(GraphStats, int, Params) perfmodel.Sample) {
-	if cost == nil {
-		cost = func(st GraphStats, p int, _ Params) perfmodel.Sample {
-			n, m := float64(st.N), float64(st.M)
-			return perfmodel.Sample{Comp: 4 * (m/float64(p) + 2*n), Volume: 4 * xVol(p, n), Supersteps: 18, P: float64(p)}
-		}
-	}
-	t.Cleanup(Register(&Kernel{Name: fakeCC, Algorithm: "cc", Cost: cost, Run: Lookup("cc", "").Run}))
-}
-
-// calibratedCC registers fakeCC and prices the default sampling kernel
-// with bspModel and fakeCC with lightModel, so small graphs route to
-// fakeCC while large volumes still favor sampling.
-func calibratedCC(t *testing.T) *Planner {
-	registerFakeCC(t, nil)
-	pl := New(ModeStatic)
-	pl.SetModel(KernelCCSampling, bspModel())
-	pl.SetModel(fakeCC, lightModel())
-	return pl
-}
+// mid is a CC graph the heuristic runs at p = 4 (21k edges, m/p ≤ 8192
+// first at p = 4).
+var mid = GraphStats{N: 1000, M: 20000}
 
 func TestParseMode(t *testing.T) {
 	for s, want := range map[string]Mode{"": ModeOff, "off": ModeOff, "static": ModeStatic} {
@@ -58,35 +34,26 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-func names(ks []*Kernel) []string {
-	var out []string
-	for _, k := range ks {
-		out = append(out, k.Name)
-	}
-	return out
-}
-
-// The scored portfolio is one member per algorithm; a registered member
-// joins it in registration order (Choose breaks kernel ties by it), and
-// its remover takes it out again.
+// The table is fixed: one kernel per algorithm, and the two with a
+// cost model are the ones Kernels returns.
 func TestKernelsPortfolio(t *testing.T) {
-	if got, want := names(Kernels()), []string{KernelCCSampling, KernelMCKargerSt}; !slices.Equal(got, want) {
+	var got []string
+	for _, k := range Kernels() {
+		got = append(got, k.Name)
+	}
+	if want := []string{KernelCCSampling, KernelMCKargerSt}; !slices.Equal(got, want) {
 		t.Fatalf("Kernels() = %v, want %v", got, want)
 	}
-	if got, want := names(KernelsFor("cc")), []string{KernelCCSampling}; !slices.Equal(got, want) {
-		t.Fatalf(`KernelsFor("cc") = %v, want %v`, got, want)
+	for alg, want := range map[string]string{"cc": KernelCCSampling, "mincut": KernelMCKargerSt, "approxcut": KernelApproxCut} {
+		if k := For(alg); k == nil || k.Name != want || k.Run == nil {
+			t.Fatalf("For(%q) = %+v, want %s", alg, k, want)
+		}
 	}
-	t.Run("registered", func(t *testing.T) {
-		registerFakeCC(t, nil)
-		if got, want := names(KernelsFor("cc")), []string{KernelCCSampling, fakeCC}; !slices.Equal(got, want) {
-			t.Fatalf(`KernelsFor("cc") = %v, want %v`, got, want)
-		}
-		if k := Lookup("cc", fakeCC); k == nil || Lookup("cc", "").Name != KernelCCSampling {
-			t.Fatalf("Lookup: fake %v, default %v", k, Lookup("cc", ""))
-		}
-	})
-	if got, want := names(KernelsFor("cc")), []string{KernelCCSampling}; !slices.Equal(got, want) {
-		t.Fatalf(`after removal KernelsFor("cc") = %v, want %v`, got, want)
+	if For("approxcut").Cost != nil {
+		t.Fatal("approxcut has a cost model; Kernels() would leave it out")
+	}
+	if k := For("bogus"); k != nil {
+		t.Fatalf(`For("bogus") = %+v, want nil`, k)
 	}
 }
 
@@ -124,63 +91,68 @@ func TestHeuristicP(t *testing.T) {
 
 func TestChooseFallbackWithoutModels(t *testing.T) {
 	pl := New(ModeStatic)
-	d := pl.Choose("cc", GraphStats{N: 1000, M: 20000}, Params{}, 0, 16)
-	if !d.Fallback {
-		t.Fatal("uncalibrated planner did not fall back")
+	d := pl.Choose("cc", mid, Params{}, 0, 16)
+	if !d.Fallback || d.Diverged {
+		t.Fatalf("uncalibrated planner decided %+v, want a fallback", d)
 	}
-	if d.Kernel != KernelCCSampling {
-		t.Fatalf("fallback kernel = %q, want default %q", d.Kernel, KernelCCSampling)
+	if hp := HeuristicP(mid.M, 0, 16); d.P != hp || d.DefaultP != hp {
+		t.Fatalf("fallback p = %d (default %d), want heuristic %d", d.P, d.DefaultP, hp)
 	}
-	if d.P != HeuristicP(20000, 0, 16) {
-		t.Fatalf("fallback p = %d, want heuristic %d", d.P, HeuristicP(20000, 0, 16))
+	// approxcut has no cost model, so it always falls back.
+	pl.SetModel(KernelCCSampling, bspModel())
+	if d := pl.Choose("approxcut", mid, Params{}, 0, 16); !d.Fallback {
+		t.Fatalf("approxcut decision = %+v, want a fallback", d)
 	}
-	if sn := pl.Snapshot(); sn.Fallbacks != 1 || sn.Decisions != 1 {
+	if sn := pl.Snapshot(); sn.Fallbacks != 2 || sn.Decisions != 2 {
 		t.Fatalf("fallback counters = %+v", sn)
 	}
 }
 
-func TestChooseCheaperMemberForSmallGraphs(t *testing.T) {
-	pl := calibratedCC(t)
-	d := pl.Choose("cc", GraphStats{N: 500, M: 2000}, Params{Epsilon: 0.5}, 0, 16)
-	if d.Kernel != fakeCC || d.P != 1 {
-		t.Fatalf("small graph decision = %+v, want %s at p=1", d, fakeCC)
+// Choose runs an argmin over the candidate p: a large B makes p = 1 —
+// the one size that ships no words — beat the heuristic's 4, and a pure
+// compute model drives p up to maxP on a graph the heuristic keeps at 1.
+func TestChooseArgminOverP(t *testing.T) {
+	pl := New(ModeStatic)
+	pl.SetModel(KernelCCSampling, volumeModel())
+	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
+	if d.P != 1 || d.DefaultP != 4 || !d.Diverged || d.Fallback {
+		t.Fatalf("volume-priced decision = %+v, want p=1 against the heuristic's 4", d)
 	}
-	if !d.Diverged || d.DefaultP != 1 || d.DefaultKernel != KernelCCSampling {
-		// fakeCC at p=1 vs sampling at p=1 — still a kernel divergence.
-		t.Fatalf("%s pick not marked diverged from sampling at p=1: %+v", fakeCC, d)
+	if d.PredictedMs >= d.DefaultPredictedMs {
+		t.Fatalf("chosen p predicted %gms, not below the heuristic's %gms", d.PredictedMs, d.DefaultPredictedMs)
+	}
+
+	pl.SetModel(KernelCCSampling, &perfmodel.Model{A: 1e-6})
+	small := GraphStats{N: 500, M: 8000}
+	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 0, 8); d.P != 8 || d.DefaultP != 1 || !d.Diverged {
+		t.Fatalf("compute-priced decision = %+v, want p=8 against the heuristic's 1", d)
 	}
 }
 
-// A member predicted exactly as fast as the default loses the tie: the
-// default was registered first, and the decision does not diverge.
-func TestChooseTieKeepsRegistrationOrder(t *testing.T) {
-	registerFakeCC(t, Lookup("cc", "").Cost)
+// A candidate predicted exactly as fast as the heuristic p loses the tie,
+// and the decision does not diverge.
+func TestChooseTieKeepsHeuristicP(t *testing.T) {
 	pl := New(ModeStatic)
-	pl.SetModel(KernelCCSampling, bspModel())
-	pl.SetModel(fakeCC, bspModel())
-	d := pl.Choose("cc", GraphStats{N: 500, M: 2000}, Params{Epsilon: 0.5}, 0, 1)
-	if d.Kernel != KernelCCSampling || d.Diverged {
-		t.Fatalf("tie decision = %+v, want the default, not diverged", d)
+	pl.SetModel(KernelCCSampling, &perfmodel.Model{D: 1e-3}) // every p costs the same
+	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
+	if d.P != 4 || d.Diverged || d.PredictedMs != d.DefaultPredictedMs {
+		t.Fatalf("tie decision = %+v, want the heuristic p=4, not diverged", d)
 	}
 }
 
 func TestChooseRespectsExplicitP(t *testing.T) {
-	pl := calibratedCC(t)
-	// On the small graph fakeCC at p=1 is cheapest, but a pinned p=16
-	// leaves only p=16 candidates.
-	small := GraphStats{N: 500, M: 2000}
-	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 16, 16); d.P != 16 {
-		t.Fatalf("explicit p=16 not honored on a small graph: %+v", d)
+	pl := New(ModeStatic)
+	pl.SetModel(KernelCCSampling, volumeModel())
+	// p = 1 is cheapest under volumeModel, but a pinned p = 16 leaves
+	// only p = 16 as a candidate.
+	for _, st := range []GraphStats{{N: 500, M: 2000}, mid, {N: 100001, M: 100000}} {
+		if d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 16, 16); d.P != 16 || d.Diverged {
+			t.Fatalf("explicit p=16 not honored on %+v: %+v", st, d)
+		}
 	}
-	path := GraphStats{N: 100001, M: 100000}
-	d := pl.Choose("cc", path, Params{Epsilon: 0.5}, 16, 16)
-	if d.P != 16 {
-		t.Fatalf("explicit p=16 not honored: %+v", d)
-	}
-	if d.Kernel != KernelCCSampling {
-		// fakeCC's n-word AllReduce per round outweighs its lighter
-		// overhead on a 100k-vertex path at p=16.
-		t.Fatalf("%s chosen on a 100k-vertex path at p=16: %+v", fakeCC, d)
+	// A pin over maxP is clamped to it.
+	if d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 64, 8); d.P != 8 {
+		t.Fatalf("explicit p=64 with maxP=8 ran at p=%d", d.P)
 	}
 }
 
@@ -188,15 +160,19 @@ func TestChooseMincutRouting(t *testing.T) {
 	pl := New(ModeStatic)
 	pl.SetModel(KernelMCKargerSt, &perfmodel.Model{A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3})
 	big := GraphStats{N: 5000, M: 40000}
-	if d := pl.Choose("mincut", big, Params{Trials: 40}, 0, 8); d.Kernel != KernelMCKargerSt || d.Fallback {
-		t.Fatalf("mincut = %+v, want calibrated kargerstein", d)
+	d := pl.Choose("mincut", big, Params{Trials: 40}, 0, 8)
+	if d.Fallback || d.P < 1 || d.P > 8 || d.PredictedMs <= 0 {
+		t.Fatalf("mincut = %+v, want a calibrated decision", d)
+	}
+	if got := pl.Snapshot().Choices; got[KernelMCKargerSt] != 1 {
+		t.Fatalf("choices = %v, want one %s", got, KernelMCKargerSt)
 	}
 }
 
 func TestObserveWinRateAndError(t *testing.T) {
-	pl := calibratedCC(t)
-	st := GraphStats{N: 500, M: 2000}
-	d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 0, 16)
+	pl := New(ModeStatic)
+	pl.SetModel(KernelCCSampling, volumeModel())
+	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
 	if !d.Diverged {
 		t.Fatalf("expected divergent decision, got %+v", d)
 	}
@@ -254,7 +230,7 @@ func TestCalibrateBuiltins(t *testing.T) {
 			pl.Choose("cc", GraphStats{N: 1000, M: 5000}, Params{Epsilon: 0.5}, 0, maxP),
 			pl.Choose("mincut", GraphStats{N: 256, M: 1536}, Params{Trials: 92}, 0, maxP),
 		} {
-			if d.Fallback || d.Kernel == "" {
+			if d.Fallback {
 				t.Fatalf("maxP=%d: calibrated planner fell back: %+v", maxP, d)
 			}
 		}

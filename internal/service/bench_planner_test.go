@@ -13,13 +13,13 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// BENCH_planner.json — the portfolio/planner evidence CI archives and
+// BENCH_planner.json — the planner evidence CI archives and
 // cmd/benchgate gates:
 //
-//   - high_diameter: on a 100k-edge path at p=16, the planner-scheduled
-//     CC kernel vs cc.LabelPropagation (the O(d)-superstep baseline
-//     iterated sampling displaces) on a p=16 machine — a same-process
-//     ratio;
+//   - high_diameter: on a 100k-edge path with p pinned to 16, the CC
+//     kernel (iterated sampling) vs cc.LabelPropagation (the
+//     O(d)-superstep baseline it displaces) on a p=16 machine — a
+//     same-process ratio;
 //   - prediction: the planner's own accounting (win rate, mean
 //     |predicted−actual|/actual) after the runs above — a measured time
 //     against a model's prediction, so info only (DESIGN §4g).
@@ -66,9 +66,10 @@ func benchQuery(e *Engine, req QueryRequest) (testing.BenchmarkResult, error) {
 func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	// Plans stay disabled throughout: a warm plan answers CC without
 	// running the kernel (that effect is BENCH_service.json's claim), and
-	// this file times the kernel itself. The planner engine calibrates its cost models at startup — the same
-	// live CalibrateBuiltins path camcd runs, so the chosen kernel below
-	// is a real planning decision, not an injected constant.
+	// this file times the kernel itself. The planner engine calibrates
+	// its cost models at startup — the same live CalibrateBuiltins path
+	// camcd runs, so the predictions below come from real fits, not
+	// injected constants.
 	pe := NewEngine(Config{
 		Workers: 1, MaxProcessors: 16, CacheCapacity: -1, DisablePlans: true,
 		Planner: "static",
@@ -83,7 +84,7 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 		return err
 	}
 
-	// --- high_diameter: label propagation@16 vs the planner's pick@16 ---
+	// --- high_diameter: label propagation@16 vs the CC kernel@16 ---
 	plReq := QueryRequest{Graph: "path", Algorithm: AlgCC, Processors: 16, NoCache: true}
 	probe, err := pe.Query(context.Background(), plReq)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -63,11 +62,10 @@ type Config struct {
 	// admission control, and the retry policy are unchanged.
 	Executor Executor
 	// Planner selects the cost-model query planner mode: "off" (default
-	// and any unparseable value) runs every query on the default kernel
-	// at the heuristic p; "static" scores the kernel portfolio with
-	// models fitted once at startup. Ignored when Executor is set (a
-	// distributed machine's kernel and size are fixed by its worker
-	// group).
+	// and any unparseable value) runs every query's kernel at the
+	// heuristic p; "static" sizes the machine with models fitted once at
+	// startup. Ignored when Executor is set (a distributed machine's size
+	// is fixed by its worker group).
 	Planner string
 	// PlannerModels, when non-nil, installs these fitted model constants
 	// instead of running the startup calibration suite — deterministic
@@ -174,10 +172,10 @@ func NewEngine(cfg Config) *Engine {
 				pl.SetModel(name, m)
 			}
 		} else if err := pl.CalibrateBuiltins(cfg.MaxProcessors); err != nil {
-			// Partial calibration is usable: uncalibrated kernels are
-			// skipped as candidates and decisions missing the default
-			// model fall back (counted); the error itself is surfaced in
-			// the stats snapshot, never swallowed.
+			// Partial calibration is usable: decisions for an
+			// uncalibrated kernel fall back to the heuristic p (counted);
+			// the error itself is surfaced in the stats snapshot, never
+			// swallowed.
 			pl.SetCalibrationError(err)
 		}
 		e.planner = pl
@@ -288,20 +286,20 @@ func (e *Engine) attempt(c *call) (*QueryResult, error) {
 	if e.cfg.Executor != nil {
 		return e.cfg.Executor.Execute(c.ctx, c.Graph, c.alg, c.Params)
 	}
-	return Run(c.ctx, c.Graph, c.alg, c.Kernel, c.Params,
+	return Run(c.ctx, c.Graph, c.alg, c.Params,
 		planner.Shape{P: c.P, Plan: e.planFor(c.Graph, c.P), Faults: e.cfg.Faults})
 }
 
 // Resolved is a query after request resolution: the graph version it
-// reads, its normalized parameters, and the execution shape — which
-// kernel at which machine size.
+// reads, its normalized parameters, and the machine size its algorithm's
+// kernel runs at.
 type Resolved struct {
 	Graph  *StoredGraph
 	Params planner.RunParams
-	Kernel string // resolved portfolio kernel ("" = default path)
 	P      int
-	// dec is the planner decision behind the shape (nil when the planner is
-	// off or the request pinned the kernel), kept for Observe's feedback.
+	// dec is the planner decision behind P (nil when the planner is off,
+	// the kernel has no cost model, or the request pinned the kernel),
+	// kept for Observe's feedback.
 	dec *planner.Decision
 }
 
@@ -321,42 +319,42 @@ func (e *Engine) Resolve(req *QueryRequest) (Resolved, error) {
 	return e.decide(req, sg, pr)
 }
 
-// decide resolves a query's kernel and machine size: an Executor's fixed
-// worker group, a request-pinned kernel (validated), a planner decision,
-// or the pre-portfolio default path — in that order.
+// decide resolves the machine size a query's kernel runs at: an
+// Executor's fixed worker group, the heuristic p for a request-pinned
+// kernel (validated), a planner decision, or the heuristic p — in that
+// order.
 func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams) (Resolved, error) {
 	rs := Resolved{Graph: sg, Params: pr, P: planner.HeuristicP(sg.Snap.M(), req.Processors, e.cfg.MaxProcessors)}
 	if e.cfg.Executor != nil {
-		// A distributed machine's size is its worker-group size and its
-		// kernel the default SPMD body every worker process runs;
-		// per-query shapes don't apply.
+		// A distributed machine's size is its worker-group size; per-query
+		// shapes don't apply.
 		if req.Kernel != "" {
 			return rs, fmt.Errorf("%w: kernel pinning is not supported on a distributed executor", ErrBadRequest)
 		}
 		rs.P = e.cfg.Executor.MachineP()
 		return rs, nil
 	}
+	k := planner.For(req.Algorithm)
 	if req.Kernel != "" {
-		k := planner.Lookup(req.Algorithm, req.Kernel)
-		if k == nil {
-			var have []string
-			for _, m := range planner.KernelsFor(req.Algorithm) {
-				have = append(have, m.Name)
-			}
-			return rs, fmt.Errorf("%w: unknown kernel %q for algorithm %q (have: %s)",
-				ErrBadRequest, req.Kernel, req.Algorithm, strings.Join(have, ", "))
+		// Only a kernel the planner sizes can be pinned.
+		var have string
+		if k.Cost != nil {
+			have = k.Name
 		}
-		rs.Kernel = k.Name
+		if req.Kernel != have {
+			return rs, fmt.Errorf("%w: unknown kernel %q for algorithm %q (have: %s)",
+				ErrBadRequest, req.Kernel, req.Algorithm, have)
+		}
 		return rs, nil
 	}
-	if e.planner == nil || req.Algorithm == AlgApproxCut {
-		return rs, nil // approxcut has no portfolio: always the default path
+	if e.planner == nil || k.Cost == nil {
+		return rs, nil
 	}
 	dec := e.planner.Choose(req.Algorithm, planner.StatsOf(sg.Snap), plannerParams(req.Algorithm, sg, pr),
 		req.Processors, e.cfg.MaxProcessors)
-	// Choose always answers — at worst what rs already holds, the default
-	// kernel ("" when none is registered) at the heuristic p.
-	rs.dec, rs.Kernel, rs.P = &dec, dec.Kernel, dec.P
+	// Choose always answers — at worst what rs already holds, the
+	// heuristic p.
+	rs.dec, rs.P = &dec, dec.P
 	return rs, nil
 }
 
@@ -387,7 +385,7 @@ func (e *Engine) Query(ctx context.Context, req QueryRequest) (*Reply, error) {
 		e.observeFailure(req.Algorithm, trace.OutcomeError, start)
 		return nil, err
 	}
-	key := cacheKey(rs.Graph, req.Algorithm, rs.Kernel, rs.P, rs.Params)
+	key := cacheKey(rs.Graph, req.Algorithm, rs.P, rs.Params)
 
 	timeout := e.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {

@@ -23,9 +23,7 @@ const (
 // is a permanent /metrics series.
 const algUnknown = "unknown"
 
-func knownAlgorithm(alg string) bool {
-	return alg == AlgCC || alg == AlgMinCut || alg == AlgApproxCut
-}
+func knownAlgorithm(alg string) bool { return planner.For(alg) != nil }
 
 // QueryRequest describes one analytics query against a registered graph.
 // The zero value of every tuning field selects the repo-wide default.
@@ -39,10 +37,10 @@ type QueryRequest struct {
 	// Processors pins the BSP machine size; 0 lets the scheduler size it
 	// from the graph (clamped to the engine's MaxProcessors either way).
 	Processors int `json:"processors,omitempty"`
-	// Kernel pins a specific portfolio kernel ("sampling" for cc;
-	// "kargerstein" for mincut), bypassing the planner; any other name is
-	// a bad request. Empty lets the planner (or, with the planner off,
-	// the default kernel) decide.
+	// Kernel names the algorithm's kernel ("sampling" for cc,
+	// "kargerstein" for mincut) to run it at the heuristic p, bypassing
+	// the planner; any other name is a bad request. Empty lets the
+	// planner (or, with the planner off, the heuristic) size the machine.
 	Kernel string `json:"kernel,omitempty"`
 	// SuccessProb targets the exact min cut success probability
 	// (default 0.9).
@@ -159,12 +157,11 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 	}
 }
 
-// Run is the one way a query's kernel is executed: it resolves (alg,
-// kern) in the planner's kernel table ("" = the algorithm's default
-// member) and drives Kernel.Exec over the snapshot's frozen edge array in
-// the given shape, cancellable through ctx — when the deadline fires (or
-// every waiter abandons the call) the machine is cancelled and unwinds
-// within one superstep. A cancelled run on a pooled machine degrades to
+// Run is the one way a query's kernel is executed: it looks up alg's
+// kernel (planner.For) and drives Kernel.Exec over the snapshot's frozen
+// edge array in the given shape, cancellable through ctx — when the
+// deadline fires (or every waiter abandons the call) the machine is
+// cancelled and unwinds within one superstep. A cancelled run on a pooled machine degrades to
 // the kernel checkpoint's best-so-far answer when one exists; otherwise
 // the error wraps bsp.ErrCancelled for the engine to map. A process of a
 // TCP machine hosting no global rank 0 gets (nil, nil).
@@ -176,10 +173,10 @@ func kernelStatsOf(st *bsp.Stats) KernelStats {
 // concurrent queries recycle each other's
 // allocations instead of growing the heap per query. See
 // stress_test.go for the race-checked exercise of that sharing.
-func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunParams, sh planner.Shape) (*QueryResult, error) {
-	k := planner.Lookup(alg, kern)
+func Run(ctx context.Context, sg *StoredGraph, alg string, pr planner.RunParams, sh planner.Shape) (*QueryResult, error) {
+	k := planner.For(alg)
 	if k == nil {
-		return nil, fmt.Errorf("%w: no kernel %q answers %q", ErrBadRequest, kern, alg)
+		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, alg)
 	}
 	var cp planner.Checkpoint
 	if sh.Machine == nil && k.NewCheckpoint != nil {
@@ -205,7 +202,7 @@ func Run(ctx context.Context, sg *StoredGraph, alg, kern string, pr planner.RunP
 	}
 	res.Outcome = *out
 	res.Kernel = kernelStatsOf(st)
-	res.Kernel.Kernel = kern
+	res.Kernel.Kernel = k.Name
 	return res, nil
 }
 
@@ -230,15 +227,12 @@ func retryHint(elapsed time.Duration, done, planned int) int64 {
 }
 
 // cacheKey builds the canonical identity of a query: graph name, version
-// and content fingerprint, algorithm, resolved kernel, machine size, and
-// every normalized tuning parameter. Two requests with equal keys are
-// the same computation — safe to coalesce and to serve from cache. The
-// kernel is part of the identity because a pin and the planner may
-// resolve equal parameters to different (result-equivalent) kernels,
-// whose reported profiles differ.
-func cacheKey(sg *StoredGraph, alg, kern string, p int, pr planner.RunParams) string {
-	return fmt.Sprintf("%s@%d#%016x|%s|k%s|p%d|s%d|e%g|sp%g|mt%d|t%d|pl%t",
-		sg.Name, sg.Version, sg.Snap.Fingerprint(), alg, kern, p,
+// and content fingerprint, algorithm, machine size, and every normalized
+// tuning parameter. Two requests with equal keys are the same
+// computation — safe to coalesce and to serve from cache.
+func cacheKey(sg *StoredGraph, alg string, p int, pr planner.RunParams) string {
+	return fmt.Sprintf("%s@%d#%016x|%s|p%d|s%d|e%g|sp%g|mt%d|t%d|pl%t",
+		sg.Name, sg.Version, sg.Snap.Fingerprint(), alg, p,
 		pr.Seed, pr.Epsilon, pr.SuccessProb, pr.MaxTrials, pr.Trials, pr.Pipelined)
 }
 

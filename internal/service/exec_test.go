@@ -45,8 +45,8 @@ func TestCancelledRunDropsItsMachine(t *testing.T) {
 	const p = 7 // a size no other test in this package pools
 	var rank0 *bsp.Comm
 	var cancel context.CancelFunc
-	t.Cleanup(planner.Register(&planner.Kernel{
-		Name: "spy", Algorithm: AlgCC,
+	spy := planner.Kernel{
+		Name: "spy",
 		Run: func(c *bsp.Comm, _ int, _ []graph.Edge, _ planner.RunParams, _ *graph.Plan, _ planner.Checkpoint) *planner.Outcome {
 			if c.Rank() == 0 {
 				rank0 = c
@@ -59,19 +59,22 @@ func TestCancelledRunDropsItsMachine(t *testing.T) {
 			}
 			return &planner.Outcome{}
 		},
-		Cost: planner.Lookup(AlgCC, planner.KernelCCSampling).Cost,
-	}))
-	sg := &StoredGraph{Name: "g", Version: 1, Snap: testGraph(16, 20).Snapshot()}
+	}
+	g := testGraph(16, 20)
+	run := func(ctx context.Context) error {
+		_, _, err := spy.Exec(ctx, planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{}, nil)
+		return err
+	}
 
 	ctx, stop := context.WithCancel(context.Background())
 	cancel = stop
-	if _, err := Run(ctx, sg, AlgCC, "spy", planner.RunParams{}, planner.Shape{P: p}); !errors.Is(err, bsp.ErrCancelled) {
+	if err := run(ctx); !errors.Is(err, bsp.ErrCancelled) {
 		t.Fatalf("cancelled run returned %v, want ErrCancelled", err)
 	}
 	cancelled := rank0
 	cancel = nil
 	for i := 0; i < 20; i++ {
-		if _, err := Run(context.Background(), sg, AlgCC, "spy", planner.RunParams{}, planner.Shape{P: p}); err != nil {
+		if err := run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if rank0 == cancelled {

@@ -42,7 +42,7 @@ func (s *stubExecutor) Execute(ctx context.Context, sg *StoredGraph, alg string,
 	if err != nil {
 		return nil, err
 	}
-	return Run(ctx, sg, alg, "", pr, planner.Shape{Machine: m})
+	return Run(ctx, sg, alg, pr, planner.Shape{Machine: m})
 }
 
 // TestExecutorTransportFailure pins the peer-loss contract: a lost

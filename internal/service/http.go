@@ -217,17 +217,27 @@ type QueryResponse struct {
 	RetryAfterMs        int64   `json:"retry_after_ms,omitempty"`
 }
 
-// decodeQuery reads a /v1/query body: one JSON object, no unknown
-// fields.
-func decodeQuery(r io.Reader, req *QueryRequest) error {
+// DecodeQuery reads a query body (/v1/query, a shard worker's
+// /v1/local): one JSON object, no unknown fields, nothing but whitespace
+// after it.
+func DecodeQuery(r io.Reader, req *QueryRequest) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return fmt.Errorf("trailing data after the query object: %w", err)
+	}
+	return nil
 }
 
 func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := decodeQuery(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
+	if err := DecodeQuery(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("query body over %d bytes", tooLarge.Limit))

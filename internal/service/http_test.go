@@ -255,9 +255,41 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// A kernel pin that names no member of the algorithm's table — a typo,
-// or a member the table no longer has — is a 400 whose message lists the
-// valid members.
+// A query body is one JSON object: trailing bytes after it are a 400, as
+// they are at the shard frontend, while trailing whitespace is not.
+func TestHTTPQueryTrailingBytes(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	const q = `{"graph":"g","algorithm":"cc"}`
+	for body, want := range map[string]int{
+		q:                   http.StatusOK,
+		q + "\n":            http.StatusOK,
+		q + " \r\n\t":       http.StatusOK,
+		q + "garbage":       http.StatusBadRequest,
+		q + `{"graph":"g"}`: http.StatusBadRequest,
+		q + "}":             http.StatusBadRequest,
+		q + "\n" + q:        http.StatusBadRequest,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("body %q: status %d, want %d (%s)", body, resp.StatusCode, want, b)
+		}
+	}
+}
+
+// A kernel pin that names anything but the algorithm's kernel — a typo,
+// or a kernel the table no longer has — is a 400 whose message names the
+// one that may be pinned.
 func TestHTTPUnknownKernelPin(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {

@@ -159,9 +159,8 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 		{"camc_uptime_seconds", "Process uptime.", "gauge", st.UptimeMs / 1e3},
 	})
 
-	// Per-kernel execution aggregates appear once any named portfolio
-	// kernel has run (planner on, or a request-pinned kernel); absent
-	// otherwise, so pre-portfolio scrapes are byte-identical.
+	// Per-kernel execution aggregates appear once any kernel has run
+	// (every execution names its kernel); absent before.
 	if len(snap.Kernels) > 0 {
 		kernels := sortedKeys(snap.Kernels)
 		for _, f := range trace.KernelFamilies {

@@ -170,6 +170,7 @@ func TestMetricsEndpointLive(t *testing.T) {
 		`camc_queries_total{algorithm="cc",outcome="executed"} 1`,
 		`camc_query_latency_seconds_count{algorithm="cc"} 1`,
 		`camc_transport_kernel_executions_total{transport="local"} 1`,
+		`camc_kernel_executions_total{kernel="sampling"} 1`,
 		"camc_graphs 1",
 	} {
 		if !strings.Contains(body, want) {

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,34 +12,12 @@ import (
 	"repro/internal/planner"
 )
 
-// fakeCC names a second CC member the cross-kernel tests register: the
-// table ships one member per algorithm, and overriding the default
-// kernel, pinning a non-default one and attributing stats per kernel
-// need two.
-const fakeCC = "fakecc"
-
-// registerFakeCC adds fakeCC for the rest of the test. It runs the
-// default member's kernel, so every answer is bit-identical to the
-// default's, priced as a few rounds of one n-word all-reduce each.
-func registerFakeCC(t *testing.T) {
-	t.Cleanup(planner.Register(&planner.Kernel{
-		Name: fakeCC, Algorithm: AlgCC, Run: planner.Lookup(AlgCC, "").Run,
-		Cost: func(st planner.GraphStats, p int, _ planner.Params) perfmodel.Sample {
-			n, m, fp := float64(st.N), float64(st.M), float64(p)
-			return perfmodel.Sample{Comp: 4 * (m/fp + 2*n), Volume: 8 * (fp - 1) * n, Supersteps: 18, P: fp}
-		},
-	}))
-}
-
-// testModels registers fakeCC and returns fixed model constants that
-// make decisions deterministic in tests: the default sampling kernel
-// pays 50µs of fixed overhead, fakeCC 1µs, so small graphs route to
-// fakeCC on a small machine.
-func testModels(t *testing.T) map[string]*perfmodel.Model {
-	registerFakeCC(t)
+// testModels returns fixed model constants that make decisions
+// deterministic in tests: sampling pays 1ms per word shipped, so p = 1 —
+// the one size that ships none — beats the heuristic's p on any graph.
+func testModels() map[string]*perfmodel.Model {
 	return map[string]*perfmodel.Model{
-		planner.KernelCCSampling: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
-		fakeCC:                   {A: 1e-9, B: 2e-9, C: 1e-6, D: 1e-6},
+		planner.KernelCCSampling: {A: 1e-9, B: 1e-3, C: 1e-6, D: 5e-5},
 		planner.KernelMCKargerSt: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-3},
 	}
 }
@@ -63,11 +43,11 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsOff.Kernel != "" || rsOff.P != heuristic || rsOff.dec != nil {
-		t.Fatalf("planner off: decide = %+v, want default kernel at heuristic p=%d", rsOff, heuristic)
+	if rsOff.P != heuristic || rsOff.dec != nil {
+		t.Fatalf("planner off: decide = %+v, want the heuristic p=%d", rsOff, heuristic)
 	}
 
-	on := newTestEngine(t, Config{MaxProcessors: 16, Planner: "static", PlannerModels: testModels(t)})
+	on := newTestEngine(t, Config{MaxProcessors: 16, Planner: "static", PlannerModels: testModels()})
 	sgOn, err := on.Registry().Put("g", g)
 	if err != nil {
 		t.Fatal(err)
@@ -76,23 +56,23 @@ func TestDecideConsultsPlannerNotThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under the injected constants a 21k-edge graph is cheaper on
-	// fakeCC at a smaller machine than on sampling at the thresholds'
-	// 4 processors: the planner must override both the kernel and the p.
-	if rsOn.Kernel != fakeCC || rsOn.P == heuristic {
-		t.Fatalf("planner on: decide = kern=%q p=%d, want %s at p != %d", rsOn.Kernel, rsOn.P, fakeCC, heuristic)
+	// Under the injected constants a 21k-edge graph is cheaper at p = 1
+	// than at the thresholds' 4 processors: the planner must override
+	// the p.
+	if rsOn.P != 1 {
+		t.Fatalf("planner on: decide = p=%d, want p=1 (heuristic %d)", rsOn.P, heuristic)
 	}
 	if rsOn.dec == nil || !rsOn.dec.Diverged || rsOn.dec.Fallback {
 		t.Fatalf("planner on: decision = %+v, want diverged non-fallback", rsOn.dec)
 	}
-	// An explicit processor pin is still honored — the planner only picks
-	// among kernels at that p.
+	// An explicit processor pin is still honored — the planner's one
+	// candidate.
 	rsPin, err := on.decide(&QueryRequest{Graph: "g", Algorithm: AlgCC, Processors: 8}, sgOn, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rsPin.P != 8 {
-		t.Fatalf("explicit p: decide = kern=%q p=%d, want p=8", rsPin.Kernel, rsPin.P)
+		t.Fatalf("explicit p: decide = p=%d, want p=8", rsPin.P)
 	}
 }
 
@@ -104,7 +84,7 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	mcGraph := testGraph(60, 150)
 
 	off := newTestEngine(t, Config{MaxProcessors: 8})
-	on := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels(t)})
+	on := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels()})
 	for _, e := range []*Engine{off, on} {
 		if _, err := e.Registry().Put("cc", ccGraph); err != nil {
 			t.Fatal(err)
@@ -123,8 +103,14 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ccOn.Result.Kernel.Kernel != fakeCC {
-		t.Fatalf("planner-on cc kernel = %q, want %s (injected models)", ccOn.Result.Kernel.Kernel, fakeCC)
+	for _, k := range []KernelStats{ccOff.Result.Kernel, ccOn.Result.Kernel} {
+		if k.Kernel != planner.KernelCCSampling {
+			t.Fatalf("cc ran kernel %q, want %s", k.Kernel, planner.KernelCCSampling)
+		}
+	}
+	if ccOff.Result.Kernel.P != 4 || ccOn.Result.Kernel.P != 1 {
+		t.Fatalf("cc ran at p=%d off and p=%d on, want 4 and 1 (injected models)",
+			ccOff.Result.Kernel.P, ccOn.Result.Kernel.P)
 	}
 	if ccOff.Result.Components != ccOn.Result.Components {
 		t.Fatalf("component count diverged: off %d, on %d", ccOff.Result.Components, ccOn.Result.Components)
@@ -151,27 +137,26 @@ func TestPlannerResultEquivalence(t *testing.T) {
 	}
 }
 
-// A planner without a calibrated model for the default kernel runs the
-// default path and surfaces the event: Decision.Fallback, the planner's
+// A planner without a calibrated model for the CC kernel runs it at the
+// heuristic p and surfaces the event: Decision.Fallback, the planner's
 // fallback counter, and the collector's planner_fallbacks counter all
 // fire — never a silent default.
 func TestPlannerFallbackSurfaced(t *testing.T) {
-	// fakeCC is calibrated but the default (sampling) is not — as after
-	// a partial calibration failure.
-	registerFakeCC(t)
-	models := map[string]*perfmodel.Model{
-		fakeCC: {A: 1e-9, B: 2e-9, C: 1e-6, D: 5e-5},
-	}
+	// kargerstein is calibrated but sampling is not — as after a partial
+	// calibration failure.
+	models := testModels()
+	delete(models, planner.KernelCCSampling)
 	e := newTestEngine(t, Config{MaxProcessors: 4, Planner: "static", PlannerModels: models})
-	if _, err := e.Registry().Put("g", testGraph(200, 600)); err != nil {
+	g := testGraph(1000, 20000)
+	if _, err := e.Registry().Put("g", g); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := e.Query(context.Background(), QueryRequest{Graph: "g", Algorithm: AlgCC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Result.Kernel.Kernel != planner.KernelCCSampling {
-		t.Fatalf("fallback ran kernel %q, want default %q", rep.Result.Kernel.Kernel, planner.KernelCCSampling)
+	if k := rep.Result.Kernel; k.Kernel != planner.KernelCCSampling || k.P != planner.HeuristicP(len(g.Edges), 0, 4) {
+		t.Fatalf("fallback ran %q at p=%d, want %q at the heuristic p", k.Kernel, k.P, planner.KernelCCSampling)
 	}
 	st := e.Stats()
 	if st.Planner == nil {
@@ -185,67 +170,68 @@ func TestPlannerFallbackSurfaced(t *testing.T) {
 	}
 }
 
-// Request-pinned kernels bypass the planner but are validated.
+// A pin names the algorithm's own kernel and runs it at the heuristic p,
+// bypassing the planner; any other name is a bad request.
 func TestKernelPinning(t *testing.T) {
-	registerFakeCC(t)
-	e := newTestEngine(t, Config{MaxProcessors: 4})
-	if _, err := e.Registry().Put("g", testGraph(300, 900)); err != nil {
+	e := newTestEngine(t, Config{MaxProcessors: 4, Planner: "static", PlannerModels: testModels()})
+	g := testGraph(1000, 20000)
+	if _, err := e.Registry().Put("g", g); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	heuristic := planner.HeuristicP(len(g.Edges), 0, 4)
 
 	base, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, IncludeLabels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kern := range []string{
-		planner.KernelCCSampling,
-		fakeCC,
-	} {
-		rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: kern, IncludeLabels: true})
-		if err != nil {
-			t.Fatalf("%s: %v", kern, err)
-		}
-		if rep.Result.Kernel.Kernel != kern {
-			t.Fatalf("pinned %q but ran %q", kern, rep.Result.Kernel.Kernel)
-		}
-		if rep.Result.Components != base.Result.Components {
-			t.Fatalf("%s: components %d != default %d", kern, rep.Result.Components, base.Result.Components)
-		}
-		for v := range base.Result.Labels {
-			if rep.Result.Labels[v] != base.Result.Labels[v] {
-				t.Fatalf("%s: label diverged at v=%d", kern, v)
-			}
-		}
+	if base.Result.Kernel.P == heuristic {
+		t.Fatalf("test premise: the planner chose the heuristic p=%d", heuristic)
 	}
-	// Names outside the table — including the deleted members — and a cc
-	// kernel on mincut are bad requests.
-	for _, req := range []QueryRequest{
-		{Graph: "g", Algorithm: AlgCC, Kernel: "bogus"},
-		{Graph: "g", Algorithm: AlgCC, Kernel: "lowround"},
-		{Graph: "g", Algorithm: AlgCC, Kernel: "labelprop"},
-		{Graph: "g", Algorithm: AlgCC, Kernel: "shared"},
-		{Graph: "g", Algorithm: AlgMinCut, Kernel: "stoerwagner"},
-		{Graph: "g", Algorithm: AlgMinCut, Kernel: planner.KernelCCSampling},
-	} {
-		if _, err := e.Query(ctx, req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "unknown kernel") {
-			t.Fatalf("%s pin error = %v, want ErrBadRequest unknown kernel", req.Kernel, err)
-		}
-	}
-	// A pin runs on a machine of the requested size.
-	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: fakeCC, Processors: 4, NoCache: true})
+	rep, err := e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCSampling, IncludeLabels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Result.Kernel.Transport != "local" || rep.Result.Kernel.P != 4 {
-		t.Fatalf("pinned %s at p=4 kernel stats = %+v", fakeCC, rep.Result.Kernel)
+	if k := rep.Result.Kernel; k.Kernel != planner.KernelCCSampling || k.P != heuristic {
+		t.Fatalf("pinned %s ran %q at p=%d, want the heuristic p=%d", planner.KernelCCSampling, k.Kernel, k.P, heuristic)
+	}
+	if rep.Result.Components != base.Result.Components || !slices.Equal(rep.Result.Labels, base.Result.Labels) {
+		t.Fatal("pinned run's labels differ from the planned run's")
+	}
+	// Names outside the table — including the deleted members — another
+	// algorithm's kernel and approxcut's own (it has no cost model) are
+	// bad requests that list what may be pinned.
+	for _, c := range []struct {
+		alg, kern, have string
+	}{
+		{AlgCC, "bogus", planner.KernelCCSampling},
+		{AlgCC, "lowround", planner.KernelCCSampling},
+		{AlgCC, "labelprop", planner.KernelCCSampling},
+		{AlgCC, "shared", planner.KernelCCSampling},
+		{AlgMinCut, "stoerwagner", planner.KernelMCKargerSt},
+		{AlgMinCut, planner.KernelCCSampling, planner.KernelMCKargerSt},
+		{AlgApproxCut, planner.KernelApproxCut, ""},
+	} {
+		req := QueryRequest{Graph: "g", Algorithm: c.alg, Kernel: c.kern}
+		want := fmt.Sprintf("unknown kernel %q for algorithm %q (have: %s)", c.kern, c.alg, c.have)
+		if _, err := e.Query(ctx, req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s pin on %s: error = %v, want ErrBadRequest %q", c.kern, c.alg, err, want)
+		}
+	}
+	// A pin runs on a machine of the requested size.
+	rep, err = e.Query(ctx, QueryRequest{Graph: "g", Algorithm: AlgCC, Kernel: planner.KernelCCSampling, Processors: 2, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Result.Kernel.Transport != "local" || rep.Result.Kernel.P != 2 {
+		t.Fatalf("pinned %s at p=2 kernel stats = %+v", planner.KernelCCSampling, rep.Result.Kernel)
 	}
 }
 
 // A planner-scheduled execution feeds win-rate and prediction-error
 // accounting visible in the stats snapshot.
 func TestPlannerStatsAccounting(t *testing.T) {
-	e := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels(t)})
+	e := newTestEngine(t, Config{MaxProcessors: 8, Planner: "static", PlannerModels: testModels()})
 	if _, err := e.Registry().Put("g", testGraph(1000, 20000)); err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +251,9 @@ func TestPlannerStatsAccounting(t *testing.T) {
 	if len(st.Queries.Kernels) == 0 {
 		t.Fatal("collector kernel aggregates missing")
 	}
-	agg, ok := st.Queries.Kernels[fakeCC]
+	agg, ok := st.Queries.Kernels[planner.KernelCCSampling]
 	if !ok || agg.Executions == 0 {
-		t.Fatalf("kernel aggregate missing for %s: %+v", fakeCC, st.Queries.Kernels)
+		t.Fatalf("kernel aggregate missing for %s: %+v", planner.KernelCCSampling, st.Queries.Kernels)
 	}
 	if agg.TotalPredictedMs <= 0 {
 		t.Fatalf("predicted time not aggregated: %+v", agg)

@@ -70,7 +70,8 @@ func NewRegistry() *Registry {
 }
 
 // Put registers (or replaces) a graph under name and returns its stored
-// form. An empty name auto-generates one ("g1", "g2", ...). The graph is
+// form. An empty name auto-generates an unused one ("g1", "g2", ...,
+// skipping any a caller already took). The graph is
 // validated and snapshotted; the caller's graph may be mutated freely
 // afterwards.
 func (r *Registry) Put(name string, g *graph.Graph) (*StoredGraph, error) {
@@ -84,8 +85,10 @@ func (r *Registry) Put(name string, g *graph.Graph) (*StoredGraph, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if name == "" {
-		r.nextID++
-		name = fmt.Sprintf("g%d", r.nextID)
+		for name == "" || r.graphs[name] != nil {
+			r.nextID++
+			name = fmt.Sprintf("g%d", r.nextID)
+		}
 	}
 	version := uint64(1)
 	if prev, ok := r.graphs[name]; ok {

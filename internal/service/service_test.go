@@ -65,6 +65,18 @@ func TestRegistryVersioning(t *testing.T) {
 	if !r.Delete("web") || r.Delete("web") {
 		t.Error("delete semantics")
 	}
+	// An auto-generated name never replaces a graph a caller named.
+	named, err := r.Put("g2", testGraph(10, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Put("", testGraph(12, 20))
+	if err != nil || d.Name == "g2" || d.Version != 1 {
+		t.Fatalf("auto-name after a taken g2: %+v, %v", d, err)
+	}
+	if got, err := r.Get("g2"); err != nil || got != named || got.Snap.N() != 10 {
+		t.Fatalf("g2 after an unnamed put: %+v, %v", got, err)
+	}
 	// Invalid graphs are rejected as bad requests.
 	bad := &graph.Graph{N: 2, Edges: []graph.Edge{{U: 0, V: 5, W: 1}}}
 	if _, err := r.Put("bad", bad); !errors.Is(err, ErrBadRequest) {
@@ -423,20 +435,19 @@ func TestCacheKeyDistinct(t *testing.T) {
 		}
 		keys[k] = desc
 	}
-	add("base", cacheKey(sg, AlgCC, "", 2, base))
-	add("other alg", cacheKey(sg, AlgMinCut, "", 2, base))
-	add("other p", cacheKey(sg, AlgCC, "", 4, base))
+	add("base", cacheKey(sg, AlgCC, 2, base))
+	add("other alg", cacheKey(sg, AlgMinCut, 2, base))
+	add("other p", cacheKey(sg, AlgCC, 4, base))
 	seeded := base
 	seeded.Seed = 99
-	add("other seed", cacheKey(sg, AlgCC, "", 2, seeded))
+	add("other seed", cacheKey(sg, AlgCC, 2, seeded))
 	eps := base
 	eps.Epsilon = 1.0
-	add("other epsilon", cacheKey(sg, AlgCC, "", 2, eps))
+	add("other epsilon", cacheKey(sg, AlgCC, 2, eps))
 	sg2 := &StoredGraph{Name: sg.Name, Version: sg.Version + 1, Snap: sg.Snap}
-	add("other version", cacheKey(sg2, AlgCC, "", 2, base))
-	add("other kernel", cacheKey(sg, AlgCC, "sampling", 2, base))
-	if len(keys) != 7 {
-		t.Errorf("expected 7 distinct keys, got %d", len(keys))
+	add("other version", cacheKey(sg2, AlgCC, 2, base))
+	if len(keys) != 6 {
+		t.Errorf("expected 6 distinct keys, got %d", len(keys))
 	}
 	for k := range keys {
 		if !strings.Contains(k, "cc") && !strings.Contains(k, "mincut") {

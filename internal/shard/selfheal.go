@@ -257,9 +257,7 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := service.DecodeQuery(http.MaxBytesReader(rw, r.Body, 1<<20), &req); err != nil {
 		writeShardError(rw, bodyStatus(err, http.StatusBadRequest), fmt.Errorf("bad query body: %w", err))
 		return
 	}
@@ -274,7 +272,7 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Kernel, rs.Params, planner.Shape{P: 1})
+	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Params, planner.Shape{P: 1})
 	if err != nil {
 		rw.Header().Set("Retry-After", "1")
 		writeShardError(rw, http.StatusServiceUnavailable, err)

@@ -486,6 +486,44 @@ func TestOversizedQueryBody413(t *testing.T) {
 	}
 }
 
+// TestQueryTrailingBytes400 pins one answer for a query body with bytes
+// after its JSON object on every tier — the frontend's /v1/query, the
+// worker's /v1/query and the worker's /v1/local: 400 for a second value
+// or garbage, 200 for trailing whitespace.
+func TestQueryTrailingBytes400(t *testing.T) {
+	workers, urls, _ := fastWorkerGroup(t, 1, 905, nil, nil)
+	defer workers[0].Close()
+	fe, err := NewFrontend([][]string{{urls[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fe.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/graphs?name=c", "text/plain", strings.NewReader(edgeListOf(t, gen.Cycle(16, 1))))
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %v status %d", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	const q = `{"graph":"c","algorithm":"cc"}`
+	for _, url := range []string{srv.URL + "/v1/query", urls[0] + "/v1/query", urls[0] + "/v1/local"} {
+		for body, want := range map[string]int{
+			q + "\n":          http.StatusOK,
+			q + "garbage":     http.StatusBadRequest,
+			q + `{"graph":1}`: http.StatusBadRequest,
+		} {
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with %q: status %d, want %d", url, body, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 // TestBreakerTransitions unit-tests the breaker state machine.
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)

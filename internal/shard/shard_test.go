@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/planner"
 	"repro/internal/service"
 	"repro/internal/transport"
 )
@@ -232,6 +233,9 @@ func TestFleetEndToEnd(t *testing.T) {
 			}
 			if qr.Kernel.P != wantP[i] {
 				t.Fatalf("%s %s ran at p=%d, want %d", name, alg, qr.Kernel.P, wantP[i])
+			}
+			if want := planner.For(alg).Name; qr.Kernel.Kernel != want {
+				t.Fatalf("%s %s reply names kernel %q, want %q", name, alg, qr.Kernel.Kernel, want)
 			}
 			if qr.Kernel.Transport != wantTransport[i] {
 				t.Fatalf("%s %s transport %q, want %q", name, alg, qr.Kernel.Transport, wantTransport[i])

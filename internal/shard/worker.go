@@ -287,7 +287,7 @@ func (w *Worker) runPeerJob(job ctrlMsg, sg *service.StoredGraph, refusal error)
 }
 
 // runOnSession executes one distributed run's local share on its
-// session: wire-fault hook, machine, default kernel on the
+// session: wire-fault hook, machine, the algorithm's kernel on the
 // caller-supplied shape.
 func (w *Worker) runOnSession(ctx context.Context, sess *transport.Session, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	if w.faults != nil {
@@ -299,7 +299,7 @@ func (w *Worker) runOnSession(ctx context.Context, sess *transport.Session, sg *
 	if err != nil {
 		return nil, err
 	}
-	return service.Run(ctx, sg, alg, "", pr, planner.Shape{Machine: m})
+	return service.Run(ctx, sg, alg, pr, planner.Shape{Machine: m})
 }
 
 // distExecutor is the leader's service.Executor: it runs every query on

@@ -70,6 +70,12 @@ func ParseConfig(r io.Reader) (Config, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("tenant: bad config: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return Config{}, fmt.Errorf("tenant: bad config: trailing data after the object: %w", err)
+	}
 	names := make(map[string]bool, len(cfg.Tenants))
 	tokens := make(map[string]bool, len(cfg.Tenants))
 	for i, tc := range cfg.Tenants {

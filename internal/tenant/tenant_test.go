@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -55,12 +56,14 @@ func TestParseConfigErrors(t *testing.T) {
 		{"dup name", `{"tenants":[{"name":"a","token":"t1"},{"name":"a","token":"t2"}]}`},
 		{"dup token", `{"tenants":[{"name":"a","token":"t"},{"name":"b","token":"t"}]}`},
 		{"negative quota", `{"tenants":[{"name":"a","token":"t","quotas":{"qps":-1}}]}`},
+		{"trailing garbage", `{"tenants":[]}garbage`},
+		{"second object", `{"tenants":[]} {"tenants":[]}`},
 	} {
 		if _, err := ParseConfig(strings.NewReader(tc.body)); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
-	good := `{"tenants":[{"name":"a","token":"t","quotas":{"qps":2.5,"max_graphs":3}}]}`
+	good := `{"tenants":[{"name":"a","token":"t","quotas":{"qps":2.5,"max_graphs":3}}]}` + "\n"
 	cfg, err := ParseConfig(strings.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
@@ -366,17 +369,24 @@ func TestHugeQPSDefaultBurst(t *testing.T) {
 }
 
 // FuzzTenantConfig: no config body panics the parser or the registry,
-// and an accepted tenant with a qps and no burst gets a bucket at least
-// min(⌈qps⌉, MaxInt32) deep.
+// an accepted body is exactly one JSON value, and an accepted tenant
+// with a qps and no burst gets a bucket at least min(⌈qps⌉, MaxInt32)
+// deep.
 func FuzzTenantConfig(f *testing.F) {
 	f.Add([]byte(tenantBody(`{"qps":1e19}`)))
 	f.Add([]byte(tenantBody(`{"qps":0.25,"max_concurrent":2}`)))
 	f.Add([]byte(tenantBody(`{"qps":2,"burst":3,"max_graphs":1,"max_bytes":100}`)))
 	f.Add([]byte(`{"tenants":[{"name":"a","token":"t"},{"name":"b","token":"t"}]}`))
+	f.Add([]byte(tenantBody(`{"qps":1}`) + "garbage"))
+	f.Add([]byte(tenantBody(`{"qps":1}`) + "{}"))
+	f.Add([]byte(tenantBody(`{"qps":1}`) + "\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		cfg, err := ParseConfig(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted %q, which is not one JSON value", body)
 		}
 		quotas := make(map[string]Quotas, len(cfg.Tenants))
 		for _, tc := range cfg.Tenants {

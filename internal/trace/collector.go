@@ -54,10 +54,9 @@ type KernelStats struct {
 	// raw. It is kept only for the benchmark harness, which reads it to
 	// decide whether a run moved socket bytes.
 	WireRawBytes uint64 `json:"wire_raw_bytes,omitempty"`
-	// Kernel names the portfolio kernel that produced the result; empty
-	// when the planner is off and no kernel was pinned (the default
-	// kernel ran). PredictedMs is the planner's predicted wall time for
-	// this execution (0 when unplanned) — compare with TimeMs for the
+	// Kernel names the kernel that produced the result, its algorithm's
+	// one (planner.For). PredictedMs is the planner's predicted wall time
+	// for this execution (0 when unplanned) — compare with TimeMs for the
 	// model's accuracy on this query.
 	Kernel      string  `json:"kernel,omitempty"`
 	PredictedMs float64 `json:"predicted_ms,omitempty"`
@@ -76,8 +75,7 @@ type QuerySample struct {
 	// a cache hit carries the stored profile so max_p still sees its P.
 	Kernel *KernelStats
 	// PlannerFallback marks a query the planner could not score (no
-	// calibrated model for the default kernel) and handed to the default
-	// path.
+	// calibrated model for its kernel) and ran at the heuristic p.
 	PlannerFallback bool
 }
 
@@ -244,7 +242,7 @@ func (a *AlgoStats) observe(s *QuerySample) {
 	a.AvgLatencyMs = a.TotalLatencyMs / float64(a.latencySamples)
 }
 
-// KernelAgg aggregates the executions of one portfolio kernel: how often
+// KernelAgg aggregates the executions of one kernel: how often
 // it ran, its measured kernel time, and the planner's predictions for it
 // — the raw material of the planner's observable accuracy.
 type KernelAgg struct {
@@ -259,9 +257,9 @@ var KernelFamilies = []struct {
 	Family, Help string
 	Value        func(*KernelAgg) float64
 }{
-	{"camc_kernel_executions_total", "Kernel executions per portfolio kernel.", func(k *KernelAgg) float64 { return float64(k.Executions) }},
-	{"camc_kernel_time_seconds_total", "Measured kernel time per portfolio kernel.", func(k *KernelAgg) float64 { return k.TotalKernelMs / 1e3 }},
-	{"camc_kernel_predicted_seconds_total", "Planner-predicted time per portfolio kernel.", func(k *KernelAgg) float64 { return k.TotalPredictedMs / 1e3 }},
+	{"camc_kernel_executions_total", "Executions per kernel.", func(k *KernelAgg) float64 { return float64(k.Executions) }},
+	{"camc_kernel_time_seconds_total", "Measured kernel time per kernel.", func(k *KernelAgg) float64 { return k.TotalKernelMs / 1e3 }},
+	{"camc_kernel_predicted_seconds_total", "Planner-predicted time per kernel.", func(k *KernelAgg) float64 { return k.TotalPredictedMs / 1e3 }},
 }
 
 // TransportStats aggregates the kernel executions carried by one BSP
@@ -289,8 +287,8 @@ type CollectorSnapshot struct {
 	Transports    map[string]TransportStats `json:"transports,omitempty"`
 	Kernels       map[string]KernelAgg      `json:"kernels,omitempty"`
 	MaxQueueDepth int                       `json:"max_queue_depth"`
-	// PlannerFallbacks counts executed queries the planner handed to the
-	// default kernel because it had no calibrated model to score with.
+	// PlannerFallbacks counts executed queries the planner ran at the
+	// heuristic p because it had no calibrated model to score with.
 	PlannerFallbacks uint64 `json:"planner_fallbacks,omitempty"`
 }
 
