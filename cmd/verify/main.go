@@ -138,7 +138,7 @@ func main() {
 		}
 		return out.Labels, nil
 	}}
-	ccRows, err := oracle.CC([]oracle.CCKernel{kernel}, oracle.CCInputs(), []int{*p}, 3)
+	ccRows, err := oracle.CC(kernel, oracle.CCInputs(), []int{*p}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -122,12 +122,22 @@ func TestAbortingPollInComputePhase(t *testing.T) {
 	}
 }
 
+// runCtx runs body on a fresh p-processor machine bound to ctx.
+func runCtx(t *testing.T, ctx context.Context, p int, body func(c *Comm)) (*Stats, error) {
+	t.Helper()
+	m, err := NewMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.RunCtx(ctx, body)
+}
+
 func TestRunCtx(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		defer leakGuard(t)()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		defer cancel()
-		_, err := RunCtx(ctx, 4, func(c *Comm) {
+		_, err := runCtx(t, ctx, 4, func(c *Comm) {
 			for {
 				c.Sync()
 			}
@@ -141,7 +151,7 @@ func TestRunCtx(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		ran := false
-		_, err := RunCtx(ctx, 2, func(c *Comm) { ran = true })
+		_, err := runCtx(t, ctx, 2, func(c *Comm) { ran = true })
 		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("err = %v, want ErrCancelled", err)
 		}
@@ -153,7 +163,7 @@ func TestRunCtx(t *testing.T) {
 		defer leakGuard(t)()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		st, err := RunCtx(ctx, 4, func(c *Comm) {
+		st, err := runCtx(t, ctx, 4, func(c *Comm) {
 			c.AllReduce([]uint64{1}, OpSum)
 		})
 		if err != nil {
@@ -165,7 +175,7 @@ func TestRunCtx(t *testing.T) {
 	})
 	t.Run("background-degenerates-to-run", func(t *testing.T) {
 		defer leakGuard(t)()
-		if _, err := RunCtx(context.Background(), 2, func(c *Comm) { c.Sync() }); err != nil {
+		if _, err := runCtx(t, context.Background(), 2, func(c *Comm) { c.Sync() }); err != nil {
 			t.Fatalf("err = %v", err)
 		}
 	})

@@ -538,19 +538,6 @@ func Run(p int, body func(c *Comm)) (*Stats, error) {
 	return m.Run(body)
 }
 
-// RunCtx is Run bound to a context: when ctx is cancelled or its
-// deadline fires, the machine is Cancelled and every processor unwinds
-// at its next cancellation point. The returned error matches
-// ErrCancelled and wraps ctx.Err(). A context without cancellation
-// degenerates to plain Run.
-func RunCtx(ctx context.Context, p int, body func(c *Comm)) (*Stats, error) {
-	m, err := NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunCtx(ctx, body)
-}
-
 // Run executes body on the machine's locally hosted virtual processors
 // and returns the run's cost statistics. The machine fully resets first,
 // so it can be reused across runs (mailbox cells, collective scratch, and
@@ -564,11 +551,15 @@ func (m *Machine) Run(body func(c *Comm)) (*Stats, error) {
 	return m.run(body)
 }
 
-// RunCtx is Run bound to a context: a watcher goroutine Cancels the
-// machine when ctx fires, and is reaped before RunCtx returns so a
-// pooled machine is never cancelled across run boundaries. A body that
-// finishes before the cancellation lands still returns its complete
-// (correct, cacheable) result with a nil error.
+// RunCtx is Run bound to a context: when ctx is cancelled or its
+// deadline fires, the machine is Cancelled and every processor unwinds
+// at its next cancellation point; the returned error matches
+// ErrCancelled and wraps ctx.Err(). A watcher goroutine does the
+// Cancel, and is reaped before RunCtx returns so a pooled machine is
+// never cancelled across run boundaries. A body that finishes before
+// the cancellation lands still returns its complete (correct,
+// cacheable) result with a nil error. A context without cancellation
+// degenerates to plain Run.
 func (m *Machine) RunCtx(ctx context.Context, body func(c *Comm)) (*Stats, error) {
 	if ctx == nil || ctx.Done() == nil {
 		return m.Run(body)

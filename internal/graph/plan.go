@@ -8,6 +8,8 @@ import "sync"
 // The serving layer builds one Plan per (snapshot version, machine size)
 // at first query and threads it into the kernels through their Options,
 // turning the warm query path communication-free where the facts allow.
+// Every fact but the cost table depends on the snapshot alone, so the
+// plans of one snapshot share them.
 //
 // Accounting honesty: a kernel that consumes a plan fact instead of
 // running the cold collective must call bsp.Comm.SkipComm with the
@@ -18,12 +20,6 @@ import "sync"
 // implementations instead of hand-derived formulas.
 type Plan struct {
 	N int // vertex count of the snapshot
-	// Version and Fingerprint identify the snapshot the plan was built
-	// from (registry version and content hash); P is the machine size the
-	// cost table was measured at.
-	Version     uint64
-	Fingerprint uint64
-	P           int
 
 	// Edges is the replicated edge view — what AllGatherEdges would
 	// reassemble on every rank. It aliases the snapshot's frozen array
@@ -38,6 +34,7 @@ type Plan struct {
 	// Labels are dense in first-occurrence order (vertex 0 → label 0),
 	// matching both graph.ConnectedComponents and cc.Parallel's canonical
 	// final labelling, so a warm answer is bit-identical to a cold one.
+	// Labels is the snapshot's one labelling. Read-only.
 	Connected  bool
 	Labels     []int32
 	Components int
@@ -84,20 +81,20 @@ func (f *CutFact) Do(compute func() (proven bool, value uint64, side []bool)) (p
 // kernels' guard against a stale or mismatched plan being threaded in.
 func (pl *Plan) Matches(n int) bool { return pl != nil && pl.N == n }
 
-// PlanFacts computes the snapshot-invariant facts of s sequentially and
-// returns a Plan with a zero cost table (the caller measures costs at its
-// machine size). The connectivity labelling reproduces the distributed
-// kernels' result exactly: labels come from union-find in
-// first-occurrence order.
+// PlanFacts returns a Plan holding the snapshot-invariant facts of s and
+// a zero cost table (the caller measures costs at its machine size). The
+// connectivity labelling is computed sequentially on the first call only
+// and shared by every later plan; it reproduces the distributed kernels'
+// result exactly: labels come from union-find in first-occurrence order.
 func (s *Snapshot) PlanFacts() *Plan {
-	pl := &Plan{
+	s.ccOnce.Do(func() { s.labels, s.components = s.Graph().ConnectedComponents() })
+	return &Plan{
 		N:           s.n,
-		Fingerprint: s.fingerprint,
 		Edges:       s.edges,
 		TotalWeight: s.totalWeight,
+		Connected:   s.components <= 1,
+		Labels:      s.labels,
+		Components:  s.components,
 		Cut:         &s.cut,
 	}
-	pl.Labels, pl.Components = s.Graph().ConnectedComponents()
-	pl.Connected = pl.Components <= 1
-	return pl
 }

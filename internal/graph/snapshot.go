@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // Snapshot is an immutable, cheaply shareable view of a graph. The edge
 // array is copied exactly once when the snapshot is taken; afterwards any
 // number of concurrent readers (HTTP handlers, BSP workers, cache
@@ -14,14 +16,20 @@ package graph
 // treat their local edge slices as read-only inputs, run directly on the
 // shared storage.
 //
-// One fact is filled in later: the minimum-cut certificate's outcome
-// (CutFact), set once, by the first warm minimum cut, and never changed.
+// Two facts are filled in later, each once and never changed: the
+// connectivity labelling, by the first PlanFacts call, and the
+// minimum-cut certificate's outcome (CutFact), by the first warm minimum
+// cut.
 type Snapshot struct {
 	n           int
 	edges       []Edge
 	totalWeight uint64
 	fingerprint uint64
 	cut         CutFact
+
+	ccOnce     sync.Once // guards labels and components
+	labels     []int32
+	components int
 }
 
 // Snapshot freezes the current state of g into an immutable view.

@@ -10,11 +10,11 @@
 //     sizes) and reports, per row, how often the estimate lands inside the
 //     paper's O(log n) bracket around the Stoer–Wagner value, and the
 //     histogram of the sparsity level at which the scan stopped.
-//   - CC runs every connected-components kernel it is handed and compares
+//   - CC runs the connected-components kernel it is handed and compares
 //     its labels with the BFS labelling, exactly.
 //
 // The package imports no exact-cut or planner code (the mincut tests
-// import it for BinomialCDF), so callers pass λ and the CC kernels in.
+// import it for BinomialCDF), so callers pass λ and the CC kernel in.
 // For the same reason the exact cut's certificate sweep, which runs the
 // mincut kernel, is a test of this package (TestCertificateArm).
 package oracle
@@ -216,30 +216,28 @@ type CCRow struct {
 	Mismatch string
 }
 
-// CC runs every kernel on every input at every machine size in ps over
+// CC runs the kernel k on every input at every machine size in ps over
 // seeds 1..seeds and compares each labelling with cc.Sequential's BFS
 // labels. Both number components by first appearance, so the labels must
 // be equal, not just the partitions.
-func CC(kernels []CCKernel, ins []Input, ps []int, seeds int) ([]CCRow, error) {
+func CC(k CCKernel, ins []Input, ps []int, seeds int) ([]CCRow, error) {
 	var rows []CCRow
-	for _, k := range kernels {
-		for _, in := range ins {
-			want := cc.Sequential(in.G).Labels
-			row := CCRow{Kernel: k.Name, Input: in.Name}
-			for _, p := range ps {
-				for seed := uint64(1); seed <= uint64(seeds); seed++ {
-					got, err := k.Labels(in.G, p, seed)
-					if err != nil {
-						return nil, fmt.Errorf("%s on %s p=%d seed=%d: %w", k.Name, in.Name, p, seed, err)
-					}
-					row.Runs++
-					if row.Mismatch == "" && !slices.Equal(got, want) {
-						row.Mismatch = fmt.Sprintf("p=%d seed=%d: %d labels, first difference at vertex %d", p, seed, len(got), firstDiff(got, want))
-					}
+	for _, in := range ins {
+		want := cc.Sequential(in.G).Labels
+		row := CCRow{Kernel: k.Name, Input: in.Name}
+		for _, p := range ps {
+			for seed := uint64(1); seed <= uint64(seeds); seed++ {
+				got, err := k.Labels(in.G, p, seed)
+				if err != nil {
+					return nil, fmt.Errorf("%s on %s p=%d seed=%d: %w", k.Name, in.Name, p, seed, err)
+				}
+				row.Runs++
+				if row.Mismatch == "" && !slices.Equal(got, want) {
+					row.Mismatch = fmt.Sprintf("p=%d seed=%d: %d labels, first difference at vertex %d", p, seed, len(got), firstDiff(got, want))
 				}
 			}
-			rows = append(rows, row)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

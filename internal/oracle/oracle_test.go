@@ -173,18 +173,18 @@ func TestApproxArm(t *testing.T) {
 // every machine size and seed.
 func TestCCArm(t *testing.T) {
 	k := planner.For("cc")
-	ks := []CCKernel{{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
+	kernel := CCKernel{Name: k.Name, Labels: func(g *graph.Graph, p int, seed uint64) ([]int32, error) {
 		out, _, err := k.Exec(context.Background(), planner.Shape{P: p}, g.N, g.Edges, planner.RunParams{Seed: seed}.Defaulted(), nil)
 		if err != nil {
 			return nil, err
 		}
 		return out.Labels, nil
-	}}}
+	}}
 	seeds := 3
 	if testing.Short() {
 		seeds = 1
 	}
-	rows, err := CC(ks, CCInputs(), []int{1, 2, 4}, seeds)
+	rows, err := CC(kernel, CCInputs(), []int{1, 2, 4}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

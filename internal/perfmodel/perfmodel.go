@@ -233,11 +233,6 @@ func MCVolume(n, p float64) float64 {
 	return n * n * l * l * lg(p) / p
 }
 
-// MCCacheMisses is this paper's cache miss bound O(n²log³n / (Bp)).
-func MCCacheMisses(n, p, b float64) float64 {
-	return MCComputation(n, p) / b
-}
-
 // PrevBSPSupersteps is the previous BSP algorithm's O(log n · log² p).
 func PrevBSPSupersteps(n, p float64) float64 {
 	return lg(n) * lg(p) * lg(p)
@@ -252,9 +247,4 @@ func PrevBSPComputation(n, p float64) float64 {
 // PrevBSPVolume is the previous BSP algorithm's O(n²·log²n·log²p / p).
 func PrevBSPVolume(n, p float64) float64 {
 	return MCVolume(n, p) * lg(p)
-}
-
-// CCVolume is the CC algorithm's O(n^(1+ε)) volume bound.
-func CCVolume(n, epsilon float64) float64 {
-	return math.Pow(n, 1+epsilon)
 }

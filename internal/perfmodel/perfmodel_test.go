@@ -103,14 +103,6 @@ func TestTable1BoundsShape(t *testing.T) {
 	if math.Abs(r-2) > 1e-9 {
 		t.Errorf("computation scaling ratio = %v", r)
 	}
-	// Cache misses = computation / B.
-	if MCCacheMisses(n, p, 8) != MCComputation(n, p)/8 {
-		t.Error("cache miss bound inconsistent")
-	}
-	// CC bounds: near-linear volume.
-	if CCVolume(n, 0.5) >= n*n {
-		t.Error("CC volume bound not subquadratic")
-	}
 }
 
 func TestFitRobustFallsBackOnCollinear(t *testing.T) {

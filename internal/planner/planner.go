@@ -67,9 +67,8 @@ type Decision struct {
 type Planner struct {
 	mode Mode
 
-	mu      sync.Mutex
-	models  map[string]*perfmodel.Model
-	choices map[string]uint64
+	mu     sync.Mutex
+	models map[string]*perfmodel.Model
 	// decisions counts Choose calls; fallbacks those without a usable
 	// model. executed/diverged/wins track observed executions of planned
 	// queries.
@@ -87,11 +86,7 @@ type Planner struct {
 // until Fit or SetModel installs one for a kernel, every decision for it
 // is a fallback.
 func New(mode Mode) *Planner {
-	return &Planner{
-		mode:    mode,
-		models:  make(map[string]*perfmodel.Model),
-		choices: make(map[string]uint64),
-	}
+	return &Planner{mode: mode, models: make(map[string]*perfmodel.Model)}
 }
 
 // Mode reports the planner's mode.
@@ -199,7 +194,6 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		pl.fallbacks++
 		return fallback
 	}
-	pl.choices[k.Name]++
 	model := pl.models[k.Name]
 	if model == nil {
 		pl.fallbacks++
@@ -269,7 +263,6 @@ type Snapshot struct {
 	// |predicted-actual|/actual over executed planned queries.
 	WinRate    float64                   `json:"win_rate"`
 	MeanAbsErr float64                   `json:"mean_abs_err"`
-	Choices    map[string]uint64         `json:"choices,omitempty"`
 	Models     map[string]ModelConstants `json:"models,omitempty"`
 	// CalibrationError is the startup calibration failure, if any; the
 	// kernels it names stay uncalibrated and decisions needing them fall
@@ -295,12 +288,6 @@ func (pl *Planner) Snapshot() *Snapshot {
 	}
 	if pl.errCount > 0 {
 		sn.MeanAbsErr = pl.absErrSum / float64(pl.errCount)
-	}
-	if len(pl.choices) > 0 {
-		sn.Choices = make(map[string]uint64, len(pl.choices))
-		for k, v := range pl.choices {
-			sn.Choices[k] = v
-		}
 	}
 	for name, m := range pl.models {
 		if sn.Models == nil {

@@ -164,8 +164,8 @@ func TestChooseMincutRouting(t *testing.T) {
 	if d.Fallback || d.P < 1 || d.P > 8 || d.PredictedMs <= 0 {
 		t.Fatalf("mincut = %+v, want a calibrated decision", d)
 	}
-	if got := pl.Snapshot().Choices; got[KernelMCKargerSt] != 1 {
-		t.Fatalf("choices = %v, want one %s", got, KernelMCKargerSt)
+	if sn := pl.Snapshot(); sn.Decisions != 1 || sn.Fallbacks != 0 {
+		t.Fatalf("decisions = %d, fallbacks = %d, want 1 and 0", sn.Decisions, sn.Fallbacks)
 	}
 }
 

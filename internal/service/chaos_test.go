@@ -219,7 +219,7 @@ func TestChaosHTTP(t *testing.T) {
 		if _, err := e.Registry().Put("big", trialGraph()); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewHandler(e))
+		srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 		defer srv.Close()
 		body := `{"graph":"big","algorithm":"mincut","success_prob":0.999999999,"timeout_ms":250,"include_side":true}`
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
@@ -248,7 +248,7 @@ func TestChaosHTTP(t *testing.T) {
 		reg := faults.New(1).Add(faults.Rule{Kind: faults.Cancel, Rank: faults.AnyRank, Superstep: 1})
 		e := newTestEngine(t, Config{Workers: 1, MaxProcessors: 1, Faults: reg, DisablePlans: true})
 		e.Registry().Put("g", testGraph(64, 160))
-		srv := httptest.NewServer(NewHandler(e))
+		srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 		defer srv.Close()
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json",
 			strings.NewReader(`{"graph":"g","algorithm":"cc"}`))
@@ -266,7 +266,7 @@ func TestChaosHTTP(t *testing.T) {
 		})
 		e := newTestEngine(t, Config{Workers: 1, MaxProcessors: 1, Faults: reg, DisablePlans: true})
 		e.Registry().Put("g", testGraph(64, 160))
-		srv := httptest.NewServer(NewHandler(e))
+		srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 		defer srv.Close()
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json",
 			strings.NewReader(`{"graph":"g","algorithm":"cc"}`))
@@ -283,7 +283,7 @@ func TestChaosHTTP(t *testing.T) {
 	})
 	t.Run("oversized-body-413", func(t *testing.T) {
 		e := newTestEngine(t, Config{Workers: 1})
-		srv := httptest.NewServer(NewHandler(e))
+		srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 		defer srv.Close()
 		huge := `{"graph":"` + strings.Repeat("a", 1<<20) + `"}`
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader([]byte(huge)))

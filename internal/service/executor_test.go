@@ -98,7 +98,7 @@ func TestHTTPTransportFailure(t *testing.T) {
 	ex := &stubExecutor{p: 2, fails: 1 << 30} // never recovers
 	e := newTestEngine(t, Config{Workers: 1, Executor: ex})
 	e.Registry().Put("g", testGraph(32, 80))
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	body, _ := json.Marshal(QueryRequest{Graph: "g", Algorithm: AlgMinCut})

@@ -11,31 +11,6 @@ import (
 	"repro/internal/tenant"
 )
 
-// NewHandler builds the camcd HTTP API over an engine:
-//
-//	POST /v1/graphs?name=NAME&format=edgelist|snap  — register a graph (body: text)
-//	GET  /v1/graphs                                 — list graphs (name, version, fingerprint)
-//	POST /v1/query                                  — run cc | mincut | approxcut
-//	GET  /v1/stats                                  — pool, cache, and query metrics
-//	GET  /metrics                                   — Prometheus exposition
-//	GET  /healthz                                   — liveness
-//	GET  /readyz                                    — readiness (mesh + catch-up state)
-//
-// Error mapping: malformed input and bad parameters → 400, missing or
-// unknown API token (multi-tenant mode) → 401, unknown graph
-// → 404, oversized body → 413, shed load or an exhausted tenant quota
-// → 429 (with Retry-After), cancelled with nothing to show → 408,
-// per-request deadline (queue
-// expiry) → 504, faulted kernel or lost worker connection → 503 (with
-// Retry-After), engine
-// shutdown → 503, anything else → 500. A deadline-cancelled kernel that
-// checkpointed progress is not an error: it returns 200 with
-// "degraded": true, the achieved success probability, and a
-// retry_after_ms hint.
-func NewHandler(e *Engine) http.Handler {
-	return NewHandlerOpts(e, HandlerOptions{})
-}
-
 // HandlerOptions tunes the HTTP layer beyond the engine defaults.
 type HandlerOptions struct {
 	// Tenants, when non-nil, turns on multi-tenant mode: every /v1/*
@@ -62,7 +37,27 @@ type HandlerOptions struct {
 	ExtraMetrics func(io.Writer)
 }
 
-// NewHandlerOpts is NewHandler with options.
+// NewHandlerOpts builds the camcd HTTP API over an engine, tuned by opts:
+//
+//	POST /v1/graphs?name=NAME&format=edgelist|snap  — register a graph (body: text)
+//	GET  /v1/graphs                                 — list graphs (name, version, fingerprint)
+//	POST /v1/query                                  — run cc | mincut | approxcut
+//	GET  /v1/stats                                  — pool, cache, and query metrics
+//	GET  /metrics                                   — Prometheus exposition
+//	GET  /healthz                                   — liveness
+//	GET  /readyz                                    — readiness (mesh + catch-up state)
+//
+// Error mapping: malformed input and bad parameters → 400, missing or
+// unknown API token (multi-tenant mode) → 401, unknown graph
+// → 404, oversized body → 413, shed load or an exhausted tenant quota
+// → 429 (with Retry-After), cancelled with nothing to show → 408,
+// per-request deadline (queue
+// expiry) → 504, faulted kernel or lost worker connection → 503 (with
+// Retry-After), engine
+// shutdown → 503, anything else → 500. A deadline-cancelled kernel that
+// checkpointed progress is not an error: it returns 200 with
+// "degraded": true, the achieved success probability, and a
+// retry_after_ms hint.
 func NewHandlerOpts(e *Engine, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/graphs", func(w http.ResponseWriter, r *http.Request) {

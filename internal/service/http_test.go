@@ -47,7 +47,7 @@ func decode(t *testing.T, resp *http.Response, v interface{}) {
 
 func TestHTTPUploadQueryStats(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2, MaxProcessors: 2})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	// Liveness first.
@@ -123,7 +123,7 @@ func TestHTTPUploadQueryStats(t *testing.T) {
 // the engine must go on serving.
 func TestHTTPUploadHugeEdgeCountHeader(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/graphs?name=tiny", "text/plain", strings.NewReader("2 5000000000\n0 1 1\n"))
@@ -159,7 +159,7 @@ func TestHTTPUploadHugeEdgeCountHeader(t *testing.T) {
 // serving.
 func TestHTTPApproxCutHugeTrials(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	const n = 200
@@ -203,7 +203,7 @@ func TestHTTPApproxCutHugeTrials(t *testing.T) {
 
 func TestHTTPErrorMapping(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	cases := []struct {
@@ -262,7 +262,7 @@ func TestHTTPQueryTrailingBytes(t *testing.T) {
 	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	const q = `{"graph":"g","algorithm":"cc"}`
@@ -295,7 +295,7 @@ func TestHTTPUnknownKernelPin(t *testing.T) {
 	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	for _, c := range []struct{ alg, kernel, want string }{
@@ -333,7 +333,7 @@ func TestHTTPEndToEndCoalescingAndShedding(t *testing.T) {
 			<-gate
 		},
 	})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/graphs?name=herd", "text/plain", uploadBody(t, testGraph(64, 160)))
@@ -464,7 +464,7 @@ func fmtCheck(outcomes []string) error {
 
 func TestHTTPStatsServesCollectorJSON(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/graphs?name=g", "text/plain", uploadBody(t, testGraph(20, 40)))

@@ -178,19 +178,13 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 		pl := st.Planner
 		m.scalars([]scalar{
 			{"camc_planner_decisions_total", "Planner decisions made.", "counter", float64(pl.Decisions)},
-			{"camc_planner_fallbacks_total", "Decisions without a calibrated default model.", "counter", float64(pl.Fallbacks)},
+			{"camc_planner_fallbacks_total", "Decisions without a calibrated model, run at the heuristic p.", "counter", float64(pl.Fallbacks)},
 			{"camc_planner_executed_total", "Planned queries observed after execution.", "counter", float64(pl.Executed)},
 			{"camc_planner_diverged_total", "Executions where the planner overrode the default choice.", "counter", float64(pl.Diverged)},
 			{"camc_planner_wins_total", "Overrides whose measured time beat the predicted default path.", "counter", float64(pl.Wins)},
 			{"camc_planner_win_rate", "Wins over diverged decisions.", "gauge", pl.WinRate},
 			{"camc_planner_prediction_mean_abs_err", "Mean |predicted-actual|/actual over planned executions.", "gauge", pl.MeanAbsErr},
 		})
-		if len(pl.Choices) > 0 {
-			m.header("camc_planner_choices_total", "Planner decisions per chosen kernel.", "counter")
-			for _, name := range sortedKeys(pl.Choices) {
-				m.val("camc_planner_choices_total", fmt.Sprintf("kernel=%q", name), float64(pl.Choices[name]))
-			}
-		}
 	}
 
 	if len(st.Tenants) > 0 {

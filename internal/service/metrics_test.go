@@ -147,7 +147,7 @@ func TestMetricsEndpointLive(t *testing.T) {
 	if _, err := e.Query(context.Background(), QueryRequest{Graph: "g", Algorithm: AlgCC}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -191,7 +191,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	if _, err := e.Registry().Put("g", gen.Cycle(64, 3)); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(e)
+	h := NewHandlerOpts(e, HandlerOptions{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -25,8 +25,6 @@ import (
 // warm mincut at any p fills.
 func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 	pl := sg.Snap.PlanFacts()
-	pl.Version = sg.Version
-	pl.P = p
 
 	edges := sg.Snap.Edges()
 	n := sg.Snap.N()
@@ -56,82 +54,57 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 	return pl, nil
 }
 
-// planKey identifies one plan cache entry: plans are per (graph name,
-// machine size); the slot inside carries the version.
-type planKey struct {
-	name string
-	p    int
-}
-
 // planSlot is one lazily-built plan. The sync.Once makes concurrent
 // first queries of a (version, p) pair build exactly once — followers
 // block on the build instead of duplicating it.
 type planSlot struct {
-	version uint64
-	once    sync.Once
-	plan    *graph.Plan
-	err     error
+	once sync.Once
+	plan *graph.Plan // nil when the build failed
 }
 
-// planFor returns the cached plan for (sg, p), building it on first use.
-// A slot whose version differs from sg's (the graph was replaced and the
-// eviction in Put already dropped the old slot, or this caller raced a
-// replacement) is superseded under the lock, so queries against the new
-// snapshot never see the old snapshot's facts. Returns (nil, nil) when
-// sg is no longer the current registration — the caller degrades to the
-// cold path rather than planning for a dead snapshot.
-func (r *Registry) planFor(sg *StoredGraph, p int) (*graph.Plan, error) {
-	key := planKey{name: sg.Name, p: p}
-	r.mu.Lock()
-	if r.plans == nil {
-		r.plans = make(map[planKey]*planSlot)
-	}
-	slot := r.plans[key]
-	if slot == nil || slot.version != sg.Version {
-		if cur, ok := r.graphs[sg.Name]; !ok || cur.Version != sg.Version {
-			r.mu.Unlock()
-			return nil, nil
+// plan returns sg's plan at machine size p, building it on first use:
+// nil when the build failed, which degrades the query to the full cold
+// path — plans are an optimization, never a correctness dependency. A
+// query that raced a replacement of its graph still holds sg and runs
+// on this version's plan, which goes when the last such query does.
+func (sg *StoredGraph) plan(p int) *graph.Plan {
+	sg.mu.Lock()
+	slot := sg.plans[p]
+	if slot == nil {
+		if sg.plans == nil {
+			sg.plans = make(map[int]*planSlot)
 		}
-		slot = &planSlot{version: sg.Version}
-		r.plans[key] = slot
+		slot = new(planSlot)
+		sg.plans[p] = slot
 	}
-	r.mu.Unlock()
+	sg.mu.Unlock()
 	slot.once.Do(func() {
-		slot.plan, slot.err = buildPlan(sg, p)
-	})
-	return slot.plan, slot.err
-}
-
-// evictPlansLocked drops every cached plan of name — all machine sizes.
-// Callers hold r.mu. Registration replacement and deletion both route
-// here, so a re-registered graph can never serve a stale plan.
-func (r *Registry) evictPlansLocked(name string) {
-	for k := range r.plans {
-		if k.name == name {
-			delete(r.plans, k)
+		if pl, err := buildPlan(sg, p); err == nil {
+			slot.plan = pl
 		}
-	}
+	})
+	return slot.plan
 }
 
-// PlanCount returns the number of cached plans across all graphs and
-// machine sizes — an observability gauge for /v1/stats.
+// PlanCount returns the number of plans across the current registrations
+// and their machine sizes — an observability gauge for /v1/stats.
 func (r *Registry) PlanCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.plans)
+	n := 0
+	for _, sg := range r.graphs {
+		sg.mu.Lock()
+		n += len(sg.plans)
+		sg.mu.Unlock()
+	}
+	return n
 }
 
 // planFor resolves the plan a kernel execution should use: nil when
-// plans are disabled or the build failed (both degrade the query to the
-// full cold path — plans are an optimization, never a correctness
-// dependency).
+// plans are disabled or the build failed.
 func (e *Engine) planFor(sg *StoredGraph, p int) *graph.Plan {
 	if e.cfg.DisablePlans {
 		return nil
 	}
-	pl, err := e.reg.planFor(sg, p)
-	if err != nil {
-		return nil
-	}
-	return pl
+	return sg.plan(p)
 }

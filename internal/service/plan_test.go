@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -203,11 +204,78 @@ func TestPlanEvictionOnReplacement(t *testing.T) {
 	if got := e.Registry().PlanCount(); got != 1 {
 		t.Errorf("after re-query: plan count = %d, want 1", got)
 	}
+}
 
-	// Deletion evicts too.
-	e.Registry().Delete("g")
+// A plan belongs to its graph version. A query that resolved version 1
+// and then saw it replaced still runs warm on version 1's plan, over
+// version 1's vertices, and that plan is not counted among the current
+// registrations'. The p-independent connectivity labelling is computed
+// once per snapshot: its plans at two machine sizes share one array.
+func TestPlanBelongsToItsVersion(t *testing.T) {
+	var e *Engine
+	replaced := false
+	e = newTestEngine(t, Config{Workers: 1, MaxProcessors: 4, BeforeExec: func(string) {
+		if !replaced {
+			replaced = true
+			if _, err := e.Registry().Put("g", testGraph(200, 800)); err != nil {
+				t.Error(err)
+			}
+		}
+	}})
+	if _, err := e.Registry().Put("g", testGraph(128, 512)); err != nil {
+		t.Fatal(err)
+	}
+	res := queryExec(t, e, QueryRequest{Graph: "g", Algorithm: AlgCC, Processors: 2, IncludeLabels: true})
+	if !replaced {
+		t.Fatal("the graph was not replaced before the kernel ran")
+	}
+	if res.Version != 1 || len(res.Labels) != 128 {
+		t.Errorf("answer at version %d over %d vertices, want version 1 over 128", res.Version, len(res.Labels))
+	}
+	if res.Kernel.Supersteps != 0 || res.Kernel.AvoidedCollectives == 0 {
+		t.Errorf("racing query ran %d supersteps and avoided %d, want a warm run (0 and > 0)",
+			res.Kernel.Supersteps, res.Kernel.AvoidedCollectives)
+	}
 	if got := e.Registry().PlanCount(); got != 0 {
-		t.Errorf("after delete: plan count = %d, want 0", got)
+		t.Errorf("plan count = %d, want 0: the replaced version's plan is not current", got)
+	}
+
+	sg, err := e.Registry().Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, p4 := e.planFor(sg, 2), e.planFor(sg, 4)
+	if p2 == p4 || len(p2.Labels) != 200 || &p2.Labels[0] != &p4.Labels[0] {
+		t.Errorf("plans at p=2 and p=4 do not share one labelling of the 200 vertices")
+	}
+	if got := e.Registry().PlanCount(); got != 2 {
+		t.Errorf("plan count = %d, want 2", got)
+	}
+
+	// Concurrent first queries of a fresh version, beside the plans gauge,
+	// build one plan per machine size.
+	sg, err = e.Registry().Put("g", testGraph(64, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]*graph.Plan, 9)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i] = e.planFor(sg, 1<<(i%3))
+			e.Registry().PlanCount()
+		}()
+	}
+	wg.Wait()
+	for i, pl := range plans {
+		if pl != plans[i%3] || pl == nil || &pl.Labels[0] != &plans[0].Labels[0] {
+			t.Fatalf("query %d at p=%d got another plan or another labelling", i, 1<<(i%3))
+		}
+	}
+	if got := e.Registry().PlanCount(); got != 3 {
+		t.Errorf("plan count = %d, want 3", got)
 	}
 }
 

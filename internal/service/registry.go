@@ -44,23 +44,25 @@ var (
 	ErrTransport = errors.New("service: transport failure")
 )
 
-// StoredGraph is one registered graph: an immutable snapshot plus
-// registry identity. Re-registering under the same name bumps Version,
-// which invalidates cache keys without any explicit cache flush.
+// StoredGraph is one registered graph version: an immutable snapshot
+// plus registry identity, and the query plans built on it (see plan.go),
+// one per machine size. Re-registering under the same name creates a new
+// StoredGraph with Version bumped, which invalidates cache keys without
+// any explicit cache flush and leaves the old version's plans to go with
+// it.
 type StoredGraph struct {
 	Name    string
 	Version uint64
 	Snap    *graph.Snapshot
+
+	mu    sync.Mutex
+	plans map[int]*planSlot // by machine size
 }
 
 // Registry maps names to graph snapshots. It is safe for concurrent use.
-// It also owns the plan cache (see plan.go): snapshot-resident query
-// plans are keyed by (name, machine size) and live exactly as long as
-// the registration they were built from.
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*StoredGraph
-	plans  map[planKey]*planSlot
 	nextID uint64
 }
 
@@ -96,9 +98,6 @@ func (r *Registry) Put(name string, g *graph.Graph) (*StoredGraph, error) {
 	}
 	sg := &StoredGraph{Name: name, Version: version, Snap: snap}
 	r.graphs[name] = sg
-	// Replacement invalidates the name's cached plans immediately — a
-	// plan must never outlive the snapshot version it describes.
-	r.evictPlansLocked(name)
 	return sg, nil
 }
 
@@ -128,7 +127,6 @@ func (r *Registry) PutVersion(name string, version uint64, g *graph.Graph) (*Sto
 	}
 	sg := &StoredGraph{Name: name, Version: version, Snap: snap}
 	r.graphs[name] = sg
-	r.evictPlansLocked(name)
 	return sg, nil
 }
 
@@ -141,17 +139,6 @@ func (r *Registry) Get(name string) (*StoredGraph, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return sg, nil
-}
-
-// Delete removes the graph registered under name; it reports whether the
-// name existed. Cached results for the deleted graph age out of the LRU.
-func (r *Registry) Delete(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.graphs[name]
-	delete(r.graphs, name)
-	r.evictPlansLocked(name)
-	return ok
 }
 
 // List returns every registered graph, sorted by name — the catch-up

@@ -62,9 +62,6 @@ func TestRegistryVersioning(t *testing.T) {
 	if r.Len() != 2 {
 		t.Errorf("len = %d", r.Len())
 	}
-	if !r.Delete("web") || r.Delete("web") {
-		t.Error("delete semantics")
-	}
 	// An auto-generated name never replaces a graph a caller named.
 	named, err := r.Put("g2", testGraph(10, 20))
 	if err != nil {
