@@ -72,6 +72,13 @@ func (o *Options) defaults() {
 // carries Labels and Count; the other ranks return the Iterations alone
 // (nil Labels), and no collective ships the answer to them.
 //
+// When the first round is exact (m ≤ (1+δ)s: every rank takes its whole
+// slice, and every rank knows it), the root's union-find holds the
+// components of the whole input, and its first-appearance labelling is
+// the Result as it stands: one pass writes Labels and counts them. Only a
+// round that samples takes the root's pooled n-sized working set (the
+// per-vertex labels carried across rounds and the broadcast buffer).
+//
 // The first round reads every edge of local — whole in the forest pass
 // when the round is exact, otherwise in the relabel pass — and checks
 // each on that first read (graph.Edge.Valid): an edge out of range for
@@ -89,21 +96,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		return &Result{Labels: append([]int32(nil), pl.Labels...), Count: pl.Components}
 	}
 
-	// The root tracks the label of each original vertex; its per-round
-	// labelling is hoisted out of the loop, and the relabelling it
-	// broadcasts is built in a word buffer. All of it is pooled.
-	var comp, labels, lscratch []int32
-	var words []uint64
-	if c.Rank() == root {
-		sc := getRootScratch(n)
-		defer rootPool.Put(sc)
-		comp, labels, lscratch, words = sc.comp, sc.labels, sc.lscratch, sc.words
-		for i := range comp {
-			comp[i] = int32(i)
-		}
-	}
 	uf := graph.GetUnionFind(n)
 	defer graph.PutUnionFind(uf)
+	// The root's n-sized working set, pooled and taken only once a round
+	// samples: comp tracks the label of each original vertex, labels is
+	// the round's labelling and words the relabelling it broadcasts.
+	var sc *rootScratch
 	s := sampleSize(n, opts.Epsilon)
 	edges := local
 
@@ -126,14 +124,24 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		iters++
 
 		exact := sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
+		if exact && iters == 1 {
+			break // the root's uf holds the components of the whole input
+		}
 
 		// Root: label the sampled graph's components over the current
 		// label space, the mapping from old to new labels.
 		if c.Rank() == root {
-			uf.LabelsInto(labels, lscratch)
+			if sc == nil {
+				sc = getRootScratch(n)
+				defer rootPool.Put(sc)
+				for i := range sc.comp {
+					sc.comp[i] = int32(i)
+				}
+			}
+			uf.LabelsInto(sc.labels)
 			c.Ops(uint64(n))
-			for v := range comp {
-				comp[v] = labels[comp[v]]
+			for v, l := range sc.comp {
+				sc.comp[v] = sc.labels[l]
 			}
 		}
 		// Every rank contributed its whole slice (and every rank knows):
@@ -141,8 +149,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		if exact {
 			break
 		}
-		for i, l := range labels { // the root's alone: nil elsewhere
-			words[i] = uint64(uint32(l))
+		var words []uint64 // the root's alone: nil elsewhere
+		if c.Rank() == root {
+			words = sc.words
+			for i, l := range sc.labels {
+				words[i] = uint64(uint32(l))
+			}
 		}
 		gw := c.Broadcast(root, words)
 
@@ -169,15 +181,25 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		edges = out
 	}
 
-	// The per-round relabellings keep comp dense over the final label
-	// space already, but singleton components of untouched vertices share
-	// that space; recompact for a dense [0, Count) labelling.
 	if c.Rank() != root {
 		return &Result{Iterations: iters}
 	}
-	remap := graph.GetRemap(n)
 	res := &Result{Labels: make([]int32, n), Iterations: iters}
-	for v, l := range comp {
+	if sc == nil {
+		// No round sampled, so the root's uf holds the components of the
+		// whole input (n singletons when it has no edge). Its
+		// first-appearance labelling over v = 0…n−1 is the dense answer.
+		res.Count = uf.LabelsInto(res.Labels)
+		if iters > 0 { // charged like a round's labelling; no edge, no round
+			c.Ops(uint64(n))
+		}
+		return res
+	}
+	// The per-round relabellings keep comp dense over the final label
+	// space already, but singleton components of untouched vertices share
+	// that space; recompact for a dense [0, Count) labelling.
+	remap := graph.GetRemap(n)
+	for v, l := range sc.comp {
 		res.Labels[v] = remap.Of(l)
 	}
 	res.Count = remap.Len()
@@ -185,12 +207,12 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	return res
 }
 
-// rootScratch is the root's n-sized working set of one Parallel call.
-// Every call of every concurrent query needs one, so it is pooled like
-// the union-find; the Result's Labels are allocated fresh.
+// rootScratch is the root's n-sized working set of a Parallel call that
+// samples. Every such call of every concurrent query needs one, so it is
+// pooled like the union-find; the Result's Labels are allocated fresh.
 type rootScratch struct {
-	comp, labels, lscratch []int32
-	words                  []uint64 // the broadcast relabelling
+	comp, labels []int32
+	words        []uint64 // the broadcast relabelling
 }
 
 var rootPool = sync.Pool{New: func() any { return new(rootScratch) }}
@@ -201,7 +223,6 @@ func getRootScratch(n int) *rootScratch {
 	sc := rootPool.Get().(*rootScratch)
 	sc.comp = slices.Grow(sc.comp[:0], n)[:n]
 	sc.labels = slices.Grow(sc.labels[:0], n)[:n]
-	sc.lscratch = slices.Grow(sc.lscratch[:0], n)[:n]
 	sc.words = slices.Grow(sc.words[:0], n)[:n]
 	return sc
 }

@@ -149,3 +149,37 @@ func TestParallelWholeSliceBoundary(t *testing.T) {
 		}
 	}
 }
+
+// An exact first round answers with the root's union-find labelling as it
+// stands. ε = 2 makes s = n² ≥ m, so the run takes one round, and rank
+// 0's Labels and Count must be exactly graph.ConnectedComponents': the
+// first-appearance numbering over v = 0…n−1, isolated vertices included
+// — vertex 0 among them, so the first label goes to a singleton.
+func TestParallelExactRoundLabels(t *testing.T) {
+	g := blobs(4, 60, 300, 10, 7)
+	isolated := func(v int32) bool { return v%17 == 0 }
+	kept := g.Edges[:0]
+	for _, e := range g.Edges {
+		if !isolated(e.U) && !isolated(e.V) {
+			kept = append(kept, e)
+		}
+	}
+	g.Edges = kept
+	want, count := g.ConnectedComponents()
+	if slices.Contains(want[1:], want[0]) || count < 4+10+2 {
+		t.Fatalf("input: vertex 0 not a singleton or too few components (%d)", count)
+	}
+	for _, p := range []int{1, 2, 3} {
+		res := runOnBlocks(t, g, p, 5, Options{Epsilon: 2})
+		if res == nil {
+			continue // runOnBlocks reported it
+		}
+		if res.Iterations != 1 {
+			t.Errorf("p=%d: %d rounds, want 1", p, res.Iterations)
+		}
+		if res.Count != count || !slices.Equal(res.Labels, want) {
+			t.Errorf("p=%d: Count %d, labels equal %v; want graph.ConnectedComponents' (%d components)",
+				p, res.Count, slices.Equal(res.Labels, want), count)
+		}
+	}
+}

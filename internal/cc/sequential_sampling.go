@@ -28,7 +28,6 @@ func SequentialSampling(g *graph.Graph, st *rng.Stream, epsilon float64) *Result
 	s := int(math.Ceil(math.Pow(float64(n), 1+epsilon/2)))
 	iters := 0
 	labels := make([]int32, n)
-	seen := make([]int32, n)
 	uf := graph.NewUnionFind(n)
 	for len(edges) > 0 {
 		iters++
@@ -44,8 +43,7 @@ func SequentialSampling(g *graph.Graph, st *rng.Stream, epsilon float64) *Result
 				uf.Union(e.U, e.V)
 			}
 		}
-		// Dense relabel (seen doubles as the root→label scatter table).
-		uf.LabelsInto(labels, seen)
+		uf.LabelsInto(labels)
 		for v := range comp {
 			comp[v] = labels[comp[v]]
 		}

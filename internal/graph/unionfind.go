@@ -4,16 +4,16 @@ import "sync"
 
 // UnionFind is a rank-free disjoint-set forest: Rem's algorithm with
 // splicing (Patwary, Blair and Manne, SEA 2010). Sets link by index —
-// parent[v] ≤ v always — and Union walks both endpoints at once, so an
-// edge inside an already-merged set costs two loads and a compare
-// instead of two climbs to the root. Any linking order with compaction
-// is O(log n) amortised per operation on every numbering and edge order.
-// It backs the per-rank forest contraction of connected components and
-// approximate cut, and the prefix selection of bulk contraction.
+// parent[v] ≤ v always, so a set's root is its least member — and Union
+// walks both endpoints at once, so an edge inside an already-merged set
+// costs two loads and a compare instead of two climbs to the root. Any
+// linking order with compaction is O(log n) amortised per operation on
+// every numbering and edge order. It backs the per-rank forest
+// contraction of connected components and approximate cut, and the
+// prefix selection of bulk contraction.
 //
-// Which member represents a set is unspecified (it is not the textbook
-// union-by-rank root). Read components through Labels/LabelsInto, whose
-// first-appearance numbering does not depend on it.
+// Read components through Labels/LabelsInto, whose first-appearance
+// numbering is the order of the sets' least members.
 type UnionFind struct {
 	parent []int32
 	count  int // number of disjoint sets
@@ -87,36 +87,25 @@ func (uf *UnionFind) Connected(x, y int32) bool { return uf.Find(x) == uf.Find(y
 // Labels returns a dense labelling: a slice mapping every element to a
 // component id in [0, Count()), assigned in order of first appearance.
 func (uf *UnionFind) Labels() []int32 {
-	n := len(uf.parent)
-	labels := make([]int32, n)
-	scratch := make([]int32, n)
-	uf.LabelsInto(labels, scratch)
+	labels := make([]int32, len(uf.parent))
+	uf.LabelsInto(labels)
 	return labels
 }
 
-// LabelsInto is Labels with caller-provided storage: labels receives the
-// dense labelling and scratch (both length ≥ len(parent)) is the
-// root→label scatter table. The label assignment order (first
-// appearance) is identical to Labels'. It returns the label count.
-// Replaces the old map[int32]int32 remap: a dense table turns every
-// hash+probe into one array write.
-func (uf *UnionFind) LabelsInto(labels, scratch []int32) int {
-	n := len(uf.parent)
-	labels = labels[:n]
-	scratch = scratch[:n]
-	for i := range scratch {
-		scratch[i] = -1
-	}
+// LabelsInto is Labels with caller-provided storage (length ≥
+// len(parent)); it returns the label count. It is one pass and needs no
+// scatter table: a set first appears at its least member, its root, and
+// every other member v has parent[v] < v, already labelled with the set.
+func (uf *UnionFind) LabelsInto(labels []int32) int {
+	labels = labels[:len(uf.parent)]
 	next := int32(0)
-	for i := 0; i < n; i++ {
-		r := uf.Find(int32(i))
-		id := scratch[r]
-		if id < 0 {
-			id = next
-			scratch[r] = id
+	for v, pv := range uf.parent {
+		if int(pv) == v {
+			labels[v] = next
 			next++
+		} else {
+			labels[v] = labels[pv]
 		}
-		labels[i] = id
 	}
 	return int(next)
 }

@@ -85,8 +85,8 @@ func FuzzUnionFind(f *testing.F) {
 				}
 			}
 		}
-		labels, scratch := make([]int32, n), make([]int32, n)
-		if k, want := uf.LabelsInto(labels, scratch), classes(); k != want {
+		labels := make([]int32, n)
+		if k, want := uf.LabelsInto(labels), classes(); k != want {
 			t.Fatalf("LabelsInto = %d labels, oracle %d", k, want)
 		}
 		r := GetRemap(n)

@@ -491,6 +491,38 @@ func ccP1(n int, edges []graph.Edge, validate bool) (time.Duration, error) {
 // again, or one as dear as ValidateEdges, would read above it.
 const ccCheckedRatioMax = 0.90
 
+// checkedUnionPass is the floor of a p = 1 connected-components run: one
+// Reset, then Valid and Union per edge of the array, nothing else.
+func checkedUnionPass(uf *graph.UnionFind, n int, edges []graph.Edge) {
+	uf.Reset(n)
+	for _, e := range edges {
+		if !e.Valid(n) {
+			panic(graph.ErrInvalidEdge)
+		}
+		uf.Union(e.U, e.V)
+	}
+}
+
+// checkedPackedPass is checkedUnionPass over packed u<<32|v words, the
+// 8-byte view of an unweighted edge (its check has no weight to read).
+func checkedPackedPass(uf *graph.UnionFind, n int, words []uint64) {
+	uf.Reset(n)
+	for _, w := range words {
+		u, v := int32(w>>32), int32(uint32(w))
+		if uint(u) >= uint(n) || uint(v) >= uint(n) || u == v {
+			panic(graph.ErrInvalidEdge)
+		}
+		uf.Union(u, v)
+	}
+}
+
+// ccUnionFloorMax is the most a cold p = 1 run may cost against its
+// checked union pass alone. An exact round is that pass, one labelling
+// pass over n and the fresh Labels (1.29–1.36 on a 2-core host); the
+// loop that drew an index per edge, with the root's identity, relabel
+// and remap passes over n, read 1.99 on the same host.
+const ccUnionFloorMax = 1.6
+
 // ---------------------------------------------------------------------------
 // BENCH_kernels.json
 // ---------------------------------------------------------------------------
@@ -732,6 +764,35 @@ func fillKernelSnapshot(snap *benchsnap.Snapshot) error {
 	}
 	snap.Metrics = append(snap.Metrics, benchsnap.Metric{ID: "cc_checked_pass_ratio/ba100k/p=1",
 		Value: ratio, Kind: benchsnap.Ratio, Better: -1, Tol: ccCheckedRatioMax/ratio - 1})
+
+	// The same cold run against the floor it cannot beat, the checked
+	// union pass over the same array; gated at ccUnionFloorMax.
+	uf := graph.NewUnionFind(ufBenchN)
+	ratio, err = pairedRatio(40,
+		func() (time.Duration, error) { return ccP1(ufBenchN, ba, false) },
+		timed(func() { checkedUnionPass(uf, ufBenchN, ba) }))
+	if err != nil {
+		return err
+	}
+	if ratio > ccUnionFloorMax {
+		return fmt.Errorf("cc_union_floor_ratio/ba100k/p=1 = %.3f, above %.2f", ratio, ccUnionFloorMax)
+	}
+	snap.Metrics = append(snap.Metrics, benchsnap.Metric{ID: "cc_union_floor_ratio/ba100k/p=1",
+		Value: ratio, Kind: benchsnap.Ratio, Better: -1, Tol: ccUnionFloorMax/ratio - 1})
+
+	// What the packed 8-byte edge view would save that pass: below 1 it
+	// streams faster than the 16-byte graph.Edge array.
+	packed := make([]uint64, len(ba))
+	for i, e := range ba {
+		packed[i] = uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
+	}
+	ratio, err = pairedRatio(40,
+		timed(func() { checkedPackedPass(uf, ufBenchN, packed) }),
+		timed(func() { checkedUnionPass(uf, ufBenchN, ba) }))
+	if err != nil {
+		return err
+	}
+	snap.Add(benchsnap.Info, "cc_union_packed_ratio/ba100k", ratio, -1, 0)
 	return nil
 }
 

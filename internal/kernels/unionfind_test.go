@@ -176,8 +176,8 @@ func TestUnionFindMatchesReference(t *testing.T) {
 		if uf.Count() != ref.count {
 			t.Fatalf("%s: Count = %d, reference %d", s.name, uf.Count(), ref.count)
 		}
-		labels, scratch := make([]int32, s.n), make([]int32, s.n)
-		if k := uf.LabelsInto(labels, scratch); k != ref.count {
+		labels := make([]int32, s.n)
+		if k := uf.LabelsInto(labels); k != ref.count {
 			t.Fatalf("%s: LabelsInto counted %d labels, reference has %d sets", s.name, k, ref.count)
 		}
 		for v, want := range ref.Labels() {

@@ -17,7 +17,7 @@ type certifier struct {
 	adj        []int32  // CSR neighbours
 	wt         []uint64 // CSR weights, parallel to adj
 	heap, slot []int32  // indexed max-heap on att; slot: heap index, -1 out, -2 scanned
-	label, tmp []int32  // class labels and LabelsInto's scatter table
+	label      []int32  // class labels
 	es         []graph.Edge
 	uf         graph.UnionFind
 }
@@ -79,7 +79,7 @@ func (s *certifier) run(n int, edges []graph.Edge, bound uint64) (ok bool, passe
 			return false, passes, work
 		}
 		s.scan(k, bound)
-		kk := s.uf.LabelsInto(s.label, s.tmp)
+		kk := s.uf.LabelsInto(s.label)
 		switch kk {
 		case 1:
 			return true, passes, work
@@ -110,7 +110,6 @@ func (s *certifier) build(k int, edges []graph.Edge, bound uint64) bool {
 	s.heap = grow(s.heap, k)
 	s.slot = grow(s.slot, k)
 	s.label = grow(s.label, k)
-	s.tmp = grow(s.tmp, k)
 	clear(s.deg)
 	clear(s.off)
 	for _, e := range edges {

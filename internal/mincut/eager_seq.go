@@ -80,7 +80,7 @@ func eagerSequential(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, t int
 	// first-round capacity serves every later round, and the arena's
 	// union-find (idle until the recursion) is recycled with Reset.
 	uf := a.uf
-	labels, lscratch := a.getInts(n), a.getInts(n)
+	labels := a.getInts(n)
 	var mat *graph.Matrix
 	ps := first
 	for cur.N > t && len(cur.Edges) > 0 {
@@ -95,7 +95,7 @@ func eagerSequential(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, t int
 		}
 		work += uint64(len(cur.Edges)) + uint64(draws) + uint64(cur.N)
 		lab := labels[:cur.N]
-		k := uf.LabelsInto(lab, lscratch[:cur.N])
+		k := uf.LabelsInto(lab)
 		for v := 0; v < n; v++ {
 			mapping[v] = lab[mapping[v]]
 		}
@@ -108,7 +108,6 @@ func eagerSequential(a *ksArena, g *graph.Graph, first *rng.PrefixSampler, t int
 	if mat == nil {
 		mat = a.matrixFromEdges(cur.N, cur.Edges, nil)
 	}
-	a.putInts(lscratch)
 	a.putInts(labels)
 	return mat, mapping, work
 }

@@ -61,8 +61,9 @@ func quota(mi int, m uint64, s, n int, delta float64) (k int, whole bool) {
 // the global edge count, which the caller has already reduced. local is
 // only read, and each edge it draws is checked (graph.Edge.Valid) before
 // it reaches uf: an invalid one panics with graph.ErrInvalidEdge, which
-// the machine turns into a failed run. A slice taken whole is thereby
-// checked in full.
+// the machine turns into a failed run. A slice taken whole is read in
+// one plain pass over local, no draw and no index, and thereby checked
+// in full; a sampled one draws its k edges through one rng.Bounded.
 //
 // It reports whether the root's uf is exact, i.e. holds the components
 // of the whole edge array and not just of a sample: m ≤ (1+δ)s makes k
@@ -75,28 +76,33 @@ func UnweightedForest(c *bsp.Comm, root int, local []graph.Edge, m uint64, s, n 
 	exact = float64(m) <= (1+delta)*float64(s)
 	uf.Reset(n)
 	k, whole := quota(len(local), m, s, n, delta)
-	var pick rng.Bounded
 	if whole {
 		k = len(local)
-	} else {
-		pick = rng.NewBounded(uint64(len(local)))
 	}
 	send := c.Rank() != root
 	var forest []uint64
 	if send {
 		forest = c.Buffer(min(k, n))[:0]
 	}
-	for i := 0; i < k; i++ {
-		j := i
-		if !whole {
-			j = int(pick.Draw(st))
+	if whole {
+		for _, e := range local {
+			if !e.Valid(n) {
+				panic(graph.ErrInvalidEdge)
+			}
+			if uf.Union(e.U, e.V) && send {
+				forest = append(forest, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
+			}
 		}
-		e := &local[j]
-		if !e.Valid(n) {
-			panic(graph.ErrInvalidEdge)
-		}
-		if uf.Union(e.U, e.V) && send {
-			forest = append(forest, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
+	} else {
+		pick := rng.NewBounded(uint64(len(local)))
+		for range k {
+			e := &local[pick.Draw(st)]
+			if !e.Valid(n) {
+				panic(graph.ErrInvalidEdge)
+			}
+			if uf.Union(e.U, e.V) && send {
+				forest = append(forest, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
+			}
 		}
 	}
 	c.Ops(uint64(k))

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bsp"
@@ -84,7 +85,8 @@ func TestUnweightedCoversComponents(t *testing.T) {
 // UnweightedForest is Unweighted without the sample: in both quota
 // regimes the root's union-find must hold exactly the components of the
 // sample Unweighted returns for the same streams, while the ranks ship at
-// most n-1 words each where Unweighted ships three per sampled edge.
+// most n-1 words each where Unweighted ships three per sampled edge. p = 1
+// runs the whole-slice loop with no sender, p = 2 with one.
 func TestUnweightedForestMatchesUnweightedSample(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -94,38 +96,43 @@ func TestUnweightedForestMatchesUnweightedSample(t *testing.T) {
 	}{
 		{"true sample", gen.ErdosRenyiM(2000, 40000, 6, gen.Config{}), 1500, false},
 		{"whole slices", gen.ErdosRenyiM(300, 500, 8, gen.Config{}), 5000, true},
-		// µ_i = 75 is under the Chernoff threshold, so the slices are taken
-		// whole, but m > (1+δ)s: the sufficient test does not see it.
+		// At p ≥ 2, µ_i = 300/p is under the Chernoff threshold, so the
+		// slices are taken whole, but m > (1+δ)s: the sufficient test does
+		// not see it. (At p = 1 the one slice is sampled.)
 		{"whole slices, unreported", gen.ErdosRenyiM(300, 500, 8, gen.Config{}), 300, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const p, seed = 4, 3
-			sample := &graph.Graph{N: tc.g.N, Edges: runUnweighted(t, tc.g, p, tc.s, seed)}
-			want, _ := sample.ConnectedComponents()
+			for _, p := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+					const seed = 3
+					sample := &graph.Graph{N: tc.g.N, Edges: runUnweighted(t, tc.g, p, tc.s, seed)}
+					want, _ := sample.ConnectedComponents()
 
-			var got []int32
-			st, err := bsp.Run(p, func(c *bsp.Comm) {
-				lo, hi := dist.BlockRange(tc.g.M(), p, c.Rank())
-				uf := graph.NewUnionFind(0)
-				exact := UnweightedForest(c, 0, tc.g.Edges[lo:hi], uint64(tc.g.M()), tc.s, tc.g.N, 0.5,
-					rng.New(seed, uint32(c.Rank()), 0), uf)
-				if exact != tc.exact {
-					t.Errorf("rank %d: exact = %v, want %v", c.Rank(), exact, tc.exact)
-				}
-				if c.Rank() == 0 {
-					got = uf.Labels()
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("vertex %d: forest label %d, sample label %d", v, got[v], want[v])
-				}
-			}
-			if limit := uint64((p - 1) * (tc.g.N - 1)); st.Supersteps != 1 || st.CommVolume > limit {
-				t.Errorf("%d supersteps, %d words; want 1 and ≤ (p-1)(n-1) = %d", st.Supersteps, st.CommVolume, limit)
+					var got []int32
+					st, err := bsp.Run(p, func(c *bsp.Comm) {
+						lo, hi := dist.BlockRange(tc.g.M(), p, c.Rank())
+						uf := graph.NewUnionFind(0)
+						exact := UnweightedForest(c, 0, tc.g.Edges[lo:hi], uint64(tc.g.M()), tc.s, tc.g.N, 0.5,
+							rng.New(seed, uint32(c.Rank()), 0), uf)
+						if exact != tc.exact {
+							t.Errorf("rank %d: exact = %v, want %v", c.Rank(), exact, tc.exact)
+						}
+						if c.Rank() == 0 {
+							got = uf.Labels()
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("vertex %d: forest label %d, sample label %d", v, got[v], want[v])
+						}
+					}
+					if limit := uint64((p - 1) * (tc.g.N - 1)); st.Supersteps != 1 || st.CommVolume > limit {
+						t.Errorf("%d supersteps, %d words; want 1 and ≤ (p-1)(n-1) = %d", st.Supersteps, st.CommVolume, limit)
+					}
+				})
 			}
 		})
 	}
