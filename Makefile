@@ -34,8 +34,8 @@ vet:
 # concurrent query checks out are handed between goroutines there. trace's
 # Collector is the one mutex every query of a process crosses, and
 # backoff's generator is drawn from request goroutines. tenant's quota
-# buckets and the planner's decisions and observations are taken under a
-# mutex by every request; dist's collectives run on every rank's goroutine
+# buckets and the planner's decision counters are taken under a mutex
+# by every request; dist's collectives run on every rank's goroutine
 # over slices the ranks share; sort's scratch pools are shared by all of
 # them. perfmodel is fitted once, at startup, not from request goroutines;
 # it stays on the list because every planner decision reads its models

@@ -35,8 +35,8 @@ func fixtures() map[string]*benchsnap.Snapshot {
 	add(service, benchsnap.Ratio, "dynamic_sched_speedup", 2.39, +1, 0)
 	add(service, benchsnap.Exact, "cut_value/dynamic", 2, 0, 0)
 	add(planner, benchsnap.Ratio, "high_diameter_speedup", 16.58, +1, 0)
-	add(planner, benchsnap.Info, "win_rate", 1, +1, 0)
-	add(planner, benchsnap.Info, "prediction_mean_abs_err", 1.37, -1, 0)
+	add(planner, benchsnap.Info, "high_diameter_actual_ms", 32.6, -1, 0)
+	add(planner, benchsnap.Info, "decisions", 111, 0, 0)
 	add(bsp, benchsnap.Exact, "result/cc/p=4", 1, 0, 0)
 	add(bsp, benchsnap.Exact, "comm_volume/cc/p=4", 11465, -1, 0)
 	add(bsp, benchsnap.Exact, "supersteps/cc/p=4", 13, -1, 0)
@@ -169,12 +169,12 @@ func TestGateAllocSlack(t *testing.T) {
 	check(t, set{"kernels/combine_allocs_op": 40}, "kernels/combine_allocs_op")
 }
 
-// The planner file gates its speedup; win rate and prediction error are
-// wall clock against a model.
+// The planner file gates its speedup; a measured time and the decision
+// count are info.
 func TestGateCatchesPlannerRegressions(t *testing.T) {
 	check(t, set{"planner/high_diameter_speedup": 1.05}, "planner/high_diameter_speedup")
-	check(t, set{"planner/win_rate": 0}, "")
-	check(t, set{"planner/prediction_mean_abs_err": 4.2}, "")
+	check(t, set{"planner/high_diameter_actual_ms": 400}, "")
+	check(t, set{"planner/decisions": 0}, "")
 }
 
 func TestGateCatchesFleetCountDrift(t *testing.T) {

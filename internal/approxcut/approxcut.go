@@ -236,7 +236,7 @@ const (
 // falls changes no draw and no verdict.
 func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, from, to int, base bool, coins *rng.Bits) int {
 	const root = 0
-	uf := graph.GetUnionFind(n)
+	uf := graph.GetUnionFind()
 	defer graph.PutUnionFind(uf)
 	section := min(len(local), n-1) + 1
 	// At most a level's worst case and the base section. A pipelined scan

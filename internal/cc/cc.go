@@ -31,16 +31,18 @@ type Result struct {
 	Iterations int
 }
 
+// delta is the Chernoff oversampling slack of the unweighted sampler.
+// maxIterations bounds the sampling rounds; exceeding it indicates a
+// logic error and panics the worker.
+const (
+	delta         = 0.5
+	maxIterations = 64
+)
+
 // Options tunes the parallel algorithm. Zero values select the defaults.
 type Options struct {
 	// Epsilon controls the sample size s = n^(1+Epsilon/2); default 0.5.
 	Epsilon float64
-	// Delta is the Chernoff oversampling slack of the unweighted
-	// sampler; default 0.5.
-	Delta float64
-	// MaxIterations bounds the sampling rounds (default 64); exceeding it
-	// indicates a logic error and panics the worker.
-	MaxIterations int
 	// Plan, when non-nil and matching the input, supplies the snapshot's
 	// precomputed connectivity labelling: the call returns it immediately
 	// with zero supersteps, recording the skipped cold cost on the BSP
@@ -53,12 +55,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Epsilon <= 0 {
 		o.Epsilon = 0.5
-	}
-	if o.Delta <= 0 {
-		o.Delta = 0.5
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 64
 	}
 }
 
@@ -96,7 +92,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		return &Result{Labels: append([]int32(nil), pl.Labels...), Count: pl.Components}
 	}
 
-	uf := graph.GetUnionFind(n)
+	uf := graph.GetUnionFind()
 	defer graph.PutUnionFind(uf)
 	// The root's n-sized working set, pooled and taken only once a round
 	// samples: comp tracks the label of each original vertex, labels is
@@ -112,7 +108,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		if m == 0 {
 			break
 		}
-		if iters >= opts.MaxIterations {
+		if iters >= maxIterations {
 			panic(fmt.Sprintf("cc: no convergence after %d iterations (m=%d)", iters, m))
 		}
 		if m == prevM {
@@ -123,7 +119,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 		prevM = m
 		iters++
 
-		exact := sparsify.UnweightedForest(c, root, edges, m, s, n, opts.Delta, st, uf)
+		exact := sparsify.UnweightedForest(c, root, edges, m, s, n, delta, st, uf)
 		if exact && iters == 1 {
 			break // the root's uf holds the components of the whole input
 		}
@@ -187,12 +183,14 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	res := &Result{Labels: make([]int32, n), Iterations: iters}
 	if sc == nil {
 		// No round sampled, so the root's uf holds the components of the
-		// whole input (n singletons when it has no edge). Its
-		// first-appearance labelling over v = 0…n−1 is the dense answer.
-		res.Count = uf.LabelsInto(res.Labels)
-		if iters > 0 { // charged like a round's labelling; no edge, no round
-			c.Ops(uint64(n))
+		// whole input. Its first-appearance labelling over v = 0…n−1 is
+		// the dense answer.
+		if iters == 0 {
+			uf.Reset(n) // no edge, no forest pass: n singletons
+		} else {
+			c.Ops(uint64(n)) // charged like a round's labelling
 		}
+		res.Count = uf.LabelsInto(res.Labels)
 		return res
 	}
 	// The per-round relabellings keep comp dense over the final label

@@ -112,11 +112,24 @@ func TestParallelConnectedGraph(t *testing.T) {
 	}
 }
 
+// An edgeless input runs no forest pass, so nothing fills the pooled
+// union-find it checks out: right after a connected solve has left one
+// dirty, it must still answer n singletons.
 func TestParallelEdgeless(t *testing.T) {
-	g := graph.New(10)
-	got := runParallel(t, g, 3, 1)
-	if got.Count != 10 || got.Iterations != 0 {
-		t.Errorf("edgeless: count=%d iters=%d", got.Count, got.Iterations)
+	const n = 10
+	for _, p := range []int{1, 2, 3} {
+		if got := runParallel(t, gen.Cycle(n, 1), p, 1); got.Count != 1 {
+			t.Fatalf("p=%d: cycle count=%d, want 1", p, got.Count)
+		}
+		got := runParallel(t, graph.New(n), p, 1)
+		if got.Count != n || got.Iterations != 0 {
+			t.Errorf("p=%d edgeless: count=%d iters=%d", p, got.Count, got.Iterations)
+		}
+		for v, l := range got.Labels {
+			if l != int32(v) {
+				t.Fatalf("p=%d edgeless: Labels[%d] = %d, want %d", p, v, l, v)
+			}
+		}
 	}
 }
 

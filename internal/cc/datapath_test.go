@@ -119,7 +119,7 @@ func TestParallelWholeSliceBoundary(t *testing.T) {
 	const n = 100
 	var o Options
 	o.defaults()
-	boundary := int((1 + o.Delta) * float64(sampleSize(n, o.Epsilon))) // ⌊(1+δ)s⌋ = 475
+	boundary := int((1 + delta) * float64(sampleSize(n, o.Epsilon))) // ⌊(1+δ)s⌋ = 475
 	for _, p := range []int{1, 2, 4, 8} {
 		steps := make(map[int]int)
 		for _, m := range []int{boundary - 1, boundary, boundary + 1} {

@@ -186,7 +186,8 @@ func TestPooledUnionFindConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				n := 16 + (w*rounds+r)%48
-				uf, remap := GetUnionFind(n), GetRemap(n)
+				uf, remap := GetUnionFind(), GetRemap(n)
+				uf.Reset(n)
 				for v := int32(2); int(v) < n; v++ {
 					uf.Union(v, v-2) // evens and odds: two components
 				}

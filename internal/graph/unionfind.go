@@ -114,12 +114,10 @@ func (uf *UnionFind) LabelsInto(labels []int32) int {
 // of a connected-components run checks one out per call.
 var ufPool = sync.Pool{New: func() any { return &UnionFind{} }}
 
-// GetUnionFind returns a pooled UnionFind reset to n singleton sets.
-func GetUnionFind(n int) *UnionFind {
-	uf := ufPool.Get().(*UnionFind)
-	uf.Reset(n)
-	return uf
-}
+// GetUnionFind returns a pooled UnionFind holding whatever its last user
+// left: every use starts with Reset, so the pool does not fill n words
+// that the first use fills again.
+func GetUnionFind() *UnionFind { return ufPool.Get().(*UnionFind) }
 
 // PutUnionFind returns a UnionFind to the pool. The caller must not use
 // it afterwards.

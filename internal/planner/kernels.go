@@ -139,7 +139,7 @@ type Kernel struct {
 	NewCheckpoint func() Checkpoint
 }
 
-// Kernel names, as traces, stats and a request's pin spell them.
+// Kernel names, as traces and stats spell them.
 const (
 	KernelCCSampling = "sampling"    // cc.Parallel — iterated sampling, O(1) supersteps
 	KernelMCKargerSt = "kargerstein" // mincut.Parallel — contraction trials

@@ -14,7 +14,6 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -44,18 +43,10 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Decision is the planner's answer for one query: the machine size p,
-// with the prediction that justified it and the default choice it
-// displaced (the win-rate baseline).
+// with the prediction that justified it.
 type Decision struct {
 	P           int
 	PredictedMs float64
-	// DefaultP/DefaultPredictedMs describe what the engine would have run
-	// with the planner off: the heuristic p.
-	DefaultP           int
-	DefaultPredictedMs float64
-	// Diverged marks a decision whose p differs from the heuristic's —
-	// the denominator of the win rate.
-	Diverged bool
 	// Fallback marks a decision made without a calibrated model for the
 	// kernel (e.g. perfmodel.Fit failed on the calibration samples): it
 	// runs at the heuristic p and the planner_fallback counter
@@ -63,22 +54,16 @@ type Decision struct {
 	Fallback bool
 }
 
-// Planner scores candidate machine sizes and tracks its own accuracy.
+// Planner scores candidate machine sizes and counts its decisions.
 type Planner struct {
 	mode Mode
 
 	mu     sync.Mutex
 	models map[string]*perfmodel.Model
 	// decisions counts Choose calls; fallbacks those without a usable
-	// model. executed/diverged/wins track observed executions of planned
-	// queries.
+	// model.
 	decisions uint64
 	fallbacks uint64
-	executed  uint64
-	diverged  uint64
-	wins      uint64
-	absErrSum float64 // Σ |predicted-actual|/actual over executed
-	errCount  uint64
 	calErr    string // startup calibration failure, surfaced in Snapshot
 }
 
@@ -131,8 +116,8 @@ func (pl *Planner) Calibrated() []string { return pl.Snapshot().Calibrated }
 
 // HeuristicP is the planner-off machine sizing: an explicit request is
 // honored (clamped to maxP); otherwise p doubles while each processor
-// would still hold more than 2·edgesPerProc edges. It is also the
-// baseline the win rate measures against.
+// would still hold more than 2·edgesPerProc edges. It is also the p a
+// planner decision falls back to, and the one it keeps on a tie.
 func HeuristicP(m, explicit, maxP int) int {
 	if maxP < 1 {
 		maxP = 1
@@ -183,7 +168,7 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		maxP = 1
 	}
 	hp := HeuristicP(st.M, explicitP, maxP)
-	fallback := Decision{P: hp, DefaultP: hp, Fallback: true}
+	fallback := Decision{P: hp, Fallback: true}
 	k := For(alg)
 
 	pl.mu.Lock()
@@ -199,41 +184,13 @@ func (pl *Planner) Choose(alg string, st GraphStats, par Params, explicitP, maxP
 		pl.fallbacks++
 		return fallback
 	}
-	defPred := model.Predict(k.Cost(st, hp, par))
-	bestP, bestPred := hp, defPred
+	bestP, bestPred := hp, model.Predict(k.Cost(st, hp, par))
 	for _, p := range candidatePs(explicitP, maxP) {
 		if pred := model.Predict(k.Cost(st, p, par)); pred < bestPred {
 			bestP, bestPred = p, pred
 		}
 	}
-	return Decision{
-		P: bestP, PredictedMs: bestPred * 1000,
-		DefaultP: hp, DefaultPredictedMs: defPred * 1000,
-		Diverged: bestP != hp,
-	}
-}
-
-// Observe feeds one completed planned execution back: timeMs is its
-// measured wall time, dec the decision that scheduled it. Wins are
-// divergent decisions whose measured time beat the predicted default-path
-// time.
-func (pl *Planner) Observe(timeMs float64, dec *Decision) {
-	if dec.Fallback {
-		return
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.executed++
-	if dec.PredictedMs > 0 && timeMs > 0 {
-		pl.absErrSum += math.Abs(dec.PredictedMs-timeMs) / timeMs
-		pl.errCount++
-	}
-	if dec.Diverged {
-		pl.diverged++
-		if timeMs <= dec.DefaultPredictedMs {
-			pl.wins++
-		}
-	}
+	return Decision{P: bestP, PredictedMs: bestPred * 1000}
 }
 
 // ModelConstants is the JSON-ready form of a fitted model.
@@ -250,20 +207,10 @@ type Snapshot struct {
 	Mode       string   `json:"mode"`
 	Calibrated []string `json:"calibrated,omitempty"`
 	// Decisions counts Choose calls; Fallbacks the subset decided without
-	// a calibrated model. Executed counts observed runs of planned
-	// queries; Diverged those where the planner overrode the heuristic p;
-	// Wins the overrides whose measured time beat the predicted default
-	// path.
-	Decisions uint64 `json:"decisions"`
-	Fallbacks uint64 `json:"fallbacks"`
-	Executed  uint64 `json:"executed"`
-	Diverged  uint64 `json:"diverged"`
-	Wins      uint64 `json:"wins"`
-	// WinRate is Wins/Diverged; MeanAbsErr is the mean of
-	// |predicted-actual|/actual over executed planned queries.
-	WinRate    float64                   `json:"win_rate"`
-	MeanAbsErr float64                   `json:"mean_abs_err"`
-	Models     map[string]ModelConstants `json:"models,omitempty"`
+	// a calibrated model.
+	Decisions uint64                    `json:"decisions"`
+	Fallbacks uint64                    `json:"fallbacks"`
+	Models    map[string]ModelConstants `json:"models,omitempty"`
 	// CalibrationError is the startup calibration failure, if any; the
 	// kernels it names stay uncalibrated and decisions needing them fall
 	// back.
@@ -279,15 +226,6 @@ func (pl *Planner) Snapshot() *Snapshot {
 		CalibrationError: pl.calErr,
 		Decisions:        pl.decisions,
 		Fallbacks:        pl.fallbacks,
-		Executed:         pl.executed,
-		Diverged:         pl.diverged,
-		Wins:             pl.wins,
-	}
-	if pl.diverged > 0 {
-		sn.WinRate = float64(pl.wins) / float64(pl.diverged)
-	}
-	if pl.errCount > 0 {
-		sn.MeanAbsErr = pl.absErrSum / float64(pl.errCount)
 	}
 	for name, m := range pl.models {
 		if sn.Models == nil {

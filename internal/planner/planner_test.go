@@ -16,6 +16,11 @@ func bspModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 2e-9, C: 
 // it wins every choice.
 func volumeModel() *perfmodel.Model { return &perfmodel.Model{A: 1e-9, B: 1e-3, C: 1e-6, D: 5e-5} }
 
+// ccPredictedMs is what m predicts, in ms, for the CC kernel at p.
+func ccPredictedMs(m *perfmodel.Model, st GraphStats, p int) float64 {
+	return m.Predict(For("cc").Cost(st, p, Params{Epsilon: 0.5})) * 1000
+}
+
 // mid is a CC graph the heuristic runs at p = 4 (21k edges, m/p ≤ 8192
 // first at p = 4).
 var mid = GraphStats{N: 1000, M: 20000}
@@ -92,11 +97,11 @@ func TestHeuristicP(t *testing.T) {
 func TestChooseFallbackWithoutModels(t *testing.T) {
 	pl := New(ModeStatic)
 	d := pl.Choose("cc", mid, Params{}, 0, 16)
-	if !d.Fallback || d.Diverged {
+	if !d.Fallback {
 		t.Fatalf("uncalibrated planner decided %+v, want a fallback", d)
 	}
-	if hp := HeuristicP(mid.M, 0, 16); d.P != hp || d.DefaultP != hp {
-		t.Fatalf("fallback p = %d (default %d), want heuristic %d", d.P, d.DefaultP, hp)
+	if hp := HeuristicP(mid.M, 0, 16); d.P != hp {
+		t.Fatalf("fallback p = %d, want heuristic %d", d.P, hp)
 	}
 	// approxcut has no cost model, so it always falls back.
 	pl.SetModel(KernelCCSampling, bspModel())
@@ -115,28 +120,31 @@ func TestChooseArgminOverP(t *testing.T) {
 	pl := New(ModeStatic)
 	pl.SetModel(KernelCCSampling, volumeModel())
 	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
-	if d.P != 1 || d.DefaultP != 4 || !d.Diverged || d.Fallback {
-		t.Fatalf("volume-priced decision = %+v, want p=1 against the heuristic's 4", d)
+	if hp := HeuristicP(mid.M, 0, 16); d.P != 1 || hp != 4 || d.Fallback {
+		t.Fatalf("volume-priced decision = %+v, want p=1 against the heuristic's %d", d, hp)
 	}
-	if d.PredictedMs >= d.DefaultPredictedMs {
-		t.Fatalf("chosen p predicted %gms, not below the heuristic's %gms", d.PredictedMs, d.DefaultPredictedMs)
+	if d.PredictedMs != ccPredictedMs(volumeModel(), mid, 1) {
+		t.Fatalf("chosen p predicted %gms, want the model's %gms at p=1", d.PredictedMs, ccPredictedMs(volumeModel(), mid, 1))
+	}
+	if hpMs := ccPredictedMs(volumeModel(), mid, 4); d.PredictedMs >= hpMs {
+		t.Fatalf("chosen p predicted %gms, not below the heuristic's %gms", d.PredictedMs, hpMs)
 	}
 
 	pl.SetModel(KernelCCSampling, &perfmodel.Model{A: 1e-6})
 	small := GraphStats{N: 500, M: 8000}
-	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 0, 8); d.P != 8 || d.DefaultP != 1 || !d.Diverged {
+	if d := pl.Choose("cc", small, Params{Epsilon: 0.5}, 0, 8); d.P != 8 || HeuristicP(small.M, 0, 8) != 1 {
 		t.Fatalf("compute-priced decision = %+v, want p=8 against the heuristic's 1", d)
 	}
 }
 
-// A candidate predicted exactly as fast as the heuristic p loses the tie,
-// and the decision does not diverge.
+// A candidate predicted exactly as fast as the heuristic p loses the tie.
 func TestChooseTieKeepsHeuristicP(t *testing.T) {
 	pl := New(ModeStatic)
-	pl.SetModel(KernelCCSampling, &perfmodel.Model{D: 1e-3}) // every p costs the same
+	flat := &perfmodel.Model{D: 1e-3} // every p costs the same
+	pl.SetModel(KernelCCSampling, flat)
 	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
-	if d.P != 4 || d.Diverged || d.PredictedMs != d.DefaultPredictedMs {
-		t.Fatalf("tie decision = %+v, want the heuristic p=4, not diverged", d)
+	if hp := HeuristicP(mid.M, 0, 16); d.P != hp || d.PredictedMs != ccPredictedMs(flat, mid, hp) {
+		t.Fatalf("tie decision = %+v, want the heuristic p=%d at its prediction", d, hp)
 	}
 }
 
@@ -146,7 +154,7 @@ func TestChooseRespectsExplicitP(t *testing.T) {
 	// p = 1 is cheapest under volumeModel, but a pinned p = 16 leaves
 	// only p = 16 as a candidate.
 	for _, st := range []GraphStats{{N: 500, M: 2000}, mid, {N: 100001, M: 100000}} {
-		if d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 16, 16); d.P != 16 || d.Diverged {
+		if d := pl.Choose("cc", st, Params{Epsilon: 0.5}, 16, 16); d.P != 16 || d.PredictedMs != ccPredictedMs(volumeModel(), st, 16) {
 			t.Fatalf("explicit p=16 not honored on %+v: %+v", st, d)
 		}
 	}
@@ -166,27 +174,6 @@ func TestChooseMincutRouting(t *testing.T) {
 	}
 	if sn := pl.Snapshot(); sn.Decisions != 1 || sn.Fallbacks != 0 {
 		t.Fatalf("decisions = %d, fallbacks = %d, want 1 and 0", sn.Decisions, sn.Fallbacks)
-	}
-}
-
-func TestObserveWinRateAndError(t *testing.T) {
-	pl := New(ModeStatic)
-	pl.SetModel(KernelCCSampling, volumeModel())
-	d := pl.Choose("cc", mid, Params{Epsilon: 0.5}, 0, 16)
-	if !d.Diverged {
-		t.Fatalf("expected divergent decision, got %+v", d)
-	}
-	// Measured twice as fast as predicted for the default path: a win.
-	pl.Observe(d.DefaultPredictedMs/2, &d)
-	sn := pl.Snapshot()
-	if sn.Executed != 1 || sn.Diverged != 1 || sn.Wins != 1 {
-		t.Fatalf("win counters = %+v", sn)
-	}
-	if sn.WinRate != 1 {
-		t.Fatalf("win rate = %v, want 1", sn.WinRate)
-	}
-	if sn.MeanAbsErr <= 0 {
-		t.Fatalf("mean abs err = %v, want > 0", sn.MeanAbsErr)
 	}
 }
 

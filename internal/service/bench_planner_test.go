@@ -7,7 +7,6 @@ import (
 	"repro/internal/benchsnap"
 	"repro/internal/bsp"
 	"repro/internal/cc"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/planner"
 )
@@ -20,9 +19,8 @@ import (
 //     kernel (iterated sampling) vs cc.LabelPropagation (the
 //     O(d)-superstep baseline it displaces) on a p=16 machine — a
 //     same-process ratio;
-//   - prediction: the planner's own accounting (win rate, mean
-//     |predicted−actual|/actual) after the runs above — a measured time
-//     against a model's prediction, so info only (DESIGN §4g).
+//   - the planner's decision and fallback counts after the runs above,
+//     info only.
 // ---------------------------------------------------------------------------
 
 // plannerPathGraph is the high-diameter workload: a 100001-vertex path,
@@ -33,18 +31,6 @@ func plannerPathGraph() *graph.Graph {
 	for v := 0; v < n-1; v++ {
 		g.AddEdge(int32(v), int32(v+1), 1)
 	}
-	return g
-}
-
-// plannerMincutGraph is the small connected exact-cut workload of the
-// prediction batch: planner-scheduled Karger–Stein runs whose measured
-// times the info-only accounting rows compare with their predictions.
-func plannerMincutGraph() *graph.Graph {
-	g := gen.ErdosRenyiM(150, 600, 7, gen.Config{MaxWeight: 4})
-	for v := 1; v < g.N; v++ {
-		g.AddEdge(int32(v-1), int32(v), 1)
-	}
-	g.AddEdge(int32(g.N-1), 0, 1)
 	return g
 }
 
@@ -80,9 +66,6 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	if _, err := pe.Registry().Put("path", pathG); err != nil {
 		return err
 	}
-	if _, err := pe.Registry().Put("mc", plannerMincutGraph()); err != nil {
-		return err
-	}
 
 	// --- high_diameter: label propagation@16 vs the CC kernel@16 ---
 	plReq := QueryRequest{Graph: "path", Algorithm: AlgCC, Processors: 16, NoCache: true}
@@ -112,22 +95,8 @@ func fillPlannerSnapshot(snap *benchsnap.Snapshot) error {
 	snap.Add(benchsnap.Info, "high_diameter_predicted_ms", probe.Result.Kernel.PredictedMs, 0, 0)
 	snap.Add(benchsnap.Info, "high_diameter_actual_ms", probe.Result.Kernel.TimeMs, -1, 0)
 
-	// --- prediction: feed the planner a batch of small unpinned mincut
-	// queries — eight more planned executions, each observed against its
-	// prediction — and snapshot the accounting over everything above.
-	// These rows are info only: they compare a measured time with a
-	// model's prediction.
-	for i := 0; i < 8; i++ {
-		if _, err := pe.Query(context.Background(), QueryRequest{Graph: "mc", Algorithm: AlgMinCut, NoCache: true}); err != nil {
-			return err
-		}
-	}
 	ps := pe.Planner().Snapshot()
-	snap.Add(benchsnap.Info, "win_rate", ps.WinRate, +1, 0)
-	snap.Add(benchsnap.Info, "prediction_mean_abs_err", ps.MeanAbsErr, -1, 0)
 	snap.Add(benchsnap.Info, "calibration_fallbacks", float64(ps.Fallbacks), -1, 0)
 	snap.Add(benchsnap.Info, "decisions", float64(ps.Decisions), 0, 0)
-	snap.Add(benchsnap.Info, "diverged", float64(ps.Diverged), 0, 0)
-	snap.Add(benchsnap.Info, "wins", float64(ps.Wins), +1, 0)
 	return nil
 }

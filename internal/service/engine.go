@@ -264,9 +264,6 @@ func (e *Engine) serve(c *call) {
 	}
 	if c.err == nil && c.dec != nil {
 		c.res.Kernel.PredictedMs = c.dec.PredictedMs
-		if e.planner != nil && !c.res.Degraded {
-			e.planner.Observe(c.res.Kernel.TimeMs, c.dec)
-		}
 	}
 	if c.err == nil && !c.res.Degraded {
 		e.cache.put(c.key, c.res)
@@ -297,9 +294,9 @@ type Resolved struct {
 	Graph  *StoredGraph
 	Params planner.RunParams
 	P      int
-	// dec is the planner decision behind P (nil when the planner is off,
-	// the kernel has no cost model, or the request pinned the kernel),
-	// kept for Observe's feedback.
+	// dec is the planner decision behind P (nil when the planner is off
+	// or the kernel has no cost model); its prediction goes into the
+	// reply's KernelStats.
 	dec *planner.Decision
 }
 
@@ -316,46 +313,29 @@ func (e *Engine) Resolve(req *QueryRequest) (Resolved, error) {
 	if err != nil {
 		return Resolved{}, err
 	}
-	return e.decide(req, sg, pr)
+	return e.decide(req, sg, pr), nil
 }
 
 // decide resolves the machine size a query's kernel runs at: an
-// Executor's fixed worker group, the heuristic p for a request-pinned
-// kernel (validated), a planner decision, or the heuristic p — in that
-// order.
-func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams) (Resolved, error) {
+// Executor's fixed worker group, a planner decision, or the heuristic p
+// — in that order.
+func (e *Engine) decide(req *QueryRequest, sg *StoredGraph, pr planner.RunParams) Resolved {
 	rs := Resolved{Graph: sg, Params: pr, P: planner.HeuristicP(sg.Snap.M(), req.Processors, e.cfg.MaxProcessors)}
 	if e.cfg.Executor != nil {
 		// A distributed machine's size is its worker-group size; per-query
 		// shapes don't apply.
-		if req.Kernel != "" {
-			return rs, fmt.Errorf("%w: kernel pinning is not supported on a distributed executor", ErrBadRequest)
-		}
 		rs.P = e.cfg.Executor.MachineP()
-		return rs, nil
+		return rs
 	}
-	k := planner.For(req.Algorithm)
-	if req.Kernel != "" {
-		// Only a kernel the planner sizes can be pinned.
-		var have string
-		if k.Cost != nil {
-			have = k.Name
-		}
-		if req.Kernel != have {
-			return rs, fmt.Errorf("%w: unknown kernel %q for algorithm %q (have: %s)",
-				ErrBadRequest, req.Kernel, req.Algorithm, have)
-		}
-		return rs, nil
-	}
-	if e.planner == nil || k.Cost == nil {
-		return rs, nil
+	if e.planner == nil || planner.For(req.Algorithm).Cost == nil {
+		return rs
 	}
 	dec := e.planner.Choose(req.Algorithm, planner.StatsOf(sg.Snap), plannerParams(req.Algorithm, sg, pr),
 		req.Processors, e.cfg.MaxProcessors)
 	// Choose always answers — at worst what rs already holds, the
 	// heuristic p.
 	rs.dec, rs.P = &dec, dec.P
-	return rs, nil
+	return rs
 }
 
 // plannerParams resolves the per-query knobs the cost formulas consume:

@@ -37,11 +37,6 @@ type QueryRequest struct {
 	// Processors pins the BSP machine size; 0 lets the scheduler size it
 	// from the graph (clamped to the engine's MaxProcessors either way).
 	Processors int `json:"processors,omitempty"`
-	// Kernel names the algorithm's kernel ("sampling" for cc,
-	// "kargerstein" for mincut) to run it at the heuristic p, bypassing
-	// the planner; any other name is a bad request. Empty lets the
-	// planner (or, with the planner off, the heuristic) size the machine.
-	Kernel string `json:"kernel,omitempty"`
 	// SuccessProb targets the exact min cut success probability
 	// (default 0.9).
 	SuccessProb float64 `json:"success_prob,omitempty"`
@@ -62,15 +57,6 @@ type QueryRequest struct {
 	IncludeSide   bool `json:"include_side,omitempty"`
 	// NoCache skips the cache lookup (the result is still stored).
 	NoCache bool `json:"no_cache,omitempty"`
-	// Hedged opts a cc query into hedged reads at the shard frontend:
-	// when the shard leader's circuit breaker is open (or the leader is
-	// slow past the hedge delay), the frontend races a second copy of the
-	// query against a replica rank holding the same graph. A routing
-	// hint only — it never changes the computation's identity, so it is
-	// excluded from cache keys and coalescing. Ignored by single-process
-	// engines and by algorithms other than cc (exact/approx cut runs are
-	// too expensive to duplicate speculatively).
-	Hedged bool `json:"hedged,omitempty"`
 }
 
 // maxTrials bounds a query's approximate-cut trials per level: twice

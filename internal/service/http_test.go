@@ -206,52 +206,62 @@ func TestHTTPErrorMapping(t *testing.T) {
 	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
 	defer srv.Close()
 
+	// msg, when set, is a substring the error body must carry.
 	cases := []struct {
 		desc string
 		do   func() *http.Response
 		want int
+		msg  string
 	}{
 		{"malformed upload", func() *http.Response {
 			r, _ := http.Post(srv.URL+"/v1/graphs", "text/plain", strings.NewReader("2 1\n0 torn"))
 			return r
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"negative endpoint upload", func() *http.Response {
 			r, _ := http.Post(srv.URL+"/v1/graphs", "text/plain", strings.NewReader("2 1\n-1 1 1\n"))
 			return r
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"bad format", func() *http.Response {
 			r, _ := http.Post(srv.URL+"/v1/graphs?format=xml", "text/plain", strings.NewReader("x"))
 			return r
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown graph", func() *http.Response {
 			return postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "ghost", Algorithm: AlgCC})
-		}, http.StatusNotFound},
+		}, http.StatusNotFound, ""},
 		{"unknown algorithm", func() *http.Response {
 			return postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "ghost", Algorithm: "bfs"})
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"bad query json", func() *http.Response {
 			r, _ := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader("{nope"))
 			return r
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"unknown query field", func() *http.Response {
 			r, _ := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(`{"grph":"g"}`))
 			return r
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
+		{"kernel field", func() *http.Response {
+			r, _ := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(`{"graph":"g","algorithm":"cc","kernel":"sampling"}`))
+			return r
+		}, http.StatusBadRequest, `unknown field \"kernel\"`},
+		{"hedged field", func() *http.Response {
+			r, _ := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(`{"graph":"g","algorithm":"cc","hedged":true}`))
+			return r
+		}, http.StatusBadRequest, `unknown field \"hedged\"`},
 		{"GET on query", func() *http.Response {
 			r, _ := http.Get(srv.URL + "/v1/query")
 			return r
-		}, http.StatusMethodNotAllowed},
+		}, http.StatusMethodNotAllowed, ""},
 	}
 	for _, c := range cases {
 		resp := c.do()
 		if resp == nil {
 			t.Fatalf("%s: no response", c.desc)
 		}
-		if resp.StatusCode != c.want {
-			b, _ := io.ReadAll(resp.Body)
-			t.Errorf("%s: status %d, want %d (%s)", c.desc, resp.StatusCode, c.want, b)
-		}
+		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if resp.StatusCode != c.want || !strings.Contains(string(b), c.msg) {
+			t.Errorf("%s: status %d (%s), want %d with %q", c.desc, resp.StatusCode, b, c.want, c.msg)
+		}
 	}
 }
 
@@ -283,33 +293,6 @@ func TestHTTPQueryTrailingBytes(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("body %q: status %d, want %d (%s)", body, resp.StatusCode, want, b)
-		}
-	}
-}
-
-// A kernel pin that names anything but the algorithm's kernel — a typo,
-// or a kernel the table no longer has — is a 400 whose message names the
-// one that may be pinned.
-func TestHTTPUnknownKernelPin(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1})
-	if _, err := e.Registry().Put("g", testGraph(40, 100)); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHandlerOpts(e, HandlerOptions{}))
-	defer srv.Close()
-
-	for _, c := range []struct{ alg, kernel, want string }{
-		{AlgCC, "lowround", `unknown kernel "lowround" for algorithm "cc" (have: sampling)`},
-		{AlgCC, "shared", `unknown kernel "shared" for algorithm "cc" (have: sampling)`},
-		{AlgCC, "labelprop", `unknown kernel "labelprop" for algorithm "cc" (have: sampling)`},
-		{AlgMinCut, "stoerwagner", `unknown kernel "stoerwagner" for algorithm "mincut" (have: kargerstein)`},
-	} {
-		resp := postJSON(t, srv.URL+"/v1/query", QueryRequest{Graph: "g", Algorithm: c.alg, Kernel: c.kernel})
-		var body struct{ Error string }
-		err := json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, c.want) {
-			t.Errorf("%s pin %q: status %d, error %q (%v); want 400 with %q", c.alg, c.kernel, resp.StatusCode, body.Error, err, c.want)
 		}
 	}
 }

@@ -179,11 +179,6 @@ func WriteMetrics(w io.Writer, st EngineStats) {
 		m.scalars([]scalar{
 			{"camc_planner_decisions_total", "Planner decisions made.", "counter", float64(pl.Decisions)},
 			{"camc_planner_fallbacks_total", "Decisions without a calibrated model, run at the heuristic p.", "counter", float64(pl.Fallbacks)},
-			{"camc_planner_executed_total", "Planned queries observed after execution.", "counter", float64(pl.Executed)},
-			{"camc_planner_diverged_total", "Executions where the planner overrode the default choice.", "counter", float64(pl.Diverged)},
-			{"camc_planner_wins_total", "Overrides whose measured time beat the predicted default path.", "counter", float64(pl.Wins)},
-			{"camc_planner_win_rate", "Wins over diverged decisions.", "gauge", pl.WinRate},
-			{"camc_planner_prediction_mean_abs_err", "Mean |predicted-actual|/actual over planned executions.", "gauge", pl.MeanAbsErr},
 		})
 	}
 

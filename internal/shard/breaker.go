@@ -42,12 +42,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 

@@ -25,9 +25,7 @@ import (
 // Self-healing (DESIGN.md §4i): transport-level retries back off
 // exponentially with full jitter; a per-leader circuit breaker fails
 // fast once a leader looks dead; cc queries fail over to a replica
-// rank's /v1/local when the leader is open or erroring; and opted-in
-// cc queries ("hedged": true) race a replica copy against a slow
-// leader.
+// rank's /v1/local when the leader is open or erroring.
 type Frontend struct {
 	ring *Ring
 	// shards[i] lists shard i's worker base URLs in rank order;
@@ -37,37 +35,23 @@ type Frontend struct {
 	attempts int
 	backoff  *backoff.Jitter
 	// breakers[i] guards shard i's leader.
-	breakers   []*breaker
-	hedgeDelay time.Duration
-	tenants    *tenant.Registry
+	breakers []*breaker
+	tenants  *tenant.Registry
 
 	retries   atomic.Uint64 // transport-level retry sleeps taken
 	failovers atomic.Uint64 // queries answered by a replica's /v1/local
-	hedged    atomic.Uint64 // hedge requests launched
-	hedgeWins atomic.Uint64 // hedges that beat the leader
-}
-
-// FrontendOptions tunes the frontend's resilience machinery; zero
-// values select the defaults noted per field.
-type FrontendOptions struct {
-	// Attempts bounds transport-level tries per worker request
-	// (default 3).
-	Attempts int
-	// BreakerThreshold consecutive leader failures trip the breaker
-	// (default 3); BreakerCooldown is the open→half-open delay
-	// (default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// HedgeDelay is how long a hedged cc query waits on the leader
-	// before racing a replica copy (default 50ms).
-	HedgeDelay time.Duration
 }
 
 // Transport-level retries sleep uniform [0, min(cap, base·2^k)] before
-// attempt k+1.
+// attempt k+1, for at most frontendAttempts tries per worker request.
+// frontendBreakerThreshold consecutive leader failures open a leader's
+// breaker, which half-opens after frontendBreakerCooldown.
 const (
-	retryBackoffBase = 25 * time.Millisecond
-	retryBackoffCap  = time.Second
+	retryBackoffBase         = 25 * time.Millisecond
+	retryBackoffCap          = time.Second
+	frontendAttempts         = 3
+	frontendBreakerThreshold = 3
+	frontendBreakerCooldown  = time.Second
 )
 
 // SetTenants attaches a tenant registry so the merged /v1/stats view
@@ -76,14 +60,8 @@ const (
 // reports.
 func (f *Frontend) SetTenants(reg *tenant.Registry) { f.tenants = reg }
 
-// NewFrontend builds a frontend over the given worker fleet with
-// default resilience options.
+// NewFrontend builds a frontend over the given worker fleet.
 func NewFrontend(shards [][]string) (*Frontend, error) {
-	return NewFrontendOpts(shards, FrontendOptions{})
-}
-
-// NewFrontendOpts is NewFrontend with explicit resilience tuning.
-func NewFrontendOpts(shards [][]string, opts FrontendOptions) (*Frontend, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: frontend needs at least one shard")
 	}
@@ -96,23 +74,16 @@ func NewFrontendOpts(shards [][]string, opts FrontendOptions) (*Frontend, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 3
-	}
-	if opts.HedgeDelay <= 0 {
-		opts.HedgeDelay = 50 * time.Millisecond
-	}
 	f := &Frontend{
-		ring:       ring,
-		shards:     shards,
-		client:     &http.Client{Timeout: 5 * time.Minute},
-		attempts:   opts.Attempts,
-		backoff:    backoff.New(retryBackoffBase, retryBackoffCap, int64(len(shards))),
-		breakers:   make([]*breaker, len(shards)),
-		hedgeDelay: opts.HedgeDelay,
+		ring:     ring,
+		shards:   shards,
+		client:   &http.Client{Timeout: 5 * time.Minute},
+		attempts: frontendAttempts,
+		backoff:  backoff.New(retryBackoffBase, retryBackoffCap, int64(len(shards))),
+		breakers: make([]*breaker, len(shards)),
 	}
 	for i := range f.breakers {
-		f.breakers[i] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
+		f.breakers[i] = newBreaker(frontendBreakerThreshold, frontendBreakerCooldown)
 	}
 	return f, nil
 }
@@ -266,9 +237,7 @@ func (f *Frontend) handleUpload(w http.ResponseWriter, r *http.Request) {
 // that leader's circuit breaker. When the leader is unreachable, open,
 // or failing, cc queries fail over to a replica rank's local copy;
 // everything else resolves 503 + Retry-After (never cached — the
-// engine's contract for transport failures holds end to end). Opted-in
-// cc queries additionally hedge: a replica copy races a leader slower
-// than the hedge delay.
+// engine's contract for transport failures holds end to end).
 func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeFrontendError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
@@ -282,7 +251,6 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var peek struct {
 		Graph     string `json:"graph"`
 		Algorithm string `json:"algorithm"`
-		Hedged    bool   `json:"hedged"`
 	}
 	if err := json.Unmarshal(body, &peek); err != nil || peek.Graph == "" {
 		writeFrontendError(w, http.StatusBadRequest, fmt.Errorf("shard: query body needs a graph name"))
@@ -306,14 +274,8 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp *http.Response
-	if peek.Hedged && canFailover {
-		resp, err = f.hedgedQuery(br, shard, body)
-	} else {
-		leader := f.shards[shard][0]
-		resp, err = f.do(http.MethodPost, leader+"/v1/query", body, "application/json")
-		br.record(err == nil && resp != nil && resp.StatusCode < http.StatusInternalServerError, time.Now())
-	}
+	resp, err := f.do(http.MethodPost, f.shards[shard][0]+"/v1/query", body, "application/json")
+	br.record(err == nil && resp.StatusCode < http.StatusInternalServerError, time.Now())
 	if err != nil {
 		if canFailover {
 			if fresp := f.failover(shard, body); fresp != nil {
@@ -358,91 +320,6 @@ func (f *Frontend) failover(shard int, body []byte) *http.Response {
 	return nil
 }
 
-type hedgeRes struct {
-	resp    *http.Response
-	err     error
-	replica bool
-}
-
-// hedgedQuery sends the query to the leader and, if no answer lands
-// within the hedge delay (or the leader fails outright), races a
-// replica's /v1/local copy. First 200 wins; the loser's response is
-// drained in the background. The breaker observes only the leader's
-// outcome — a hedge win must not mask a sick leader.
-func (f *Frontend) hedgedQuery(br *breaker, shard int, body []byte) (*http.Response, error) {
-	leader := f.shards[shard][0]
-	replica := f.shards[shard][1]
-	ch := make(chan hedgeRes, 2)
-	go func() {
-		resp, err := f.do(http.MethodPost, leader+"/v1/query", body, "application/json")
-		br.record(err == nil && resp != nil && resp.StatusCode < http.StatusInternalServerError, time.Now())
-		ch <- hedgeRes{resp, err, false}
-	}()
-	timer := time.NewTimer(f.hedgeDelay)
-	defer timer.Stop()
-	outstanding, launched := 1, false
-	launchHedge := func() {
-		launched = true
-		outstanding++
-		f.hedged.Add(1)
-		go func() {
-			resp, err := f.do(http.MethodPost, replica+"/v1/local", body, "application/json")
-			ch <- hedgeRes{resp, err, true}
-		}()
-	}
-	var fallback *hedgeRes
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil && res.resp.StatusCode == http.StatusOK {
-				if res.replica {
-					f.hedgeWins.Add(1)
-				}
-				if fallback != nil && fallback.resp != nil {
-					fallback.resp.Body.Close()
-				}
-				if outstanding > 0 {
-					go func() {
-						if late := <-ch; late.resp != nil {
-							late.resp.Body.Close()
-						}
-					}()
-				}
-				return res.resp, nil
-			}
-			// A failure: keep the leader's reply as the answer of record
-			// (replica errors are a worse story for the client).
-			if fallback == nil || !res.replica {
-				if fallback != nil && fallback.resp != nil {
-					fallback.resp.Body.Close()
-				}
-				fallback = &res
-			} else if res.resp != nil {
-				res.resp.Body.Close()
-			}
-			if outstanding == 0 && launched {
-				return fallback.resp, fallback.err
-			}
-			if !launched {
-				if res.err == nil {
-					// A definitive HTTP failure from the leader (4xx/5xx):
-					// hedging would just duplicate it — hand it back and let
-					// the caller's failover policy decide.
-					return fallback.resp, fallback.err
-				}
-				// Leader failed at the transport before the hedge timer:
-				// hedge immediately.
-				launchHedge()
-			}
-		case <-timer.C:
-			if !launched {
-				launchHedge()
-			}
-		}
-	}
-}
-
 // WorkerStats is one worker's contribution to the merged stats view.
 type WorkerStats struct {
 	URL   string               `json:"url"`
@@ -483,13 +360,11 @@ type BreakerStatus struct {
 }
 
 // FrontendFleet is the frontend's own resilience state: breaker
-// positions and the retry/failover/hedge counters.
+// positions and the retry/failover counters.
 type FrontendFleet struct {
 	Breakers  []BreakerStatus `json:"breakers"`
 	Retries   uint64          `json:"retries"`
 	Failovers uint64          `json:"failovers"`
-	Hedged    uint64          `json:"hedged"`
-	HedgeWins uint64          `json:"hedge_wins"`
 }
 
 func (f *Frontend) fleetStats() FrontendFleet {
@@ -497,8 +372,6 @@ func (f *Frontend) fleetStats() FrontendFleet {
 		Breakers:  make([]BreakerStatus, len(f.breakers)),
 		Retries:   f.retries.Load(),
 		Failovers: f.failovers.Load(),
-		Hedged:    f.hedged.Load(),
-		HedgeWins: f.hedgeWins.Load(),
 	}
 	for i, br := range f.breakers {
 		state, failures := br.snapshot()
@@ -528,8 +401,6 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&b, "# HELP camc_failovers_total Queries answered by a replica rank instead of the shard leader.\n# TYPE camc_failovers_total counter\ncamc_failovers_total %d\n", f.failovers.Load())
 	fmt.Fprintf(&b, "# HELP camc_frontend_retries_total Transport-level retries against workers.\n# TYPE camc_frontend_retries_total counter\ncamc_frontend_retries_total %d\n", f.retries.Load())
-	fmt.Fprintf(&b, "# HELP camc_hedged_total Hedge requests launched for opted-in cc queries.\n# TYPE camc_hedged_total counter\ncamc_hedged_total %d\n", f.hedged.Load())
-	fmt.Fprintf(&b, "# HELP camc_hedge_wins_total Hedges that answered before the leader.\n# TYPE camc_hedge_wins_total counter\ncamc_hedge_wins_total %d\n", f.hedgeWins.Load())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
 }

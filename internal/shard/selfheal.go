@@ -236,18 +236,18 @@ func (w *Worker) writeFleetMetrics(wr io.Writer) {
 	fmt.Fprintf(wr, "# HELP camc_fleet_catchup_graphs_total Graphs re-replicated by the catch-up protocol.\n# TYPE camc_fleet_catchup_graphs_total counter\n")
 	fmt.Fprintf(wr, "camc_fleet_catchup_graphs_total{direction=\"sent\"} %d\n", fs.CatchupGraphsSent)
 	fmt.Fprintf(wr, "camc_fleet_catchup_graphs_total{direction=\"received\"} %d\n", fs.CatchupGraphsReceived)
-	fmt.Fprintf(wr, "# HELP camc_fleet_local_queries_total Failover/hedged queries answered from this rank's local replica.\n# TYPE camc_fleet_local_queries_total counter\ncamc_fleet_local_queries_total %d\n", fs.LocalQueries)
+	fmt.Fprintf(wr, "# HELP camc_fleet_local_queries_total Failover queries answered from this rank's local replica.\n# TYPE camc_fleet_local_queries_total counter\ncamc_fleet_local_queries_total %d\n", fs.LocalQueries)
 }
 
 // handleLocal serves POST /v1/local: execute a query on this rank's own
 // graph replica, bypassing the distributed machine — the frontend's
-// failover and hedged-read target when the shard leader is unreachable
-// or slow. Only connected components is served: every rank holds the
-// full snapshot, a p=1 CC run is cheap and deterministic for a given
-// seed, and duplicating a Karger–Stein trial schedule speculatively
-// would be the opposite of load shedding. The engine resolves the
-// request as the leader's /v1/query would — what the leader rejects (a
-// pinned kernel, a bad parameter) is the same 400 here — and it runs on
+// failover target when the shard leader is unreachable. Only connected
+// components is served: every rank holds the full snapshot, a p=1 CC
+// run is cheap and deterministic for a given seed, and rerunning a
+// Karger–Stein trial schedule on one rank would be the opposite of load
+// shedding. The engine resolves the
+// request as the leader's /v1/query would — what the leader rejects (an
+// unknown field, a bad parameter) is the same 400 here — and it runs on
 // the pooled p=1 shape: no plan, no fault injection, no peers to lose.
 // Results bypass the rest of the engine (no cache, no coalescing, no
 // admission) and report outcome "failover".

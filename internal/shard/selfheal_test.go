@@ -277,14 +277,11 @@ func TestFrontendFailover(t *testing.T) {
 	workers, urls, _ := fastWorkerGroup(t, 2, 902, nil, nil)
 	defer workers[1].Close()
 	waitReady(t, workers[1])
-	fe, err := NewFrontendOpts([][]string{urls}, FrontendOptions{
-		Attempts:         1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
-	})
+	fe, err := NewFrontend([][]string{urls})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fe.attempts, fe.breakers[0].threshold, fe.breakers[0].cooldown = 1, 2, 200*time.Millisecond
 	srv := httptest.NewServer(fe.Handler())
 	defer srv.Close()
 
@@ -363,71 +360,6 @@ func TestFrontendFailover(t *testing.T) {
 	}
 }
 
-// TestHedgedQueryRacesReplica points a frontend at a deliberately slow
-// fake leader and a live 1-rank worker as the replica; a hedged cc
-// query must come back from the replica long before the leader would
-// have answered.
-func TestHedgedQueryRacesReplica(t *testing.T) {
-	worker, urls, _ := func() ([]*Worker, []string, []string) {
-		t.Helper()
-		ws, us, as := fastWorkerGroup(t, 1, 903, nil, nil)
-		return ws, us, as
-	}()
-	defer worker[0].Close()
-
-	cycle := edgeListOf(t, gen.Cycle(64, 3))
-	uploadGraph(t, urls[0], "hedge", cycle)
-
-	release := make(chan struct{})
-	slowLeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer slowLeader.Close()
-	defer close(release)
-
-	fe, err := NewFrontendOpts([][]string{{slowLeader.URL, urls[0]}}, FrontendOptions{
-		Attempts:   1,
-		HedgeDelay: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(fe.Handler())
-	defer srv.Close()
-
-	ring, _ := NewRing(1, 0)
-	name := nameOnShard(t, ring, 0)
-	if name != "g0" {
-		// The ring has one shard; every name lands on it. Use the
-		// uploaded name regardless.
-		name = "hedge"
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp := postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: "hedge", Algorithm: service.AlgCC, Hedged: true})
-		defer resp.Body.Close()
-		var qr service.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Error(err)
-			return
-		}
-		if resp.StatusCode != http.StatusOK || qr.Outcome != "failover" {
-			t.Errorf("hedged query: status %d outcome %q", resp.StatusCode, qr.Outcome)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("hedged query did not resolve while the leader hung")
-	}
-	if fe.hedged.Load() != 1 || fe.hedgeWins.Load() != 1 {
-		t.Fatalf("hedged=%d hedgeWins=%d, want 1/1", fe.hedged.Load(), fe.hedgeWins.Load())
-	}
-}
-
 // TestWorkerProbesAndTenantPassthrough pins the probe contract: a
 // healthy 1-rank worker answers both probes, and /readyz (like
 // /healthz) passes the tenant middleware unauthenticated.
@@ -489,7 +421,9 @@ func TestOversizedQueryBody413(t *testing.T) {
 // TestQueryTrailingBytes400 pins one answer for a query body with bytes
 // after its JSON object on every tier — the frontend's /v1/query, the
 // worker's /v1/query and the worker's /v1/local: 400 for a second value
-// or garbage, 200 for trailing whitespace.
+// or garbage, 200 for trailing whitespace. A field the request type does
+// not have ("kernel", "hedged") is the strict decoder's 400 naming it on
+// every tier too; the frontend relays the leader's.
 func TestQueryTrailingBytes400(t *testing.T) {
 	workers, urls, _ := fastWorkerGroup(t, 1, 905, nil, nil)
 	defer workers[0].Close()
@@ -506,19 +440,26 @@ func TestQueryTrailingBytes400(t *testing.T) {
 	resp.Body.Close()
 
 	const q = `{"graph":"c","algorithm":"cc"}`
+	type reply struct {
+		status int
+		msg    string // a substring of the reply body
+	}
 	for _, url := range []string{srv.URL + "/v1/query", urls[0] + "/v1/query", urls[0] + "/v1/local"} {
-		for body, want := range map[string]int{
-			q + "\n":          http.StatusOK,
-			q + "garbage":     http.StatusBadRequest,
-			q + `{"graph":1}`: http.StatusBadRequest,
+		for body, want := range map[string]reply{
+			q + "\n":          {http.StatusOK, ""},
+			q + "garbage":     {http.StatusBadRequest, ""},
+			q + `{"graph":1}`: {http.StatusBadRequest, ""},
+			`{"graph":"c","algorithm":"cc","kernel":"sampling"}`: {http.StatusBadRequest, `unknown field \"kernel\"`},
+			`{"graph":"c","algorithm":"cc","hedged":true}`:       {http.StatusBadRequest, `unknown field \"hedged\"`},
 		} {
 			resp, err := http.Post(url, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
+			b, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != want {
-				t.Errorf("POST %s with %q: status %d, want %d", url, body, resp.StatusCode, want)
+			if resp.StatusCode != want.status || !strings.Contains(string(b), want.msg) {
+				t.Errorf("POST %s with %q: status %d (%s), want %d with %q", url, body, resp.StatusCode, b, want.status, want.msg)
 			}
 		}
 	}
@@ -705,10 +646,11 @@ func runSelfHealScenario() (rec fleetBenchRecord, err error) {
 	deadLeader.Close() // connection refused from now on
 	rebornSrv := httptest.NewServer(reborn.Handler())
 	defer rebornSrv.Close()
-	fe, ferr := NewFrontendOpts([][]string{{deadLeader.URL, rebornSrv.URL}}, FrontendOptions{Attempts: 1})
+	fe, ferr := NewFrontend([][]string{{deadLeader.URL, rebornSrv.URL}})
 	if ferr != nil {
 		return rec, ferr
 	}
+	fe.attempts = 1
 	fsrv := httptest.NewServer(fe.Handler())
 	defer fsrv.Close()
 	body, _ = json.Marshal(service.QueryRequest{Graph: "bench", Algorithm: service.AlgCC})
@@ -761,12 +703,9 @@ var _ = transport.CrashExitCode // referenced by the chaos script contract
 
 // TestFailoverAnswersLikeLeader pins the fleet contract that the leader
 // and its failover target resolve a request identically: a query the
-// leader rejects (a pinned kernel, a bad parameter) draws the same 400
-// with the same message whether the leader answers it, a hedge races it
-// against a replica, the replica's /v1/local answers it directly, or —
-// leader dead, breaker open — failover answers it. Before /v1/local went
-// through Engine.Resolve it ignored `kernel` and answered 200 with the
-// default kernel on exactly the paths where the leader was unavailable.
+// leader rejects (a bad parameter) draws the same 400 with the same
+// message whether the leader answers it, the replica's /v1/local answers
+// it directly, or — leader dead, breaker open — failover answers it.
 func TestFailoverAnswersLikeLeader(t *testing.T) {
 	workers, urls, _ := fastWorkerGroup(t, 2, 905, nil, nil)
 	defer workers[1].Close()
@@ -777,15 +716,11 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 	leaderSrv := httptest.NewServer(workers[0].Handler())
 	defer leaderSrv.Close()
 	urls[0] = leaderSrv.URL
-	fe, err := NewFrontendOpts([][]string{urls}, FrontendOptions{
-		Attempts:         1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-		HedgeDelay:       time.Millisecond,
-	})
+	fe, err := NewFrontend([][]string{urls})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fe.attempts, fe.breakers[0].threshold, fe.breakers[0].cooldown = 1, 1, time.Minute
 	srv := httptest.NewServer(fe.Handler())
 	defer srv.Close()
 
@@ -798,7 +733,6 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 	resp.Body.Close()
 
 	rejected := map[string]service.QueryRequest{
-		"pinned kernel": {Graph: name, Algorithm: service.AlgCC, Kernel: "sampling", Processors: 4},
 		"bad parameter": {Graph: name, Algorithm: service.AlgCC, Epsilon: 9},
 	}
 	// ask posts req and returns the status and error message.
@@ -815,10 +749,9 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 		return resp.StatusCode, body.Error
 	}
 	want := make(map[string]string)
-	expect := func(path, url string, hedged bool) {
+	expect := func(path, url string) {
 		t.Helper()
 		for what, req := range rejected {
-			req.Hedged = hedged
 			status, msg := ask(url, req)
 			if status != http.StatusBadRequest || msg == "" {
 				t.Fatalf("%s, %s: status %d (%q), want 400", path, what, status, msg)
@@ -830,18 +763,16 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 			}
 		}
 	}
-	expect("leader up", srv.URL+"/v1/query", false)
-	expect("leader up, hedged", srv.URL+"/v1/query", true)
-	expect("replica /v1/local", urls[1]+"/v1/local", false)
+	expect("leader up", srv.URL+"/v1/query")
+	expect("replica /v1/local", urls[1]+"/v1/local")
 
 	workers[0].Close()
 	leaderSrv.Close()
-	expect("leader dead", srv.URL+"/v1/query", false)
+	expect("leader dead", srv.URL+"/v1/query")
 	if st := fe.fleetStats().Breakers[0].State; st != "open" {
 		t.Fatalf("breaker state %q, want open", st)
 	}
-	expect("breaker open", srv.URL+"/v1/query", false)
-	expect("breaker open, hedged", srv.URL+"/v1/query", true)
+	expect("breaker open", srv.URL+"/v1/query")
 
 	// And a request the leader would accept still fails over to a 200.
 	resp = postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgCC, Processors: 4})

@@ -109,7 +109,7 @@ type Worker struct {
 	caughtUp     atomic.Bool
 	catchupSent  atomic.Uint64 // leader: graphs shipped to rejoining peers
 	catchupRecv  atomic.Uint64 // peer: graphs received via catch-up
-	localQueries atomic.Uint64 // failover/hedged queries answered locally
+	localQueries atomic.Uint64 // failover queries answered locally
 }
 
 // NewWorker connects the rank into its shard's mesh (blocking until all
@@ -182,7 +182,7 @@ func (w *Worker) Engine() *service.Engine { return w.engine }
 // Handler returns the worker's HTTP API: the standard service surface
 // (with /healthz wired to mesh connectivity, /readyz to mesh + catch-up
 // state, and the camc_fleet_* metric families) plus /v1/local, the
-// frontend's failover/hedge target (see selfheal.go).
+// frontend's failover target (see selfheal.go).
 func (w *Worker) Handler() http.Handler {
 	base := service.NewHandlerOpts(w.engine, service.HandlerOptions{
 		Health:       w.Health,

@@ -22,7 +22,9 @@
 # least 9 in 10 of the untied pairs, its median is better by more than
 # the base IQR and it failed no more operations than the base; "WORSE"
 # when its median is worse by more than the metric's bound; "-"
-# otherwise. Failed operations are counted per side.
+# otherwise. Failed operations are counted per side. Every per_layer
+# metric the contract lines carry (a --trace 1 run's) follows in the
+# same columns with verdict "-": no bound is declared for them.
 set -euo pipefail
 
 usage() {
@@ -59,9 +61,11 @@ def sign_p(wins, n):
 
 failed = {side: sum(r["failed"] for r in runs) for side, runs in (("base", base), ("head", head))}
 print(f"# {len(base)} pairs, base {sys.argv[4]} vs this tree; won/lost count the pairs where this tree's run is better/worse, ties in neither")
-print(f"{'metric':<18} {'unit':<6} {'base_median':>12} {'head_median':>12} {'change':>8} {'base_IQR':>10} {'won':>4} {'lost':>4} {'sign_p':>8}  verdict")
-for m in spec["end_to_end"]:
+print(f"{'metric':<30} {'unit':<6} {'base_median':>12} {'head_median':>12} {'change':>8} {'base_IQR':>10} {'won':>4} {'lost':>4} {'sign_p':>8}  verdict")
+for m in spec["end_to_end"] + spec["per_layer"]:
     name = m["name"]
+    if not all(name in r["metrics"] for r in base + head):
+        continue
     b = [r["metrics"][name]["value"] for r in base]
     h = [r["metrics"][name]["value"] for r in head]
     sign = -1 if m["better"] == "lower" else 1
@@ -71,12 +75,14 @@ for m in spec["end_to_end"]:
     q1, q3 = quartiles(b)
     gain = sign * (hm - bm)
     verdict = "-"
-    if won + lost and 10 * won >= 9 * (won + lost) and gain > q3 - q1 and failed["head"] <= failed["base"]:
+    if "bound" not in m:
+        pass
+    elif won + lost and 10 * won >= 9 * (won + lost) and gain > q3 - q1 and failed["head"] <= failed["base"]:
         verdict = "gain"
     elif bm and -gain / abs(bm) > m["bound"]:
         verdict = "WORSE"
     change = f"{(hm - bm) / bm * 100:+.1f}%" if bm else "n/a"
-    print(f"{name:<18} {m['unit']:<6} {bm:>12.6g} {hm:>12.6g} {change:>8} {q3 - q1:>10.4g} {won:>4} {lost:>4} {sign_p(won, won + lost):>8.4f}  {verdict}")
+    print(f"{name:<30} {m['unit']:<6} {bm:>12.6g} {hm:>12.6g} {change:>8} {q3 - q1:>10.4g} {won:>4} {lost:>4} {sign_p(won, won + lost):>8.4f}  {verdict}")
 for side, runs in (("base", base), ("head", head)):
     print(f"# {side}: {failed[side]} failed of {sum(r['attempted'] for r in runs)} operations")
 if failed["head"] > failed["base"]:
