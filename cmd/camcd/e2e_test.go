@@ -123,7 +123,9 @@ func TestThreeProcessFleet(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	for alg, want := range map[string]uint64{"mincut": 10, "cc": 1} {
+	// cc and the ring's certified mincut are answered by the leader's
+	// plan on the local fabric; the approximate cut runs on the mesh.
+	for alg, want := range map[string]uint64{"mincut": 10, "cc": 1, "approxcut": 0} {
 		body := fmt.Sprintf(`{"graph":"ring48","algorithm":%q}`, alg)
 		resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -154,9 +156,17 @@ func TestThreeProcessFleet(t *testing.T) {
 			if qr.Components == nil || uint64(*qr.Components) != want {
 				t.Fatalf("components = %v, want %d", qr.Components, want)
 			}
+		case "approxcut":
+			if qr.Value == nil || *qr.Value == 0 {
+				t.Fatalf("approxcut = %v, want a connected ring's estimate 2^i", qr.Value)
+			}
+			if qr.Kernel.P != 2 || qr.Kernel.Transport != "tcp" || qr.Kernel.WireBytes == 0 {
+				t.Fatalf("%s kernel = %+v: want p=2 over tcp with wire traffic", alg, qr.Kernel)
+			}
+			continue
 		}
-		if qr.Kernel.P != 2 || qr.Kernel.Transport != "tcp" || qr.Kernel.WireBytes == 0 {
-			t.Fatalf("%s kernel = %+v: want p=2 over tcp with wire traffic", alg, qr.Kernel)
+		if qr.Kernel.P != 2 || qr.Kernel.Transport != "local" || qr.Kernel.WireBytes != 0 {
+			t.Fatalf("%s kernel = %+v: want p=2 on the leader's local fabric, no wire traffic", alg, qr.Kernel)
 		}
 	}
 }

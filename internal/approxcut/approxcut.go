@@ -121,7 +121,7 @@ func Parallel(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, opts Optio
 	var w uint64
 	if pl != nil {
 		w = pl.TotalWeight
-		c.SkipComm(pl.WeightCost.Collectives, pl.WeightCost.Words)
+		c.SkipComm(pl.ApproxCost.Collectives, pl.ApproxCost.Words)
 		if !pl.Connected {
 			return &Result{Value: 0}
 		}
@@ -213,6 +213,35 @@ const (
 	inputDisconnected = -2
 )
 
+// baseSection appends to buf the count-prefixed section of a spanning
+// forest of the rank's whole slice, drawn without coins.
+func baseSection(c *bsp.Comm, uf *graph.UnionFind, n int, local []graph.Edge, buf []uint64) []uint64 {
+	uf.Reset(n)
+	head := len(buf)
+	buf = append(buf, 0)
+	for k := range local {
+		if e := &local[k]; uf.Union(e.U, e.V) {
+			buf = append(buf, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
+		}
+	}
+	buf[head] = uint64(len(buf) - head - 1)
+	c.Ops(uint64(len(local)))
+	return buf
+}
+
+// ColdPrelude is, in one superstep, the communication a cold run has and
+// a warm one skips, for a plan builder to measure: the total-weight
+// AllReduce, and each non-root rank's base section, which the cold scan's
+// first window carries to the root. Its answer is not read.
+func ColdPrelude(c *bsp.Comm, n int, local []graph.Edge) {
+	if c.Rank() != 0 {
+		uf := graph.GetUnionFind()
+		c.Send(0, baseSection(c, uf, n, local, nil))
+		graph.PutUnionFind(uf)
+	}
+	dist.TotalWeight(c, local)
+}
+
 // scan samples pairs from..to-1 of the level-major (level, trial)
 // sequence — pair k is trial k%trials of sparsity level 1+k/trials — and
 // returns the index of the first one whose subgraph is disconnected,
@@ -244,15 +273,7 @@ func scan(c *bsp.Comm, n int, local []graph.Edge, st *rng.Stream, trials, from, 
 	// levels× as much.
 	buf := c.Buffer((min(to-from, trials) + 1) * section)[:0]
 	if base {
-		uf.Reset(n)
-		buf = append(buf, 0)
-		for k := range local {
-			if e := &local[k]; uf.Union(e.U, e.V) {
-				buf = append(buf, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
-			}
-		}
-		buf[0] = uint64(len(buf) - 1)
-		c.Ops(uint64(len(local)))
+		buf = baseSection(c, uf, n, local, buf)
 	}
 	bits := *coins
 	for k := from; k < to; k++ {

@@ -196,16 +196,16 @@ func TestPipelinedConstantSupersteps(t *testing.T) {
 	}
 }
 
-// TestWarmSkipsOnlyTheWeightReduction: a warm run takes the total weight
-// and connectivity from the plan and records only the weight AllReduce
-// as avoided — a cold run has no connectivity collective left to skip,
-// because its base forests ride the first scan round. So the cold run
-// takes exactly the weight reduction's supersteps more than the warm one,
-// moves more words (the forests), and both answer the same.
-func TestWarmSkipsOnlyTheWeightReduction(t *testing.T) {
+// TestWarmSkipsTheColdPrelude: a warm run takes the total weight and
+// connectivity from the plan and records the plan's ApproxCost as
+// avoided. What it skips is ColdPrelude's communication: the weight
+// AllReduce's superstep and, riding the first scan round, the base
+// forests. So the cold run takes exactly the prelude's supersteps and
+// words more than the warm one, and both answer the same.
+func TestWarmSkipsTheColdPrelude(t *testing.T) {
 	g := gen.WattsStrogatz(200, 6, 0.3, 3, gen.Config{MaxWeight: 4})
 	pl := g.Snapshot().PlanFacts()
-	pl.WeightCost = graph.CollectiveCost{Collectives: 2, Words: 7}
+	pl.ApproxCost = graph.CollectiveCost{Collectives: 2, Words: 7}
 	pl.CCCost = graph.CollectiveCost{Collectives: 5, Words: 999}
 	const p = 4
 	blocks := func(body func(c *bsp.Comm, local []graph.Edge)) *bsp.Stats {
@@ -218,7 +218,7 @@ func TestWarmSkipsOnlyTheWeightReduction(t *testing.T) {
 		}
 		return st
 	}
-	weight := blocks(func(c *bsp.Comm, local []graph.Edge) { dist.TotalWeight(c, local) })
+	prelude := blocks(func(c *bsp.Comm, local []graph.Edge) { ColdPrelude(c, g.N, local) })
 	for _, pipelined := range []bool{false, true} {
 		var res [2]Result
 		var st [2]*bsp.Stats
@@ -235,16 +235,16 @@ func TestWarmSkipsOnlyTheWeightReduction(t *testing.T) {
 			t.Errorf("pipelined=%v: cold %+v, warm %+v", pipelined, res[0], res[1])
 		}
 		if warm.AvoidedCollectives != 2 || warm.AvoidedCommVolume != 7 {
-			t.Errorf("pipelined=%v: warm avoided %d collectives, %d words; want the weight reduction's 2, 7",
+			t.Errorf("pipelined=%v: warm avoided %d collectives, %d words; want the plan's ApproxCost 2, 7",
 				pipelined, warm.AvoidedCollectives, warm.AvoidedCommVolume)
 		}
-		if cold.AvoidedCollectives != 0 || cold.Supersteps != warm.Supersteps+weight.Supersteps {
-			t.Errorf("pipelined=%v: cold %d supersteps (%d avoided), warm %d, weight reduction %d",
-				pipelined, cold.Supersteps, cold.AvoidedCollectives, warm.Supersteps, weight.Supersteps)
+		if cold.AvoidedCollectives != 0 || cold.Supersteps != warm.Supersteps+prelude.Supersteps || prelude.Supersteps != 1 {
+			t.Errorf("pipelined=%v: cold %d supersteps (%d avoided), warm %d, prelude %d (want 1)",
+				pipelined, cold.Supersteps, cold.AvoidedCollectives, warm.Supersteps, prelude.Supersteps)
 		}
-		if cold.CommVolume <= warm.CommVolume+weight.CommVolume {
-			t.Errorf("pipelined=%v: cold moved %d words, warm %d + weight reduction %d: no base forests shipped",
-				pipelined, cold.CommVolume, warm.CommVolume, weight.CommVolume)
+		if cold.CommVolume != warm.CommVolume+prelude.CommVolume {
+			t.Errorf("pipelined=%v: cold moved %d words, warm %d + prelude %d",
+				pipelined, cold.CommVolume, warm.CommVolume, prelude.CommVolume)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type Plan struct {
 	// Measured cold-path costs of the collectives a warm query skips.
 	CCCost     CollectiveCost // connectivity labelling (cc.Parallel), skipped by warm cc runs
 	GatherCost CollectiveCost // edge replication (AllGatherEdges), skipped by warm mincut runs
-	WeightCost CollectiveCost // total-weight AllReduce
+	ApproxCost CollectiveCost // total-weight AllReduce and base forests, skipped by warm approxcut runs
 }
 
 // CollectiveCost records what a skipped collective would have cost:

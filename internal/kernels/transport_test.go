@@ -11,7 +11,9 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mincut"
+	"repro/internal/planner"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
 
@@ -118,6 +120,78 @@ func TestCrossTransportAccounting(t *testing.T) {
 				t.Errorf("tcp run moved %d words but accounted no wire bytes", tcpStats.CommVolume)
 			}
 		})
+	}
+
+	// Warm runs, as a fleet makes them: every rank runs the kernel on its
+	// snapshot's plan at the machine size, skipping the collectives the
+	// plan holds. On both fabrics the skips are on the ledger: warm plus
+	// avoided is the cold run, supersteps and words alike, and the answer
+	// does not change.
+	reg := service.NewRegistry()
+	for _, wc := range []struct {
+		name, alg string
+		g         *graph.Graph
+	}{
+		{"approxcut/ws300", "approxcut", gen.WattsStrogatz(300, 6, 0.3, 17, gen.Config{})},
+		{"mincut/planted128", "mincut", gen.PlantedCut(64, 8, 2, 3)},
+	} {
+		sg, err := reg.Put(wc.name, wc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := planner.For(wc.alg)
+		par := planner.RunParams{MaxTrials: 4}.Defaulted()
+		for _, p := range []int{2, 4} {
+			pl := sg.Plan(p)
+			if planner.Answers(wc.alg, pl) {
+				t.Fatalf("%s: the plan answers it outright; the case needs a run that communicates", wc.name)
+			}
+			run := func(pl *graph.Plan) func(c *bsp.Comm) uint64 {
+				return func(c *bsp.Comm) uint64 {
+					lo, hi := dist.BlockRange(len(wc.g.Edges), c.Size(), c.Rank())
+					return k.Run(c, wc.g.N, wc.g.Edges[lo:hi], par, pl, nil).Value
+				}
+			}
+			epoch++
+			t.Run(fmt.Sprintf("warm/%s/p=%d", wc.name, p), func(t *testing.T) {
+				local := func(pl *graph.Plan) (*bsp.Stats, uint64) {
+					var v uint64
+					st, err := bsp.Run(p, func(c *bsp.Comm) {
+						if r := run(pl)(c); c.Rank() == 0 {
+							v = r
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st, v
+				}
+				for _, fabric := range []string{transport.KindLocal, transport.KindTCP} {
+					var cold, warm *bsp.Stats
+					var coldV, warmV uint64
+					if fabric == transport.KindLocal {
+						cold, coldV = local(nil)
+						warm, warmV = local(pl)
+					} else {
+						cold, coldV = runKernelOverTCP(t, p, epoch, run(nil))
+						warm, warmV = runKernelOverTCP(t, p, epoch+1000, run(pl))
+					}
+					if warm.AvoidedCollectives == 0 || warm.Supersteps == 0 {
+						t.Errorf("%s: warm run avoided %d collectives over %d supersteps, want both > 0",
+							fabric, warm.AvoidedCollectives, warm.Supersteps)
+					}
+					if warm.Supersteps+warm.AvoidedCollectives != cold.Supersteps ||
+						warm.CommVolume+warm.AvoidedCommVolume != cold.CommVolume {
+						t.Errorf("%s: warm %d supersteps / %d words + avoided %d / %d ≠ cold %d / %d", fabric,
+							warm.Supersteps, warm.CommVolume, warm.AvoidedCollectives, warm.AvoidedCommVolume,
+							cold.Supersteps, cold.CommVolume)
+					}
+					if warmV != coldV {
+						t.Errorf("%s: warm value %d, cold %d", fabric, warmV, coldV)
+					}
+				}
+			})
+		}
 	}
 }
 

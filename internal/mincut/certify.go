@@ -35,12 +35,26 @@ func Certify(g *graph.Graph, bound uint64) (ok bool, passes int) {
 }
 
 // certifyMinDegree is the min-degree cut of g and whether the
-// certificate proves it minimum, its work charged to c.
+// certificate proves it minimum, its work charged to c when there is one.
 func certifyMinDegree(c *bsp.Comm, g *graph.Graph) (proven bool, value uint64, side []bool) {
 	value, side = minDegreeCut(g)
 	proven, _, work := certify(g.N, g.Edges, value)
-	c.Ops(work)
+	if c != nil {
+		c.Ops(work)
+	}
 	return proven, value, side
+}
+
+// Certified reports whether the certificate proves the min-degree cut of
+// pl's snapshot minimum. The first call on a snapshot establishes that
+// fact (pl.Cut) from the plan's replicated edges, outside any machine;
+// later calls, and warm runs at any p, read it. pl must describe a
+// connected graph of at least two vertices.
+func Certified(pl *graph.Plan) bool {
+	proven, _, _ := pl.Cut.Do(func() (bool, uint64, []bool) {
+		return certifyMinDegree(nil, &graph.Graph{N: pl.N, Edges: pl.Edges})
+	})
+	return proven
 }
 
 // certify runs the certificate on pooled scratch.

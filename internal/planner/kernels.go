@@ -160,6 +160,21 @@ func For(alg string) *Kernel {
 	return nil
 }
 
+// Answers reports whether plan pl answers alg outright: a warm run of its
+// kernel then runs no superstep, at any p. cc's plan always does; a cut's
+// does on a graph under two vertices or disconnected (cut 0), and
+// mincut's also once the certificate proves the min-degree cut — a fact
+// the first such call establishes from the plan's edges.
+func Answers(alg string, pl *graph.Plan) bool {
+	switch {
+	case pl == nil || For(alg) == nil:
+		return false
+	case alg == "cc" || pl.N < 2 || !pl.Connected:
+		return true
+	}
+	return alg == "mincut" && mincut.Certified(pl)
+}
+
 // Kernels returns the kernels with a Cost: the ones calibration fits and
 // Choose sizes.
 func Kernels() []*Kernel { return []*Kernel{sampling, kargerstein} }

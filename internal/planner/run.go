@@ -16,11 +16,9 @@ import (
 type Shape struct {
 	P int
 	// Machine: every process of a TCP machine runs with the same
-	// arguments; the one hosting global rank 0 gets the outcome, the
-	// others nil — the kernels leave the answer at rank 0 and send it
-	// nowhere else. Distributed runs never degrade (a rank-local checkpoint
-	// sees only its own trials) and always run cold: plans are keyed to a
-	// single process's registry.
+	// arguments, each with its own plan of the same snapshot; the one
+	// hosting global rank 0 gets the outcome, the others nil. Distributed
+	// runs never degrade: a rank-local checkpoint sees only its own trials.
 	Machine *bsp.Machine
 	// Plan, when non-nil, is the snapshot-resident plan for this graph and
 	// P: the kernels consume its precomputed facts instead of running the

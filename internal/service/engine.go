@@ -51,10 +51,9 @@ type Config struct {
 	// default; see internal/faults.
 	Faults *faults.Registry
 	// DisablePlans turns off snapshot-resident query plans: every query
-	// runs the full cold path (the CC labelling, the edge gather, and the
-	// total-weight AllReduce). Plans are on by default; the switch exists
-	// for A/B benchmarking and for tests that target the cold path's exact
-	// superstep structure.
+	// runs the full cold path (the CC labelling, the edge gather, the
+	// approximate cut's prelude). For A/B benchmarks and tests of the cold
+	// path's exact supersteps; ignored when Executor is set.
 	DisablePlans bool
 	// Executor, when non-nil, replaces in-process kernel execution: every
 	// query runs through it at its fixed machine size (the shard tier

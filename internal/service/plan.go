@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/approxcut"
 	"repro/internal/bsp"
 	"repro/internal/cc"
 	"repro/internal/dist"
@@ -15,7 +16,7 @@ import (
 // buildPlan computes the snapshot-resident plan for one (graph, machine
 // size): the sequential facts from PlanFacts, plus a *measured* cost
 // table — the builder runs each cold collective a warm query will skip
-// (connectivity labelling, edge replication, total weight) once on a
+// (connectivity labelling, edge replication, approxcut's prelude) once on a
 // real p-processor machine and reads its Stats, so SkipComm later
 // reports exactly what the implementation would have charged, not a
 // hand-derived formula. The build is pure overhead on the first query of
@@ -40,8 +41,8 @@ func buildPlan(sg *StoredGraph, p int) (*graph.Plan, error) {
 		{&pl.GatherCost, func(c *bsp.Comm, local []graph.Edge) {
 			dist.AllGatherEdges(c, local)
 		}},
-		{&pl.WeightCost, func(c *bsp.Comm, local []graph.Edge) {
-			dist.TotalWeight(c, local)
+		{&pl.ApproxCost, func(c *bsp.Comm, local []graph.Edge) {
+			approxcut.ColdPrelude(c, n, local)
 		}},
 	}
 	for _, seg := range segments {
@@ -62,12 +63,12 @@ type planSlot struct {
 	plan *graph.Plan // nil when the build failed
 }
 
-// plan returns sg's plan at machine size p, building it on first use:
+// Plan returns sg's plan at machine size p, building it on first use:
 // nil when the build failed, which degrades the query to the full cold
 // path — plans are an optimization, never a correctness dependency. A
 // query that raced a replacement of its graph still holds sg and runs
 // on this version's plan, which goes when the last such query does.
-func (sg *StoredGraph) plan(p int) *graph.Plan {
+func (sg *StoredGraph) Plan(p int) *graph.Plan {
 	sg.mu.Lock()
 	slot := sg.plans[p]
 	if slot == nil {
@@ -106,5 +107,5 @@ func (e *Engine) planFor(sg *StoredGraph, p int) *graph.Plan {
 	if e.cfg.DisablePlans {
 		return nil
 	}
-	return sg.plan(p)
+	return sg.Plan(p)
 }

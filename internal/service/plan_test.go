@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/planner"
 )
 
 // queryExec forces a kernel execution (no cache) and returns the result.
@@ -66,6 +67,55 @@ func TestPlanWarmCCCommunicationFree(t *testing.T) {
 	}
 	if got := cold.Stats().Plans; got != 0 {
 		t.Errorf("DisablePlans engine cached %d plans, want 0", got)
+	}
+}
+
+// planner.Answers says a plan answers a query exactly when the warm run
+// on that plan runs no superstep, for every kernel, at p ∈ {1, 2, 4}, on
+// a connected, a disconnected, a certifying and an uncertified graph —
+// whether the predicate or the run is first to meet the version's
+// certificate. A run of a query the plan does not answer communicates.
+func TestAnswersIffWarmRunIsSilent(t *testing.T) {
+	graphs := []struct {
+		name   string
+		g      *graph.Graph
+		mincut bool // what Answers must say for mincut
+	}{
+		{"connected", gen.WattsStrogatz(120, 6, 0.3, 5, gen.Config{MaxWeight: 3}), true},
+		{"disconnected", gen.ErdosRenyiM(200, 150, 4, gen.Config{MaxWeight: 3}), true},
+		{"certifying", gen.Cycle(40, 2), true},
+		{"planted", gen.PlantedCut(64, 8, 2, 3), false},
+	}
+	for _, tc := range graphs {
+		for _, runFirst := range []bool{false, true} {
+			sg, err := NewRegistry().Put(tc.name, tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{1, 2, 4} {
+				pl := sg.Plan(p)
+				for _, alg := range []string{AlgCC, AlgMinCut, AlgApproxCut} {
+					var answered bool
+					if !runFirst {
+						answered = planner.Answers(alg, pl)
+					}
+					res, err := Run(context.Background(), sg, alg, planner.RunParams{MaxTrials: 4}.Defaulted(), planner.Shape{P: p, Plan: pl})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if runFirst {
+						answered = planner.Answers(alg, pl)
+					}
+					if silent := res.Kernel.Supersteps == 0; answered != silent {
+						t.Errorf("%s %s p=%d (run first: %v): Answers %v, warm run %d supersteps",
+							tc.name, alg, p, runFirst, answered, res.Kernel.Supersteps)
+					}
+					if alg == AlgMinCut && answered != tc.mincut {
+						t.Errorf("%s mincut p=%d: Answers %v, want %v", tc.name, p, answered, tc.mincut)
+					}
+				}
+			}
+		}
 	}
 }
 

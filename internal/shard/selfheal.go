@@ -242,15 +242,14 @@ func (w *Worker) writeFleetMetrics(wr io.Writer) {
 // handleLocal serves POST /v1/local: execute a query on this rank's own
 // graph replica, bypassing the distributed machine — the frontend's
 // failover target when the shard leader is unreachable. Only connected
-// components is served: every rank holds the full snapshot, a p=1 CC
-// run is cheap and deterministic for a given seed, and rerunning a
-// Karger–Stein trial schedule on one rank would be the opposite of load
-// shedding. The engine resolves the
-// request as the leader's /v1/query would — what the leader rejects (an
-// unknown field, a bad parameter) is the same 400 here — and it runs on
-// the pooled p=1 shape: no plan, no fault injection, no peers to lose.
-// Results bypass the rest of the engine (no cache, no coalescing, no
-// admission) and report outcome "failover".
+// components is served: every rank holds the full snapshot, whose p=1
+// plan answers CC outright, while rerunning a Karger–Stein trial
+// schedule on one rank would be the opposite of load shedding. The
+// engine resolves the request as the leader's /v1/query would — what the
+// leader rejects (an unknown field, a bad parameter) is the same 400
+// here — and it runs on the pooled p=1 shape with that plan: no fault
+// injection, no peers to lose. Results bypass the rest of the engine (no
+// cache, no coalescing, no admission) and report outcome "failover".
 func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeShardError(rw, http.StatusMethodNotAllowed, errors.New("POST only"))
@@ -272,7 +271,7 @@ func (w *Worker) handleLocal(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Params, planner.Shape{P: 1})
+	res, err := service.Run(r.Context(), rs.Graph, req.Algorithm, rs.Params, planner.Shape{P: 1, Plan: rs.Graph.Plan(1)})
 	if err != nil {
 		rw.Header().Set("Retry-After", "1")
 		writeShardError(rw, http.StatusServiceUnavailable, err)

@@ -153,8 +153,9 @@ func TestWorkerReincarnationCatchup(t *testing.T) {
 		t.Fatal("leader should not be ready with a peer down")
 	}
 
-	// A query while the peer is dead: 503 + Retry-After, never cached.
-	resp = postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "alpha", Algorithm: service.AlgMinCut, Seed: 7})
+	// A query that needs the peer, while it is dead: 503 + Retry-After,
+	// never cached. (The cycle's certified mincut needs no peer.)
+	resp = postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "alpha", Algorithm: service.AlgApproxCut, Seed: 7})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query with dead peer: status %d, want 503", resp.StatusCode)
 	}
@@ -210,13 +211,23 @@ func TestWorkerReincarnationCatchup(t *testing.T) {
 		t.Fatalf("leader sent %d catch-up graphs, want >= 2", fs.CatchupGraphsSent)
 	}
 
-	// Distributed queries over both graphs — including the one the dead
-	// rank never saw — succeed with correct values again.
+	// Queries over both graphs — including the one the dead rank never
+	// saw — succeed with correct values again: the certified mincut on
+	// the leader, the approximate cut distributed.
 	for name, want := range map[string]uint64{"alpha": 6, "missed": 4} {
-		resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgMinCut, Seed: 9})
+		resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgApproxCut, Seed: 9})
+		var qr service.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || qr.Kernel.Transport != transport.KindTCP {
+			t.Fatalf("post-recovery approxcut %q: status %d over %q, want a distributed 200", name, resp.StatusCode, qr.Kernel.Transport)
+		}
+		resp = postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgMinCut, Seed: 9})
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var qr service.QueryResponse
+		qr = service.QueryResponse{}
 		if err := json.Unmarshal(raw, &qr); err != nil {
 			t.Fatalf("decode %q: %v (%s)", name, err, raw)
 		}
@@ -584,7 +595,7 @@ func runSelfHealScenario() (rec fleetBenchRecord, err error) {
 	killedAt := time.Now()
 	srv := httptest.NewServer(workers[0].Handler())
 	defer srv.Close()
-	body, _ := json.Marshal(service.QueryRequest{Graph: "bench", Algorithm: service.AlgMinCut})
+	body, _ := json.Marshal(service.QueryRequest{Graph: "bench", Algorithm: service.AlgApproxCut})
 	resp, qerr := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(string(body)))
 	if qerr != nil {
 		return rec, qerr
@@ -765,6 +776,15 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 	}
 	expect("leader up", srv.URL+"/v1/query")
 	expect("replica /v1/local", urls[1]+"/v1/local")
+	resp = postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: service.AlgCC})
+	var lead service.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lead); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || lead.Components == nil {
+		t.Fatalf("cc with the leader up: status %d, components %v", resp.StatusCode, lead.Components)
+	}
 
 	workers[0].Close()
 	leaderSrv.Close()
@@ -783,5 +803,11 @@ func TestFailoverAnswersLikeLeader(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || qr.Outcome != "failover" || qr.Components == nil || *qr.Components != 1 {
 		t.Fatalf("valid cc query with the leader dead: status %d outcome %q", resp.StatusCode, qr.Outcome)
+	}
+	// The replica answers from its p=1 plan: no superstep, the plan's
+	// collectives avoided, the leader's component count.
+	if qr.Kernel.Supersteps != 0 || qr.Kernel.AvoidedCollectives == 0 || *qr.Components != *lead.Components {
+		t.Fatalf("failover cc: %d supersteps, %d avoided collectives, %d components (leader: %d); want 0, > 0 and the leader's",
+			qr.Kernel.Supersteps, qr.Kernel.AvoidedCollectives, *qr.Components, *lead.Components)
 	}
 }

@@ -164,9 +164,10 @@ func postJSON(t *testing.T, url string, v interface{}) *http.Response {
 
 // TestFleetEndToEnd drives the whole tier in-process: two shards (one
 // 2-rank group, one 1-rank group) behind a frontend. Uploads replicate
-// to the owning shard's ranks, queries run on the shard's distributed
-// machine with correct results, repeats hit the leader's cache, and the
-// merged stats account the wire traffic.
+// to the owning shard's ranks, queries answer correctly — cc and the
+// cycle's certified mincut from the leader's plan, on the local fabric;
+// approximate cuts on the shard's distributed machine — repeats hit the
+// leader's cache, and the merged stats account the wire traffic.
 func TestFleetEndToEnd(t *testing.T) {
 	_, urls0 := newWorkerGroup(t, 2, 100, nil)
 	_, urls1 := newWorkerGroup(t, 1, 200, nil)
@@ -206,13 +207,19 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Even the 1-rank shard executes over its mesh session, so both label
-	// their runs "tcp"; only the 2-rank shard moves actual wire bytes.
-	wantTransport := []string{transport.KindTCP, transport.KindTCP}
+	// Even the 1-rank shard executes a distributed run over its mesh
+	// session, so both label their approximate cuts "tcp"; only the
+	// 2-rank shard moves actual wire bytes. Two seeds make two runs each.
 	wantP := []int{2, 1}
 	for i, name := range names {
-		for _, alg := range []string{service.AlgCC, service.AlgMinCut} {
-			resp := postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: alg})
+		for _, req := range []service.QueryRequest{
+			{Graph: name, Algorithm: service.AlgCC},
+			{Graph: name, Algorithm: service.AlgMinCut},
+			{Graph: name, Algorithm: service.AlgApproxCut, Seed: 1},
+			{Graph: name, Algorithm: service.AlgApproxCut, Seed: 2},
+		} {
+			alg := req.Algorithm
+			resp := postJSON(t, srv.URL+"/v1/query", req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("query %s/%s: status %d", name, alg, resp.StatusCode)
 			}
@@ -230,6 +237,10 @@ func TestFleetEndToEnd(t *testing.T) {
 				if qr.Value == nil || *qr.Value != 6 {
 					t.Fatalf("%s mincut = %v, want 6 (cycle of weight-3 edges)", name, qr.Value)
 				}
+			case service.AlgApproxCut:
+				if qr.Value == nil || *qr.Value == 0 {
+					t.Fatalf("%s approxcut = %v, want a connected graph's estimate 2^i", name, qr.Value)
+				}
 			}
 			if qr.Kernel.P != wantP[i] {
 				t.Fatalf("%s %s ran at p=%d, want %d", name, alg, qr.Kernel.P, wantP[i])
@@ -237,18 +248,27 @@ func TestFleetEndToEnd(t *testing.T) {
 			if want := planner.For(alg).Name; qr.Kernel.Kernel != want {
 				t.Fatalf("%s %s reply names kernel %q, want %q", name, alg, qr.Kernel.Kernel, want)
 			}
-			if qr.Kernel.Transport != wantTransport[i] {
-				t.Fatalf("%s %s transport %q, want %q", name, alg, qr.Kernel.Transport, wantTransport[i])
+			wantTransport := transport.KindLocal
+			if alg == service.AlgApproxCut {
+				wantTransport = transport.KindTCP
 			}
-			if i == 0 && qr.Kernel.WireBytes == 0 {
-				t.Fatalf("distributed %s run accounted no wire bytes", alg)
+			if qr.Kernel.Transport != wantTransport {
+				t.Fatalf("%s %s transport %q, want %q", name, alg, qr.Kernel.Transport, wantTransport)
+			}
+			if distributed := wantTransport == transport.KindTCP; i == 0 && distributed != (qr.Kernel.WireBytes > 0) {
+				t.Fatalf("%s run (distributed: %v) accounted %d wire bytes", alg, distributed, qr.Kernel.WireBytes)
+			}
+			// Every run is warm: it skips the collectives its plan holds,
+			// and only a distributed one has supersteps left.
+			if qr.Kernel.AvoidedCollectives == 0 || (qr.Kernel.Supersteps > 0) != (wantTransport == transport.KindTCP) {
+				t.Fatalf("%s over %s: %d supersteps, %d avoided collectives", alg, wantTransport, qr.Kernel.Supersteps, qr.Kernel.AvoidedCollectives)
 			}
 			if qr.Kernel.WireRawBytes != qr.Kernel.WireBytes {
 				t.Fatalf("%s %s: wire_raw_bytes %d, wire_bytes %d", name, alg, qr.Kernel.WireRawBytes, qr.Kernel.WireBytes)
 			}
 
 			// Identical repeat: served from the leader's cache.
-			resp = postJSON(t, srv.URL+"/v1/query", service.QueryRequest{Graph: name, Algorithm: alg})
+			resp = postJSON(t, srv.URL+"/v1/query", req)
 			var qr2 service.QueryResponse
 			if err := json.NewDecoder(resp.Body).Decode(&qr2); err != nil {
 				t.Fatal(err)
@@ -302,7 +322,8 @@ func TestFleetEndToEnd(t *testing.T) {
 // TestFleetPartialReplication exercises a run failing closed: the graph
 // exists on the leader but not on the peer (registered around the
 // frontend), so the peer refuses the run by aborting it and the leader
-// fails in its first superstep, surfacing as a retryable 503.
+// fails in its first superstep, surfacing as a retryable 503. The query
+// is an approximate cut: on a connected graph it needs the peer.
 func TestFleetPartialReplication(t *testing.T) {
 	workers, urls := newWorkerGroup(t, 2, 300, nil)
 	g := gen.Cycle(32, 2)
@@ -314,7 +335,7 @@ func TestFleetPartialReplication(t *testing.T) {
 	if _, err := workers[0].Engine().Registry().Put("lopsided", g); err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "lopsided", Algorithm: service.AlgCC})
+	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "lopsided", Algorithm: service.AlgApproxCut})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (peer cannot run the graph)", resp.StatusCode)
@@ -329,7 +350,7 @@ func TestFleetPartialReplication(t *testing.T) {
 // peer must refuse the run at once by aborting it — a retryable 503
 // well inside the query deadline — rather than join it and then sit the
 // run out, which leaves the leader waiting on the peer until the
-// deadline.
+// deadline. Queries the leader's plan answers need no peer and succeed.
 func TestFleetPeerContentMismatch(t *testing.T) {
 	workers, urls := newWorkerGroup(t, 2, 350, nil)
 	waitReady(t, workers[1])
@@ -340,7 +361,7 @@ func TestFleetPeerContentMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "twin", Algorithm: service.AlgCC})
+	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "twin", Algorithm: service.AlgApproxCut})
 	defer resp.Body.Close()
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -352,12 +373,23 @@ func TestFleetPeerContentMismatch(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("rejection took %v, want it from the peer's abort, not the deadline", elapsed)
 	}
+	for _, alg := range []string{service.AlgCC, service.AlgMinCut} {
+		resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "twin", Algorithm: alg})
+		var qr service.QueryResponse
+		err := json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || qr.Kernel.Transport != transport.KindLocal {
+			t.Fatalf("%s, which the leader's plan answers: status %d over %q (%v), want 200 on the leader's local fabric",
+				alg, resp.StatusCode, qr.Kernel.Transport, err)
+		}
+	}
 }
 
 // TestFleetWireDropFault injects the transport fault grammar end to
 // end: drop@1:* severs rank 1's connections at its first Exchange, the
-// leader sees ErrPeerLost, and the query resolves 503 + Retry-After
-// with the transport_lost outcome counted.
+// leader sees ErrPeerLost, and the query — an approximate cut, which
+// communicates — resolves 503 + Retry-After with the transport_lost
+// outcome counted.
 func TestFleetWireDropFault(t *testing.T) {
 	freg, err := faults.Parse("drop@1:*:x*")
 	if err != nil {
@@ -370,7 +402,7 @@ func TestFleetWireDropFault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "doomed", Algorithm: service.AlgCC})
+	resp := postJSON(t, urls[0]+"/v1/query", service.QueryRequest{Graph: "doomed", Algorithm: service.AlgApproxCut})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)

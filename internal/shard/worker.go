@@ -288,7 +288,8 @@ func (w *Worker) runPeerJob(job ctrlMsg, sg *service.StoredGraph, refusal error)
 
 // runOnSession executes one distributed run's local share on its
 // session: wire-fault hook, machine, the algorithm's kernel on the
-// caller-supplied shape.
+// rank's own plan of the snapshot. Every rank builds that plan from the
+// same content at the same p, so all skip the same collectives.
 func (w *Worker) runOnSession(ctx context.Context, sess *transport.Session, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	if w.faults != nil {
 		if h := w.faults.WireHook(w.rank); h != nil {
@@ -299,19 +300,23 @@ func (w *Worker) runOnSession(ctx context.Context, sess *transport.Session, sg *
 	if err != nil {
 		return nil, err
 	}
-	return service.Run(ctx, sg, alg, pr, planner.Shape{Machine: m})
+	return service.Run(ctx, sg, alg, pr, planner.Shape{Machine: m, Plan: sg.Plan(w.p)})
 }
 
-// distExecutor is the leader's service.Executor: it runs every query on
-// the shard's distributed TCP machine, coordinating the peers through
-// the control protocol. Distributed runs are always cold — no
-// snapshot-resident plans — and sized to the group.
+// distExecutor is the leader's service.Executor, sized to the group. A
+// query the leader's plan answers (planner.Answers) runs on a pooled
+// local machine and never reaches a peer; every other query runs on the
+// shard's distributed TCP machine, coordinated through the control
+// protocol, warm on each rank's plan.
 type distExecutor struct{ w *Worker }
 
 func (d *distExecutor) MachineP() int { return d.w.p }
 
 func (d *distExecutor) Execute(ctx context.Context, sg *service.StoredGraph, alg string, pr planner.RunParams) (*service.QueryResult, error) {
 	w := d.w
+	if pl := sg.Plan(w.p); planner.Answers(alg, pl) {
+		return service.Run(ctx, sg, alg, pr, planner.Shape{P: w.p, Plan: pl})
+	}
 	run := w.nextRun.Add(1)
 	// The session exists before any peer hears of the run, so a peer's
 	// refusal or loss aborts it at once.

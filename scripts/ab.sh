@@ -18,7 +18,11 @@
 # The summary gives, per end-to-end metric of this tree's BENCHMARK.json,
 # the median of each side, the base runs' interquartile range, the pairs
 # this tree won and lost (a tie counts as neither), the exact one-sided
-# sign-test p of that split, and a verdict: "gain" when this tree won at
+# sign-test p of that split, a distribution-free 95 % interval for the
+# median of the per-pair ratios head/base (order statistics r(k) and
+# r(n+1-k) of the n sorted ratios, k the largest with P(Bin(n, 1/2) < k)
+# ≤ 2.5 %; "n/a" under 6 pairs, where no k qualifies), and a verdict:
+# "gain" when this tree won at
 # least 9 in 10 of the untied pairs, its median is better by more than
 # the base IQR and it failed no more operations than the base; "WORSE"
 # when its median is worse by more than the metric's bound; "-"
@@ -59,9 +63,20 @@ def sign_p(wins, n):
     # P(at least `wins` of n fair coins come up heads).
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n if n else 1.0
 
+def ratio_ci(b, h):
+    # r(k) lies above the ratios' median exactly when fewer than k ratios
+    # fall below it, with probability P(Bin(n, 1/2) < k); r(n+1-k) lies
+    # below it as often. So [r(k), r(n+1-k)] misses the median with
+    # probability 2 P(Bin(n, 1/2) < k) <= 5 %.
+    r = sorted(hv / bv for bv, hv in zip(b, h) if bv)
+    n, k = len(r), 0
+    while k < n // 2 and sum(math.comb(n, j) for j in range(k + 1)) / 2**n <= 0.025:
+        k += 1
+    return f"[{r[k - 1]:.4g}, {r[n - k]:.4g}]" if k else "n/a"
+
 failed = {side: sum(r["failed"] for r in runs) for side, runs in (("base", base), ("head", head))}
 print(f"# {len(base)} pairs, base {sys.argv[4]} vs this tree; won/lost count the pairs where this tree's run is better/worse, ties in neither")
-print(f"{'metric':<30} {'unit':<6} {'base_median':>12} {'head_median':>12} {'change':>8} {'base_IQR':>10} {'won':>4} {'lost':>4} {'sign_p':>8}  verdict")
+print(f"{'metric':<30} {'unit':<6} {'base_median':>12} {'head_median':>12} {'change':>8} {'base_IQR':>10} {'won':>4} {'lost':>4} {'sign_p':>8} {'ratio_CI95':>20}  verdict")
 for m in spec["end_to_end"] + spec["per_layer"]:
     name = m["name"]
     if not all(name in r["metrics"] for r in base + head):
@@ -82,7 +97,7 @@ for m in spec["end_to_end"] + spec["per_layer"]:
     elif bm and -gain / abs(bm) > m["bound"]:
         verdict = "WORSE"
     change = f"{(hm - bm) / bm * 100:+.1f}%" if bm else "n/a"
-    print(f"{name:<30} {m['unit']:<6} {bm:>12.6g} {hm:>12.6g} {change:>8} {q3 - q1:>10.4g} {won:>4} {lost:>4} {sign_p(won, won + lost):>8.4f}  {verdict}")
+    print(f"{name:<30} {m['unit']:<6} {bm:>12.6g} {hm:>12.6g} {change:>8} {q3 - q1:>10.4g} {won:>4} {lost:>4} {sign_p(won, won + lost):>8.4f} {ratio_ci(b, h):>20}  {verdict}")
 for side, runs in (("base", base), ("head", head)):
     print(f"# {side}: {failed[side]} failed of {sum(r['attempted'] for r in runs)} operations")
 if failed["head"] > failed["base"]:
